@@ -14,12 +14,11 @@ from convgen import (
     OpCounter,
     build_network,
     incremental_generate,
-    incremental_init,
-    incremental_step,
     naive_generate,
     receptive_field,
 )
 from convgen.bench import measure_nodes_per_step
+from convgen.dilated import incremental_init, incremental_step
 
 spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=8, seed=42)
 net = build_network(spec)

@@ -11,15 +11,15 @@ available from the command line:
 """
 
 from convgen import ImageSpec, NetworkSpec, build_image_network, build_network
-from convgen.bench import time_1d, time_image
+from convgen.bench import time_engine
 
 print("dilated depth sweep (stacks=2, channels=4)")
 print(f"{'L':>3} {'naive us/step':>14} {'cached us/step':>15} {'speedup':>8} "
       f"{'naive macs':>11} {'cached macs':>12}")
 for L in (2, 4, 6, 8):
     net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=L, channels=4, seed=0))
-    naive = time_1d(net, "naive", steps=16, repeats=3)
-    cached = time_1d(net, "cached", steps=16, repeats=3)
+    naive = time_engine(net, "naive", steps=16, repeats=3)
+    cached = time_engine(net, "cached", steps=16, repeats=3)
     print(f"{L:>3} {naive['median_us']:>14.1f} {cached['median_us']:>15.1f} "
           f"{naive['median_us'] / cached['median_us']:>7.1f}x "
           f"{naive['macs_per_step']:>11} {cached['macs_per_step']:>12}")
@@ -29,8 +29,8 @@ print("image2d batch sweep (16x16, 3 blocks, 8 channels)")
 print(f"{'batch':>5} {'naive us/px':>12} {'cached us/px':>13} {'speedup':>8}")
 net = build_image_network(ImageSpec(16, 16, channels=8, n_layers=3, seed=0))
 for batch in (1, 4, 16):
-    naive = time_image(net, "naive", batch=batch, repeats=2)
-    cached = time_image(net, "cached", batch=batch, repeats=2)
+    naive = time_engine(net, "naive", steps=None, repeats=2, batch=batch)
+    cached = time_engine(net, "cached", steps=None, repeats=2, batch=batch)
     print(f"{batch:>5} {naive['median_us']:>12.1f} {cached['median_us']:>13.1f} "
           f"{naive['median_us'] / cached['median_us']:>7.1f}x")
 

@@ -13,21 +13,19 @@ one new node per layer per step):
 The two engines of a family produce identical samples; the cached one does
 linear instead of exponential work per sample.  `convgen.bench` is the
 benchmark/verification command line (installed as ``convgen-bench``).
+
+This namespace holds the user-facing API.  Kernels (`convgen.tensor`),
+caches and schedules (`convgen.cache`) and the per-step `*_init` / `*_step`
+engine functions (`convgen.dilated`, `convgen.strided`, `convgen.image2d`)
+are imported from their own modules.
 """
 
-from .cache import FifoCache, RowCache, Schedule, schedule_build
 from .dilated import (
-    DilatedNetwork,
-    GenState,
     NetworkSpec,
     build_network,
     forward_full,
     incremental_generate,
-    incremental_init,
-    incremental_step,
     naive_generate,
-    naive_init,
-    naive_step,
     receptive_field,
 )
 from .errors import (
@@ -40,96 +38,53 @@ from .errors import (
     UnsupportedTopologyError,
 )
 from .image2d import (
-    ImageNetwork,
     ImageSpec,
     build_image_network,
     forward_image,
     image_incremental_generate,
-    image_incremental_init,
     image_naive_generate,
     receptive_field_2d,
-    vertical_row_pass,
     write_pgm,
 )
 from .strided import (
-    StridedNetwork,
     StridedPlan,
     build_strided_network,
     firing_trace,
     format_trace,
     strided_incremental_generate,
-    strided_incremental_init,
-    strided_incremental_step,
     strided_naive_generate,
-    strided_naive_init,
-    strided_naive_step,
 )
-from .tensor import (
-    ConvWeights,
-    OpCounter,
-    as_tensor,
-    conv1d_full,
-    conv1d_point,
-    masked_conv2d,
-    strided_conv1d,
-    strided_transposed_conv1d,
-    transposed_point,
-)
+from .tensor import ConvWeights, OpCounter
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvWeights",
-    "DilatedNetwork",
     "EmptyInputError",
-    "FifoCache",
-    "GenState",
-    "ImageNetwork",
     "ImageSpec",
     "InsufficientContextError",
     "InvalidParameterError",
     "InvalidRowError",
     "NetworkSpec",
     "OpCounter",
-    "RowCache",
-    "Schedule",
     "ScheduleViolationError",
     "ShapeError",
-    "StridedNetwork",
     "StridedPlan",
     "UnsupportedTopologyError",
-    "as_tensor",
     "build_image_network",
     "build_network",
     "build_strided_network",
-    "conv1d_full",
-    "conv1d_point",
     "firing_trace",
     "format_trace",
     "forward_full",
     "forward_image",
     "image_incremental_generate",
-    "image_incremental_init",
     "image_naive_generate",
     "incremental_generate",
-    "incremental_init",
-    "incremental_step",
-    "masked_conv2d",
     "naive_generate",
-    "naive_init",
-    "naive_step",
     "receptive_field",
     "receptive_field_2d",
-    "schedule_build",
-    "strided_conv1d",
     "strided_incremental_generate",
-    "strided_incremental_init",
-    "strided_incremental_step",
     "strided_naive_generate",
-    "strided_naive_init",
-    "strided_naive_step",
-    "strided_transposed_conv1d",
-    "transposed_point",
-    "vertical_row_pass",
     "write_pgm",
 ]

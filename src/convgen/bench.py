@@ -13,41 +13,39 @@ and cache initialisation: states are warmed up before the timed window.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dilated import (
     NetworkSpec,
     build_network,
-    forward_full,
-    incremental_generate,
     incremental_init,
     incremental_step,
-    naive_generate,
     naive_init,
     naive_step,
+    receptive_field,
 )
 from .errors import InvalidParameterError
 from .image2d import (
     ImageSpec,
     build_image_network,
     forward_image,
-    image_incremental_generate,
-    image_naive_generate,
+    image_incremental_init,
+    image_incremental_step,
+    image_naive_init,
+    image_naive_step,
 )
 from .strided import (
     StridedPlan,
     build_strided_network,
     firing_trace,
-    strided_incremental_generate,
     strided_incremental_init,
     strided_incremental_step,
-    strided_naive_generate,
     strided_naive_init,
     strided_naive_step,
 )
@@ -70,52 +68,100 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class BenchRecord:
-    """One measurement row; field order == CSV column order."""
+# ---------------------------------------------------------------------------
+# the engine table, and the rollout that checks and timing run through
+# ---------------------------------------------------------------------------
 
-    model: str
-    L: int
-    stacks: int
-    batch: int
-    mode: str
-    steps: int
-    repeats: int
-    wall_us_per_step: float
-    macs_per_step: int
-    max_abs_diff: float | None = None
+# family -> engine -> (init, step).  1D: init(network, counter) and
+# step(network, state, x) -> y.  image2d: init(network, batch, counter) and
+# step(network, state) -> (1, batch), the state reading the image it writes.
+ENGINES = {
+    "dilated": {
+        "naive": (naive_init, naive_step),
+        "cached": (incremental_init, incremental_step),
+    },
+    "strided": {
+        "naive": (strided_naive_init, strided_naive_step),
+        "cached": (strided_incremental_init, strided_incremental_step),
+    },
+    "image2d": {
+        "naive": (image_naive_init, image_naive_step),
+        "cached": (image_incremental_init, image_incremental_step),
+    },
+}
 
-    def csv_row(self) -> str:
-        diff = "" if self.max_abs_diff is None else f"{self.max_abs_diff:.6g}"
+
+class Rollout:
+    """`batch` sequences generated from zero input by one engine of ENGINES.
+
+    1D families hold `batch` independent states, each fed its own previous
+    output.  image2d holds one lockstep state; the step after an image's
+    last pixel starts a fresh image.  Every state owns its counter, so
+    thread mode shares none.
+    """
+
+    def __init__(self, network, engine: str, batch: int = 1):
+        if batch < 1:
+            raise InvalidParameterError(f"batch must be >= 1, got {batch}")
+        self.network, self.batch = network, batch
+        self.init, self.step = ENGINES[network.spec.family][engine]
+        if network.spec.family == "image2d":
+            self.length = network.spec.height * network.spec.width
+            self.states = [self.init(network, batch, OpCounter())]
+            self.t = 0  # steps into the current image
+        else:
+            self.length = None  # 1D sequences have no end
+            self.states = [self.init(network, OpCounter()) for _ in range(batch)]
+            self.xs = [np.float32(0.0)] * batch  # each sequence's next input
+
+    def steps(self, n_steps: int | None) -> int:
+        """n_steps, or one whole image when it is None."""
+        n = self.length if n_steps is None else n_steps
+        if n is None or n < 1:
+            raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
+        return n
+
+    def counts(self) -> tuple[int, int]:
+        """(macs, node_evals) summed over every state."""
         return (
-            f"{self.model},{self.L},{self.stacks},{self.batch},{self.mode},"
-            f"{self.steps},{self.repeats},{self.wall_us_per_step:.3f},"
-            f"{self.macs_per_step},{diff}"
+            sum(s.counter.macs for s in self.states),
+            sum(s.counter.node_evals for s in self.states),
         )
 
+    def advance(self, n: int, out: np.ndarray | None = None, threads: bool = False) -> None:
+        """Advance every sequence n steps; out[i, j] gets sequence j's output at step i."""
+        net, step = self.network, self.step
+        if self.length is not None:
+            for i in range(n):
+                if self.t == self.length:
+                    self.states = [self.init(net, self.batch, self.states[0].counter)]
+                    self.t = 0
+                y = step(net, self.states[0])
+                self.t += 1
+                if out is not None:
+                    out[i] = y[0]
+            return
 
-# ---------------------------------------------------------------------------
-# timing helpers (shared with the acceptance suite)
-# ---------------------------------------------------------------------------
+        def run_one(j: int) -> None:
+            state, x = self.states[j], self.xs[j]
+            for i in range(n):
+                x = step(net, state, x)
+                if out is not None:
+                    out[i, j] = x
+            self.xs[j] = x
+
+        if threads and self.batch > 1:
+            with ThreadPoolExecutor(max_workers=self.batch) as pool:
+                list(pool.map(run_one, range(self.batch)))
+        else:
+            for j in range(self.batch):
+                run_one(j)
 
 
-def _steppers_1d(network, engine: str, batch: int):
-    if network.spec.family == "dilated":
-        init = naive_init if engine == "naive" else incremental_init
-        step = naive_step if engine == "naive" else incremental_step
-    else:
-        init = strided_naive_init if engine == "naive" else strided_incremental_init
-        step = strided_naive_step if engine == "naive" else strided_incremental_step
-    # one private counter per batch element (thread mode merges them at the end)
-    states = [init(network, OpCounter()) for _ in range(batch)]
-    xs = [np.float32(0.0)] * batch
-    return states, xs, step
-
-
-def time_1d(
+def time_engine(
     network,
     engine: str,
-    steps: int,
+    steps: int | None,
     repeats: int,
     warmup: int | None = None,
     batch: int = 1,
@@ -123,70 +169,28 @@ def time_1d(
 ) -> dict:
     """Per-step wall time (all batch elements advance once per step) and exact macs.
 
-    Warm-up is excluded from the timed window; for the naive dilated engine it
-    spans one receptive field, because earlier steps evaluate pruned trees and
-    are cheaper than the steady state being measured.
+    `steps=None` times whole images.  Warm-up is excluded from the timed
+    window.  It defaults to 4 steps, or one image for image2d; for the naive
+    dilated engine it spans one receptive field, because earlier steps
+    evaluate pruned trees and are cheaper than the steady state being measured.
     """
+    rollout = Rollout(network, engine, batch)
+    steps = rollout.steps(steps)
     if warmup is None:
-        from .dilated import receptive_field
-
-        warmup = 4
+        warmup = rollout.length or 4
         if engine == "naive" and network.spec.family == "dilated":
             warmup = max(warmup, receptive_field(network.spec))
-    states, xs, step = _steppers_1d(network, engine, batch)
-
-    def total_macs() -> int:
-        merged = OpCounter()
-        for st in states:
-            merged.merge(st.counter)
-        return merged.macs
-
-    def advance(n: int):
-        for _ in range(n):
-            for j, st in enumerate(states):
-                xs[j] = step(network, st, xs[j])
-
-    def advance_threaded(n: int):
-        def run_one(j):
-            x = xs[j]
-            for _ in range(n):
-                x = step(network, states[j], x)
-            xs[j] = x
-
-        with ThreadPoolExecutor(max_workers=len(states)) as pool:
-            list(pool.map(run_one, range(len(states))))
-
-    runner = advance_threaded if threads and batch > 1 else advance
-    runner(warmup)
-    macs0 = total_macs()
+    rollout.advance(warmup, threads=threads)
+    macs0 = rollout.counts()[0]
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        runner(steps)
+        rollout.advance(steps, threads=threads)
         times.append((time.perf_counter() - t0) * 1e6 / steps)
-    macs_per_step = (total_macs() - macs0) // (repeats * steps)
     return {
         "median_us": statistics.median(times),
         "mean_us": statistics.fmean(times),
-        "macs_per_step": macs_per_step,
-    }
-
-
-def time_image(network, engine: str, batch: int, repeats: int) -> dict:
-    """Per-pixel wall time for whole-image generation (one warm-up image excluded)."""
-    gen = image_naive_generate if engine == "naive" else image_incremental_generate
-    pixels = network.spec.height * network.spec.width
-    gen(network, batch=batch)  # warm-up image
-    counter = OpCounter()
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        gen(network, batch=batch, counter=counter)
-        times.append((time.perf_counter() - t0) * 1e6 / pixels)
-    return {
-        "median_us": statistics.median(times),
-        "mean_us": statistics.fmean(times),
-        "macs_per_step": counter.macs // (repeats * pixels),
+        "macs_per_step": (rollout.counts()[0] - macs0) // (repeats * steps),
     }
 
 
@@ -195,60 +199,68 @@ def time_image(network, engine: str, batch: int, repeats: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def compare_dilated(naive_network, cached_network, n_steps: int, prime=()) -> float:
-    a = naive_generate(naive_network, prime, n_steps)
-    b = incremental_generate(cached_network, prime, n_steps)
-    return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+def compare(naive_network, cached_network, n_steps: int | None = None, batch: int = 1) -> float:
+    """Max |naive - cached| over n_steps steps of `batch` sequences (default: one image)."""
+    outs = []
+    for network, engine in ((naive_network, "naive"), (cached_network, "cached")):
+        rollout = Rollout(network, engine, batch)
+        out = np.empty((rollout.steps(n_steps), batch), dtype=DTYPE)
+        rollout.advance(len(out), out)
+        outs.append(out.astype(np.float64))
+    return float(np.max(np.abs(outs[0] - outs[1])))
 
 
-def compare_strided(naive_network, cached_network, n_steps: int) -> float:
-    a = strided_naive_generate(naive_network, n_steps)
-    b = strided_incremental_generate(cached_network, n_steps)
-    return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+def check_equivalence(networks, n_steps: int | None = None, tol: float = EQUIV_TOL):
+    """Naive vs cached engines of every network over n_steps steps (default: whole images)."""
+    diffs = [compare(net, net, n_steps) for net in networks]
+    ok = all(d <= tol for d in diffs)
+    span = "whole images" if n_steps is None else f"{n_steps} steps"
+    detail = f"max|naive-cached|={max(diffs):.3g} ({len(networks)} networks x {span})"
+    if not ok:
+        bad = next(net for net, d in zip(networks, diffs) if not d <= tol)
+        detail += f", first over {tol}: {bad.spec}"
+    return ok, detail
 
 
-def compare_image(naive_network, cached_network, batch: int = 1) -> float:
-    a = image_naive_generate(naive_network, batch)
-    b = image_incremental_generate(cached_network, batch)
-    return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-
-
-def check_dilated_equivalence(n_configs: int, n_steps: int, seed: int = 0):
+def _sample_networks(family: str, n: int, seed: int = 0, sizes=((8, 8),)) -> list:
+    """n seeded random networks of one family (n per image size for image2d)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_configs):
-        spec = NetworkSpec(
-            "dilated",
-            stacks=int(rng.integers(1, 3)),
-            layers_per_stack=int(rng.integers(1, 7)),
-            channels=int(rng.choice([1, 4, 16])),
-            seed=int(rng.integers(2**32)),
-        )
-        net = build_network(spec)
-        worst = max(worst, compare_dilated(net, net, n_steps))
-    return worst <= EQUIV_TOL, f"max|naive-cached|={worst:.3g} ({n_configs} configs x {n_steps} steps)"
+    if family == "dilated":
+        return [
+            build_network(NetworkSpec(
+                "dilated",
+                stacks=int(rng.integers(1, 3)),
+                layers_per_stack=int(rng.integers(1, 7)),
+                channels=int(rng.choice([1, 4, 16])),
+                seed=int(rng.integers(2**32)),
+            ))
+            for _ in range(n)
+        ]
+    if family == "strided":
+        return [
+            build_strided_network(NetworkSpec(
+                "strided", channels=3, strides=HOURGLASS_STRIDES, seed=int(rng.integers(2**32))
+            ))
+            for _ in range(n)
+        ]
+    return [
+        build_image_network(ImageSpec(h, w, channels=4, n_layers=3, seed=int(rng.integers(2**32))))
+        for h, w in sizes
+        for _ in range(n)
+    ]
 
 
 def measure_nodes_per_step(network, engine: str, n_steps: int = 4) -> int:
-    """Exact steady-state node evaluations per generated sample.
+    """Exact steady-state node evaluations per generated sample of a 1D network.
 
     Warm-up covers one receptive field so the naive engine's dependency
     tree no longer touches the zero-padded region (early trees are cheaper).
     """
-    from .dilated import receptive_field
-
-    counter = OpCounter()
-    if engine == "naive":
-        state, step = naive_init(network, counter), naive_step
-    else:
-        state, step = incremental_init(network, counter), incremental_step
-    x = np.float32(0.0)
-    for _ in range(receptive_field(network.spec)):
-        x = step(network, state, x)
-    before = counter.node_evals
-    for _ in range(n_steps):
-        x = step(network, state, x)
-    total = counter.node_evals - before
+    rollout = Rollout(network, engine)
+    rollout.advance(receptive_field(network.spec))
+    before = rollout.counts()[1]
+    rollout.advance(n_steps)
+    total = rollout.counts()[1] - before
     if total % n_steps:
         return -1  # not constant per step; callers treat as a failure
     return total // n_steps
@@ -296,78 +308,40 @@ def check_golden_trace():
     return True, "burst at t=0 (4 outputs), idle t=1/t=3, one node at t=2, period 4"
 
 
-def check_strided_equivalence(n_seeds: int, n_steps: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_seeds):
-        spec = NetworkSpec(
-            "strided", channels=3, strides=HOURGLASS_STRIDES, seed=int(rng.integers(2**32))
-        )
-        net = build_strided_network(spec)
-        worst = max(worst, compare_strided(net, net, n_steps))
-    return worst <= EQUIV_TOL, f"max|naive-cached|={worst:.3g} ({n_seeds} seeds x {n_steps} steps)"
-
-
-def check_image_equivalence(n_seeds: int, sizes=((8, 8),), n_layers: int = 3, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for h, w in sizes:
-        for _ in range(n_seeds):
-            spec = ImageSpec(h, w, channels=4, n_layers=n_layers, seed=int(rng.integers(2**32)))
-            net = build_image_network(spec)
-            worst = max(worst, compare_image(net, net))
-    return worst <= EQUIV_TOL, f"max|naive-cached|={worst:.3g} ({n_seeds} seeds, sizes {sizes})"
+def _forward(network, inputs: np.ndarray) -> np.ndarray:
+    """Outputs for fixed inputs, flat in generation order: the naive 1D
+    engine stepped over `inputs` without feedback, or one image pass."""
+    if network.spec.family == "image2d":
+        return forward_image(network, inputs).ravel()
+    init, step = ENGINES[network.spec.family]["naive"]
+    state = init(network)
+    return np.array([step(network, state, v) for v in inputs], dtype=DTYPE)
 
 
 def check_causality(seed: int = 0):
     rng = np.random.default_rng(seed)
-
-    spec = NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=2, seed=11)
-    net = build_network(spec)
-    x = rng.standard_normal(12).astype(DTYPE)
-    base = forward_full(net, x)
-    for t2 in range(12):
-        xp = x.copy()
-        xp[t2] += 1.0
-        pert = forward_full(net, xp)
-        if not np.array_equal(base[:t2], pert[:t2]):
-            return False, f"dilated output before t={t2} changed by a perturbation at t={t2}"
-
-    sspec = NetworkSpec("strided", channels=2, strides=HOURGLASS_STRIDES, seed=11)
-    snet = build_strided_network(sspec)
-    sx = rng.standard_normal(12).astype(DTYPE)
-    sbase = _strided_forward(snet, sx)
-    for t2 in range(12):
-        xp = sx.copy()
-        xp[t2] += 1.0
-        pert = _strided_forward(snet, xp)
-        if not np.array_equal(sbase[:t2], pert[:t2]):
-            return False, f"strided output before t={t2} changed by a perturbation at t={t2}"
-
-    ispec = ImageSpec(6, 6, channels=3, n_layers=3, seed=11)
-    inet = build_image_network(ispec)
-    img = rng.standard_normal((1, 6, 6, 1)).astype(DTYPE)
-    ibase = forward_image(inet, img)
-    for r2 in range(6):
-        for c2 in range(6):
-            ip = img.copy()
-            ip[0, r2, c2, 0] += 1.0
-            pert = forward_image(inet, ip)
-            flat_base = ibase[0, :, :, 0].ravel()
-            flat_pert = pert[0, :, :, 0].ravel()
-            upto = r2 * 6 + c2 + 1  # raster positions <= (r2, c2) must be untouched
-            if not np.array_equal(flat_base[:upto], flat_pert[:upto]):
-                return False, f"image prediction before raster ({r2},{c2}) changed"
+    # (network, inputs, 1 if the output at position p reads input p); an
+    # image prediction at p reads strictly earlier pixels only
+    cases = (
+        (build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=2, seed=11)),
+         rng.standard_normal(12), 1),
+        (build_strided_network(NetworkSpec("strided", channels=2, strides=HOURGLASS_STRIDES, seed=11)),
+         rng.standard_normal(12), 1),
+        (build_image_network(ImageSpec(6, 6, channels=3, n_layers=3, seed=11)),
+         rng.standard_normal((1, 6, 6, 1)), 0),
+    )
+    for network, x, reads_own in cases:
+        x = x.astype(DTYPE)
+        base = _forward(network, x)
+        for p in range(x.size):
+            xp = x.copy()
+            xp.reshape(-1)[p] += 1.0
+            upto = p + 1 - reads_own
+            if not np.array_equal(base[:upto], _forward(network, xp)[:upto]):
+                return False, (
+                    f"{network.spec.family} outputs before {upto} changed by a perturbation at {p}"
+                )
     return True, "all families: outputs at t invariant to perturbations after t"
-
-
-def _strided_forward(network, inputs: np.ndarray) -> np.ndarray:
-    """Forward map of the strided stack over a fixed input window."""
-    state = strided_naive_init(network)
-    out = np.empty(len(inputs), dtype=DTYPE)
-    for i, v in enumerate(inputs):
-        out[i] = strided_naive_step(network, state, v)
-    return out
 
 
 def check_constant_memory(n_steps: int = 1000):
@@ -386,29 +360,19 @@ def check_constant_memory(n_steps: int = 1000):
     return True, f"{expected} stored values, constant over {n_steps} steps"
 
 
-VERIFY_CHECKS = (
-    "dilated-equivalence",
-    "op-count-law",
-    "golden-trace",
-    "strided-equivalence",
-    "image-equivalence",
-    "causality",
-    "constant-memory",
-)
-
-
 def run_verify(quick: bool, out=None) -> int:
     """Run every property check, one machine-readable line each; 0 iff all pass."""
     out = sys.stdout if out is None else out
+    image_sizes = ((8, 8),) if quick else ((8, 8), (12, 12))
     checks = [
-        ("dilated-equivalence", lambda: check_dilated_equivalence(
-            10 if quick else 40, 64 if quick else 192)),
+        ("dilated-equivalence", lambda: check_equivalence(
+            _sample_networks("dilated", 10 if quick else 40), 64 if quick else 192)),
         ("op-count-law", lambda: check_op_count_law(6 if quick else 8)),
         ("golden-trace", check_golden_trace),
-        ("strided-equivalence", lambda: check_strided_equivalence(
-            5 if quick else 20, 60 if quick else 160)),
-        ("image-equivalence", lambda: check_image_equivalence(
-            3 if quick else 8, ((8, 8),) if quick else ((8, 8), (12, 12)))),
+        ("strided-equivalence", lambda: check_equivalence(
+            _sample_networks("strided", 5 if quick else 20), 60 if quick else 160)),
+        ("image-equivalence", lambda: check_equivalence(
+            _sample_networks("image2d", 3 if quick else 8, sizes=image_sizes))),
         ("causality", check_causality),
         ("constant-memory", lambda: check_constant_memory(300 if quick else 1000)),
     ]
@@ -444,23 +408,24 @@ def _parse_batch(text: str) -> list[int]:
     return values
 
 
-def _build_for(args, L: int):
+def _build_for(args, L: int, steps: int):
+    """The network of one sweep point, with its CSV `L`, `stacks` and `steps`."""
     if args.model == "dilated":
         spec = NetworkSpec(
             "dilated", stacks=args.stacks, layers_per_stack=L,
             channels=args.channels, seed=args.seed,
         )
-        return build_network(spec)
+        return build_network(spec), L, args.stacks, steps
     if args.model == "strided":
         spec = NetworkSpec(
             "strided", channels=args.channels, strides=HOURGLASS_STRIDES, seed=args.seed
         )
-        return build_strided_network(spec)
+        return build_strided_network(spec), len(HOURGLASS_STRIDES), 1, steps
     spec = ImageSpec(
         args.image_size, args.image_size, channels=args.channels,
         n_layers=L, seed=args.seed,
     )
-    return build_image_network(spec)
+    return build_image_network(spec), L, 1, args.image_size**2  # one whole image
 
 
 def run_bench(args, out=None) -> int:
@@ -481,43 +446,25 @@ def run_bench(args, out=None) -> int:
     print(",".join(CSV_COLUMNS), file=out)
     worst_diff = 0.0
     for L in layers:
-        network = _build_for(args, L)
-        eff_L = len(HOURGLASS_STRIDES) if args.model == "strided" else L
-        stacks = args.stacks if args.model == "dilated" else 1
+        network, eff_L, stacks, eff_steps = _build_for(args, L, steps)
         for batch in batches:
             diff = None
             if args.mode == "both":
-                if args.model == "dilated":
-                    diff = compare_dilated(network, network, steps)
-                elif args.model == "strided":
-                    diff = compare_strided(network, network, steps)
-                else:
-                    diff = compare_image(network, network, batch)
+                diff = compare(network, network, eff_steps, batch)
                 worst_diff = max(worst_diff, diff)
+            diff_text = "" if diff is None else f"{diff:.6g}"
             summaries = {}
             for mode in modes:
-                if args.model == "image2d":
-                    res = time_image(network, mode, batch, repeats)
-                    eff_steps = args.image_size * args.image_size
-                else:
-                    res = time_1d(
-                        network, mode, steps, repeats, warmup=warmup,
-                        batch=batch, threads=args.threads,
-                    )
-                    eff_steps = steps
-                rec = BenchRecord(
-                    model=args.model,
-                    L=eff_L,
-                    stacks=stacks,
-                    batch=batch,
-                    mode=mode,
-                    steps=eff_steps,
-                    repeats=repeats,
-                    wall_us_per_step=res["median_us"],
-                    macs_per_step=res["macs_per_step"],
-                    max_abs_diff=diff,
+                res = time_engine(
+                    network, mode, eff_steps, repeats, warmup=warmup,
+                    batch=batch, threads=args.threads,
                 )
-                print(rec.csv_row(), file=out)
+                # one row in CSV_COLUMNS order
+                print(
+                    f"{args.model},{eff_L},{stacks},{batch},{mode},{eff_steps},{repeats},"
+                    f"{res['median_us']:.3f},{res['macs_per_step']},{diff_text}",
+                    file=out,
+                )
                 summaries[mode] = res
             note = " ".join(
                 f"{m}: median={summaries[m]['median_us']:.1f}us mean={summaries[m]['mean_us']:.1f}us"
@@ -544,9 +491,14 @@ def speedup_report(csv_lines, out=None) -> int:
     out = sys.stdout if out is None else out
     import csv as _csv
 
-    rows = list(_csv.DictReader(csv_lines))
+    reader = _csv.DictReader(csv_lines)
+    rows = list(reader)
     if not rows:
         print("error: empty CSV", file=sys.stderr)
+        return 1
+    absent = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
+    if absent:
+        print(f"error: CSV lacks column(s) {','.join(absent)}", file=sys.stderr)
         return 1
     table = {}
     for row in rows:
@@ -610,6 +562,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open(parser, path: str, mode: str, std):
+    """`path` opened in `mode`, "-" meaning `std`; an unopenable path is a usage error."""
+    if path == "-":
+        return contextlib.nullcontext(std)
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        parser.error(f"cannot open {path}: {exc.strerror or exc}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in ("run", "speedup", "verify", "-h", "--help"):
@@ -621,9 +583,7 @@ def main(argv=None) -> int:
         return run_verify(args.quick)
 
     if args.command == "speedup":
-        if args.csv == "-":
-            return speedup_report(sys.stdin)
-        with open(args.csv) as fh:
+        with _open(parser, args.csv, "r", sys.stdin) as fh:
             return speedup_report(fh)
 
     try:
@@ -633,13 +593,11 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     if args.steps < 1 or args.repeats < 1:
         parser.error("--steps and --repeats must be >= 1")
-    try:
-        if args.csv == "-":
-            return run_bench(args)
-        with open(args.csv, "w") as fh:
+    with _open(parser, args.csv, "w", sys.stdout) as fh:
+        try:
             return run_bench(args, out=fh)
-    except InvalidParameterError as exc:
-        parser.error(str(exc))
+        except InvalidParameterError as exc:
+            parser.error(str(exc))
 
 
 if __name__ == "__main__":

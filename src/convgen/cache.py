@@ -95,10 +95,6 @@ class Schedule:
     emit_count: tuple[int, ...]
     period: int
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.cache_every) - 1
-
     def fires(self, layer: int, t: int) -> bool:
         """True iff layer (1-based; 0 = input) computes new nodes at step t."""
         if t < 0:
@@ -156,7 +152,7 @@ class RowCache:
     have shape (channels, width) or (channels, width, batch).
     """
 
-    __slots__ = ("height", "width", "channels", "batch", "_rows")
+    __slots__ = ("height", "width", "channels", "batch", "row_shape", "_rows")
 
     def __init__(self, height: int, width: int, channels: int, batch: int | None = None):
         if height < 1 or width < 1 or channels < 1:
@@ -169,22 +165,15 @@ class RowCache:
         self.width = width
         self.channels = channels
         self.batch = batch
-        shape = (channels, width) if batch is None else (channels, width, batch)
-        self._rows = deque(zeros(shape) for _ in range(height))
-
-    def _row_shape(self) -> tuple:
-        return (
-            (self.channels, self.width)
-            if self.batch is None
-            else (self.channels, self.width, self.batch)
-        )
+        self.row_shape = (channels, width) if batch is None else (channels, width, batch)
+        self._rows = deque(zeros(self.row_shape) for _ in range(height))
 
     def push_row(self, row: np.ndarray) -> None:
         """Pop the oldest row and push a complete new one."""
         row = np.asarray(row, dtype=DTYPE)
-        if row.shape != self._row_shape():
+        if row.shape != self.row_shape:
             raise InvalidRowError(
-                f"row shape {row.shape} != {self._row_shape()} (partial rows rejected)"
+                f"row shape {row.shape} != {self.row_shape} (partial rows rejected)"
             )
         self._rows.popleft()
         self._rows.append(row)
@@ -192,20 +181,6 @@ class RowCache:
     def rows_stack(self) -> np.ndarray:
         """All cached rows as one array, oldest first: (channels, height, width[, batch])."""
         return np.stack(list(self._rows), axis=1)
-
-    def window(self, col: int, kw: int) -> np.ndarray:
-        """The height x kw tap block ending at `col`, zero-padded at the left border."""
-        if not 0 <= col < self.width:
-            raise InvalidParameterError(f"column {col} outside image width {self.width}")
-        if kw < 1 or kw > self.width:
-            raise InvalidParameterError(f"window width {kw} invalid for image width {self.width}")
-        stack = self.rows_stack()
-        lo = col - kw + 1
-        if lo >= 0:
-            return stack[:, :, lo : col + 1]
-        pad_shape = list(stack.shape)
-        pad_shape[2] = -lo
-        return np.concatenate([zeros(tuple(pad_shape)), stack[:, :, : col + 1]], axis=2)
 
     def stored_values(self) -> int:
         return sum(int(r.size) for r in self._rows)

@@ -19,7 +19,7 @@ bit-identical, not merely close.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .cache import FifoCache
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import DTYPE, ConvWeights, OpCounter, conv1d_full, conv1d_point, zeros
 
-FAMILIES = ("dilated", "strided", "image2d")
+FAMILIES = ("dilated", "strided")
+JSON_KEYS = ("family", "stacks", "layers", "kernel", "channels", "strides", "seed")
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,9 @@ class NetworkSpec:
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
         doc = json.loads(text)
+        unknown = sorted(set(doc) - set(JSON_KEYS))
+        if unknown:
+            raise InvalidParameterError(f"unknown NetworkSpec key(s): {', '.join(unknown)}")
         return cls(
             family=doc["family"],
             stacks=doc.get("stacks", 1),
@@ -113,10 +117,6 @@ class DilatedNetwork:
     layers: tuple[LayerDef, ...]
     head: ConvWeights
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
 
 def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> ConvWeights:
     """Seeded uniform draw at scale 0.5/sqrt(fan_in); fan_in = in_ch * total taps."""
@@ -140,13 +140,9 @@ def build_network(spec: NetworkSpec):
             )
         head = draw_weights(rng, 1, spec.channels, 1)
         return DilatedNetwork(spec, tuple(layers), head)
-    if spec.family == "strided":
-        from .strided import build_strided_network
+    from .strided import build_strided_network
 
-        return build_strided_network(spec)
-    raise InvalidParameterError(
-        "image2d networks are built from an ImageSpec via image2d.build_image_network"
-    )
+    return build_strided_network(spec)
 
 
 def receptive_field(spec: NetworkSpec) -> int:
@@ -154,13 +150,9 @@ def receptive_field(spec: NetworkSpec) -> int:
     if spec.family == "dilated":
         # two-tap layers: 1 + sum of dilations = stacks*(2^L - 1) + 1
         return 1 + sum(spec.dilations())
-    if spec.family == "strided":
-        from .strided import StridedPlan, strided_receptive_field
+    from .strided import StridedPlan, strided_receptive_field
 
-        return strided_receptive_field(StridedPlan.from_spec(spec))
-    raise InvalidParameterError(
-        "2D receptive fields are reported as (rows, cols) by image2d.receptive_field_2d"
-    )
+    return strided_receptive_field(StridedPlan.from_spec(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +167,6 @@ class NaiveState:
     histories: list  # histories[0] = inputs; histories[s] = stack s outputs
     t: int
     counter: OpCounter
-    last_output: float = 0.0
 
 
 def naive_init(network: DilatedNetwork, counter: OpCounter | None = None) -> NaiveState:
@@ -224,7 +215,6 @@ def naive_step(network: DilatedNetwork, state: NaiveState, x) -> np.floating:
         )
     y = conv1d_point(network.head, [state.histories[-1][pos]], state.counter)
     state.t += 1
-    state.last_output = y[0]
     return y[0]
 
 
@@ -266,8 +256,6 @@ class GenState:
     caches: list
     t: int
     counter: OpCounter
-    last_output: float = 0.0
-    pending: object = None  # used by the strided engine only
 
     def cached_values(self) -> int:
         """Total scalars stored across all layer caches."""
@@ -295,7 +283,6 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
         cur = np.tanh(h) if layer.activation == "tanh" else h
     y = conv1d_point(network.head, [cur], counter)
     state.t += 1
-    state.last_output = y[0]
     return y[0]
 
 
@@ -321,8 +308,8 @@ def forward_full(
     """Causal forward pass over an entire input sequence at once."""
     x = np.asarray(inputs, dtype=DTYPE)[None, :]
     for layer in network.layers:
-        x = conv1d_full(layer.weights, x, dilation=layer.dilation, causal_pad=True, counter=counter)
+        x = conv1d_full(layer.weights, x, dilation=layer.dilation, counter=counter)
         if layer.activation == "tanh":
             x = np.tanh(x)
-    y = conv1d_full(network.head, x, dilation=1, causal_pad=True, counter=counter)
+    y = conv1d_full(network.head, x, dilation=1, counter=counter)
     return y[0]

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .cache import RowCache
+from .dilated import draw_weights
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import (
     DTYPE,
@@ -55,8 +57,11 @@ class ImageSpec:
     h_kw: int = 2
     row_pair: bool = False
     seed: int = 0
+    family: ClassVar[str] = "image2d"
 
     def __post_init__(self):
+        if self.seed < 0 or self.seed > 2**64 - 1:
+            raise InvalidParameterError("seed must fit in 64 bits")
         if min(self.height, self.width, self.channels, self.n_layers) < 1:
             raise InvalidParameterError("height, width, channels, n_layers must be >= 1")
         if min(self.kh, self.kw, self.h_kw) < 1:
@@ -87,8 +92,6 @@ class ImageNetwork:
 
 
 def build_image_network(spec: ImageSpec) -> ImageNetwork:
-    from .dilated import draw_weights
-
     rng = np.random.default_rng(spec.seed)
     c = spec.channels
     blocks = []
@@ -168,19 +171,44 @@ def forward_image(network: ImageNetwork, images: np.ndarray, counter: OpCounter 
     return pred.astype(DTYPE, copy=False)
 
 
+@dataclass
+class ImageNaiveState:
+    """The image generated so far; pixel t of it is predicted next."""
+
+    image: np.ndarray
+    t: int
+    counter: OpCounter
+
+
+def image_naive_init(
+    network: ImageNetwork, batch: int = 1, counter: OpCounter | None = None
+) -> ImageNaiveState:
+    if batch < 1:
+        raise InvalidParameterError(f"batch must be >= 1, got {batch}")
+    spec = network.spec
+    image = zeros((1, spec.height, spec.width, batch))
+    return ImageNaiveState(image=image, t=0, counter=counter or OpCounter())
+
+
+def image_naive_step(network: ImageNetwork, state: ImageNaiveState) -> np.ndarray:
+    """Predict the next raster pixel of every batch element with a full forward pass: (1, batch)."""
+    r, c = divmod(state.t, network.spec.width)
+    if r == network.spec.height:
+        raise ScheduleViolationError("image already complete")
+    y = forward_image(network, state.image, state.counter)[:, r, c, :]
+    state.image[:, r, c, :] = y
+    state.t += 1
+    return y
+
+
 def image_naive_generate(
     network: ImageNetwork, batch: int = 1, counter: OpCounter | None = None
 ) -> np.ndarray:
     """Generate each pixel with a complete fresh forward pass (H*W passes)."""
-    if batch < 1:
-        raise InvalidParameterError(f"batch must be >= 1, got {batch}")
-    spec = network.spec
-    img = zeros((1, spec.height, spec.width, batch))
-    for r in range(spec.height):
-        for c in range(spec.width):
-            pred = forward_image(network, img, counter)
-            img[:, r, c, :] = pred[:, r, c, :]
-    return np.moveaxis(img[0], -1, 0)
+    state = image_naive_init(network, batch, counter)
+    for _ in range(network.spec.height * network.spec.width):
+        image_naive_step(network, state)
+    return np.moveaxis(state.image[0], -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +364,26 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
     state.image[:, state.r, col, :] = y
     state.c += 1
     if state.c == spec.width:
-        row = state.image[:, state.r, :, :]
+        state.row_caches[0].push_row(state.image[:, state.r, :, :])
         if state.pair is not None:
-            state.row_caches[0].push_row(row)
             vc = np.tanh(_vconv_row(network.blocks[0].vert, state.row_caches[0], counter))
             state.pair.feed(network.blocks[0], vc, counter)
-        else:
-            state.row_caches[0].push_row(row)
         state.c = 0
         state.r += 1
         state.v_ready = False
     return y
+
+
+def image_incremental_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
+    """Generate the next raster pixel of every batch element: (1, batch).
+
+    A row's first pixel also runs that row's `vertical_row_pass`.
+    """
+    if state.r == network.spec.height:
+        raise ScheduleViolationError("image already complete")
+    if state.c == 0:
+        vertical_row_pass(network, state, state.r)
+    return _pixel_step(network, state)
 
 
 def image_incremental_generate(
@@ -354,11 +391,8 @@ def image_incremental_generate(
 ) -> np.ndarray:
     """Row-cached generation; matches image_naive_generate to float32 noise."""
     state = image_incremental_init(network, batch, counter)
-    spec = network.spec
-    for r in range(spec.height):
-        vertical_row_pass(network, state, r)
-        for _ in range(spec.width):
-            _pixel_step(network, state)
+    for _ in range(network.spec.height * network.spec.width):
+        image_incremental_step(network, state)
     return np.moveaxis(state.image[0], -1, 0)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import Schedule, schedule_build
+from .dilated import _run_feedback, draw_weights
 from .errors import (
     InvalidParameterError,
     ScheduleViolationError,
@@ -87,8 +88,6 @@ class StridedNetwork:
 
 
 def build_strided_network(spec) -> StridedNetwork:
-    from .dilated import draw_weights  # shared seeded initialiser
-
     plan = StridedPlan.from_spec(spec)
     rng = np.random.default_rng(spec.seed)
     n = len(plan.layers)
@@ -181,7 +180,6 @@ class StridedState:
     pending: deque
     t: int
     counter: OpCounter
-    last_output: float = 0.0
 
     def cached_values(self) -> int:
         return sum(s.stored_values() for s in self.stages) + sum(
@@ -218,15 +216,12 @@ def strided_incremental_step(network: StridedNetwork, state: StridedState, x) ->
         raise ScheduleViolationError(f"no pending output available at t={t}")
     y = state.pending.popleft()
     state.t += 1
-    state.last_output = y[0]
     return y[0]
 
 
 def strided_incremental_generate(
     network: StridedNetwork, n_steps: int, counter: OpCounter | None = None
 ) -> np.ndarray:
-    from .dilated import _run_feedback
-
     state = strided_incremental_init(network, counter)
     return _run_feedback(lambda v: strided_incremental_step(network, state, v), (), n_steps)
 
@@ -241,7 +236,6 @@ class StridedNaiveState:
     inputs: list
     t: int
     counter: OpCounter
-    last_output: float = 0.0
 
 
 def strided_naive_init(network: StridedNetwork, counter: OpCounter | None = None) -> StridedNaiveState:
@@ -265,15 +259,12 @@ def strided_naive_step(network: StridedNetwork, state: StridedNaiveState, x) -> 
             cur = np.tanh(cur)
     y = cur[0, state.t]
     state.t += 1
-    state.last_output = y
     return y
 
 
 def strided_naive_generate(
     network: StridedNetwork, n_steps: int, counter: OpCounter | None = None
 ) -> np.ndarray:
-    from .dilated import _run_feedback
-
     state = strided_naive_init(network, counter)
     return _run_feedback(lambda v: strided_naive_step(network, state, v), (), n_steps)
 

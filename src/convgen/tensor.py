@@ -28,14 +28,9 @@ from .errors import (
 DTYPE = np.float32
 
 
-def as_tensor(data, shape=None) -> np.ndarray:
-    """Coerce `data` to a C-contiguous float32 array, optionally reshaped."""
-    arr = np.ascontiguousarray(data, dtype=DTYPE)
-    if shape is not None:
-        if int(np.prod(shape)) != arr.size:
-            raise ShapeError(f"cannot view {arr.size} values as shape {shape}")
-        arr = arr.reshape(shape)
-    return arr
+def as_tensor(data) -> np.ndarray:
+    """Coerce `data` to a C-contiguous float32 array."""
+    return np.ascontiguousarray(data, dtype=DTYPE)
 
 
 def zeros(shape) -> np.ndarray:
@@ -45,9 +40,9 @@ def zeros(shape) -> np.ndarray:
 class OpCounter:
     """Multiply-accumulate / node-evaluation counter for one engine run.
 
-    Counts are exact and monotone within a run; `reset` rewinds to zero.
-    A counter is owned by a single generation state and must not be shared
-    across concurrently running engines.
+    Counts are exact and monotone within a run.  A counter is owned by a
+    single generation state and must not be shared across concurrently
+    running engines.
     """
 
     __slots__ = ("macs", "node_evals")
@@ -59,15 +54,6 @@ class OpCounter:
     def add(self, macs: int, nodes: int = 1) -> None:
         self.macs += macs
         self.node_evals += nodes
-
-    def reset(self) -> None:
-        self.macs = 0
-        self.node_evals = 0
-
-    def merge(self, other: "OpCounter") -> None:
-        """Fold another run's counts in (used when batch elements run on threads)."""
-        self.macs += other.macs
-        self.node_evals += other.node_evals
 
     def snapshot(self) -> tuple[int, int]:
         return self.macs, self.node_evals
@@ -156,46 +142,46 @@ def conv1d_point(weights: ConvWeights, taps, counter: OpCounter | None = None) -
     return acc
 
 
+def _sequence(weights: ConvWeights, x) -> np.ndarray:
+    """Check an [in_channels, T] input and return its T steps as contiguous rows.
+
+    Contiguous tap copies keep the dot-product code path (and therefore the
+    exact accumulation) identical to the engines' point evaluations.
+    """
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != weights.in_channels:
+        raise ShapeError(f"input shape {x.shape} != (in_channels, T)")
+    if x.shape[1] == 0:
+        raise EmptyInputError("empty input sequence")
+    return np.ascontiguousarray(x.T)
+
+
+def _causal_conv(weights, x, stride: int, dilation: int, counter) -> np.ndarray:
+    """Output j reads inputs stride*j - (k-1-i)*dilation, i = 0..k-1; zero before 0."""
+    xc = _sequence(weights, x)
+    k = weights.k
+    zero = zeros(weights.in_channels)
+    cols = []
+    for hi in range(0, len(xc), stride):
+        positions = [hi - (k - 1 - i) * dilation for i in range(k)]
+        taps = [xc[p] if p >= 0 else zero for p in positions]
+        cols.append(conv1d_point(weights, taps, counter))
+    return np.stack(cols, axis=1)
+
+
 def conv1d_full(
     weights: ConvWeights,
     x: np.ndarray,
     dilation: int = 1,
-    causal_pad: bool = True,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Dilated causal convolution over a whole [in_channels, T] sequence.
 
-    With `causal_pad` the output keeps length T and out-of-range taps read as
-    zero; without it only fully-covered positions are returned (length
-    T - (k-1)*dilation), and too-short inputs are rejected.
+    The output keeps length T; out-of-range (pre-sequence) taps read as zero.
     """
     if dilation < 1:
         raise InvalidParameterError(f"dilation must be >= 1, got {dilation}")
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != weights.in_channels:
-        raise ShapeError(f"input shape {x.shape} != (in_channels, T)")
-    T = x.shape[1]
-    if T == 0:
-        raise EmptyInputError("empty input sequence")
-    k = weights.k
-    span = (k - 1) * dilation
-    if not causal_pad and T < span + 1:
-        raise InsufficientContextError(
-            f"need at least {span + 1} timesteps for k={k}, dilation={dilation}; got {T}"
-        )
-    zero = zeros(weights.in_channels)
-    start = 0 if causal_pad else span
-    # contiguous tap copies keep the dot-product code path (and therefore the
-    # exact accumulation) identical to the engines' point evaluations
-    xc = np.ascontiguousarray(x.T)
-    cols = []
-    for t in range(start, T):
-        taps = [
-            xc[t - (k - 1 - j) * dilation] if t - (k - 1 - j) * dilation >= 0 else zero
-            for j in range(k)
-        ]
-        cols.append(conv1d_point(weights, taps, counter))
-    return np.stack(cols, axis=1)
+    return _causal_conv(weights, x, 1, dilation, counter)
 
 
 def strided_conv1d(
@@ -211,24 +197,7 @@ def strided_conv1d(
     """
     if stride < 1:
         raise InvalidParameterError(f"stride must be >= 1, got {stride}")
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != weights.in_channels:
-        raise ShapeError(f"input shape {x.shape} != (in_channels, T)")
-    T = x.shape[1]
-    if T == 0:
-        raise EmptyInputError("empty input sequence")
-    k = weights.k
-    zero = zeros(weights.in_channels)
-    n_out = (T - 1) // stride + 1
-    xc = np.ascontiguousarray(x.T)
-    cols = []
-    for j in range(n_out):
-        hi = stride * j
-        taps = [
-            xc[hi - (k - 1 - t)] if hi - (k - 1 - t) >= 0 else zero for t in range(k)
-        ]
-        cols.append(conv1d_point(weights, taps, counter))
-    return np.stack(cols, axis=1)
+    return _causal_conv(weights, x, stride, 1, counter)
 
 
 def transposed_point(
@@ -267,17 +236,10 @@ def strided_transposed_conv1d(
         raise InvalidParameterError(
             f"transposed conv requires kernel size == stride (got k={weights.k}, stride={stride})"
         )
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != weights.in_channels:
-        raise ShapeError(f"input shape {x.shape} != (in_channels, T)")
-    T = x.shape[1]
-    if T == 0:
-        raise EmptyInputError("empty input sequence")
-    xc = np.ascontiguousarray(x.T)
     cols = []
-    for j in range(T):
+    for vec in _sequence(weights, x):
         for r in range(stride):
-            cols.append(transposed_point(weights, r, xc[j], counter))
+            cols.append(transposed_point(weights, r, vec, counter))
     return np.stack(cols, axis=1)
 
 

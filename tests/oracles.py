@@ -24,15 +24,13 @@ def scalar_conv1d_point(kernel, bias, taps):
     return np.array(out)
 
 
-def scalar_conv1d_full(kernel, bias, x, dilation, causal_pad=True):
+def scalar_conv1d_full(kernel, bias, x, dilation):
     """Whole-sequence dilated causal conv, zero padding on the left."""
     in_ch = len(x)
     T = len(x[0])
     k = len(kernel[0][0])
-    span = (k - 1) * dilation
-    start = 0 if causal_pad else span
     cols = []
-    for t in range(start, T):
+    for t in range(T):
         taps = []
         for j in range(k):
             idx = t - (k - 1 - j) * dilation

@@ -13,27 +13,21 @@ import pytest
 from convgen import (
     ImageSpec,
     NetworkSpec,
+    StridedPlan,
     build_image_network,
     build_network,
     firing_trace,
-    image_incremental_generate,
-    image_naive_generate,
-    incremental_generate,
-    incremental_init,
-    incremental_step,
-    naive_generate,
+    forward_full,
     receptive_field,
-    strided_incremental_generate,
-    strided_naive_generate,
 )
 from convgen.bench import (
     check_causality,
+    check_equivalence,
     expected_hourglass_trace,
     measure_nodes_per_step,
-    time_1d,
-    time_image,
+    time_engine,
 )
-from convgen.strided import StridedPlan
+from convgen.dilated import incremental_init, incremental_step
 from oracles import dependency_tree_nodes
 
 TOL = 1e-5
@@ -47,24 +41,21 @@ def report(n, name, detail):
 def test_acceptance_1_dilated_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(100):
-        spec = NetworkSpec(
+    nets = [
+        build_network(NetworkSpec(
             "dilated",
             stacks=int(rng.integers(1, 3)),
             layers_per_stack=int(rng.integers(1, 7)),
             channels=int(rng.choice([1, 4, 16])),
             seed=int(rng.integers(2**32)),
-        )
-        net = build_network(spec)
-        a = naive_generate(net, (), 256)
-        b = incremental_generate(net, (), 256)
-        worst = max(worst, float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64)))))
-        assert worst <= TOL, f"config {spec} diverged by {worst}"
+        ))
+        for _ in range(100)
+    ]
+    ok, detail = check_equivalence(nets, 256, TOL)
+    assert ok, detail
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"budget exceeded: {elapsed:.1f}s"
-    report(1, "equivalence-dilated",
-           f"100 configs x 256 steps, max|diff|={worst:.3g} <= {TOL}, {elapsed:.1f}s < 60s")
+    report(1, "equivalence-dilated", f"{detail} <= {TOL}, {elapsed:.1f}s < 60s")
 
 
 def test_acceptance_2_complexity_law_exact():
@@ -100,38 +91,32 @@ def test_acceptance_3_golden_trace():
 
 def test_acceptance_4_strided_equivalence():
     t0 = time.perf_counter()
-    worst = 0.0
-    for seed in range(50):
-        spec = NetworkSpec("strided", channels=3, strides=HOURGLASS, seed=seed)
-        net = build_network(spec)
-        a = strided_naive_generate(net, 200)
-        b = strided_incremental_generate(net, 200)
-        worst = max(worst, float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64)))))
-        assert worst <= TOL
+    nets = [
+        build_network(NetworkSpec("strided", channels=3, strides=HOURGLASS, seed=seed))
+        for seed in range(50)
+    ]
+    ok, detail = check_equivalence(nets, 200, TOL)
+    assert ok, detail
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.1f}s"
-    report(4, "equivalence-strided",
-           f"50 seeds x 200 steps, max|diff|={worst:.3g} <= {TOL}, {elapsed:.1f}s < 30s")
+    report(4, "equivalence-strided", f"{detail} <= {TOL}, {elapsed:.1f}s < 30s")
 
 
 def test_acceptance_5_image_equivalence():
     t0 = time.perf_counter()
-    worst = 0.0
     layer_cycle = (3, 4, 5)
-    for size in (8, 16):
-        for seed in range(20):
-            spec = ImageSpec(size, size, channels=4,
-                             n_layers=layer_cycle[seed % 3], seed=seed)
-            net = build_image_network(spec)
-            a = image_naive_generate(net)
-            b = image_incremental_generate(net)
-            worst = max(worst, float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64)))))
-            assert worst <= TOL, f"{size}x{size} seed {seed}: {worst}"
+    nets = [
+        build_image_network(ImageSpec(size, size, channels=4,
+                                      n_layers=layer_cycle[seed % 3], seed=seed))
+        for size in (8, 16)
+        for seed in range(20)
+    ]
+    ok, detail = check_equivalence(nets, None, TOL)
+    assert ok, detail
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"budget exceeded: {elapsed:.1f}s"
     report(5, "equivalence-image2d",
-           f"8x8 and 16x16, layers 3-5, 20 seeds each, max|diff|={worst:.3g} <= {TOL}, "
-           f"{elapsed:.1f}s < 5min")
+           f"8x8 and 16x16, layers 3-5, 20 seeds each, {detail} <= {TOL}, {elapsed:.1f}s < 5min")
 
 
 def test_acceptance_6_directional_speedup():
@@ -139,8 +124,8 @@ def test_acceptance_6_directional_speedup():
     for L in (4, 6, 8, 10):
         spec = NetworkSpec("dilated", stacks=2, layers_per_stack=L, channels=4, seed=1)
         net = build_network(spec)
-        naive = time_1d(net, "naive", steps=12, repeats=3)
-        cached = time_1d(net, "cached", steps=12, repeats=3)
+        naive = time_engine(net, "naive", steps=12, repeats=3)
+        cached = time_engine(net, "cached", steps=12, repeats=3)
         speedups[L] = naive["median_us"] / cached["median_us"]
     pairs = sorted(speedups.items())
     assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:])), f"not increasing: {speedups}"
@@ -150,8 +135,8 @@ def test_acceptance_6_directional_speedup():
     inet = build_image_network(ispec)
     img_speedup = {}
     for batch in (1, 16):
-        naive = time_image(inet, "naive", batch=batch, repeats=2)
-        cached = time_image(inet, "cached", batch=batch, repeats=2)
+        naive = time_engine(inet, "naive", steps=None, repeats=2, batch=batch)
+        cached = time_engine(inet, "cached", steps=None, repeats=2, batch=batch)
         img_speedup[batch] = naive["median_us"] / cached["median_us"]
     assert img_speedup[16] > img_speedup[1], f"batch scaling failed: {img_speedup}"
     report(6, "directional-speedup",
@@ -186,8 +171,6 @@ def test_acceptance_8_causality():
     spec = NetworkSpec("dilated", stacks=1, layers_per_stack=5, channels=1, seed=4)
     net = build_network(spec)
     rf = receptive_field(spec)
-    from convgen import forward_full
-
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, rf + 8).astype(np.float32)
     base = forward_full(net, x)

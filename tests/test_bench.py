@@ -7,15 +7,16 @@ import time
 
 import pytest
 
-from convgen import ConvWeights, DilatedNetwork, NetworkSpec, build_network
+from convgen import ConvWeights, NetworkSpec, build_network
 from convgen.bench import (
     CSV_COLUMNS,
     check_golden_trace,
-    compare_dilated,
+    compare,
     main,
     speedup_report,
-    time_1d,
+    time_engine,
 )
+from convgen.dilated import DilatedNetwork
 
 
 def run_cli(capsys, argv):
@@ -77,6 +78,33 @@ def test_run_macs_column_is_exact(capsys):
     net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=4, seed=0))
     want = sum(l.weights.out_channels * l.weights.in_channels * 2 for l in net.layers) + 4
     assert int(row["macs_per_step"]) == want
+
+
+# macs_per_step of `run --layers 3 --channels 4 --image-size 8 --steps 16
+# --repeats 2 --batch 1,2 --mode both`: naive b1, naive b2, cached b1, cached b2
+GOLDEN_MACS = {
+    "dilated": (356, 712, 172, 344),
+    "strided": (528, 1056, 24, 48),
+    "image2d": (21760, 43520, 340, 680),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_MACS))
+def test_run_op_counts_are_pinned(capsys, model):
+    code, out, _ = run_cli(
+        capsys,
+        ["run", "--model", model, "--layers", "3", "--channels", "4", "--image-size", "8",
+         "--steps", "16", "--repeats", "2", "--batch", "1,2", "--mode", "both"],
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    got = {(r["mode"], int(r["batch"])): int(r["macs_per_step"]) for r in rows}
+    keys = [("naive", 1), ("naive", 2), ("cached", 1), ("cached", 2)]
+    assert got == dict(zip(keys, GOLDEN_MACS[model]))
+    for r in rows:
+        diff = float(r["max_abs_diff"])
+        assert diff <= 1e-5
+        assert model == "image2d" or diff == 0.0
 
 
 def test_run_depth_sweep_row_count(capsys):
@@ -153,6 +181,25 @@ def test_usage_errors_exit_nonzero():
         main(["run", "--model", "dilated", "--steps", "0"])
     with pytest.raises(SystemExit):
         main([])  # no --model
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "--model", "image2d", "--seed", "-1"], 2),
+        (["speedup", "{tmp}/missing.csv"], 2),
+        (["run", "--model", "dilated", "--csv", "{tmp}/no/such/dir/x.csv"], 2),
+        (["speedup", "{tmp}/no_schema.csv"], 1),
+    ],
+)
+def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv, code):
+    (tmp_path / "no_schema.csv").write_text("model,L\ndilated,3\n")
+    try:
+        got = main([a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +290,8 @@ def test_fault_injection_breaks_equivalence():
     layers = list(net.layers)
     layers[1] = bad_layer
     corrupted = DilatedNetwork(net.spec, tuple(layers), net.head)
-    assert compare_dilated(net, net, 32) == 0.0
-    assert compare_dilated(net, corrupted, 32) > 1e-5
+    assert compare(net, net, 32) == 0.0
+    assert compare(net, corrupted, 32) > 1e-5
 
 
 def test_golden_trace_check():
@@ -252,9 +299,9 @@ def test_golden_trace_check():
     assert ok, detail
 
 
-def test_time_1d_reports_positive_and_exact_macs():
+def test_time_engine_reports_positive_and_exact_macs():
     net = build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=2, channels=2, seed=1))
-    res = time_1d(net, "cached", steps=8, repeats=2)
+    res = time_engine(net, "cached", steps=8, repeats=2)
     assert res["median_us"] > 0 and res["mean_us"] > 0
     want = sum(l.weights.out_channels * l.weights.in_channels * 2 for l in net.layers) + 2
     assert res["macs_per_step"] == want

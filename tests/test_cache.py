@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from convgen import (
-    FifoCache,
     InvalidParameterError,
     InvalidRowError,
-    RowCache,
     ScheduleViolationError,
     ShapeError,
     UnsupportedTopologyError,
-    schedule_build,
 )
+from convgen.cache import FifoCache, RowCache, schedule_build
 
 HOURGLASS = (("down", 2), ("down", 2), ("up", 2), ("up", 2))
 
@@ -150,8 +148,7 @@ def test_rowcache_geometry():
 
 def test_rowcache_rotation_and_top_border():
     cache = RowCache(height=2, width=4, channels=1)
-    w0 = cache.window(2, kw=2)
-    assert not w0.any()  # first rows read pure zero padding
+    assert not cache.rows_stack().any()  # first rows read pure zero padding
     r1 = np.arange(4, dtype=np.float32)[None, :]
     r2 = (10 + np.arange(4, dtype=np.float32))[None, :]
     cache.push_row(r1)
@@ -163,29 +160,12 @@ def test_rowcache_rotation_and_top_border():
     assert np.array_equal(cache.rows_stack()[0, 0], r2[0])  # r1 rotated out
 
 
-def test_rowcache_window_matches_full_map_slice():
-    # window(col, kw) equals the same slice of a fully materialised map
-    rng = np.random.default_rng(3)
-    rows = rng.uniform(-1, 1, (2, 3, 9)).astype(np.float32)  # (ch, rows, width)
-    cache = RowCache(height=3, width=9, channels=2)
-    for r in range(3):
-        cache.push_row(rows[:, r, :])
-    kw = 3
-    padded = np.pad(rows, ((0, 0), (0, 0), (kw - 1, 0)))
-    for col in range(9):
-        win = cache.window(col, kw)
-        assert win.shape == (2, 3, kw)
-        assert np.array_equal(win, padded[:, :, col : col + kw])
-
-
 def test_rowcache_partial_row_rejected():
     cache = RowCache(height=2, width=8, channels=1)
     with pytest.raises(InvalidRowError):
         cache.push_row(np.zeros((1, 5), np.float32))
     with pytest.raises(InvalidRowError):
         cache.push_row(np.zeros((2, 8), np.float32))
-    with pytest.raises(InvalidParameterError):
-        cache.window(8, kw=2)
 
 
 def test_rowcache_batched_rows():
@@ -193,4 +173,3 @@ def test_rowcache_batched_rows():
     row = np.ones((1, 4, 3), np.float32)
     cache.push_row(row)
     assert cache.rows_stack().shape == (1, 2, 4, 3)
-    assert cache.window(1, kw=2).shape == (1, 2, 2, 3)

@@ -7,22 +7,24 @@ import pytest
 
 from convgen import (
     ConvWeights,
-    DilatedNetwork,
     InvalidParameterError,
     NetworkSpec,
     OpCounter,
     build_network,
     forward_full,
     incremental_generate,
-    incremental_init,
-    incremental_step,
     naive_generate,
-    naive_init,
-    naive_step,
     receptive_field,
 )
 from convgen.bench import measure_nodes_per_step
-from convgen.dilated import LayerDef
+from convgen.dilated import (
+    DilatedNetwork,
+    LayerDef,
+    incremental_init,
+    incremental_step,
+    naive_init,
+    naive_step,
+)
 from oracles import dependency_tree_nodes, perturbation_influence
 
 
@@ -76,6 +78,8 @@ def test_json_round_trip():
     assert NetworkSpec.from_json(doc) == spec
     sspec = NetworkSpec("strided", channels=3, strides=("down2", "down2", "up2", "up2"), seed=1)
     assert NetworkSpec.from_json(sspec.to_json()) == sspec
+    with pytest.raises(InvalidParameterError, match="layerz"):
+        NetworkSpec.from_json('{"family": "dilated", "layerz": 9}')
 
 
 # ---------------------------------------------------------------------------

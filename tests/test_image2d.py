@@ -12,14 +12,19 @@ from convgen import (
     build_image_network,
     forward_image,
     image_incremental_generate,
-    image_incremental_init,
     image_naive_generate,
-    masked_conv2d,
     receptive_field_2d,
-    vertical_row_pass,
     write_pgm,
 )
-from convgen.image2d import _pixel_step
+from convgen.image2d import (
+    _pixel_step,
+    image_incremental_init,
+    image_incremental_step,
+    image_naive_init,
+    image_naive_step,
+    vertical_row_pass,
+)
+from convgen.tensor import masked_conv2d
 
 EQUIV_TOL = 1e-5
 
@@ -38,6 +43,8 @@ def test_spec_validation():
         ImageSpec(8, 4, kw=5)
     with pytest.raises(InvalidParameterError):
         ImageSpec(7, 8, row_pair=True)  # odd height cannot halve
+    with pytest.raises(InvalidParameterError):
+        ImageSpec(8, 8, seed=-1)
     ImageSpec(8, 8)  # defaults are valid
 
 
@@ -147,6 +154,23 @@ def test_vertical_row_pass_out_of_order_rejected():
     state2 = image_incremental_init(net)
     with pytest.raises(ScheduleViolationError):
         _pixel_step(net, state2)  # pixel before the row pass
+
+
+@pytest.mark.parametrize("engine", ["naive", "cached"])
+def test_public_step_walks_the_raster_and_stops_at_the_end(engine):
+    spec = ImageSpec(4, 5, channels=2, n_layers=2, seed=3)
+    net = build_image_network(spec)
+    init, step, generate = {
+        "naive": (image_naive_init, image_naive_step, image_naive_generate),
+        "cached": (image_incremental_init, image_incremental_step, image_incremental_generate),
+    }[engine]
+    state = init(net, batch=2)
+    pixels = [step(net, state) for _ in range(spec.height * spec.width)]
+    assert all(p.shape == (1, 2) for p in pixels)
+    got = np.stack([p[0] for p in pixels], axis=1).reshape(2, spec.height, spec.width)
+    assert np.array_equal(got, generate(net, batch=2))
+    with pytest.raises(ScheduleViolationError):
+        step(net, state)
 
 
 def test_vertical_rows_invariant_to_current_row_pixels():

@@ -14,13 +14,15 @@ from convgen import (
     format_trace,
     receptive_field,
     strided_incremental_generate,
+    strided_naive_generate,
+)
+from convgen.strided import (
+    parse_stride,
     strided_incremental_init,
     strided_incremental_step,
-    strided_naive_generate,
     strided_naive_init,
     strided_naive_step,
 )
-from convgen.strided import parse_stride
 
 HOURGLASS = ("down2", "down2", "up2", "up2")
 

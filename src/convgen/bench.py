@@ -391,13 +391,18 @@ def run_verify(quick: bool, out=None) -> int:
 
 
 def _parse_layers(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(text)]
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"bad layer range {text!r}")
+    """Layer counts from `n`, an inclusive range `a..b`, or a comma list of either."""
+    values = []
+    for tok in text.split(","):
+        lo, dots, hi = tok.partition("..")
+        try:
+            a = int(lo)
+            b = int(hi) if dots else a
+        except ValueError:
+            raise ValueError(f"bad --layers {text!r}: {tok!r} is not n or a..b") from None
+        if a < 1 or b < a:
+            raise ValueError(f"bad --layers {text!r}: {tok!r} needs 1 <= a <= b")
+        values.extend(range(a, b + 1))
     return values
 
 
@@ -540,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="time a sweep and emit CSV rows")
     run.add_argument("--model", required=True, choices=("dilated", "strided", "image2d"))
-    run.add_argument("--layers", default="3", help="layer count n or inclusive range a..b")
+    run.add_argument("--layers", default="3",
+                     help="layer count n, inclusive range a..b, or a comma list of these")
     run.add_argument("--stacks", type=int, default=2)
     run.add_argument("--channels", type=int, default=8)
     run.add_argument("--steps", type=int, default=128)

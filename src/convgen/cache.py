@@ -4,6 +4,8 @@ for strided/transposed stacks, and 2D row caches.
 A `FifoCache` holds exactly `capacity` states (capacity == the dilation of
 the owning layer) and is pre-filled with zeros so that popping at the start
 of a sequence reads the same implicit causal padding the naive engine uses.
+The pre-fill is one shared read-only zero vector per width, so it costs no
+allocation per slot and cannot be corrupted through a popped reference.
 Pop and push strictly alternate; any other order is a scheduling bug and
 raises instead of producing plausible output.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -22,7 +25,15 @@ from .errors import (
     ShapeError,
     UnsupportedTopologyError,
 )
-from .tensor import DTYPE, zeros
+from .tensor import DTYPE, _frozen, zeros
+
+
+_F32 = np.dtype(DTYPE)
+
+
+@cache
+def _frozen_zeros(width: int) -> np.ndarray:
+    return _frozen(zeros(width))
 
 
 class FifoCache:
@@ -44,7 +55,7 @@ class FifoCache:
         self.width = width
         self.cache_every = cache_every
         self.phase = 0  # firing offset within the period; engines fire at t % cache_every == phase
-        self._slots = deque(zeros(width) for _ in range(capacity))
+        self._slots = deque((_frozen_zeros(width),) * capacity)
         self._awaiting_push = False
 
     def fires(self, t: int) -> bool:
@@ -61,7 +72,8 @@ class FifoCache:
     def push(self, state: np.ndarray) -> None:
         if not self._awaiting_push:
             raise ScheduleViolationError("push called without a preceding pop")
-        state = np.asarray(state, dtype=DTYPE)
+        if type(state) is not np.ndarray or state.dtype is not _F32:
+            state = np.asarray(state, dtype=DTYPE)
         if state.shape != (self.width,):
             raise ShapeError(f"state shape {state.shape} != ({self.width},)")
         if len(self._slots) >= self.capacity:

@@ -19,12 +19,13 @@ bit-identical, not merely close.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import FifoCache
-from .errors import InvalidParameterError, ScheduleViolationError
+from .errors import InvalidParameterError
 from .tensor import DTYPE, ConvWeights, OpCounter, conv1d_full, conv1d_point, zeros
 
 FAMILIES = ("dilated", "strided")
@@ -120,10 +121,9 @@ class DilatedNetwork:
 
 def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> ConvWeights:
     """Seeded uniform draw at scale 0.5/sqrt(fan_in); fan_in = in_ch * total taps."""
-    shape = (out_ch, in_ch) + tuple(np.atleast_1d(taps))
-    fan_in = in_ch * int(np.prod(np.atleast_1d(taps)))
-    a = 0.5 / np.sqrt(fan_in)
-    kernel = rng.uniform(-a, a, size=shape).astype(DTYPE)
+    taps = tuple(taps) if isinstance(taps, (tuple, list)) else (int(taps),)
+    a = 0.5 / math.sqrt(in_ch * math.prod(taps))
+    kernel = rng.uniform(-a, a, size=(out_ch, in_ch) + taps).astype(DTYPE)
     bias = rng.uniform(-a, a, size=(out_ch,)).astype(DTYPE)
     return ConvWeights(kernel, bias)
 
@@ -271,17 +271,21 @@ def incremental_init(network: DilatedNetwork, counter: OpCounter | None = None) 
 
 
 def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating:
-    """Advance one step: pop/conv/push per layer, then the linear head."""
+    """Advance one step: pop/conv/push per layer, then the linear head.
+
+    Every dilated cache fires at every step; the cache itself checks that
+    pop and push alternate.  The activation runs in place on the node fresh
+    from `conv1d_point`, before it is pushed anywhere as the next layer's input.
+    """
     cur = np.array([x], dtype=DTYPE)
     counter = state.counter
     for layer, cache in zip(network.layers, state.caches):
-        if not cache.fires(state.t):
-            raise ScheduleViolationError(f"layer cache not scheduled to fire at t={state.t}")
-        taps = [cache.pop(), cur]
-        h = conv1d_point(layer.weights, taps, counter)
+        h = conv1d_point(layer.weights, (cache.pop(), cur), counter)
         cache.push(cur)
-        cur = np.tanh(h) if layer.activation == "tanh" else h
-    y = conv1d_point(network.head, [cur], counter)
+        if layer.activation == "tanh":
+            np.tanh(h, out=h)
+        cur = h
+    y = conv1d_point(network.head, (cur,), counter)
     state.t += 1
     return y[0]
 

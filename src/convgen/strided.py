@@ -125,6 +125,13 @@ def strided_receptive_field(plan: StridedPlan, kernel_size: int = 2) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _activate(layer: StridedLayer, h: np.ndarray) -> np.ndarray:
+    """The layer's activation, in place on a node fresh from a point kernel."""
+    if layer.activation == "tanh":
+        np.tanh(h, out=h)
+    return h
+
+
 class _DownStage:
     """Arrival staging for a downsampling layer: fire on every stride-th input."""
 
@@ -143,9 +150,8 @@ class _DownStage:
         fire = self.count % self.layer.stride == 0
         out = []
         if fire:
-            window = (list(self.recent) + [x])[-self.layer.weights.k :]
-            h = conv1d_point(self.layer.weights, window, counter)
-            out.append(np.tanh(h) if self.layer.activation == "tanh" else h)
+            window = (*self.recent, x)[-self.layer.weights.k :]
+            out.append(_activate(self.layer, conv1d_point(self.layer.weights, window, counter)))
         if self.layer.weights.k > 1:
             self.recent.append(x)
         self.count += 1
@@ -166,8 +172,7 @@ class _UpStage:
     def feed(self, x, counter):
         out = []
         for r in range(self.layer.stride):
-            h = transposed_point(self.layer.weights, r, x, counter)
-            out.append(np.tanh(h) if self.layer.activation == "tanh" else h)
+            out.append(_activate(self.layer, transposed_point(self.layer.weights, r, x, counter)))
         return out
 
     def stored_values(self) -> int:

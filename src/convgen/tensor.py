@@ -2,10 +2,11 @@
 
 Values are plain numpy float32 arrays in row-major (C) order; `as_tensor`
 is the coercion point that pins dtype and layout.  All generation engines
-route each hidden/output node through the same point primitives below with
-a fixed accumulation order (bias, then taps oldest to newest), so the naive
-and cached paths can be compared bit for bit.  The vectorised full-array
-variants keep the same per-tap order.
+route each hidden/output node through the same point primitive below: one
+dot product of the fused weight matrix [W_0 | ... | W_{k-1} | b] with the
+column [taps oldest to newest; 1].  Equal shapes always take the same BLAS
+path, so the naive and cached paths, and the whole-sequence kernels built
+on the same primitive, can be compared bit for bit.
 
 Every kernel accepts an optional `OpCounter` and reports exact
 multiply-accumulate and node-evaluation counts; these counters, not wall
@@ -15,6 +16,7 @@ time, are the primary complexity measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -35,6 +37,12 @@ def as_tensor(data) -> np.ndarray:
 
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=DTYPE)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only: for arrays shared between callers."""
+    a.flags.writeable = False
+    return a
 
 
 class OpCounter:
@@ -67,47 +75,53 @@ class ConvWeights:
     """Convolution filter bank: kernel [out, in, k] (1D) or [out, in, kh, kw] (2D),
     plus a bias of shape [out].
 
-    `tap_mats` pre-slices the kernel into one contiguous (out, in) matrix per
-    tap, in tap order, so point evaluations don't re-copy strided views.
+    `fused` is the (out, k*in + 1) matrix [W_0 | ... | W_{k-1} | b], where
+    W_j = kernel[:, :, j] in flattened tap order, so a point evaluation is a
+    single dot product, and `tap_mats` holds the k blocks W_j as views of it.
+    `k` is the number of taps and `macs` the exact multiply-accumulates of
+    one node.  Everything is built once, at construction, and every array is
+    read-only (`kernel` and `bias` are private copies), so the kernels that
+    read `kernel` and those that read `fused` cannot drift apart.
     """
 
     kernel: np.ndarray
     bias: np.ndarray
+    fused: np.ndarray = field(init=False, repr=False, compare=False)
+    out_channels: int = field(init=False, repr=False, compare=False)
+    in_channels: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
+    macs: int = field(init=False, repr=False, compare=False)
     tap_mats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kernel = as_tensor(self.kernel)
-        bias = as_tensor(self.bias)
+        kernel = _frozen(as_tensor(self.kernel).copy())
+        bias = _frozen(as_tensor(self.bias).copy())
         if kernel.ndim not in (3, 4):
             raise ShapeError(f"kernel must be 3D or 4D, got shape {kernel.shape}")
-        if any(s < 1 for s in kernel.shape):
+        if min(kernel.shape) < 1:
             raise InvalidParameterError(f"kernel extents must be >= 1: {kernel.shape}")
-        if bias.shape != (kernel.shape[0],):
-            raise ShapeError(
-                f"bias shape {bias.shape} does not match out_channels {kernel.shape[0]}"
-            )
-        if not (np.isfinite(kernel).all() and np.isfinite(bias).all()):
-            raise InvalidParameterError("weights must be finite")
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "bias", bias)
-        flat = kernel.reshape(kernel.shape[0], kernel.shape[1], -1)
-        mats = tuple(
-            np.ascontiguousarray(flat[:, :, j]) for j in range(flat.shape[2])
+        out, in_ch = kernel.shape[:2]
+        if bias.shape != (out,):
+            raise ShapeError(f"bias shape {bias.shape} does not match out_channels {out}")
+        flat = kernel.reshape(out, in_ch, -1)
+        k = flat.shape[2]
+        fused = np.concatenate(
+            (flat.transpose(0, 2, 1).reshape(out, k * in_ch), bias[:, None]), axis=1
         )
-        object.__setattr__(self, "tap_mats", mats)
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[1]
-
-    @property
-    def k(self) -> int:
-        """Total taps per output position (k for 1D, kh*kw for 2D)."""
-        return int(np.prod(self.kernel.shape[2:]))
+        if not np.isfinite(fused).all():
+            raise InvalidParameterError("weights must be finite")
+        values = dict(
+            kernel=kernel,
+            bias=bias,
+            fused=_frozen(fused),
+            out_channels=out,
+            in_channels=in_ch,
+            k=k,
+            macs=kernel.size,
+            tap_mats=tuple(fused[:, j * in_ch : (j + 1) * in_ch] for j in range(k)),
+        )
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
 
 def _check_tap(tap: np.ndarray, in_channels: int) -> None:
@@ -117,29 +131,43 @@ def _check_tap(tap: np.ndarray, in_channels: int) -> None:
         )
 
 
+_ONE = _frozen(np.ones(1, dtype=DTYPE))
+
+
+@cache
+def _ones_row(batch: int) -> np.ndarray:
+    return _frozen(np.ones((1, batch), dtype=DTYPE))
+
+
 def conv1d_point(weights: ConvWeights, taps, counter: OpCounter | None = None) -> np.ndarray:
     """Evaluate one output position from `k` taps ordered oldest to newest.
 
     Each tap is an (in_channels,) vector, or (in_channels, batch) for
-    batched lockstep generation.  Accumulation order is fixed: bias first,
-    then taps in ascending (oldest-first) order.
+    batched lockstep generation.  The result is one dot product,
+    `weights.fused @ [tap_0; ...; tap_{k-1}; 1]`, with the bias as the
+    last weight.
     """
-    mats = weights.tap_mats
-    if len(taps) != len(mats):
-        raise ShapeError(f"expected {len(mats)} taps, got {len(taps)}")
+    if len(taps) != weights.k:
+        raise ShapeError(f"expected {weights.k} taps, got {len(taps)}")
     in_ch = weights.in_channels
-    first = taps[0]
-    _check_tap(first, in_ch)
-    acc = weights.bias if first.ndim == 1 else weights.bias[:, None]
-    acc = acc + mats[0] @ first
-    for j in range(1, len(mats)):
-        tap = taps[j]
+    for tap in taps:
         _check_tap(tap, in_ch)
-        acc += mats[j] @ tap
+    first = taps[0]
+    if first.ndim == 1:
+        n, ones = 1, _ONE
+    else:
+        n = first.shape[1]
+        ones = _ones_row(n)
+    try:
+        column = np.concatenate((*taps, ones))
+    except ValueError:
+        raise ShapeError(
+            f"taps disagree in batch shape: {[t.shape for t in taps]}"
+        ) from None
+    out = np.dot(weights.fused, column)
     if counter is not None:
-        n = 1 if first.ndim == 1 else first.shape[1]
-        counter.add(weights.out_channels * in_ch * len(mats) * n, nodes=n)
-    return acc
+        counter.add(weights.macs * n, n)
+    return out
 
 
 def _sequence(weights: ConvWeights, x) -> np.ndarray:

@@ -183,6 +183,27 @@ def test_usage_errors_exit_nonzero():
         main([])  # no --model
 
 
+def test_layers_accepts_a_comma_list(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["run", "--model", "dilated", "--layers", "3,1..2,5", "--stacks", "1",
+         "--channels", "1", "--steps", "4", "--repeats", "1", "--mode", "cached"],
+    )
+    assert code == 0
+    assert [int(row["L"]) for row in parse_csv(out)] == [3, 1, 2, 5]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", ",", "3,,5", "3,", "x", "3.5", "2,a", "0", "1,0", "-1", "5..3", "2,5..3", "1..", "..4"],
+)
+def test_layers_rejects_bad_input(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--model", "dilated", "--layers", text])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

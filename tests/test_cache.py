@@ -33,6 +33,27 @@ def test_prefill_shapes():
     assert first.shape == (16,) and not first.any()
 
 
+def test_prefill_is_read_only():
+    cache = FifoCache(capacity=3, width=4)
+    first = cache.pop()
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    cache.push(np.ones(4, np.float32))
+    assert not cache.pop().any()  # the rest of the pre-fill is still zero
+    assert cache.stored_values() == 2 * 4  # logical count, shared vector or not
+
+
+def test_push_coerces_non_float32_states():
+    cache = FifoCache(capacity=1, width=2)
+    cache.pop()
+    cache.push([1, 2])  # a list of ints is stored as float32
+    got = cache.pop()
+    assert got.dtype == np.float32 and got.tolist() == [1.0, 2.0]
+    cache.push(np.array([3.0, 4.0]))  # float64
+    assert cache.pop().dtype == np.float32
+
+
 def test_fifo_order_with_prefill():
     # pop/push cycles on a capacity-2 cache: two zeros come out before `a`
     cache = FifoCache(capacity=2, width=1)

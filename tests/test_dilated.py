@@ -2,6 +2,8 @@
 (bit-exact), op-count laws against the dependency-graph oracle, priming,
 and constant-memory generation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from convgen import (
     receptive_field,
 )
 from convgen.bench import measure_nodes_per_step
+from convgen.cache import FifoCache
 from convgen.dilated import (
     DilatedNetwork,
     LayerDef,
@@ -260,3 +263,56 @@ def test_constant_memory_literal_formula_single_channel():
     for _ in range(64):
         x = incremental_step(net, state, x)
     assert state.cached_values() == sum(spec.dilations()) * spec.channels
+
+
+def test_cached_vectors_are_never_written(monkeypatch):
+    # the pre-fill is one shared read-only zero vector, and the in-place tanh
+    # only touches nodes that have not been pushed yet
+    spec = NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=13)
+    net = build_network(spec)
+    state = incremental_init(net)
+    prefill = [v for cache in state.caches for v in cache._slots]
+    assert all(not v.flags.writeable and not v.any() for v in prefill)
+    pushed = []
+    push = FifoCache.push
+
+    def recording_push(cache, vec):
+        pushed.append((vec, vec.copy()))  # the value at the time of the push
+        push(cache, vec)
+
+    monkeypatch.setattr(FifoCache, "push", recording_push)
+    x = np.float32(0.3)
+    for _ in range(24):
+        x = incremental_step(net, state, x)
+    assert len(pushed) == 24 * len(net.layers)
+    assert all(np.array_equal(v, at_push) for v, at_push in pushed)
+    assert not any(v.any() for v in prefill)
+    assert state.cached_values() == sum(l.dilation * l.weights.in_channels for l in net.layers)
+
+
+# ---------------------------------------------------------------------------
+# state fork
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fork_at", [3, 40])
+def test_forked_state_continues_bit_exact(fork_at):
+    # at t=3 the dilation-4 and -8 caches still hold pre-fill; at t=40 none do
+    spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=4, seed=21)
+    net = build_network(spec)
+    whole = incremental_generate(net, (0.5,), 80)
+    state = incremental_init(net)
+    x = np.float32(0.5)
+    for _ in range(fork_at):
+        x = incremental_step(net, state, x)
+    fork = copy.deepcopy(state)
+    assert fork.counter is not state.counter
+    xs = {"state": x, "fork": x}
+    outs = {"state": [], "fork": []}
+    for _ in range(80 - fork_at):
+        for name, st in (("state", state), ("fork", fork)):  # interleaved
+            xs[name] = incremental_step(net, st, xs[name])
+            outs[name].append(xs[name])
+    for name in outs:
+        assert np.array_equal(np.array(outs[name], np.float32), whole[fork_at:])
+    assert fork.counter.snapshot() == state.counter.snapshot()

@@ -1,6 +1,8 @@
 """Strided-family tests: firing-trace golden timeline, burst scheduling,
 naive/cached equivalence, and pending-buffer conservation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,25 @@ def test_determinism():
 def test_trace_requires_positive_horizon():
     with pytest.raises(InvalidParameterError):
         firing_trace(hourglass_plan(), 0)
+
+
+@pytest.mark.parametrize("fork_at", [5, 22])
+def test_forked_state_continues_bit_exact(fork_at):
+    # t=5 and t=22 are mid-period, with outputs waiting in the pending queue
+    net = build_network(hourglass_spec(seed=12))
+    whole = strided_incremental_generate(net, 64)
+    state = strided_incremental_init(net)
+    x = np.float32(0.0)
+    for _ in range(fork_at):
+        x = strided_incremental_step(net, state, x)
+    assert state.pending
+    fork = copy.deepcopy(state)
+    xs = {"state": x, "fork": x}
+    outs = {"state": [], "fork": []}
+    for _ in range(64 - fork_at):
+        for name, st in (("state", state), ("fork", fork)):  # interleaved
+            xs[name] = strided_incremental_step(net, st, xs[name])
+            outs[name].append(xs[name])
+    for name in outs:
+        assert np.array_equal(np.array(outs[name], np.float32), whole[fork_at:])
+    assert fork.counter.snapshot() == state.counter.snapshot()

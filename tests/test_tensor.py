@@ -107,6 +107,83 @@ def test_point_shape_errors():
         conv1d_point(w, [np.zeros(2, np.float32), np.zeros(3, np.float32)])
 
 
+@pytest.mark.parametrize("k, batch", [(1, 1), (2, 5), (3, 4)])
+def test_point_batched_columns_and_counts(k, batch):
+    rng = np.random.default_rng(10 + k)
+    w = rand_weights(rng, 4, 3, (k,))
+    taps = [rng.uniform(-1, 1, (3, batch)).astype(np.float32) for _ in range(k)]
+    counter = OpCounter()
+    batched = conv1d_point(w, taps, counter)
+    assert batched.shape == (4, batch) and batched.dtype == np.float32
+    assert counter.snapshot() == (4 * 3 * k * batch, batch)
+    single = OpCounter()
+    for j in range(batch):
+        col = conv1d_point(w, [t[:, j] for t in taps], single)
+        assert np.max(np.abs(batched[:, j] - col)) <= ORACLE_TOL
+    assert single.snapshot() == counter.snapshot()
+
+
+@pytest.mark.parametrize("batch", [None, 4])
+def test_point_contract_errors(batch):
+    rng = np.random.default_rng(2)
+    w = rand_weights(rng, 2, 3, (2,))
+
+    def tap(channels):
+        return np.zeros((channels,) if batch is None else (channels, batch), np.float32)
+
+    three_d = np.zeros((3, batch or 1, 1), np.float32)
+    for taps in (
+        [tap(3)],  # one tap short
+        [tap(3)] * 3,  # one tap too many
+        [tap(3), tap(2)],  # wrong channel count
+        [tap(2), tap(3)],
+        [tap(3), three_d],
+        [three_d, tap(3)],
+    ):
+        with pytest.raises(ShapeError):
+            conv1d_point(w, taps)
+    # taps that disagree in batch shape are a ShapeError, not a numpy error
+    other = np.zeros((3, 2), np.float32) if batch is None else np.zeros(3, np.float32)
+    with pytest.raises(ShapeError):
+        conv1d_point(w, [tap(3), other])
+    if batch is not None:
+        with pytest.raises(ShapeError):
+            conv1d_point(w, [tap(3), np.zeros((3, batch + 1), np.float32)])
+    with pytest.raises(InvalidParameterError):
+        transposed_point(w, -1, tap(3))
+    with pytest.raises(InvalidParameterError):
+        transposed_point(w, 2, tap(3))
+    with pytest.raises(ShapeError):
+        transposed_point(w, 0, tap(2))
+
+
+def test_fused_matrix_layout():
+    rng = np.random.default_rng(3)
+    w = rand_weights(rng, 2, 3, (2, 2))  # 2D kernel: taps in flattened order
+    assert w.fused.shape == (2, 4 * 3 + 1) and not w.fused.flags.writeable
+    flat = w.kernel.reshape(2, 3, 4)
+    for j in range(4):
+        assert np.array_equal(w.fused[:, 3 * j : 3 * j + 3], flat[:, :, j])
+        assert np.array_equal(w.tap_mats[j], flat[:, :, j])
+    assert np.array_equal(w.fused[:, -1], w.bias)
+    assert (w.k, w.macs, w.in_channels, w.out_channels) == (4, 2 * 3 * 4, 3, 2)
+
+
+def test_weights_are_immutable_copies():
+    # `fused` and `kernel` feed different kernels, so neither may drift
+    kernel, bias = np.ones((1, 1, 1, 2), np.float32), np.zeros(1, np.float32)
+    w = ConvWeights(kernel, bias)
+    kernel[...] = 5.0  # the caller's array is not the weights' array
+    bias[...] = 1.0
+    taps = [np.ones(1, np.float32)] * 2
+    assert conv1d_point(w, taps)[0] == 2.0
+    assert np.array_equal(masked_conv2d(w, np.ones((1, 1, 3), np.float32), "horizontal")[0, 0],
+                          [0.0, 1.0, 2.0])
+    for arr in (w.kernel, w.bias, w.fused, *w.tap_mats):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # conv1d_full
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Walkthrough: the cache_every firing schedule for strided stacks.
+"""Walkthrough: the firing schedule for strided stacks.
 
 A stride-2 encoder/decoder cannot update every cache at every step: the
 bottleneck layer only has a new node every four inputs, and the transposed
-layers emit several outputs at once.  The schedule captures this, the
-firing trace shows the burst/idle cycle, and the incremental engine still
-emits exactly one sample per step from its pending-output queue.
+layers emit several outputs at once.  The plan's per-phase node table
+captures this, the firing trace shows the burst/idle cycle, and the
+incremental engine still emits exactly one sample per step from its
+pending-output queue.
 """
 
 import numpy as np
@@ -24,10 +25,10 @@ spec = NetworkSpec("strided", channels=4, strides=("down2", "down2", "up2", "up2
 plan = StridedPlan.from_spec(spec)
 
 print("plan:", " -> ".join(f"{k}{s}" for k, s in plan.layers))
-print("cache_every (input, then per layer):", plan.schedule.cache_every)
-print("fire_every  (burst period)         :", plan.schedule.fire_every)
-print("emit_count  (nodes per firing)     :", plan.schedule.emit_count)
 print("period:", plan.period)
+print("nodes computed per layer at each phase of the period:")
+for phase, nodes in enumerate(plan.nodes):
+    print(f"  t % {plan.period} == {phase}: {nodes}")
 print()
 
 print("firing trace, steps 0..7 (layer numbering is input -> output):")

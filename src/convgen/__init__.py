@@ -15,7 +15,7 @@ linear instead of exponential work per sample.  `convgen.bench` is the
 benchmark/verification command line (installed as ``convgen-bench``).
 
 This namespace holds the user-facing API.  Kernels (`convgen.tensor`),
-caches and schedules (`convgen.cache`) and the per-step `*_init` / `*_step`
+caches (`convgen.cache`) and the per-step `*_init` / `*_step`
 engine functions (`convgen.dilated`, `convgen.strided`, `convgen.image2d`)
 are imported from their own modules.
 """

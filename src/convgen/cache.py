@@ -1,5 +1,5 @@
-"""Hidden-state caching machinery: per-layer FIFO queues, firing schedules
-for strided/transposed stacks, and 2D row caches.
+"""Hidden-state caching machinery: per-layer FIFO queues and 2D row caches.
+(The firing schedule of strided/transposed stacks is `strided.StridedPlan`.)
 
 A `FifoCache` holds exactly `capacity` states (capacity == the dilation of
 the owning layer) and is pre-filled with zeros so that popping at the start
@@ -13,7 +13,6 @@ raises instead of producing plausible output.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import (
     InvalidRowError,
     ScheduleViolationError,
     ShapeError,
-    UnsupportedTopologyError,
 )
 from .tensor import DTYPE, _frozen, zeros
 
@@ -87,73 +85,6 @@ class FifoCache:
     def stored_values(self) -> int:
         """Total scalars currently held (memory instrumentation)."""
         return len(self._slots) * self.width
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Per-layer firing description for a strided/transposed stack.
-
-    Index 0 describes the network input stream; layer i of the stack is at
-    index i.  `cache_every[i]` is the amortised update period obtained by
-    multiplying by downsampling factors and dividing by upsampling factors
-    along the stack.  Upsampling layers physically compute in bursts, so the
-    step at which layer i actually computes new nodes is governed by
-    `fire_every[i]` (the running maximum), producing `emit_count[i]` nodes
-    per firing.  Firing offsets are fixed at 0.
-    """
-
-    cache_every: tuple[int, ...]
-    fire_every: tuple[int, ...]
-    emit_count: tuple[int, ...]
-    period: int
-
-    def fires(self, layer: int, t: int) -> bool:
-        """True iff layer (1-based; 0 = input) computes new nodes at step t."""
-        if t < 0:
-            raise InvalidParameterError(f"step must be >= 0, got {t}")
-        return t % self.fire_every[layer] == 0
-
-    def firing_layers(self, t: int) -> tuple[int, ...]:
-        return tuple(i for i in range(1, len(self.fire_every)) if self.fires(i, t))
-
-
-def schedule_build(layer_factors) -> Schedule:
-    """Derive the firing schedule from per-layer (kind, factor) pairs.
-
-    `layer_factors` is a sequence of ("down"|"up"|"same", factor) tuples in
-    input-to-output order.  Downsampling multiplies the running update
-    period, upsampling divides it; a division that would leave a fractional
-    period is an unsupported topology.
-    """
-    cache_every = [1]
-    running = 1
-    for kind, factor in layer_factors:
-        if factor < 1:
-            raise InvalidParameterError(f"stride factor must be >= 1, got {factor}")
-        if kind == "down":
-            running *= factor
-        elif kind == "up":
-            if running % factor != 0:
-                raise UnsupportedTopologyError(
-                    f"upsampling by {factor} at running period {running} "
-                    "would need a fractional cache_every"
-                )
-            running //= factor
-        elif kind != "same":
-            raise InvalidParameterError(f"unknown layer kind {kind!r}")
-        cache_every.append(running)
-    fire_every = []
-    peak = 1
-    for v in cache_every:
-        peak = max(peak, v)
-        fire_every.append(peak)
-    emit_count = [f // c for f, c in zip(fire_every, cache_every)]
-    return Schedule(
-        cache_every=tuple(cache_every),
-        fire_every=tuple(fire_every),
-        emit_count=tuple(emit_count),
-        period=peak,
-    )
 
 
 class RowCache:

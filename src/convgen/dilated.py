@@ -152,7 +152,7 @@ def receptive_field(spec: NetworkSpec) -> int:
         return 1 + sum(spec.dilations())
     from .strided import StridedPlan, strided_receptive_field
 
-    return strided_receptive_field(StridedPlan.from_spec(spec))
+    return strided_receptive_field(StridedPlan.from_spec(spec), spec.kernel_size)
 
 
 # ---------------------------------------------------------------------------

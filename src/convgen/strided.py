@@ -6,9 +6,14 @@ the firing schedule.
 A downsampling node j reads layer inputs s*j-(k-1) .. s*j (zeros below 0),
 so it becomes computable exactly when input s*j arrives; an upsampling
 input j emits outputs s*j .. s*j+s-1 immediately.  One network output is
-emitted per generation step: on period boundaries the engine computes a
-burst (all newly-computable nodes, including several outputs) and buffers
-the extras in a pending queue drained on the following steps.
+emitted per generation step: on burst steps the engine computes all
+newly-computable nodes, including several outputs, and buffers the extras
+in a pending queue drained on the following steps.
+
+The firing schedule has one model: `StridedPlan` simulates these rules
+once and stores the nodes each layer computes at each phase of the period.
+The incremental engine checks every layer of every step against that
+table, and `firing_trace` expands it.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .cache import Schedule, schedule_build
 from .dilated import _run_feedback, draw_weights
 from .errors import (
     InvalidParameterError,
@@ -52,24 +57,64 @@ def parse_stride(token: str) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class StridedPlan:
-    """Layer kinds/strides plus the derived firing schedule."""
+    """Layer kinds/strides plus the firing table of one period.
+
+    `nodes[p][i]` is the number of nodes layer i (input -> output order)
+    computes at every step t with t % period == p; the engine checks itself
+    against it and `firing_trace` expands it.
+    """
 
     layers: tuple[tuple[str, int], ...]
-    schedule: Schedule
+    nodes: tuple[tuple[int, ...], ...]
     period: int
 
     @classmethod
     def from_spec(cls, spec) -> "StridedPlan":
         if spec.family != "strided":
             raise InvalidParameterError("StridedPlan requires a strided-family spec")
-        layers = tuple(parse_stride(tok) for tok in spec.strides)
-        schedule = schedule_build(layers)
-        if schedule.cache_every[-1] != 1:
+        return _simulate_plan(spec.strides)
+
+
+@cache
+def _simulate_plan(strides: tuple[str, ...]) -> StridedPlan:
+    """Check the plan rules and simulate one period.  Plans are immutable,
+    so each strides list is simulated once per process."""
+    layers = tuple(parse_stride(tok) for tok in strides)
+    running = 1  # amortised update period: times each down factor, over each up factor
+    D = 1  # product of the down strides
+    for kind, s in layers:
+        if kind == "down":
+            running *= s
+            D *= s
+        elif running % s:
             raise UnsupportedTopologyError(
-                "unbalanced topology: total upsampling must equal total downsampling "
-                f"(output cache_every is {schedule.cache_every[-1]})"
+                f"upsampling by {s} at running period {running} would need a "
+                "fractional update period"
             )
-        return cls(layers=layers, schedule=schedule, period=schedule.period)
+        else:
+            running //= s
+    if running != 1:
+        raise UnsupportedTopologyError(
+            "unbalanced topology: total upsampling must equal total downsampling "
+            f"(output update period is {running})"
+        )
+    # after D steps every down layer's input count is back to 0 mod its
+    # stride, so simulating D steps gives a table that repeats with D
+    counts = [0] * len(layers)
+    table = []
+    for _ in range(D):
+        items, row = 1, []
+        for li, (kind, s) in enumerate(layers):
+            if kind == "down":  # a node fires on each input whose count is 0 mod s,
+                c = counts[li]  # so on the multiples of s in [c, c + items)
+                counts[li] = (c + items) % s
+                items = (c + items - 1) // s - (c - 1) // s
+            else:
+                items *= s
+            row.append(items)
+        table.append(tuple(row))
+    period = next(p for p in range(1, D + 1) if D % p == 0 and table[p:] + table[:p] == table)
+    return StridedPlan(layers=layers, nodes=tuple(table[:period]), period=period)
 
 
 @dataclass(frozen=True)
@@ -105,18 +150,18 @@ def build_strided_network(spec) -> StridedNetwork:
 
 
 def strided_receptive_field(plan: StridedPlan, kernel_size: int = 2) -> int:
-    """Steady-state count of input positions influencing one output (max over phase)."""
-    base = 10 * plan.period
+    """Steady-state count of input positions influencing one output (max over
+    phase).  Positions below 0 are counted, as if the sequence had no start."""
     best = 0
     for phase in range(plan.period):
-        positions = {base + phase}
+        positions = {phase}
         for kind, s in reversed(plan.layers):
             if kind == "up":
                 positions = {p // s for p in positions}
             else:
                 k = kernel_size
                 positions = {s * j - (k - 1) + i for j in positions for i in range(k)}
-        best = max(best, len([p for p in positions if p >= 0]))
+        best = max(best, len(positions))
     return best
 
 
@@ -125,69 +170,19 @@ def strided_receptive_field(plan: StridedPlan, kernel_size: int = 2) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _activate(layer: StridedLayer, h: np.ndarray) -> np.ndarray:
-    """The layer's activation, in place on a node fresh from a point kernel."""
-    if layer.activation == "tanh":
-        np.tanh(h, out=h)
-    return h
-
-
-class _DownStage:
-    """Arrival staging for a downsampling layer: fire on every stride-th input."""
-
-    __slots__ = ("layer", "recent", "count")
-
-    def __init__(self, layer: StridedLayer):
-        self.layer = layer
-        k = layer.weights.k
-        self.recent = deque(
-            (zeros(layer.weights.in_channels) for _ in range(k - 1)),
-            maxlen=max(k - 1, 1),
-        )
-        self.count = 0
-
-    def feed(self, x, counter):
-        fire = self.count % self.layer.stride == 0
-        out = []
-        if fire:
-            window = (*self.recent, x)[-self.layer.weights.k :]
-            out.append(_activate(self.layer, conv1d_point(self.layer.weights, window, counter)))
-        if self.layer.weights.k > 1:
-            self.recent.append(x)
-        self.count += 1
-        return out
-
-    def stored_values(self) -> int:
-        return sum(int(v.size) for v in self.recent)
-
-
-class _UpStage:
-    """A transposed layer: each input item immediately emits `stride` outputs."""
-
-    __slots__ = ("layer",)
-
-    def __init__(self, layer: StridedLayer):
-        self.layer = layer
-
-    def feed(self, x, counter):
-        out = []
-        for r in range(self.layer.stride):
-            out.append(_activate(self.layer, transposed_point(self.layer.weights, r, x, counter)))
-        return out
-
-    def stored_values(self) -> int:
-        return 0
-
-
 @dataclass
 class StridedState:
-    stages: list
+    """Per layer: the last k-1 inputs of a down layer (None for an up layer)
+    and the count of inputs it has seen; plus the outputs computed ahead."""
+
+    recent: list
+    counts: list
     pending: deque
     t: int
     counter: OpCounter
 
     def cached_values(self) -> int:
-        return sum(s.stored_values() for s in self.stages) + sum(
+        return sum(int(v.size) for r in self.recent if r for v in r) + sum(
             int(v.size) for v in self.pending
         )
 
@@ -195,25 +190,49 @@ class StridedState:
 def strided_incremental_init(
     network: StridedNetwork, counter: OpCounter | None = None
 ) -> StridedState:
-    stages = [
-        _DownStage(l) if l.kind == "down" else _UpStage(l) for l in network.layers
+    recent = [
+        deque((zeros(l.weights.in_channels) for _ in range(l.weights.k - 1)),
+              maxlen=max(l.weights.k - 1, 1))
+        if l.kind == "down" else None
+        for l in network.layers
     ]
-    return StridedState(stages=stages, pending=deque(), t=0, counter=counter or OpCounter())
+    return StridedState(recent=recent, counts=[0] * len(network.layers), pending=deque(),
+                        t=0, counter=counter or OpCounter())
 
 
 def strided_incremental_step(network: StridedNetwork, state: StridedState, x) -> np.floating:
-    """Feed one input, cascade firings down the stack, emit exactly one output."""
-    schedule = network.plan.schedule
+    """Feed one input, cascade firings down the stack, emit exactly one output.
+
+    A down layer fires on every stride-th input it sees; an up layer emits
+    `stride` outputs for each input at once.
+    """
+    plan = network.plan
     t = state.t
+    expected = plan.nodes[t % plan.period]
+    counter = state.counter
     items = [np.array([x], dtype=DTYPE)]
-    for li, stage in enumerate(state.stages):
+    for li, layer in enumerate(network.layers):
+        w = layer.weights
         produced = []
-        for item in items:
-            produced.extend(stage.feed(item, state.counter))
-        expected = schedule.emit_count[li + 1] if schedule.fires(li + 1, t) else 0
-        if len(produced) != expected:
+        if layer.kind == "down":
+            recent = state.recent[li]
+            for item in items:
+                if state.counts[li] % layer.stride == 0:
+                    produced.append(conv1d_point(w, (*recent, item)[-w.k :], counter))
+                if w.k > 1:
+                    recent.append(item)
+                state.counts[li] += 1
+        else:
+            for item in items:
+                for r in range(layer.stride):
+                    produced.append(transposed_point(w, r, item, counter))
+        if layer.activation == "tanh":
+            for h in produced:
+                np.tanh(h, out=h)
+        if len(produced) != expected[li]:
             raise ScheduleViolationError(
-                f"layer {li + 1} computed {len(produced)} nodes at t={t}, schedule says {expected}"
+                f"layer {li + 1} computed {len(produced)} nodes at t={t}, "
+                f"plan says {expected[li]}"
             )
         items = produced
     state.pending.extend(items)
@@ -288,30 +307,21 @@ class StepTrace:
 
 
 def firing_trace(plan: StridedPlan, t_max: int) -> list[StepTrace]:
-    """Exact per-step (layer, nodes computed, output source) trace; no weights involved."""
+    """`plan.nodes` expanded over t_max steps, with the output source of each
+    step (computed fresh or drained from the pending queue); no weights involved."""
     if t_max < 1:
         raise InvalidParameterError(f"t_max must be >= 1, got {t_max}")
-    counts = [0] * len(plan.layers)
     pending = 0
     records = []
     for t in range(t_max):
-        items = 1
-        nodes = []
-        for li, (kind, s) in enumerate(plan.layers):
-            if kind == "down":
-                produced = sum(1 for i in range(items) if (counts[li] + i) % s == 0)
-                counts[li] += items
-            else:
-                produced = items * s
-            nodes.append(produced)
-            items = produced
-        pending += items
+        nodes = plan.nodes[t % plan.period]
+        pending += nodes[-1]
         if pending == 0:
             raise ScheduleViolationError(f"trace underflow at t={t}")
         pending -= 1
         records.append(
-            StepTrace(t=t, nodes=tuple(nodes), outputs_emitted=1,
-                      emit="fresh" if items > 0 else "buffered")
+            StepTrace(t=t, nodes=nodes, outputs_emitted=1,
+                      emit="fresh" if nodes[-1] > 0 else "buffered")
         )
     return records
 

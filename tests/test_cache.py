@@ -1,4 +1,4 @@
-"""FIFO delay laws, firing-schedule arithmetic, and row-cache rotation."""
+"""FIFO delay laws and row-cache rotation."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,8 @@ from convgen import (
     InvalidRowError,
     ScheduleViolationError,
     ShapeError,
-    UnsupportedTopologyError,
 )
-from convgen.cache import FifoCache, RowCache, schedule_build
-
-HOURGLASS = (("down", 2), ("down", 2), ("up", 2), ("up", 2))
+from convgen.cache import FifoCache, RowCache
 
 
 # ---------------------------------------------------------------------------
@@ -104,56 +101,6 @@ def test_fires_period():
     assert [cache.fires(t) for t in range(7)] == [True, False, False, True, False, False, True]
     every_step = FifoCache(capacity=1, width=1)
     assert all(every_step.fires(t) for t in range(10))
-
-
-# ---------------------------------------------------------------------------
-# Schedule
-# ---------------------------------------------------------------------------
-
-
-def test_all_dilated_schedule_is_ones():
-    sched = schedule_build([("same", 1)] * 5)
-    assert sched.cache_every == (1,) * 6
-    assert sched.fire_every == (1,) * 6
-    assert sched.period == 1
-    assert all(sched.fires(layer, t) for layer in range(1, 6) for t in range(5))
-
-
-def test_hourglass_schedule_values():
-    sched = schedule_build(HOURGLASS)
-    assert sched.cache_every == (1, 2, 4, 2, 1)
-    assert sched.fire_every == (1, 2, 4, 4, 4)
-    assert sched.emit_count == (1, 1, 1, 2, 4)
-    assert sched.period == 4
-
-
-def test_hourglass_firing_steps():
-    sched = schedule_build(HOURGLASS)
-    assert sched.firing_layers(0) == (1, 2, 3, 4)  # full burst
-    assert sched.firing_layers(1) == ()
-    assert sched.firing_layers(2) == (1,)  # exactly one new hidden node
-    assert sched.firing_layers(3) == ()
-    assert sched.firing_layers(4) == (1, 2, 3, 4)
-
-
-def test_schedule_periodicity():
-    for plan in (HOURGLASS, (("down", 2), ("up", 2), ("down", 2), ("up", 2)),
-                 (("down", 2), ("down", 4), ("up", 4), ("up", 2))):
-        sched = schedule_build(plan)
-        P = sched.period
-        for t in range(10 * P):
-            assert sched.firing_layers(t) == sched.firing_layers(t + P)
-
-
-def test_fractional_cache_every_rejected():
-    with pytest.raises(UnsupportedTopologyError):
-        schedule_build([("up", 2)])
-    with pytest.raises(UnsupportedTopologyError):
-        schedule_build([("down", 2), ("up", 4)])
-    with pytest.raises(InvalidParameterError):
-        schedule_build([("sideways", 2)])
-    with pytest.raises(InvalidParameterError):
-        schedule_build([("down", 0)])
 
 
 # ---------------------------------------------------------------------------

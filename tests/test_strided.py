@@ -2,6 +2,8 @@
 naive/cached equivalence, and pending-buffer conservation."""
 
 import copy
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def hourglass_plan():
 def test_parse_stride_tokens():
     assert parse_stride("down2") == ("down", 2)
     assert parse_stride("up16") == ("up", 16)
-    for bad in ("sideways2", "down", "2", "down-2"):
+    for bad in ("sideways2", "down", "2", "down-2", "down0"):
         with pytest.raises(InvalidParameterError):
             parse_stride(bad)
 
@@ -55,16 +57,39 @@ def test_unbalanced_plans_rejected():
         StridedPlan.from_spec(NetworkSpec("strided", strides=("down2", "down2", "up2")))
     with pytest.raises(UnsupportedTopologyError):
         StridedPlan.from_spec(NetworkSpec("strided", strides=("up2", "down2")))
+    # balanced, but a prefix leaves a fractional update period
+    for strides in (("up2",), ("down2", "up4"), ("down2", "up4", "down2")):
+        with pytest.raises(UnsupportedTopologyError):
+            StridedPlan.from_spec(NetworkSpec("strided", strides=strides))
+
+
+def plan_of(*strides):
+    return StridedPlan.from_spec(NetworkSpec("strided", strides=strides))
 
 
 def test_plan_period():
-    assert hourglass_plan().period == 4
-    mixed = StridedPlan.from_spec(NetworkSpec("strided", strides=("down2", "up2", "down2", "up2")))
+    plan = hourglass_plan()
+    assert plan.period == 4
+    assert plan.nodes == ((1, 1, 2, 4), (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0))
+    mixed = plan_of("down2", "up2", "down2", "up2")
     assert mixed.period == 2
+    assert mixed.nodes == ((1, 2, 1, 2), (0, 0, 0, 0))
+    deep = plan_of("down2", "down4", "up4", "up2")
+    assert deep.period == 8
+    assert deep.nodes == ((1, 1, 4, 8),) + ((0,) * 4, (1, 0, 0, 0)) * 3 + ((0,) * 4,)
+    # stride-1 layers fire on every step
+    assert plan_of(*("down1",) * 5).nodes == ((1,) * 5,)
+    # strides that do not nest: the period is the least common one, not the largest stride
+    assert plan_of("down2", "up2", "down3", "up3").period == 6
+    assert plan_of("down4", "up4", "down3", "up3").period == 12
 
 
 def test_strided_receptive_field():
     assert receptive_field(hourglass_spec()) == 4
+    # 3*(k-1)+1 inputs for the hourglass, as perturbing inputs shows; at
+    # k=20 the span outgrows the window the count was once clipped to
+    for k, rf in ((1, 1), (3, 7), (20, 58)):
+        assert receptive_field(NetworkSpec("strided", strides=HOURGLASS, kernel_size=k)) == rf
     # a two-tap kernel at stride 4 skips two of every four inputs, so the
     # bottleneck sees 2 of its layer inputs -> 4 raw inputs, not 8
     deep = NetworkSpec("strided", strides=("down2", "down4", "up4", "up2"))
@@ -242,6 +267,16 @@ def test_trace_requires_positive_horizon():
         firing_trace(hourglass_plan(), 0)
 
 
+def test_state_holds_no_weights():
+    net = build_network(hourglass_spec(seed=12, channels=32))
+    state = strided_incremental_init(net)
+    x = np.float32(0.0)
+    for _ in range(5):
+        x = strided_incremental_step(net, state, x)
+    assert state.cached_values() == 1 + 32 + 3  # two down windows, three pending outputs
+    assert len(pickle.dumps(state)) < 4096  # the C=32 weights alone pickle to ~50 KB
+
+
 @pytest.mark.parametrize("fork_at", [5, 22])
 def test_forked_state_continues_bit_exact(fork_at):
     # t=5 and t=22 are mid-period, with outputs waiting in the pending queue
@@ -262,3 +297,75 @@ def test_forked_state_continues_bit_exact(fork_at):
     for name in outs:
         assert np.array_equal(np.array(outs[name], np.float32), whole[fork_at:])
     assert fork.counter.snapshot() == state.counter.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# random topologies
+# ---------------------------------------------------------------------------
+
+
+def supported(strides) -> bool:
+    """The plan rules, restated: balanced, and an integral update period at every prefix."""
+    running = Fraction(1)
+    for kind, s in map(parse_stride, strides):
+        running = running * s if kind == "down" else running / s
+        if running.denominator != 1:
+            return False
+    return running == 1
+
+
+def test_plan_accepts_exactly_the_supported_topologies():
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        strides = tuple(
+            f"{rng.choice(('down', 'up'))}{rng.integers(1, 5)}" for _ in range(rng.integers(1, 6))
+        )
+        if supported(strides):
+            StridedPlan.from_spec(NetworkSpec("strided", strides=strides))
+        else:
+            with pytest.raises(UnsupportedTopologyError):
+                StridedPlan.from_spec(NetworkSpec("strided", strides=strides))
+
+
+def random_balanced(rng) -> tuple[str, ...]:
+    """Factors 1-4, 2-5 layers: the down factors, the same product in up
+    factors, and stride-1 padding, shuffled until the plan rules hold."""
+    while True:
+        downs = [int(f) for f in rng.integers(2, 5, size=rng.integers(1, 3))]
+        ups = [u for f in downs for u in ((2, 2) if f == 4 and rng.random() < 0.3 else (f,))]
+        tokens = [f"down{f}" for f in downs] + [f"up{f}" for f in ups]
+        if len(tokens) > 5:
+            continue
+        pad = rng.integers(0, 6 - len(tokens))
+        tokens += [f"{rng.choice(('down', 'up'))}1" for _ in range(pad)]
+        strides = tuple(map(str, rng.permutation(tokens)))
+        if len(strides) >= 2 and supported(strides):
+            return strides
+
+
+_rng = np.random.default_rng(2024)
+TOPOLOGIES = [
+    ("down2", "up2", "down3", "up3"),
+    ("down3", "up3", "down2", "up2"),
+    ("down4", "up4", "down3", "up3"),
+] + [random_balanced(_rng) for _ in range(16)]
+
+
+@pytest.mark.parametrize("strides", TOPOLOGIES, ids="-".join)
+def test_random_balanced_topology(strides):
+    net = build_network(NetworkSpec("strided", channels=2, strides=strides, seed=len(strides)))
+    plan = net.plan
+    n = 3 * plan.period + 1
+    trace = firing_trace(plan, n)
+    state = strided_incremental_init(net)
+    cached, x = [], np.float32(0.0)
+    for rec in trace:
+        before = state.counter.node_evals
+        x = strided_incremental_step(net, state, x)
+        assert state.counter.node_evals - before == sum(rec.nodes)
+        cached.append(x)
+    assert np.array_equal(np.array(cached, np.float32), strided_naive_generate(net, n))
+    steps = [(rec.nodes, rec.emit) for rec in trace]
+    assert steps[plan.period :] == steps[: -plan.period]
+    for p in range(1, plan.period):
+        assert steps[p:] != steps[:-p], f"trace also repeats with {p} < period {plan.period}"

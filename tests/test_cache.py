@@ -1,4 +1,4 @@
-"""FIFO delay laws and row-cache rotation."""
+"""FIFO delay laws, the strided firing schedule, and row-cache rotation."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,25 @@ import pytest
 from convgen import (
     InvalidParameterError,
     InvalidRowError,
+    NetworkSpec,
     ScheduleViolationError,
     ShapeError,
+    StridedPlan,
+    UnsupportedTopologyError,
+    firing_trace,
 )
 from convgen.cache import FifoCache, RowCache
+
+HOURGLASS = ("down2", "down2", "up2", "up2")
+
+
+def plan_of(*strides):
+    return StridedPlan.from_spec(NetworkSpec("strided", strides=strides))
+
+
+def firing_layers(plan, t):
+    """1-based indices of the layers that compute at least one node at step t."""
+    return tuple(i + 1 for i, n in enumerate(plan.nodes[t % plan.period]) if n)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +116,63 @@ def test_fires_period():
     assert [cache.fires(t) for t in range(7)] == [True, False, False, True, False, False, True]
     every_step = FifoCache(capacity=1, width=1)
     assert all(every_step.fires(t) for t in range(10))
+
+
+# ---------------------------------------------------------------------------
+# Firing schedule (StridedPlan)
+# ---------------------------------------------------------------------------
+
+
+def test_all_dilated_schedule_is_ones():
+    plan = plan_of(*("down1",) * 5)
+    assert plan.period == 1
+    assert plan.nodes == ((1,) * 5,)
+    assert all(firing_layers(plan, t) == (1, 2, 3, 4, 5) for t in range(5))
+
+
+def test_hourglass_schedule_values():
+    plan = plan_of(*HOURGLASS)
+    assert plan.period == 4
+    # nodes per period of each layer: the period over its update period (2, 4, 2, 1)
+    assert tuple(sum(col) for col in zip(*plan.nodes)) == (2, 1, 2, 4)
+    # steps between firings of each layer: 2, 4, 4, 4
+    fire_every = tuple(
+        plan.period // sum(1 for row in plan.nodes if row[i]) for i in range(4)
+    )
+    assert fire_every == (2, 4, 4, 4)
+    # nodes computed per firing: 1, 1, 2, 4
+    assert plan.nodes[0] == (1, 1, 2, 4)
+
+
+def test_hourglass_firing_steps():
+    plan = plan_of(*HOURGLASS)
+    assert firing_layers(plan, 0) == (1, 2, 3, 4)  # full burst
+    assert firing_layers(plan, 1) == ()
+    assert firing_layers(plan, 2) == (1,)  # exactly one new hidden node
+    assert firing_layers(plan, 3) == ()
+    assert firing_layers(plan, 4) == (1, 2, 3, 4)
+
+
+def test_schedule_periodicity():
+    for strides in (HOURGLASS, ("down2", "up2", "down2", "up2"),
+                    ("down2", "down4", "up4", "up2")):
+        plan = plan_of(*strides)
+        P = plan.period
+        trace = firing_trace(plan, 11 * P)
+        for t in range(10 * P):
+            assert firing_layers(plan, t) == firing_layers(plan, t + P)
+            assert trace[t].nodes == trace[t + P].nodes
+
+
+def test_fractional_cache_every_rejected():
+    with pytest.raises(UnsupportedTopologyError):
+        plan_of("up2")
+    with pytest.raises(UnsupportedTopologyError):
+        plan_of("down2", "up4")
+    with pytest.raises(InvalidParameterError):
+        plan_of("sideways2")
+    with pytest.raises(InvalidParameterError):
+        plan_of("down0")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import contextlib
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,8 +95,7 @@ class Rollout:
 
     1D families hold `batch` independent states, each fed its own previous
     output.  image2d holds one lockstep state; the step after an image's
-    last pixel starts a fresh image.  Every state owns its counter, so
-    thread mode shares none.
+    last pixel starts a fresh image.  Every state owns its counter.
     """
 
     def __init__(self, network, engine: str, batch: int = 1):
@@ -128,7 +126,7 @@ class Rollout:
             sum(s.counter.node_evals for s in self.states),
         )
 
-    def advance(self, n: int, out: np.ndarray | None = None, threads: bool = False) -> None:
+    def advance(self, n: int, out: np.ndarray | None = None) -> None:
         """Advance every sequence n steps; out[i, j] gets sequence j's output at step i."""
         net, step = self.network, self.step
         if self.length is not None:
@@ -141,21 +139,13 @@ class Rollout:
                 if out is not None:
                     out[i] = y[0]
             return
-
-        def run_one(j: int) -> None:
-            state, x = self.states[j], self.xs[j]
+        for j, state in enumerate(self.states):
+            x = self.xs[j]
             for i in range(n):
                 x = step(net, state, x)
                 if out is not None:
                     out[i, j] = x
             self.xs[j] = x
-
-        if threads and self.batch > 1:
-            with ThreadPoolExecutor(max_workers=self.batch) as pool:
-                list(pool.map(run_one, range(self.batch)))
-        else:
-            for j in range(self.batch):
-                run_one(j)
 
 
 def time_engine(
@@ -165,7 +155,6 @@ def time_engine(
     repeats: int,
     warmup: int | None = None,
     batch: int = 1,
-    threads: bool = False,
 ) -> dict:
     """Per-step wall time (all batch elements advance once per step) and exact macs.
 
@@ -180,12 +169,12 @@ def time_engine(
         warmup = rollout.length or 4
         if engine == "naive" and network.spec.family == "dilated":
             warmup = max(warmup, receptive_field(network.spec))
-    rollout.advance(warmup, threads=threads)
+    rollout.advance(warmup)
     macs0 = rollout.counts()[0]
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        rollout.advance(steps, threads=threads)
+        rollout.advance(steps)
         times.append((time.perf_counter() - t0) * 1e6 / steps)
     return {
         "median_us": statistics.median(times),
@@ -223,7 +212,8 @@ def check_equivalence(networks, n_steps: int | None = None, tol: float = EQUIV_T
 
 
 def _sample_networks(family: str, n: int, seed: int = 0, sizes=((8, 8),)) -> list:
-    """n seeded random networks of one family (n per image size for image2d)."""
+    """n seeded random networks of one family (for image2d, n per image size
+    without and n with the row pair)."""
     rng = np.random.default_rng(seed)
     if family == "dilated":
         return [
@@ -244,8 +234,11 @@ def _sample_networks(family: str, n: int, seed: int = 0, sizes=((8, 8),)) -> lis
             for _ in range(n)
         ]
     return [
-        build_image_network(ImageSpec(h, w, channels=4, n_layers=3, seed=int(rng.integers(2**32))))
+        build_image_network(ImageSpec(
+            h, w, channels=4, n_layers=3, row_pair=row_pair, seed=int(rng.integers(2**32))
+        ))
         for h, w in sizes
+        for row_pair in (False, True)
         for _ in range(n)
     ]
 
@@ -460,10 +453,7 @@ def run_bench(args, out=None) -> int:
             diff_text = "" if diff is None else f"{diff:.6g}"
             summaries = {}
             for mode in modes:
-                res = time_engine(
-                    network, mode, eff_steps, repeats, warmup=warmup,
-                    batch=batch, threads=args.threads,
-                )
+                res = time_engine(network, mode, eff_steps, repeats, warmup=warmup, batch=batch)
                 # one row in CSV_COLUMNS order
                 print(
                     f"{args.model},{eff_L},{stacks},{batch},{mode},{eff_steps},{repeats},"
@@ -557,7 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", default="-", help="output path or - for stdout")
     run.add_argument("--quick", action="store_true",
                      help="clamp steps/repeats/warm-up for a fast smoke pass")
-    run.add_argument("--threads", action="store_true", help="one thread per batch element")
     run.add_argument("--image-size", type=int, default=16, help="square image side for image2d")
 
     spd = sub.add_parser("speedup", help="per-configuration speedup table from a run CSV")

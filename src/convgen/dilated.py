@@ -55,6 +55,8 @@ class NetworkSpec:
             raise InvalidParameterError("seed must fit in 64 bits")
         if self.strides is not None:
             object.__setattr__(self, "strides", tuple(self.strides))
+        if self.kernel_size < 1:
+            raise InvalidParameterError(f"kernel_size must be >= 1, got {self.kernel_size}")
         if self.family == "dilated":
             if self.stacks < 1 or self.layers_per_stack < 1 or self.channels < 1:
                 raise InvalidParameterError("stacks, layers_per_stack, channels must be >= 1")

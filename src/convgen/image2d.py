@@ -9,14 +9,17 @@ written back into the image (deterministic feedback).
 
 The naive engine runs a full vectorised image pass per generated pixel
 (H*W passes per image).  The cached engine keeps one RowCache of the last
-`kh` input rows per block, computes each block's vertical features one
-entire row at a time, and advances the horizontal stream pixel by pixel
-from small strictly-left tap windows.  Batch elements generate in lockstep,
-so every point operation is a single matrix product across the batch.
+`kh` input rows per block and does all row-rate work in one
+`vertical_row_pass` at each row's start: every block's vertical features
+and their 1x1 link for the entire row, each one fused dot over the row's
+W*B columns.  It then advances the horizontal stream pixel by pixel from
+small strictly-left tap windows.  Batch elements generate in lockstep, so
+every point operation is a single matrix product across the batch.
 
 With `row_pair`, the first block's vertical path is vconv -> stride-2 row
-downsampling -> stride-2 row upsampling, scheduled across rows exactly like
-the 1D strided engine (bursts of two rows, pending-row queue).
+downsampling -> stride-2 row upsampling, scheduled across rows like the 1D
+strided engine: each row pass feeds the new vconv row (every second feed
+is a burst that queues two rows) and then pops one pending row.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .tensor import (
     DTYPE,
     ConvWeights,
     OpCounter,
+    _ones_row,
     conv1d_point,
     masked_conv2d,
     zeros,
@@ -217,7 +221,11 @@ def image_naive_generate(
 
 
 class _PairState:
-    """Row-rate burst scheduling for the vconv -> down -> up vertical path."""
+    """Row-rate burst scheduling for the vconv -> down -> up vertical path.
+
+    Every even-count feed fires the down layer over [previous row; this row]
+    and queues the two rows the up layer emits from it.
+    """
 
     __slots__ = ("carry", "count", "pending")
 
@@ -228,16 +236,16 @@ class _PairState:
 
     def feed(self, block: ImageBlock, vc_row: np.ndarray, counter: OpCounter | None) -> None:
         if self.count % 2 == 0:
-            w = block.down
-            d = w.bias[:, None, None] + _tdot(w.tap_mats[0], self.carry) + _tdot(w.tap_mats[1], vc_row)
-            d = np.tanh(d)
+            c, W, B = vc_row.shape
+            n = W * B
+            column = np.concatenate((self.carry.reshape(c, n), vc_row.reshape(c, n), _ones_row(n)))
+            d = np.tanh(np.dot(block.down.fused, column))
             u = block.up
-            n = vc_row.shape[1] * vc_row.shape[2]
+            for tap in u.tap_mats:
+                self.pending.append(np.tanh(tap @ d + u.bias[:, None]).reshape(c, W, B))
             if counter is not None:
-                counter.add(w.out_channels * w.in_channels * 2 * n, nodes=n)
-                counter.add(u.out_channels * u.in_channels * 2 * n, nodes=2 * n)
-            self.pending.append(np.tanh(u.bias[:, None, None] + _tdot(u.tap_mats[0], d)))
-            self.pending.append(np.tanh(u.bias[:, None, None] + _tdot(u.tap_mats[1], d)))
+                counter.add(block.down.macs * n, nodes=n)
+                counter.add(u.macs * n, nodes=2 * n)
         self.carry = vc_row
         self.count += 1
 
@@ -252,7 +260,7 @@ class ImageGenState:
     row_caches: list
     pair: _PairState | None
     h_hist: list
-    v_rows: list
+    links: list  # per block: its 1x1 link of the current vertical row, (C, W, B)
     image: np.ndarray
     r: int
     c: int
@@ -268,20 +276,26 @@ class ImageGenState:
 
 
 def _vconv_row(w: ConvWeights, cache: RowCache, counter: OpCounter | None) -> np.ndarray:
-    """One output row of a vertical conv from the cached rows above it."""
+    """One output row of a vertical conv from the cached rows above it.
+
+    Output column c reads columns c-kw+1 .. c of every cached row, zero left
+    of the image.  The kh*kw shifted rows are stacked in `fused` tap order
+    over a row of ones, so the whole row is one dot over W*B columns.
+    """
     stack = cache.rows_stack()  # (in, kh, W, B)
     in_ch, kh, W, B = stack.shape
     kw = w.kernel.shape[3]
-    pad = kw - 1
-    sp = np.pad(stack, ((0, 0), (0, 0), (pad, 0), (0, 0)))
-    out = np.broadcast_to(w.bias[:, None, None], (w.out_channels, W, B)).astype(DTYPE).copy()
-    for i in range(kh):
-        for j in range(kw):
-            out += _tdot(w.kernel[:, :, i, j], sp[:, i, j : j + W, :])
+    n = W * B
+    column = np.zeros((w.fused.shape[1], W, B), dtype=DTYPE)
+    column[-1] = 1.0
+    taps = column[:-1].reshape(kh, kw, in_ch, W, B)
+    rows = stack.transpose(1, 0, 2, 3)
+    for j in range(kw):
+        shift = kw - 1 - j
+        taps[:, j, :, shift:] = rows[:, :, : W - shift]
     if counter is not None:
-        n = W * B
-        counter.add(w.out_channels * in_ch * kh * kw * n, nodes=n)
-    return out
+        counter.add(w.macs * n, nodes=n)
+    return np.dot(w.fused, column.reshape(-1, n)).reshape(w.out_channels, W, B)
 
 
 def image_incremental_init(
@@ -294,53 +308,56 @@ def image_incremental_init(
     for i in range(spec.n_layers):
         in_v = 1 if i == 0 else spec.channels
         caches.append(RowCache(spec.kh, spec.width, in_v, batch=batch))
-    pair = _PairState(spec.channels, spec.width, batch) if spec.row_pair else None
-    state = ImageGenState(
+    return ImageGenState(
         row_caches=caches,
-        pair=pair,
+        pair=_PairState(spec.channels, spec.width, batch) if spec.row_pair else None,
         h_hist=[deque(maxlen=spec.h_kw) for _ in range(spec.n_layers)],
-        v_rows=[None] * spec.n_layers,
+        links=[None] * spec.n_layers,
         image=zeros((1, spec.height, spec.width, batch)),
         r=0,
         c=0,
         batch=batch,
         counter=counter or OpCounter(),
     )
-    if pair is not None:
-        # Initial burst: vconv row 0 exists before any pixel (zero padding only).
-        vc0 = np.tanh(_vconv_row(network.blocks[0].vert, caches[0], state.counter))
-        pair.feed(network.blocks[0], vc0, state.counter)
-    return state
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:
-    """Compute every block's vertical features for one full row, in order.
+    """All row-rate work of one row; returns every block's vertical features.
 
-    Must be called exactly once per row, at the row's start; the result is
-    cached on the state for all horizontal computations of that row.
+    Must be called exactly once per row, at the row's start.  It pushes the
+    image row above into block 0's cache, computes the blocks' vertical rows
+    in order, and applies each block's 1x1 link for the row's pixel steps.
     """
     if row_index != state.r or state.c != 0 or state.v_ready:
         raise ScheduleViolationError(
             f"vertical_row_pass(row={row_index}) out of order at (r={state.r}, c={state.c})"
         )
     spec = network.spec
+    if row_index == spec.height:
+        raise ScheduleViolationError("image already complete")
+    counter = state.counter
+    if row_index > 0:
+        state.row_caches[0].push_row(state.image[:, row_index - 1])
     rows = []
     for i, block in enumerate(network.blocks):
+        row = np.tanh(_vconv_row(block.vert, state.row_caches[i], counter))
         if i == 0 and state.pair is not None:
+            state.pair.feed(block, row, counter)
             if not state.pair.pending:
                 raise ScheduleViolationError(f"no pending vertical row for row {row_index}")
-            rows.append(state.pair.pending.popleft())
-        else:
-            rows.append(np.tanh(_vconv_row(block.vert, state.row_caches[i], state.counter)))
+            row = state.pair.pending.popleft()
+        rows.append(row)
     for i in range(spec.n_layers - 1):
         state.row_caches[i + 1].push_row(rows[i])
-    state.v_rows = rows
+    c, n = spec.channels, spec.width * state.batch
+    state.links = [
+        np.dot(block.link, row.reshape(c, n)).reshape(row.shape)
+        for block, row in zip(network.blocks, rows)
+    ]
+    counter.add(spec.n_layers * c * c * n, nodes=0)
     state.v_ready = True
-    for i, hist in enumerate(state.h_hist):
-        hist.clear()
-        in_h = 1 if i == 0 else spec.channels
-        for _ in range(spec.h_kw):
-            hist.append(zeros((in_h, state.batch)))
+    for i, hist in enumerate(state.h_hist):  # strictly-left taps start as zeros
+        hist.extend([zeros((1 if i == 0 else c, state.batch))] * spec.h_kw)
     return rows
 
 
@@ -353,10 +370,8 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
     hs = []
     for i, block in enumerate(network.blocks):
         pre = conv1d_point(block.horiz, list(state.h_hist[i]), counter)
-        pre = pre + block.link @ state.v_rows[i][:, col, :]
-        if counter is not None:
-            counter.add(spec.channels * spec.channels * state.batch, nodes=0)
-        hs.append(np.tanh(pre))
+        pre += state.links[i][:, col, :]
+        hs.append(np.tanh(pre, out=pre))
     y = conv1d_point(network.proj, [hs[-1]], counter)
     state.h_hist[0].append(y)
     for i in range(spec.n_layers - 1):
@@ -364,10 +379,6 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
     state.image[:, state.r, col, :] = y
     state.c += 1
     if state.c == spec.width:
-        state.row_caches[0].push_row(state.image[:, state.r, :, :])
-        if state.pair is not None:
-            vc = np.tanh(_vconv_row(network.blocks[0].vert, state.row_caches[0], counter))
-            state.pair.feed(network.blocks[0], vc, counter)
         state.c = 0
         state.r += 1
         state.v_ready = False
@@ -377,10 +388,9 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
 def image_incremental_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
     """Generate the next raster pixel of every batch element: (1, batch).
 
-    A row's first pixel also runs that row's `vertical_row_pass`.
+    A row's first pixel also runs that row's `vertical_row_pass`, which
+    raises once the image is complete.
     """
-    if state.r == network.spec.height:
-        raise ScheduleViolationError("image already complete")
     if state.c == 0:
         vertical_row_pass(network, state, state.r)
     return _pixel_step(network, state)
@@ -407,21 +417,17 @@ def receptive_field_2d(spec: ImageSpec) -> tuple[int, int]:
     Computed by interval propagation over the stream chain (worst case over
     row parity for the strided pair), clipped to the image.
     """
-    rows_up = 0
-    cols_left = 0
-    v_up, v_left = 0, 0
+    v_up = v_left = cols_left = 0
     for i in range(spec.n_layers):
         v_up += spec.kh
         v_left += spec.kw - 1
         if spec.row_pair and i == 0:
             # down2 then up2 over rows: lookback grows by at most kh + 2 rows
             v_up += 2
-        cols_left = max(cols_left, v_left)
-        rows_up = max(rows_up, v_up)
-        cols_left += spec.h_kw
-    rows = min(spec.height, rows_up + 1)
-    cols = min(spec.width, cols_left + 1)
-    return rows, cols
+        # block i's horizontal stream reads h_kw columns left of block i-1's
+        # and, through the link, block i's vertical column window
+        cols_left = max(cols_left + spec.h_kw, v_left)
+    return min(spec.height, v_up + 1), min(spec.width, cols_left + 1)
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -157,16 +157,6 @@ def test_run_csv_to_file(tmp_path, capsys):
     assert len(rows) == 1
 
 
-def test_run_threads_flag(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["run", "--model", "dilated", "--layers", "1", "--stacks", "1", "--channels", "1",
-         "--steps", "4", "--repeats", "1", "--mode", "cached", "--batch", "2", "--threads"],
-    )
-    assert code == 0
-    assert len(parse_csv(out)) == 1
-
-
 def test_usage_errors_exit_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--model", "rnn"])

@@ -45,6 +45,9 @@ def test_spec_validation():
         NetworkSpec("dilated", kernel_size=3)
     with pytest.raises(InvalidParameterError):
         NetworkSpec("strided")  # needs strides
+    for k in (0, -1):
+        with pytest.raises(InvalidParameterError):
+            NetworkSpec("strided", strides=("down2", "up2"), kernel_size=k)
 
 
 def test_dilation_pattern():

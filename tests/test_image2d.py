@@ -25,6 +25,7 @@ from convgen.image2d import (
     vertical_row_pass,
 )
 from convgen.tensor import masked_conv2d
+from oracles import perturbation_influence
 
 EQUIV_TOL = 1e-5
 
@@ -64,12 +65,17 @@ def test_equivalence_8x8(seed, n_layers):
     assert np.max(np.abs(a - b)) <= EQUIV_TOL
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_equivalence_row_pair(seed):
-    spec = ImageSpec(8, 8, channels=4, n_layers=3, row_pair=True, seed=seed)
+@pytest.mark.parametrize(
+    "geometry,batch",
+    [(dict(seed=seed), 1) for seed in range(3)]
+    + [(dict(height=10, width=7, kh=3, kw=5, h_kw=3, seed=5), 3)],
+    ids=["0", "1", "2", "wide-batch3"],
+)
+def test_equivalence_row_pair(geometry, batch):
+    spec = ImageSpec(**{"height": 8, "width": 8, **geometry}, channels=4, n_layers=3, row_pair=True)
     net = build_image_network(spec)
-    a = image_naive_generate(net)
-    b = image_incremental_generate(net)
+    a = image_naive_generate(net, batch)
+    b = image_incremental_generate(net, batch)
     assert np.max(np.abs(a - b)) <= EQUIV_TOL
 
 
@@ -192,17 +198,21 @@ def test_vertical_rows_invariant_to_current_row_pixels():
 # ---------------------------------------------------------------------------
 
 
-def test_per_pixel_nodes_independent_of_height():
-    per_pixel = {}
+@pytest.mark.parametrize("row_pair", [False, True])
+def test_per_pixel_nodes_independent_of_height(row_pair):
+    # 3 horizontal + 3 vertical (one row pass per row) + 1 head per pixel; the
+    # row pair adds one down row and two up rows per two image rows
+    per_pixel = 8.5 if row_pair else 7
     for H in (6, 12, 18):
-        spec = ImageSpec(H, 6, channels=4, n_layers=3, seed=1)
+        spec = ImageSpec(H, 6, channels=4, n_layers=3, row_pair=row_pair, seed=1)
         net = build_image_network(spec)
-        counter = OpCounter()
-        image_incremental_generate(net, counter=counter)
-        per_pixel[H] = counter.node_evals / (H * 6)
-    assert len(set(per_pixel.values())) == 1
-    # 3 horizontal + 3 vertical (one row pass per row) + 1 head per pixel
-    assert per_pixel[6] == 7.0
+        state = image_incremental_init(net, batch=2)
+        assert state.counter.node_evals == 0  # row work runs in the row passes
+        for _ in range(H * 6):
+            image_incremental_step(net, state)
+        assert state.counter.node_evals == 2 * H * 6 * per_pixel
+        if row_pair:
+            assert not state.pair.pending  # no vertical row beyond the image
 
 
 def test_row_cache_memory_bounded_by_kh():
@@ -261,6 +271,34 @@ def test_receptive_field_2d_bounds():
     small = ImageSpec(4, 4, channels=2, n_layers=5, kh=2, kw=3, seed=0)
     rows, cols = receptive_field_2d(small)
     assert rows <= 4 and cols <= 4  # clipped to the image
+
+
+@pytest.mark.parametrize(
+    "kh,kw,h_kw,n_layers,row_pair",
+    [
+        (2, 3, 2, 1, False),
+        (2, 3, 2, 3, False),
+        (3, 5, 3, 2, False),
+        (1, 1, 3, 3, False),
+        (2, 3, 2, 3, True),
+        (3, 2, 1, 2, True),
+    ],
+)
+def test_receptive_field_2d_matches_perturbation(kh, kw, h_kw, n_layers, row_pair):
+    # bounding box of the pixels whose perturbation changes the last pixel of
+    # either of the last two rows (both row parities of the strided pair)
+    H = W = 12
+    spec = ImageSpec(H, W, channels=3, n_layers=n_layers, kh=kh, kw=kw, h_kw=h_kw,
+                     row_pair=row_pair, seed=1)
+    net = build_image_network(spec)
+    x = np.random.default_rng(0).uniform(-1, 1, H * W).astype(np.float32)
+    forward = lambda v: forward_image(net, v.reshape(1, H, W, 1)).ravel()
+    rows = cols = 0
+    for r_out in (H - 2, H - 1):
+        for p in perturbation_influence(forward, x, r_out * W + W - 1):
+            r, c = divmod(p, W)
+            rows, cols = max(rows, r_out - r + 1), max(cols, W - c)
+    assert receptive_field_2d(spec) == (rows, cols)
 
 
 def test_write_pgm(tmp_path):

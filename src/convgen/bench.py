@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import statistics
 import sys
 import time
@@ -498,7 +499,19 @@ def speedup_report(csv_lines, out=None) -> int:
     table = {}
     for row in rows:
         key = (row["model"], row["L"], row["stacks"], row["batch"], row["steps"])
-        table.setdefault(key, {})[row["mode"]] = float(row["wall_us_per_step"])
+        text = row["wall_us_per_step"]
+        try:
+            us = float(text)
+        except (TypeError, ValueError):  # TypeError: a short row leaves the field None
+            us = math.nan
+        if not (math.isfinite(us) and us > 0):
+            print(
+                f"error: wall_us_per_step must be a positive number, got {text!r} "
+                f"(model={key[0]} L={key[1]} stacks={key[2]} batch={key[3]} mode={row['mode']})",
+                file=sys.stderr,
+            )
+            return 1
+        table.setdefault(key, {})[row["mode"]] = us
     missing = [k for k, v in table.items() if not {"naive", "cached"} <= set(v)]
     if missing:
         for key in missing:

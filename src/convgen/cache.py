@@ -1,13 +1,18 @@
-"""Hidden-state caching machinery: per-layer FIFO queues and 2D row caches.
+"""Hidden-state caching machinery: a checked FIFO queue and 2D row caches.
 (The firing schedule of strided/transposed stacks is `strided.StridedPlan`.)
 
-A `FifoCache` holds exactly `capacity` states (capacity == the dilation of
-the owning layer) and is pre-filled with zeros so that popping at the start
-of a sequence reads the same implicit causal padding the naive engine uses.
-The pre-fill is one shared read-only zero vector per width, so it costs no
-allocation per slot and cannot be corrupted through a popped reference.
-Pop and push strictly alternate; any other order is a scheduling bug and
-raises instead of producing plausible output.
+`_frozen_zeros(width)` is the one shared read-only zero vector per width
+that pre-fills every 1D cache, so the pre-fill costs no allocation per slot
+and cannot be corrupted through a reference read from a cache.  The cached
+dilated engine pre-fills its per-layer slot rings with it.
+
+A `FifoCache` holds exactly `capacity` states and is pre-filled with zeros
+so that popping at the start of a sequence reads the same implicit causal
+padding the naive engine uses.  Pop and push strictly alternate; any other
+order is a scheduling bug and raises instead of producing plausible output.
+No engine uses it any more (the dilated engine indexes a plain slot ring by
+t % dilation); it is kept for its own tests and for the benchmark tracer,
+which patches its methods.
 """
 
 from __future__ import annotations

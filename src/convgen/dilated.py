@@ -8,9 +8,11 @@ engines exactly comparable.
 
 naive engine   - keeps each stack's output history and recomputes the whole
                  within-stack dependency tree (2^L - 1 nodes) at every step.
-cached engine  - one FifoCache per layer (capacity == dilation); each step
-                 pops the state from `dilation` steps ago, computes one new
-                 node per layer, and pushes the layer input for reuse.
+cached engine  - one slot ring per layer: a list of `dilation` input
+                 vectors, pre-filled with a shared read-only zero vector.
+                 Step t reads slot t % dilation (the layer input from
+                 `dilation` steps ago), computes one new node per layer, and
+                 stores the layer input in that slot for reuse.
 
 Both engines route every node through `conv1d_point`, so their outputs are
 bit-identical, not merely close.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import FifoCache
+from .cache import _frozen_zeros
 from .errors import InvalidParameterError
 from .tensor import DTYPE, ConvWeights, OpCounter, conv1d_full, conv1d_point, zeros
 
@@ -253,7 +255,11 @@ def naive_generate(
 
 @dataclass
 class GenState:
-    """All mutable state of one cached generation run (constant size in t)."""
+    """All mutable state of one cached generation run (constant size in t).
+
+    `caches[l]` is layer l's slot ring: `dilation` input vectors, where slot
+    t % dilation holds the input of step t - dilation (zeros before 0).
+    """
 
     caches: list
     t: int
@@ -261,34 +267,37 @@ class GenState:
 
     def cached_values(self) -> int:
         """Total scalars stored across all layer caches."""
-        return sum(c.stored_values() for c in self.caches)
+        return sum(len(ring) * len(ring[0]) for ring in self.caches)
 
 
 def incremental_init(network: DilatedNetwork, counter: OpCounter | None = None) -> GenState:
     caches = [
-        FifoCache(capacity=layer.dilation, width=layer.weights.in_channels)
+        [_frozen_zeros(layer.weights.in_channels)] * layer.dilation
         for layer in network.layers
     ]
     return GenState(caches=caches, t=0, counter=counter or OpCounter())
 
 
 def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating:
-    """Advance one step: pop/conv/push per layer, then the linear head.
+    """Advance one step: read slot t % dilation, conv, store, per layer; then the head.
 
-    Every dilated cache fires at every step; the cache itself checks that
-    pop and push alternate.  The activation runs in place on the node fresh
-    from `conv1d_point`, before it is pushed anywhere as the next layer's input.
+    Every layer computes one node at every step.  A slot keeps a reference to
+    the stored input, never a copy: the activation runs in place on the node
+    fresh from `conv1d_point`, before it is stored anywhere as the next
+    layer's input, so a stored vector is never written again.
     """
     cur = np.array([x], dtype=DTYPE)
     counter = state.counter
-    for layer, cache in zip(network.layers, state.caches):
-        h = conv1d_point(layer.weights, (cache.pop(), cur), counter)
-        cache.push(cur)
+    t = state.t
+    for layer, ring in zip(network.layers, state.caches):
+        j = t % layer.dilation
+        h = conv1d_point(layer.weights, (ring[j], cur), counter)
+        ring[j] = cur
         if layer.activation == "tanh":
             np.tanh(h, out=h)
         cur = h
     y = conv1d_point(network.head, (cur,), counter)
-    state.t += 1
+    state.t = t + 1
     return y[0]
 
 

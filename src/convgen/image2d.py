@@ -260,7 +260,7 @@ class ImageGenState:
     row_caches: list
     pair: _PairState | None
     h_hist: list
-    links: list  # per block: its 1x1 link of the current vertical row, (C, W, B)
+    links: list  # per block: its 1x1 link of the current vertical row, (W, C, B)
     image: np.ndarray
     r: int
     c: int
@@ -350,8 +350,9 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     for i in range(spec.n_layers - 1):
         state.row_caches[i + 1].push_row(rows[i])
     c, n = spec.channels, spec.width * state.batch
+    # (W, C, B), so that each pixel step adds one contiguous (C, B) block
     state.links = [
-        np.dot(block.link, row.reshape(c, n)).reshape(row.shape)
+        np.dot(block.link, row.reshape(c, n)).reshape(row.shape).transpose(1, 0, 2).copy()
         for block, row in zip(network.blocks, rows)
     ]
     counter.add(spec.n_layers * c * c * n, nodes=0)
@@ -370,7 +371,7 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
     hs = []
     for i, block in enumerate(network.blocks):
         pre = conv1d_point(block.horiz, list(state.h_hist[i]), counter)
-        pre += state.links[i][:, col, :]
+        pre += state.links[i][col]
         hs.append(np.tanh(pre, out=pre))
     y = conv1d_point(network.proj, [hs[-1]], counter)
     state.h_hist[0].append(y)

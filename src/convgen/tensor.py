@@ -150,8 +150,9 @@ def conv1d_point(weights: ConvWeights, taps, counter: OpCounter | None = None) -
     if len(taps) != weights.k:
         raise ShapeError(f"expected {weights.k} taps, got {len(taps)}")
     in_ch = weights.in_channels
-    for tap in taps:
-        _check_tap(tap, in_ch)
+    for tap in taps:  # _check_tap, inlined: this is the engines' per-node hot path
+        if tap.ndim not in (1, 2) or tap.shape[0] != in_ch:
+            raise ShapeError(f"tap shape {tap.shape} incompatible with in_channels {in_ch}")
     first = taps[0]
     if first.ndim == 1:
         n, ones = 1, _ONE
@@ -164,7 +165,7 @@ def conv1d_point(weights: ConvWeights, taps, counter: OpCounter | None = None) -
         raise ShapeError(
             f"taps disagree in batch shape: {[t.shape for t in taps]}"
         ) from None
-    out = np.dot(weights.fused, column)
+    out = weights.fused.dot(column)
     if counter is not None:
         counter.add(weights.macs * n, n)
     return out

@@ -201,10 +201,21 @@ def test_layers_rejects_bad_input(capsys, text):
         (["speedup", "{tmp}/missing.csv"], 2),
         (["run", "--model", "dilated", "--csv", "{tmp}/no/such/dir/x.csv"], 2),
         (["speedup", "{tmp}/no_schema.csv"], 1),
+        (["speedup", "{tmp}/text_time.csv"], 1),
+        (["speedup", "{tmp}/zero_time.csv"], 1),
+        (["speedup", "{tmp}/nan_time.csv"], 1),
     ],
 )
 def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv, code):
     (tmp_path / "no_schema.csv").write_text("model,L\ndilated,3\n")
+    for name, cached_us in (("text", "fast"), ("zero", "0"), ("nan", "nan")):
+        (tmp_path / f"{name}_time.csv").write_text(
+            "\n".join([
+                ",".join(CSV_COLUMNS),
+                "dilated,4,2,1,naive,32,3,100.0,500,",
+                f"dilated,4,2,1,cached,32,3,{cached_us},50,",
+            ])
+        )
     try:
         got = main([a.format(tmp=tmp_path) for a in argv])
     except SystemExit as exc:

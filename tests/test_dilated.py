@@ -19,7 +19,6 @@ from convgen import (
     receptive_field,
 )
 from convgen.bench import measure_nodes_per_step
-from convgen.cache import FifoCache
 from convgen.dilated import (
     DilatedNetwork,
     LayerDef,
@@ -268,28 +267,29 @@ def test_constant_memory_literal_formula_single_channel():
     assert state.cached_values() == sum(spec.dilations()) * spec.channels
 
 
-def test_cached_vectors_are_never_written(monkeypatch):
-    # the pre-fill is one shared read-only zero vector, and the in-place tanh
-    # only touches nodes that have not been pushed yet
+def test_cached_vectors_are_never_written():
+    # the pre-fill is one shared read-only zero vector per width, and the
+    # in-place tanh only touches nodes that have not been stored in a slot yet
     spec = NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=13)
     net = build_network(spec)
     state = incremental_init(net)
-    prefill = [v for cache in state.caches for v in cache._slots]
-    assert all(not v.flags.writeable and not v.any() for v in prefill)
-    pushed = []
-    push = FifoCache.push
+    prefill = {id(v): v for ring in state.caches for v in ring}
+    assert len(prefill) == 2  # one per width: 1 (the input) and 3
+    assert all(not v.flags.writeable and not v.any() for v in prefill.values())
+    stored = []
 
-    def recording_push(cache, vec):
-        pushed.append((vec, vec.copy()))  # the value at the time of the push
-        push(cache, vec)
+    class RecordingRing(list):
+        def __setitem__(self, j, vec):
+            stored.append((vec, vec.copy()))  # the value at the time of the store
+            super().__setitem__(j, vec)
 
-    monkeypatch.setattr(FifoCache, "push", recording_push)
+    state.caches = [RecordingRing(ring) for ring in state.caches]
     x = np.float32(0.3)
     for _ in range(24):
         x = incremental_step(net, state, x)
-    assert len(pushed) == 24 * len(net.layers)
-    assert all(np.array_equal(v, at_push) for v, at_push in pushed)
-    assert not any(v.any() for v in prefill)
+    assert len(stored) == 24 * len(net.layers)
+    assert all(np.array_equal(v, at_store) for v, at_store in stored)
+    assert not any(v.any() for v in prefill.values())
     assert state.cached_values() == sum(l.dilation * l.weights.in_channels for l in net.layers)
 
 

@@ -344,16 +344,21 @@ def random_balanced(rng) -> tuple[str, ...]:
 
 
 _rng = np.random.default_rng(2024)
+# (strides, kernel_size of the down layers): the named topologies also pin k != 2
 TOPOLOGIES = [
-    ("down2", "up2", "down3", "up3"),
-    ("down3", "up3", "down2", "up2"),
-    ("down4", "up4", "down3", "up3"),
-] + [random_balanced(_rng) for _ in range(16)]
+    (("down2", "up2", "down3", "up3"), 1),
+    (("down3", "up3", "down2", "up2"), 3),
+    (("down4", "up4", "down3", "up3"), 5),
+] + [(random_balanced(_rng), 2) for _ in range(16)]
 
 
-@pytest.mark.parametrize("strides", TOPOLOGIES, ids="-".join)
-def test_random_balanced_topology(strides):
-    net = build_network(NetworkSpec("strided", channels=2, strides=strides, seed=len(strides)))
+@pytest.mark.parametrize(
+    "strides, kernel_size", TOPOLOGIES, ids=["-".join(s) for s, _ in TOPOLOGIES]
+)
+def test_random_balanced_topology(strides, kernel_size):
+    net = build_network(NetworkSpec(
+        "strided", kernel_size=kernel_size, channels=2, strides=strides, seed=len(strides)
+    ))
     plan = net.plan
     n = 3 * plan.period + 1
     trace = firing_trace(plan, n)

@@ -13,8 +13,7 @@ from convgen import (
     NetworkSpec,
     OpCounter,
     build_network,
-    incremental_generate,
-    naive_generate,
+    generate,
     receptive_field,
 )
 from convgen.bench import measure_nodes_per_step
@@ -31,8 +30,9 @@ print()
 # Same samples from both engines, bit for bit.
 n_steps = 64
 naive_counter, cached_counter = OpCounter(), OpCounter()
-a = naive_generate(net, prime=(0.1, -0.2, 0.3), n_steps=n_steps, counter=naive_counter)
-b = incremental_generate(net, prime=(0.1, -0.2, 0.3), n_steps=n_steps, counter=cached_counter)
+prime = (0.1, -0.2, 0.3)
+a = generate(net, n_steps, engine="naive", prime=prime, counter=naive_counter)[:, 0]
+b = generate(net, n_steps, engine="cached", prime=prime, counter=cached_counter)[:, 0]
 print(f"generated {n_steps} samples; max |naive - cached| = {np.max(np.abs(a - b))}")
 print("first five samples:", np.round(a[:5], 5))
 print()

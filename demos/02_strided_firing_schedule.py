@@ -17,8 +17,7 @@ from convgen import (
     build_network,
     firing_trace,
     format_trace,
-    strided_incremental_generate,
-    strided_naive_generate,
+    generate,
 )
 
 spec = NetworkSpec("strided", channels=4, strides=("down2", "down2", "up2", "up2"), seed=7)
@@ -36,7 +35,7 @@ print(format_trace(firing_trace(plan, 8)))
 print()
 
 net = build_network(spec)
-a = strided_naive_generate(net, 64)
-b = strided_incremental_generate(net, 64)
+a = generate(net, 64, engine="naive")[:, 0]
+b = generate(net, 64, engine="cached")[:, 0]
 print(f"64 samples, max |naive - cached| = {np.max(np.abs(a - b))}")
 print("samples 0..7:", np.round(a[:8], 5))

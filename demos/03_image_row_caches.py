@@ -15,8 +15,7 @@ from convgen import (
     ImageSpec,
     OpCounter,
     build_image_network,
-    image_incremental_generate,
-    image_naive_generate,
+    generate,
     write_pgm,
 )
 
@@ -24,8 +23,9 @@ spec = ImageSpec(16, 16, channels=8, n_layers=3, seed=11)
 net = build_image_network(spec)
 
 naive_counter, cached_counter = OpCounter(), OpCounter()
-a = image_naive_generate(net, counter=naive_counter)
-b = image_incremental_generate(net, counter=cached_counter)
+# one row per raster pixel, one column per batch element
+a = generate(net, engine="naive", counter=naive_counter)
+b = generate(net, engine="cached", counter=cached_counter)
 pixels = spec.height * spec.width
 
 print(f"{spec.height}x{spec.width} image, {spec.n_layers} blocks, {spec.channels} channels")
@@ -35,19 +35,19 @@ print(f"naive : {naive_counter.node_evals / pixels:9.1f} node evals per pixel "
 print(f"cached: {cached_counter.node_evals / pixels:9.1f} node evals per pixel")
 print()
 
-write_pgm("naive.pgm", a[0])
-write_pgm("cached.pgm", b[0])
+write_pgm("naive.pgm", a.reshape(spec.height, spec.width))
+write_pgm("cached.pgm", b.reshape(spec.height, spec.width))
 print("wrote naive.pgm and cached.pgm")
 
 # A batch generates in lockstep: one matrix product per point op instead of
 # one per element, so batching is nearly free for the cached engine.
-batched = image_incremental_generate(net, batch=16)
+batched = generate(net, batch=16)
 print("batch of 16: every element identical to element 0:",
-      all(np.array_equal(batched[i], batched[0]) for i in range(16)))
+      all(np.array_equal(batched[:, i], batched[:, 0]) for i in range(16)))
 
 # The strided row pair (stride-2 down/up over rows) reuses the 1D schedule.
 pair_spec = ImageSpec(16, 16, channels=8, n_layers=3, row_pair=True, seed=11)
 pair_net = build_image_network(pair_spec)
-pa = image_naive_generate(pair_net)
-pb = image_incremental_generate(pair_net)
+pa = generate(pair_net, engine="naive")
+pb = generate(pair_net, engine="cached")
 print(f"with row down/up pair: max |naive - cached| = {np.max(np.abs(pa - pb))}")

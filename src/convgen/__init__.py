@@ -2,16 +2,19 @@
 autoregressive networks, with exact op-count instrumentation.
 
 Three built-in model families, each with a naive engine (recompute the full
-receptive field per sample) and a cached engine (FIFO hidden-state caches,
-one new node per layer per step):
+receptive field per sample) and a cached engine (hidden states cached per
+layer, one new node per layer per step):
 
 - ``dilated``  1D stacks of two-tap dilated causal convs (doubling dilations)
 - ``strided``  1D stride-2 encoder/decoder with a burst firing schedule
 - ``image2d``  2D raster-order model with vertical/horizontal streams and
   row caches
 
-The two engines of a family produce identical samples; the cached one does
-linear instead of exponential work per sample.  `convgen.bench` is the
+`generate(network, n_steps, engine="naive" | "cached", batch=, prime=)`
+runs either engine of any family and returns the outputs as (n_steps,
+batch).  The two engines of a family produce identical samples (image2d:
+equal to float32 noise); the cached one does linear instead of exponential
+work per sample.  `convgen.bench` holds `generate` and the
 benchmark/verification command line (installed as ``convgen-bench``).
 
 This namespace holds the user-facing API.  Kernels (`convgen.tensor`),
@@ -20,12 +23,11 @@ engine functions (`convgen.dilated`, `convgen.strided`, `convgen.image2d`)
 are imported from their own modules.
 """
 
+from .bench import generate
 from .dilated import (
     NetworkSpec,
     build_network,
     forward_full,
-    incremental_generate,
-    naive_generate,
     receptive_field,
 )
 from .errors import (
@@ -41,8 +43,6 @@ from .image2d import (
     ImageSpec,
     build_image_network,
     forward_image,
-    image_incremental_generate,
-    image_naive_generate,
     receptive_field_2d,
     write_pgm,
 )
@@ -51,8 +51,6 @@ from .strided import (
     build_strided_network,
     firing_trace,
     format_trace,
-    strided_incremental_generate,
-    strided_naive_generate,
 )
 from .tensor import ConvWeights, OpCounter
 
@@ -78,13 +76,8 @@ __all__ = [
     "format_trace",
     "forward_full",
     "forward_image",
-    "image_incremental_generate",
-    "image_naive_generate",
-    "incremental_generate",
-    "naive_generate",
+    "generate",
     "receptive_field",
     "receptive_field_2d",
-    "strided_incremental_generate",
-    "strided_naive_generate",
     "write_pgm",
 ]

@@ -1,4 +1,5 @@
-"""Benchmark and verification command line (installed as ``convgen-bench``).
+"""`generate`, the one rollout loop over every engine, and the benchmark and
+verification command line (installed as ``convgen-bench``).
 
 Subcommands:
   run      time naive vs cached generation over depth/batch sweeps, CSV out
@@ -69,7 +70,7 @@ CSV_COLUMNS = (
 
 
 # ---------------------------------------------------------------------------
-# the engine table, and the rollout that checks and timing run through
+# the engine table, and the rollout that generate, checks and timing run through
 # ---------------------------------------------------------------------------
 
 # family -> engine -> (init, step).  1D: init(network, counter) and
@@ -92,26 +93,36 @@ ENGINES = {
 
 
 class Rollout:
-    """`batch` sequences generated from zero input by one engine of ENGINES.
+    """`batch` sequences generated by one engine of ENGINES.
 
-    1D families hold `batch` independent states, each fed its own previous
-    output.  image2d holds one lockstep state; the step after an image's
-    last pixel starts a fresh image.  Every state owns its counter.
+    1D families hold `batch` independent states.  At step t a sequence's
+    input is `prime[t]` while t < len(prime), and its own previous output
+    after that (0.0 at step 0 without a prime).  image2d holds one lockstep
+    state and takes no input; the step after an image's last pixel starts a
+    fresh image.  The states step one after another, so they share one
+    counter.
     """
 
-    def __init__(self, network, engine: str, batch: int = 1):
+    def __init__(self, network, engine: str, batch: int = 1, prime=(), counter=None):
+        family = network.spec.family
+        if engine not in ENGINES[family]:
+            raise InvalidParameterError(f"engine must be naive or cached, got {engine!r}")
         if batch < 1:
             raise InvalidParameterError(f"batch must be >= 1, got {batch}")
         self.network, self.batch = network, batch
-        self.init, self.step = ENGINES[network.spec.family][engine]
-        if network.spec.family == "image2d":
+        self.init, self.step = ENGINES[family][engine]
+        self.counter = OpCounter() if counter is None else counter
+        if family == "image2d":
+            if len(prime):
+                raise InvalidParameterError("image2d engines take no input, so no prime")
             self.length = network.spec.height * network.spec.width
-            self.states = [self.init(network, batch, OpCounter())]
-            self.t = 0  # steps into the current image
+            self.states = [self.init(network, batch, self.counter)]
         else:
             self.length = None  # 1D sequences have no end
-            self.states = [self.init(network, OpCounter()) for _ in range(batch)]
+            self.states = [self.init(network, self.counter) for _ in range(batch)]
             self.xs = [np.float32(0.0)] * batch  # each sequence's next input
+            self.prime = [np.float32(v) for v in prime]
+        self.t = 0  # steps taken (image2d: into the current image)
 
     def steps(self, n_steps: int | None) -> int:
         """n_steps, or one whole image when it is None."""
@@ -120,33 +131,49 @@ class Rollout:
             raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
         return n
 
-    def counts(self) -> tuple[int, int]:
-        """(macs, node_evals) summed over every state."""
-        return (
-            sum(s.counter.macs for s in self.states),
-            sum(s.counter.node_evals for s in self.states),
-        )
-
     def advance(self, n: int, out: np.ndarray | None = None) -> None:
         """Advance every sequence n steps; out[i, j] gets sequence j's output at step i."""
         net, step = self.network, self.step
         if self.length is not None:
             for i in range(n):
                 if self.t == self.length:
-                    self.states = [self.init(net, self.batch, self.states[0].counter)]
+                    self.states = [self.init(net, self.batch, self.counter)]
                     self.t = 0
                 y = step(net, self.states[0])
                 self.t += 1
                 if out is not None:
                     out[i] = y[0]
             return
+        forced = self.prime[self.t : self.t + n]
         for j, state in enumerate(self.states):
             x = self.xs[j]
             for i in range(n):
+                if i < len(forced):
+                    x = forced[i]
                 x = step(net, state, x)
                 if out is not None:
                     out[i, j] = x
             self.xs[j] = x
+        self.t += n
+
+
+def generate(network, n_steps=None, *, engine="cached", batch=1, prime=(), counter=None):
+    """Generate n_steps outputs of `batch` sequences: float32 (n_steps, batch).
+
+    Row i holds the i-th output of every sequence.  1D networks are
+    teacher-forced through `prime` and then fed their own outputs; the
+    outputs of the first len(prime) - 1 steps are dropped, so row 0 is the
+    prediction after the whole prime.  For image2d row i is raster pixel i,
+    and `n_steps` defaults to one whole image.  `engine` is "naive" or
+    "cached"; the two give identical 1D outputs and image outputs within
+    float32 noise.  `counter` receives the op counts of the whole run.
+    """
+    rollout = Rollout(network, engine, batch, prime, counter)
+    n = rollout.steps(n_steps)
+    rollout.advance(max(len(prime) - 1, 0))
+    out = np.empty((n, batch), dtype=DTYPE)
+    rollout.advance(n, out)
+    return out
 
 
 def time_engine(
@@ -171,7 +198,7 @@ def time_engine(
         if engine == "naive" and network.spec.family == "dilated":
             warmup = max(warmup, receptive_field(network.spec))
     rollout.advance(warmup)
-    macs0 = rollout.counts()[0]
+    macs0 = rollout.counter.macs
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -180,7 +207,7 @@ def time_engine(
     return {
         "median_us": statistics.median(times),
         "mean_us": statistics.fmean(times),
-        "macs_per_step": (rollout.counts()[0] - macs0) // (repeats * steps),
+        "macs_per_step": (rollout.counter.macs - macs0) // (repeats * steps),
     }
 
 
@@ -191,13 +218,9 @@ def time_engine(
 
 def compare(naive_network, cached_network, n_steps: int | None = None, batch: int = 1) -> float:
     """Max |naive - cached| over n_steps steps of `batch` sequences (default: one image)."""
-    outs = []
-    for network, engine in ((naive_network, "naive"), (cached_network, "cached")):
-        rollout = Rollout(network, engine, batch)
-        out = np.empty((rollout.steps(n_steps), batch), dtype=DTYPE)
-        rollout.advance(len(out), out)
-        outs.append(out.astype(np.float64))
-    return float(np.max(np.abs(outs[0] - outs[1])))
+    a = generate(naive_network, n_steps, engine="naive", batch=batch)
+    b = generate(cached_network, n_steps, engine="cached", batch=batch)
+    return float(np.max(np.abs(a.astype(np.float64) - b)))
 
 
 def check_equivalence(networks, n_steps: int | None = None, tol: float = EQUIV_TOL):
@@ -252,9 +275,9 @@ def measure_nodes_per_step(network, engine: str, n_steps: int = 4) -> int:
     """
     rollout = Rollout(network, engine)
     rollout.advance(receptive_field(network.spec))
-    before = rollout.counts()[1]
+    before = rollout.counter.node_evals
     rollout.advance(n_steps)
-    total = rollout.counts()[1] - before
+    total = rollout.counter.node_evals - before
     if total % n_steps:
         return -1  # not constant per step; callers treat as a failure
     return total // n_steps
@@ -427,26 +450,29 @@ def _build_for(args, L: int, steps: int):
     return build_image_network(spec), L, 1, args.image_size**2  # one whole image
 
 
-def run_bench(args, out=None) -> int:
-    out = sys.stdout if out is None else out
+def _sweep_points(args) -> list:
+    """Every sweep point, built before any output so that a bad spec writes nothing."""
     layers = args.layers_list
-    batches = args.batch_list
-    steps = args.steps
-    repeats = args.repeats
-    warmup = None
-    if args.quick:
-        steps = min(steps, 32)
-        repeats = min(repeats, 3)
-        warmup = 16  # quick mode also skips the full steady-state warm-up
+    steps = min(args.steps, 32) if args.quick else args.steps
     if args.model == "strided" and len(layers) > 1:
         print("note: --layers is ignored for the strided model", file=sys.stderr)
         layers = [len(HOURGLASS_STRIDES)]
+    return [_build_for(args, L, steps) for L in layers]
+
+
+def run_bench(args, points, out=None) -> int:
+    """Time the `_sweep_points` of `args` and write one CSV row per point, batch and mode."""
+    out = sys.stdout if out is None else out
+    repeats = args.repeats
+    warmup = None
+    if args.quick:
+        repeats = min(repeats, 3)
+        warmup = 16  # quick mode also skips the full steady-state warm-up
     modes = ("naive", "cached") if args.mode == "both" else (args.mode,)
     print(",".join(CSV_COLUMNS), file=out)
     worst_diff = 0.0
-    for L in layers:
-        network, eff_L, stacks, eff_steps = _build_for(args, L, steps)
-        for batch in batches:
+    for network, eff_L, stacks, eff_steps in points:
+        for batch in args.batch_list:
             diff = None
             if args.mode == "both":
                 diff = compare(network, network, eff_steps, batch)
@@ -601,11 +627,12 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     if args.steps < 1 or args.repeats < 1:
         parser.error("--steps and --repeats must be >= 1")
+    try:
+        points = _sweep_points(args)
+    except InvalidParameterError as exc:
+        parser.error(str(exc))
     with _open(parser, args.csv, "w", sys.stdout) as fh:
-        try:
-            return run_bench(args, out=fh)
-        except InvalidParameterError as exc:
-            parser.error(str(exc))
+        return run_bench(args, points, out=fh)
 
 
 if __name__ == "__main__":

@@ -97,23 +97,22 @@ class RowCache:
 
     height == the filter height of the owning layer, width == the image
     width.  Rows rotate exactly once per generated image row.  Stored rows
-    have shape (channels, width) or (channels, width, batch).
+    have shape (channels, width, batch).
     """
 
     __slots__ = ("height", "width", "channels", "batch", "row_shape", "_rows")
 
-    def __init__(self, height: int, width: int, channels: int, batch: int | None = None):
-        if height < 1 or width < 1 or channels < 1:
+    def __init__(self, height: int, width: int, channels: int, batch: int):
+        if min(height, width, channels, batch) < 1:
             raise InvalidParameterError(
-                f"height, width, channels must be >= 1 (got {height}, {width}, {channels})"
+                "height, width, channels, batch must be >= 1 "
+                f"(got {height}, {width}, {channels}, {batch})"
             )
-        if batch is not None and batch < 1:
-            raise InvalidParameterError(f"batch must be >= 1, got {batch}")
         self.height = height
         self.width = width
         self.channels = channels
         self.batch = batch
-        self.row_shape = (channels, width) if batch is None else (channels, width, batch)
+        self.row_shape = (channels, width, batch)
         self._rows = deque(zeros(self.row_shape) for _ in range(height))
 
     def push_row(self, row: np.ndarray) -> None:
@@ -127,7 +126,7 @@ class RowCache:
         self._rows.append(row)
 
     def rows_stack(self) -> np.ndarray:
-        """All cached rows as one array, oldest first: (channels, height, width[, batch])."""
+        """All cached rows as one array, oldest first: (channels, height, width, batch)."""
         return np.stack(list(self._rows), axis=1)
 
     def stored_values(self) -> int:

@@ -20,6 +20,7 @@ bit-identical, not merely close.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +33,19 @@ from .tensor import DTYPE, ConvWeights, OpCounter, conv1d_full, conv1d_point, ze
 
 FAMILIES = ("dilated", "strided")
 JSON_KEYS = ("family", "stacks", "layers", "kernel", "channels", "strides", "seed")
+
+
+def _check_int_fields(spec, **minimums) -> None:
+    """Check that each named field of a frozen spec is an integer (an int or a
+    numpy integer, not a bool) in [minimum, 2**64 - 1], and store it as an int."""
+    for name, lo in minimums.items():
+        v = getattr(spec, name)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+        v = int(v)
+        if not lo <= v <= 2**64 - 1:
+            raise InvalidParameterError(f"{name} must be in [{lo}, 2**64 - 1], got {v}")
+        object.__setattr__(spec, name, v)
 
 
 @dataclass(frozen=True)
@@ -53,22 +67,15 @@ class NetworkSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidParameterError(f"unknown family {self.family!r}")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise InvalidParameterError("seed must fit in 64 bits")
+        _check_int_fields(
+            self, stacks=1, layers_per_stack=1, kernel_size=1, channels=1, seed=0
+        )
         if self.strides is not None:
             object.__setattr__(self, "strides", tuple(self.strides))
-        if self.kernel_size < 1:
-            raise InvalidParameterError(f"kernel_size must be >= 1, got {self.kernel_size}")
-        if self.family == "dilated":
-            if self.stacks < 1 or self.layers_per_stack < 1 or self.channels < 1:
-                raise InvalidParameterError("stacks, layers_per_stack, channels must be >= 1")
-            if self.kernel_size != 2:
-                raise InvalidParameterError("the dilated family uses two-tap kernels")
-        if self.family == "strided":
-            if self.strides is None or len(self.strides) == 0:
-                raise InvalidParameterError("strided family requires a strides list")
-            if self.channels < 1:
-                raise InvalidParameterError("channels must be >= 1")
+        if self.family == "dilated" and self.kernel_size != 2:
+            raise InvalidParameterError("the dilated family uses two-tap kernels")
+        if self.family == "strided" and not self.strides:
+            raise InvalidParameterError("strided family requires a strides list")
 
     def dilations(self) -> list[int]:
         """Per-layer dilations, input to output: 2^i within each stack."""
@@ -92,7 +99,12 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkSpec":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"NetworkSpec JSON does not parse: {exc}") from None
+        if not isinstance(doc, dict) or "family" not in doc:
+            raise InvalidParameterError("NetworkSpec JSON must be an object with a family key")
         unknown = sorted(set(doc) - set(JSON_KEYS))
         if unknown:
             raise InvalidParameterError(f"unknown NetworkSpec key(s): {', '.join(unknown)}")
@@ -222,32 +234,6 @@ def naive_step(network: DilatedNetwork, state: NaiveState, x) -> np.floating:
     return y[0]
 
 
-def _run_feedback(step_fn, prime, n_steps: int) -> np.ndarray:
-    if n_steps < 1:
-        raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
-    seq = [np.float32(v) for v in prime] if len(prime) else [np.float32(0.0)]
-    for v in seq[:-1]:
-        step_fn(v)
-    x = seq[-1]
-    out = np.empty(n_steps, dtype=DTYPE)
-    for i in range(n_steps):
-        y = step_fn(x)
-        out[i] = y
-        x = y
-    return out
-
-
-def naive_generate(
-    network: DilatedNetwork,
-    prime=(),
-    n_steps: int = 1,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Generate n_steps samples after priming, recomputing everything each step."""
-    state = naive_init(network, counter)
-    return _run_feedback(lambda v: naive_step(network, state, v), prime, n_steps)
-
-
 # ---------------------------------------------------------------------------
 # cached engine: one new node per layer per step
 # ---------------------------------------------------------------------------
@@ -268,6 +254,15 @@ class GenState:
     def cached_values(self) -> int:
         """Total scalars stored across all layer caches."""
         return sum(len(ring) * len(ring[0]) for ring in self.caches)
+
+    def __deepcopy__(self, memo) -> "GenState":
+        """A fork: new rings holding the same slot vectors, and a copied counter.
+
+        The engine never writes a stored vector, so sharing them is safe, and
+        the shared pre-fill stays read-only in the fork.
+        """
+        caches = [list(ring) for ring in self.caches]
+        return GenState(caches, self.t, copy.deepcopy(self.counter, memo))
 
 
 def incremental_init(network: DilatedNetwork, counter: OpCounter | None = None) -> GenState:
@@ -299,17 +294,6 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     y = conv1d_point(network.head, (cur,), counter)
     state.t = t + 1
     return y[0]
-
-
-def incremental_generate(
-    network: DilatedNetwork,
-    prime=(),
-    n_steps: int = 1,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Cached generation; output matches naive_generate bit for bit."""
-    state = incremental_init(network, counter)
-    return _run_feedback(lambda v: incremental_step(network, state, v), prime, n_steps)
 
 
 # ---------------------------------------------------------------------------

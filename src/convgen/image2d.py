@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cache import RowCache
-from .dilated import draw_weights
+from .dilated import _check_int_fields, draw_weights
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import (
     DTYPE,
@@ -64,12 +64,9 @@ class ImageSpec:
     family: ClassVar[str] = "image2d"
 
     def __post_init__(self):
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise InvalidParameterError("seed must fit in 64 bits")
-        if min(self.height, self.width, self.channels, self.n_layers) < 1:
-            raise InvalidParameterError("height, width, channels, n_layers must be >= 1")
-        if min(self.kh, self.kw, self.h_kw) < 1:
-            raise InvalidParameterError("kernel extents must be >= 1")
+        _check_int_fields(
+            self, height=1, width=1, channels=1, n_layers=1, kh=1, kw=1, h_kw=1, seed=0
+        )
         if self.kh > self.height or self.kw > self.width or self.h_kw > self.width:
             raise InvalidParameterError(
                 f"kernels ({self.kh}x{self.kw}, 1x{self.h_kw}) must fit inside "
@@ -203,16 +200,6 @@ def image_naive_step(network: ImageNetwork, state: ImageNaiveState) -> np.ndarra
     state.image[:, r, c, :] = y
     state.t += 1
     return y
-
-
-def image_naive_generate(
-    network: ImageNetwork, batch: int = 1, counter: OpCounter | None = None
-) -> np.ndarray:
-    """Generate each pixel with a complete fresh forward pass (H*W passes)."""
-    state = image_naive_init(network, batch, counter)
-    for _ in range(network.spec.height * network.spec.width):
-        image_naive_step(network, state)
-    return np.moveaxis(state.image[0], -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +382,6 @@ def image_incremental_step(network: ImageNetwork, state: ImageGenState) -> np.nd
     if state.c == 0:
         vertical_row_pass(network, state, state.r)
     return _pixel_step(network, state)
-
-
-def image_incremental_generate(
-    network: ImageNetwork, batch: int = 1, counter: OpCounter | None = None
-) -> np.ndarray:
-    """Row-cached generation; matches image_naive_generate to float32 noise."""
-    state = image_incremental_init(network, batch, counter)
-    for _ in range(network.spec.height * network.spec.width):
-        image_incremental_step(network, state)
-    return np.moveaxis(state.image[0], -1, 0)
 
 
 # ---------------------------------------------------------------------------

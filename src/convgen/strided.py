@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .dilated import _run_feedback, draw_weights
+from .dilated import draw_weights
 from .errors import (
     InvalidParameterError,
     ScheduleViolationError,
@@ -243,13 +243,6 @@ def strided_incremental_step(network: StridedNetwork, state: StridedState, x) ->
     return y[0]
 
 
-def strided_incremental_generate(
-    network: StridedNetwork, n_steps: int, counter: OpCounter | None = None
-) -> np.ndarray:
-    state = strided_incremental_init(network, counter)
-    return _run_feedback(lambda v: strided_incremental_step(network, state, v), (), n_steps)
-
-
 # ---------------------------------------------------------------------------
 # naive engine
 # ---------------------------------------------------------------------------
@@ -284,13 +277,6 @@ def strided_naive_step(network: StridedNetwork, state: StridedNaiveState, x) -> 
     y = cur[0, state.t]
     state.t += 1
     return y
-
-
-def strided_naive_generate(
-    network: StridedNetwork, n_steps: int, counter: OpCounter | None = None
-) -> np.ndarray:
-    state = strided_naive_init(network, counter)
-    return _run_feedback(lambda v: strided_naive_step(network, state, v), (), n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class OpCounter:
     """Multiply-accumulate / node-evaluation counter for one engine run.
 
-    Counts are exact and monotone within a run.  A counter is owned by a
-    single generation state and must not be shared across concurrently
-    running engines.
+    Counts are exact and monotone within a run.  The states of one rollout
+    may share a counter, because they step one after another; it must not be
+    shared across concurrently running engines.
     """
 
     __slots__ = ("macs", "node_evals")

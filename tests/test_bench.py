@@ -204,6 +204,9 @@ def test_layers_rejects_bad_input(capsys, text):
         (["speedup", "{tmp}/text_time.csv"], 1),
         (["speedup", "{tmp}/zero_time.csv"], 1),
         (["speedup", "{tmp}/nan_time.csv"], 1),
+        (["run", "--model", "image2d", "--image-size", "0", "--csv", "{tmp}/out.csv"], 2),
+        (["run", "--model", "dilated", "--channels", "0", "--csv", "{tmp}/out.csv"], 2),
+        (["run", "--model", "strided", "--seed", "-1", "--csv", "{tmp}/out.csv"], 2),
     ],
 )
 def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv, code):
@@ -221,7 +224,11 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv, code
     except SystemExit as exc:
         got = exc.code
     assert got == code
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    if argv[0] == "run":  # a bad spec writes no CSV, not even its header
+        assert captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -181,16 +181,18 @@ def test_fractional_cache_every_rejected():
 
 
 def test_rowcache_geometry():
-    cache = RowCache(height=2, width=8, channels=3)
-    assert cache.rows_stack().shape == (3, 2, 8)
+    cache = RowCache(height=2, width=8, channels=3, batch=1)
+    assert cache.rows_stack().shape == (3, 2, 8, 1)
     assert cache.stored_values() == 2 * 8 * 3
+    with pytest.raises(InvalidParameterError):
+        RowCache(height=2, width=8, channels=3, batch=0)
 
 
 def test_rowcache_rotation_and_top_border():
-    cache = RowCache(height=2, width=4, channels=1)
+    cache = RowCache(height=2, width=4, channels=1, batch=1)
     assert not cache.rows_stack().any()  # first rows read pure zero padding
-    r1 = np.arange(4, dtype=np.float32)[None, :]
-    r2 = (10 + np.arange(4, dtype=np.float32))[None, :]
+    r1 = np.arange(4, dtype=np.float32)[None, :, None]
+    r2 = (10 + np.arange(4, dtype=np.float32))[None, :, None]
     cache.push_row(r1)
     cache.push_row(r2)
     stack = cache.rows_stack()
@@ -201,11 +203,13 @@ def test_rowcache_rotation_and_top_border():
 
 
 def test_rowcache_partial_row_rejected():
-    cache = RowCache(height=2, width=8, channels=1)
+    cache = RowCache(height=2, width=8, channels=1, batch=1)
     with pytest.raises(InvalidRowError):
-        cache.push_row(np.zeros((1, 5), np.float32))
+        cache.push_row(np.zeros((1, 5, 1), np.float32))
     with pytest.raises(InvalidRowError):
-        cache.push_row(np.zeros((2, 8), np.float32))
+        cache.push_row(np.zeros((2, 8, 1), np.float32))
+    with pytest.raises(InvalidRowError):
+        cache.push_row(np.zeros((1, 8), np.float32))  # a row without its batch axis
 
 
 def test_rowcache_batched_rows():

@@ -14,8 +14,7 @@ from convgen import (
     OpCounter,
     build_network,
     forward_full,
-    incremental_generate,
-    naive_generate,
+    generate,
     receptive_field,
 )
 from convgen.bench import measure_nodes_per_step
@@ -47,6 +46,14 @@ def test_spec_validation():
     for k in (0, -1):
         with pytest.raises(InvalidParameterError):
             NetworkSpec("strided", strides=("down2", "up2"), kernel_size=k)
+    for bad in (dict(seed=1.5), dict(stacks=2.5), dict(channels="4"), dict(seed=None),
+                dict(layers_per_stack=True), dict(seed=2**64)):
+        with pytest.raises(InvalidParameterError):
+            NetworkSpec("dilated", **bad)
+    # numpy integers are integers, stored as int so that to_json works
+    spec = NetworkSpec("dilated", stacks=np.int64(2), seed=np.uint64(2**64 - 1))
+    assert type(spec.stacks) is int and type(spec.seed) is int
+    assert spec == NetworkSpec("dilated", stacks=2, seed=2**64 - 1)
 
 
 def test_dilation_pattern():
@@ -85,6 +92,9 @@ def test_json_round_trip():
     assert NetworkSpec.from_json(sspec.to_json()) == sspec
     with pytest.raises(InvalidParameterError, match="layerz"):
         NetworkSpec.from_json('{"family": "dilated", "layerz": 9}')
+    for text in ("{}", "[1, 2]", "{", '"dilated"', '{"family": "dilated", "seed": null}'):
+        with pytest.raises(InvalidParameterError):
+            NetworkSpec.from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +149,8 @@ def zero_network(L=2, channels=2):
 
 def test_zero_network_outputs_zero():
     net = zero_network()
-    out = naive_generate(net, prime=(1.0, -2.0, 3.0), n_steps=10)
-    assert not out.any()
-    assert not incremental_generate(net, prime=(1.0, -2.0, 3.0), n_steps=10).any()
+    for engine in ("naive", "cached"):
+        assert not generate(net, 10, engine=engine, prime=(1.0, -2.0, 3.0)).any()
 
 
 def test_naive_matches_monolithic_forward():
@@ -176,8 +185,8 @@ def test_equivalence_bit_exact(seed):
         seed=int(rng.integers(2**32)),
     )
     net = build_network(spec)
-    a = naive_generate(net, (), 64)
-    b = incremental_generate(net, (), 64)
+    a = generate(net, 64, engine="naive")
+    b = generate(net, 64)
     assert np.isfinite(a).all()
     assert np.array_equal(a, b)  # same conv1d_point path in both engines
 
@@ -187,28 +196,33 @@ def test_priming_matches():
     net = build_network(spec)
     rng = np.random.default_rng(5)
     prime = rng.uniform(-1, 1, 11).astype(np.float32)
-    a = naive_generate(net, prime, 40)
-    b = incremental_generate(net, prime, 40)
+    a = generate(net, 40, engine="naive", prime=prime)
+    b = generate(net, 40, prime=prime)
+    assert a.shape == (40, 1)
     assert np.array_equal(a, b)
+    # a batch is that many independent copies of the batch-1 run
+    assert np.array_equal(generate(net, 40, batch=3, prime=prime), np.repeat(b, 3, axis=1))
 
 
 def test_generation_deterministic_across_runs():
     spec = NetworkSpec("dilated", stacks=1, layers_per_stack=5, channels=4, seed=77)
     net = build_network(spec)
     prime = (0.25, -0.5)
-    assert np.array_equal(
-        incremental_generate(net, prime, 30), incremental_generate(net, prime, 30)
-    )
-    assert np.array_equal(
-        incremental_generate(build_network(spec), prime, 30),
-        incremental_generate(net, prime, 30),
-    )
+    assert np.array_equal(generate(net, 30, prime=prime), generate(net, 30, prime=prime))
+    rebuilt = build_network(spec)
+    assert np.array_equal(generate(rebuilt, 30, prime=prime), generate(net, 30, prime=prime))
 
 
 def test_n_steps_validation():
     net = zero_network()
-    with pytest.raises(InvalidParameterError):
-        naive_generate(net, (), 0)
+    for kwargs in (
+        dict(n_steps=0, engine="naive"),
+        dict(n_steps=None),  # only an image has a natural length
+        dict(n_steps=4, engine="fast"),
+        dict(n_steps=4, batch=0),
+    ):
+        with pytest.raises(InvalidParameterError):
+            generate(net, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +246,7 @@ def test_macs_formula_exact():
     net = build_network(spec)
     counter = OpCounter()
     n = 8
-    incremental_generate(net, (), n, counter)
+    generate(net, n, counter=counter)
     per_layer = [l.weights.out_channels * l.weights.in_channels * 2 for l in net.layers]
     want = n * (sum(per_layer) + net.head.in_channels)
     assert counter.macs == want
@@ -303,13 +317,18 @@ def test_forked_state_continues_bit_exact(fork_at):
     # at t=3 the dilation-4 and -8 caches still hold pre-fill; at t=40 none do
     spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=4, seed=21)
     net = build_network(spec)
-    whole = incremental_generate(net, (0.5,), 80)
+    whole = generate(net, 80, prime=(0.5,))[:, 0]
     state = incremental_init(net)
     x = np.float32(0.5)
     for _ in range(fork_at):
         x = incremental_step(net, state, x)
     fork = copy.deepcopy(state)
     assert fork.counter is not state.counter
+    # slots j >= fork_at have not been written yet: the fork shares the
+    # read-only pre-fill (dilations 4 and 8 leave 1 + 5 per stack at t=3)
+    prefill = [v for ring in fork.caches for v in ring[fork_at:]]
+    assert len(prefill) == (12 if fork_at == 3 else 0)
+    assert all(not v.flags.writeable and not v.any() for v in prefill)
     xs = {"state": x, "fork": x}
     outs = {"state": [], "fork": []}
     for _ in range(80 - fork_at):

@@ -11,8 +11,7 @@ from convgen import (
     ScheduleViolationError,
     build_image_network,
     forward_image,
-    image_incremental_generate,
-    image_naive_generate,
+    generate,
     receptive_field_2d,
     write_pgm,
 )
@@ -46,7 +45,12 @@ def test_spec_validation():
         ImageSpec(7, 8, row_pair=True)  # odd height cannot halve
     with pytest.raises(InvalidParameterError):
         ImageSpec(8, 8, seed=-1)
+    for bad in (dict(height=4.0), dict(width="4"), dict(channels=2.5), dict(kh=None),
+                dict(seed=1.5), dict(n_layers=True)):
+        with pytest.raises(InvalidParameterError):
+            ImageSpec(**{"height": 4, "width": 4, **bad})
     ImageSpec(8, 8)  # defaults are valid
+    assert ImageSpec(np.int32(8), np.int64(8)) == ImageSpec(8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +63,9 @@ def test_spec_validation():
 def test_equivalence_8x8(seed, n_layers):
     spec = ImageSpec(8, 8, channels=4, n_layers=n_layers, seed=seed)
     net = build_image_network(spec)
-    a = image_naive_generate(net)
-    b = image_incremental_generate(net)
+    a = generate(net, engine="naive")
+    b = generate(net)
+    assert a.shape == (64, 1)  # one row per raster pixel
     assert np.isfinite(a).all()
     assert np.max(np.abs(a - b)) <= EQUIV_TOL
 
@@ -74,15 +79,15 @@ def test_equivalence_8x8(seed, n_layers):
 def test_equivalence_row_pair(geometry, batch):
     spec = ImageSpec(**{"height": 8, "width": 8, **geometry}, channels=4, n_layers=3, row_pair=True)
     net = build_image_network(spec)
-    a = image_naive_generate(net, batch)
-    b = image_incremental_generate(net, batch)
+    a = generate(net, engine="naive", batch=batch)
+    b = generate(net, batch=batch)
     assert np.max(np.abs(a - b)) <= EQUIV_TOL
 
 
 def test_equivalence_wide_kernels():
     spec = ImageSpec(10, 10, channels=3, n_layers=3, kh=3, kw=5, h_kw=3, seed=5)
     net = build_image_network(spec)
-    assert np.max(np.abs(image_naive_generate(net) - image_incremental_generate(net))) <= EQUIV_TOL
+    assert np.max(np.abs(generate(net, engine="naive") - generate(net))) <= EQUIV_TOL
 
 
 def test_one_pixel_image_is_pure_bias_path():
@@ -96,17 +101,17 @@ def test_one_pixel_image_is_pure_bias_path():
         # vertical tap reads row -1 => zero; horizontal tap reads col -1 => zero
         h = np.tanh(block.horiz.bias + block.link @ v)
     want = net.proj.bias + net.proj.tap_mats[0] @ h
-    got = image_naive_generate(net)
-    assert got.shape == (1, 1, 1)
-    assert np.allclose(got[0, 0, 0], want[0], atol=1e-6)
-    assert np.allclose(image_incremental_generate(net)[0, 0, 0], want[0], atol=1e-6)
+    got = generate(net, engine="naive")
+    assert got.shape == (1, 1)
+    assert np.allclose(got[0, 0], want[0], atol=1e-6)
+    assert np.allclose(generate(net)[0, 0], want[0], atol=1e-6)
 
 
 def test_naive_pass_count_is_h_times_w():
     spec = ImageSpec(5, 6, channels=2, n_layers=2, seed=1)
     net = build_image_network(spec)
     counter = OpCounter()
-    image_naive_generate(net, counter=counter)
+    generate(net, engine="naive", counter=counter)
     per_pass = OpCounter()
     forward_image(net, np.zeros((1, 5, 6, 1), np.float32), per_pass)
     assert counter.node_evals == 5 * 6 * per_pass.node_evals
@@ -166,15 +171,16 @@ def test_vertical_row_pass_out_of_order_rejected():
 def test_public_step_walks_the_raster_and_stops_at_the_end(engine):
     spec = ImageSpec(4, 5, channels=2, n_layers=2, seed=3)
     net = build_image_network(spec)
-    init, step, generate = {
-        "naive": (image_naive_init, image_naive_step, image_naive_generate),
-        "cached": (image_incremental_init, image_incremental_step, image_incremental_generate),
+    init, step = {
+        "naive": (image_naive_init, image_naive_step),
+        "cached": (image_incremental_init, image_incremental_step),
     }[engine]
     state = init(net, batch=2)
     pixels = [step(net, state) for _ in range(spec.height * spec.width)]
     assert all(p.shape == (1, 2) for p in pixels)
-    got = np.stack([p[0] for p in pixels], axis=1).reshape(2, spec.height, spec.width)
-    assert np.array_equal(got, generate(net, batch=2))
+    got = np.concatenate(pixels)
+    assert np.array_equal(got, generate(net, engine=engine, batch=2))
+    assert np.array_equal(got.reshape(spec.height, spec.width, 2), state.image[0])
     with pytest.raises(ScheduleViolationError):
         step(net, state)
 
@@ -237,25 +243,27 @@ def test_row_cache_memory_bounded_by_kh():
 def test_batch_lockstep_matches_single():
     spec = ImageSpec(8, 8, channels=4, n_layers=3, seed=3)
     net = build_image_network(spec)
-    single = image_incremental_generate(net)
-    batched = image_incremental_generate(net, batch=4)
-    assert batched.shape == (4, 8, 8)
+    single = generate(net)
+    batched = generate(net, batch=4)
+    assert batched.shape == (64, 4)
     # elements are bitwise identical to each other (pure lockstep) ...
     for i in range(1, 4):
-        assert np.array_equal(batched[i], batched[0])
+        assert np.array_equal(batched[:, i], batched[:, 0])
     # ... and match the solo run up to BLAS-shape float noise
-    assert np.max(np.abs(batched[0] - single)) <= 1e-6
-    naive_batched = image_naive_generate(net, batch=2)
-    assert np.max(np.abs(naive_batched[0] - image_naive_generate(net))) <= 1e-6
+    assert np.max(np.abs(batched[:, :1] - single)) <= 1e-6
+    naive_batched = generate(net, engine="naive", batch=2)
+    assert np.max(np.abs(naive_batched[:, :1] - generate(net, engine="naive"))) <= 1e-6
 
 
 def test_batch_validation():
     spec = ImageSpec(4, 4, channels=2, n_layers=2, seed=0)
     net = build_image_network(spec)
     with pytest.raises(InvalidParameterError):
-        image_naive_generate(net, batch=0)
+        generate(net, engine="naive", batch=0)
     with pytest.raises(InvalidParameterError):
-        image_incremental_generate(net, batch=-1)
+        generate(net, batch=-1)
+    with pytest.raises(InvalidParameterError):
+        generate(net, prime=(0.5,))  # the image engines take no input
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from convgen import (
     build_network,
     firing_trace,
     format_trace,
+    generate,
     receptive_field,
-    strided_incremental_generate,
-    strided_naive_generate,
 )
 from convgen.strided import (
     parse_stride,
@@ -158,8 +157,8 @@ def test_trace_amortized_nodes_constant():
 @pytest.mark.parametrize("seed", range(10))
 def test_equivalence(seed):
     net = build_network(hourglass_spec(seed=seed))
-    a = strided_naive_generate(net, 100)
-    b = strided_incremental_generate(net, 100)
+    a = generate(net, 100, engine="naive")
+    b = generate(net, 100)
     assert np.isfinite(a).all()
     assert np.array_equal(a, b)
 
@@ -167,18 +166,34 @@ def test_equivalence(seed):
 def test_equivalence_mixed_topology():
     spec = NetworkSpec("strided", channels=2, strides=("down2", "up2", "down2", "up2"), seed=6)
     net = build_network(spec)
-    assert np.array_equal(
-        strided_naive_generate(net, 60), strided_incremental_generate(net, 60)
-    )
+    assert np.array_equal(generate(net, 60, engine="naive"), generate(net, 60))
 
 
 def test_equivalence_input_skipping_topology():
     # stride 4 with two-tap kernels: the second layer skips inputs entirely
     spec = NetworkSpec("strided", channels=2, strides=("down2", "down4", "up4", "up2"), seed=13)
     net = build_network(spec)
-    assert np.array_equal(
-        strided_naive_generate(net, 80), strided_incremental_generate(net, 80)
-    )
+    assert np.array_equal(generate(net, 80, engine="naive"), generate(net, 80))
+
+
+@pytest.mark.parametrize("prime_len", [1, 5, "period+3"])
+@pytest.mark.parametrize(
+    "strides, kernel_size", [(HOURGLASS, 2), (("down2", "up2", "down3", "up3"), 3)],
+    ids=["hourglass", "down2-up2-down3-up3-k3"],
+)
+def test_equivalence_with_prime(strides, kernel_size, prime_len):
+    # teacher forcing runs the burst schedule on given inputs, from any phase on
+    net = build_network(NetworkSpec(
+        "strided", kernel_size=kernel_size, channels=3, strides=strides, seed=8
+    ))
+    if prime_len == "period+3":
+        prime_len = net.plan.period + 3
+    prime = np.random.default_rng(prime_len).uniform(-1, 1, prime_len)
+    a = generate(net, 40, engine="naive", prime=prime)
+    b = generate(net, 40, prime=prime)
+    assert np.isfinite(a).all()
+    assert np.array_equal(a, b)
+    assert not np.array_equal(b, generate(net, 40))  # the prime was fed
 
 
 def test_zero_network_generates_zeros():
@@ -199,8 +214,8 @@ def test_zero_network_generates_zeros():
             )
         )
     net = st.StridedNetwork(spec, plan, tuple(layers))
-    assert not strided_naive_generate(net, 20).any()
-    assert not strided_incremental_generate(net, 20).any()
+    assert not generate(net, 20, engine="naive").any()
+    assert not generate(net, 20).any()
 
 
 def test_naive_matches_monolithic_slice():
@@ -257,9 +272,7 @@ def test_engine_state_is_constant_size():
 
 def test_determinism():
     net = build_network(hourglass_spec(seed=9))
-    assert np.array_equal(
-        strided_incremental_generate(net, 50), strided_incremental_generate(net, 50)
-    )
+    assert np.array_equal(generate(net, 50), generate(net, 50))
 
 
 def test_trace_requires_positive_horizon():
@@ -281,7 +294,7 @@ def test_state_holds_no_weights():
 def test_forked_state_continues_bit_exact(fork_at):
     # t=5 and t=22 are mid-period, with outputs waiting in the pending queue
     net = build_network(hourglass_spec(seed=12))
-    whole = strided_incremental_generate(net, 64)
+    whole = generate(net, 64)[:, 0]
     state = strided_incremental_init(net)
     x = np.float32(0.0)
     for _ in range(fork_at):
@@ -369,7 +382,7 @@ def test_random_balanced_topology(strides, kernel_size):
         x = strided_incremental_step(net, state, x)
         assert state.counter.node_evals - before == sum(rec.nodes)
         cached.append(x)
-    assert np.array_equal(np.array(cached, np.float32), strided_naive_generate(net, n))
+    assert np.array_equal(np.array(cached, np.float32), generate(net, n, engine="naive")[:, 0])
     steps = [(rec.nodes, rec.emit) for rec in trace]
     assert steps[plan.period :] == steps[: -plan.period]
     for p in range(1, plan.period):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dilated import (
     NetworkSpec,
+    _check_int,
     build_network,
     incremental_init,
     incremental_step,
@@ -107,8 +108,7 @@ class Rollout:
         family = network.spec.family
         if engine not in ENGINES[family]:
             raise InvalidParameterError(f"engine must be naive or cached, got {engine!r}")
-        if batch < 1:
-            raise InvalidParameterError(f"batch must be >= 1, got {batch}")
+        batch = _check_int("batch", batch, 1)
         self.network, self.batch = network, batch
         self.init, self.step = ENGINES[family][engine]
         self.counter = OpCounter() if counter is None else counter
@@ -126,10 +126,11 @@ class Rollout:
 
     def steps(self, n_steps: int | None) -> int:
         """n_steps, or one whole image when it is None."""
-        n = self.length if n_steps is None else n_steps
-        if n is None or n < 1:
-            raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
-        return n
+        if n_steps is not None:
+            return _check_int("n_steps", n_steps, 1)
+        if self.length is None:
+            raise InvalidParameterError("n_steps is required: a 1D sequence has no end")
+        return self.length
 
     def advance(self, n: int, out: np.ndarray | None = None) -> None:
         """Advance every sequence n steps; out[i, j] gets sequence j's output at step i."""
@@ -171,7 +172,7 @@ def generate(network, n_steps=None, *, engine="cached", batch=1, prime=(), count
     rollout = Rollout(network, engine, batch, prime, counter)
     n = rollout.steps(n_steps)
     rollout.advance(max(len(prime) - 1, 0))
-    out = np.empty((n, batch), dtype=DTYPE)
+    out = np.empty((n, rollout.batch), dtype=DTYPE)
     rollout.advance(n, out)
     return out
 

@@ -13,6 +13,12 @@ order is a scheduling bug and raises instead of producing plausible output.
 No engine uses it any more (the dilated engine indexes a plain slot ring by
 t % dilation); it is kept for its own tests and for the benchmark tracer,
 which patches its methods.
+
+A `RowCache` holds the last kh rows a 2D vertical conv reads, in one
+preallocated ring with every row left-padded by kw - 1 zero columns.  A
+cached row's kw shifted column windows are then one read-only view, so the
+conv fills its fused column with one copy per cached row, and a push is one
+copy into the oldest slot.
 """
 
 from __future__ import annotations
@@ -93,41 +99,78 @@ class FifoCache:
 
 
 class RowCache:
-    """FIFO of the last `height` complete rows of a 2D feature stream.
+    """Ring of the last `height` complete rows of a 2D feature stream.
 
     height == the filter height of the owning layer, width == the image
-    width.  Rows rotate exactly once per generated image row.  Stored rows
-    have shape (channels, width, batch).
+    width, kw == its filter width.  Rows rotate exactly once per generated
+    image row and have shape (channels, width, batch).  All rows live in one
+    preallocated ring, each left-padded with kw - 1 zero columns, so the kw
+    column windows a vertical conv reads from a row (window j at column c
+    holds row column c - kw + 1 + j, zero left of the image) are one
+    read-only (kw, channels, width, batch) view; `push_row` copies the new
+    row into the oldest slot.
     """
 
-    __slots__ = ("height", "width", "channels", "batch", "row_shape", "_rows")
+    __slots__ = (
+        "height", "width", "channels", "batch", "kw", "row_shape", "_ring", "_windows", "_head"
+    )
 
-    def __init__(self, height: int, width: int, channels: int, batch: int):
-        if min(height, width, channels, batch) < 1:
+    def __init__(self, height: int, width: int, channels: int, batch: int, kw: int):
+        if min(height, width, channels, batch, kw) < 1:
             raise InvalidParameterError(
-                "height, width, channels, batch must be >= 1 "
-                f"(got {height}, {width}, {channels}, {batch})"
+                "height, width, channels, batch, kw must be >= 1 "
+                f"(got {height}, {width}, {channels}, {batch}, {kw})"
             )
         self.height = height
         self.width = width
         self.channels = channels
         self.batch = batch
+        self.kw = kw
         self.row_shape = (channels, width, batch)
-        self._rows = deque(zeros(self.row_shape) for _ in range(height))
+        self._ring = zeros((height, channels, kw - 1 + width, batch))
+        s_row, s_ch, s_col, s_b = self._ring.strides
+        windows = np.ndarray(
+            (height, kw, channels, width, batch),
+            _F32,
+            self._ring,
+            strides=(s_row, s_col, s_ch, s_col, s_b),
+        )
+        windows.flags.writeable = False
+        self._windows = tuple(windows)
+        self._head = 0  # the oldest slot, overwritten by the next push
+
+    def __reduce__(self):
+        # copies and pickles rebuild the window views over their own ring
+        return _restore_row_cache, (
+            self.height, self.width, self.channels, self.batch, self.kw, self._ring, self._head
+        )
 
     def push_row(self, row: np.ndarray) -> None:
-        """Pop the oldest row and push a complete new one."""
+        """Drop the oldest row and store a copy of a complete new one."""
         row = np.asarray(row, dtype=DTYPE)
         if row.shape != self.row_shape:
             raise InvalidRowError(
                 f"row shape {row.shape} != {self.row_shape} (partial rows rejected)"
             )
-        self._rows.popleft()
-        self._rows.append(row)
+        self._ring[self._head, :, self.kw - 1 :] = row
+        self._head = (self._head + 1) % self.height
+
+    def windows(self) -> tuple:
+        """Every cached row's (kw, channels, width, batch) window view, oldest first."""
+        h = self._head
+        return self._windows[h:] + self._windows[:h]
 
     def rows_stack(self) -> np.ndarray:
         """All cached rows as one array, oldest first: (channels, height, width, batch)."""
-        return np.stack(list(self._rows), axis=1)
+        return np.stack([w[-1] for w in self.windows()], axis=1)
 
     def stored_values(self) -> int:
-        return sum(int(r.size) for r in self._rows)
+        """Scalars of the cached rows, not counting the zero pad columns."""
+        return self.height * self.channels * self.width * self.batch
+
+
+def _restore_row_cache(height, width, channels, batch, kw, ring, head) -> RowCache:
+    rc = RowCache(height, width, channels, batch, kw)
+    rc._ring[...] = ring
+    rc._head = head
+    return rc

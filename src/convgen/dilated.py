@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +36,21 @@ FAMILIES = ("dilated", "strided")
 JSON_KEYS = ("family", "stacks", "layers", "kernel", "channels", "strides", "seed")
 
 
+def _check_int(name: str, v, lo: int) -> int:
+    """`v` as an int, if it is an integer (an int or a numpy integer, not a
+    bool) in [lo, 2**64 - 1]; InvalidParameterError otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+    v = int(v)
+    if not lo <= v <= 2**64 - 1:
+        raise InvalidParameterError(f"{name} must be in [{lo}, 2**64 - 1], got {v}")
+    return v
+
+
 def _check_int_fields(spec, **minimums) -> None:
-    """Check that each named field of a frozen spec is an integer (an int or a
-    numpy integer, not a bool) in [minimum, 2**64 - 1], and store it as an int."""
+    """Check each named integer field of a frozen spec and store it as an int."""
     for name, lo in minimums.items():
-        v = getattr(spec, name)
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
-        v = int(v)
-        if not lo <= v <= 2**64 - 1:
-            raise InvalidParameterError(f"{name} must be in [{lo}, 2**64 - 1], got {v}")
-        object.__setattr__(spec, name, v)
+        object.__setattr__(spec, name, _check_int(name, getattr(spec, name), lo))
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,12 @@ class NetworkSpec:
             self, stacks=1, layers_per_stack=1, kernel_size=1, channels=1, seed=0
         )
         if self.strides is not None:
+            if isinstance(self.strides, str) or not isinstance(self.strides, Sequence):
+                raise InvalidParameterError(
+                    f"strides must be a sequence of strings, got {self.strides!r}"
+                )
+            if not all(isinstance(s, str) for s in self.strides):
+                raise InvalidParameterError(f"strides must be strings, got {self.strides!r}")
             object.__setattr__(self, "strides", tuple(self.strides))
         if self.family == "dilated" and self.kernel_size != 2:
             raise InvalidParameterError("the dilated family uses two-tap kernels")
@@ -114,7 +125,7 @@ class NetworkSpec:
             layers_per_stack=doc.get("layers", 1),
             kernel_size=doc.get("kernel", 2),
             channels=doc.get("channels", 1),
-            strides=tuple(doc["strides"]) if doc.get("strides") else None,
+            strides=doc.get("strides") or None,
             seed=doc.get("seed", 0),
         )
 

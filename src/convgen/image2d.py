@@ -12,7 +12,9 @@ The naive engine runs a full vectorised image pass per generated pixel
 `kh` input rows per block and does all row-rate work in one
 `vertical_row_pass` at each row's start: every block's vertical features
 and their 1x1 link for the entire row, each one fused dot over the row's
-W*B columns.  It then advances the horizontal stream pixel by pixel from
+W*B columns.  The vconv column is filled with one copy per cached row, from
+the RowCache's padded ring of column windows; the links are written
+straight into the (W, C, B) layout the pixel steps read.  It then advances the horizontal stream pixel by pixel from
 small strictly-left tap windows.  Batch elements generate in lockstep, so
 every point operation is a single matrix product across the batch.
 
@@ -31,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cache import RowCache
-from .dilated import _check_int_fields, draw_weights
+from .dilated import _check_int, _check_int_fields, draw_weights
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import (
     DTYPE,
@@ -67,6 +69,9 @@ class ImageSpec:
         _check_int_fields(
             self, height=1, width=1, channels=1, n_layers=1, kh=1, kw=1, h_kw=1, seed=0
         )
+        if not isinstance(self.row_pair, (bool, np.bool_)):
+            raise InvalidParameterError(f"row_pair must be a bool, got {self.row_pair!r}")
+        object.__setattr__(self, "row_pair", bool(self.row_pair))
         if self.kh > self.height or self.kw > self.width or self.h_kw > self.width:
             raise InvalidParameterError(
                 f"kernels ({self.kh}x{self.kw}, 1x{self.h_kw}) must fit inside "
@@ -184,8 +189,7 @@ class ImageNaiveState:
 def image_naive_init(
     network: ImageNetwork, batch: int = 1, counter: OpCounter | None = None
 ) -> ImageNaiveState:
-    if batch < 1:
-        raise InvalidParameterError(f"batch must be >= 1, got {batch}")
+    batch = _check_int("batch", batch, 1)
     spec = network.spec
     image = zeros((1, spec.height, spec.width, batch))
     return ImageNaiveState(image=image, t=0, counter=counter or OpCounter())
@@ -226,10 +230,13 @@ class _PairState:
             c, W, B = vc_row.shape
             n = W * B
             column = np.concatenate((self.carry.reshape(c, n), vc_row.reshape(c, n), _ones_row(n)))
-            d = np.tanh(np.dot(block.down.fused, column))
+            d = np.dot(block.down.fused, column)
+            np.tanh(d, out=d)
             u = block.up
             for tap in u.tap_mats:
-                self.pending.append(np.tanh(tap @ d + u.bias[:, None]).reshape(c, W, B))
+                up = tap.dot(d)
+                up += u.bias[:, None]
+                self.pending.append(np.tanh(up, out=up).reshape(c, W, B))
             if counter is not None:
                 counter.add(block.down.macs * n, nodes=n)
                 counter.add(u.macs * n, nodes=2 * n)
@@ -266,35 +273,31 @@ def _vconv_row(w: ConvWeights, cache: RowCache, counter: OpCounter | None) -> np
     """One output row of a vertical conv from the cached rows above it.
 
     Output column c reads columns c-kw+1 .. c of every cached row, zero left
-    of the image.  The kh*kw shifted rows are stacked in `fused` tap order
-    over a row of ones, so the whole row is one dot over W*B columns.
+    of the image.  Each cached row's kw column windows fill its block of the
+    `fused` tap order with one copy, oldest row first, over a row of ones,
+    so the whole row is one dot over W*B columns.
     """
-    stack = cache.rows_stack()  # (in, kh, W, B)
-    in_ch, kh, W, B = stack.shape
-    kw = w.kernel.shape[3]
+    W, B = cache.width, cache.batch
     n = W * B
-    column = np.zeros((w.fused.shape[1], W, B), dtype=DTYPE)
+    column = np.empty((w.fused.shape[1], n), dtype=DTYPE)
     column[-1] = 1.0
-    taps = column[:-1].reshape(kh, kw, in_ch, W, B)
-    rows = stack.transpose(1, 0, 2, 3)
-    for j in range(kw):
-        shift = kw - 1 - j
-        taps[:, j, :, shift:] = rows[:, :, : W - shift]
+    taps = column[:-1].reshape(cache.height, cache.kw, cache.channels, W, B)
+    for i, windows in enumerate(cache.windows()):
+        taps[i] = windows
     if counter is not None:
         counter.add(w.macs * n, nodes=n)
-    return np.dot(w.fused, column.reshape(-1, n)).reshape(w.out_channels, W, B)
+    return np.dot(w.fused, column).reshape(w.out_channels, W, B)
 
 
 def image_incremental_init(
     network: ImageNetwork, batch: int = 1, counter: OpCounter | None = None
 ) -> ImageGenState:
-    if batch < 1:
-        raise InvalidParameterError(f"batch must be >= 1, got {batch}")
+    batch = _check_int("batch", batch, 1)
     spec = network.spec
     caches = []
     for i in range(spec.n_layers):
         in_v = 1 if i == 0 else spec.channels
-        caches.append(RowCache(spec.kh, spec.width, in_v, batch=batch))
+        caches.append(RowCache(spec.kh, spec.width, in_v, batch, spec.kw))
     return ImageGenState(
         row_caches=caches,
         pair=_PairState(spec.channels, spec.width, batch) if spec.row_pair else None,
@@ -327,7 +330,8 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
         state.row_caches[0].push_row(state.image[:, row_index - 1])
     rows = []
     for i, block in enumerate(network.blocks):
-        row = np.tanh(_vconv_row(block.vert, state.row_caches[i], counter))
+        row = _vconv_row(block.vert, state.row_caches[i], counter)
+        np.tanh(row, out=row)
         if i == 0 and state.pair is not None:
             state.pair.feed(block, row, counter)
             if not state.pair.pending:
@@ -339,8 +343,7 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     c, n = spec.channels, spec.width * state.batch
     # (W, C, B), so that each pixel step adds one contiguous (C, B) block
     state.links = [
-        np.dot(block.link, row.reshape(c, n)).reshape(row.shape).transpose(1, 0, 2).copy()
-        for block, row in zip(network.blocks, rows)
+        np.matmul(block.link, row.transpose(1, 0, 2)) for block, row in zip(network.blocks, rows)
     ]
     counter.add(spec.n_layers * c * c * n, nodes=0)
     state.v_ready = True

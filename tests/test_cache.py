@@ -1,5 +1,7 @@
 """FIFO delay laws, the strided firing schedule, and row-cache rotation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -181,15 +183,15 @@ def test_fractional_cache_every_rejected():
 
 
 def test_rowcache_geometry():
-    cache = RowCache(height=2, width=8, channels=3, batch=1)
+    cache = RowCache(height=2, width=8, channels=3, batch=1, kw=1)
     assert cache.rows_stack().shape == (3, 2, 8, 1)
     assert cache.stored_values() == 2 * 8 * 3
     with pytest.raises(InvalidParameterError):
-        RowCache(height=2, width=8, channels=3, batch=0)
+        RowCache(height=2, width=8, channels=3, batch=0, kw=1)
 
 
 def test_rowcache_rotation_and_top_border():
-    cache = RowCache(height=2, width=4, channels=1, batch=1)
+    cache = RowCache(height=2, width=4, channels=1, batch=1, kw=1)
     assert not cache.rows_stack().any()  # first rows read pure zero padding
     r1 = np.arange(4, dtype=np.float32)[None, :, None]
     r2 = (10 + np.arange(4, dtype=np.float32))[None, :, None]
@@ -203,7 +205,7 @@ def test_rowcache_rotation_and_top_border():
 
 
 def test_rowcache_partial_row_rejected():
-    cache = RowCache(height=2, width=8, channels=1, batch=1)
+    cache = RowCache(height=2, width=8, channels=1, batch=1, kw=1)
     with pytest.raises(InvalidRowError):
         cache.push_row(np.zeros((1, 5, 1), np.float32))
     with pytest.raises(InvalidRowError):
@@ -213,7 +215,59 @@ def test_rowcache_partial_row_rejected():
 
 
 def test_rowcache_batched_rows():
-    cache = RowCache(height=2, width=4, channels=1, batch=3)
+    cache = RowCache(height=2, width=4, channels=1, batch=3, kw=1)
     row = np.ones((1, 4, 3), np.float32)
     cache.push_row(row)
     assert cache.rows_stack().shape == (1, 2, 4, 3)
+
+
+def test_rowcache_stored_values_exclude_the_pad():
+    cache = RowCache(height=3, width=5, channels=2, batch=4, kw=3)
+    assert cache.stored_values() == 3 * 5 * 2 * 4  # the kw - 1 pad columns are not counted
+    assert cache.rows_stack().shape == (2, 3, 5, 4)
+    with pytest.raises(InvalidParameterError):
+        RowCache(height=2, width=8, channels=3, batch=1, kw=0)
+
+
+@pytest.mark.parametrize("kw", [1, 3])
+def test_rowcache_windows_are_zero_left_shifts(kw):
+    cache = RowCache(height=2, width=4, channels=2, batch=3, kw=kw)
+    rng = np.random.default_rng(0)
+    rows = [rng.standard_normal((2, 4, 3)).astype(np.float32) for _ in range(3)]
+    for row in rows:
+        cache.push_row(row)
+    got = cache.windows()
+    assert len(got) == 2
+    for row, windows in zip(rows[1:], got):  # oldest first
+        assert windows.shape == (kw, 2, 4, 3)
+        for j in range(kw):
+            shift = kw - 1 - j
+            assert not windows[j, :, :shift].any()
+            assert np.array_equal(windows[j, :, shift:], row[:, : 4 - shift])
+
+
+def test_rowcache_windows_are_read_only():
+    cache = RowCache(height=2, width=4, channels=1, batch=2, kw=3)
+    for windows in cache.windows():
+        assert not windows.flags.writeable
+        with pytest.raises(ValueError):
+            windows[0, 0, 0, 0] = 1.0
+
+
+def test_rowcache_push_row_stores_a_copy():
+    cache = RowCache(height=2, width=4, channels=1, batch=2, kw=2)
+    row = np.ones((1, 4, 2), np.float32)
+    cache.push_row(row)
+    row[...] = 7.0
+    assert np.array_equal(cache.rows_stack()[:, 1], np.ones((1, 4, 2), np.float32))
+
+
+def test_rowcache_deepcopy_reads_its_own_ring():
+    cache = RowCache(height=2, width=3, channels=1, batch=1, kw=2)
+    cache.push_row(np.ones((1, 3, 1), np.float32))
+    fork = copy.deepcopy(cache)
+    assert np.array_equal(fork.rows_stack(), cache.rows_stack())
+    fork.push_row(np.full((1, 3, 1), 5.0, np.float32))
+    assert fork.rows_stack()[0, 1, 0, 0] == 5.0  # the fork's windows see its own pushes
+    assert fork.windows()[-1][-1, 0, 0, 0] == 5.0
+    assert cache.rows_stack()[0, 1, 0, 0] == 1.0  # and the original is untouched

@@ -50,6 +50,13 @@ def test_spec_validation():
                 dict(layers_per_stack=True), dict(seed=2**64)):
         with pytest.raises(InvalidParameterError):
             NetworkSpec("dilated", **bad)
+    for strides in (5, "down2", ("down2", 2), [None]):
+        with pytest.raises(InvalidParameterError):
+            NetworkSpec("strided", strides=strides)
+    for text in ('{"family": "strided", "strides": 5}', '{"family": "strided", "strides": "down2"}'):
+        with pytest.raises(InvalidParameterError):
+            NetworkSpec.from_json(text)
+    assert NetworkSpec("strided", strides=["down2", "up2"]).strides == ("down2", "up2")
     # numpy integers are integers, stored as int so that to_json works
     spec = NetworkSpec("dilated", stacks=np.int64(2), seed=np.uint64(2**64 - 1))
     assert type(spec.stacks) is int and type(spec.seed) is int
@@ -220,6 +227,11 @@ def test_n_steps_validation():
         dict(n_steps=None),  # only an image has a natural length
         dict(n_steps=4, engine="fast"),
         dict(n_steps=4, batch=0),
+        dict(n_steps=2.5),
+        dict(n_steps="3"),
+        dict(n_steps=True),
+        dict(n_steps=4, batch=2.5),
+        dict(n_steps=4, batch="2"),
     ):
         with pytest.raises(InvalidParameterError):
             generate(net, **kwargs)

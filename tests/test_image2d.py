@@ -15,8 +15,10 @@ from convgen import (
     receptive_field_2d,
     write_pgm,
 )
+from convgen.cache import RowCache
 from convgen.image2d import (
     _pixel_step,
+    _vconv_row,
     image_incremental_init,
     image_incremental_step,
     image_naive_init,
@@ -46,11 +48,13 @@ def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         ImageSpec(8, 8, seed=-1)
     for bad in (dict(height=4.0), dict(width="4"), dict(channels=2.5), dict(kh=None),
-                dict(seed=1.5), dict(n_layers=True)):
+                dict(seed=1.5), dict(n_layers=True), dict(row_pair="yes"), dict(row_pair=1),
+                dict(row_pair=None)):
         with pytest.raises(InvalidParameterError):
             ImageSpec(**{"height": 4, "width": 4, **bad})
     ImageSpec(8, 8)  # defaults are valid
     assert ImageSpec(np.int32(8), np.int64(8)) == ImageSpec(8, 8)
+    assert ImageSpec(8, 8, row_pair=np.True_) == ImageSpec(8, 8, row_pair=True)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +155,38 @@ def test_vertical_rows_match_full_image_pass():
         for r in range(spec.height):
             got = recorded[r][li][:, :, 0]
             assert np.max(np.abs(got - v[:, r, :])) <= EQUIV_TOL
+
+
+def _vconv_row_reference(w, cache):
+    """The vertical conv row rebuilt from rows_stack() with explicit zero-left shifts."""
+    stack = cache.rows_stack()  # (in, kh, W, B)
+    in_ch, kh, W, B = stack.shape
+    kw = w.kernel.shape[3]
+    column = np.zeros((kh, kw, in_ch, W, B), np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            shift = kw - 1 - j
+            column[i, j, :, shift:] = stack[:, i, : W - shift]
+    column = np.concatenate([column.reshape(-1, W * B), np.ones((1, W * B), np.float32)])
+    return np.dot(w.fused, column).reshape(w.out_channels, W, B)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("kw", [1, 2, 3, 5])
+@pytest.mark.parametrize("kh", [1, 2, 3])
+def test_vconv_row_matches_shifted_rows_reference(kh, kw, batch):
+    spec = ImageSpec(3, 6, channels=3, n_layers=2, kh=kh, kw=kw, seed=kh * 10 + kw)
+    w = build_image_network(spec).blocks[1].vert
+    cache = RowCache(kh, spec.width, spec.channels, batch, kw)
+    rng = np.random.default_rng(batch)
+    for pushes in range(2 * kh + 2):  # every ring position, wrapped twice
+        if pushes:
+            cache.push_row(rng.standard_normal((spec.channels, spec.width, batch)).astype(np.float32))
+        counter = OpCounter()
+        got = _vconv_row(w, cache, counter)
+        assert np.array_equal(got, _vconv_row_reference(w, cache))
+        assert counter.node_evals == spec.width * batch
+        assert counter.macs == w.macs * spec.width * batch
 
 
 def test_vertical_row_pass_out_of_order_rejected():
@@ -264,6 +300,13 @@ def test_batch_validation():
         generate(net, batch=-1)
     with pytest.raises(InvalidParameterError):
         generate(net, prime=(0.5,))  # the image engines take no input
+    for kwargs in (dict(batch=2.5), dict(batch="2"), dict(batch=True), dict(n_steps=2.5),
+                   dict(n_steps="3")):
+        with pytest.raises(InvalidParameterError):
+            generate(net, **kwargs)
+    for init in (image_naive_init, image_incremental_init):
+        with pytest.raises(InvalidParameterError):
+            init(net, batch=2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -76,13 +76,15 @@ class NetworkSpec:
             self, stacks=1, layers_per_stack=1, kernel_size=1, channels=1, seed=0
         )
         if self.strides is not None:
-            if isinstance(self.strides, str) or not isinstance(self.strides, Sequence):
+            if (
+                isinstance(self.strides, str)
+                or not isinstance(self.strides, Sequence)
+                or not all(isinstance(s, str) for s in self.strides)
+            ):
                 raise InvalidParameterError(
                     f"strides must be a sequence of strings, got {self.strides!r}"
                 )
-            if not all(isinstance(s, str) for s in self.strides):
-                raise InvalidParameterError(f"strides must be strings, got {self.strides!r}")
-            object.__setattr__(self, "strides", tuple(self.strides))
+            object.__setattr__(self, "strides", tuple(self.strides) or None)
         if self.family == "dilated" and self.kernel_size != 2:
             raise InvalidParameterError("the dilated family uses two-tap kernels")
         if self.family == "strided" and not self.strides:
@@ -125,7 +127,7 @@ class NetworkSpec:
             layers_per_stack=doc.get("layers", 1),
             kernel_size=doc.get("kernel", 2),
             channels=doc.get("channels", 1),
-            strides=doc.get("strides") or None,
+            strides=doc.get("strides"),
             seed=doc.get("seed", 0),
         )
 

@@ -53,9 +53,11 @@ def test_spec_validation():
     for strides in (5, "down2", ("down2", 2), [None]):
         with pytest.raises(InvalidParameterError):
             NetworkSpec("strided", strides=strides)
-    for text in ('{"family": "strided", "strides": 5}', '{"family": "strided", "strides": "down2"}'):
+    for text in ('{"family": "strided", "strides": 5}', '{"family": "strided", "strides": "down2"}',
+                 '{"family": "dilated", "strides": 0}'):
         with pytest.raises(InvalidParameterError):
             NetworkSpec.from_json(text)
+    assert NetworkSpec.from_json('{"family": "dilated", "strides": []}') == NetworkSpec("dilated")
     assert NetworkSpec("strided", strides=["down2", "up2"]).strides == ("down2", "up2")
     # numpy integers are integers, stored as int so that to_json works
     spec = NetworkSpec("dilated", stacks=np.int64(2), seed=np.uint64(2**64 - 1))

@@ -186,8 +186,12 @@ def test_rowcache_geometry():
     cache = RowCache(height=2, width=8, channels=3, batch=1, kw=1)
     assert cache.rows_stack().shape == (3, 2, 8, 1)
     assert cache.stored_values() == 2 * 8 * 3
-    with pytest.raises(InvalidParameterError):
-        RowCache(height=2, width=8, channels=3, batch=0, kw=1)
+    padded = RowCache(height=3, width=5, channels=2, batch=4, kw=3)
+    assert padded.rows_stack().shape == (2, 3, 5, 4)
+    assert padded.stored_values() == 3 * 5 * 2 * 4  # the kw - 1 pad columns are not counted
+    for bad in (dict(batch=0, kw=1), dict(batch=1, kw=0)):
+        with pytest.raises(InvalidParameterError):
+            RowCache(height=2, width=8, channels=3, **bad)
 
 
 def test_rowcache_rotation_and_top_border():
@@ -219,14 +223,6 @@ def test_rowcache_batched_rows():
     row = np.ones((1, 4, 3), np.float32)
     cache.push_row(row)
     assert cache.rows_stack().shape == (1, 2, 4, 3)
-
-
-def test_rowcache_stored_values_exclude_the_pad():
-    cache = RowCache(height=3, width=5, channels=2, batch=4, kw=3)
-    assert cache.stored_values() == 3 * 5 * 2 * 4  # the kw - 1 pad columns are not counted
-    assert cache.rows_stack().shape == (2, 3, 5, 4)
-    with pytest.raises(InvalidParameterError):
-        RowCache(height=2, width=8, channels=3, batch=1, kw=0)
 
 
 @pytest.mark.parametrize("kw", [1, 3])

@@ -93,6 +93,37 @@ ENGINES = {
 }
 
 
+MAX_PRIME = 2**24  # values: a prime is copied into one float32 array up front
+
+
+def _check_prime(prime) -> np.ndarray:
+    """`prime` as a float32 array, if it is a 1-D sequence of at most MAX_PRIME
+    finite real numbers (not bools); InvalidParameterError otherwise.
+
+    The length is checked before the values are read, so a lazy sequence
+    that is too long (a huge `range`) is refused without being materialised.
+    """
+    try:
+        n = len(prime)
+    except TypeError:
+        raise InvalidParameterError(f"prime must be a 1-D sequence, got {prime!r}") from None
+    if n > MAX_PRIME:
+        raise InvalidParameterError(f"prime has {n} values, more than {MAX_PRIME}")
+    try:
+        values = np.asarray(prime)
+    except (TypeError, ValueError):  # ragged nesting
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise InvalidParameterError(
+            f"prime must be a 1-D sequence of real numbers, got {prime!r}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = values.astype(DTYPE)
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("prime values must be finite in float32")
+    return values
+
+
 class Rollout:
     """`batch` sequences generated by one engine of ENGINES.
 
@@ -112,8 +143,9 @@ class Rollout:
         self.network, self.batch = network, batch
         self.init, self.step = ENGINES[family][engine]
         self.counter = OpCounter() if counter is None else counter
+        self.prime = _check_prime(prime)
         if family == "image2d":
-            if len(prime):
+            if len(self.prime):
                 raise InvalidParameterError("image2d engines take no input, so no prime")
             self.length = network.spec.height * network.spec.width
             self.states = [self.init(network, batch, self.counter)]
@@ -121,7 +153,6 @@ class Rollout:
             self.length = None  # 1D sequences have no end
             self.states = [self.init(network, self.counter) for _ in range(batch)]
             self.xs = [np.float32(0.0)] * batch  # each sequence's next input
-            self.prime = [np.float32(v) for v in prime]
         self.t = 0  # steps taken (image2d: into the current image)
 
     def steps(self, n_steps: int | None) -> int:
@@ -164,14 +195,15 @@ def generate(network, n_steps=None, *, engine="cached", batch=1, prime=(), count
     Row i holds the i-th output of every sequence.  1D networks are
     teacher-forced through `prime` and then fed their own outputs; the
     outputs of the first len(prime) - 1 steps are dropped, so row 0 is the
-    prediction after the whole prime.  For image2d row i is raster pixel i,
+    prediction after the whole prime, a 1-D sequence of at most MAX_PRIME
+    finite real numbers.  For image2d row i is raster pixel i,
     and `n_steps` defaults to one whole image.  `engine` is "naive" or
     "cached"; the two give identical 1D outputs and image outputs within
     float32 noise.  `counter` receives the op counts of the whole run.
     """
     rollout = Rollout(network, engine, batch, prime, counter)
     n = rollout.steps(n_steps)
-    rollout.advance(max(len(prime) - 1, 0))
+    rollout.advance(max(len(rollout.prime) - 1, 0))
     out = np.empty((n, rollout.batch), dtype=DTYPE)
     rollout.advance(n, out)
     return out

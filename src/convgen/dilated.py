@@ -8,11 +8,25 @@ engines exactly comparable.
 
 naive engine   - keeps each stack's output history and recomputes the whole
                  within-stack dependency tree (2^L - 1 nodes) at every step.
-cached engine  - one slot ring per layer: a list of `dilation` input
-                 vectors, pre-filled with a shared read-only zero vector.
-                 Step t reads slot t % dilation (the layer input from
-                 `dilation` steps ago), computes one new node per layer, and
-                 stores the layer input in that slot for reuse.
+cached engine  - column-resident, for n = stacks * L layers: the state is
+                 one zero-filled (sum of dilations, C) ring in which each of
+                 layers 1..n-1 owns `dilation` consecutive rows, plus layer
+                 0's width-1 ring (the previous input).  Row t % dilation of
+                 a layer holds its input from `dilation` steps ago.  A step
+                 gathers every layer's old tap into the old-tap half of a
+                 preallocated (n-1, 2C+1) column matrix with one fancy index,
+                 runs each layer as one `conv1d_point` over its row (a
+                 `Column`) writing straight into the next layer's new-tap
+                 half, applies tanh in place, and scatters the new-tap half
+                 back into the ring with one fancy index.  The last layer
+                 writes into the head's [h; 1] column.
+
+The column matrix carries nothing from one step to the next, so it is
+scratch: one per network and per thread (`threading.local`), built with its
+`Column`s and ring offsets on a thread's first step with that network.  That
+keeps a network shareable across threads and `init` as cheap as allocating
+the ring.  The scratch holds (n-1)*(2C+1) + C + 5 floats, which
+`cached_values` (and so `state_bytes`) does not count.
 
 Both engines route every node through `conv1d_point`, so their outputs are
 bit-identical, not merely close.
@@ -20,17 +34,24 @@ bit-identical, not merely close.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
+import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import _frozen_zeros
-from .errors import InvalidParameterError
-from .tensor import DTYPE, ConvWeights, OpCounter, conv1d_full, conv1d_point, zeros
+from .errors import InvalidParameterError, ShapeError
+from .tensor import (
+    DTYPE,
+    Column,
+    ConvWeights,
+    OpCounter,
+    conv1d_full,
+    conv1d_point,
+    zeros,
+)
 
 FAMILIES = ("dilated", "strided")
 JSON_KEYS = ("family", "stacks", "layers", "kernel", "channels", "strides", "seed")
@@ -87,6 +108,8 @@ class NetworkSpec:
             object.__setattr__(self, "strides", tuple(self.strides) or None)
         if self.family == "dilated" and self.kernel_size != 2:
             raise InvalidParameterError("the dilated family uses two-tap kernels")
+        if self.family == "dilated" and self.strides:
+            raise InvalidParameterError("the dilated family takes no strides")
         if self.family == "strided" and not self.strides:
             raise InvalidParameterError("strided family requires a strides list")
 
@@ -141,11 +164,25 @@ class LayerDef:
 
 @dataclass(frozen=True)
 class DilatedNetwork:
-    """Immutable weights for a dilated stack; shareable across threads."""
+    """Immutable weights for a dilated stack; shareable across threads.
+
+    The cached engine's per-thread column scratch hangs off `_local`; it is
+    not part of the network's value, so it is neither compared nor copied:
+    a pickled or deep-copied network builds its own on first use.
+    """
 
     spec: NetworkSpec
     layers: tuple[LayerDef, ...]
     head: ConvWeights
+    _local: threading.local = field(
+        init=False, repr=False, compare=False, default_factory=threading.local
+    )
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_local"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _local=threading.local())
 
 
 def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> ConvWeights:
@@ -256,55 +293,98 @@ def naive_step(network: DilatedNetwork, state: NaiveState, x) -> np.floating:
 class GenState:
     """All mutable state of one cached generation run (constant size in t).
 
-    `caches[l]` is layer l's slot ring: `dilation` input vectors, where slot
-    t % dilation holds the input of step t - dilation (zeros before 0).
+    `ring` holds layers 1.. in order, `dilation` rows of width C each: row
+    `offset + t % dilation` of a layer holds its input of step t - dilation
+    (zeros before step 0).  Layer 0 has dilation 1 and one input channel, so
+    its ring is `ring0`, the previous input.  A copy (`copy.deepcopy`) is an
+    independent fork.
     """
 
-    caches: list
+    ring: np.ndarray
+    ring0: np.ndarray
     t: int
     counter: OpCounter
 
     def cached_values(self) -> int:
-        """Total scalars stored across all layer caches."""
-        return sum(len(ring) * len(ring[0]) for ring in self.caches)
-
-    def __deepcopy__(self, memo) -> "GenState":
-        """A fork: new rings holding the same slot vectors, and a copied counter.
-
-        The engine never writes a stored vector, so sharing them is safe, and
-        the shared pre-fill stays read-only in the fork.
-        """
-        caches = [list(ring) for ring in self.caches]
-        return GenState(caches, self.t, copy.deepcopy(self.counter, memo))
+        """Total scalars stored across all layer rings."""
+        return self.ring.size + self.ring0.size
 
 
 def incremental_init(network: DilatedNetwork, counter: OpCounter | None = None) -> GenState:
-    caches = [
-        [_frozen_zeros(layer.weights.in_channels)] * layer.dilation
-        for layer in network.layers
-    ]
-    return GenState(caches=caches, t=0, counter=counter or OpCounter())
+    rows = sum(layer.dilation for layer in network.layers[1:])
+    return GenState(
+        ring=zeros((rows, network.spec.channels)),
+        ring0=zeros(network.layers[0].dilation),
+        t=0,
+        counter=counter or OpCounter(),
+    )
+
+
+class _Scratch:
+    """One thread's column matrix for one network, with the per-layer plan.
+
+    `cols` row l-1 is layer l's column [old tap; new tap; 1]; `col0` is
+    layer 0's [previous input; input; 1] and `head` the head's [h; 1].
+    `layers` pairs each layer's weights and `Column` with the array its
+    output goes to: the next layer's new tap, or the head's h.
+    """
+
+    def __init__(self, network: DilatedNetwork):
+        C = network.spec.channels
+        later = network.layers[1:]
+        dils = np.array([layer.dilation for layer in later], dtype=np.intp)
+        self.dils = dils
+        self.offsets = np.cumsum(dils) - dils  # first ring row of each layer
+        self.cols = cols = np.ones((len(later), 2 * C + 1), dtype=DTYPE)
+        self.old, self.new = cols[:, :C], cols[:, C : 2 * C]
+        self.col0 = np.ones(3, dtype=DTYPE)
+        self.head = np.ones(C + 1, dtype=DTYPE)
+        self.y = zeros(1)
+        columns = [Column(self.col0, 1)] + [Column(row, C) for row in cols]
+        outs = list(self.new) + [self.head[:C]]
+        self.layers = tuple(
+            (layer.weights, col, out, layer.activation == "tanh")
+            for layer, col, out in zip(network.layers, columns, outs)
+        )
+        self.head_col = Column(self.head, C)
+
+
+def _scratch(network: DilatedNetwork) -> _Scratch:
+    local = network._local
+    try:
+        return local.scratch
+    except AttributeError:
+        local.scratch = scratch = _Scratch(network)
+        return scratch
 
 
 def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating:
-    """Advance one step: read slot t % dilation, conv, store, per layer; then the head.
+    """Advance one step: gather the old taps, one node per layer, scatter; then the head.
 
-    Every layer computes one node at every step.  A slot keeps a reference to
-    the stored input, never a copy: the activation runs in place on the node
-    fresh from `conv1d_point`, before it is stored anywhere as the next
-    layer's input, so a stored vector is never written again.
+    Every layer computes one node at every step, through `conv1d_point` on
+    its preallocated `Column`.  All old taps are read before any new tap is
+    stored, and each layer owns its own ring rows, so one gather before the
+    layers and one scatter after them equal a read-then-store per layer.
     """
-    cur = np.array([x], dtype=DTYPE)
-    counter = state.counter
+    s = _scratch(network)
+    col0 = s.col0
+    try:
+        col0[1] = x
+    except (TypeError, ValueError):
+        raise ShapeError(f"x must be a scalar, got {x!r}") from None
+    ring0 = state.ring0
     t = state.t
-    for layer, ring in zip(network.layers, state.caches):
-        j = t % layer.dilation
-        h = conv1d_point(layer.weights, (ring[j], cur), counter)
-        ring[j] = cur
-        if layer.activation == "tanh":
-            np.tanh(h, out=h)
-        cur = h
-    y = conv1d_point(network.head, (cur,), counter)
+    col0[0] = ring0[t % len(ring0)]
+    rows = s.offsets + t % s.dils
+    state.ring.take(rows, axis=0, out=s.old, mode="clip")
+    counter = state.counter
+    for weights, col, out, tanh in s.layers:
+        conv1d_point(weights, col, counter, out)
+        if tanh:
+            np.tanh(out, out=out)
+    y = conv1d_point(network.head, s.head_col, counter, s.y)
+    state.ring[rows] = s.new
+    ring0[t % len(ring0)] = col0[1]
     state.t = t + 1
     return y[0]
 

@@ -8,6 +8,11 @@ column [taps oldest to newest; 1].  Equal shapes always take the same BLAS
 path, so the naive and cached paths, and the whole-sequence kernels built
 on the same primitive, can be compared bit for bit.
 
+The column is either concatenated per call from a sequence of tap arrays,
+or already assembled: a `Column` is the k tap views of one preallocated
+[taps; 1] buffer, which an engine fills in place (the cached dilated step
+keeps one per layer), so the point evaluation is the dot alone.
+
 Every kernel accepts an optional `OpCounter` and reports exact
 multiply-accumulate and node-evaluation counts; these counters, not wall
 time, are the primary complexity measurement.
@@ -139,14 +144,68 @@ def _ones_row(batch: int) -> np.ndarray:
     return _frozen(np.ones((1, batch), dtype=DTYPE))
 
 
-def conv1d_point(weights: ConvWeights, taps, counter: OpCounter | None = None) -> np.ndarray:
+class Column(tuple):
+    """The k taps of one preallocated point-evaluation column, oldest first.
+
+    `buf` is a C-contiguous float32 array of shape (k*in_channels + 1,) or
+    (k*in_channels + 1, batch) whose last row is ones: the column
+    [tap_0; ...; tap_{k-1}; 1] that `conv1d_point` otherwise concatenates.
+    The tuple items are views of `buf`, so writing a tap writes the column.
+    The geometry and the ones row are checked here, once; keeping the ones
+    row is up to the owner of `buf`.
+    """
+
+    def __new__(cls, buf: np.ndarray, in_channels: int):
+        if not (
+            isinstance(buf, np.ndarray)
+            and buf.dtype == DTYPE
+            and buf.ndim in (1, 2)
+            and buf.flags.c_contiguous
+        ):
+            raise ShapeError("a Column buffer is a C-contiguous 1D or 2D float32 array")
+        rows = buf.shape[0] - 1
+        if in_channels < 1 or rows < in_channels or rows % in_channels:
+            raise ShapeError(
+                f"column of {buf.shape[0]} rows is not k*{in_channels} + 1 with k >= 1"
+            )
+        if not (buf[-1] == 1).all():
+            raise InvalidParameterError("the last row of a Column buffer must be ones")
+        self = super().__new__(
+            cls, (buf[j : j + in_channels] for j in range(0, rows, in_channels))
+        )
+        self.buf = buf
+        return self
+
+
+def conv1d_point(
+    weights: ConvWeights, taps, counter: OpCounter | None = None, out=None
+) -> np.ndarray:
     """Evaluate one output position from `k` taps ordered oldest to newest.
 
     Each tap is an (in_channels,) vector, or (in_channels, batch) for
     batched lockstep generation.  The result is one dot product,
     `weights.fused @ [tap_0; ...; tap_{k-1}; 1]`, with the bias as the
-    last weight.
+    last weight.  `taps` is a sequence of tap arrays, concatenated into the
+    column here, or a `Column`, whose buffer is the column.  With `out`, a
+    C-contiguous float32 array of the result's shape, the result is written
+    there and `out` is returned.
     """
+    if type(taps) is Column:
+        buf = taps.buf
+        fused = weights.fused
+        if len(taps) != weights.k or len(buf) != fused.shape[1]:
+            raise ShapeError(
+                f"column of {len(taps)} taps and {len(buf)} rows for weights "
+                f"of {weights.k} taps and {fused.shape[1]} rows"
+            )
+        try:
+            out = fused.dot(buf, out=out)
+        except ValueError as exc:
+            raise ShapeError(f"out does not fit the result: {exc}") from None
+        if counter is not None:
+            n = 1 if buf.ndim == 1 else buf.shape[1]
+            counter.add(weights.macs * n, n)
+        return out
     if len(taps) != weights.k:
         raise ShapeError(f"expected {weights.k} taps, got {len(taps)}")
     in_ch = weights.in_channels
@@ -165,7 +224,10 @@ def conv1d_point(weights: ConvWeights, taps, counter: OpCounter | None = None) -
         raise ShapeError(
             f"taps disagree in batch shape: {[t.shape for t in taps]}"
         ) from None
-    out = weights.fused.dot(column)
+    try:
+        out = weights.fused.dot(column, out=out)
+    except ValueError as exc:
+        raise ShapeError(f"out does not fit the result: {exc}") from None
     if counter is not None:
         counter.add(weights.macs * n, n)
     return out

@@ -5,11 +5,13 @@ import csv
 import io
 import time
 
+import numpy as np
 import pytest
 
-from convgen import ConvWeights, NetworkSpec, build_network
+from convgen import ConvWeights, InvalidParameterError, NetworkSpec, build_network, generate
 from convgen.bench import (
     CSV_COLUMNS,
+    MAX_PRIME,
     check_golden_trace,
     compare,
     main,
@@ -321,6 +323,28 @@ def test_fault_injection_breaks_equivalence():
     corrupted = DilatedNetwork(net.spec, tuple(layers), net.head)
     assert compare(net, net, 32) == 0.0
     assert compare(net, corrupted, 32) > 1e-5
+
+
+@pytest.mark.parametrize(
+    "prime",
+    [("x",), 5, 0.5, None, [float("nan")], [1.0, float("inf")], [1e39], [[0.5, 0.25]],
+     [[0.5], [0.25, 1.0]], [True, False], [1 + 2j], np.zeros((2, 1)), "05",
+     range(MAX_PRIME + 1)],
+    ids=repr,
+)
+def test_prime_validation(prime):
+    # a prime is a 1-D sequence of at most MAX_PRIME numbers finite in float32
+    net = build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=2, channels=2, seed=1))
+    with pytest.raises(InvalidParameterError):
+        generate(net, 3, prime=prime)
+
+
+def test_prime_accepts_sequences_of_real_numbers():
+    net = build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=2, channels=2, seed=1))
+    want = generate(net, 3, prime=np.array([1.0, -0.5, 0.25], np.float32))
+    for prime in ([1, -0.5, 0.25], (1.0, -0.5, 0.25), np.array([1.0, -0.5, 0.25])):
+        assert np.array_equal(generate(net, 3, prime=prime), want)
+    assert np.array_equal(generate(net, 3, prime=[]), generate(net, 3))
 
 
 def test_golden_trace_check():

@@ -3,6 +3,9 @@
 and constant-memory generation."""
 
 import copy
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,12 +15,14 @@ from convgen import (
     InvalidParameterError,
     NetworkSpec,
     OpCounter,
+    ShapeError,
     build_network,
     forward_full,
     generate,
     receptive_field,
 )
 from convgen.bench import measure_nodes_per_step
+from convgen.tensor import conv1d_full
 from convgen.dilated import (
     DilatedNetwork,
     LayerDef,
@@ -58,6 +63,11 @@ def test_spec_validation():
         with pytest.raises(InvalidParameterError):
             NetworkSpec.from_json(text)
     assert NetworkSpec.from_json('{"family": "dilated", "strides": []}') == NetworkSpec("dilated")
+    # the dilated family has no strides, so a strides list would only break equality
+    with pytest.raises(InvalidParameterError):
+        NetworkSpec("dilated", strides=("down2", "up2"))
+    with pytest.raises(InvalidParameterError):
+        NetworkSpec.from_json('{"family": "dilated", "strides": ["down2", "up2"]}')
     assert NetworkSpec("strided", strides=["down2", "up2"]).strides == ("down2", "up2")
     # numpy integers are integers, stored as int so that to_json works
     spec = NetworkSpec("dilated", stacks=np.int64(2), seed=np.uint64(2**64 - 1))
@@ -295,40 +305,75 @@ def test_constant_memory_literal_formula_single_channel():
     assert state.cached_values() == sum(spec.dilations()) * spec.channels
 
 
+def ring_layout(net):
+    """(first ring row, dilation) of each layer after the first, in order."""
+    dils = [layer.dilation for layer in net.layers[1:]]
+    return list(zip(np.cumsum([0] + dils[:-1]), dils))
+
+
+def layer_inputs(net, xs):
+    """Each layer's whole input sequence, (in_channels, T), as forward_full computes it."""
+    acts = [np.asarray(xs, np.float32)[None, :]]
+    for layer in net.layers[:-1]:
+        acts.append(np.tanh(conv1d_full(layer.weights, acts[-1], dilation=layer.dilation)))
+    return acts
+
+
+@pytest.mark.parametrize("t", [1, 3, 8, 37, 100])
+def test_ring_holds_each_layers_last_dilation_inputs(t):
+    spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=3, seed=41)
+    net = build_network(spec)
+    xs = np.random.default_rng(t).uniform(-1, 1, t).astype(np.float32)
+    state = incremental_init(net)
+    for x in xs:
+        incremental_step(net, state, x)
+    acts = layer_inputs(net, xs)
+    assert np.array_equal(state.ring0, xs[-1:])
+    for l, (off, d) in enumerate(ring_layout(net), start=1):
+        for s in range(t - d, t):  # row off + s % d holds the input of step s
+            want = acts[l][:, s] if s >= 0 else np.zeros(spec.channels, np.float32)
+            assert np.array_equal(state.ring[off + s % d], want), (l, s)
+
+
 def test_cached_vectors_are_never_written():
-    # the pre-fill is one shared read-only zero vector per width, and the
-    # in-place tanh only touches nodes that have not been stored in a slot yet
+    # each step writes one ring row per layer, row offset + t % dilation, and
+    # ring0: a stored input stays as stored until it is read, dilation steps later
     spec = NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=13)
     net = build_network(spec)
     state = incremental_init(net)
-    prefill = {id(v): v for ring in state.caches for v in ring}
-    assert len(prefill) == 2  # one per width: 1 (the input) and 3
-    assert all(not v.flags.writeable and not v.any() for v in prefill.values())
-    stored = []
-
-    class RecordingRing(list):
-        def __setitem__(self, j, vec):
-            stored.append((vec, vec.copy()))  # the value at the time of the store
-            super().__setitem__(j, vec)
-
-    state.caches = [RecordingRing(ring) for ring in state.caches]
+    assert not state.ring.any() and not state.ring0.any()  # zero padding before step 0
+    layout = ring_layout(net)
     x = np.float32(0.3)
-    for _ in range(24):
+    for t in range(24):
+        before = state.ring.copy()
         x = incremental_step(net, state, x)
-    assert len(stored) == 24 * len(net.layers)
-    assert all(np.array_equal(v, at_store) for v, at_store in stored)
-    assert not any(v.any() for v in prefill.values())
+        changed = set(np.flatnonzero((state.ring != before).any(axis=1)))
+        assert changed <= {off + t % d for off, d in layout}
+    # the per-thread column scratch is not part of the state
+    assert not any(np.shares_memory(state.ring, a) for a in vars(net._local.scratch).values()
+                   if isinstance(a, np.ndarray))
     assert state.cached_values() == sum(l.dilation * l.weights.in_channels for l in net.layers)
 
 
+def test_non_scalar_input_is_a_shape_error():
+    net = build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=3, channels=2, seed=4))
+    state = incremental_init(net)
+    incremental_step(net, state, 0.5)
+    ring = state.ring.copy()
+    for x in (np.zeros(2, np.float32), [0.5], np.zeros((1, 1), np.float32), np.ones(1)):
+        with pytest.raises(ShapeError):
+            incremental_step(net, state, x)
+    assert state.t == 1 and np.array_equal(state.ring, ring)  # nothing was consumed
+
+
 # ---------------------------------------------------------------------------
-# state fork
+# state fork, sharing a network
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("fork_at", [3, 40])
 def test_forked_state_continues_bit_exact(fork_at):
-    # at t=3 the dilation-4 and -8 caches still hold pre-fill; at t=40 none do
+    # at t=3 the dilation-4 and -8 rows are still partly zero padding; at t=40 none are
     spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=4, seed=21)
     net = build_network(spec)
     whole = generate(net, 80, prime=(0.5,))[:, 0]
@@ -338,11 +383,10 @@ def test_forked_state_continues_bit_exact(fork_at):
         x = incremental_step(net, state, x)
     fork = copy.deepcopy(state)
     assert fork.counter is not state.counter
-    # slots j >= fork_at have not been written yet: the fork shares the
-    # read-only pre-fill (dilations 4 and 8 leave 1 + 5 per stack at t=3)
-    prefill = [v for ring in fork.caches for v in ring[fork_at:]]
-    assert len(prefill) == (12 if fork_at == 3 else 0)
-    assert all(not v.flags.writeable and not v.any() for v in prefill)
+    assert not np.shares_memory(fork.ring, state.ring)
+    assert not np.shares_memory(fork.ring0, state.ring0)
+    # rows not written yet: dilations 4 and 8 leave 1 + 5 per stack at t=3
+    assert (~fork.ring.any(axis=1)).sum() == (12 if fork_at == 3 else 0)
     xs = {"state": x, "fork": x}
     outs = {"state": [], "fork": []}
     for _ in range(80 - fork_at):
@@ -352,3 +396,68 @@ def test_forked_state_continues_bit_exact(fork_at):
     for name in outs:
         assert np.array_equal(np.array(outs[name], np.float32), whole[fork_at:])
     assert fork.counter.snapshot() == state.counter.snapshot()
+
+
+def test_forked_ring_is_independent():
+    net = build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=3, channels=2, seed=9))
+    state = incremental_init(net)
+    for _ in range(5):
+        incremental_step(net, state, 0.25)
+    fork = copy.deepcopy(state)
+    ring, ring0 = state.ring.copy(), state.ring0.copy()
+    for _ in range(7):
+        incremental_step(net, fork, -0.75)
+    assert state.t == 5 and np.array_equal(state.ring, ring) and np.array_equal(state.ring0, ring0)
+    assert not np.array_equal(fork.ring, ring)
+
+
+def _run(net, xs, state=None):
+    state = incremental_init(net) if state is None else state
+    return np.array([incremental_step(net, state, x) for x in xs], np.float32)
+
+
+def test_states_of_one_network_interleaved_stay_bit_exact():
+    net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=4, seed=6))
+    rng = np.random.default_rng(6)
+    xa, xb = rng.uniform(-1, 1, (2, 60)).astype(np.float32)
+    a, b = incremental_init(net), incremental_init(net)
+    ya, yb = [], []
+    for va, vb in zip(xa, xb):
+        ya.append(incremental_step(net, a, va))
+        yb.append(incremental_step(net, b, vb))
+    assert np.array_equal(np.array(ya, np.float32), forward_full(net, xa))
+    assert np.array_equal(np.array(yb, np.float32), forward_full(net, xb))
+
+
+def test_states_of_one_network_in_threads_stay_bit_exact():
+    # each thread steps its own state; the column scratch is per thread
+    net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=4, seed=7))
+    inputs = np.random.default_rng(7).uniform(-1, 1, (4, 300)).astype(np.float32)
+    results = [None] * len(inputs)
+
+    def work(i):
+        results[i] = _run(net, inputs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for xs, ys in zip(inputs, results):
+        assert np.array_equal(ys, forward_full(net, xs))
+
+
+def test_network_pickle_and_deepcopy_round_trip():
+    net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=8))
+    xs = np.random.default_rng(8).uniform(-1, 1, 40).astype(np.float32)
+    want = _run(net, xs)  # builds this thread's scratch first
+    for other in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert other.spec == net.spec
+        assert np.array_equal(_run(other, xs), want)
+        assert other._local.scratch is not net._local.scratch

@@ -13,6 +13,7 @@ from convgen import (
     ShapeError,
 )
 from convgen.tensor import (
+    Column,
     as_tensor,
     conv1d_full,
     conv1d_point,
@@ -155,6 +156,60 @@ def test_point_contract_errors(batch):
         transposed_point(w, 2, tap(3))
     with pytest.raises(ShapeError):
         transposed_point(w, 0, tap(2))
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_column_matches_tuple_path(k, batch):
+    rng = np.random.default_rng(20 + k)
+    w = rand_weights(rng, 4, 3, (k,))
+    cols = () if batch is None else (batch,)
+    buf = np.ones((3 * k + 1,) + cols, np.float32)
+    col = Column(buf, 3)
+    assert len(col) == k and all(np.shares_memory(tap, buf) for tap in col)
+    taps = [rng.uniform(-1, 1, (3,) + cols).astype(np.float32) for _ in range(k)]
+    for view, tap in zip(col, taps):
+        view[...] = tap  # filling a tap view fills the column
+    assert np.array_equal(buf[:-1], np.concatenate(taps))
+    want, got = OpCounter(), OpCounter()
+    expected = conv1d_point(w, taps, want)
+    assert np.array_equal(conv1d_point(w, col, got), expected)  # bit for bit
+    assert got.snapshot() == want.snapshot()
+    out = np.zeros_like(expected)
+    assert conv1d_point(w, col, None, out) is out
+    assert np.array_equal(out, expected)
+    tuple_out = np.zeros_like(expected)
+    assert conv1d_point(w, taps, None, tuple_out) is tuple_out
+    assert np.array_equal(tuple_out, expected)
+
+
+def test_column_contract_errors():
+    rng = np.random.default_rng(3)
+    w = rand_weights(rng, 2, 3, (2,))
+    for buf, in_ch in (
+        (np.ones(6, np.float32), 3),  # not k*3 + 1 rows
+        (np.ones(3, np.float32), 3),  # no tap at all
+        (np.ones(7, np.float64), 3),  # not float32
+        (np.ones((7, 4), np.float32)[:, ::2], 3),  # not contiguous
+        (np.ones((7, 2, 2), np.float32), 3),
+        (np.ones(7, np.float32), 0),
+    ):
+        with pytest.raises(ShapeError):
+            Column(buf, in_ch)
+    with pytest.raises(InvalidParameterError):
+        Column(np.zeros(7, np.float32), 3)  # the last row must be ones
+    for buf, in_ch in (
+        (np.ones(4, np.float32), 3),  # one tap short
+        (np.ones(10, np.float32), 3),  # one tap too many
+        (np.ones(5, np.float32), 2),  # wrong channel count
+        (np.ones(7, np.float32), 1),  # right rows, wrong taps
+    ):
+        with pytest.raises(ShapeError):
+            conv1d_point(w, Column(buf, in_ch))
+    col = Column(np.ones(7, np.float32), 3)
+    for out in (np.zeros(3, np.float32), np.zeros(2, np.float64), np.zeros((2, 1), np.float32)):
+        with pytest.raises(ShapeError):
+            conv1d_point(w, col, None, out)
 
 
 def test_fused_matrix_layout():

@@ -2,17 +2,16 @@
 (The firing schedule of strided/transposed stacks is `strided.StridedPlan`.)
 
 `_frozen_zeros(width)` is the one shared read-only zero vector per width
-that pre-fills every 1D cache, so the pre-fill costs no allocation per slot
-and cannot be corrupted through a reference read from a cache.  The cached
-dilated engine pre-fills its per-layer slot rings with it.
+that pre-fills a `FifoCache`, so the pre-fill costs no allocation per slot
+and cannot be corrupted through a reference read from the cache.
 
 A `FifoCache` holds exactly `capacity` states and is pre-filled with zeros
 so that popping at the start of a sequence reads the same implicit causal
 padding the naive engine uses.  Pop and push strictly alternate; any other
 order is a scheduling bug and raises instead of producing plausible output.
-No engine uses it any more (the dilated engine indexes a plain slot ring by
-t % dilation); it is kept for its own tests and for the benchmark tracer,
-which patches its methods.
+No engine uses it any more (the dilated engine keeps one ring read at row
+offset + t % dilation per layer); it is kept for its own tests and for the
+benchmark tracer, which patches its methods.
 
 A `RowCache` holds the last kh rows a 2D vertical conv reads, in one
 preallocated ring with every row left-padded by kw - 1 zero columns.  A

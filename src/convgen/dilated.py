@@ -21,12 +21,12 @@ cached engine  - column-resident, for n = stacks * L layers: the state is
                  back into the ring with one fancy index.  The last layer
                  writes into the head's [h; 1] column.
 
-The column matrix carries nothing from one step to the next, so it is
-scratch: one per network and per thread (`threading.local`), built with its
-`Column`s and ring offsets on a thread's first step with that network.  That
-keeps a network shareable across threads and `init` as cheap as allocating
-the ring.  The scratch holds (n-1)*(2C+1) + C + 5 floats, which
-`cached_values` (and so `state_bytes`) does not count.
+The column matrix carries nothing from one step to the next, so it is a
+workspace: one per network and per thread (`threading.local`), built with
+its `Column`s and ring offsets on a thread's first step with that network.
+That keeps a network shareable across threads and `init` as cheap as
+allocating the ring.  The workspace holds (n-1)*(2C+1) + C + 5 floats,
+which `cached_values` (and so `state_bytes`) does not count.
 
 Both engines route every node through `conv1d_point`, so their outputs are
 bit-identical, not merely close.
@@ -166,7 +166,7 @@ class LayerDef:
 class DilatedNetwork:
     """Immutable weights for a dilated stack; shareable across threads.
 
-    The cached engine's per-thread column scratch hangs off `_local`; it is
+    The cached engine's per-thread column workspace hangs off `_local`; it is
     not part of the network's value, so it is neither compared nor copied:
     a pickled or deep-copied network builds its own on first use.
     """
@@ -320,7 +320,7 @@ def incremental_init(network: DilatedNetwork, counter: OpCounter | None = None) 
     )
 
 
-class _Scratch:
+class _Workspace:
     """One thread's column matrix for one network, with the per-layer plan.
 
     `cols` row l-1 is layer l's column [old tap; new tap; 1]; `col0` is
@@ -349,13 +349,13 @@ class _Scratch:
         self.head_col = Column(self.head, C)
 
 
-def _scratch(network: DilatedNetwork) -> _Scratch:
+def _workspace(network: DilatedNetwork) -> _Workspace:
     local = network._local
     try:
-        return local.scratch
+        return local.workspace
     except AttributeError:
-        local.scratch = scratch = _Scratch(network)
-        return scratch
+        local.workspace = workspace = _Workspace(network)
+        return workspace
 
 
 def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating:
@@ -366,7 +366,7 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     stored, and each layer owns its own ring rows, so one gather before the
     layers and one scatter after them equal a read-then-store per layer.
     """
-    s = _scratch(network)
+    s = _workspace(network)
     col0 = s.col0
     try:
         col0[1] = x

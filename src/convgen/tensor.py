@@ -10,8 +10,11 @@ on the same primitive, can be compared bit for bit.
 
 The column is either concatenated per call from a sequence of tap arrays,
 or already assembled: a `Column` is the k tap views of one preallocated
-[taps; 1] buffer, which an engine fills in place (the cached dilated step
-keeps one per layer), so the point evaluation is the dot alone.
+[taps; 1] buffer, which an engine fills in place, so the point evaluation is
+the dot alone.  The cached dilated step keeps one `Column` per layer, rows
+of a (layers-1, 2C+1) matrix held once per network and per thread (see
+`convgen.dilated`); that workspace is not engine state and `state_bytes` does
+not count it.
 
 Every kernel accepts an optional `OpCounter` and reports exact
 multiply-accumulate and node-evaluation counts; these counters, not wall
@@ -191,39 +194,34 @@ def conv1d_point(
     there and `out` is returned.
     """
     if type(taps) is Column:
-        buf = taps.buf
-        fused = weights.fused
-        if len(taps) != weights.k or len(buf) != fused.shape[1]:
+        column = taps.buf
+        if len(taps) != weights.k or len(column) != weights.fused.shape[1]:
             raise ShapeError(
-                f"column of {len(taps)} taps and {len(buf)} rows for weights "
-                f"of {weights.k} taps and {fused.shape[1]} rows"
+                f"column of {len(taps)} taps and {len(column)} rows for weights "
+                f"of {weights.k} taps and {weights.fused.shape[1]} rows"
             )
-        try:
-            out = fused.dot(buf, out=out)
-        except ValueError as exc:
-            raise ShapeError(f"out does not fit the result: {exc}") from None
-        if counter is not None:
-            n = 1 if buf.ndim == 1 else buf.shape[1]
-            counter.add(weights.macs * n, n)
-        return out
-    if len(taps) != weights.k:
-        raise ShapeError(f"expected {weights.k} taps, got {len(taps)}")
-    in_ch = weights.in_channels
-    for tap in taps:  # _check_tap, inlined: this is the engines' per-node hot path
-        if tap.ndim not in (1, 2) or tap.shape[0] != in_ch:
-            raise ShapeError(f"tap shape {tap.shape} incompatible with in_channels {in_ch}")
-    first = taps[0]
-    if first.ndim == 1:
-        n, ones = 1, _ONE
+        n = 1 if column.ndim == 1 else column.shape[1]
     else:
-        n = first.shape[1]
-        ones = _ones_row(n)
-    try:
-        column = np.concatenate((*taps, ones))
-    except ValueError:
-        raise ShapeError(
-            f"taps disagree in batch shape: {[t.shape for t in taps]}"
-        ) from None
+        if len(taps) != weights.k:
+            raise ShapeError(f"expected {weights.k} taps, got {len(taps)}")
+        in_ch = weights.in_channels
+        for tap in taps:  # _check_tap, inlined: this is the engines' per-node hot path
+            if tap.ndim not in (1, 2) or tap.shape[0] != in_ch:
+                raise ShapeError(
+                    f"tap shape {tap.shape} incompatible with in_channels {in_ch}"
+                )
+        first = taps[0]
+        if first.ndim == 1:
+            n, ones = 1, _ONE
+        else:
+            n = first.shape[1]
+            ones = _ones_row(n)
+        try:
+            column = np.concatenate((*taps, ones))
+        except ValueError:
+            raise ShapeError(
+                f"taps disagree in batch shape: {[t.shape for t in taps]}"
+            ) from None
     try:
         out = weights.fused.dot(column, out=out)
     except ValueError as exc:

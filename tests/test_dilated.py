@@ -349,8 +349,8 @@ def test_cached_vectors_are_never_written():
         x = incremental_step(net, state, x)
         changed = set(np.flatnonzero((state.ring != before).any(axis=1)))
         assert changed <= {off + t % d for off, d in layout}
-    # the per-thread column scratch is not part of the state
-    assert not any(np.shares_memory(state.ring, a) for a in vars(net._local.scratch).values()
+    # the per-thread column workspace is not part of the state
+    assert not any(np.shares_memory(state.ring, a) for a in vars(net._local.workspace).values()
                    if isinstance(a, np.ndarray))
     assert state.cached_values() == sum(l.dilation * l.weights.in_channels for l in net.layers)
 
@@ -430,7 +430,7 @@ def test_states_of_one_network_interleaved_stay_bit_exact():
 
 
 def test_states_of_one_network_in_threads_stay_bit_exact():
-    # each thread steps its own state; the column scratch is per thread
+    # each thread steps its own state; the column workspace is per thread
     net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=4, seed=7))
     inputs = np.random.default_rng(7).uniform(-1, 1, (4, 300)).astype(np.float32)
     results = [None] * len(inputs)
@@ -456,8 +456,8 @@ def test_states_of_one_network_in_threads_stay_bit_exact():
 def test_network_pickle_and_deepcopy_round_trip():
     net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=8))
     xs = np.random.default_rng(8).uniform(-1, 1, 40).astype(np.float32)
-    want = _run(net, xs)  # builds this thread's scratch first
+    want = _run(net, xs)  # builds this thread's workspace first
     for other in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
         assert other.spec == net.spec
         assert np.array_equal(_run(other, xs), want)
-        assert other._local.scratch is not net._local.scratch
+        assert other._local.workspace is not net._local.workspace

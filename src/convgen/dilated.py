@@ -1,7 +1,7 @@
 """1D dilated-stack autoregressive models and their two generation engines.
 
 The network family: `stacks` repeats of L two-tap causal conv layers with
-dilations 1, 2, 4, ... 2^(L-1), tanh activations, and a final linear 1x1
+dilations 1, 2, 4, ... 2^(L-1), every one tanh, and a final linear 1x1
 projection to one channel.  Generation is deterministic: the raw output
 scalar is fed back as the next input, which makes the naive and cached
 engines exactly comparable.
@@ -25,8 +25,9 @@ The column matrix carries nothing from one step to the next, so it is a
 workspace: one per network and per thread (`threading.local`), built with
 its `Column`s and ring offsets on a thread's first step with that network.
 That keeps a network shareable across threads and `init` as cheap as
-allocating the ring.  The workspace holds (n-1)*(2C+1) + C + 5 floats,
-which `cached_values` (and so `state_bytes`) does not count.
+allocating the ring; a copied or pickled network, rebuilt through its
+constructor, starts with none.  The workspace holds (n-1)*(2C+1) + C + 5
+floats, which `cached_values` (and so `state_bytes`) does not count.
 
 Both engines route every node through `conv1d_point`, so their outputs are
 bit-identical, not merely close.
@@ -112,6 +113,8 @@ class NetworkSpec:
             raise InvalidParameterError("the dilated family takes no strides")
         if self.family == "strided" and not self.strides:
             raise InvalidParameterError("strided family requires a strides list")
+        if self.family == "strided" and (self.stacks, self.layers_per_stack) != (1, 1):
+            raise InvalidParameterError("the strided family takes no stacks or layers_per_stack")
 
     def dilations(self) -> list[int]:
         """Per-layer dilations, input to output: 2^i within each stack."""
@@ -157,9 +160,8 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class LayerDef:
-    weights: ConvWeights
+    weights: ConvWeights  # every layer is tanh
     dilation: int
-    activation: str  # "tanh" | "linear"
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,8 @@ class DilatedNetwork:
 
     The cached engine's per-thread column workspace hangs off `_local`; it is
     not part of the network's value, so it is neither compared nor copied:
-    a pickled or deep-copied network builds its own on first use.
+    a copy or a pickle is rebuilt through the constructor (`__reduce__`) and
+    builds its own on first use.
     """
 
     spec: NetworkSpec
@@ -178,11 +181,8 @@ class DilatedNetwork:
         init=False, repr=False, compare=False, default_factory=threading.local
     )
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_local"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, _local=threading.local())
+    def __reduce__(self):
+        return DilatedNetwork, (self.spec, self.layers, self.head)
 
 
 def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> ConvWeights:
@@ -201,9 +201,7 @@ def build_network(spec: NetworkSpec):
         layers = []
         for idx, d in enumerate(spec.dilations()):
             in_ch = 1 if idx == 0 else spec.channels
-            layers.append(
-                LayerDef(draw_weights(rng, spec.channels, in_ch, 2), d, "tanh")
-            )
+            layers.append(LayerDef(draw_weights(rng, spec.channels, in_ch, 2), d))
         head = draw_weights(rng, 1, spec.channels, 1)
         return DilatedNetwork(spec, tuple(layers), head)
     from .strided import build_strided_network
@@ -265,8 +263,7 @@ def _tree_eval(layers, source, pos, counter):
         layer = layers[level - 1]
         d = layer.dilation
         taps = [value(level - 1, p - d), value(level - 1, p)]
-        h = conv1d_point(layer.weights, taps, counter)
-        return np.tanh(h) if layer.activation == "tanh" else h
+        return np.tanh(conv1d_point(layer.weights, taps, counter))
 
     return value(len(layers), pos)
 
@@ -342,10 +339,7 @@ class _Workspace:
         self.y = zeros(1)
         columns = [Column(self.col0, 1)] + [Column(row, C) for row in cols]
         outs = list(self.new) + [self.head[:C]]
-        self.layers = tuple(
-            (layer.weights, col, out, layer.activation == "tanh")
-            for layer, col, out in zip(network.layers, columns, outs)
-        )
+        self.layers = tuple(zip([layer.weights for layer in network.layers], columns, outs))
         self.head_col = Column(self.head, C)
 
 
@@ -378,10 +372,8 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     rows = s.offsets + t % s.dils
     state.ring.take(rows, axis=0, out=s.old, mode="clip")
     counter = state.counter
-    for weights, col, out, tanh in s.layers:
-        conv1d_point(weights, col, counter, out)
-        if tanh:
-            np.tanh(out, out=out)
+    for weights, col, out in s.layers:
+        np.tanh(conv1d_point(weights, col, counter, out), out=out)
     y = conv1d_point(network.head, s.head_col, counter, s.y)
     state.ring[rows] = s.new
     ring0[t % len(ring0)] = col0[1]
@@ -400,8 +392,6 @@ def forward_full(
     """Causal forward pass over an entire input sequence at once."""
     x = np.asarray(inputs, dtype=DTYPE)[None, :]
     for layer in network.layers:
-        x = conv1d_full(layer.weights, x, dilation=layer.dilation, counter=counter)
-        if layer.activation == "tanh":
-            x = np.tanh(x)
+        x = np.tanh(conv1d_full(layer.weights, x, dilation=layer.dilation, counter=counter))
     y = conv1d_full(network.head, x, dilation=1, counter=counter)
     return y[0]

@@ -3,9 +3,10 @@ horizontal masked streams.
 
 Per block: a vertical conv reading rows strictly above the current pixel
 (column window ending at the current column), and a horizontal conv reading
-strictly-left pixels of the current row plus a 1x1 link from the block's
-vertical features.  A linear head predicts the pixel, whose raw value is
-written back into the image (deterministic feedback).
+strictly-left pixels of the current row plus a 1x1 link (a bias-free
+`ConvWeights`) from the block's vertical features.  A linear head predicts
+the pixel, whose raw value is written back into the image (deterministic
+feedback).
 
 The naive engine runs a full vectorised image pass per generated pixel
 (H*W passes per image).  The cached engine keeps one RowCache of the last
@@ -85,7 +86,7 @@ class ImageSpec:
 class ImageBlock:
     vert: ConvWeights                 # (c, in_v, kh, kw), rows strictly above
     horiz: ConvWeights                # (c, in_h, 1, h_kw), strictly left
-    link: np.ndarray                  # (c, c) 1x1 from vertical features
+    link: ConvWeights                 # (c, c, 1) 1x1 from vertical features, zero bias
     down: ConvWeights | None = None   # (c, c, 2) stride-2 over rows
     up: ConvWeights | None = None     # (c, c, 2) transposed stride-2 over rows
 
@@ -109,7 +110,7 @@ def build_image_network(spec: ImageSpec) -> ImageNetwork:
             down = draw_weights(rng, c, c, 2)
             up = draw_weights(rng, c, c, 2)
         a = 0.5 / np.sqrt(c)
-        link = rng.uniform(-a, a, size=(c, c)).astype(DTYPE)
+        link = ConvWeights(rng.uniform(-a, a, size=(c, c, 1)).astype(DTYPE), zeros(c))
         in_h = 1 if i == 0 else c
         horiz = draw_weights(rng, c, in_h, (1, spec.h_kw))
         blocks.append(ImageBlock(vert=vert, horiz=horiz, link=link, down=down, up=up))
@@ -154,7 +155,6 @@ def forward_image(network: ImageNetwork, images: np.ndarray, counter: OpCounter 
     """
     v = images
     hin = images
-    c = network.spec.channels
     for block in network.blocks:
         vpre = masked_conv2d(block.vert, v, "vertical", counter)
         if block.down is not None:
@@ -164,9 +164,9 @@ def forward_image(network: ImageNetwork, images: np.ndarray, counter: OpCounter 
         else:
             vfeat = np.tanh(vpre)
         hpre = masked_conv2d(block.horiz, hin, "horizontal", counter)
-        hpre = hpre + _tdot(block.link, vfeat)
+        hpre = hpre + _tdot(block.link.kernel[:, :, 0], vfeat)
         if counter is not None:
-            counter.add(c * c * vfeat.shape[1] * vfeat.shape[2] * vfeat.shape[3], nodes=0)
+            counter.add(block.link.macs * vfeat[0].size, nodes=0)
         hfeat = np.tanh(hpre)
         v = vfeat
         hin = hfeat
@@ -342,10 +342,10 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
         state.row_caches[i + 1].push_row(rows[i])
     c, n = spec.channels, spec.width * state.batch
     # (W, C, B), so that each pixel step adds one contiguous (C, B) block
-    state.links = [
-        np.matmul(block.link, row.transpose(1, 0, 2)) for block, row in zip(network.blocks, rows)
-    ]
-    counter.add(spec.n_layers * c * c * n, nodes=0)
+    state.links = []
+    for block, row in zip(network.blocks, rows):
+        state.links.append(np.matmul(block.link.kernel[:, :, 0], row.transpose(1, 0, 2)))
+        counter.add(block.link.macs * n, nodes=0)
     state.v_ready = True
     for i, hist in enumerate(state.h_hist):  # strictly-left taps start as zeros
         hist.extend([zeros((1 if i == 0 else c, state.batch))] * spec.h_kw)

@@ -192,7 +192,7 @@ def strided_incremental_init(
 ) -> StridedState:
     recent = [
         deque((zeros(l.weights.in_channels) for _ in range(l.weights.k - 1)),
-              maxlen=max(l.weights.k - 1, 1))
+              maxlen=l.weights.k - 1)
         if l.kind == "down" else None
         for l in network.layers
     ]
@@ -218,9 +218,8 @@ def strided_incremental_step(network: StridedNetwork, state: StridedState, x) ->
             recent = state.recent[li]
             for item in items:
                 if state.counts[li] % layer.stride == 0:
-                    produced.append(conv1d_point(w, (*recent, item)[-w.k :], counter))
-                if w.k > 1:
-                    recent.append(item)
+                    produced.append(conv1d_point(w, (*recent, item), counter))
+                recent.append(item)
                 state.counts[li] += 1
         else:
             for item in items:

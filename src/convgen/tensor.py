@@ -16,6 +16,9 @@ of a (layers-1, 2C+1) matrix held once per network and per thread (see
 `convgen.dilated`); that workspace is not engine state and `state_bytes` does
 not count it.
 
+`ConvWeights` is the one weight type: every array in it is read-only, a copy
+or a pickle is rebuilt through its constructor, and `==` compares values.
+
 Every kernel accepts an optional `OpCounter` and reports exact
 multiply-accumulate and node-evaluation counts; these counters, not wall
 time, are the primary complexity measurement.
@@ -89,7 +92,9 @@ class ConvWeights:
     `k` is the number of taps and `macs` the exact multiply-accumulates of
     one node.  Everything is built once, at construction, and every array is
     read-only (`kernel` and `bias` are private copies), so the kernels that
-    read `kernel` and those that read `fused` cannot drift apart.
+    read `kernel` and those that read `fused` cannot drift apart.  A copy or
+    a pickle is rebuilt through the constructor from `kernel` and `bias`, so
+    it keeps both promises; `==` compares `kernel` and `bias` by value.
     """
 
     kernel: np.ndarray
@@ -130,6 +135,13 @@ class ConvWeights:
         )
         for name, value in values.items():
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return ConvWeights, (self.kernel, self.bias)
+
+    def __eq__(self, other):
+        return (type(other) is ConvWeights and np.array_equal(self.kernel, other.kernel)
+                and np.array_equal(self.bias, other.bias))
 
 
 def _check_tap(tap: np.ndarray, in_channels: int) -> None:

@@ -316,7 +316,7 @@ def test_fault_injection_breaks_equivalence():
     corrupt_kernel = net.layers[1].weights.kernel.copy()
     corrupt_kernel[0, 0, 0] += 0.25
     bad_layer = type(net.layers[1])(
-        ConvWeights(corrupt_kernel, net.layers[1].weights.bias), net.layers[1].dilation, "tanh"
+        ConvWeights(corrupt_kernel, net.layers[1].weights.bias), net.layers[1].dilation
     )
     layers = list(net.layers)
     layers[1] = bad_layer

@@ -3,6 +3,7 @@
 and constant-memory generation."""
 
 import copy
+import dataclasses
 import pickle
 import sys
 import threading
@@ -12,10 +13,12 @@ import pytest
 
 from convgen import (
     ConvWeights,
+    ImageSpec,
     InvalidParameterError,
     NetworkSpec,
     OpCounter,
     ShapeError,
+    build_image_network,
     build_network,
     forward_full,
     generate,
@@ -69,6 +72,14 @@ def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         NetworkSpec.from_json('{"family": "dilated", "strides": ["down2", "up2"]}')
     assert NetworkSpec("strided", strides=["down2", "up2"]).strides == ("down2", "up2")
+    # no strided engine reads stacks or layers_per_stack, so they would only break equality
+    for bad in (dict(stacks=3), dict(layers_per_stack=5), dict(stacks=3, layers_per_stack=5)):
+        with pytest.raises(InvalidParameterError):
+            NetworkSpec("strided", strides=("down2", "up2"), **bad)
+    for text in ('{"family": "strided", "strides": ["down2", "up2"], "stacks": 3}',
+                 '{"family": "strided", "strides": ["down2", "up2"], "layers": 5}'):
+        with pytest.raises(InvalidParameterError):
+            NetworkSpec.from_json(text)
     # numpy integers are integers, stored as int so that to_json works
     spec = NetworkSpec("dilated", stacks=np.int64(2), seed=np.uint64(2**64 - 1))
     assert type(spec.stacks) is int and type(spec.seed) is int
@@ -91,6 +102,36 @@ def test_build_deterministic():
     assert np.array_equal(a.head.kernel, b.head.kernel)
     other = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=8, seed=124))
     assert not np.array_equal(a.layers[0].weights.kernel, other.layers[0].weights.kernel)
+
+
+NETWORK_SPECS = [
+    NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=8),
+    NetworkSpec("strided", channels=3, strides=("down2", "down2", "up2", "up2"), seed=8),
+    ImageSpec(6, 6, channels=3, n_layers=2, row_pair=True, seed=8),
+]
+
+
+def _build(spec):
+    return build_image_network(spec) if isinstance(spec, ImageSpec) else build_network(spec)
+
+
+def _all_weights(obj):
+    """Every `ConvWeights` reachable through a network's dataclass fields and tuples."""
+    if isinstance(obj, ConvWeights):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _all_weights(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _all_weights(getattr(obj, f.name))
+
+
+@pytest.mark.parametrize("spec", NETWORK_SPECS, ids=lambda s: s.family)
+def test_networks_compare_by_value(spec):
+    a, b = _build(spec), _build(spec)
+    assert a is not b and a == b
+    assert a != _build(dataclasses.replace(spec, seed=spec.seed + 1))
 
 
 def test_weight_scale_bound():
@@ -159,7 +200,6 @@ def zero_network(L=2, channels=2):
             LayerDef(
                 ConvWeights(np.zeros((channels, in_ch, 2), np.float32), np.zeros(channels, np.float32)),
                 d,
-                "tanh",
             )
         )
     head = ConvWeights(np.zeros((1, channels, 1), np.float32), np.zeros(1, np.float32))
@@ -454,10 +494,20 @@ def test_states_of_one_network_in_threads_stay_bit_exact():
 
 
 def test_network_pickle_and_deepcopy_round_trip():
-    net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=8))
+    # every copy is rebuilt equal: read-only weights (image links too), each
+    # weights' tap_mats viewing its own fused
+    for spec in NETWORK_SPECS:
+        net = _build(spec)
+        for other in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+            assert other == net
+            weights = list(_all_weights(other))
+            assert len(weights) == len(list(_all_weights(net))) > 0
+            for w in weights:
+                assert not any(a.flags.writeable for a in (w.kernel, w.bias, w.fused, *w.tap_mats))
+                assert all(np.shares_memory(m, w.fused) for m in w.tap_mats)
+    net = _build(NETWORK_SPECS[0])
     xs = np.random.default_rng(8).uniform(-1, 1, 40).astype(np.float32)
     want = _run(net, xs)  # builds this thread's workspace first
     for other in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
-        assert other.spec == net.spec
         assert np.array_equal(_run(other, xs), want)
         assert other._local.workspace is not net._local.workspace

@@ -1,5 +1,8 @@
 """2D model tests: naive/cached equivalence, row-at-a-time vertical stream,
-raster causality, batch lockstep, memory bounds, and the PGM dump."""
+raster causality, batch lockstep, state forks, memory bounds, and the PGM
+dump."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -103,7 +106,7 @@ def test_one_pixel_image_is_pure_bias_path():
     for block in net.blocks:
         v = np.tanh(block.vert.bias + block.vert.tap_mats[0] @ v * 0)
         # vertical tap reads row -1 => zero; horizontal tap reads col -1 => zero
-        h = np.tanh(block.horiz.bias + block.link @ v)
+        h = np.tanh(block.horiz.bias + block.link.kernel[:, :, 0] @ v)
     want = net.proj.bias + net.proj.tap_mats[0] @ h
     got = generate(net, engine="naive")
     assert got.shape == (1, 1)
@@ -307,6 +310,28 @@ def test_batch_validation():
     for init in (image_naive_init, image_incremental_init):
         with pytest.raises(InvalidParameterError):
             init(net, batch=2.5)
+
+
+@pytest.mark.parametrize("row_pair", [False, True])
+def test_forked_state_continues_bit_exact(row_pair):
+    # fork mid-row 2: with the pair, its burst has left one up row pending
+    spec = ImageSpec(6, 6, channels=3, n_layers=2, row_pair=row_pair, seed=12)
+    net = build_image_network(spec)
+    whole = generate(net, batch=2)
+    state = image_incremental_init(net, batch=2)
+    fork_at = 2 * 6 + 3
+    for _ in range(fork_at):
+        image_incremental_step(net, state)
+    fork = copy.deepcopy(state)
+    assert fork.counter is not state.counter
+    assert not np.shares_memory(fork.image, state.image)
+    outs = {"state": [], "fork": []}
+    for _ in range(36 - fork_at):
+        for name, st in (("state", state), ("fork", fork)):  # interleaved
+            outs[name].append(image_incremental_step(net, st))
+    for name in outs:
+        assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:])
+    assert fork.counter.snapshot() == state.counter.snapshot()
 
 
 # ---------------------------------------------------------------------------

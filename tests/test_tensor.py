@@ -1,6 +1,9 @@
 """Kernel-level tests: every conv primitive against scalar-loop oracles,
 counter exactness, and the raster/temporal causality masks."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,21 @@ def test_weights_are_immutable_copies():
     for arr in (w.kernel, w.bias, w.fused, *w.tap_mats):
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+def test_weights_copies_rebuild_and_compare_by_value():
+    # a copy or pickle goes through the constructor: read-only, tap_mats view its own fused
+    w = rand_weights(np.random.default_rng(4), 3, 2, (3,))
+    for other in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert other == w and other is not w
+        assert not np.shares_memory(other.fused, w.fused)
+        for arr in (other.kernel, other.bias, other.fused, *other.tap_mats):
+            assert not arr.flags.writeable
+        assert all(np.shares_memory(m, other.fused) for m in other.tap_mats)
+    assert ConvWeights(w.kernel.copy(), w.bias.copy()) == w
+    assert ConvWeights(w.kernel, w.bias + 1) != w
+    assert ConvWeights(w.kernel[:, :, :2], w.bias) != w  # other shape: unequal, no error
+    assert w != w.kernel and w != None  # noqa: E711
 
 
 # ---------------------------------------------------------------------------

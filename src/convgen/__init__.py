@@ -23,7 +23,6 @@ engine functions (`convgen.dilated`, `convgen.strided`, `convgen.image2d`)
 are imported from their own modules.
 """
 
-from .bench import generate
 from .dilated import (
     NetworkSpec,
     build_network,
@@ -55,6 +54,14 @@ from .strided import (
 from .tensor import ConvWeights, OpCounter
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # so that `python -m convgen.bench` does not find it imported
+    if name != "generate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .bench import generate
+    return generate
+
 
 __all__ = [
     "ConvWeights",

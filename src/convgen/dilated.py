@@ -184,6 +184,9 @@ class DilatedNetwork:
     def __reduce__(self):
         return DilatedNetwork, (self.spec, self.layers, self.head)
 
+    def __hash__(self):
+        return hash(self.spec)  # equal networks have equal specs
+
 
 def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> ConvWeights:
     """Seeded uniform draw at scale 0.5/sqrt(fan_in); fan_in = in_ch * total taps."""

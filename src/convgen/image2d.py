@@ -97,6 +97,9 @@ class ImageNetwork:
     blocks: tuple[ImageBlock, ...]
     proj: ConvWeights
 
+    def __hash__(self):
+        return hash(self.spec)  # equal networks have equal specs
+
 
 def build_image_network(spec: ImageSpec) -> ImageNetwork:
     rng = np.random.default_rng(spec.seed)

@@ -11,9 +11,14 @@ newly-computable nodes, including several outputs, and buffers the extras
 in a pending queue drained on the following steps.
 
 The firing schedule has one model: `StridedPlan` simulates these rules
-once and stores the nodes each layer computes at each phase of the period.
-The incremental engine checks every layer of every step against that
-table, and `firing_trace` expands it.
+once and stores the nodes each layer computes at each phase of the period;
+`firing_trace` expands it.  The incremental engine walks the same rules
+once per plan and layer geometry, depth first, into an op table per phase,
+checked against `plan.nodes` (`_compile`).  A state is one buffer of
+columns: a down layer's [taps; 1] `Column` and an up layer's [vec; 1].  A
+step writes x into the first column and runs its phase's ops: a node
+(`conv1d_point` or `transposed_point`) writes straight into the next
+column's newest tap, and a down window shifts after each input.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,8 +38,10 @@ from .errors import (
 )
 from .tensor import (
     DTYPE,
+    Column,
     ConvWeights,
     OpCounter,
+    _frozen,
     conv1d_point,
     strided_conv1d,
     strided_transposed_conv1d,
@@ -131,6 +138,14 @@ class StridedNetwork:
     plan: StridedPlan
     layers: tuple[StridedLayer, ...]
 
+    def __hash__(self):
+        return hash(self.spec)  # equal networks have equal specs
+
+    @cached_property
+    def _program(self) -> tuple:  # the incremental engine, `_compile`d once per network
+        return _compile(self.plan, tuple((l.kind, l.stride, *l.weights.kernel.shape)
+                                         for l in self.layers))
+
 
 def build_strided_network(spec) -> StridedNetwork:
     plan = StridedPlan.from_spec(spec)
@@ -170,76 +185,107 @@ def strided_receptive_field(plan: StridedPlan, kernel_size: int = 2) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StridedState:
-    """Per layer: the last k-1 inputs of a down layer (None for an up layer)
-    and the count of inputs it has seen; plus the outputs computed ahead."""
+@cache
+def _compile(plan: StridedPlan, geometry: tuple) -> tuple:
+    """(blank, layout, phases) for a plan and each layer's (kind, stride, out,
+    in, taps).  Layer i's column is `buf[start:stop]` for `(start, stop, in,
+    is_down) = layout[i]`, then the output; `phases[p]` lists the ops (code
+    "down", "up" or "shift", layer, phase or tap) of the steps t with t %
+    period == p.  A phase whose node counts differ from `plan.nodes`, or a
+    period that does not close the walk, raises `ScheduleViolationError`."""
+    n, layout, end = len(geometry), [], 0
+    for kind, _, _, in_ch, k in geometry:
+        down = kind == "down"
+        layout.append((end, end + (k if down else 1) * in_ch + 1, in_ch, down))
+        end = layout[-1][1]
+    blank = zeros(end + geometry[-1][2])
+    blank[[stop - 1 for _, stop, _, _ in layout]] = 1
+    counts = [0] * n
 
-    recent: list
-    counts: list
+    def feed(i, ops):  # an item has just been written into column i's newest tap
+        kind, s, _, _, k = geometry[i]
+        # an up node fires s phases per input, a down node on each input counted 0 mod s
+        fires = range(s) if kind == "up" else range(int(counts[i] % s == 0))
+        counts[i] += 1
+        for r in fires:
+            ops.append((kind, i, r))
+            if i + 1 < n:
+                feed(i + 1, ops)
+        if kind == "down":
+            ops.extend(("shift", i, j) for j in range(k - 1))
+
+    phases = []
+    for p, expected in enumerate(plan.nodes):
+        ops = []
+        feed(0, ops)
+        fired = tuple(sum(c != "shift" and li == i for c, li, _ in ops) for i in range(n))
+        if fired != expected:
+            raise ScheduleViolationError(f"phase {p} computes {fired} nodes per layer, "
+                                         f"plan says {expected}")
+        phases.append(tuple(ops))
+    if any(c % s for c, (kind, s, *_) in zip(counts, geometry) if kind == "down"):
+        raise ScheduleViolationError("the plan's period does not close the firing schedule")
+    return _frozen(blank), tuple(layout), tuple(phases)
+
+
+@dataclass(eq=False)
+class StridedState:
+    """`_compile`'s columns over one float32 buffer, plus the outputs computed
+    ahead.  Between steps the down windows carry their last k-1 inputs; the
+    rest of `buf` is rewritten before it is read.  Copies and pickles rebuild
+    the views over their own buffer."""
+
+    buf: np.ndarray
+    layout: tuple
     pending: deque
     t: int
     counter: OpCounter
 
-    def cached_values(self) -> int:
-        return sum(int(v.size) for r in self.recent if r for v in r) + sum(
-            int(v.size) for v in self.pending
-        )
+    def __post_init__(self):
+        buf, layout = self.buf, self.layout
+        self.columns = tuple(Column(buf[a:b], c) if down else buf[a:b] for a, b, c, down in layout)
+        # where each layer's input goes: its column's newest tap; then the output
+        self.newest = (*(buf[b - 1 - c : b - 1] for _, b, c, _ in layout), buf[layout[-1][1] :])
+
+    def __reduce__(self):
+        return StridedState, (self.buf, self.layout, self.pending, self.t, self.counter)
+
+    def cached_values(self) -> int:  # the windows' k-1 inputs, plus the pending outputs
+        return sum(b - a - 1 - c for a, b, c, _ in self.layout) + len(self.pending)
 
 
 def strided_incremental_init(
     network: StridedNetwork, counter: OpCounter | None = None
 ) -> StridedState:
-    recent = [
-        deque((zeros(l.weights.in_channels) for _ in range(l.weights.k - 1)),
-              maxlen=l.weights.k - 1)
-        if l.kind == "down" else None
-        for l in network.layers
-    ]
-    return StridedState(recent=recent, counts=[0] * len(network.layers), pending=deque(),
-                        t=0, counter=counter or OpCounter())
+    blank, layout, _ = network._program
+    return StridedState(blank.copy(), layout, deque(), 0, counter or OpCounter())
 
 
 def strided_incremental_step(network: StridedNetwork, state: StridedState, x) -> np.floating:
-    """Feed one input, cascade firings down the stack, emit exactly one output.
-
-    A down layer fires on every stride-th input it sees; an up layer emits
-    `stride` outputs for each input at once.
-    """
-    plan = network.plan
-    t = state.t
-    expected = plan.nodes[t % plan.period]
-    counter = state.counter
-    items = [np.array([x], dtype=DTYPE)]
-    for li, layer in enumerate(network.layers):
-        w = layer.weights
-        produced = []
-        if layer.kind == "down":
-            recent = state.recent[li]
-            for item in items:
-                if state.counts[li] % layer.stride == 0:
-                    produced.append(conv1d_point(w, (*recent, item), counter))
-                recent.append(item)
-                state.counts[li] += 1
+    """Feed one input, run the op table of its phase, emit exactly one output.
+    The kernels are looked up by name at each call, one call per node."""
+    t, phases = state.t, network._program[2]
+    layers, cols, newest, counter = network.layers, state.columns, state.newest, state.counter
+    last = len(layers) - 1
+    newest[0][0] = x
+    for code, li, r in phases[t % len(phases)]:
+        if code == "shift":  # tap r of the window takes tap r + 1
+            cols[li][r][...] = cols[li][r + 1]
+            continue
+        if code == "down":
+            h = conv1d_point(layers[li].weights, cols[li], counter, out=newest[li + 1])
         else:
-            for item in items:
-                for r in range(layer.stride):
-                    produced.append(transposed_point(w, r, item, counter))
-        if layer.activation == "tanh":
-            for h in produced:
-                np.tanh(h, out=h)
-        if len(produced) != expected[li]:
-            raise ScheduleViolationError(
-                f"layer {li + 1} computed {len(produced)} nodes at t={t}, "
-                f"plan says {expected[li]}"
-            )
-        items = produced
-    state.pending.extend(items)
-    if not state.pending:
-        raise ScheduleViolationError(f"no pending output available at t={t}")
-    y = state.pending.popleft()
-    state.t += 1
-    return y[0]
+            h = transposed_point(layers[li].weights, r, cols[li], counter, out=newest[li + 1])
+        if li < last:
+            np.tanh(h, out=h)
+        else:
+            state.pending.append(h[0])
+    try:
+        y = state.pending.popleft()
+    except IndexError:
+        raise ScheduleViolationError(f"no pending output available at t={t}") from None
+    state.t = t + 1
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ time, are the primary complexity measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def zeros(shape) -> np.ndarray:
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """`a`, made read-only: for arrays shared between callers."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -88,53 +88,50 @@ class ConvWeights:
 
     `fused` is the (out, k*in + 1) matrix [W_0 | ... | W_{k-1} | b], where
     W_j = kernel[:, :, j] in flattened tap order, so a point evaluation is a
-    single dot product, and `tap_mats` holds the k blocks W_j as views of it.
-    `k` is the number of taps and `macs` the exact multiply-accumulates of
-    one node.  Everything is built once, at construction, and every array is
-    read-only (`kernel` and `bias` are private copies), so the kernels that
-    read `kernel` and those that read `fused` cannot drift apart.  A copy or
-    a pickle is rebuilt through the constructor from `kernel` and `bias`, so
-    it keeps both promises; `==` compares `kernel` and `bias` by value.
+    single dot product.  `out_channels` and `in_channels` are the kernel's
+    first two extents, `k` the number of taps and `macs` the exact
+    multiply-accumulates of one node.  `kernel` is a private copy and `bias`
+    a view of `fused`; `tap_mats`, the k blocks W_j as views of `fused`, and
+    `phase_fused`, the contiguous (k, out, in + 1) blocks [W_j | b] that
+    `transposed_point` reads, are built on first use.  Every array is
+    read-only, so the kernels that read `kernel` and those that read `fused`
+    cannot drift apart.  A copy or a pickle is rebuilt through the
+    constructor from `kernel` and `bias`, so it keeps both promises; `==`
+    compares `kernel` and `bias` by value.
     """
 
     kernel: np.ndarray
     bias: np.ndarray
-    fused: np.ndarray = field(init=False, repr=False, compare=False)
-    out_channels: int = field(init=False, repr=False, compare=False)
-    in_channels: int = field(init=False, repr=False, compare=False)
-    k: int = field(init=False, repr=False, compare=False)
-    macs: int = field(init=False, repr=False, compare=False)
-    tap_mats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kernel = _frozen(as_tensor(self.kernel).copy())
-        bias = _frozen(as_tensor(self.bias).copy())
+        kernel, bias = as_tensor(self.kernel), as_tensor(self.bias)
         if kernel.ndim not in (3, 4):
             raise ShapeError(f"kernel must be 3D or 4D, got shape {kernel.shape}")
-        if min(kernel.shape) < 1:
+        if 0 in kernel.shape:
             raise InvalidParameterError(f"kernel extents must be >= 1: {kernel.shape}")
         out, in_ch = kernel.shape[:2]
         if bias.shape != (out,):
             raise ShapeError(f"bias shape {bias.shape} does not match out_channels {out}")
-        flat = kernel.reshape(out, in_ch, -1)
-        k = flat.shape[2]
-        fused = np.concatenate(
-            (flat.transpose(0, 2, 1).reshape(out, k * in_ch), bias[:, None]), axis=1
-        )
-        if not np.isfinite(fused).all():
+        k = kernel.size // (out * in_ch)
+        fused = np.empty((out, k * in_ch + 1), DTYPE)
+        fused[:, :-1].reshape(out, k, in_ch)[...] = kernel.reshape(out, in_ch, k).transpose(0, 2, 1)
+        fused[:, -1] = bias
+        if not np.isfinite(fused).all():  # fused holds every kernel and bias value
             raise InvalidParameterError("weights must be finite")
-        values = dict(
-            kernel=kernel,
-            bias=bias,
-            fused=_frozen(fused),
-            out_channels=out,
-            in_channels=in_ch,
-            k=k,
-            macs=kernel.size,
-            tap_mats=tuple(fused[:, j * in_ch : (j + 1) * in_ch] for j in range(k)),
-        )
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        kernel = _frozen(kernel.copy())
+        _frozen(fused)  # before the views below, which are then read-only too
+        self.__dict__.update(  # frozen: every other attribute is set once, here
+            kernel=kernel, bias=fused[:, -1], fused=fused, out_channels=out, in_channels=in_ch,
+            k=k, macs=kernel.size)
+
+    @cached_property
+    def tap_mats(self) -> tuple:
+        n = self.in_channels
+        return tuple([self.fused[:, j : j + n] for j in range(0, self.k * n, n)])
+
+    @cached_property
+    def phase_fused(self) -> np.ndarray:
+        return _frozen(np.stack([np.column_stack((w, self.bias)) for w in self.tap_mats]))
 
     def __reduce__(self):
         return ConvWeights, (self.kernel, self.bias)
@@ -144,14 +141,8 @@ class ConvWeights:
                 and np.array_equal(self.bias, other.bias))
 
 
-def _check_tap(tap: np.ndarray, in_channels: int) -> None:
-    if tap.ndim not in (1, 2) or tap.shape[0] != in_channels:
-        raise ShapeError(
-            f"tap shape {tap.shape} incompatible with in_channels {in_channels}"
-        )
-
-
 _ONE = _frozen(np.ones(1, dtype=DTYPE))
+_ONE_BYTES = _ONE.tobytes()
 
 
 @cache
@@ -183,11 +174,10 @@ class Column(tuple):
             raise ShapeError(
                 f"column of {buf.shape[0]} rows is not k*{in_channels} + 1 with k >= 1"
             )
-        if not (buf[-1] == 1).all():
+        last = buf[-1:]
+        if last.tobytes() != _ONE_BYTES * last.size:  # 1.0 has one float32 bit pattern
             raise InvalidParameterError("the last row of a Column buffer must be ones")
-        self = super().__new__(
-            cls, (buf[j : j + in_channels] for j in range(0, rows, in_channels))
-        )
+        self = super().__new__(cls, [buf[j : j + in_channels] for j in range(0, rows, in_channels)])
         self.buf = buf
         return self
 
@@ -235,7 +225,7 @@ def conv1d_point(
                 f"taps disagree in batch shape: {[t.shape for t in taps]}"
             ) from None
     try:
-        out = weights.fused.dot(column, out=out)
+        out = weights.fused.dot(column, out)  # out positional: numpy parses it faster
     except ValueError as exc:
         raise ShapeError(f"out does not fit the result: {exc}") from None
     if counter is not None:
@@ -304,18 +294,33 @@ def strided_conv1d(
 def transposed_point(
     weights: ConvWeights,
     phase: int,
-    vec: np.ndarray,
+    column: np.ndarray,
     counter: OpCounter | None = None,
+    out=None,
 ) -> np.ndarray:
-    """One output of a transposed conv: position stride*j+phase from input j."""
-    mats = weights.tap_mats
-    if not 0 <= phase < len(mats):
-        raise InvalidParameterError(f"phase {phase} out of range for k={len(mats)}")
-    _check_tap(vec, weights.in_channels)
-    acc = weights.bias if vec.ndim == 1 else weights.bias[:, None]
-    out = acc + mats[phase] @ vec
+    """One output of a transposed conv: position stride*j+phase from input j.
+
+    `column` is input j assembled as [vec; 1]: (in_channels + 1,) or
+    (in_channels + 1, batch), last row ones.  The result is one dot product
+    per batch column, `weights.phase_fused[phase] @ column`; `out` is as
+    for `conv1d_point`.
+    """
+    blocks = weights.phase_fused
+    if not 0 <= phase < len(blocks):
+        raise InvalidParameterError(f"phase {phase} out of range for k={len(blocks)}")
+    if column.ndim not in (1, 2) or column.shape[0] != blocks.shape[2]:
+        raise ShapeError(f"column shape {column.shape} is not ({blocks.shape[2]}[, batch])")
+    block = blocks[phase]
+    try:
+        if column.ndim == 1:
+            out = block.dot(column, out)  # out positional: numpy parses it faster
+        else:  # one gemv per batch column: each equals its own unbatched call bit for bit
+            out = np.empty((len(block), column.shape[1]), DTYPE) if out is None else out
+            np.matmul(block, np.ascontiguousarray(column.T)[:, :, None], out=out.T[:, :, None])
+    except ValueError as exc:
+        raise ShapeError(f"out does not fit the result: {exc}") from None
     if counter is not None:
-        n = 1 if vec.ndim == 1 else vec.shape[1]
+        n = 1 if column.ndim == 1 else column.shape[1]
         counter.add(weights.out_channels * weights.in_channels * n, nodes=n)
     return out
 
@@ -337,10 +342,9 @@ def strided_transposed_conv1d(
         raise InvalidParameterError(
             f"transposed conv requires kernel size == stride (got k={weights.k}, stride={stride})"
         )
-    cols = []
-    for vec in _sequence(weights, x):
-        for r in range(stride):
-            cols.append(transposed_point(weights, r, vec, counter))
+    xc = _sequence(weights, x)
+    columns = np.concatenate((xc, np.ones((len(xc), 1), DTYPE)), axis=1)  # [x_j; 1] per row
+    cols = [transposed_point(weights, r, col, counter) for col in columns for r in range(stride)]
     return np.stack(cols, axis=1)
 
 

@@ -3,7 +3,11 @@ usage errors, and equivalence fault injection."""
 
 import csv
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,21 @@ from convgen.bench import (
     time_engine,
 )
 from convgen.dilated import DilatedNetwork
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_module_runs_without_warnings():
+    # `python -m convgen.bench` must not find convgen.bench imported by the package
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "convgen.bench", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def run_cli(capsys, argv):

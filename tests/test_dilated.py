@@ -134,6 +134,17 @@ def test_networks_compare_by_value(spec):
     assert a != _build(dataclasses.replace(spec, seed=spec.seed + 1))
 
 
+@pytest.mark.parametrize("spec", NETWORK_SPECS, ids=lambda s: s.family)
+def test_equal_networks_hash_equal(spec):
+    # networks hash by spec, which agrees with == because equal networks have equal specs
+    a, b = _build(spec), _build(spec)
+    assert hash(a) == hash(b)
+    assert {a: "value"}[b] == "value"
+    assert len({a, b}) == 1
+    other = _build(dataclasses.replace(spec, seed=spec.seed + 1))
+    assert len({a, b, other}) == 2
+
+
 def test_weight_scale_bound():
     spec = NetworkSpec("dilated", stacks=1, layers_per_stack=2, channels=16, seed=0)
     net = build_network(spec)

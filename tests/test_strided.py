@@ -2,6 +2,7 @@
 naive/cached equivalence, and pending-buffer conservation."""
 
 import copy
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from convgen import (
     InvalidParameterError,
     NetworkSpec,
+    ScheduleViolationError,
     StridedPlan,
     UnsupportedTopologyError,
     build_network,
@@ -20,6 +22,7 @@ from convgen import (
     receptive_field,
 )
 from convgen.strided import (
+    StridedNetwork,
     parse_stride,
     strided_incremental_init,
     strided_incremental_step,
@@ -310,6 +313,38 @@ def test_forked_state_continues_bit_exact(fork_at):
     for name in outs:
         assert np.array_equal(np.array(outs[name], np.float32), whole[fork_at:])
     assert fork.counter.snapshot() == state.counter.snapshot()
+    # a pickled state rebuilds its views over its own buffer and continues bit-exact
+    state = strided_incremental_init(net)
+    x = np.float32(0.0)
+    for _ in range(fork_at):
+        x = strided_incremental_step(net, state, x)
+    blob = pickle.dumps(state)
+    assert len(blob) < 4096
+    restored = pickle.loads(blob)
+    assert not np.shares_memory(restored.buf, state.buf)
+    assert restored.cached_values() == state.cached_values()
+    got = []
+    for _ in range(64 - fork_at):
+        x = strided_incremental_step(net, restored, x)
+        got.append(x)
+    assert np.array_equal(np.array(got, np.float32), whole[fork_at:])
+    assert state.t == fork_at  # stepping the copy left the original alone
+
+
+def test_tampered_plan_raises_before_any_output():
+    net = build_network(hourglass_spec(seed=3))
+    plan = net.plan
+    swapped = dataclasses.replace(plan, nodes=plan.nodes[1:] + plan.nodes[:1])
+    short = dataclasses.replace(plan, nodes=plan.nodes[:2], period=2)  # the period does not close
+    for tampered in (swapped, short):
+        bad = StridedNetwork(net.spec, tampered, net.layers)
+        outputs = []
+        with pytest.raises(ScheduleViolationError):
+            state = strided_incremental_init(bad)
+            outputs.append(strided_incremental_step(bad, state, np.float32(0.0)))
+        assert outputs == []
+        with pytest.raises(ScheduleViolationError):
+            generate(bad, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -385,5 +420,12 @@ def test_random_balanced_topology(strides, kernel_size):
     assert np.array_equal(np.array(cached, np.float32), generate(net, n, engine="naive")[:, 0])
     steps = [(rec.nodes, rec.emit) for rec in trace]
     assert steps[plan.period :] == steps[: -plan.period]
+    # the compiled op table computes, per phase and layer, the nodes the plan says
+    phases = net._program[2]
+    compiled = tuple(
+        tuple(sum(code != "shift" and li == i for code, li, _ in ops) for i in range(len(strides)))
+        for ops in phases
+    )
+    assert compiled == plan.nodes
     for p in range(1, plan.period):
         assert steps[p:] != steps[:-p], f"trace also repeats with {p} < period {plan.period}"

@@ -186,6 +186,32 @@ def test_column_matches_tuple_path(k, batch):
     assert np.array_equal(tuple_out, expected)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_transposed_point_column_contract(k):
+    # one dot with [W_r | b] over the assembled [vec; 1] column, batched or not
+    rng = np.random.default_rng(30 + k)
+    w = rand_weights(rng, 4, 3, (k,))
+    batch = np.ones((4, 5), np.float32)
+    batch[:3] = rng.uniform(-1, 1, (3, 5))
+    for r in range(k):
+        want = np.stack([transposed_point(w, r, np.ascontiguousarray(batch[:, b]))
+                         for b in range(5)], axis=1)
+        got, out = OpCounter(), np.zeros((4, 5), np.float32)
+        assert transposed_point(w, r, batch, got, out) is out
+        assert np.array_equal(out, want)  # bit for bit
+        assert got.snapshot() == (4 * 3 * 5, 5)
+        assert np.allclose(want[:, 0], w.kernel[:, :, r] @ batch[:3, 0] + w.bias, atol=1e-6)
+    assert w.phase_fused.shape == (k, 4, 4) and w.phase_fused.flags.c_contiguous
+    assert not w.phase_fused.flags.writeable
+    with pytest.raises(ShapeError):
+        transposed_point(w, 0, batch[:3, 0].copy())  # [vec] without its ones row
+    with pytest.raises(ShapeError):
+        transposed_point(w, 0, batch[:, 0].copy(), None, np.zeros(3, np.float32))
+    for phase in (-1, k):
+        with pytest.raises(InvalidParameterError):
+            transposed_point(w, phase, batch[:, 0].copy())
+
+
 def test_column_contract_errors():
     rng = np.random.default_rng(3)
     w = rand_weights(rng, 2, 3, (2,))

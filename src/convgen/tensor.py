@@ -90,10 +90,10 @@ class ConvWeights:
     W_j = kernel[:, :, j] in flattened tap order, so a point evaluation is a
     single dot product.  `out_channels` and `in_channels` are the kernel's
     first two extents, `k` the number of taps and `macs` the exact
-    multiply-accumulates of one node.  `kernel` is a private copy and `bias`
-    a view of `fused`; `tap_mats`, the k blocks W_j as views of `fused`, and
+    multiply-accumulates of one node.  `kernel` is a private copy, and
+    `bias` and `tap_mats` (the k blocks W_j) are views of `fused`;
     `phase_fused`, the contiguous (k, out, in + 1) blocks [W_j | b] that
-    `transposed_point` reads, are built on first use.  Every array is
+    `transposed_point` reads, is built on first use.  Every array is
     read-only, so the kernels that read `kernel` and those that read `fused`
     cannot drift apart.  A copy or a pickle is rebuilt through the
     constructor from `kernel` and `bias`, so it keeps both promises; `==`
@@ -120,14 +120,12 @@ class ConvWeights:
             raise InvalidParameterError("weights must be finite")
         kernel = _frozen(kernel.copy())
         _frozen(fused)  # before the views below, which are then read-only too
-        self.__dict__.update(  # frozen: every other attribute is set once, here
-            kernel=kernel, bias=fused[:, -1], fused=fused, out_channels=out, in_channels=in_ch,
-            k=k, macs=kernel.size)
-
-    @cached_property
-    def tap_mats(self) -> tuple:
-        n = self.in_channels
-        return tuple([self.fused[:, j : j + n] for j in range(0, self.k * n, n)])
+        tap_mats = tuple([fused[:, j : j + in_ch] for j in range(0, k * in_ch, in_ch)])
+        # object.__setattr__, not __dict__: the values stay inline, where loads are fastest
+        for name, value in (("kernel", kernel), ("bias", fused[:, -1]), ("fused", fused),
+                            ("out_channels", out), ("in_channels", in_ch), ("k", k),
+                            ("macs", kernel.size), ("tap_mats", tap_mats)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def phase_fused(self) -> np.ndarray:

@@ -420,12 +420,21 @@ def test_random_balanced_topology(strides, kernel_size):
     assert np.array_equal(np.array(cached, np.float32), generate(net, n, engine="naive")[:, 0])
     steps = [(rec.nodes, rec.emit) for rec in trace]
     assert steps[plan.period :] == steps[: -plan.period]
+    for p in range(1, plan.period):
+        assert steps[p:] != steps[:-p], f"trace also repeats with {p} < period {plan.period}"
+
+
+@pytest.mark.parametrize(
+    "strides, kernel_size", TOPOLOGIES, ids=["-".join(s) for s, _ in TOPOLOGIES]
+)
+def test_compiled_phase_counts_match_plan(strides, kernel_size):
     # the compiled op table computes, per phase and layer, the nodes the plan says
+    net = build_network(NetworkSpec(
+        "strided", kernel_size=kernel_size, channels=2, strides=strides, seed=len(strides)
+    ))
     phases = net._program[2]
     compiled = tuple(
         tuple(sum(code != "shift" and li == i for code, li, _ in ops) for i in range(len(strides)))
         for ops in phases
     )
-    assert compiled == plan.nodes
-    for p in range(1, plan.period):
-        assert steps[p:] != steps[:-p], f"trace also repeats with {p} < period {plan.period}"
+    assert compiled == net.plan.nodes

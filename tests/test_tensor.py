@@ -199,6 +199,7 @@ def test_transposed_point_column_contract(k):
         got, out = OpCounter(), np.zeros((4, 5), np.float32)
         assert transposed_point(w, r, batch, got, out) is out
         assert np.array_equal(out, want)  # bit for bit
+        assert np.array_equal(transposed_point(w, r, batch), want)
         assert got.snapshot() == (4 * 3 * 5, 5)
         assert np.allclose(want[:, 0], w.kernel[:, :, r] @ batch[:3, 0] + w.bias, atol=1e-6)
     assert w.phase_fused.shape == (k, 4, 4) and w.phase_fused.flags.c_contiguous

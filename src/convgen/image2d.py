@@ -15,9 +15,17 @@ The naive engine runs a full vectorised image pass per generated pixel
 and their 1x1 link for the entire row, each one fused dot over the row's
 W*B columns.  The vconv column is filled with one copy per cached row, from
 the RowCache's padded ring of column windows; the links are written
-straight into the (W, C, B) layout the pixel steps read.  It then advances the horizontal stream pixel by pixel from
-small strictly-left tap windows.  Batch elements generate in lockstep, so
-every point operation is a single matrix product across the batch.
+straight into the (W, C, B) layout the pixel steps read.
+
+The horizontal streams are column-resident: one state buffer holds each
+block's [h_kw strictly-left taps; 1] column and the head's [h; 1].  A pixel
+step runs the blocks last to first, each one `conv1d_point` written with
+`out=` into the next block's newest tap (already read and shifted) or the
+head's h, then the link add, an in-place tanh and a shift of its own window
+by one tap; the head's fresh y goes into block 0's newest tap and the image.
+These taps, zeroed by each row pass, are not counted by `cached_rows_values()`.
+Batch elements generate in lockstep, so every point operation is a single
+matrix product across the batch.
 
 With `row_pair`, the first block's vertical path is vconv -> stride-2 row
 downsampling -> stride-2 row upsampling, scheduled across rows like the 1D
@@ -28,7 +36,7 @@ is a burst that queues two rows) and then pops one pending row.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -38,6 +46,7 @@ from .dilated import _check_int, _check_int_fields, draw_weights
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import (
     DTYPE,
+    Column,
     ConvWeights,
     OpCounter,
     _ones_row,
@@ -250,13 +259,17 @@ class _PairState:
         return int(self.carry.size) + sum(int(r.size) for r in self.pending)
 
 
-@dataclass
+@dataclass(eq=False)
 class ImageGenState:
-    """All mutable state of one cached 2D generation run."""
+    """All mutable state of one cached 2D generation run.  `buf` holds each
+    block's horizontal column, then the head's, at rows `layout[i] = (start,
+    stop, in_channels)`; the views a pixel step uses are built here, and
+    copies and pickles rebuild them over their own buffer."""
 
     row_caches: list
     pair: _PairState | None
-    h_hist: list
+    buf: np.ndarray
+    layout: tuple
     links: list  # per block: its 1x1 link of the current vertical row, (W, C, B)
     image: np.ndarray
     r: int
@@ -264,6 +277,14 @@ class ImageGenState:
     batch: int
     counter: OpCounter
     v_ready: bool = False
+
+    def __post_init__(self):
+        self.columns = tuple(Column(self.buf[a:b], c) for a, b, c in self.layout)
+        self.newest = tuple(column[-1] for column in self.columns)  # where its next input goes
+        self.shifts = tuple(tuple(zip(col[:-1], col[1:])) for col in self.columns[:-1])
+
+    def __reduce__(self):
+        return ImageGenState, tuple(getattr(self, f.name) for f in fields(self))
 
     def cached_rows_values(self) -> int:
         total = sum(rc.stored_values() for rc in self.row_caches)
@@ -301,10 +322,15 @@ def image_incremental_init(
     for i in range(spec.n_layers):
         in_v = 1 if i == 0 else spec.channels
         caches.append(RowCache(spec.kh, spec.width, in_v, batch, spec.kw))
+    ws = (*(block.horiz for block in network.blocks), network.proj)
+    stops = np.cumsum([w.fused.shape[1] for w in ws]).tolist()  # [taps; 1] rows each
+    buf = zeros((stops[-1], batch))
+    buf[[stop - 1 for stop in stops]] = 1.0
     return ImageGenState(
         row_caches=caches,
         pair=_PairState(spec.channels, spec.width, batch) if spec.row_pair else None,
-        h_hist=[deque(maxlen=spec.h_kw) for _ in range(spec.n_layers)],
+        buf=buf,
+        layout=tuple(zip([0, *stops], stops, [w.in_channels for w in ws])),
         links=[None] * spec.n_layers,
         image=zeros((1, spec.height, spec.width, batch)),
         r=0,
@@ -343,15 +369,15 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
         rows.append(row)
     for i in range(spec.n_layers - 1):
         state.row_caches[i + 1].push_row(rows[i])
-    c, n = spec.channels, spec.width * state.batch
+    n = spec.width * state.batch
     # (W, C, B), so that each pixel step adds one contiguous (C, B) block
     state.links = []
     for block, row in zip(network.blocks, rows):
         state.links.append(np.matmul(block.link.kernel[:, :, 0], row.transpose(1, 0, 2)))
         counter.add(block.link.macs * n, nodes=0)
     state.v_ready = True
-    for i, hist in enumerate(state.h_hist):  # strictly-left taps start as zeros
-        hist.extend([zeros((1 if i == 0 else c, state.batch))] * spec.h_kw)
+    for column in state.columns[:-1]:  # strictly-left taps start as zeros
+        column.buf[:-1] = 0.0
     return rows
 
 
@@ -359,17 +385,16 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
     spec = network.spec
     if not state.v_ready:
         raise ScheduleViolationError("pixel step before vertical_row_pass")
-    counter = state.counter
+    counter, columns, newest, links = state.counter, state.columns, state.newest, state.links
     col = state.c
-    hs = []
-    for i, block in enumerate(network.blocks):
-        pre = conv1d_point(block.horiz, list(state.h_hist[i]), counter)
-        pre += state.links[i][col]
-        hs.append(np.tanh(pre, out=pre))
-    y = conv1d_point(network.proj, [hs[-1]], counter)
-    state.h_hist[0].append(y)
-    for i in range(spec.n_layers - 1):
-        state.h_hist[i + 1].append(hs[i])
+    for i in range(spec.n_layers - 1, -1, -1):
+        h = conv1d_point(network.blocks[i].horiz, columns[i], counter, newest[i + 1])
+        h += links[i][col]
+        np.tanh(h, out=h)
+        for dst, src in state.shifts[i]:  # tap j takes tap j + 1
+            dst[...] = src
+    y = conv1d_point(network.proj, columns[-1], counter)
+    newest[0][...] = y
     state.image[:, state.r, col, :] = y
     state.c += 1
     if state.c == spec.width:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -138,13 +138,17 @@ class StridedNetwork:
     plan: StridedPlan
     layers: tuple[StridedLayer, ...]
 
+    def __post_init__(self):
+        # the incremental engine's `_compile`d program; set inline, not through a
+        # cached_property, whose instance __dict__ would slow every attribute load
+        object.__setattr__(self, "_program", _compile(
+            self.plan, tuple((l.kind, l.stride, *l.weights.kernel.shape) for l in self.layers)))
+
     def __hash__(self):
         return hash(self.spec)  # equal networks have equal specs
 
-    @cached_property
-    def _program(self) -> tuple:  # the incremental engine, `_compile`d once per network
-        return _compile(self.plan, tuple((l.kind, l.stride, *l.weights.kernel.shape)
-                                         for l in self.layers))
+    def __reduce__(self):  # copies and pickles are rebuilt through the constructor
+        return StridedNetwork, (self.spec, self.plan, self.layers)
 
 
 def build_strided_network(spec) -> StridedNetwork:

@@ -3,6 +3,7 @@ raster causality, batch lockstep, state forks, memory bounds, and the PGM
 dump."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ def test_equivalence_row_pair(geometry, batch):
     net = build_image_network(spec)
     a = generate(net, engine="naive", batch=batch)
     b = generate(net, batch=batch)
+    assert np.max(np.abs(a - b)) <= EQUIV_TOL
+
+
+@pytest.mark.parametrize("row_pair", [False, True])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("h_kw", [1, 2, 3])
+def test_single_block_edge_geometry(h_kw, batch, row_pair):
+    # one block: it writes the head's h, and the head's y is its one-channel input
+    spec = ImageSpec(6, 5, channels=3, n_layers=1, h_kw=h_kw, row_pair=row_pair, seed=h_kw)
+    net = build_image_network(spec)
+    a = generate(net, engine="naive", batch=batch)
+    b = generate(net, batch=batch)
+    assert b.shape == (30, batch)
     assert np.max(np.abs(a - b)) <= EQUIV_TOL
 
 
@@ -332,6 +346,34 @@ def test_forked_state_continues_bit_exact(row_pair):
     for name in outs:
         assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:])
     assert fork.counter.snapshot() == state.counter.snapshot()
+    # a pickled state rebuilds its views over its own buffer and continues bit-exact
+    state = image_incremental_init(net, batch=2)
+    for _ in range(fork_at):
+        image_incremental_step(net, state)
+    restored = pickle.loads(pickle.dumps(state))
+    assert not np.shares_memory(restored.buf, state.buf)
+    assert all(np.shares_memory(col.buf, restored.buf) for col in restored.columns)
+    assert restored.cached_rows_values() == state.cached_rows_values()
+    got = [image_incremental_step(net, restored) for _ in range(36 - fork_at)]
+    assert np.array_equal(np.concatenate(got), whole[fork_at:])
+    assert (state.r, state.c) == divmod(fork_at, 6)  # stepping the copy left the original alone
+
+
+def test_step_outputs_are_fresh_arrays():
+    # a returned pixel row is not a view of the state: later steps leave it alone
+    spec = ImageSpec(4, 4, channels=3, n_layers=2, seed=7)
+    net = build_image_network(spec)
+    state = image_incremental_init(net, batch=3)
+    outs = [image_incremental_step(net, state) for _ in range(16)]
+    kept = [y.copy() for y in outs]
+    for y in outs:
+        assert not np.shares_memory(y, state.buf) and not np.shares_memory(y, state.image)
+    state = image_incremental_init(net, batch=3)
+    first = image_incremental_step(net, state)
+    for _ in range(15):
+        image_incremental_step(net, state)
+    assert np.array_equal(first, kept[0])
+    assert np.array_equal(generate(net, batch=3), np.concatenate(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -336,15 +336,15 @@ def test_tampered_plan_raises_before_any_output():
     plan = net.plan
     swapped = dataclasses.replace(plan, nodes=plan.nodes[1:] + plan.nodes[:1])
     short = dataclasses.replace(plan, nodes=plan.nodes[:2], period=2)  # the period does not close
+    # the program is compiled when the network is built, so no network, state
+    # or output exists for a tampered plan
     for tampered in (swapped, short):
-        bad = StridedNetwork(net.spec, tampered, net.layers)
-        outputs = []
         with pytest.raises(ScheduleViolationError):
-            state = strided_incremental_init(bad)
-            outputs.append(strided_incremental_step(bad, state, np.float32(0.0)))
-        assert outputs == []
-        with pytest.raises(ScheduleViolationError):
-            generate(bad, 4)
+            StridedNetwork(net.spec, tampered, net.layers)
+    # a copy or a pickle is rebuilt through the constructor and compiles again
+    for other in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+        assert other == net and other._program == net._program
+        assert generate(other, 8).tolist() == generate(net, 8).tolist()
 
 
 # ---------------------------------------------------------------------------

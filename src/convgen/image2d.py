@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -323,9 +324,10 @@ def image_incremental_init(
         in_v = 1 if i == 0 else spec.channels
         caches.append(RowCache(spec.kh, spec.width, in_v, batch, spec.kw))
     ws = (*(block.horiz for block in network.blocks), network.proj)
-    stops = np.cumsum([w.fused.shape[1] for w in ws]).tolist()  # [taps; 1] rows each
+    stops = list(accumulate(w.fused.shape[1] for w in ws))  # [taps; 1] rows each
     buf = zeros((stops[-1], batch))
-    buf[[stop - 1 for stop in stops]] = 1.0
+    for stop in stops:
+        buf[stop - 1] = 1.0
     return ImageGenState(
         row_caches=caches,
         pair=_PairState(spec.channels, spec.width, batch) if spec.row_pair else None,

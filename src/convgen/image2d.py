@@ -325,9 +325,7 @@ def image_incremental_init(
         caches.append(RowCache(spec.kh, spec.width, in_v, batch, spec.kw))
     ws = (*(block.horiz for block in network.blocks), network.proj)
     stops = list(accumulate(w.fused.shape[1] for w in ws))  # [taps; 1] rows each
-    buf = zeros((stops[-1], batch))
-    for stop in stops:
-        buf[stop - 1] = 1.0
+    buf = np.ones((stops[-1], batch), DTYPE)  # each row pass zeroes the tap rows
     return ImageGenState(
         row_caches=caches,
         pair=_PairState(spec.channels, spec.width, batch) if spec.row_pair else None,

@@ -11,11 +11,11 @@ on the same primitive, can be compared bit for bit.
 The column is either concatenated per call from a sequence of tap arrays,
 or already assembled: a `Column` is the k tap views of one preallocated
 [taps; 1] buffer, which an engine fills in place, so the point evaluation is
-the dot alone.  Every cached engine evaluates its nodes over `Column`s: the
+the dot alone.  Three cached steps evaluate their nodes over `Column`s: the
 dilated step over rows of a (layers-1, 2C+1) matrix held once per network and
 per thread (see `convgen.dilated`; that workspace is not engine state and
-`state_bytes` does not count it), the strided step and the image pixel step
-over the columns of one buffer per state (`convgen.strided`,
+`state_bytes` does not count it), and the strided step and the image pixel
+step over the columns of one buffer per state (`convgen.strided`,
 `convgen.image2d`).
 
 `ConvWeights` is the one weight type: every array in it is read-only, a copy

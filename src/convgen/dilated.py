@@ -13,6 +13,7 @@ cached engine  - column-resident, for n = stacks * L layers: the state is
                  layers 1..n-1 owns `dilation` consecutive rows, plus layer
                  0's width-1 ring (the previous input).  Row t % dilation of
                  a layer holds its input from `dilation` steps ago.  A step
+                 looks its phase's ring rows up in a precomputed table,
                  gathers every layer's old tap into the old-tap half of a
                  preallocated (n-1, 2C+1) column matrix with one fancy index,
                  runs each layer as one `conv1d_point` over its row (a
@@ -23,11 +24,15 @@ cached engine  - column-resident, for n = stacks * L layers: the state is
 
 The column matrix carries nothing from one step to the next, so it is a
 workspace: one per network and per thread (`threading.local`), built with
-its `Column`s and ring offsets on a thread's first step with that network.
+its `Column`s and ring-row table on a thread's first step with that network.
 That keeps a network shareable across threads and `init` as cheap as
 allocating the ring; a copied or pickled network, rebuilt through its
 constructor, starts with none.  The workspace holds (n-1)*(2C+1) + C + 5
-floats, which `cached_values` (and so `state_bytes`) does not count.
+floats and shares a table of period x (n-1) ring-row indices, where the
+period is the lcm of the dilations of layers 1..n-1, here the largest of
+them; at stacks 2, L=10 that is 512 x 19 8-byte indices, about 78 KB, held
+once per dilation list.  `cached_values` (and so `state_bytes`) counts
+neither.
 
 Both engines route every node through `conv1d_point`, so their outputs are
 bit-identical, not merely close.
@@ -40,6 +45,7 @@ import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -49,6 +55,7 @@ from .tensor import (
     Column,
     ConvWeights,
     OpCounter,
+    _frozen,
     conv1d_full,
     conv1d_point,
     zeros,
@@ -320,21 +327,33 @@ def incremental_init(network: DilatedNetwork, counter: OpCounter | None = None) 
     )
 
 
+@cache
+def _ring_rows(dilations: tuple) -> np.ndarray:
+    """The ring row of each layer (of dilations `dilations`, in ring order) at
+    every step t, row t % period of a read-only (period, layers) table; the
+    period is the lcm of the dilations.  Memoised per dilations: every
+    workspace of an equal geometry shares one table."""
+    dils = np.array(dilations, dtype=np.intp)
+    offsets = np.cumsum(dils) - dils  # first ring row of each layer
+    return _frozen(offsets + np.arange(math.lcm(*dilations))[:, None] % dils)
+
+
 class _Workspace:
     """One thread's column matrix for one network, with the per-layer plan.
 
     `cols` row l-1 is layer l's column [old tap; new tap; 1]; `col0` is
     layer 0's [previous input; input; 1] and `head` the head's [h; 1].
     `layers` pairs each layer's weights and `Column` with the array its
-    output goes to: the next layer's new tap, or the head's h.
+    output goes to: the next layer's new tap, or the head's h.  `rows[p]`
+    holds the ring row of each of layers 1.. at every step t with
+    t % period == p (`_ring_rows`).
     """
 
     def __init__(self, network: DilatedNetwork):
         C = network.spec.channels
         later = network.layers[1:]
-        dils = np.array([layer.dilation for layer in later], dtype=np.intp)
-        self.dils = dils
-        self.offsets = np.cumsum(dils) - dils  # first ring row of each layer
+        self.rows = _ring_rows(tuple(layer.dilation for layer in later))
+        self.period = len(self.rows)
         self.cols = cols = np.ones((len(later), 2 * C + 1), dtype=DTYPE)
         self.old, self.new = cols[:, :C], cols[:, C : 2 * C]
         self.col0 = np.ones(3, dtype=DTYPE)
@@ -372,11 +391,12 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     ring0 = state.ring0
     t = state.t
     col0[0] = ring0[t % len(ring0)]
-    rows = s.offsets + t % s.dils
-    state.ring.take(rows, axis=0, out=s.old, mode="clip")
+    rows = s.rows[t % s.period]
+    # arguments positional, here and in the loop: numpy parses them faster
+    state.ring.take(rows, 0, s.old, "clip")
     counter = state.counter
     for weights, col, out in s.layers:
-        np.tanh(conv1d_point(weights, col, counter, out), out=out)
+        np.tanh(conv1d_point(weights, col, counter, out), out)
     y = conv1d_point(network.head, s.head_col, counter, s.y)
     state.ring[rows] = s.new
     ring0[t % len(ring0)] = col0[1]

@@ -382,25 +382,25 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
 
 
 def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
-    spec = network.spec
     if not state.v_ready:
         raise ScheduleViolationError("pixel step before vertical_row_pass")
-    counter, columns, newest, links = state.counter, state.columns, state.newest, state.links
-    col = state.c
-    for i in range(spec.n_layers - 1, -1, -1):
-        h = conv1d_point(network.blocks[i].horiz, columns[i], counter, newest[i + 1])
-        h += links[i][col]
-        np.tanh(h, out=h)
-        for dst, src in state.shifts[i]:  # tap j takes tap j + 1
+    blocks, counter, columns, newest = network.blocks, state.counter, state.columns, state.newest
+    links, shifts, col = state.links, state.shifts, state.c
+    for i in range(len(blocks) - 1, -1, -1):
+        h = conv1d_point(blocks[i].horiz, columns[i], counter, newest[i + 1])
+        np.add(h, links[i][col], h)  # ufunc out positional: numpy parses it faster
+        np.tanh(h, h)
+        for dst, src in shifts[i]:  # tap j takes tap j + 1
             dst[...] = src
     y = conv1d_point(network.proj, columns[-1], counter)
     newest[0][...] = y
     state.image[:, state.r, col, :] = y
-    state.c += 1
-    if state.c == spec.width:
+    if col + 1 == network.spec.width:
         state.c = 0
         state.r += 1
         state.v_ready = False
+    else:
+        state.c = col + 1
     return y
 
 

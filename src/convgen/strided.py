@@ -14,9 +14,11 @@ The firing schedule has one model: `StridedPlan` simulates these rules
 once and stores the nodes each layer computes at each phase of the period;
 `firing_trace` expands it.  The incremental engine walks the same rules
 once per plan and layer geometry, depth first, into an op table per phase,
-checked against `plan.nodes` (`_compile`).  A state is one buffer of
-columns: a down layer's [taps; 1] `Column` and an up layer's [vec; 1].  A
-step writes x into the first column and runs its phase's ops: a node
+checked against `plan.nodes` (`_compile`); a network binds that table to
+its own weights when it is built (`_bind`), so a step looks up no layer and
+compares no string.  A state is one buffer of columns: a down layer's
+[taps; 1] `Column` and an up layer's [vec; 1].  A step writes x into the
+first column and runs its phase's ops: a node
 (`conv1d_point` or `transposed_point`) writes straight into the next
 column's newest tap, and a down window shifts after each input.
 """
@@ -139,10 +141,13 @@ class StridedNetwork:
     layers: tuple[StridedLayer, ...]
 
     def __post_init__(self):
-        # the incremental engine's `_compile`d program; set inline, not through a
-        # cached_property, whose instance __dict__ would slow every attribute load
-        object.__setattr__(self, "_program", _compile(
-            self.plan, tuple((l.kind, l.stride, *l.weights.kernel.shape) for l in self.layers)))
+        # the incremental engine's `_compile`d program and its op table bound to
+        # these weights; set inline, not through a cached_property, whose instance
+        # __dict__ would slow every attribute load
+        program = _compile(
+            self.plan, tuple((l.kind, l.stride, *l.weights.kernel.shape) for l in self.layers))
+        object.__setattr__(self, "_program", program)
+        object.__setattr__(self, "_ops", _bind(program[2], self.layers))
 
     def __hash__(self):
         return hash(self.spec)  # equal networks have equal specs
@@ -232,6 +237,23 @@ def _compile(plan: StridedPlan, geometry: tuple) -> tuple:
     return _frozen(blank), tuple(layout), tuple(phases)
 
 
+_SHIFT, _DOWN, _UP = 0, 1, 2
+_CODES = {"shift": _SHIFT, "down": _DOWN, "up": _UP}
+
+
+def _bind(phases: tuple, layers: tuple) -> tuple:
+    """`_compile`'s phases, with each op as (code, weights, layer, phase or
+    tap, tanh): the code an int, the weights those of the layer for a node
+    (None for a shift), and tanh False for a node of the last layer, whose
+    value is an output."""
+    weights, last = [layer.weights for layer in layers], len(layers) - 1
+    return tuple([
+        tuple([(_CODES[c], None if c == "shift" else weights[li], li, r, li < last)
+               for c, li, r in ops])
+        for ops in phases
+    ])
+
+
 @dataclass(eq=False)
 class StridedState:
     """`_compile`'s columns over one float32 buffer, plus the outputs computed
@@ -268,20 +290,18 @@ def strided_incremental_init(
 def strided_incremental_step(network: StridedNetwork, state: StridedState, x) -> np.floating:
     """Feed one input, run the op table of its phase, emit exactly one output.
     The kernels are looked up by name at each call, one call per node."""
-    t, phases = state.t, network._program[2]
-    layers, cols, newest, counter = network.layers, state.columns, state.newest, state.counter
-    last = len(layers) - 1
+    t, ops, cols, newest = state.t, network._ops, state.columns, state.newest
     newest[0][0] = x
-    for code, li, r in phases[t % len(phases)]:
-        if code == "shift":  # tap r of the window takes tap r + 1
+    for code, weights, li, r, tanh in ops[t % len(ops)]:
+        if code == _SHIFT:  # tap r of the window takes tap r + 1
             cols[li][r][...] = cols[li][r + 1]
             continue
-        if code == "down":
-            h = conv1d_point(layers[li].weights, cols[li], counter, out=newest[li + 1])
+        if code == _DOWN:
+            h = conv1d_point(weights, cols[li], state.counter, newest[li + 1])
         else:
-            h = transposed_point(layers[li].weights, r, cols[li], counter, out=newest[li + 1])
-        if li < last:
-            np.tanh(h, out=h)
+            h = transposed_point(weights, r, cols[li], state.counter, newest[li + 1])
+        if tanh:
+            np.tanh(h, h)
         else:
             state.pending.append(h[0])
     try:

@@ -11,12 +11,14 @@ on the same primitive, can be compared bit for bit.
 The column is either concatenated per call from a sequence of tap arrays,
 or already assembled: a `Column` is the k tap views of one preallocated
 [taps; 1] buffer, which an engine fills in place, so the point evaluation is
-the dot alone.  Three cached steps evaluate their nodes over `Column`s: the
-dilated step over rows of a (layers-1, 2C+1) matrix held once per network and
-per thread (see `convgen.dilated`; that workspace is not engine state and
-`state_bytes` does not count it), and the strided step and the image pixel
-step over the columns of one buffer per state (`convgen.strided`,
-`convgen.image2d`).
+the dot alone.  A `Column`'s geometry and batch width are checked once, when
+it is built, and recorded as its `fit` (taps, rows) and `n`; a call only
+compares that `fit` with the weights' `fit`.  Three cached steps evaluate
+their nodes over `Column`s: the dilated step over rows of a (layers-1, 2C+1)
+matrix held once per network and per thread (see `convgen.dilated`; that
+workspace is not engine state and `state_bytes` does not count it), and the
+strided step and the image pixel step over the columns of one buffer per
+state (`convgen.strided`, `convgen.image2d`).
 
 `ConvWeights` is the one weight type: every array in it is read-only, a copy
 or a pickle is rebuilt through its constructor, and `==` compares values.
@@ -91,15 +93,16 @@ class ConvWeights:
     `fused` is the (out, k*in + 1) matrix [W_0 | ... | W_{k-1} | b], where
     W_j = kernel[:, :, j] in flattened tap order, so a point evaluation is a
     single dot product.  `out_channels` and `in_channels` are the kernel's
-    first two extents, `k` the number of taps and `macs` the exact
-    multiply-accumulates of one node.  `kernel` is a private copy, and
-    `bias` and `tap_mats` (the k blocks W_j) are views of `fused`;
-    `phase_fused`, the contiguous (k, out, in + 1) blocks [W_j | b] that
-    `transposed_point` reads, is built on first use.  Every array is
-    read-only, so the kernels that read `kernel` and those that read `fused`
-    cannot drift apart.  A copy or a pickle is rebuilt through the
-    constructor from `kernel` and `bias`, so it keeps both promises; `==`
-    compares `kernel` and `bias` by value.
+    first two extents, `k` the number of taps, `macs` the exact
+    multiply-accumulates of one node and `fit` the pair (k, k*in + 1) that
+    a `Column` must match.  `kernel` is a private copy, and `bias` and
+    `tap_mats` (the k blocks W_j) are views of `fused`; `phase_fused`, the
+    contiguous (k, out, in + 1) blocks [W_j | b], and `phase_blocks`, the
+    tuple of its k blocks that `transposed_point` reads, are built on first
+    use.  Every array is read-only, so the kernels that read `kernel` and
+    those that read `fused` cannot drift apart.  A copy or a pickle is
+    rebuilt through the constructor from `kernel` and `bias`, so it keeps
+    both promises; `==` compares `kernel` and `bias` by value.
     """
 
     kernel: np.ndarray
@@ -126,12 +129,17 @@ class ConvWeights:
         # object.__setattr__, not __dict__: the values stay inline, where loads are fastest
         for name, value in (("kernel", kernel), ("bias", fused[:, -1]), ("fused", fused),
                             ("out_channels", out), ("in_channels", in_ch), ("k", k),
-                            ("macs", kernel.size), ("tap_mats", tap_mats)):
+                            ("macs", kernel.size), ("tap_mats", tap_mats),
+                            ("fit", (k, k * in_ch + 1))):
             object.__setattr__(self, name, value)
 
     @cached_property
     def phase_fused(self) -> np.ndarray:
         return _frozen(np.stack([np.column_stack((w, self.bias)) for w in self.tap_mats]))
+
+    @cached_property
+    def phase_blocks(self) -> tuple:
+        return tuple(self.phase_fused)
 
     def __reduce__(self):
         return ConvWeights, (self.kernel, self.bias)
@@ -157,8 +165,9 @@ class Column(tuple):
     (k*in_channels + 1, batch) whose last row is ones: the column
     [tap_0; ...; tap_{k-1}; 1] that `conv1d_point` otherwise concatenates.
     The tuple items are views of `buf`, so writing a tap writes the column.
-    The geometry and the ones row are checked here, once; keeping the ones
-    row is up to the owner of `buf`.
+    The geometry and the ones row are checked here, once, and recorded as
+    `fit`, the pair (taps, rows) a `ConvWeights.fit` must equal, and `n`,
+    the batch width; keeping the ones row is up to the owner of `buf`.
     """
 
     def __new__(cls, buf: np.ndarray, in_channels: int):
@@ -179,6 +188,8 @@ class Column(tuple):
             raise InvalidParameterError("the last row of a Column buffer must be ones")
         self = super().__new__(cls, [buf[j : j + in_channels] for j in range(0, rows, in_channels)])
         self.buf = buf
+        self.fit = (rows // in_channels, rows + 1)
+        self.n = 1 if buf.ndim == 1 else buf.shape[1]
         return self
 
 
@@ -191,18 +202,18 @@ def conv1d_point(
     batched lockstep generation.  The result is one dot product,
     `weights.fused @ [tap_0; ...; tap_{k-1}; 1]`, with the bias as the
     last weight.  `taps` is a sequence of tap arrays, concatenated into the
-    column here, or a `Column`, whose buffer is the column.  With `out`, a
-    C-contiguous float32 array of the result's shape, the result is written
-    there and `out` is returned.
+    column here, or a `Column`, whose buffer is the column: its geometry and
+    batch width were checked when it was built, so here its `fit` is only
+    compared with the weights'.  With `out`, a C-contiguous float32 array of
+    the result's shape, the result is written there and `out` is returned.
     """
     if type(taps) is Column:
-        column = taps.buf
-        if len(taps) != weights.k or len(column) != weights.fused.shape[1]:
+        if taps.fit != weights.fit:
             raise ShapeError(
-                f"column of {len(taps)} taps and {len(column)} rows for weights "
-                f"of {weights.k} taps and {weights.fused.shape[1]} rows"
+                "column of {} taps and {} rows for weights of {} taps and {} rows".format(
+                    *taps.fit, *weights.fit)
             )
-        n = 1 if column.ndim == 1 else column.shape[1]
+        column, n = taps.buf, taps.n
     else:
         if len(taps) != weights.k:
             raise ShapeError(f"expected {weights.k} taps, got {len(taps)}")
@@ -228,8 +239,9 @@ def conv1d_point(
         out = weights.fused.dot(column, out)  # out positional: numpy parses it faster
     except ValueError as exc:
         raise ShapeError(f"out does not fit the result: {exc}") from None
-    if counter is not None:
-        counter.add(weights.macs * n, n)
+    if counter is not None:  # OpCounter.add, inlined
+        counter.macs += weights.macs * n
+        counter.node_evals += n
     return out
 
 
@@ -305,23 +317,26 @@ def transposed_point(
     per batch column, `weights.phase_fused[phase] @ column`; `out` is as
     for `conv1d_point`.
     """
-    blocks = weights.phase_fused
+    blocks = weights.phase_blocks
     if not 0 <= phase < len(blocks):
         raise InvalidParameterError(f"phase {phase} out of range for k={len(blocks)}")
-    if column.ndim not in (1, 2) or column.shape[0] != blocks.shape[2]:
-        raise ShapeError(f"column shape {column.shape} is not ({blocks.shape[2]}[, batch])")
+    ndim, in_ch = column.ndim, weights.in_channels
+    if ndim not in (1, 2) or len(column) != in_ch + 1:
+        raise ShapeError(f"column shape {column.shape} is not ({in_ch + 1}[, batch])")
     block = blocks[phase]
     try:
-        if column.ndim == 1:
+        if ndim == 1:
+            n = 1
             out = block.dot(column, out)  # out positional: numpy parses it faster
         else:  # one gemv per batch column: each equals its own unbatched call bit for bit
-            out = np.empty((len(block), column.shape[1]), DTYPE) if out is None else out
+            n = column.shape[1]
+            out = np.empty((len(block), n), DTYPE) if out is None else out
             np.matmul(block, np.ascontiguousarray(column.T)[:, :, None], out=out.T[:, :, None])
     except ValueError as exc:
         raise ShapeError(f"out does not fit the result: {exc}") from None
-    if counter is not None:
-        n = 1 if column.ndim == 1 else column.shape[1]
-        counter.add(weights.out_channels * weights.in_channels * n, nodes=n)
+    if counter is not None:  # OpCounter.add, inlined
+        counter.macs += weights.out_channels * in_ch * n
+        counter.node_evals += n
     return out
 
 

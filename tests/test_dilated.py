@@ -504,6 +504,21 @@ def test_states_of_one_network_in_threads_stay_bit_exact():
         assert np.array_equal(ys, forward_full(net, xs))
 
 
+def test_state_continues_on_an_equal_network_rebuilt_by_pickle():
+    # a state holds no weights and no workspace: stepped partway on one network
+    # and continued on a distinct but equal one, it stays bit-exact
+    net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=4))
+    other = pickle.loads(pickle.dumps(net))
+    assert other == net and other is not net
+    xs = np.random.default_rng(9).uniform(-1, 1, 30).astype(np.float32)
+    whole, split = incremental_init(net), incremental_init(net)
+    want = _run(net, xs, whole)
+    got = np.concatenate((_run(net, xs[:11], split), _run(other, xs[11:], split)))
+    assert np.array_equal(got, want)
+    assert split.counter.snapshot() == whole.counter.snapshot()
+    assert other._local.workspace is not net._local.workspace
+
+
 def test_network_pickle_and_deepcopy_round_trip():
     # every copy is rebuilt equal: read-only weights (image links too), each
     # weights' tap_mats viewing its own fused

@@ -359,6 +359,21 @@ def test_forked_state_continues_bit_exact(row_pair):
     assert (state.r, state.c) == divmod(fork_at, 6)  # stepping the copy left the original alone
 
 
+@pytest.mark.parametrize("row_pair", [False, True])
+def test_state_continues_on_an_equal_network_rebuilt_by_pickle(row_pair):
+    # a state holds no weights: stepped partway (mid-row 2) on one network and
+    # continued on a distinct but equal one, it matches the uninterrupted run
+    net = build_image_network(ImageSpec(6, 6, channels=3, n_layers=2, row_pair=row_pair, seed=13))
+    other = pickle.loads(pickle.dumps(net))
+    assert other == net and other is not net
+    whole, split = image_incremental_init(net, batch=2), image_incremental_init(net, batch=2)
+    want = np.concatenate([image_incremental_step(net, whole) for _ in range(36)])
+    got = np.concatenate([image_incremental_step(net if t < 15 else other, split)
+                          for t in range(36)])
+    assert np.all(np.abs(got.astype(np.float64) - want) <= 1e-5)
+    assert split.counter.snapshot() == whole.counter.snapshot()
+
+
 def test_step_outputs_are_fresh_arrays():
     # a returned pixel row is not a view of the state: later steps leave it alone
     spec = ImageSpec(4, 4, channels=3, n_layers=2, seed=7)

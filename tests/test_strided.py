@@ -331,6 +331,29 @@ def test_forked_state_continues_bit_exact(fork_at):
     assert state.t == fork_at  # stepping the copy left the original alone
 
 
+@pytest.mark.parametrize("strides, kernel_size", [(HOURGLASS, 2), (("down2", "up2", "down3", "up3"), 3)])
+def test_state_continues_on_an_equal_network_rebuilt_by_pickle(strides, kernel_size):
+    # each network binds its op table to its own weights: a state stepped
+    # partway and continued on a distinct but equal network stays bit-exact
+    net = build_network(NetworkSpec(
+        "strided", kernel_size=kernel_size, channels=3, strides=strides, seed=11
+    ))
+    other = pickle.loads(pickle.dumps(net))
+    assert other == net and other is not net
+    for network in (net, other):
+        bound = {id(w) for ops in network._ops for _, w, *_ in ops if w is not None}
+        assert bound == {id(layer.weights) for layer in network.layers}
+    runs = {}
+    for split in (None, 5):
+        state, x, ys = strided_incremental_init(net), np.float32(0.25), []
+        for t in range(40):
+            x = strided_incremental_step(net if split is None or t < split else other, state, x)
+            ys.append(x)
+        runs[split] = ys, state.counter.snapshot()
+    assert runs[5][0] == runs[None][0]  # bit for bit
+    assert runs[5][1] == runs[None][1]
+
+
 def test_tampered_plan_raises_before_any_output():
     net = build_network(hourglass_spec(seed=3))
     plan = net.plan

@@ -161,7 +161,7 @@ def test_point_contract_errors(batch):
         transposed_point(w, 0, tap(2))
 
 
-@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("batch", [None, 1, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_column_matches_tuple_path(k, batch):
     rng = np.random.default_rng(20 + k)

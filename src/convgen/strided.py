@@ -18,9 +18,9 @@ checked against `plan.nodes` (`_compile`); a network binds that table to
 its own weights when it is built (`_bind`), so a step looks up no layer and
 compares no string.  A state is one buffer of columns: a down layer's
 [taps; 1] `Column` and an up layer's [vec; 1].  A step writes x into the
-first column and runs its phase's ops: a node
-(`conv1d_point` or `transposed_point`) writes straight into the next
-column's newest tap, and a down window shifts after each input.
+first column and runs its phase's ops: a node (`conv1d_point` or
+`transposed_point`) writes straight into the next column's newest tap, and
+a down window shifts after each input.
 """
 
 from __future__ import annotations

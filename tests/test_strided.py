@@ -331,7 +331,9 @@ def test_forked_state_continues_bit_exact(fork_at):
     assert state.t == fork_at  # stepping the copy left the original alone
 
 
-@pytest.mark.parametrize("strides, kernel_size", [(HOURGLASS, 2), (("down2", "up2", "down3", "up3"), 3)])
+@pytest.mark.parametrize(
+    "strides, kernel_size", [(HOURGLASS, 2), (("down2", "up2", "down3", "up3"), 3)]
+)
 def test_state_continues_on_an_equal_network_rebuilt_by_pickle(strides, kernel_size):
     # each network binds its op table to its own weights: a state stepped
     # partway and continued on a distinct but equal network stays bit-exact

@@ -15,9 +15,10 @@ benchmark tracer, which patches its methods.
 
 A `RowCache` holds the last kh rows a 2D vertical conv reads, in one
 preallocated ring with every row left-padded by kw - 1 zero columns.  A
-cached row's kw shifted column windows are then one read-only view, so the
-conv fills its fused column with one copy per cached row, and a push is one
-copy into the oldest slot.
+cached row's kw shifted column windows are then one read-only view, so
+`column()` fills the conv's fused column, also allocated once with the
+cache, with one copy per cached row, and a push is one copy into the
+oldest slot.
 """
 
 from __future__ import annotations
@@ -107,11 +108,13 @@ class RowCache:
     column windows a vertical conv reads from a row (window j at column c
     holds row column c - kw + 1 + j, zero left of the image) are one
     read-only (kw, channels, width, batch) view; `push_row` copies the new
-    row into the oldest slot.
+    row into the oldest slot.  The fused column that `column()` fills is
+    scratch, rewritten on every call: `stored_values` does not count it.
     """
 
     __slots__ = (
-        "height", "width", "channels", "batch", "kw", "row_shape", "_ring", "_windows", "_head"
+        "height", "width", "channels", "batch", "kw", "row_shape", "_ring", "_windows", "_head",
+        "_column", "_column_rows",
     )
 
     def __init__(self, height: int, width: int, channels: int, batch: int, kw: int):
@@ -137,6 +140,9 @@ class RowCache:
         windows.flags.writeable = False
         self._windows = tuple(windows)
         self._head = 0  # the oldest slot, overwritten by the next push
+        self._column = np.empty((height * kw * channels + 1, width * batch), DTYPE)
+        self._column[-1] = 1.0
+        self._column_rows = tuple(self._column[:-1].reshape(height, kw, channels, width, batch))
 
     def __reduce__(self):
         # copies and pickles rebuild the window views over their own ring
@@ -158,6 +164,13 @@ class RowCache:
         """Every cached row's (kw, channels, width, batch) window view, oldest first."""
         h = self._head
         return self._windows[h:] + self._windows[:h]
+
+    def column(self) -> np.ndarray:
+        """The fused column [every cached row's kw windows, oldest first; 1]
+        of shape (height*kw*channels + 1, width*batch), filled in place."""
+        for rows, windows in zip(self._column_rows, self.windows()):
+            rows[...] = windows
+        return self._column
 
     def rows_stack(self) -> np.ndarray:
         """All cached rows as one array, oldest first: (channels, height, width, batch)."""

@@ -12,20 +12,24 @@ The naive engine runs a full vectorised image pass per generated pixel
 (H*W passes per image).  The cached engine keeps one RowCache of the last
 `kh` input rows per block and does all row-rate work in one
 `vertical_row_pass` at each row's start: every block's vertical features
-and their 1x1 link for the entire row, each one fused dot over the row's
-W*B columns.  The vconv column is filled with one copy per cached row, from
-the RowCache's padded ring of column windows; the links are written
-straight into the (W, C, B) layout the pixel steps read.
+and their 1x1 link for the entire row, each one dot over the row's W*B
+columns, the vconv column filled with one copy per cached row.
 
-The horizontal streams are column-resident: one state buffer holds each
-block's [h_kw strictly-left taps; 1] column and the head's [h; 1].  A pixel
-step runs the blocks last to first, each one `conv1d_point` written with
-`out=` into the next block's newest tap (already read and shifted) or the
-head's h, then the link add, an in-place tanh and a shift of its own window
-by one tap; the head's fresh y goes into block 0's newest tap and the image.
-These taps, zeroed by each row pass, are not counted by `cached_rows_values()`.
-Batch elements generate in lockstep, so every point operation is a single
-matrix product across the batch.
+The horizontal streams advance in wavefront groups.  Block 0 reads pixels
+strictly left and block i reads block i-1 strictly left, so y_j reads only
+pixels <= j - n, n = `n_layers`: once y_{c-1} is known, so are y_c ..
+y_{c+n-1}.  A pixel step with no pending pixel runs one group, blocks 0 to
+n-1, then the head: block i computes its columns through c + i (i + 1 at
+the row's start, then n) with one window copy into a `Column`, one
+`conv1d_point` over its g*B columns, the link add and a tanh into the next
+block's input history.  The head's g pixels go into block 0's history and
+the image and are queued for the next g - 1 steps.  After its head, the
+row's last group computes the columns that read its own pixels, which no
+output reads, so a row's node and MAC counts are those of a full pass.
+The schedule is compiled once per (W, n); a state binds it to views on its
+first group.  The input histories, n*C*(h_kw+W)*B floats, are not counted
+by `cached_rows_values()`.  Batch elements generate in lockstep, so every
+point operation is a single matrix product across the batch.
 
 With `row_pair`, the first block's vertical path is vconv -> stride-2 row
 downsampling -> stride-2 row upsampling, scheduled across rows like the 1D
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import accumulate
 from typing import ClassVar
 
@@ -50,7 +55,6 @@ from .tensor import (
     Column,
     ConvWeights,
     OpCounter,
-    _ones_row,
     conv1d_point,
     masked_conv2d,
     zeros,
@@ -227,23 +231,25 @@ def image_naive_step(network: ImageNetwork, state: ImageNaiveState) -> np.ndarra
 class _PairState:
     """Row-rate burst scheduling for the vconv -> down -> up vertical path.
 
-    Every even-count feed fires the down layer over [previous row; this row]
-    and queues the two rows the up layer emits from it.
+    Every even-count feed fires the down layer over the state's column
+    [previous row; this row; 1], which each odd-count feed's row enters as
+    the carry, and queues the two rows the up layer emits from it.
     """
 
-    __slots__ = ("carry", "count", "pending")
+    __slots__ = ("column", "count", "pending")
 
     def __init__(self, channels: int, width: int, batch: int):
-        self.carry = zeros((channels, width, batch))
+        self.column = zeros((2 * channels + 1, width * batch))  # the carry of row -1 is zeros
+        self.column[-1] = 1.0
         self.count = 0
         self.pending = deque()
 
     def feed(self, block: ImageBlock, vc_row: np.ndarray, counter: OpCounter | None) -> None:
+        c, W, B = vc_row.shape
+        n = W * B
         if self.count % 2 == 0:
-            c, W, B = vc_row.shape
-            n = W * B
-            column = np.concatenate((self.carry.reshape(c, n), vc_row.reshape(c, n), _ones_row(n)))
-            d = np.dot(block.down.fused, column)
+            self.column[c:-1] = vc_row.reshape(c, n)
+            d = np.dot(block.down.fused, self.column)
             np.tanh(d, out=d)
             u = block.up
             for tap in u.tap_mats:
@@ -253,36 +259,33 @@ class _PairState:
             if counter is not None:
                 counter.add(block.down.macs * n, nodes=n)
                 counter.add(u.macs * n, nodes=2 * n)
-        self.carry = vc_row
+        else:
+            self.column[:c] = vc_row.reshape(c, n)
         self.count += 1
 
     def stored_values(self) -> int:
-        return int(self.carry.size) + sum(int(r.size) for r in self.pending)
+        return self.column[: len(self.column) // 2].size + sum(int(r.size) for r in self.pending)
 
 
 @dataclass(eq=False)
 class ImageGenState:
     """All mutable state of one cached 2D generation run.  `buf` holds each
-    block's horizontal column, then the head's, at rows `layout[i] = (start,
-    stop, in_channels)`; the views a pixel step uses are built here, and
-    copies and pickles rebuild them over their own buffer."""
+    block's input history in the row, h_kw zero columns then W, with 1 row
+    (the image's) for block 0 and C for each further block; `groups`, the
+    views over it, is built by the first group, also in copies and pickles."""
 
     row_caches: list
     pair: _PairState | None
     buf: np.ndarray
-    layout: tuple
-    links: list  # per block: its 1x1 link of the current vertical row, (W, C, B)
+    links: np.ndarray
+    pending: deque
     image: np.ndarray
     r: int
     c: int
     batch: int
     counter: OpCounter
     v_ready: bool = False
-
-    def __post_init__(self):
-        self.columns = tuple(Column(self.buf[a:b], c) for a, b, c in self.layout)
-        self.newest = tuple(column[-1] for column in self.columns)  # where its next input goes
-        self.shifts = tuple(tuple(zip(col[:-1], col[1:])) for col in self.columns[:-1])
+    groups = None  # not a field, so neither copied nor pickled
 
     def __reduce__(self):
         return ImageGenState, tuple(getattr(self, f.name) for f in fields(self))
@@ -295,23 +298,14 @@ class ImageGenState:
 
 
 def _vconv_row(w: ConvWeights, cache: RowCache, counter: OpCounter | None) -> np.ndarray:
-    """One output row of a vertical conv from the cached rows above it.
-
-    Output column c reads columns c-kw+1 .. c of every cached row, zero left
-    of the image.  Each cached row's kw column windows fill its block of the
-    `fused` tap order with one copy, oldest row first, over a row of ones,
-    so the whole row is one dot over W*B columns.
-    """
-    W, B = cache.width, cache.batch
-    n = W * B
-    column = np.empty((w.fused.shape[1], n), dtype=DTYPE)
-    column[-1] = 1.0
-    taps = column[:-1].reshape(cache.height, cache.kw, cache.channels, W, B)
-    for i, windows in enumerate(cache.windows()):
-        taps[i] = windows
+    """One output row of a vertical conv from the cached rows above it: one
+    dot over the cache's fused column of W*B columns, where output column c
+    reads columns c-kw+1 .. c of every cached row, zero left of the image."""
+    column = cache.column()
+    n = column.shape[1]
     if counter is not None:
         counter.add(w.macs * n, nodes=n)
-    return np.dot(w.fused, column).reshape(w.out_channels, W, B)
+    return np.dot(w.fused, column).reshape(w.out_channels, cache.width, cache.batch)
 
 
 def image_incremental_init(
@@ -319,20 +313,15 @@ def image_incremental_init(
 ) -> ImageGenState:
     batch = _check_int("batch", batch, 1)
     spec = network.spec
-    caches = []
-    for i in range(spec.n_layers):
-        in_v = 1 if i == 0 else spec.channels
-        caches.append(RowCache(spec.kh, spec.width, in_v, batch, spec.kw))
-    ws = (*(block.horiz for block in network.blocks), network.proj)
-    stops = list(accumulate(w.fused.shape[1] for w in ws))  # [taps; 1] rows each
-    buf = np.ones((stops[-1], batch), DTYPE)  # each row pass zeroes the tap rows
+    c, W = spec.channels, spec.width
     return ImageGenState(
-        row_caches=caches,
-        pair=_PairState(spec.channels, spec.width, batch) if spec.row_pair else None,
-        buf=buf,
-        layout=tuple(zip([0, *stops], stops, [w.in_channels for w in ws])),
-        links=[None] * spec.n_layers,
-        image=zeros((1, spec.height, spec.width, batch)),
+        row_caches=[RowCache(spec.kh, W, 1 if i == 0 else c, batch, spec.kw)
+                    for i in range(spec.n_layers)],
+        pair=_PairState(c, W, batch) if spec.row_pair else None,
+        buf=zeros((1 + (spec.n_layers - 1) * c, (spec.h_kw + W) * batch)),
+        links=zeros((spec.n_layers, c, W * batch)),
+        pending=deque(),
+        image=zeros((1, spec.height, W, batch)),
         r=0,
         c=0,
         batch=batch,
@@ -370,38 +359,87 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     for i in range(spec.n_layers - 1):
         state.row_caches[i + 1].push_row(rows[i])
     n = spec.width * state.batch
-    # (W, C, B), so that each pixel step adds one contiguous (C, B) block
-    state.links = []
-    for block, row in zip(network.blocks, rows):
-        state.links.append(np.matmul(block.link.kernel[:, :, 0], row.transpose(1, 0, 2)))
+    for block, row, link in zip(network.blocks, rows, state.links):
+        np.dot(block.link.kernel[:, :, 0], row.reshape(spec.channels, n), link)
         counter.add(block.link.macs * n, nodes=0)
     state.v_ready = True
-    for column in state.columns[:-1]:  # strictly-left taps start as zeros
-        column.buf[:-1] = 0.0
     return rows
+
+
+@cache
+def _schedule(width: int, n_layers: int) -> tuple:
+    """Per group from pixel c = n_layers * index: the (block, lo, hi) column
+    ranges run before the head, then those run after it (the row's last)."""
+    groups = []
+    for c in range(0, width, n_layers):
+        main = tuple((i, max(0, c - n_layers + i + 1), min(c + i + 1, width)) for i in range(n_layers))
+        groups.append((main, tuple((i, hi, width) for i, _, hi in main if c + n_layers >= width > hi)))
+    return tuple(groups)
+
+
+def _bind_groups(spec: ImageSpec, state: ImageGenState) -> tuple:
+    """`_schedule` over this state's buffers: per group its block ops, head
+    Column, pixels' place in block 0's history and ops after the head.
+    An op is (block, window, Column taps, Column, dot output, link, dest);
+    scratch is shared by equal shapes: each is written just before it is read."""
+    C, B, hk, n = spec.channels, state.batch, spec.h_kw, spec.n_layers
+    buf, (row, step) = state.buf, state.buf.strides
+    ins = [1] + [C] * (n - 1)
+    starts = list(accumulate([0] + ins))
+    windows = [np.ndarray((hk, k, spec.width * B), DTYPE, buf, a * row, (B * step, row, step))
+               for a, k in zip(starts, ins)]
+    inputs = [buf[a:b, hk * B :] for a, b in zip(starts, starts[1:])]  # after the zero columns
+    out = cache(lambda m: np.empty((C, m), DTYPE))
+
+    @cache
+    def column(k, taps, m):
+        col = Column(np.ones((taps * k + 1, m), DTYPE), k)
+        return col, col.buf[:-1].reshape(taps, k, m)
+
+    def op(i, lo, hi, head):
+        a, b = lo * B, hi * B
+        col, taps = column(ins[i], hk, b - a)
+        dest = inputs[i + 1][:, a:b] if i < n - 1 else head.buf[:-1]
+        return i, windows[i][:, :, a:b], taps, col, out(b - a), state.links[i][:, a:b], dest
+
+    groups = []
+    for main, tail in _schedule(spec.width, n):
+        _, c, end = main[-1]  # the head's pixels
+        head = column(C, 1, (end - c) * B)[0]
+        groups.append(([op(*r, head) for r in main], head, inputs[0][:, c * B : end * B],
+                       [op(*r, head) for r in tail]))
+    return tuple(groups)
+
+
+def _horizontal(blocks, ops, counter: OpCounter) -> None:
+    for i, window, taps, column, out, link, dest in ops:
+        taps[...] = window
+        conv1d_point(blocks[i].horiz, column, counter, out)
+        np.add(out, link, out)  # ufunc out positional: numpy parses it faster
+        np.tanh(out, dest)  # dest and link are strided: one strided operand per ufunc
 
 
 def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
     if not state.v_ready:
         raise ScheduleViolationError("pixel step before vertical_row_pass")
-    blocks, counter, columns, newest = network.blocks, state.counter, state.columns, state.newest
-    links, shifts, col = state.links, state.shifts, state.c
-    for i in range(len(blocks) - 1, -1, -1):
-        h = conv1d_point(blocks[i].horiz, columns[i], counter, newest[i + 1])
-        np.add(h, links[i][col], h)  # ufunc out positional: numpy parses it faster
-        np.tanh(h, h)
-        for dst, src in shifts[i]:  # tap j takes tap j + 1
-            dst[...] = src
-    y = conv1d_point(network.proj, columns[-1], counter)
-    newest[0][...] = y
-    state.image[:, state.r, col, :] = y
-    if col + 1 == network.spec.width:
+    if not state.pending:  # run the next group
+        if state.groups is None:
+            state.groups = _bind_groups(network.spec, state)
+        ops, head, y_dest, tail = state.groups[state.c // network.spec.n_layers]
+        _horizontal(network.blocks, ops, state.counter)
+        y = conv1d_point(network.proj, head, state.counter)
+        y_dest[...] = y
+        ys = y.reshape(-1, 1, state.batch)
+        state.image[0, state.r, state.c : state.c + len(ys)] = ys[:, 0]
+        state.pending.extend(ys)
+        _horizontal(network.blocks, tail, state.counter)
+    if state.c + 1 == network.spec.width:
         state.c = 0
         state.r += 1
         state.v_ready = False
     else:
-        state.c = col + 1
-    return y
+        state.c += 1
+    return state.pending.popleft()
 
 
 def image_incremental_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:

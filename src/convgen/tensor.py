@@ -16,9 +16,12 @@ it is built, and recorded as its `fit` (taps, rows) and `n`; a call only
 compares that `fit` with the weights' `fit`.  Three cached steps evaluate
 their nodes over `Column`s: the dilated step over rows of a (layers-1, 2C+1)
 matrix held once per network and per thread (see `convgen.dilated`; that
-workspace is not engine state and `state_bytes` does not count it), and the
-strided step and the image pixel step over the columns of one buffer per
-state (`convgen.strided`, `convgen.image2d`).
+workspace is not engine state and `state_bytes` does not count it), the
+strided step over the columns of one buffer per state (`convgen.strided`),
+and the image engine's wavefront groups over scratch `Column`s of g*B
+columns, one per block input width and group size, into which each group
+copies a block's g input windows from the state's row history; one call
+then evaluates g pixels of a block for the whole batch (`convgen.image2d`).
 
 `ConvWeights` is the one weight type: every array in it is read-only, a copy
 or a pickle is rebuilt through its constructor, and `==` compares values.

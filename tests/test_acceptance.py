@@ -124,9 +124,10 @@ def test_acceptance_6_directional_speedup():
     for L in (4, 6, 8, 10):
         spec = NetworkSpec("dilated", stacks=2, layers_per_stack=L, channels=4, seed=1)
         net = build_network(spec)
-        naive = time_engine(net, "naive", steps=12, repeats=3)
-        cached = time_engine(net, "cached", steps=12, repeats=3)
-        speedups[L] = naive["median_us"] / cached["median_us"]
+        # minima over repeats: a stall on a shared machine only ever adds time
+        naive = time_engine(net, "naive", steps=12, repeats=5)
+        cached = time_engine(net, "cached", steps=12, repeats=5)
+        speedups[L] = naive["min_us"] / cached["min_us"]
     pairs = sorted(speedups.items())
     assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:])), f"not increasing: {speedups}"
     assert speedups[10] > 5.0, f"L=10 speedup {speedups[10]:.1f}x <= 5x"

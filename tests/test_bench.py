@@ -375,5 +375,6 @@ def test_time_engine_reports_positive_and_exact_macs():
     net = build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=2, channels=2, seed=1))
     res = time_engine(net, "cached", steps=8, repeats=2)
     assert res["median_us"] > 0 and res["mean_us"] > 0
+    assert 0 < res["min_us"] <= res["median_us"]
     want = sum(l.weights.out_channels * l.weights.in_channels * 2 for l in net.layers) + 2
     assert res["macs_per_step"] == want

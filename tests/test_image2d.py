@@ -352,9 +352,10 @@ def test_forked_state_continues_bit_exact(row_pair):
         image_incremental_step(net, state)
     restored = pickle.loads(pickle.dumps(state))
     assert not np.shares_memory(restored.buf, state.buf)
-    assert all(np.shares_memory(col.buf, restored.buf) for col in restored.columns)
     assert restored.cached_rows_values() == state.cached_rows_values()
     got = [image_incremental_step(net, restored) for _ in range(36 - fork_at)]
+    # each group op's window view is over the restored buffer
+    assert all(np.shares_memory(op[1], restored.buf) for group in restored.groups for op in group[0])
     assert np.array_equal(np.concatenate(got), whole[fork_at:])
     assert (state.r, state.c) == divmod(fork_at, 6)  # stepping the copy left the original alone
 
@@ -387,6 +388,86 @@ def test_step_outputs_are_fresh_arrays():
         assert np.array_equal(y, kept)
         assert not np.shares_memory(y, state.buf) and not np.shares_memory(y, state.image)
     assert np.array_equal(generate(net, batch=3), np.concatenate(outs))
+
+
+# ---------------------------------------------------------------------------
+# wavefront groups: one pixel step in n_layers computes n_layers pixels
+# ---------------------------------------------------------------------------
+
+
+def _generated_images(net, batch):
+    """Cached outputs of one whole image per batch element, (1, H, W, batch)."""
+    spec = net.spec
+    out = generate(net, batch=batch)
+    return out, out.reshape(1, spec.height, spec.width, batch)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("row_pair", [False, True])
+@pytest.mark.parametrize("h_kw", [1, 2, 3])
+@pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+def test_grouped_step_matches_forward_image(n_layers, h_kw, row_pair, batch):
+    # widths around the group size: one partial group, one whole group, a
+    # group and one pixel, and two groups and one pixel
+    for width in (n_layers - 1, n_layers, n_layers + 1, 2 * n_layers + 1):
+        if width < h_kw:
+            continue
+        spec = ImageSpec(4, width, channels=3, n_layers=n_layers, kw=min(3, width), h_kw=h_kw,
+                         row_pair=row_pair, seed=10 * n_layers + width)
+        net = build_image_network(spec)
+        out, images = _generated_images(net, batch)
+        want = forward_image(net, images).reshape(-1, batch)
+        assert np.max(np.abs(out - want)) <= EQUIV_TOL, f"width {width}"
+
+
+@pytest.mark.parametrize("row_pair", [False, True])
+@pytest.mark.parametrize("n_layers,h_kw,width", [(1, 1, 3), (2, 2, 5), (3, 2, 7), (3, 3, 8), (4, 1, 3)])
+def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
+    # every row: each block's vertical and horizontal node and its link per
+    # column, and the head; the pair's burst adds a down and two up rows
+    batch, height = 2, 4
+    spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width), h_kw=h_kw,
+                     row_pair=row_pair, seed=n_layers)
+    net = build_image_network(spec)
+    n = width * batch
+    row_macs = n * (sum(b.vert.macs + b.horiz.macs + b.link.macs for b in net.blocks) + net.proj.macs)
+    state = image_incremental_init(net, batch=batch)
+    for r in range(height):
+        macs0, nodes0 = state.counter.snapshot()
+        for _ in range(width):
+            image_incremental_step(net, state)
+        burst = row_pair and r % 2 == 0
+        pair = net.blocks[0]
+        assert state.counter.node_evals - nodes0 == n * (2 * n_layers + 1) + (3 * n if burst else 0)
+        assert state.counter.macs - macs0 == row_macs + (
+            n * (pair.down.macs + pair.up.macs) if burst else 0)
+        assert not state.pending  # a row's groups leave no pixel queued
+        with pytest.raises(ScheduleViolationError):
+            _pixel_step(net, state)  # the next row's pixels need its row pass first
+
+
+@pytest.mark.parametrize("row_pair", [False, True])
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_fork_at_every_offset_in_a_group_continues_bit_exact(how, row_pair):
+    # width 8 with 3 blocks: groups start at columns 0, 3 and 6, the last
+    # one short with a tail; a fork at any column of row 1 carries the
+    # pixels its group queued
+    spec = ImageSpec(4, 8, channels=3, n_layers=3, row_pair=row_pair, seed=21)
+    net = build_image_network(spec)
+    whole = generate(net, batch=2)
+    fork_of = {"deepcopy": copy.deepcopy, "pickle": lambda s: pickle.loads(pickle.dumps(s))}[how]
+    for fork_at in range(8, 16):
+        state = image_incremental_init(net, batch=2)
+        for _ in range(fork_at):
+            image_incremental_step(net, state)
+        fork = fork_of(state)
+        outs = {"state": [], "fork": []}
+        for _ in range(32 - fork_at):
+            for name, st in (("state", state), ("fork", fork)):  # interleaved
+                outs[name].append(image_incremental_step(net, st))
+        for name in outs:
+            assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:]), (name, fork_at)
+        assert fork.counter.snapshot() == state.counter.snapshot()
 
 
 # ---------------------------------------------------------------------------

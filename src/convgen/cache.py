@@ -16,9 +16,9 @@ benchmark tracer, which patches its methods.
 A `RowCache` holds the last kh rows a 2D vertical conv reads, in one
 preallocated ring with every row left-padded by kw - 1 zero columns.  A
 cached row's kw shifted column windows are then one read-only view, so
-`column()` fills the conv's fused column, also allocated once with the
-cache, with one copy per cached row, and a push is one copy into the
-oldest slot.
+`column()` fills the conv's fused column, allocated once by its first
+call, with one copy per cached row, and a push is one copy into the oldest
+slot.
 """
 
 from __future__ import annotations
@@ -140,9 +140,7 @@ class RowCache:
         windows.flags.writeable = False
         self._windows = tuple(windows)
         self._head = 0  # the oldest slot, overwritten by the next push
-        self._column = np.empty((height * kw * channels + 1, width * batch), DTYPE)
-        self._column[-1] = 1.0
-        self._column_rows = tuple(self._column[:-1].reshape(height, kw, channels, width, batch))
+        self._column = self._column_rows = None  # allocated by the first column()
 
     def __reduce__(self):
         # copies and pickles rebuild the window views over their own ring
@@ -168,6 +166,11 @@ class RowCache:
     def column(self) -> np.ndarray:
         """The fused column [every cached row's kw windows, oldest first; 1]
         of shape (height*kw*channels + 1, width*batch), filled in place."""
+        if self._column is None:
+            column = np.empty((self.height * self.kw * self.channels + 1, self.width * self.batch), DTYPE)
+            column[-1] = 1.0
+            self._column = column
+            self._column_rows = tuple(column[:-1].reshape(self.height, self.kw, *self.row_shape))
         for rows, windows in zip(self._column_rows, self.windows()):
             rows[...] = windows
         return self._column

@@ -220,10 +220,11 @@ def time_engine(
     """Per-step wall time (all batch elements advance once per step) and exact macs.
 
     The time of one step is its repeat's mean; `min_us`, `median_us` and
-    `mean_us` summarise it over the repeats.  `steps=None` times whole images.  Warm-up is excluded from the timed
-    window.  It defaults to 4 steps, or one image for image2d; for the naive
-    dilated engine it spans one receptive field, because earlier steps
-    evaluate pruned trees and are cheaper than the steady state being measured.
+    `mean_us` summarise it over the repeats.  `steps=None` times whole
+    images.  Warm-up is excluded from the timed window.  It defaults to 4
+    steps, or one image for image2d; for the naive dilated engine it spans
+    one receptive field, because earlier steps evaluate pruned trees and are
+    cheaper than the steady state being measured.
     """
     rollout = Rollout(network, engine, batch)
     steps = rollout.steps(steps)

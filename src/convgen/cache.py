@@ -167,7 +167,8 @@ class RowCache:
         """The fused column [every cached row's kw windows, oldest first; 1]
         of shape (height*kw*channels + 1, width*batch), filled in place."""
         if self._column is None:
-            column = np.empty((self.height * self.kw * self.channels + 1, self.width * self.batch), DTYPE)
+            rows = self.height * self.kw * self.channels
+            column = np.empty((rows + 1, self.width * self.batch), DTYPE)
             column[-1] = 1.0
             self._column = column
             self._column_rows = tuple(column[:-1].reshape(self.height, self.kw, *self.row_shape))

@@ -372,8 +372,10 @@ def _schedule(width: int, n_layers: int) -> tuple:
     ranges run before the head, then those run after it (the row's last)."""
     groups = []
     for c in range(0, width, n_layers):
-        main = tuple((i, max(0, c - n_layers + i + 1), min(c + i + 1, width)) for i in range(n_layers))
-        groups.append((main, tuple((i, hi, width) for i, _, hi in main if c + n_layers >= width > hi)))
+        main = tuple((i, max(0, c - n_layers + i + 1), min(c + i + 1, width))
+                     for i in range(n_layers))
+        tail = tuple((i, hi, width) for i, _, hi in main if c + n_layers >= width > hi)
+        groups.append((main, tail))
     return tuple(groups)
 
 

@@ -355,7 +355,8 @@ def test_forked_state_continues_bit_exact(row_pair):
     assert restored.cached_rows_values() == state.cached_rows_values()
     got = [image_incremental_step(net, restored) for _ in range(36 - fork_at)]
     # each group op's window view is over the restored buffer
-    assert all(np.shares_memory(op[1], restored.buf) for group in restored.groups for op in group[0])
+    assert all(np.shares_memory(op[1], restored.buf)
+               for group in restored.groups for op in group[0])
     assert np.array_equal(np.concatenate(got), whole[fork_at:])
     assert (state.r, state.c) == divmod(fork_at, 6)  # stepping the copy left the original alone
 
@@ -395,13 +396,6 @@ def test_step_outputs_are_fresh_arrays():
 # ---------------------------------------------------------------------------
 
 
-def _generated_images(net, batch):
-    """Cached outputs of one whole image per batch element, (1, H, W, batch)."""
-    spec = net.spec
-    out = generate(net, batch=batch)
-    return out, out.reshape(1, spec.height, spec.width, batch)
-
-
 @pytest.mark.parametrize("batch", [1, 3, 16])
 @pytest.mark.parametrize("row_pair", [False, True])
 @pytest.mark.parametrize("h_kw", [1, 2, 3])
@@ -415,13 +409,14 @@ def test_grouped_step_matches_forward_image(n_layers, h_kw, row_pair, batch):
         spec = ImageSpec(4, width, channels=3, n_layers=n_layers, kw=min(3, width), h_kw=h_kw,
                          row_pair=row_pair, seed=10 * n_layers + width)
         net = build_image_network(spec)
-        out, images = _generated_images(net, batch)
-        want = forward_image(net, images).reshape(-1, batch)
+        out = generate(net, batch=batch)  # raster order: row i is pixel i of every image
+        want = forward_image(net, out.reshape(1, 4, width, batch)).reshape(-1, batch)
         assert np.max(np.abs(out - want)) <= EQUIV_TOL, f"width {width}"
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
-@pytest.mark.parametrize("n_layers,h_kw,width", [(1, 1, 3), (2, 2, 5), (3, 2, 7), (3, 3, 8), (4, 1, 3)])
+@pytest.mark.parametrize("n_layers,h_kw,width",
+                         [(1, 1, 3), (2, 2, 5), (3, 2, 7), (3, 3, 8), (4, 1, 3)])
 def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
     # every row: each block's vertical and horizontal node and its link per
     # column, and the head; the pair's burst adds a down and two up rows
@@ -430,7 +425,8 @@ def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
                      row_pair=row_pair, seed=n_layers)
     net = build_image_network(spec)
     n = width * batch
-    row_macs = n * (sum(b.vert.macs + b.horiz.macs + b.link.macs for b in net.blocks) + net.proj.macs)
+    block_macs = sum(b.vert.macs + b.horiz.macs + b.link.macs for b in net.blocks)
+    row_macs = n * (block_macs + net.proj.macs)
     state = image_incremental_init(net, batch=batch)
     for r in range(height):
         macs0, nodes0 = state.counter.snapshot()

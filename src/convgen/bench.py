@@ -55,6 +55,13 @@ from .tensor import DTYPE, OpCounter
 
 EQUIV_TOL = 1e-5
 HOURGLASS_STRIDES = ("down2", "down2", "up2", "up2")
+# (strides, kernel_size) the strided samples cycle through: the hourglass's
+# k = s windows, k < s (inputs no node reads) and k > s (windows that overlap)
+STRIDED_SAMPLES = (
+    (HOURGLASS_STRIDES, 2),
+    (("down2", "up2", "down3", "up3"), 1),
+    (("down3", "up3", "down2", "up2"), 3),
+)
 
 CSV_COLUMNS = (
     "model",
@@ -272,8 +279,9 @@ def check_equivalence(networks, n_steps: int | None = None, tol: float = EQUIV_T
 
 
 def _sample_networks(family: str, n: int, seed: int = 0, sizes=((8, 8),)) -> list:
-    """n seeded random networks of one family (for image2d, n per image size
-    without and n with the row pair)."""
+    """n seeded random networks of one family (strided ones cycle through
+    `STRIDED_SAMPLES`; for image2d, n per image size without and n with the
+    row pair)."""
     rng = np.random.default_rng(seed)
     if family == "dilated":
         return [
@@ -289,9 +297,10 @@ def _sample_networks(family: str, n: int, seed: int = 0, sizes=((8, 8),)) -> lis
     if family == "strided":
         return [
             build_strided_network(NetworkSpec(
-                "strided", channels=3, strides=HOURGLASS_STRIDES, seed=int(rng.integers(2**32))
+                "strided", kernel_size=k, channels=3, strides=strides,
+                seed=int(rng.integers(2**32)),
             ))
-            for _ in range(n)
+            for strides, k in (STRIDED_SAMPLES[i % len(STRIDED_SAMPLES)] for i in range(n))
         ]
     return [
         build_image_network(ImageSpec(

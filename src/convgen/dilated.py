@@ -20,7 +20,8 @@ cached engine  - column-resident, for n = stacks * L layers: the state is
                  `Column`) writing straight into the next layer's new-tap
                  half, applies tanh in place, and scatters the new-tap half
                  back into the ring with one fancy index.  The last layer
-                 writes into the head's [h; 1] column.
+                 writes into the head's [h; 1] column.  The kernels get
+                 no counter: the step adds its fixed totals once.
 
 The column matrix carries nothing from one step to the next, so it is a
 workspace: one per network and per thread (`threading.local`), built with
@@ -346,7 +347,8 @@ class _Workspace:
     `layers` pairs each layer's weights and `Column` with the array its
     output goes to: the next layer's new tap, or the head's h.  `rows[p]`
     holds the ring row of each of layers 1.. at every step t with
-    t % period == p (`_ring_rows`).
+    t % period == p (`_ring_rows`).  `macs` and `nodes` are a step's totals,
+    every layer's node and the head's.
     """
 
     def __init__(self, network: DilatedNetwork):
@@ -363,6 +365,8 @@ class _Workspace:
         outs = list(self.new) + [self.head[:C]]
         self.layers = tuple(zip([layer.weights for layer in network.layers], columns, outs))
         self.head_col = Column(self.head, C)
+        self.macs = sum(layer.weights.macs for layer in network.layers) + network.head.macs
+        self.nodes = len(network.layers) + 1
 
 
 def _workspace(network: DilatedNetwork) -> _Workspace:
@@ -378,7 +382,7 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     """Advance one step: gather the old taps, one node per layer, scatter; then the head.
 
     Every layer computes one node at every step, through `conv1d_point` on
-    its preallocated `Column`.  All old taps are read before any new tap is
+    its preallocated `Column`; the step's MACs and nodes are counted once.  All old taps are read before any new tap is
     stored, and each layer owns its own ring rows, so one gather before the
     layers and one scatter after them equal a read-then-store per layer.
     """
@@ -394,10 +398,12 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     rows = s.rows[t % s.period]
     # arguments positional, here and in the loop: numpy parses them faster
     state.ring.take(rows, 0, s.old, "clip")
-    counter = state.counter
     for weights, col, out in s.layers:
-        np.tanh(conv1d_point(weights, col, counter, out), out)
-    y = conv1d_point(network.head, s.head_col, counter, s.y)
+        np.tanh(conv1d_point(weights, col, None, out), out)
+    y = conv1d_point(network.head, s.head_col, None, s.y)
+    counter = state.counter
+    counter.macs += s.macs
+    counter.node_evals += s.nodes
     state.ring[rows] = s.new
     ring0[t % len(ring0)] = col0[1]
     state.t = t + 1

@@ -15,12 +15,16 @@ once and stores the nodes each layer computes at each phase of the period;
 `firing_trace` expands it.  The incremental engine walks the same rules
 once per plan and layer geometry, depth first, into an op table per phase,
 checked against `plan.nodes` (`_compile`); a network binds that table to
-its own weights when it is built (`_bind`), so a step looks up no layer and
-compares no string.  A state is one buffer of columns: a down layer's
-[taps; 1] `Column` and an up layer's [vec; 1].  A step writes x into the
-first column and runs its phase's ops: a node (`conv1d_point` or
-`transposed_point`) writes straight into the next column's newest tap, and
-a down window shifts after each input.
+its own weights, with each phase's MAC and node totals, when it is built
+(`_bind`), so a step looks up no layer, compares no string and counts once.
+A state is one buffer of columns: a down layer's [taps; 1] `Column` and an
+up layer's [vec; 1], then the output and a dump row.  Items are routed, not
+shifted: input m of a down layer (k taps, stride s) is first read by the
+node at c, the next multiple of s at or after m, at tap k-1-(c-m), so x and
+each node's output (`conv1d_point` or `transposed_point`, with `out=`) are
+written straight into that tap, or into the dump row if c-m >= k and no node
+reads it.  Only a window that overlaps the next one (k > s) copies: after
+each fire its last k-s taps slide to the front.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ class StridedNetwork:
         program = _compile(
             self.plan, tuple((l.kind, l.stride, *l.weights.kernel.shape) for l in self.layers))
         object.__setattr__(self, "_program", program)
-        object.__setattr__(self, "_ops", _bind(program[2], self.layers))
+        object.__setattr__(self, "_ops", _bind(program[3], self.layers))
 
     def __hash__(self):
         return hash(self.spec)  # equal networks have equal specs
@@ -196,85 +200,114 @@ def strided_receptive_field(plan: StridedPlan, kernel_size: int = 2) -> int:
 
 @cache
 def _compile(plan: StridedPlan, geometry: tuple) -> tuple:
-    """(blank, layout, phases) for a plan and each layer's (kind, stride, out,
-    in, taps).  Layer i's column is `buf[start:stop]` for `(start, stop, in,
-    is_down) = layout[i]`, then the output; `phases[p]` lists the ops (code
-    "down", "up" or "shift", layer, phase or tap) of the steps t with t %
-    period == p.  A phase whose node counts differ from `plan.nodes`, or a
-    period that does not close the walk, raises `ScheduleViolationError`."""
+    """(blank, layout, targets, phases) for a plan and each layer's (kind,
+    stride, out, in, taps).  Layer i's column is `buf[start:stop]` for
+    `(start, stop, in, is_down) = layout[i]`; the output and a dump row
+    follow.  `targets` lists the `(offset, length)` range of `buf` each write
+    goes to.  `phases[p]`, for the steps t with t % period == p, is (target
+    of x, ops): an op is ("down" or "up", layer, phase, target of the node's
+    output) or ("slide", layer, destination, source), after a fire of a down
+    window whose taps overlap the next one's.  A phase whose node counts
+    differ from `plan.nodes`, or a period that does not close the walk,
+    raises `ScheduleViolationError`."""
     n, layout, end = len(geometry), [], 0
     for kind, _, _, in_ch, k in geometry:
         down = kind == "down"
         layout.append((end, end + (k if down else 1) * in_ch + 1, in_ch, down))
         end = layout[-1][1]
-    blank = zeros(end + geometry[-1][2])
+    out_ch, dump = geometry[-1][2], end + geometry[-1][2]
+    blank = zeros(dump + max(g[3] for g in geometry))
     blank[[stop - 1 for _, stop, _, _ in layout]] = 1
-    counts = [0] * n
+    targets, counts = {}, [0] * n
 
-    def feed(i, ops):  # an item has just been written into column i's newest tap
-        kind, s, _, _, k = geometry[i]
+    def target(offset, length):
+        return targets.setdefault((offset, length), len(targets))
+
+    def route(i):  # where layer i's next input goes: the tap of the first node reading it
+        if i == n:
+            return target(end, out_ch)
+        kind, s, _, in_ch, k = geometry[i]
+        if kind == "up":
+            return target(layout[i][0], in_ch)
+        lag = -counts[i] % s  # inputs until the next fire, whose window ends at tap k-1
+        return target(layout[i][0] + (k - 1 - lag) * in_ch if lag < k else dump, in_ch)
+
+    def feed(i, ops):  # an item has just been written to its target in layer i
+        kind, s, _, in_ch, k = geometry[i]
         # an up node fires s phases per input, a down node on each input counted 0 mod s
         fires = range(s) if kind == "up" else range(int(counts[i] % s == 0))
         counts[i] += 1
         for r in fires:
-            ops.append((kind, i, r))
+            ops.append((kind, i, r, route(i + 1)))
+            if kind == "down" and k > s:  # the next window keeps this one's last k-s taps
+                a, size = layout[i][0], (k - s) * in_ch
+                ops.append(("slide", i, target(a, size), target(a + s * in_ch, size)))
             if i + 1 < n:
                 feed(i + 1, ops)
-        if kind == "down":
-            ops.extend(("shift", i, j) for j in range(k - 1))
 
     phases = []
     for p, expected in enumerate(plan.nodes):
-        ops = []
+        ops, x = [], route(0)
         feed(0, ops)
-        fired = tuple(sum(c != "shift" and li == i for c, li, _ in ops) for i in range(n))
+        fired = tuple(sum(c != "slide" and li == i for c, li, *_ in ops) for i in range(n))
         if fired != expected:
             raise ScheduleViolationError(f"phase {p} computes {fired} nodes per layer, "
                                          f"plan says {expected}")
-        phases.append(tuple(ops))
+        phases.append((x, tuple(ops)))
     if any(c % s for c, (kind, s, *_) in zip(counts, geometry) if kind == "down"):
         raise ScheduleViolationError("the plan's period does not close the firing schedule")
-    return _frozen(blank), tuple(layout), tuple(phases)
+    return _frozen(blank), tuple(layout), tuple(targets), tuple(phases)
 
 
-_SHIFT, _DOWN, _UP = 0, 1, 2
-_CODES = {"shift": _SHIFT, "down": _DOWN, "up": _UP}
+_DOWN, _UP, _SLIDE = 0, 1, 2
 
 
 def _bind(phases: tuple, layers: tuple) -> tuple:
-    """`_compile`'s phases, with each op as (code, weights, layer, phase or
-    tap, tanh): the code an int, the weights those of the layer for a node
-    (None for a shift), and tanh False for a node of the last layer, whose
-    value is an output."""
+    """`_compile`'s phases bound to the layers' weights: each is (target of
+    x, ops, MACs, nodes), the totals of its nodes.  A node op is (code,
+    weights, layer, phase, target, tanh), tanh False on the last layer, whose
+    value is an output; a slide is (_SLIDE, None, destination, 0, source,
+    False)."""
     weights, last = [layer.weights for layer in layers], len(layers) - 1
-    return tuple([
-        tuple([(_CODES[c], None if c == "shift" else weights[li], li, r, li < last)
-               for c, li, r in ops])
-        for ops in phases
-    ])
+    bound = []
+    for x, ops in phases:
+        table, macs, nodes = [], 0, 0
+        for c, li, r, b in ops:
+            if c == "slide":
+                table.append((_SLIDE, None, r, 0, b, False))
+                continue
+            w = weights[li]
+            table.append((_DOWN if c == "down" else _UP, w, li, r, b, li < last))
+            macs += w.macs if c == "down" else w.out_channels * w.in_channels
+            nodes += 1
+        bound.append((x, tuple(table), macs, nodes))
+    return tuple(bound)
 
 
 @dataclass(eq=False)
 class StridedState:
     """`_compile`'s columns over one float32 buffer, plus the outputs computed
-    ahead.  Between steps the down windows carry their last k-1 inputs; the
-    rest of `buf` is rewritten before it is read.  Copies and pickles rebuild
-    the views over their own buffer."""
+    ahead.  Between steps a down window holds the inputs a later node of its
+    own reads, at most k-1; the rest of `buf` is rewritten before it is read.
+    `views[j]` is `buf` over `targets[j]`.  Copies and pickles rebuild the
+    views over their own buffer."""
 
     buf: np.ndarray
     layout: tuple
+    targets: tuple
     pending: deque
     t: int
     counter: OpCounter
 
     def __post_init__(self):
-        buf, layout = self.buf, self.layout
-        self.columns = tuple(Column(buf[a:b], c) if down else buf[a:b] for a, b, c, down in layout)
-        # where each layer's input goes: its column's newest tap; then the output
-        self.newest = (*(buf[b - 1 - c : b - 1] for _, b, c, _ in layout), buf[layout[-1][1] :])
+        buf = self.buf
+        self.columns = tuple(Column(buf[a:b], c) if down else buf[a:b]
+                             for a, b, c, down in self.layout)
+        self.views = tuple(buf[o : o + size] for o, size in self.targets)
 
     def __reduce__(self):
-        return StridedState, (self.buf, self.layout, self.pending, self.t, self.counter)
+        return StridedState, (self.buf, self.layout, self.targets, self.pending, self.t,
+                              self.counter)
 
     def cached_values(self) -> int:  # the windows' k-1 inputs, plus the pending outputs
         return sum(b - a - 1 - c for a, b, c, _ in self.layout) + len(self.pending)
@@ -283,29 +316,35 @@ class StridedState:
 def strided_incremental_init(
     network: StridedNetwork, counter: OpCounter | None = None
 ) -> StridedState:
-    blank, layout, _ = network._program
-    return StridedState(blank.copy(), layout, deque(), 0, counter or OpCounter())
+    blank, layout, targets, _ = network._program
+    return StridedState(blank.copy(), layout, targets, deque(), 0, counter or OpCounter())
 
 
 def strided_incremental_step(network: StridedNetwork, state: StridedState, x) -> np.floating:
     """Feed one input, run the op table of its phase, emit exactly one output.
-    The kernels are looked up by name at each call, one call per node."""
-    t, ops, cols, newest = state.t, network._ops, state.columns, state.newest
-    newest[0][0] = x
-    for code, weights, li, r, tanh in ops[t % len(ops)]:
-        if code == _SHIFT:  # tap r of the window takes tap r + 1
-            cols[li][r][...] = cols[li][r + 1]
-            continue
+    The kernels are looked up by name at each call, one call per node; the
+    phase's MACs and nodes are counted once."""
+    t, phases = state.t, network._ops
+    x_at, ops, macs, nodes = phases[t % len(phases)]
+    cols, views, pending = state.columns, state.views, state.pending
+    views[x_at][0] = x
+    for code, weights, a, r, b, tanh in ops:
         if code == _DOWN:
-            h = conv1d_point(weights, cols[li], state.counter, newest[li + 1])
-        else:
-            h = transposed_point(weights, r, cols[li], state.counter, newest[li + 1])
+            h = conv1d_point(weights, cols[a], None, views[b])
+        elif code == _UP:
+            h = transposed_point(weights, r, cols[a], None, views[b])
+        else:  # a slide: view a takes view b
+            views[a][...] = views[b]
+            continue
         if tanh:
             np.tanh(h, h)
         else:
-            state.pending.append(h[0])
+            pending.append(h[0])
+    counter = state.counter
+    counter.macs += macs
+    counter.node_evals += nodes
     try:
-        y = state.pending.popleft()
+        y = pending.popleft()
     except IndexError:
         raise ScheduleViolationError(f"no pending output available at t={t}") from None
     state.t = t + 1

@@ -17,7 +17,8 @@ compares that `fit` with the weights' `fit`.  Three cached steps evaluate
 their nodes over `Column`s: the dilated step over rows of a (layers-1, 2C+1)
 matrix held once per network and per thread (see `convgen.dilated`; that
 workspace is not engine state and `state_bytes` does not count it), the
-strided step over the columns of one buffer per state (`convgen.strided`),
+strided step over the columns of one buffer per state, into whose taps each
+input is routed straight to the node that reads it (`convgen.strided`),
 and the image engine's wavefront groups over scratch `Column`s of g*B
 columns, one per block input width and group size, into which each group
 copies a block's g input windows from the state's row history; one call

@@ -343,7 +343,7 @@ def test_state_continues_on_an_equal_network_rebuilt_by_pickle(strides, kernel_s
     other = pickle.loads(pickle.dumps(net))
     assert other == net and other is not net
     for network in (net, other):
-        bound = {id(w) for ops in network._ops for _, w, *_ in ops if w is not None}
+        bound = {id(w) for _, ops, *_ in network._ops for _, w, *_ in ops if w is not None}
         assert bound == {id(layer.weights) for layer in network.layers}
     runs = {}
     for split in (None, 5):
@@ -449,17 +449,82 @@ def test_random_balanced_topology(strides, kernel_size):
         assert steps[p:] != steps[:-p], f"trace also repeats with {p} < period {plan.period}"
 
 
+def topology_network(strides, kernel_size):
+    return build_network(NetworkSpec(
+        "strided", kernel_size=kernel_size, channels=2, strides=strides, seed=len(strides)
+    ))
+
+
 @pytest.mark.parametrize(
     "strides, kernel_size", TOPOLOGIES, ids=["-".join(s) for s, _ in TOPOLOGIES]
 )
 def test_compiled_phase_counts_match_plan(strides, kernel_size):
     # the compiled op table computes, per phase and layer, the nodes the plan says
-    net = build_network(NetworkSpec(
-        "strided", kernel_size=kernel_size, channels=2, strides=strides, seed=len(strides)
-    ))
-    phases = net._program[2]
+    net = topology_network(strides, kernel_size)
+    phases = net._program[3]
     compiled = tuple(
-        tuple(sum(code != "shift" and li == i for code, li, _ in ops) for i in range(len(strides)))
-        for ops in phases
+        tuple(sum(code in ("down", "up") and li == i for code, li, *_ in ops)
+              for i in range(len(strides)))
+        for _, ops in phases
     )
     assert compiled == net.plan.nodes
+    # each bound phase carries its nodes' totals, which the step counts once
+    per_layer = [layer.weights.macs if layer.kind == "down"
+                 else layer.weights.out_channels * layer.weights.in_channels
+                 for layer in net.layers]
+    for (_, _, macs, nodes), expected in zip(net._ops, net.plan.nodes):
+        assert nodes == sum(expected)
+        assert macs == sum(n * m for n, m in zip(expected, per_layer))
+
+
+@pytest.mark.parametrize(
+    "strides, kernel_size", TOPOLOGIES, ids=["-".join(s) for s, _ in TOPOLOGIES]
+)
+def test_compiled_phases_copy_only_overlapping_windows(strides, kernel_size):
+    # an input goes straight to the tap of the first node reading it; a down
+    # window moves data only when its taps overlap the next window's (k > s),
+    # by one slide right after each of its fires
+    net = topology_network(strides, kernel_size)
+    geometry = [parse_stride(tok) for tok in strides]
+    for _, ops in net._program[3]:
+        if all(kernel_size <= s for kind, s in geometry if kind == "down"):
+            assert all(code in ("down", "up") for code, *_ in ops)
+        for i, (kind, s) in enumerate(geometry):
+            fires = [j for j, (code, li, *_) in enumerate(ops) if code == kind and li == i]
+            slides = [j for j, (code, li, *_) in enumerate(ops) if code == "slide" and li == i]
+            if kind == "down" and kernel_size > s:
+                assert slides == [j + 1 for j in fires]
+            else:
+                assert slides == []
+
+
+@pytest.mark.parametrize(
+    "strides, kernel_size", [(("down2", "up2", "down3", "up3"), 1),
+                             (("down3", "up3", "down2", "up2"), 3)],
+    ids=["k-below-s", "k-above-s"],
+)
+def test_forks_mid_period_continue_bit_exact(strides, kernel_size):
+    # with k < s some inputs go to the dump row, with k > s windows slide; a
+    # fork by deepcopy or pickle at every offset inside a period continues
+    # bit-exact, interleaved with the original
+    net = topology_network(strides, kernel_size)
+    period = net.plan.period
+    n = 4 * period
+    whole = generate(net, n)[:, 0]
+    for fork_at in range(period + 1, 2 * period):
+        state, x = strided_incremental_init(net), np.float32(0.0)
+        for _ in range(fork_at):
+            x = strided_incremental_step(net, state, x)
+        runs = {"state": state, "copy": copy.deepcopy(state),
+                "pickle": pickle.loads(pickle.dumps(state))}
+        assert not any(np.shares_memory(fork.buf, state.buf)
+                       for name, fork in runs.items() if name != "state")
+        xs = dict.fromkeys(runs, x)
+        outs = {name: [] for name in runs}
+        for _ in range(n - fork_at):
+            for name, st in runs.items():
+                xs[name] = strided_incremental_step(net, st, xs[name])
+                outs[name].append(xs[name])
+        for name in runs:
+            assert np.array_equal(np.array(outs[name], np.float32), whole[fork_at:]), name
+        assert len({st.counter.snapshot() for st in runs.values()}) == 1

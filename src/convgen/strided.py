@@ -205,11 +205,11 @@ def _compile(plan: StridedPlan, geometry: tuple) -> tuple:
     `(start, stop, in, is_down) = layout[i]`; the output and a dump row
     follow.  `targets` lists the `(offset, length)` range of `buf` each write
     goes to.  `phases[p]`, for the steps t with t % period == p, is (target
-    of x, ops): an op is ("down" or "up", layer, phase, target of the node's
-    output) or ("slide", layer, destination, source), after a fire of a down
-    window whose taps overlap the next one's.  A phase whose node counts
-    differ from `plan.nodes`, or a period that does not close the walk,
-    raises `ScheduleViolationError`."""
+    of x, ops, MACs, nodes), the last two its nodes' totals: an op is ("down"
+    or "up", layer, phase, target of the node's output) or ("slide", layer,
+    destination, source), after a fire of a down window whose taps overlap
+    the next one's.  A phase whose node counts differ from `plan.nodes`, or a
+    period that does not close the walk, raises `ScheduleViolationError`."""
     n, layout, end = len(geometry), [], 0
     for kind, _, _, in_ch, k in geometry:
         down = kind == "down"
@@ -245,6 +245,7 @@ def _compile(plan: StridedPlan, geometry: tuple) -> tuple:
             if i + 1 < n:
                 feed(i + 1, ops)
 
+    node_macs = [o * c * (k if kind == "down" else 1) for kind, _, o, c, k in geometry]
     phases = []
     for p, expected in enumerate(plan.nodes):
         ops, x = [], route(0)
@@ -253,7 +254,7 @@ def _compile(plan: StridedPlan, geometry: tuple) -> tuple:
         if fired != expected:
             raise ScheduleViolationError(f"phase {p} computes {fired} nodes per layer, "
                                          f"plan says {expected}")
-        phases.append((x, tuple(ops)))
+        phases.append((x, tuple(ops), sum(f * m for f, m in zip(fired, node_macs)), sum(fired)))
     if any(c % s for c, (kind, s, *_) in zip(counts, geometry) if kind == "down"):
         raise ScheduleViolationError("the plan's period does not close the firing schedule")
     return _frozen(blank), tuple(layout), tuple(targets), tuple(phases)
@@ -263,25 +264,17 @@ _DOWN, _UP, _SLIDE = 0, 1, 2
 
 
 def _bind(phases: tuple, layers: tuple) -> tuple:
-    """`_compile`'s phases bound to the layers' weights: each is (target of
-    x, ops, MACs, nodes), the totals of its nodes.  A node op is (code,
-    weights, layer, phase, target, tanh), tanh False on the last layer, whose
-    value is an output; a slide is (_SLIDE, None, destination, 0, source,
-    False)."""
+    """`_compile`'s phases with each op bound to its layer's weights: a node
+    is (code, weights, layer, phase, target, tanh), tanh False on the last
+    layer, whose value is an output; a slide is (_SLIDE, None, destination,
+    0, source, False)."""
     weights, last = [layer.weights for layer in layers], len(layers) - 1
-    bound = []
-    for x, ops in phases:
-        table, macs, nodes = [], 0, 0
-        for c, li, r, b in ops:
-            if c == "slide":
-                table.append((_SLIDE, None, r, 0, b, False))
-                continue
-            w = weights[li]
-            table.append((_DOWN if c == "down" else _UP, w, li, r, b, li < last))
-            macs += w.macs if c == "down" else w.out_channels * w.in_channels
-            nodes += 1
-        bound.append((x, tuple(table), macs, nodes))
-    return tuple(bound)
+    return tuple([
+        (x, tuple([(_SLIDE, None, r, 0, b, False) if c == "slide" else
+                   (_DOWN if c == "down" else _UP, weights[li], li, r, b, li < last)
+                   for c, li, r, b in ops]), macs, nodes)
+        for x, ops, macs, nodes in phases
+    ])
 
 
 @dataclass(eq=False)

@@ -465,7 +465,7 @@ def test_compiled_phase_counts_match_plan(strides, kernel_size):
     compiled = tuple(
         tuple(sum(code in ("down", "up") and li == i for code, li, *_ in ops)
               for i in range(len(strides)))
-        for _, ops in phases
+        for _, ops, *_ in phases
     )
     assert compiled == net.plan.nodes
     # each bound phase carries its nodes' totals, which the step counts once
@@ -486,7 +486,7 @@ def test_compiled_phases_copy_only_overlapping_windows(strides, kernel_size):
     # by one slide right after each of its fires
     net = topology_network(strides, kernel_size)
     geometry = [parse_stride(tok) for tok in strides]
-    for _, ops in net._program[3]:
+    for _, ops, *_ in net._program[3]:
         if all(kernel_size <= s for kind, s in geometry if kind == "down"):
             assert all(code in ("down", "up") for code, *_ in ops)
         for i, (kind, s) in enumerate(geometry):

@@ -382,9 +382,10 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     """Advance one step: gather the old taps, one node per layer, scatter; then the head.
 
     Every layer computes one node at every step, through `conv1d_point` on
-    its preallocated `Column`; the step's MACs and nodes are counted once.  All old taps are read before any new tap is
-    stored, and each layer owns its own ring rows, so one gather before the
-    layers and one scatter after them equal a read-then-store per layer.
+    its preallocated `Column`; the step's MACs and nodes are counted once.
+    All old taps are read before any new tap is stored, and each layer owns
+    its own ring rows, so one gather before the layers and one scatter after
+    them equal a read-then-store per layer.
     """
     s = _workspace(network)
     col0 = s.col0

@@ -311,10 +311,10 @@ def test_batch_lockstep_matches_single():
 @pytest.mark.parametrize("width", [7, 9])
 def test_odd_batches_match_single_within_tolerance(width):
     # the elements of one lockstep run are not always bitwise equal: with
-    # seed 1 on a 2-core x86 VM with OpenBLAS, B = 3, 5, 7 at width 7 and
-    # B = 9, 11 at width 9 gave elements up to 1.4e-9 apart, since a dot over
-    # W*B or g*B columns may take another BLAS path; every element must stay
-    # within EQUIV_TOL of the B=1 run
+    # seed 1 (x86-64, numpy 2.4.6, OpenBLAS 0.3.31), B = 3, 5, 7 at width 7
+    # and B = 9, 11 at width 9 gave elements up to 1.4e-9 apart, since a dot
+    # over W*B or g*B columns may take another BLAS path; every element must
+    # stay within EQUIV_TOL of the B=1 run
     net = build_image_network(ImageSpec(4, width, channels=8, n_layers=3, seed=1))
     single = generate(net)
     for batch in (3, 5, 7, 9, 11):

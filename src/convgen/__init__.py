@@ -14,13 +14,13 @@ layer, one new node per layer per step):
 runs either engine of any family and returns the outputs as (n_steps,
 batch).  The two engines of a family produce identical samples (image2d:
 equal to float32 noise); the cached one does linear instead of exponential
-work per sample.  `convgen.bench` holds `generate` and the
+work per sample.  `convgen.bench` holds `generate`, the batch step it runs
+(`init` / `step`, one protocol for all six engines) and the
 benchmark/verification command line (installed as ``convgen-bench``).
 
 This namespace holds the user-facing API.  Kernels (`convgen.tensor`),
-caches (`convgen.cache`) and the per-step `*_init` / `*_step`
-engine functions (`convgen.dilated`, `convgen.strided`, `convgen.image2d`)
-are imported from their own modules.
+caches (`convgen.cache`) and each family's own `*_init` / `*_step`
+functions, which `perfbench/` calls, are imported from their modules.
 """
 
 from .dilated import (

@@ -1,5 +1,5 @@
-"""`generate`, the one rollout loop over every engine, and the benchmark and
-verification command line (installed as ``convgen-bench``).
+"""`init` / `step`, one batch protocol for every engine; `generate` over it;
+and the benchmark and verification command line (``convgen-bench``).
 
 Subcommands:
   run      time naive vs cached generation over depth/batch sweeps, CSV out
@@ -8,7 +8,7 @@ Subcommands:
 
 Op counts are the primary signal (exact, machine-checkable); wall times are
 the secondary, hardware-dependent one.  Timing excludes network construction
-and cache initialisation: states are warmed up before the timed window.
+and warm-up, but a whole-image repeat includes its fresh image's set-up.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 import statistics
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .dilated import (
     naive_step,
     receptive_field,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ShapeError
 from .image2d import (
     ImageSpec,
     build_image_network,
@@ -78,7 +80,7 @@ CSV_COLUMNS = (
 
 
 # ---------------------------------------------------------------------------
-# the engine table, and the rollout that generate, checks and timing run through
+# the engine table, and the batch step that generate, checks and timing run through
 # ---------------------------------------------------------------------------
 
 # family -> engine -> (init, step).  1D: init(network, counter) and
@@ -131,88 +133,87 @@ def _check_prime(prime) -> np.ndarray:
     return values
 
 
-class Rollout:
-    """`batch` sequences generated by one engine of ENGINES.
+@dataclass(eq=False)
+class BatchState:
+    """`init`'s batch: one engine state per 1D sequence, or the one lockstep
+    image state, all counting into `counter`; each sequence's last output;
+    and for images the pixel count `length` (1D: None) and `t` generated."""
 
-    1D families hold `batch` independent states.  At step t a sequence's
-    input is `prime[t]` while t < len(prime), and its own previous output
-    after that (0.0 at step 0 without a prime).  image2d holds one lockstep
-    state and takes no input; the step after an image's last pixel starts a
-    fresh image.  The states step one after another, so they share one
-    counter.
-    """
+    engine_init: Callable
+    engine_step: Callable
+    states: list
+    counter: OpCounter
+    ys: list | np.ndarray
+    length: int | None
+    t: int = 0
 
-    def __init__(self, network, engine: str, batch: int = 1, prime=(), counter=None):
-        family = network.spec.family
-        if engine not in ENGINES[family]:
-            raise InvalidParameterError(f"engine must be naive or cached, got {engine!r}")
-        batch = _check_int("batch", batch, 1)
-        self.network, self.batch = network, batch
-        self.init, self.step = ENGINES[family][engine]
-        self.counter = OpCounter() if counter is None else counter
-        self.prime = _check_prime(prime)
-        if family == "image2d":
-            if len(self.prime):
-                raise InvalidParameterError("image2d engines take no input, so no prime")
-            self.length = network.spec.height * network.spec.width
-            self.states = [self.init(network, batch, self.counter)]
+
+def init(network, engine: str = "cached", batch: int = 1, counter=None) -> BatchState:
+    """A fresh batch for `step`, run by `engine` ("naive" or "cached"); every
+    step counts into `counter` (a new OpCounter by default).  A
+    `copy.deepcopy` forks it: both copies continue as the whole run would."""
+    family = network.spec.family
+    if engine not in ENGINES[family]:
+        raise InvalidParameterError(f"engine must be naive or cached, got {engine!r}")
+    batch = _check_int("batch", batch, 1)
+    start, advance = ENGINES[family][engine]
+    counter = OpCounter() if counter is None else counter
+    if family == "image2d":
+        return BatchState(start, advance, [start(network, batch, counter)], counter,
+                          np.zeros(batch, DTYPE), network.spec.height * network.spec.width)
+    states = [start(network, counter) for _ in range(batch)]
+    return BatchState(start, advance, states, counter, [np.float32(0.0)] * batch, None)
+
+
+def step(network, state: BatchState, xs=None) -> np.ndarray:
+    """Advance every sequence of `state` one step: a fresh float32 (batch,) array.
+
+    1D sequence j reads xs[j], or its own last output when `xs` is None
+    (0.0 at first); a given `xs` must be 1-D of length batch (ShapeError).
+    An image reads its own last pixel too, so image2d takes only None
+    (InvalidParameterError otherwise); it restarts after an image's end."""
+    if state.length is None:
+        if xs is None:
+            xs = state.ys
         else:
-            self.length = None  # 1D sequences have no end
-            self.states = [self.init(network, self.counter) for _ in range(batch)]
-            self.xs = [np.float32(0.0)] * batch  # each sequence's next input
-        self.t = 0  # steps taken (image2d: into the current image)
-
-    def steps(self, n_steps: int | None) -> int:
-        """n_steps, or one whole image when it is None."""
-        if n_steps is not None:
-            return _check_int("n_steps", n_steps, 1)
-        if self.length is None:
-            raise InvalidParameterError("n_steps is required: a 1D sequence has no end")
-        return self.length
-
-    def advance(self, n: int, out: np.ndarray | None = None) -> None:
-        """Advance every sequence n steps; out[i, j] gets sequence j's output at step i."""
-        net, step = self.network, self.step
-        if self.length is not None:
-            for i in range(n):
-                if self.t == self.length:
-                    self.states = [self.init(net, self.batch, self.counter)]
-                    self.t = 0
-                y = step(net, self.states[0])
-                self.t += 1
-                if out is not None:
-                    out[i] = y[0]
-            return
-        forced = self.prime[self.t : self.t + n]
-        for j, state in enumerate(self.states):
-            x = self.xs[j]
-            for i in range(n):
-                if i < len(forced):
-                    x = forced[i]
-                x = step(net, state, x)
-                if out is not None:
-                    out[i, j] = x
-            self.xs[j] = x
-        self.t += n
+            try:
+                xs = np.asarray(xs, DTYPE)
+            except (TypeError, ValueError):  # ragged nesting, or not numbers
+                raise ShapeError(f"xs must be 1-D of {len(state.states)} numbers") from None
+            if xs.shape != (len(state.states),):
+                raise ShapeError(f"xs must be 1-D of length {len(state.states)}, got {xs.shape}")
+        state.ys = ys = [state.engine_step(network, s, x) for s, x in zip(state.states, xs)]
+        return np.array(ys, DTYPE)
+    if xs is not None:
+        raise InvalidParameterError("image2d engines take no input, so xs must be None")
+    if state.t == state.length:
+        state.states = [state.engine_init(network, len(state.ys), state.counter)]
+        state.t = 0
+    state.ys = ys = state.engine_step(network, state.states[0])[0]
+    state.t += 1
+    return ys
 
 
 def generate(network, n_steps=None, *, engine="cached", batch=1, prime=(), counter=None):
-    """Generate n_steps outputs of `batch` sequences: float32 (n_steps, batch).
+    """`init`'s batch run for n_steps `step`s: float32 (n_steps, batch), row i
+    the i-th output of every sequence.
 
-    Row i holds the i-th output of every sequence.  1D networks are
-    teacher-forced through `prime` and then fed their own outputs; the
-    outputs of the first len(prime) - 1 steps are dropped, so row 0 is the
-    prediction after the whole prime, a 1-D sequence of at most MAX_PRIME
-    finite real numbers.  For image2d row i is raster pixel i,
-    and `n_steps` defaults to one whole image.  `engine` is "naive" or
-    "cached"; the two give identical 1D outputs and image outputs within
-    float32 noise.  `counter` receives the op counts of the whole run.
+    1D sequences are fed `prime` (at most MAX_PRIME finite real numbers),
+    then their own outputs; the outputs of the first len(prime) - 1 steps
+    are dropped, so row 0 is the prediction after the whole prime; a 1D
+    sequence has no end, so `n_steps` is required.  image2d takes no prime,
+    row i is raster pixel i, and `n_steps` defaults to one whole image.  The
+    naive and cached engines give identical 1D outputs, and image outputs
+    within float32 noise.
     """
-    rollout = Rollout(network, engine, batch, prime, counter)
-    n = rollout.steps(n_steps)
-    rollout.advance(max(len(rollout.prime) - 1, 0))
-    out = np.empty((n, rollout.batch), dtype=DTYPE)
-    rollout.advance(n, out)
+    state = init(network, engine, batch, counter)
+    prime = _check_prime(prime)
+    n = _check_int("n_steps", state.length if n_steps is None else n_steps, 1)
+    out = np.empty((n, batch), dtype=DTYPE)
+    for x in prime:  # row 0 keeps the prediction after the whole prime
+        out[0] = step(network, state, np.full(batch, x))
+    for i in range(min(len(prime), 1), n):
+        out[i] = step(network, state)
     return out
 
 
@@ -227,30 +228,33 @@ def time_engine(
     """Per-step wall time (all batch elements advance once per step) and exact macs.
 
     The time of one step is its repeat's mean; `min_us`, `median_us` and
-    `mean_us` summarise it over the repeats.  `steps=None` times whole
-    images.  Warm-up is excluded from the timed window.  It defaults to 4
-    steps, or one image for image2d; for the naive dilated engine it spans
-    one receptive field, because earlier steps evaluate pruned trees and are
-    cheaper than the steady state being measured.
+    `mean_us` summarise it over the repeats.  Warm-up, excluded from the
+    timing, defaults to 4 steps, or one image for image2d; for the naive
+    dilated engine it spans one receptive field, because earlier steps
+    evaluate pruned trees and are cheaper than the steady state.
+    `steps=None` times whole images, each with its fresh image's set-up:
+    `init`, and the cached engine's views bound on the first pixel.
     """
-    rollout = Rollout(network, engine, batch)
-    steps = rollout.steps(steps)
+    state = init(network, engine, batch)
+    steps = _check_int("steps", state.length if steps is None else steps, 1)
     if warmup is None:
-        warmup = rollout.length or 4
+        warmup = state.length or 4
         if engine == "naive" and network.spec.family == "dilated":
             warmup = max(warmup, receptive_field(network.spec))
-    rollout.advance(warmup)
-    macs0 = rollout.counter.macs
+    for _ in range(warmup):
+        step(network, state)
+    macs0 = state.counter.macs
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        rollout.advance(steps)
+        for _ in range(steps):
+            step(network, state)
         times.append((time.perf_counter() - t0) * 1e6 / steps)
     return {
         "min_us": min(times),
         "median_us": statistics.median(times),
         "mean_us": statistics.fmean(times),
-        "macs_per_step": (rollout.counter.macs - macs0) // (repeats * steps),
+        "macs_per_step": (state.counter.macs - macs0) // (repeats * steps),
     }
 
 
@@ -318,11 +322,13 @@ def measure_nodes_per_step(network, engine: str, n_steps: int = 4) -> int:
     Warm-up covers one receptive field so the naive engine's dependency
     tree no longer touches the zero-padded region (early trees are cheaper).
     """
-    rollout = Rollout(network, engine)
-    rollout.advance(receptive_field(network.spec))
-    before = rollout.counter.node_evals
-    rollout.advance(n_steps)
-    total = rollout.counter.node_evals - before
+    state = init(network, engine)
+    for _ in range(receptive_field(network.spec)):
+        step(network, state)
+    before = state.counter.node_evals
+    for _ in range(n_steps):
+        step(network, state)
+    total = state.counter.node_evals - before
     if total % n_steps:
         return -1  # not constant per step; callers treat as a failure
     return total // n_steps
@@ -375,9 +381,8 @@ def _forward(network, inputs: np.ndarray) -> np.ndarray:
     engine stepped over `inputs` without feedback, or one image pass."""
     if network.spec.family == "image2d":
         return forward_image(network, inputs).ravel()
-    init, step = ENGINES[network.spec.family]["naive"]
-    state = init(network)
-    return np.array([step(network, state, v) for v in inputs], dtype=DTYPE)
+    state = init(network, "naive")
+    return np.concatenate([step(network, state, x) for x in inputs[:, None]])
 
 
 def check_causality(seed: int = 0):
@@ -409,14 +414,13 @@ def check_causality(seed: int = 0):
 def check_constant_memory(n_steps: int = 1000):
     spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=3, seed=5)
     net = build_network(spec)
-    state = incremental_init(net)
+    state = init(net)
     expected = sum(l.dilation * l.weights.in_channels for l in net.layers)
-    x = np.float32(0.0)
     sizes = set()
     for t in range(n_steps):
-        x = incremental_step(net, state, x)
+        step(net, state)
         if t in (10, n_steps // 2, n_steps - 1):
-            sizes.add(state.cached_values())
+            sizes.add(state.states[0].cached_values())
     if sizes != {expected}:
         return False, f"cache storage {sizes} != analytic {expected}"
     return True, f"{expected} stored values, constant over {n_steps} steps"
@@ -452,8 +456,8 @@ def run_verify(quick: bool, out=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_layers(text: str) -> list[int]:
-    """Layer counts from `n`, an inclusive range `a..b`, or a comma list of either."""
+def _parse_counts(flag: str, text: str) -> list[int]:
+    """Counts from `n`, an inclusive range `a..b`, or a comma list of either."""
     values = []
     for tok in text.split(","):
         lo, dots, hi = tok.partition("..")
@@ -461,17 +465,10 @@ def _parse_layers(text: str) -> list[int]:
             a = int(lo)
             b = int(hi) if dots else a
         except ValueError:
-            raise ValueError(f"bad --layers {text!r}: {tok!r} is not n or a..b") from None
+            raise ValueError(f"bad {flag} {text!r}: {tok!r} is not n or a..b") from None
         if a < 1 or b < a:
-            raise ValueError(f"bad --layers {text!r}: {tok!r} needs 1 <= a <= b")
+            raise ValueError(f"bad {flag} {text!r}: {tok!r} needs 1 <= a <= b")
         values.extend(range(a, b + 1))
-    return values
-
-
-def _parse_batch(text: str) -> list[int]:
-    values = [int(tok) for tok in text.split(",") if tok]
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"bad batch list {text!r}")
     return values
 
 
@@ -624,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stacks", type=int, default=2)
     run.add_argument("--channels", type=int, default=8)
     run.add_argument("--steps", type=int, default=128)
-    run.add_argument("--batch", default="1", help="comma-separated batch sizes")
+    run.add_argument("--batch", default="1", help="batch sizes, given as for --layers")
     run.add_argument("--mode", default="both", choices=("naive", "cached", "both"))
     run.add_argument("--repeats", type=int, default=20)
     run.add_argument("--seed", type=int, default=0)
@@ -666,8 +663,8 @@ def main(argv=None) -> int:
             return speedup_report(fh)
 
     try:
-        args.layers_list = _parse_layers(args.layers)
-        args.batch_list = _parse_batch(args.batch)
+        args.layers_list = _parse_counts("--layers", args.layers)
+        args.batch_list = _parse_counts("--batch", args.batch)
     except ValueError as exc:
         parser.error(str(exc))
     if args.steps < 1 or args.repeats < 1:

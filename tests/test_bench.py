@@ -1,6 +1,8 @@
 """CLI-level tests: CSV schema, sweep shapes, speedup pairing, verify mode,
-usage errors, and equivalence fault injection."""
+usage errors, and equivalence fault injection; and the `init` / `step` batch
+protocol that every engine runs through."""
 
+import copy
 import csv
 import io
 import os
@@ -12,14 +14,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convgen import ConvWeights, InvalidParameterError, NetworkSpec, build_network, generate
+from convgen import (
+    ConvWeights,
+    ImageSpec,
+    InvalidParameterError,
+    NetworkSpec,
+    ShapeError,
+    build_image_network,
+    build_network,
+    build_strided_network,
+    generate,
+)
 from convgen.bench import (
     CSV_COLUMNS,
     MAX_PRIME,
     check_golden_trace,
     compare,
+    init,
     main,
     speedup_report,
+    step,
     time_engine,
 )
 from convgen.dilated import DilatedNetwork
@@ -209,10 +223,12 @@ def test_layers_accepts_a_comma_list(capsys):
     ["", ",", "3,,5", "3,", "x", "3.5", "2,a", "0", "1,0", "-1", "5..3", "2,5..3", "1..", "..4"],
 )
 def test_layers_rejects_bad_input(capsys, text):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--model", "dilated", "--layers", text])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    # --batch takes the same counts as --layers, so it refuses the same input
+    for flag in ("--layers", "--batch"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--model", "dilated", flag, text])
+        assert exc.value.code == 2
+        assert f"error: bad {flag} {text!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -378,3 +394,98 @@ def test_time_engine_reports_positive_and_exact_macs():
     assert 0 < res["min_us"] <= res["median_us"]
     want = sum(l.weights.out_channels * l.weights.in_channels * 2 for l in net.layers) + 2
     assert res["macs_per_step"] == want
+
+
+# ---------------------------------------------------------------------------
+# the batch protocol: init / step
+# ---------------------------------------------------------------------------
+
+
+NETWORKS = {
+    "dilated": lambda: build_network(
+        NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=4)),
+    # k > s windows, period 6
+    "strided": lambda: build_strided_network(NetworkSpec(
+        "strided", kernel_size=3, channels=3, strides=("down3", "up3", "down2", "up2"), seed=4)),
+    "image2d": lambda: build_image_network(
+        ImageSpec(4, 5, channels=3, n_layers=2, row_pair=True, seed=4)),
+}
+ENGINE_CASES = [(f, e) for f in NETWORKS for e in ("naive", "cached")]
+
+
+@pytest.mark.parametrize("family", ["dilated", "strided"])
+@pytest.mark.parametrize(
+    "xs", [0.5, [0.5, 0.25], [0.5, 0.25, 1.0, 2.0], np.zeros((3, 1)), np.zeros((1, 3)),
+           np.zeros(0), [[0.5], [0.25, 1.0], [0.0]], ["a", "b", "c"], "abc"],
+    ids=repr,
+)
+def test_step_refuses_xs_that_is_not_one_input_per_sequence(family, xs):
+    # never a silent truncation to the first len(xs) sequences, nor a broadcast
+    net = NETWORKS[family]()
+    state = init(net, batch=3)
+    with pytest.raises(ShapeError):
+        step(net, state, xs)
+    assert state.counter.snapshot() == (0, 0)  # nothing was stepped
+    assert np.array_equal(step(net, state), generate(net, 1, batch=3)[0])
+
+
+@pytest.mark.parametrize("engine", ["naive", "cached"])
+@pytest.mark.parametrize("xs", [[0.5, 0.25], np.zeros(2, np.float32), [0.5]], ids=repr)
+def test_image_step_takes_no_xs(engine, xs):
+    net = NETWORKS["image2d"]()
+    state = init(net, engine, batch=2)
+    with pytest.raises(InvalidParameterError):
+        step(net, state, xs)
+    assert state.counter.snapshot() == (0, 0)
+
+
+@pytest.mark.parametrize("family, engine", ENGINE_CASES)
+def test_step_returns_a_fresh_array_per_step(family, engine):
+    net = NETWORKS[family]()
+    state = init(net, engine, batch=3)
+    first = step(net, state)
+    assert first.dtype == np.float32 and first.shape == (3,)
+    kept = first.copy()
+    second = step(net, state)
+    assert not np.shares_memory(first, second)
+    first[:] = 99.0  # the caller owns it: the next step does not read it
+    assert np.array_equal(np.stack([kept, second, step(net, state)]),
+                          generate(net, 3, engine=engine, batch=3))
+
+
+@pytest.mark.parametrize("family", ["dilated", "strided"])
+@pytest.mark.parametrize("engine", ["naive", "cached"])
+def test_batch_columns_equal_single_runs_on_their_own_inputs(family, engine):
+    # each of 3 sequences is forced through its own inputs, then fed back
+    net = NETWORKS[family]()
+    xs = np.random.default_rng(7).uniform(-1, 1, (15, 3)).astype(np.float32)
+    state = init(net, engine, batch=3)
+    got = np.stack([step(net, state, row) for row in xs] + [step(net, state) for _ in range(10)])
+    for j in range(3):
+        single = init(net, engine)
+        want = [step(net, single, xs[i, j : j + 1]) for i in range(15)]
+        want += [step(net, single) for _ in range(10)]
+        assert np.array_equal(got[:, j], np.concatenate(want)), j
+    assert len(set(got[-1].tolist())) == 3  # the sequences are distinct
+
+
+@pytest.mark.parametrize("family, engine", ENGINE_CASES)
+def test_forked_batch_continues_as_the_whole_run(family, engine):
+    # fork mid-period (strided period 6) or mid-row (image width 5), and run
+    # past the image's end so that both copies also restart
+    net = NETWORKS[family]()
+    n, fork_at = 23, 2 * 5 + 3
+    whole = init(net, engine, batch=2)
+    want = np.stack([step(net, whole) for _ in range(n)])
+    state = init(net, engine, batch=2)
+    for _ in range(fork_at):
+        step(net, state)
+    fork = copy.deepcopy(state)
+    assert fork.counter is not state.counter
+    outs = {"state": [], "fork": []}
+    for _ in range(n - fork_at):
+        for name, st in (("state", state), ("fork", fork)):  # interleaved
+            outs[name].append(step(net, st))
+    for name, got in outs.items():
+        assert np.array_equal(np.stack(got), want[fork_at:]), name
+    assert fork.counter.snapshot() == state.counter.snapshot() == whole.counter.snapshot()

@@ -282,10 +282,10 @@ def check_equivalence(networks, n_steps: int | None = None, tol: float = EQUIV_T
     return ok, detail
 
 
-def _sample_networks(family: str, n: int, seed: int = 0, sizes=((8, 8),)) -> list:
+def _sample_networks(family: str, n: int, seed: int = 0, shapes=((8, 8, 3),)) -> list:
     """n seeded random networks of one family (strided ones cycle through
-    `STRIDED_SAMPLES`; for image2d, n per image size without and n with the
-    row pair)."""
+    `STRIDED_SAMPLES`; for image2d, n per (height, width, n_layers) shape
+    without and n with the row pair)."""
     rng = np.random.default_rng(seed)
     if family == "dilated":
         return [
@@ -308,9 +308,9 @@ def _sample_networks(family: str, n: int, seed: int = 0, sizes=((8, 8),)) -> lis
         ]
     return [
         build_image_network(ImageSpec(
-            h, w, channels=4, n_layers=3, row_pair=row_pair, seed=int(rng.integers(2**32))
+            h, w, channels=4, n_layers=layers, row_pair=row_pair, seed=int(rng.integers(2**32))
         ))
-        for h, w in sizes
+        for h, w, layers in shapes
         for row_pair in (False, True)
         for _ in range(n)
     ]
@@ -429,7 +429,10 @@ def check_constant_memory(n_steps: int = 1000):
 def run_verify(quick: bool, out=None) -> int:
     """Run every property check, one machine-readable line each; 0 iff all pass."""
     out = sys.stdout if out is None else out
-    image_sizes = ((8, 8),) if quick else ((8, 8), (12, 12))
+    # a step follows each row's last group at width 8 with 3 blocks; at width
+    # 7 (7 % 3 == 1) and with 1 block none does, so block 0's vertical row
+    # and the links wait for the next row's start
+    image_shapes = ((8, 8, 3), (8, 7, 3), (8, 8, 1)) + (() if quick else ((12, 12, 3),))
     checks = [
         ("dilated-equivalence", lambda: check_equivalence(
             _sample_networks("dilated", 10 if quick else 40), 64 if quick else 192)),
@@ -438,7 +441,7 @@ def run_verify(quick: bool, out=None) -> int:
         ("strided-equivalence", lambda: check_equivalence(
             _sample_networks("strided", 5 if quick else 20), 60 if quick else 160)),
         ("image-equivalence", lambda: check_equivalence(
-            _sample_networks("image2d", 3 if quick else 8, sizes=image_sizes))),
+            _sample_networks("image2d", 3 if quick else 8, shapes=image_shapes))),
         ("causality", check_causality),
         ("constant-memory", lambda: check_constant_memory(300 if quick else 1000)),
     ]

@@ -272,7 +272,10 @@ class ImageGenState:
     """All mutable state of one cached 2D generation run.  `buf` holds each
     block's input history in the row, h_kw zero columns then W, with 1 row
     (the image's) for block 0 and C for each further block; `groups`, the
-    views over it, is built by the first group, also in copies and pickles."""
+    views over it, is built by the first group, also in copies and pickles.
+    `ahead` is the compiled `_schedule`'s per-step vertical blocks; `v_done`
+    counts the vertical rows computed, one per block and row, last block
+    first; `held` is the last block's newest, which no cache takes."""
 
     row_caches: list
     pair: _PairState | None
@@ -284,7 +287,10 @@ class ImageGenState:
     c: int
     batch: int
     counter: OpCounter
+    ahead: tuple
     v_ready: bool = False
+    v_done: int = 0
+    held: np.ndarray | None = None
     groups = None  # not a field, so neither copied nor pickled
 
     def __reduce__(self):
@@ -294,6 +300,8 @@ class ImageGenState:
         total = sum(rc.stored_values() for rc in self.row_caches)
         if self.pair is not None:
             total += self.pair.stored_values()
+        if self.v_done % len(self.row_caches):  # the held row awaits its link
+            total += self.held.size
         return total
 
 
@@ -326,15 +334,57 @@ def image_incremental_init(
         c=0,
         batch=batch,
         counter=counter or OpCounter(),
+        ahead=_schedule(W, spec.n_layers)[1],
     )
 
 
-def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:
-    """All row-rate work of one row; returns every block's vertical features.
+def _vertical_rows(state: ImageGenState) -> list:
+    """Every block's newest vertical row: block i's is the newest row of
+    block i+1's cache, the last block's is held."""
+    return [rc.windows()[-1][-1] for rc in state.row_caches[1:]] + [state.held]
 
-    Must be called exactly once per row, at the row's start.  It pushes the
-    image row above into block 0's cache, computes the blocks' vertical rows
-    in order, and applies each block's 1x1 link for the row's pixel steps.
+
+def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int) -> None:
+    """Block i's vertical row `row`: its vconv and tanh, then its push into
+    block i+1's cache (the last block's row is held).  Block 0 first pushes
+    image row `row - 1` into its own cache and, with the pair, feeds the
+    vconv row to it and takes its pending row; it then writes every block's
+    1x1 link.  A row's blocks run last first, so a block pushes only after
+    the next block has read that cache."""
+    n = network.spec.n_layers
+    if state.v_done != row * n + n - 1 - i:
+        raise ScheduleViolationError(f"vertical row {row} of block {i} out of order")
+    caches, counter, block = state.row_caches, state.counter, network.blocks[i]
+    if i == 0 and row > 0:
+        caches[0].push_row(state.image[:, row - 1])
+    v = _vconv_row(block.vert, caches[i], counter)
+    np.tanh(v, out=v)
+    if block.down is not None:
+        state.pair.feed(block, v, counter)
+        if not state.pair.pending:
+            raise ScheduleViolationError(f"no pending vertical row for row {row}")
+        v = state.pair.pending.popleft()
+    if i < n - 1:
+        caches[i + 1].push_row(v)
+    else:
+        state.held = v
+    state.v_done += 1
+    if i == 0:
+        m = caches[0].width * state.batch
+        for blk, feat, link in zip(network.blocks, _vertical_rows(state), state.links):
+            np.dot(blk.link.kernel[:, :, 0], feat.reshape(len(feat), m), link)
+            counter.add(blk.link.macs * m, nodes=0)
+
+
+def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:
+    """Start a row: compute what no earlier step could, then return every
+    block's vertical row `row_index` (views, valid until the next step).
+
+    Must be called exactly once per row, at the row's start.  Row 0 computes
+    all its vertical rows here.  Each later row's are computed by the steps
+    of the row above, as `_schedule` places them; what it leaves to the row
+    start, block 0 and its links when no step follows the last group, runs
+    here.  Raises if the row's vertical rows are then not all computed.
     """
     if row_index != state.r or state.c != 0 or state.v_ready:
         raise ScheduleViolationError(
@@ -343,40 +393,45 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     spec = network.spec
     if row_index == spec.height:
         raise ScheduleViolationError("image already complete")
-    counter = state.counter
-    if row_index > 0:
-        state.row_caches[0].push_row(state.image[:, row_index - 1])
-    rows = []
-    for i, block in enumerate(network.blocks):
-        row = _vconv_row(block.vert, state.row_caches[i], counter)
-        np.tanh(row, out=row)
-        if i == 0 and state.pair is not None:
-            state.pair.feed(block, row, counter)
-            if not state.pair.pending:
-                raise ScheduleViolationError(f"no pending vertical row for row {row_index}")
-            row = state.pair.pending.popleft()
-        rows.append(row)
-    for i in range(spec.n_layers - 1):
-        state.row_caches[i + 1].push_row(rows[i])
-    n = spec.width * state.batch
-    for block, row, link in zip(network.blocks, rows, state.links):
-        np.dot(block.link.kernel[:, :, 0], row.reshape(spec.channels, n), link)
-        counter.add(block.link.macs * n, nodes=0)
+    n = spec.n_layers
+    for i in _schedule(spec.width, n)[2] if row_index else reversed(range(n)):
+        _vertical_row(network, state, i, row_index)
+    if state.v_done != (row_index + 1) * n:
+        raise ScheduleViolationError(f"vertical rows of row {row_index} not all computed")
     state.v_ready = True
-    return rows
+    return _vertical_rows(state)
 
 
 @cache
 def _schedule(width: int, n_layers: int) -> tuple:
-    """Per group from pixel c = n_layers * index: the (block, lo, hi) column
-    ranges run before the head, then those run after it (the row's last)."""
+    """A row's steps, compiled: (groups, ahead, start).
+
+    groups: per group from pixel c = n_layers * index, the (block, lo, hi)
+    column ranges run before the head, then those run after it (the row's
+    last).  ahead: per pixel step, the blocks whose next-row vertical row it
+    computes after its group or pop.  Blocks n-1 .. 1 read only rows above
+    the current one, so they take the pop steps before the last group, one
+    each, last block first.  Block 0 reads the whole current row and writes
+    the links that its groups read, so it and any block left over go on the
+    step right after the last group.  When the last group is the row's last
+    step, they make up `start` instead and run at the next row's start.
+    """
     groups = []
     for c in range(0, width, n_layers):
         main = tuple((i, max(0, c - n_layers + i + 1), min(c + i + 1, width))
                      for i in range(n_layers))
         tail = tuple((i, hi, width) for i, _, hi in main if c + n_layers >= width > hi)
         groups.append((main, tail))
-    return tuple(groups)
+    last = n_layers * (len(groups) - 1)
+    early = [c for c in range(last) if c % n_layers]
+    blocks = range(n_layers - 1, 0, -1)
+    ahead = [()] * width
+    for c, i in zip(early, blocks):
+        ahead[c] = (i,)
+    start = (*blocks[len(early):], 0)
+    if last + 1 < width:
+        ahead[last + 1], start = start, ()
+    return tuple(groups), tuple(ahead), start
 
 
 def _bind_groups(spec: ImageSpec, state: ImageGenState) -> tuple:
@@ -405,7 +460,7 @@ def _bind_groups(spec: ImageSpec, state: ImageGenState) -> tuple:
         return i, windows[i][:, :, a:b], taps, col, out(b - a), state.links[i][:, a:b], dest
 
     groups = []
-    for main, tail in _schedule(spec.width, n):
+    for main, tail in _schedule(spec.width, n)[0]:
         _, c, end = main[-1]  # the head's pixels
         head = column(C, 1, (end - c) * B)[0]
         groups.append(([op(*r, head) for r in main], head, inputs[0][:, c * B : end * B],
@@ -424,10 +479,11 @@ def _horizontal(blocks, ops, counter: OpCounter) -> None:
 def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
     if not state.v_ready:
         raise ScheduleViolationError("pixel step before vertical_row_pass")
+    spec = network.spec
     if not state.pending:  # run the next group
         if state.groups is None:
-            state.groups = _bind_groups(network.spec, state)
-        ops, head, y_dest, tail = state.groups[state.c // network.spec.n_layers]
+            state.groups = _bind_groups(spec, state)
+        ops, head, y_dest, tail = state.groups[state.c // spec.n_layers]
         _horizontal(network.blocks, ops, state.counter)
         y = conv1d_point(network.proj, head, state.counter)
         y_dest[...] = y
@@ -435,7 +491,11 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
         state.image[0, state.r, state.c : state.c + len(ys)] = ys[:, 0]
         state.pending.extend(ys)
         _horizontal(network.blocks, tail, state.counter)
-    if state.c + 1 == network.spec.width:
+    blocks = state.ahead[state.c]
+    if blocks and state.r + 1 < spec.height:  # nothing below the last row
+        for i in blocks:
+            _vertical_row(network, state, i, state.r + 1)
+    if state.c + 1 == spec.width:
         state.c = 0
         state.r += 1
         state.v_ready = False

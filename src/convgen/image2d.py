@@ -10,10 +10,17 @@ feedback).
 
 The naive engine runs a full vectorised image pass per generated pixel
 (H*W passes per image).  The cached engine keeps one RowCache of the last
-`kh` input rows per block and does all row-rate work in one
-`vertical_row_pass` at each row's start: every block's vertical features
-and their 1x1 link for the entire row, each one dot over the row's W*B
-columns, the vconv column filled with one copy per cached row.
+`kh` input rows per block.  Its row-rate work is every block's vertical
+row and 1x1 link for the entire row, each one dot over the row's W*B
+columns, the vconv column filled with one copy per cached row.  Row r+1's
+runs during row r, like the vertical stack of Gated PixelCNN.  Blocks
+n-1 .. 1 read only rows <= r, so each takes one of row r's pop steps, last
+block first, and pushes its row into the next block's cache; the last
+block's row is held until its link is written.  Block 0 reads image row r
+and all links are read by row r's groups, so block 0 and the links run on
+the step right after row r's last group.  With no such step (W % n == 1,
+or n == 1) they run in row r+1's `vertical_row_pass`, which otherwise only
+computes row 0.  The last row computes nothing for a row below the image.
 
 The horizontal streams advance in wavefront groups.  Block 0 reads pixels
 strictly left and block i reads block i-1 strictly left, so y_j reads only
@@ -28,13 +35,14 @@ row's last group computes the columns that read its own pixels, which no
 output reads, so a row's node and MAC counts are those of a full pass.
 The schedule is compiled once per (W, n); a state binds it to views on its
 first group.  The input histories, n*C*(h_kw+W)*B floats, are not counted
-by `cached_rows_values()`.  Batch elements generate in lockstep, so every
-point operation is a single matrix product across the batch.
+by `cached_rows_values()`; the held row is, while its link waits.  Batch
+elements generate in lockstep, so every point operation is a single matrix
+product across the batch.
 
 With `row_pair`, the first block's vertical path is vconv -> stride-2 row
 downsampling -> stride-2 row upsampling, scheduled across rows like the 1D
-strided engine: each row pass feeds the new vconv row (every second feed
-is a burst that queues two rows) and then pops one pending row.
+strided engine: block 0 feeds each new vconv row (every second feed is a
+burst that queues two rows) and then pops one pending row.
 """
 
 from __future__ import annotations
@@ -350,9 +358,11 @@ def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int)
     image row `row - 1` into its own cache and, with the pair, feeds the
     vconv row to it and takes its pending row; it then writes every block's
     1x1 link.  A row's blocks run last first, so a block pushes only after
-    the next block has read that cache."""
+    the next block has read that cache; block 0 runs only once the image
+    row above is complete, so no group still reads the links."""
     n = network.spec.n_layers
-    if state.v_done != row * n + n - 1 - i:
+    if state.v_done != row * n + n - 1 - i or (
+            i == 0 and row > state.r and state.c + len(state.pending) < network.spec.width):
         raise ScheduleViolationError(f"vertical row {row} of block {i} out of order")
     caches, counter, block = state.row_caches, state.counter, network.blocks[i]
     if i == 0 and row > 0:

@@ -22,6 +22,7 @@ from convgen import (
 from convgen.cache import RowCache
 from convgen.image2d import (
     _pixel_step,
+    _schedule,
     _vconv_row,
     image_incremental_init,
     image_incremental_step,
@@ -206,7 +207,7 @@ def test_vconv_row_matches_shifted_rows_reference(kh, kw, batch):
         assert counter.macs == w.macs * spec.width * batch
 
 
-def test_vertical_row_pass_out_of_order_rejected():
+def test_vertical_row_pass_out_of_order_rejected(monkeypatch):
     spec = ImageSpec(4, 4, channels=2, n_layers=2, seed=0)
     net = build_image_network(spec)
     state = image_incremental_init(net)
@@ -218,6 +219,27 @@ def test_vertical_row_pass_out_of_order_rejected():
     state2 = image_incremental_init(net)
     with pytest.raises(ScheduleViolationError):
         _pixel_step(net, state2)  # pixel before the row pass
+    # tampered placements of row 1's vertical rows: one that never computes
+    # block 0's leaves stale rings, which row 1's pass refuses; one that runs
+    # block 0 before block 1, or before image row 0 is complete, fails there
+    groups, ahead, start = _schedule(spec.width, spec.n_layers)
+    assert ahead == ((), (1,), (), (0,)) and start == ()
+    for tampered, fails_at in [(((), (1,), (), ()), "row pass"),
+                               (((), (0,), (), (1,)), "column 1"),
+                               (((), (1, 0), (), ()), "column 1")]:
+        monkeypatch.setattr("convgen.image2d._schedule",
+                            lambda w, n, ahead=tampered: (groups, ahead, start))
+        state = image_incremental_init(net)
+        vertical_row_pass(net, state, 0)
+        _pixel_step(net, state)
+        if fails_at == "row pass":
+            for _ in range(spec.width - 1):
+                _pixel_step(net, state)
+            with pytest.raises(ScheduleViolationError, match="not all computed"):
+                vertical_row_pass(net, state, 1)
+        else:
+            with pytest.raises(ScheduleViolationError, match="out of order"):
+                _pixel_step(net, state)
 
 
 @pytest.mark.parametrize("engine", ["naive", "cached"])
@@ -272,6 +294,28 @@ def test_per_pixel_nodes_independent_of_height(row_pair):
         assert state.counter.node_evals == 2 * H * 6 * per_pixel
         if row_pair:
             assert not state.pair.pending  # no vertical row beyond the image
+
+
+def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
+    # the benchmark's image shape: groups start at columns 0, 3, .., 30, so
+    # each row computes block 2's next vertical row at column 1, where it is
+    # held until block 0's runs, with the links, at column 31; rows counted:
+    # the rings, the pair's carry, its pending up row after every odd number
+    # of feeds, and the held row
+    spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
+    net = build_image_network(spec)
+    batch = 16
+    row = spec.channels * spec.width * batch
+    rings = spec.kh * (1 + 2 * spec.channels) * spec.width * batch
+    state = image_incremental_init(net, batch=batch)
+    for r in range(spec.height):
+        for c in range(spec.width):
+            image_incremental_step(net, state)
+            next_row = r + 1 < spec.height  # the last row computes nothing below
+            fed = r + 1 + (next_row and c == 31)
+            held = next_row and 1 <= c < 31
+            assert state.cached_rows_values() == rings + row * (1 + fed % 2 + held), (r, c)
+    assert 4 * state.cached_rows_values() == 86016
 
 
 def test_row_cache_memory_bounded_by_kh():
@@ -433,28 +477,93 @@ def test_grouped_step_matches_forward_image(n_layers, h_kw, row_pair, batch):
 @pytest.mark.parametrize("n_layers,h_kw,width",
                          [(1, 1, 3), (2, 2, 5), (3, 2, 7), (3, 3, 8), (4, 1, 3)])
 def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
-    # every row: each block's vertical and horizontal node and its link per
-    # column, and the head; the pair's burst adds a down and two up rows
+    # after row r's last pixel the counts are those of rows 0..r in full and
+    # of row r+1's vertical rows: a row is each block's vertical node, link
+    # and horizontal node per column and the head, plus the pair's burst (a
+    # down and two up rows) on even rows.  Where no step follows the row's
+    # last group, (width - 1) % n_layers == 0, block 0's vertical row and
+    # the links wait for the next row's start
     batch, height = 2, 4
     spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width), h_kw=h_kw,
                      row_pair=row_pair, seed=n_layers)
     net = build_image_network(spec)
     n = width * batch
-    block_macs = sum(b.vert.macs + b.horiz.macs + b.link.macs for b in net.blocks)
-    row_macs = n * (block_macs + net.proj.macs)
+    pair = net.blocks[0]
+
+    def vertical(row, blocks):
+        macs = n * sum(net.blocks[i].vert.macs for i in blocks)
+        nodes = n * len(blocks)
+        if 0 in blocks:
+            macs += n * sum(b.link.macs for b in net.blocks)
+            if row_pair and row % 2 == 0:
+                macs += n * (pair.down.macs + pair.up.macs)
+                nodes += 3 * n
+        return np.array([macs, nodes])
+
+    horizontal = np.array([n * (sum(b.horiz.macs for b in net.blocks) + net.proj.macs),
+                           n * (n_layers + 1)])
+    ahead = [i for i in range(n_layers) if i or (width - 1) % n_layers]
     state = image_incremental_init(net, batch=batch)
+    done = np.zeros(2, np.int64)  # rows 0..r in full
     for r in range(height):
-        macs0, nodes0 = state.counter.snapshot()
         for _ in range(width):
             image_incremental_step(net, state)
-        burst = row_pair and r % 2 == 0
-        pair = net.blocks[0]
-        assert state.counter.node_evals - nodes0 == n * (2 * n_layers + 1) + (3 * n if burst else 0)
-        assert state.counter.macs - macs0 == row_macs + (
-            n * (pair.down.macs + pair.up.macs) if burst else 0)
+        done += horizontal + vertical(r, range(n_layers))
+        want = done + (vertical(r + 1, ahead) if r + 1 < height else 0)
+        assert state.counter.snapshot() == tuple(want), r
         assert not state.pending  # a row's groups leave no pixel queued
         with pytest.raises(ScheduleViolationError):
             _pixel_step(net, state)  # the next row's pixels need its row pass first
+
+
+@pytest.mark.parametrize("row_pair", [False, True])
+@pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+def test_step_counts_follow_the_compiled_placement(n_layers, row_pair):
+    # widths on both sides of the fallback: where (width - 1) % n_layers == 0,
+    # always so with one block, no step follows a row's last group
+    batch, height = 2, 4
+    for width in (1, 2, n_layers + 1, 2 * n_layers + 1, 2 * n_layers + 2, 8):
+        spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width),
+                         h_kw=min(2, width), row_pair=row_pair, seed=width)
+        net = build_image_network(spec)
+        groups, ahead, start = _schedule(width, n_layers)
+        # each block's next-row vertical row once, last block first, none on
+        # a group step and at most one per step before the last group; block
+        # 0 right after the last group, or at the next row's start
+        last = n_layers * (len(groups) - 1)
+        assert [i for blocks in ahead for i in blocks] + list(start) == list(
+            reversed(range(n_layers)))
+        assert not any(ahead[c] for c in range(0, width, n_layers))
+        assert all(len(blocks) <= 1 for blocks in ahead[:last])
+        assert 0 in (ahead[last + 1] if last + 1 < width else start)
+        n = width * batch
+
+        def vertical(row, i):
+            block = net.blocks[i]
+            macs, nodes = n * block.vert.macs, n
+            if i == 0:
+                macs += n * sum(b.link.macs for b in net.blocks)
+                if row_pair and row % 2 == 0:
+                    macs, nodes = macs + n * (block.down.macs + block.up.macs), nodes + 3 * n
+            return macs, nodes
+
+        state = image_incremental_init(net, batch=batch)
+        for r in range(height):
+            for c in range(width):
+                work = [vertical(r, i) for i in (start if r else reversed(range(n_layers)))
+                        if c == 0]
+                if r + 1 < height:
+                    work += [vertical(r + 1, i) for i in ahead[c]]
+                if c % n_layers == 0:
+                    main, tail = groups[c // n_layers]
+                    work += [((hi - lo) * batch * net.blocks[i].horiz.macs, (hi - lo) * batch)
+                             for i, lo, hi in main + tail]
+                    g = (main[-1][2] - main[-1][1]) * batch  # the head's pixels
+                    work.append((g * net.proj.macs, g))
+                macs0, nodes0 = state.counter.snapshot()
+                image_incremental_step(net, state)
+                got = (state.counter.macs - macs0, state.counter.node_evals - nodes0)
+                assert got == tuple(map(sum, zip((0, 0), *work))), (width, r, c)
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
@@ -462,23 +571,27 @@ def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
 def test_fork_at_every_offset_in_a_group_continues_bit_exact(how, row_pair):
     # width 8 with 3 blocks: groups start at columns 0, 3 and 6, the last
     # one short with a tail; a fork at any column of row 1 carries the
-    # pixels its group queued
-    spec = ImageSpec(4, 8, channels=3, n_layers=3, row_pair=row_pair, seed=21)
-    net = build_image_network(spec)
-    whole = generate(net, batch=2)
+    # pixels its group queued.  Width 11: groups at 0, 3, 6 and 9; row 2's
+    # vertical rows of blocks 2 and 1 run at columns 1 and 2 of row 1, and
+    # block 2's is held until block 0's runs at column 10
     fork_of = {"deepcopy": copy.deepcopy, "pickle": lambda s: pickle.loads(pickle.dumps(s))}[how]
-    for fork_at in range(8, 16):
-        state = image_incremental_init(net, batch=2)
-        for _ in range(fork_at):
-            image_incremental_step(net, state)
-        fork = fork_of(state)
-        outs = {"state": [], "fork": []}
-        for _ in range(32 - fork_at):
-            for name, st in (("state", state), ("fork", fork)):  # interleaved
-                outs[name].append(image_incremental_step(net, st))
-        for name in outs:
-            assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:]), (name, fork_at)
-        assert fork.counter.snapshot() == state.counter.snapshot()
+    for width in (8, 11):
+        spec = ImageSpec(4, width, channels=3, n_layers=3, row_pair=row_pair, seed=21)
+        net = build_image_network(spec)
+        whole = generate(net, batch=2)
+        for fork_at in range(width, 2 * width):
+            state = image_incremental_init(net, batch=2)
+            for _ in range(fork_at):
+                image_incremental_step(net, state)
+            fork = fork_of(state)
+            outs = {"state": [], "fork": []}
+            for _ in range(4 * width - fork_at):
+                for name, st in (("state", state), ("fork", fork)):  # interleaved
+                    outs[name].append(image_incremental_step(net, st))
+            for name in outs:
+                assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:]), (
+                    name, width, fork_at)
+            assert fork.counter.snapshot() == state.counter.snapshot()
 
 
 # ---------------------------------------------------------------------------

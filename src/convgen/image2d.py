@@ -281,7 +281,8 @@ class ImageGenState:
     block's input history in the row, h_kw zero columns then W, with 1 row
     (the image's) for block 0 and C for each further block; `groups`, the
     views over it, is built by the first group, also in copies and pickles.
-    `ahead` is the compiled `_schedule`'s per-step vertical blocks; `v_done`
+    `ahead`, the compiled `_schedule`'s vertical blocks per step, is set by
+    each row's `vertical_row_pass` and cleared at the row's end; `v_done`
     counts the vertical rows computed, one per block and row, last block
     first; `held` is the last block's newest, which no cache takes."""
 
@@ -295,8 +296,7 @@ class ImageGenState:
     c: int
     batch: int
     counter: OpCounter
-    ahead: tuple
-    v_ready: bool = False
+    ahead: tuple | None = None
     v_done: int = 0
     held: np.ndarray | None = None
     groups = None  # not a field, so neither copied nor pickled
@@ -342,14 +342,13 @@ def image_incremental_init(
         c=0,
         batch=batch,
         counter=counter or OpCounter(),
-        ahead=_schedule(W, spec.n_layers)[1],
     )
 
 
 def _vertical_rows(state: ImageGenState) -> list:
     """Every block's newest vertical row: block i's is the newest row of
     block i+1's cache, the last block's is held."""
-    return [rc.windows()[-1][-1] for rc in state.row_caches[1:]] + [state.held]
+    return [rc.newest() for rc in state.row_caches[1:]] + [state.held]
 
 
 def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int) -> None:
@@ -380,10 +379,12 @@ def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int)
         state.held = v
     state.v_done += 1
     if i == 0:
+        # block 0's row is v too: contiguous, so its dot runs faster than over the ring
+        feats = [v, *_vertical_rows(state)[1:]]
         m = caches[0].width * state.batch
-        for blk, feat, link in zip(network.blocks, _vertical_rows(state), state.links):
+        for blk, feat, link in zip(network.blocks, feats, state.links):
             np.dot(blk.link.kernel[:, :, 0], feat.reshape(len(feat), m), link)
-            counter.add(blk.link.macs * m, nodes=0)
+        counter.add(sum(blk.link.macs for blk in network.blocks) * m, nodes=0)
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:
@@ -396,7 +397,7 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     start, block 0 and its links when no step follows the last group, runs
     here.  Raises if the row's vertical rows are then not all computed.
     """
-    if row_index != state.r or state.c != 0 or state.v_ready:
+    if row_index != state.r or state.c != 0 or state.ahead is not None:
         raise ScheduleViolationError(
             f"vertical_row_pass(row={row_index}) out of order at (r={state.r}, c={state.c})"
         )
@@ -404,11 +405,12 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     if row_index == spec.height:
         raise ScheduleViolationError("image already complete")
     n = spec.n_layers
-    for i in _schedule(spec.width, n)[2] if row_index else reversed(range(n)):
+    _, ahead, start = _schedule(spec.width, n)
+    for i in start if row_index else reversed(range(n)):
         _vertical_row(network, state, i, row_index)
     if state.v_done != (row_index + 1) * n:
         raise ScheduleViolationError(f"vertical rows of row {row_index} not all computed")
-    state.v_ready = True
+    state.ahead = ahead
     return _vertical_rows(state)
 
 
@@ -419,12 +421,14 @@ def _schedule(width: int, n_layers: int) -> tuple:
     groups: per group from pixel c = n_layers * index, the (block, lo, hi)
     column ranges run before the head, then those run after it (the row's
     last).  ahead: per pixel step, the blocks whose next-row vertical row it
-    computes after its group or pop.  Blocks n-1 .. 1 read only rows above
-    the current one, so they take the pop steps before the last group, one
-    each, last block first.  Block 0 reads the whole current row and writes
-    the links that its groups read, so it and any block left over go on the
-    step right after the last group.  When the last group is the row's last
-    step, they make up `start` instead and run at the next row's start.
+    computes after its group or pop; None where there are none and the row
+    does not end there, so most pop steps test one value.  Blocks n-1 .. 1
+    read only rows above the current one, so they take the pop steps before
+    the last group, one each, last block first.  Block 0 reads the whole
+    current row and writes the links that its groups read, so it and any
+    block left over go on the step right after the last group.  When the
+    last group is the row's last step, they make up `start` instead and run
+    at the next row's start.
     """
     groups = []
     for c in range(0, width, n_layers):
@@ -435,7 +439,7 @@ def _schedule(width: int, n_layers: int) -> tuple:
     last = n_layers * (len(groups) - 1)
     early = [c for c in range(last) if c % n_layers]
     blocks = range(n_layers - 1, 0, -1)
-    ahead = [()] * width
+    ahead = [None] * (width - 1) + [()]
     for c, i in zip(early, blocks):
         ahead[c] = (i,)
     start = (*blocks[len(early):], 0)
@@ -487,30 +491,32 @@ def _horizontal(blocks, ops, counter: OpCounter) -> None:
 
 
 def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
-    if not state.v_ready:
-        raise ScheduleViolationError("pixel step before vertical_row_pass")
-    spec = network.spec
+    c = state.c
+    try:
+        todo = state.ahead[c]
+    except TypeError:  # ahead is None until the row's vertical_row_pass
+        raise ScheduleViolationError("pixel step before vertical_row_pass") from None
     if not state.pending:  # run the next group
         if state.groups is None:
-            state.groups = _bind_groups(spec, state)
-        ops, head, y_dest, tail = state.groups[state.c // spec.n_layers]
+            state.groups = _bind_groups(network.spec, state)
+        ops, head, y_dest, tail = state.groups[c // network.spec.n_layers]
         _horizontal(network.blocks, ops, state.counter)
         y = conv1d_point(network.proj, head, state.counter)
         y_dest[...] = y
         ys = y.reshape(-1, 1, state.batch)
-        state.image[0, state.r, state.c : state.c + len(ys)] = ys[:, 0]
+        state.image[0, state.r, c : c + len(ys)] = ys[:, 0]
         state.pending.extend(ys)
         _horizontal(network.blocks, tail, state.counter)
-    blocks = state.ahead[state.c]
-    if blocks and state.r + 1 < spec.height:  # nothing below the last row
-        for i in blocks:
-            _vertical_row(network, state, i, state.r + 1)
-    if state.c + 1 == spec.width:
-        state.c = 0
-        state.r += 1
-        state.v_ready = False
-    else:
-        state.c += 1
+    if todo is not None:
+        if state.r + 1 < network.spec.height:  # nothing below the last row
+            for i in todo:
+                _vertical_row(network, state, i, state.r + 1)
+        if c + 1 == network.spec.width:
+            state.c = 0
+            state.r += 1
+            state.ahead = None
+            return state.pending.popleft()
+    state.c = c + 1
     return state.pending.popleft()
 
 

@@ -223,10 +223,10 @@ def test_vertical_row_pass_out_of_order_rejected(monkeypatch):
     # block 0's leaves stale rings, which row 1's pass refuses; one that runs
     # block 0 before block 1, or before image row 0 is complete, fails there
     groups, ahead, start = _schedule(spec.width, spec.n_layers)
-    assert ahead == ((), (1,), (), (0,)) and start == ()
-    for tampered, fails_at in [(((), (1,), (), ()), "row pass"),
-                               (((), (0,), (), (1,)), "column 1"),
-                               (((), (1, 0), (), ()), "column 1")]:
+    assert ahead == (None, (1,), None, (0,)) and start == ()
+    for tampered, fails_at in [((None, (1,), None, ()), "row pass"),
+                               ((None, (0,), None, (1,)), "column 1"),
+                               ((None, (1, 0), None, ()), "column 1")]:
         monkeypatch.setattr("convgen.image2d._schedule",
                             lambda w, n, ahead=tampered: (groups, ahead, start))
         state = image_incremental_init(net)
@@ -531,6 +531,8 @@ def test_step_counts_follow_the_compiled_placement(n_layers, row_pair):
         # a group step and at most one per step before the last group; block
         # 0 right after the last group, or at the next row's start
         last = n_layers * (len(groups) - 1)
+        assert ahead[-1] is not None  # the row's end is no plain pop
+        ahead = [blocks or () for blocks in ahead]
         assert [i for blocks in ahead for i in blocks] + list(start) == list(
             reversed(range(n_layers)))
         assert not any(ahead[c] for c in range(0, width, n_layers))

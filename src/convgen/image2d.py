@@ -348,7 +348,7 @@ def image_incremental_init(
 def _vertical_rows(state: ImageGenState) -> list:
     """Every block's newest vertical row: block i's is the newest row of
     block i+1's cache, the last block's is held."""
-    return [rc.newest() for rc in state.row_caches[1:]] + [state.held]
+    return [*map(RowCache.newest, state.row_caches[1:]), state.held]
 
 
 def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int) -> None:
@@ -379,12 +379,12 @@ def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int)
         state.held = v
     state.v_done += 1
     if i == 0:
-        # block 0's row is v too: contiguous, so its dot runs faster than over the ring
-        feats = [v, *_vertical_rows(state)[1:]]
+        feats = _vertical_rows(state)
+        feats[0] = v  # the same row, contiguous: a dot reads it faster than the ring
         m = caches[0].width * state.batch
         for blk, feat, link in zip(network.blocks, feats, state.links):
             np.dot(blk.link.kernel[:, :, 0], feat.reshape(len(feat), m), link)
-        counter.add(sum(blk.link.macs for blk in network.blocks) * m, nodes=0)
+            counter.add(blk.link.macs * m, nodes=0)
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:

@@ -285,7 +285,8 @@ def check_equivalence(networks, n_steps: int | None = None, tol: float = EQUIV_T
 def _sample_networks(family: str, n: int, seed: int = 0, shapes=((8, 8, 3),)) -> list:
     """n seeded random networks of one family (strided ones cycle through
     `STRIDED_SAMPLES`; for image2d, n per (height, width, n_layers) shape
-    without and n with the row pair)."""
+    without and n with the row pair, their channels cycling through 1, 4
+    and 8: both layouts of `ImageBlock.folded`, and their C=1 case)."""
     rng = np.random.default_rng(seed)
     if family == "dilated":
         return [
@@ -308,11 +309,12 @@ def _sample_networks(family: str, n: int, seed: int = 0, shapes=((8, 8, 3),)) ->
         ]
     return [
         build_image_network(ImageSpec(
-            h, w, channels=4, n_layers=layers, row_pair=row_pair, seed=int(rng.integers(2**32))
+            h, w, channels=(1, 4, 8)[j % 3], n_layers=layers, row_pair=row_pair,
+            seed=int(rng.integers(2**32)),
         ))
         for h, w, layers in shapes
         for row_pair in (False, True)
-        for _ in range(n)
+        for j in range(n)
     ]
 
 
@@ -431,7 +433,7 @@ def run_verify(quick: bool, out=None) -> int:
     out = sys.stdout if out is None else out
     # a step follows each row's last group at width 8 with 3 blocks; at width
     # 7 (7 % 3 == 1) and with 1 block none does, so block 0's vertical row
-    # and the links wait for the next row's start
+    # and the copies of every block's row wait for the next row's start
     image_shapes = ((8, 8, 3), (8, 7, 3), (8, 8, 1)) + (() if quick else ((12, 12, 3),))
     checks = [
         ("dilated-equivalence", lambda: check_equivalence(

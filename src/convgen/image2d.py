@@ -6,18 +6,21 @@ Per block: a vertical conv reading rows strictly above the current pixel
 strictly-left pixels of the current row plus a 1x1 link (a bias-free
 `ConvWeights`) from the block's vertical features.  A linear head predicts
 the pixel, whose raw value is written back into the image (deterministic
-feedback).
+feedback).  The cached engine evaluates each block's horizontal conv and
+link as one node of `ImageBlock.folded`, [W_h taps | W_link | b]; the
+oracle `forward_image` keeps them apart.
 
 The naive engine runs a full vectorised image pass per generated pixel
 (H*W passes per image).  The cached engine keeps one RowCache of the last
 `kh` input rows per block.  Its row-rate work is every block's vertical
-row and 1x1 link for the entire row, each one dot over the row's W*B
-columns, the vconv column filled with one copy per cached row.  Row r+1's
+row for the entire row, one dot over the row's W*B columns, the vconv
+column filled with one copy per cached row, and a copy of every block's
+row into the state's `vrows`, which the row's groups read.  Row r+1's
 runs during row r, like the vertical stack of Gated PixelCNN.  Blocks
 n-1 .. 1 read only rows <= r, so each takes one of row r's pop steps, last
 block first, and pushes its row into the next block's cache; the last
-block's row is held until its link is written.  Block 0 reads image row r
-and all links are read by row r's groups, so block 0 and the links run on
+block's row is held until it is copied into `vrows`.  Block 0 reads image
+row r and row r's groups read `vrows`, so block 0 and the copies run on
 the step right after row r's last group.  With no such step (W % n == 1,
 or n == 1) they run in row r+1's `vertical_row_pass`, which otherwise only
 computes row 0.  The last row computes nothing for a row below the image.
@@ -27,17 +30,18 @@ strictly left and block i reads block i-1 strictly left, so y_j reads only
 pixels <= j - n, n = `n_layers`: once y_{c-1} is known, so are y_c ..
 y_{c+n-1}.  A pixel step with no pending pixel runs one group, blocks 0 to
 n-1, then the head: block i computes its columns through c + i (i + 1 at
-the row's start, then n) with one window copy into a `Column`, one
-`conv1d_point` over its g*B columns, the link add and a tanh into the next
+the row's start, then n) with one window copy and one copy of its vertical
+row's g columns into a `Column` [h_kw taps; vertical row; 1], one
+`conv1d_point` of `folded` over its g*B columns and a tanh into the next
 block's input history.  The head's g pixels go into block 0's history and
 the image and are queued for the next g - 1 steps.  After its head, the
 row's last group computes the columns that read its own pixels, which no
 output reads, so a row's node and MAC counts are those of a full pass.
 The schedule is compiled once per (W, n); a state binds it to views on its
-first group.  The input histories, n*C*(h_kw+W)*B floats, are not counted
-by `cached_rows_values()`; the held row is, while its link waits.  Batch
-elements generate in lockstep, so every point operation is a single matrix
-product across the batch.
+first group.  The input histories, n*C*(h_kw+W)*B floats, and `vrows`
+are not counted by `cached_rows_values()`; the held row is, until it is
+copied.  Batch elements generate in lockstep, so every point operation is
+a single matrix product across the batch.
 
 With `row_pair`, the first block's vertical path is vconv -> stride-2 row
 downsampling -> stride-2 row upsampling, scheduled across rows like the 1D
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import ClassVar
 
@@ -111,6 +115,16 @@ class ImageBlock:
     link: ConvWeights                 # (c, c, 1) 1x1 from vertical features, zero bias
     down: ConvWeights | None = None   # (c, c, 2) stride-2 over rows
     up: ConvWeights | None = None     # (c, c, 2) transposed stride-2 over rows
+
+    @cached_property
+    def folded(self) -> ConvWeights:
+        """The horizontal conv and the link as one node, [W_h taps | W_link | b],
+        over the column [h_kw input taps; the vertical row; 1]: for block 0,
+        whose input has one channel, the link's C inputs are C one-channel
+        taps.  Built on first use, once per network."""
+        h = self.horiz
+        link = self.link.kernel.reshape(h.out_channels, h.in_channels, -1)
+        return ConvWeights(np.concatenate((h.kernel[:, :, 0], link), axis=2), h.bias)
 
 
 @dataclass(frozen=True)
@@ -279,17 +293,20 @@ class _PairState:
 class ImageGenState:
     """All mutable state of one cached 2D generation run.  `buf` holds each
     block's input history in the row, h_kw zero columns then W, with 1 row
-    (the image's) for block 0 and C for each further block; `groups`, the
-    views over it, is built by the first group, also in copies and pickles.
+    (the image's) for block 0 and C for each further block; `vrows` holds
+    each block's vertical row of the current row, (C, W*B), which its group
+    ops copy into their columns; `groups`, the views over both, is built by
+    the first group, also in copies and pickles.
     `ahead`, the compiled `_schedule`'s vertical blocks per step, is set by
     each row's `vertical_row_pass` and cleared at the row's end; `v_done`
     counts the vertical rows computed, one per block and row, last block
-    first; `held` is the last block's newest, which no cache takes."""
+    first; `held` is the last block's newest, which no cache takes, until
+    block 0's row copies it into `vrows`."""
 
     row_caches: list
     pair: _PairState | None
     buf: np.ndarray
-    links: np.ndarray
+    vrows: np.ndarray
     pending: deque
     image: np.ndarray
     r: int
@@ -308,7 +325,7 @@ class ImageGenState:
         total = sum(rc.stored_values() for rc in self.row_caches)
         if self.pair is not None:
             total += self.pair.stored_values()
-        if self.v_done % len(self.row_caches):  # the held row awaits its link
+        if self.v_done % len(self.row_caches):  # the held row awaits its copy
             total += self.held.size
         return total
 
@@ -335,7 +352,7 @@ def image_incremental_init(
                     for i in range(spec.n_layers)],
         pair=_PairState(c, W, batch) if spec.row_pair else None,
         buf=zeros((1 + (spec.n_layers - 1) * c, (spec.h_kw + W) * batch)),
-        links=zeros((spec.n_layers, c, W * batch)),
+        vrows=zeros((spec.n_layers, c, W * batch)),
         pending=deque(),
         image=zeros((1, spec.height, W, batch)),
         r=0,
@@ -355,10 +372,12 @@ def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int)
     """Block i's vertical row `row`: its vconv and tanh, then its push into
     block i+1's cache (the last block's row is held).  Block 0 first pushes
     image row `row - 1` into its own cache and, with the pair, feeds the
-    vconv row to it and takes its pending row; it then writes every block's
-    1x1 link.  A row's blocks run last first, so a block pushes only after
-    the next block has read that cache; block 0 runs only once the image
-    row above is complete, so no group still reads the links."""
+    vconv row to it and takes its pending row; it then copies every block's
+    vertical row into `vrows`.  A row's blocks run last first, so a block
+    pushes only after the next block has read that cache; block 0 runs only
+    once the image row above is complete, so no group still reads `vrows`.
+    The copies are needed: the held row and a kh=1 ring are overwritten
+    before the row's groups are done."""
     n = network.spec.n_layers
     if state.v_done != row * n + n - 1 - i or (
             i == 0 and row > state.r and state.c + len(state.pending) < network.spec.width):
@@ -380,11 +399,9 @@ def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int)
     state.v_done += 1
     if i == 0:
         feats = _vertical_rows(state)
-        feats[0] = v  # the same row, contiguous: a dot reads it faster than the ring
-        m = caches[0].width * state.batch
-        for blk, feat, link in zip(network.blocks, feats, state.links):
-            np.dot(blk.link.kernel[:, :, 0], feat.reshape(len(feat), m), link)
-            counter.add(blk.link.macs * m, nodes=0)
+        feats[0] = v  # the same row, contiguous: faster to read than the ring
+        for feat, dst in zip(feats, state.vrows):
+            dst.reshape(feat.shape)[...] = feat
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:
@@ -394,8 +411,8 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     Must be called exactly once per row, at the row's start.  Row 0 computes
     all its vertical rows here.  Each later row's are computed by the steps
     of the row above, as `_schedule` places them; what it leaves to the row
-    start, block 0 and its links when no step follows the last group, runs
-    here.  Raises if the row's vertical rows are then not all computed.
+    start, block 0 and the row copies when no step follows the last group,
+    runs here.  Raises if the row's vertical rows are then not all computed.
     """
     if row_index != state.r or state.c != 0 or state.ahead is not None:
         raise ScheduleViolationError(
@@ -425,7 +442,7 @@ def _schedule(width: int, n_layers: int) -> tuple:
     does not end there, so most pop steps test one value.  Blocks n-1 .. 1
     read only rows above the current one, so they take the pop steps before
     the last group, one each, last block first.  Block 0 reads the whole
-    current row and writes the links that its groups read, so it and any
+    current row and writes the `vrows` that its groups read, so it and any
     block left over go on the step right after the last group.  When the
     last group is the row's last step, they make up `start` instead and run
     at the next row's start.
@@ -451,8 +468,9 @@ def _schedule(width: int, n_layers: int) -> tuple:
 def _bind_groups(spec: ImageSpec, state: ImageGenState) -> tuple:
     """`_schedule` over this state's buffers: per group its block ops, head
     Column, pixels' place in block 0's history and ops after the head.
-    An op is (block, window, Column taps, Column, dot output, link, dest);
-    scratch is shared by equal shapes: each is written just before it is read."""
+    An op is (block, window, Column taps, vertical row, Column link rows,
+    Column, dot output, dest); scratch is shared by equal shapes: each is
+    written just before it is read."""
     C, B, hk, n = spec.channels, state.batch, spec.h_kw, spec.n_layers
     buf, (row, step) = state.buf, state.buf.strides
     ins = [1] + [C] * (n - 1)
@@ -461,33 +479,36 @@ def _bind_groups(spec: ImageSpec, state: ImageGenState) -> tuple:
                for a, k in zip(starts, ins)]
     inputs = [buf[a:b, hk * B :] for a, b in zip(starts, starts[1:])]  # after the zero columns
     out = cache(lambda m: np.empty((C, m), DTYPE))
+    heads = cache(lambda m: Column(np.ones((C + 1, m), DTYPE), C))
 
     @cache
-    def column(k, taps, m):
-        col = Column(np.ones((taps * k + 1, m), DTYPE), k)
-        return col, col.buf[:-1].reshape(taps, k, m)
+    def column(k, m):  # [h_kw taps of k channels; the C-channel vertical row; 1]
+        col = Column(np.ones((hk * k + C + 1, m), DTYPE), k)
+        return col, col.buf[: hk * k].reshape(hk, k, m), col.buf[hk * k : -1]
 
     def op(i, lo, hi, head):
         a, b = lo * B, hi * B
-        col, taps = column(ins[i], hk, b - a)
+        col, taps, link = column(ins[i], b - a)
         dest = inputs[i + 1][:, a:b] if i < n - 1 else head.buf[:-1]
-        return i, windows[i][:, :, a:b], taps, col, out(b - a), state.links[i][:, a:b], dest
+        return i, windows[i][:, :, a:b], taps, state.vrows[i][:, a:b], link, col, out(b - a), dest
 
     groups = []
     for main, tail in _schedule(spec.width, n)[0]:
         _, c, end = main[-1]  # the head's pixels
-        head = column(C, 1, (end - c) * B)[0]
+        head = heads((end - c) * B)
         groups.append(([op(*r, head) for r in main], head, inputs[0][:, c * B : end * B],
                        [op(*r, head) for r in tail]))
     return tuple(groups)
 
 
 def _horizontal(blocks, ops, counter: OpCounter) -> None:
-    for i, window, taps, column, out, link, dest in ops:
+    """Each op's block node over its columns: the horizontal conv and the
+    link as one dot of `folded`, then a tanh into the next block's input."""
+    for i, window, taps, vrow, link, column, out, dest in ops:
         taps[...] = window
-        conv1d_point(blocks[i].horiz, column, counter, out)
-        np.add(out, link, out)  # ufunc out positional: numpy parses it faster
-        np.tanh(out, dest)  # dest and link are strided: one strided operand per ufunc
+        link[...] = vrow
+        conv1d_point(blocks[i].folded, column, counter, out)
+        np.tanh(out, dest)  # ufunc out positional: numpy parses it faster
 
 
 def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:

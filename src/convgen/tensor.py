@@ -21,8 +21,10 @@ strided step over the columns of one buffer per state, into whose taps each
 input is routed straight to the node that reads it (`convgen.strided`),
 and the image engine's wavefront groups over scratch `Column`s of g*B
 columns, one per block input width and group size, into which each group
-copies a block's g input windows from the state's row history; one call
-then evaluates g pixels of a block for the whole batch (`convgen.image2d`).
+copies a block's g input windows from the state's row history and its
+vertical row's g columns; one call of the block's horizontal conv and 1x1
+link, folded into one weight matrix, then evaluates g pixels of a block
+for the whole batch (`convgen.image2d`).
 
 `ConvWeights` is the one weight type: every array in it is read-only, a copy
 or a pickle is rebuilt through its constructor, and `==` compares values.

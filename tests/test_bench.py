@@ -28,6 +28,7 @@ from convgen import (
 from convgen.bench import (
     CSV_COLUMNS,
     MAX_PRIME,
+    _sample_networks,
     check_golden_trace,
     compare,
     init,
@@ -342,6 +343,17 @@ def test_verify_quick_passes_and_is_fast(capsys):
     assert all(line.startswith("check=") and "status=pass" in line for line in lines[:-1])
     assert len(lines) - 1 == 7  # one summary line per check
     assert elapsed < 60.0
+
+
+def test_verify_samples_image_networks_at_one_four_and_eight_channels():
+    # C=1 and C > 1 lay out a block's folded horizontal and link weights
+    # differently; every shape and row-pair choice is drawn at each width
+    nets = _sample_networks("image2d", 3, shapes=((8, 8, 3), (8, 7, 1)))
+    drawn = {}
+    for net in nets:
+        s = net.spec
+        drawn.setdefault((s.width, s.n_layers, s.row_pair), set()).add(s.channels)
+    assert len(drawn) == 4 and all(c == {1, 4, 8} for c in drawn.values())
 
 
 def test_fault_injection_breaks_equivalence():

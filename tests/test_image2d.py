@@ -19,6 +19,7 @@ from convgen import (
     receptive_field_2d,
     write_pgm,
 )
+from convgen import image2d
 from convgen.cache import RowCache
 from convgen.image2d import (
     _pixel_step,
@@ -299,7 +300,7 @@ def test_per_pixel_nodes_independent_of_height(row_pair):
 def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
     # the benchmark's image shape: groups start at columns 0, 3, .., 30, so
     # each row computes block 2's next vertical row at column 1, where it is
-    # held until block 0's runs, with the links, at column 31; rows counted:
+    # held until block 0's runs, with the row copies, at column 31; rows counted:
     # the rings, the pair's carry, its pending up row after every odd number
     # of feeds, and the held row
     spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
@@ -478,11 +479,11 @@ def test_grouped_step_matches_forward_image(n_layers, h_kw, row_pair, batch):
                          [(1, 1, 3), (2, 2, 5), (3, 2, 7), (3, 3, 8), (4, 1, 3)])
 def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
     # after row r's last pixel the counts are those of rows 0..r in full and
-    # of row r+1's vertical rows: a row is each block's vertical node, link
-    # and horizontal node per column and the head, plus the pair's burst (a
-    # down and two up rows) on even rows.  Where no step follows the row's
-    # last group, (width - 1) % n_layers == 0, block 0's vertical row and
-    # the links wait for the next row's start
+    # of row r+1's vertical rows: a row is each block's vertical node and
+    # horizontal node (its link folded in) per column and the head, plus the
+    # pair's burst (a down and two up rows) on even rows.  Where no step
+    # follows the row's last group, (width - 1) % n_layers == 0, block 0's
+    # vertical row waits for the next row's start
     batch, height = 2, 4
     spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width), h_kw=h_kw,
                      row_pair=row_pair, seed=n_layers)
@@ -493,15 +494,13 @@ def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
     def vertical(row, blocks):
         macs = n * sum(net.blocks[i].vert.macs for i in blocks)
         nodes = n * len(blocks)
-        if 0 in blocks:
-            macs += n * sum(b.link.macs for b in net.blocks)
-            if row_pair and row % 2 == 0:
-                macs += n * (pair.down.macs + pair.up.macs)
-                nodes += 3 * n
+        if 0 in blocks and row_pair and row % 2 == 0:
+            macs += n * (pair.down.macs + pair.up.macs)
+            nodes += 3 * n
         return np.array([macs, nodes])
 
-    horizontal = np.array([n * (sum(b.horiz.macs for b in net.blocks) + net.proj.macs),
-                           n * (n_layers + 1)])
+    horizontal = np.array([n * (sum(b.horiz.macs + b.link.macs for b in net.blocks)
+                                + net.proj.macs), n * (n_layers + 1)])
     ahead = [i for i in range(n_layers) if i or (width - 1) % n_layers]
     state = image_incremental_init(net, batch=batch)
     done = np.zeros(2, np.int64)  # rows 0..r in full
@@ -543,10 +542,8 @@ def test_step_counts_follow_the_compiled_placement(n_layers, row_pair):
         def vertical(row, i):
             block = net.blocks[i]
             macs, nodes = n * block.vert.macs, n
-            if i == 0:
-                macs += n * sum(b.link.macs for b in net.blocks)
-                if row_pair and row % 2 == 0:
-                    macs, nodes = macs + n * (block.down.macs + block.up.macs), nodes + 3 * n
+            if i == 0 and row_pair and row % 2 == 0:
+                macs, nodes = macs + n * (block.down.macs + block.up.macs), nodes + 3 * n
             return macs, nodes
 
         state = image_incremental_init(net, batch=batch)
@@ -558,14 +555,43 @@ def test_step_counts_follow_the_compiled_placement(n_layers, row_pair):
                     work += [vertical(r + 1, i) for i in ahead[c]]
                 if c % n_layers == 0:
                     main, tail = groups[c // n_layers]
-                    work += [((hi - lo) * batch * net.blocks[i].horiz.macs, (hi - lo) * batch)
-                             for i, lo, hi in main + tail]
+                    # each block node is the horizontal conv with the link folded in
+                    work += [((hi - lo) * batch * (net.blocks[i].horiz.macs + net.blocks[i].link.macs),
+                              (hi - lo) * batch) for i, lo, hi in main + tail]
                     g = (main[-1][2] - main[-1][1]) * batch  # the head's pixels
                     work.append((g * net.proj.macs, g))
                 macs0, nodes0 = state.counter.snapshot()
                 image_incremental_step(net, state)
                 got = (state.counter.macs - macs0, state.counter.node_evals - nodes0)
                 assert got == tuple(map(sum, zip((0, 0), *work))), (width, r, c)
+
+
+@pytest.mark.parametrize("h_kw", [1, 2, 3])
+@pytest.mark.parametrize("channels", [1, 3, 8])
+def test_folded_weights_are_the_horizontal_conv_and_link_built_once(channels, h_kw, monkeypatch):
+    # each block's group node is one dot of [W_h taps | W_link | b] over
+    # [h_kw input taps; its vertical row; 1]; block 0's input has one
+    # channel, so its link's C inputs are C one-channel taps
+    built = []
+    real = image2d.ConvWeights
+    monkeypatch.setattr(image2d, "ConvWeights", lambda *a: built.append(a) or real(*a))
+    spec = ImageSpec(4, 5, channels=channels, n_layers=2, kw=3, h_kw=h_kw, seed=channels)
+    net = build_image_network(spec)
+    state = image_incremental_init(net, batch=2)
+    assert not any("folded" in vars(b) for b in net.blocks)  # neither at build nor at init
+    del built[:]
+    image_incremental_step(net, state)  # the first group
+    folded = [b.folded for b in net.blocks]
+    assert len(built) == spec.n_layers
+    for i, (block, f) in enumerate(zip(net.blocks, folded)):
+        h, link = block.horiz, block.link
+        want = np.column_stack((h.fused[:, :-1], link.kernel[:, :, 0], h.bias))
+        assert f.fused.tobytes() == want.tobytes() and f.fused.shape == want.shape, i
+        assert f.macs == h.macs + link.macs
+        assert (f.in_channels, f.k) == ((1, h_kw + channels) if i == 0 else (channels, h_kw + 1))
+    generate(net, batch=3)  # another state of the same network
+    assert len(built) == spec.n_layers
+    assert all(b.folded is f for b, f in zip(net.blocks, folded))
 
 
 @pytest.mark.parametrize("row_pair", [False, True])

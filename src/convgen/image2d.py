@@ -126,6 +126,9 @@ class ImageBlock:
         link = self.link.kernel.reshape(h.out_channels, h.in_channels, -1)
         return ConvWeights(np.concatenate((h.kernel[:, :, 0], link), axis=2), h.bias)
 
+    def __reduce__(self):  # copies and pickles carry the fields, not `folded`
+        return ImageBlock, (self.vert, self.horiz, self.link, self.down, self.up)
+
 
 @dataclass(frozen=True)
 class ImageNetwork:

@@ -346,8 +346,9 @@ def test_verify_quick_passes_and_is_fast(capsys):
 
 
 def test_verify_samples_image_networks_at_one_four_and_eight_channels():
-    # C=1 and C > 1 lay out a block's folded horizontal and link weights
-    # differently; every shape and row-pair choice is drawn at each width
+    # block 0's folded weights take the link as C one-channel taps, later
+    # blocks' as one C-channel tap, and at C=1 the two coincide: every
+    # shape and row-pair choice is drawn at each of the three channel counts
     nets = _sample_networks("image2d", 3, shapes=((8, 8, 3), (8, 7, 1)))
     drawn = {}
     for net in nets:

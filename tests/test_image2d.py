@@ -592,6 +592,8 @@ def test_folded_weights_are_the_horizontal_conv_and_link_built_once(channels, h_
     generate(net, batch=3)  # another state of the same network
     assert len(built) == spec.n_layers
     assert all(b.folded is f for b, f in zip(net.blocks, folded))
+    for fork in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+        assert fork == net and not any("folded" in vars(b) for b in fork.blocks)
 
 
 @pytest.mark.parametrize("row_pair", [False, True])

@@ -21,6 +21,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -286,7 +287,9 @@ def _sample_networks(family: str, n: int, seed: int = 0, shapes=((8, 8, 3),)) ->
     """n seeded random networks of one family (strided ones cycle through
     `STRIDED_SAMPLES`; for image2d, n per (height, width, n_layers) shape
     without and n with the row pair, their channels cycling through 1, 4
-    and 8: both layouts of `ImageBlock.folded`, and their C=1 case)."""
+    and 8: both layouts of `ImageBlock.folded`, and their C=1 case, and
+    their kh through 1, 2 and 3, starting one further on at each next
+    (shape, row pair): at n = 3, any three of them draw all nine pairings)."""
     rng = np.random.default_rng(seed)
     if family == "dilated":
         return [
@@ -309,11 +312,10 @@ def _sample_networks(family: str, n: int, seed: int = 0, shapes=((8, 8, 3),)) ->
         ]
     return [
         build_image_network(ImageSpec(
-            h, w, channels=(1, 4, 8)[j % 3], n_layers=layers, row_pair=row_pair,
-            seed=int(rng.integers(2**32)),
+            h, w, channels=(1, 4, 8)[j % 3], n_layers=layers, kh=1 + (g + j) % 3,
+            row_pair=row_pair, seed=int(rng.integers(2**32)),
         ))
-        for h, w, layers in shapes
-        for row_pair in (False, True)
+        for g, ((h, w, layers), row_pair) in enumerate(product(shapes, (False, True)))
         for j in range(n)
     ]
 

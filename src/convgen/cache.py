@@ -163,10 +163,6 @@ class RowCache:
         h = self._head
         return self._windows[h:] + self._windows[:h]
 
-    def newest(self) -> np.ndarray:
-        """The newest row, a read-only (channels, width, batch) view."""
-        return self._windows[self._head - 1][-1]
-
     def column(self) -> np.ndarray:
         """The fused column [every cached row's kw windows, oldest first; 1]
         of shape (height*kw*channels + 1, width*batch), filled in place."""

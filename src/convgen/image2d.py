@@ -13,17 +13,17 @@ oracle `forward_image` keeps them apart.
 The naive engine runs a full vectorised image pass per generated pixel
 (H*W passes per image).  The cached engine keeps one RowCache of the last
 `kh` input rows per block.  Its row-rate work is every block's vertical
-row for the entire row, one dot over the row's W*B columns, the vconv
-column filled with one copy per cached row, and a copy of every block's
-row into the state's `vrows`, which the row's groups read.  Row r+1's
+row for the entire row, one dot over the row's W*B columns into the
+state's `vnext`, the vconv column filled with one copy per cached row, and
+one copy of `vnext` into `vrows`, which the row's groups read.  Row r+1's
 runs during row r, like the vertical stack of Gated PixelCNN.  Blocks
 n-1 .. 1 read only rows <= r, so each takes one of row r's pop steps, last
-block first, and pushes its row into the next block's cache; the last
-block's row is held until it is copied into `vrows`.  Block 0 reads image
-row r and row r's groups read `vrows`, so block 0 and the copies run on
-the step right after row r's last group.  With no such step (W % n == 1,
-or n == 1) they run in row r+1's `vertical_row_pass`, which otherwise only
-computes row 0.  The last row computes nothing for a row below the image.
+block first, and pushes its row into the next block's cache.  Block 0
+pushes image row r, which its history in `buf` holds, and row r's groups
+read `vrows`, so block 0 and the copy run on the step right after row r's
+last group.  With no such step (W % n == 1, or n == 1) they run in row
+r+1's `vertical_row_pass`, which otherwise only computes row 0.  The last
+row computes nothing for a row below the image.
 
 The horizontal streams advance in wavefront groups.  Block 0 reads pixels
 strictly left and block i reads block i-1 strictly left, so y_j reads only
@@ -33,15 +33,16 @@ n-1, then the head: block i computes its columns through c + i (i + 1 at
 the row's start, then n) with one window copy and one copy of its vertical
 row's g columns into a `Column` [h_kw taps; vertical row; 1], one
 `conv1d_point` of `folded` over its g*B columns and a tanh into the next
-block's input history.  The head's g pixels go into block 0's history and
-the image and are queued for the next g - 1 steps.  After its head, the
-row's last group computes the columns that read its own pixels, which no
-output reads, so a row's node and MAC counts are those of a full pass.
-The schedule is compiled once per (W, n); a state binds it to views on its
-first group.  The input histories, n*C*(h_kw+W)*B floats, and `vrows`
-are not counted by `cached_rows_values()`; the held row is, until it is
-copied.  Batch elements generate in lockstep, so every point operation is
-a single matrix product across the batch.
+block's input history.  The head's g pixels go into block 0's history
+and are queued for the next g - 1 steps.  After its head, the row's last
+group computes the columns that read its own pixels, which no output
+reads, so a row's node and MAC counts are those of a full pass.  The
+schedule is compiled once per (W, n); a state binds it to views on its
+first group.  `cached_rows_values()` counts neither the input histories,
+n*C*(h_kw+W)*B floats, nor `vrows`, and of `vnext` only the last block's
+row, from its computation until block 0's copy.  Batch elements generate
+in lockstep, so every point operation is a single matrix product across
+the batch.
 
 With `row_pair`, the first block's vertical path is vconv -> stride-2 row
 downsampling -> stride-2 row upsampling, scheduled across rows like the 1D
@@ -298,27 +299,27 @@ class ImageGenState:
     block's input history in the row, h_kw zero columns then W, with 1 row
     (the image's) for block 0 and C for each further block; `vrows` holds
     each block's vertical row of the current row, (C, W*B), which its group
-    ops copy into their columns; `groups`, the views over both, is built by
-    the first group, also in copies and pickles.
+    ops copy into their columns, and `vnext` each block's next-row vertical
+    row, from its computation to block 0's copy of all of them into `vrows`;
+    `groups`, the views over `buf` and `vrows`, is built by the first group,
+    also in copies and pickles.
     `ahead`, the compiled `_schedule`'s vertical blocks per step, is set by
     each row's `vertical_row_pass` and cleared at the row's end; `v_done`
     counts the vertical rows computed, one per block and row, last block
-    first; `held` is the last block's newest, which no cache takes, until
-    block 0's row copies it into `vrows`."""
+    first."""
 
     row_caches: list
     pair: _PairState | None
     buf: np.ndarray
     vrows: np.ndarray
+    vnext: np.ndarray
     pending: deque
-    image: np.ndarray
     r: int
     c: int
     batch: int
     counter: OpCounter
     ahead: tuple | None = None
     v_done: int = 0
-    held: np.ndarray | None = None
     groups = None  # not a field, so neither copied nor pickled
 
     def __reduce__(self):
@@ -328,20 +329,22 @@ class ImageGenState:
         total = sum(rc.stored_values() for rc in self.row_caches)
         if self.pair is not None:
             total += self.pair.stored_values()
-        if self.v_done % len(self.row_caches):  # the held row awaits its copy
-            total += self.held.size
+        if self.v_done % len(self.row_caches):  # the last block's row awaits its copy
+            total += self.vnext[-1].size
         return total
 
 
-def _vconv_row(w: ConvWeights, cache: RowCache, counter: OpCounter | None) -> np.ndarray:
+def _vconv_row(w: ConvWeights, cache: RowCache, counter: OpCounter | None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """One output row of a vertical conv from the cached rows above it: one
     dot over the cache's fused column of W*B columns, where output column c
-    reads columns c-kw+1 .. c of every cached row, zero left of the image."""
+    reads columns c-kw+1 .. c of every cached row, zero left of the image;
+    into `out`, a C-contiguous (C, W*B) array, when given."""
     column = cache.column()
     n = column.shape[1]
     if counter is not None:
         counter.add(w.macs * n, nodes=n)
-    return np.dot(w.fused, column).reshape(w.out_channels, cache.width, cache.batch)
+    return np.dot(w.fused, column, out).reshape(w.out_channels, cache.width, cache.batch)
 
 
 def image_incremental_init(
@@ -356,8 +359,8 @@ def image_incremental_init(
         pair=_PairState(c, W, batch) if spec.row_pair else None,
         buf=zeros((1 + (spec.n_layers - 1) * c, (spec.h_kw + W) * batch)),
         vrows=zeros((spec.n_layers, c, W * batch)),
+        vnext=zeros((spec.n_layers, c, W * batch)),
         pending=deque(),
-        image=zeros((1, spec.height, W, batch)),
         r=0,
         c=0,
         batch=batch,
@@ -365,57 +368,48 @@ def image_incremental_init(
     )
 
 
-def _vertical_rows(state: ImageGenState) -> list:
-    """Every block's newest vertical row: block i's is the newest row of
-    block i+1's cache, the last block's is held."""
-    return [*map(RowCache.newest, state.row_caches[1:]), state.held]
-
-
 def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int) -> None:
-    """Block i's vertical row `row`: its vconv and tanh, then its push into
-    block i+1's cache (the last block's row is held).  Block 0 first pushes
-    image row `row - 1` into its own cache and, with the pair, feeds the
-    vconv row to it and takes its pending row; it then copies every block's
-    vertical row into `vrows`.  A row's blocks run last first, so a block
-    pushes only after the next block has read that cache; block 0 runs only
-    once the image row above is complete, so no group still reads `vrows`.
-    The copies are needed: the held row and a kh=1 ring are overwritten
-    before the row's groups are done."""
-    n = network.spec.n_layers
+    """Block i's vertical row `row`: its vconv and tanh into `vnext[i]`, then
+    its push into block i+1's cache (the last block's row stays in `vnext`).
+    Block 0 first pushes image row `row - 1`, which its history in `buf`
+    holds, into its own cache and, with the pair, feeds the vconv row to it
+    and takes its pending row; it then copies `vnext` into `vrows`.  A row's
+    blocks run last first, so a block pushes only after the next block has
+    read that cache; block 0 runs only once the image row above is complete,
+    so no group still reads `vrows` or block 0's history."""
+    spec = network.spec
+    n = spec.n_layers
     if state.v_done != row * n + n - 1 - i or (
-            i == 0 and row > state.r and state.c + len(state.pending) < network.spec.width):
+            i == 0 and row > state.r and state.c + len(state.pending) < spec.width):
         raise ScheduleViolationError(f"vertical row {row} of block {i} out of order")
     caches, counter, block = state.row_caches, state.counter, network.blocks[i]
     if i == 0 and row > 0:
-        caches[0].push_row(state.image[:, row - 1])
-    v = _vconv_row(block.vert, caches[i], counter)
+        caches[0].push_row(state.buf[:1, spec.h_kw * state.batch :].reshape(caches[0].row_shape))
+    v = _vconv_row(block.vert, caches[i], counter, state.vnext[i])
     np.tanh(v, out=v)
     if block.down is not None:
         state.pair.feed(block, v, counter)
         if not state.pair.pending:
             raise ScheduleViolationError(f"no pending vertical row for row {row}")
-        v = state.pair.pending.popleft()
+        v[...] = state.pair.pending.popleft()
     if i < n - 1:
         caches[i + 1].push_row(v)
-    else:
-        state.held = v
     state.v_done += 1
     if i == 0:
-        feats = _vertical_rows(state)
-        feats[0] = v  # the same row, contiguous: faster to read than the ring
-        for feat, dst in zip(feats, state.vrows):
-            dst.reshape(feat.shape)[...] = feat
+        state.vrows[...] = state.vnext
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:
     """Start a row: compute what no earlier step could, then return every
-    block's vertical row `row_index` (views, valid until the next step).
+    block's vertical row `row_index` (views of `vrows`, valid until the next
+    row's block-0 step).
 
     Must be called exactly once per row, at the row's start.  Row 0 computes
     all its vertical rows here.  Each later row's are computed by the steps
     of the row above, as `_schedule` places them; what it leaves to the row
-    start, block 0 and the row copies when no step follows the last group,
-    runs here.  Raises if the row's vertical rows are then not all computed.
+    start, block 0 and the copy into `vrows` when no step follows the last
+    group, runs here.  Raises if the row's vertical rows are then not all
+    computed.
     """
     if row_index != state.r or state.c != 0 or state.ahead is not None:
         raise ScheduleViolationError(
@@ -431,7 +425,7 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     if state.v_done != (row_index + 1) * n:
         raise ScheduleViolationError(f"vertical rows of row {row_index} not all computed")
     state.ahead = ahead
-    return _vertical_rows(state)
+    return list(state.vrows.reshape(n, spec.channels, spec.width, state.batch))
 
 
 @cache
@@ -445,10 +439,11 @@ def _schedule(width: int, n_layers: int) -> tuple:
     does not end there, so most pop steps test one value.  Blocks n-1 .. 1
     read only rows above the current one, so they take the pop steps before
     the last group, one each, last block first.  Block 0 reads the whole
-    current row and writes the `vrows` that its groups read, so it and any
-    block left over go on the step right after the last group.  When the
-    last group is the row's last step, they make up `start` instead and run
-    at the next row's start.
+    current row from its history in `buf` and copies `vnext` into the
+    `vrows` that the row's groups read, so it and any block left over go
+    on the step right after the last group.  When the last group is the
+    row's last step, they make up `start` instead and run at the next
+    row's start.
     """
     groups = []
     for c in range(0, width, n_layers):
@@ -527,9 +522,7 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
         _horizontal(network.blocks, ops, state.counter)
         y = conv1d_point(network.proj, head, state.counter)
         y_dest[...] = y
-        ys = y.reshape(-1, 1, state.batch)
-        state.image[0, state.r, c : c + len(ys)] = ys[:, 0]
-        state.pending.extend(ys)
+        state.pending.extend(y.reshape(-1, 1, state.batch))
         _horizontal(network.blocks, tail, state.counter)
     if todo is not None:
         if state.r + 1 < network.spec.height:  # nothing below the last row
@@ -581,9 +574,12 @@ def receptive_field_2d(spec: ImageSpec) -> tuple[int, int]:
 
 def write_pgm(path, image: np.ndarray) -> None:
     """Dump a single image as binary PGM (P5) after min-max normalisation."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise InvalidParameterError(f"expected a 2D image, got shape {img.shape}")
+    try:
+        img = np.asarray(image, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidParameterError("expected a numeric 2D image") from None
+    if img.ndim != 2 or img.size == 0 or not np.isfinite(img).all():
+        raise InvalidParameterError(f"expected a non-empty finite 2D image, got shape {img.shape}")
     lo, hi = float(img.min()), float(img.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     quant = np.clip((img - lo) * scale, 0, 255).astype(np.uint8)

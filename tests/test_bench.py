@@ -357,6 +357,19 @@ def test_verify_samples_image_networks_at_one_four_and_eight_channels():
     assert len(drawn) == 4 and all(c == {1, 4, 8} for c in drawn.values())
 
 
+def test_verify_samples_image_networks_at_kh_one_two_and_three():
+    # the quick sample of `verify`: every shape and row-pair choice is drawn
+    # at kh 1, 2 and 3, and not always with the same channel count
+    nets = _sample_networks("image2d", 3, shapes=((8, 8, 3), (8, 7, 3), (8, 8, 1)))
+    drawn = {}
+    for net in nets:
+        s = net.spec
+        drawn.setdefault((s.width, s.n_layers, s.row_pair), set()).add(s.kh)
+    assert len(drawn) == 6 and all(kh == {1, 2, 3} for kh in drawn.values())
+    assert {(net.spec.channels, net.spec.kh) for net in nets} == {
+        (c, kh) for c in (1, 4, 8) for kh in (1, 2, 3)}
+
+
 def test_fault_injection_breaks_equivalence():
     # corrupting one cached-engine weight must blow the equivalence check
     spec = NetworkSpec("dilated", stacks=1, layers_per_stack=3, channels=2, seed=5)

@@ -161,14 +161,13 @@ def test_vertical_rows_match_full_image_pass():
     spec = ImageSpec(6, 5, channels=3, n_layers=3, seed=8)
     net = build_image_network(spec)
     state = image_incremental_init(net)
-    recorded = []
+    recorded, pixels = [], []
     for r in range(spec.height):
         rows = vertical_row_pass(net, state, r)
         recorded.append([row.copy() for row in rows])
         for _ in range(spec.width):
-            _pixel_step(net, state)
-    final = state.image  # (1, H, W, 1)
-    v = final
+            pixels.append(_pixel_step(net, state))
+    v = np.concatenate(pixels).reshape(1, spec.height, spec.width, 1)  # the final image
     for li, block in enumerate(net.blocks):
         v = np.tanh(masked_conv2d(block.vert, v[..., 0] if v.ndim == 4 else v, "vertical"))
         for r in range(spec.height):
@@ -256,7 +255,9 @@ def test_public_step_walks_the_raster_and_stops_at_the_end(engine):
     assert all(p.shape == (1, 2) for p in pixels)
     got = np.concatenate(pixels)
     assert np.array_equal(got, generate(net, engine=engine, batch=2))
-    assert np.array_equal(got.reshape(spec.height, spec.width, 2), state.image[0])
+    # in raster order, each output is the prediction of the image the outputs form
+    want = forward_image(net, got.reshape(1, spec.height, spec.width, 2)).reshape(-1, 2)
+    assert np.max(np.abs(got - want)) <= EQUIV_TOL
     with pytest.raises(ScheduleViolationError):
         step(net, state)
 
@@ -299,10 +300,10 @@ def test_per_pixel_nodes_independent_of_height(row_pair):
 
 def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
     # the benchmark's image shape: groups start at columns 0, 3, .., 30, so
-    # each row computes block 2's next vertical row at column 1, where it is
-    # held until block 0's runs, with the row copies, at column 31; rows counted:
-    # the rings, the pair's carry, its pending up row after every odd number
-    # of feeds, and the held row
+    # each row computes block 2's next vertical row into `vnext` at column 1,
+    # where it waits, held, until block 0's runs, with the copy of `vnext`
+    # into `vrows`, at column 31; rows counted: the rings, the pair's carry,
+    # its pending up row after every odd number of feeds, and the held row
     spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
     net = build_image_network(spec)
     batch = 16
@@ -398,7 +399,8 @@ def test_forked_state_continues_bit_exact(row_pair):
         image_incremental_step(net, state)
     fork = copy.deepcopy(state)
     assert fork.counter is not state.counter
-    assert not np.shares_memory(fork.image, state.image)
+    assert not any(np.shares_memory(getattr(fork, name), getattr(state, name))
+                   for name in ("buf", "vrows", "vnext"))
     outs = {"state": [], "fork": []}
     for _ in range(36 - fork_at):
         for name, st in (("state", state), ("fork", fork)):  # interleaved
@@ -414,9 +416,17 @@ def test_forked_state_continues_bit_exact(row_pair):
     assert not np.shares_memory(restored.buf, state.buf)
     assert restored.cached_rows_values() == state.cached_rows_values()
     got = [image_incremental_step(net, restored) for _ in range(36 - fork_at)]
-    # each group op's window view is over the restored buffer
-    assert all(np.shares_memory(op[1], restored.buf)
-               for group in restored.groups for op in group[0])
+    # every group op, the tail's too, views the restored buffers: its window
+    # and dest `buf` (the last block's dest is its group's head column), its
+    # vertical row `vrows`; so does each group's y_dest; none views the original
+    originals = [state.buf, state.vrows, state.vnext, *(group[1].buf for group in state.groups)]
+    for ops, head, y_dest, tail in restored.groups:
+        views = [(y_dest, restored.buf)]
+        for i, window, _, vrow, *_, dest in ops + tail:
+            views += [(window, restored.buf), (vrow, restored.vrows),
+                      (dest, restored.buf if i < spec.n_layers - 1 else head.buf)]
+        assert all(np.shares_memory(view, owner) for view, owner in views)
+        assert not any(np.shares_memory(view, a) for view, _ in views for a in originals)
     assert np.array_equal(np.concatenate(got), whole[fork_at:])
     assert (state.r, state.c) == divmod(fork_at, 6)  # stepping the copy left the original alone
 
@@ -447,7 +457,7 @@ def test_step_outputs_are_fresh_arrays():
         copies.append(outs[-1].copy())
     for y, kept in zip(outs, copies):
         assert np.array_equal(y, kept)
-        assert not np.shares_memory(y, state.buf) and not np.shares_memory(y, state.image)
+        assert not any(np.shares_memory(y, a) for a in (state.buf, state.vrows, state.vnext))
     assert np.array_equal(generate(net, batch=3), np.concatenate(outs))
 
 
@@ -462,16 +472,18 @@ def test_step_outputs_are_fresh_arrays():
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
 def test_grouped_step_matches_forward_image(n_layers, h_kw, row_pair, batch):
     # widths around the group size: one partial group, one whole group, a
-    # group and one pixel, and two groups and one pixel
-    for width in (n_layers - 1, n_layers, n_layers + 1, 2 * n_layers + 1):
-        if width < h_kw:
-            continue
-        spec = ImageSpec(4, width, channels=3, n_layers=n_layers, kw=min(3, width), h_kw=h_kw,
-                         row_pair=row_pair, seed=10 * n_layers + width)
-        net = build_image_network(spec)
-        out = generate(net, batch=batch)  # raster order: row i is pixel i of every image
-        want = forward_image(net, out.reshape(1, 4, width, batch)).reshape(-1, batch)
-        assert np.max(np.abs(out - want)) <= EQUIV_TOL, f"width {width}"
+    # group and one pixel, and two groups and one pixel; kh = 1 keeps only
+    # the row above in each cache, kh = 3 wraps a deeper ring
+    for kh in (1, 2, 3):
+        for width in (n_layers - 1, n_layers, n_layers + 1, 2 * n_layers + 1):
+            if width < h_kw:
+                continue
+            spec = ImageSpec(4, width, channels=3, n_layers=n_layers, kh=kh, kw=min(3, width),
+                             h_kw=h_kw, row_pair=row_pair, seed=10 * n_layers + width)
+            net = build_image_network(spec)
+            out = generate(net, batch=batch)  # raster order: row i is pixel i of every image
+            want = forward_image(net, out.reshape(1, 4, width, batch)).reshape(-1, batch)
+            assert np.max(np.abs(out - want)) <= EQUIV_TOL, f"kh {kh}, width {width}"
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
@@ -680,3 +692,14 @@ def test_write_pgm(tmp_path):
     flat = write_pgm(tmp_path / "flat.pgm", np.ones((2, 2), np.float32))
     data = (tmp_path / "flat.pgm").read_bytes()
     assert data.endswith(bytes(4))  # constant image maps to zeros
+
+
+@pytest.mark.parametrize("image", [
+    np.zeros((0, 4)), np.zeros((3, 0)), [[0.0, np.nan]], [[np.inf, 1.0]], [[-np.inf]],
+    [["a", "b"]], [[None]], [[1.0], [1.0, 2.0]], np.zeros((2, 2, 2)),
+], ids=["no-rows", "no-columns", "nan", "inf", "-inf", "strings", "none", "ragged", "3d"])
+def test_write_pgm_rejects_bad_images_before_opening_the_file(tmp_path, image):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(InvalidParameterError):
+        write_pgm(path, image)
+    assert not path.exists()

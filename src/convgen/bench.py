@@ -218,6 +218,29 @@ def generate(network, n_steps=None, *, engine="cached", batch=1, prime=(), count
     return out
 
 
+def _period(network) -> int:
+    """Steps after which an engine's schedule repeats: 1 for dilated, the
+    plan's period for strided, and W (2W with the row pair) for image2d."""
+    spec = network.spec
+    if spec.family == "strided":
+        return network.plan.period
+    if spec.family == "image2d":
+        return spec.width * (2 if spec.row_pair else 1)
+    return 1
+
+
+def _step_percentiles(step_us: np.ndarray, position: np.ndarray) -> dict:
+    """p50 and p99 of the steps, each step counting as the median of all steps
+    at its position in the schedule period: a schedule's slow phases show,
+    one slow step of the machine does not.  The inverted-CDF percentile keeps
+    p50 on one side of an even split."""
+    by_position = np.zeros(position.max() + 1)
+    for k in np.unique(position):
+        by_position[k] = np.median(step_us[position == k])
+    values = by_position[position]
+    return {f"p{q}_us": float(np.percentile(values, q, method="inverted_cdf")) for q in (50, 99)}
+
+
 def time_engine(
     network,
     engine: str,
@@ -228,13 +251,17 @@ def time_engine(
 ) -> dict:
     """Per-step wall time (all batch elements advance once per step) and exact macs.
 
-    The time of one step is its repeat's mean; `min_us`, `median_us` and
-    `mean_us` summarise it over the repeats.  Warm-up, excluded from the
-    timing, defaults to 4 steps, or one image for image2d; for the naive
-    dilated engine it spans one receptive field, because earlier steps
-    evaluate pruned trees and are cheaper than the steady state.
-    `steps=None` times whole images, each with its fresh image's set-up:
-    `init`, and the cached engine's views bound on the first pixel.
+    Each step is timed on its own.  The time of one step is its repeat's
+    mean; `min_us`, `median_us` and `mean_us` summarise it over the
+    repeats.  `p50_us` and `p99_us` are percentiles over every timed step,
+    each counted as the median at its position in the schedule period
+    (`_period`, from the first step, or the image start for image2d).
+    Warm-up, excluded from the timing, defaults to 4 steps, or one image
+    for image2d; for the naive dilated engine it spans one receptive
+    field, because earlier steps evaluate pruned trees and are cheaper than
+    the steady state.  `steps=None` times whole images, each with its fresh
+    image's set-up: `init`, and the cached engine's views bound on the
+    first pixel.
     """
     state = init(network, engine, batch)
     steps = _check_int("steps", state.length if steps is None else steps, 1)
@@ -245,17 +272,26 @@ def time_engine(
     for _ in range(warmup):
         step(network, state)
     macs0 = state.counter.macs
-    times = []
+    period, clock = _period(network), time.perf_counter
+    t = warmup  # 1D steps so far; an image counts from its start (state.t)
+    times, step_us, position = [], [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        total = 0.0
         for _ in range(steps):
+            position.append((state.t if state.length else t) % period)
+            t0 = clock()
             step(network, state)
-        times.append((time.perf_counter() - t0) * 1e6 / steps)
+            dt = clock() - t0
+            total += dt
+            step_us.append(dt * 1e6)
+            t += 1
+        times.append(total * 1e6 / steps)
     return {
         "min_us": min(times),
         "median_us": statistics.median(times),
         "mean_us": statistics.fmean(times),
         "macs_per_step": (state.counter.macs - macs0) // (repeats * steps),
+        **_step_percentiles(np.array(step_us), np.array(position)),
     }
 
 

@@ -13,12 +13,10 @@ No engine uses it any more (the dilated engine keeps one ring read at row
 offset + t % dilation per layer); it is kept for its own tests and for the
 benchmark tracer, which patches its methods.
 
-A `RowCache` holds the last kh rows a 2D vertical conv reads, in one
-preallocated ring with every row left-padded by kw - 1 zero columns.  A
-cached row's kw shifted column windows are then one read-only view, so
-`column()` fills the conv's fused column, allocated once by its first
-call, with one copy per cached row, and a push is one copy into the oldest
-slot.
+A `RowCache` holds the last kh rows a 2D vertical conv reads in a ring of
+zero-left-padded slots, so `column(lo, hi)` fills the conv's fused column
+over any run of output columns with one copy per cached row; with spare
+slots a writer stores the next rows in place, ahead of that window.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .errors import (
     ScheduleViolationError,
     ShapeError,
 )
-from .tensor import DTYPE, _frozen, zeros
+from .tensor import DTYPE, Column, _frozen, zeros
 
 
 _F32 = np.dtype(DTYPE)
@@ -99,54 +97,46 @@ class FifoCache:
 
 
 class RowCache:
-    """Ring of the last `height` complete rows of a 2D feature stream.
+    """Ring of the rows a 2D vertical conv reads: after `count` rows, the last
+    `height` of them (zero rows before the first), each (channels, width,
+    batch).  height and kw are the owning layer's filter height and width.
 
-    height == the filter height of the owning layer, width == the image
-    width, kw == its filter width.  Rows rotate exactly once per generated
-    image row and have shape (channels, width, batch).  All rows live in one
-    preallocated ring, each left-padded with kw - 1 zero columns, so the kw
-    column windows a vertical conv reads from a row (window j at column c
-    holds row column c - kw + 1 + j, zero left of the image) are one
-    read-only (kw, channels, width, batch) view; `push_row` copies the new
-    row into the oldest slot.  The fused column that `column()` fills is
-    scratch, rewritten on every call: `stored_values` does not count it.
+    Row t lives in slot t % `slots` of `ring`, (slots, channels, (pad +
+    width) * batch), each slot left-padded with `pad` >= kw - 1 zero
+    columns, so a row's kw column windows (window j at column c holds row
+    column c - kw + 1 + j, zero left of the image) are one read-only view.
+    `body` views every slot's row, (slots, channels, width, batch): a writer
+    may store rows count .. count + slots - height - 1 there, ahead of the
+    window, and advances `count` itself; `push_row` copies one in.
+    `column(lo, hi)` fills the conv's fused column over output columns
+    lo .. hi-1 with one copy per cached row: scratch, built on first use.
     """
 
-    __slots__ = (
-        "height", "width", "channels", "batch", "kw", "row_shape", "_ring", "_windows", "_head",
-        "_column", "_column_rows",
-    )
+    __slots__ = ("height", "width", "channels", "batch", "kw", "slots", "pad", "row_shape",
+                 "ring", "body", "count", "_windows", "_columns")
 
-    def __init__(self, height: int, width: int, channels: int, batch: int, kw: int):
-        if min(height, width, channels, batch, kw) < 1:
+    def __init__(self, height: int, width: int, channels: int, batch: int, kw: int,
+                 slots: int | None = None, pad: int | None = None):
+        slots = height if slots is None else slots
+        pad = kw - 1 if pad is None else pad
+        if min(height, width, channels, batch, kw) < 1 or slots < height or pad < kw - 1:
             raise InvalidParameterError(
-                "height, width, channels, batch, kw must be >= 1 "
-                f"(got {height}, {width}, {channels}, {batch}, {kw})"
-            )
-        self.height = height
-        self.width = width
-        self.channels = channels
-        self.batch = batch
-        self.kw = kw
-        self.row_shape = (channels, width, batch)
-        self._ring = zeros((height, channels, kw - 1 + width, batch))
-        s_row, s_ch, s_col, s_b = self._ring.strides
-        windows = np.ndarray(
-            (height, kw, channels, width, batch),
-            _F32,
-            self._ring,
-            strides=(s_row, s_col, s_ch, s_col, s_b),
-        )
-        windows.flags.writeable = False
-        self._windows = tuple(windows)
-        self._head = 0  # the oldest slot, overwritten by the next push
-        self._column = self._column_rows = None  # allocated by the first column()
+                "height, width, channels, batch, kw must be >= 1, slots >= height and pad >= "
+                f"kw - 1 (got {height}, {width}, {channels}, {batch}, {kw}, {slots}, {pad})")
+        self.height, self.width, self.channels, self.batch = height, width, channels, batch
+        self.kw, self.slots, self.pad, self.row_shape = kw, slots, pad, (channels, width, batch)
+        self.ring = zeros((slots, channels, (pad + width) * batch))
+        self.body = self.ring[:, :, pad * batch :].reshape(slots, *self.row_shape)
+        self.count = 0
+        s_slot, s_ch, s_col = self.ring.strides  # per slot, (kw, channels, width*batch) windows
+        self._windows = np.ndarray((slots, kw, channels, width * batch), _F32, self.ring,
+                                   (pad - kw + 1) * batch * s_col, (s_slot, batch * s_col, s_ch, s_col))
+        self._windows.flags.writeable = False
+        self._columns = {}  # (lo, hi) -> (Column, its fills), built on first use
 
-    def __reduce__(self):
-        # copies and pickles rebuild the window views over their own ring
-        return _restore_row_cache, (
-            self.height, self.width, self.channels, self.batch, self.kw, self._ring, self._head
-        )
+    def __reduce__(self):  # copies and pickles rebuild the views over their own ring
+        return _restore_row_cache, (self.height, self.width, self.channels, self.batch, self.kw,
+                                    self.slots, self.pad, self.ring, self.count)
 
     def push_row(self, row: np.ndarray) -> None:
         """Drop the oldest row and store a copy of a complete new one."""
@@ -155,26 +145,33 @@ class RowCache:
             raise InvalidRowError(
                 f"row shape {row.shape} != {self.row_shape} (partial rows rejected)"
             )
-        self._ring[self._head, :, self.kw - 1 :] = row
-        self._head = (self._head + 1) % self.height
+        self.body[self.count % self.slots] = row
+        self.count += 1
 
     def windows(self) -> tuple:
         """Every cached row's (kw, channels, width, batch) window view, oldest first."""
-        h = self._head
-        return self._windows[h:] + self._windows[:h]
+        return tuple(self._windows[t % self.slots].reshape(self.kw, *self.row_shape)
+                     for t in range(self.count - self.height, self.count))
 
-    def column(self) -> np.ndarray:
-        """The fused column [every cached row's kw windows, oldest first; 1]
-        of shape (height*kw*channels + 1, width*batch), filled in place."""
-        if self._column is None:
-            rows = self.height * self.kw * self.channels
-            column = np.empty((rows + 1, self.width * self.batch), DTYPE)
-            column[-1] = 1.0
-            self._column = column
-            self._column_rows = tuple(column[:-1].reshape(self.height, self.kw, *self.row_shape))
-        for rows, windows in zip(self._column_rows, self.windows()):
-            rows[...] = windows
-        return self._column
+    def column(self, lo: int = 0, hi: int | None = None) -> Column:
+        """The fused column [every cached row's kw windows, oldest first; 1] over
+        output columns lo .. hi-1, one copy per run of adjacent slots (two if it wraps)."""
+        hi = self.width if hi is None else hi
+        try:
+            column, runs = self._columns[lo, hi]
+        except KeyError:
+            H, windows = self.height, self._windows[..., lo * self.batch : hi * self.batch]
+            buf = np.ones((H * self.kw * self.channels + 1, (hi - lo) * self.batch), DTYPE)
+            column = Column(buf, self.channels)
+            rows = buf[:-1].reshape(H, self.kw, self.channels, -1)
+            runs = []  # per slot of the oldest row: (column rows, windows) pairs
+            for s in range(self.slots):
+                k = min(H, self.slots - s)
+                runs.append([(rows[:k], windows[s : s + k])] + [(rows[k:], windows[: H - k])] * (k < H))
+            self._columns[lo, hi] = column, runs
+        for dest, windows in runs[(self.count - self.height) % self.slots]:
+            dest[...] = windows
+        return column
 
     def rows_stack(self) -> np.ndarray:
         """All cached rows as one array, oldest first: (channels, height, width, batch)."""
@@ -185,8 +182,8 @@ class RowCache:
         return self.height * self.channels * self.width * self.batch
 
 
-def _restore_row_cache(height, width, channels, batch, kw, ring, head) -> RowCache:
-    rc = RowCache(height, width, channels, batch, kw)
-    rc._ring[...] = ring
-    rc._head = head
+def _restore_row_cache(height, width, channels, batch, kw, slots, pad, ring, count) -> RowCache:
+    rc = RowCache(height, width, channels, batch, kw, slots, pad)
+    rc.ring[...] = ring
+    rc.count = count
     return rc

@@ -6,48 +6,23 @@ Per block: a vertical conv reading rows strictly above the current pixel
 strictly-left pixels of the current row plus a 1x1 link (a bias-free
 `ConvWeights`) from the block's vertical features.  A linear head predicts
 the pixel, whose raw value is written back into the image (deterministic
-feedback).  The cached engine evaluates each block's horizontal conv and
-link as one node of `ImageBlock.folded`, [W_h taps | W_link | b]; the
-oracle `forward_image` keeps them apart.
+feedback).  With `row_pair`, the first block's vertical path is vconv ->
+stride-2 row downsampling -> stride-2 row upsampling.  The naive engine
+runs a full vectorised image pass per generated pixel (H*W passes).
 
-The naive engine runs a full vectorised image pass per generated pixel
-(H*W passes per image).  The cached engine keeps one RowCache of the last
-`kh` input rows per block.  Its row-rate work is every block's vertical
-row for the entire row, one dot over the row's W*B columns into the
-state's `vnext`, the vconv column filled with one copy per cached row, and
-one copy of `vnext` into `vrows`, which the row's groups read.  Row r+1's
-runs during row r, like the vertical stack of Gated PixelCNN.  Blocks
-n-1 .. 1 read only rows <= r, so each takes one of row r's pop steps, last
-block first, and pushes its row into the next block's cache.  Block 0
-pushes image row r, which its history in `buf` holds, and row r's groups
-read `vrows`, so block 0 and the copy run on the step right after row r's
-last group.  With no such step (W % n == 1, or n == 1) they run in row
-r+1's `vertical_row_pass`, which otherwise only computes row 0.  The last
-row computes nothing for a row below the image.
-
-The horizontal streams advance in wavefront groups.  Block 0 reads pixels
-strictly left and block i reads block i-1 strictly left, so y_j reads only
-pixels <= j - n, n = `n_layers`: once y_{c-1} is known, so are y_c ..
-y_{c+n-1}.  A pixel step with no pending pixel runs one group, blocks 0 to
-n-1, then the head: block i computes its columns through c + i (i + 1 at
-the row's start, then n) with one window copy and one copy of its vertical
-row's g columns into a `Column` [h_kw taps; vertical row; 1], one
-`conv1d_point` of `folded` over its g*B columns and a tanh into the next
-block's input history.  The head's g pixels go into block 0's history
-and are queued for the next g - 1 steps.  After its head, the row's last
-group computes the columns that read its own pixels, which no output
-reads, so a row's node and MAC counts are those of a full pass.  The
-schedule is compiled once per (W, n); a state binds it to views on its
-first group.  `cached_rows_values()` counts neither the input histories,
-n*C*(h_kw+W)*B floats, nor `vrows`, and of `vnext` only the last block's
-row, from its computation until block 0's copy.  Batch elements generate
-in lockstep, so every point operation is a single matrix product across
-the batch.
-
-With `row_pair`, the first block's vertical path is vconv -> stride-2 row
-downsampling -> stride-2 row upsampling, scheduled across rows like the 1D
-strided engine: block 0 feeds each new vconv row (every second feed is a
-burst that queues two rows) and then pops one pending row.
+The cached engine computes row r+1's vertical rows during row r, like the
+vertical stack of Gated PixelCNN, and writes each where it is read: block
+i's into block i+1's `RowCache` ring, the last block's into `last`.
+Blocks n-1 .. 1 read only rows <= r and take one pop step each.  Block 0
+reads row r up to its column, so it runs after the groups that write those
+pixels, on a burst row (the pair's down and up rows) in up to three column
+chunks.  The horizontal streams advance in wavefront groups: y_j reads only pixels <= j - n, n = `n_layers`, so once y_{c-1} is
+known one group computes y_c .. y_{c+n-1}, each block one `conv1d_point`
+of `ImageBlock.folded` ([W_h taps | W_link | b]; the oracle `forward_image`
+keeps them apart) over its columns, and the next steps pop the queued
+pixels.  `_schedule` compiles a row's steps once per geometry.  Batch
+elements generate in lockstep: every point op is one matrix product
+across the batch.
 """
 
 from __future__ import annotations
@@ -55,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -127,7 +101,13 @@ class ImageBlock:
         link = self.link.kernel.reshape(h.out_channels, h.in_channels, -1)
         return ConvWeights(np.concatenate((h.kernel[:, :, 0], link), axis=2), h.bias)
 
-    def __reduce__(self):  # copies and pickles carry the fields, not `folded`
+    @cached_property
+    def up_phases(self) -> tuple:
+        """The up layer's phases as one-tap weights [W_j | b], one node each; built like `folded`."""
+        u = self.up
+        return tuple(ConvWeights(u.kernel[:, :, j : j + 1], u.bias) for j in range(u.k))
+
+    def __reduce__(self):  # copies and pickles carry the fields, not the cached weights
         return ImageBlock, (self.vert, self.horiz, self.link, self.down, self.up)
 
 
@@ -255,64 +235,41 @@ def image_naive_step(network: ImageNetwork, state: ImageNaiveState) -> np.ndarra
 
 
 class _PairState:
-    """Row-rate burst scheduling for the vconv -> down -> up vertical path.
+    """The row pair's `carry`, block 0's vconv row of the last odd row,
+    (C, W*B), read by the next burst's down node (zeros before row 1), and
+    `count`, block 0's rows so far; `feed` computes an odd row into the carry."""
 
-    Every even-count feed fires the down layer over the state's column
-    [previous row; this row; 1], which each odd-count feed's row enters as
-    the carry, and queues the two rows the up layer emits from it.
-    """
-
-    __slots__ = ("column", "count", "pending")
+    __slots__ = ("carry", "count")
 
     def __init__(self, channels: int, width: int, batch: int):
-        self.column = zeros((2 * channels + 1, width * batch))  # the carry of row -1 is zeros
-        self.column[-1] = 1.0
+        self.carry = zeros((channels, width * batch))
         self.count = 0
-        self.pending = deque()
 
-    def feed(self, block: ImageBlock, vc_row: np.ndarray, counter: OpCounter | None) -> None:
-        c, W, B = vc_row.shape
-        n = W * B
+    def feed(self, block: ImageBlock, cache: RowCache, counter: OpCounter | None) -> None:
         if self.count % 2 == 0:
-            self.column[c:-1] = vc_row.reshape(c, n)
-            d = np.dot(block.down.fused, self.column)
-            np.tanh(d, out=d)
-            u = block.up
-            for tap in u.tap_mats:
-                up = tap.dot(d)
-                up += u.bias[:, None]
-                self.pending.append(np.tanh(up, out=up).reshape(c, W, B))
-            if counter is not None:
-                counter.add(block.down.macs * n, nodes=n)
-                counter.add(u.macs * n, nodes=2 * n)
-        else:
-            self.column[:c] = vc_row.reshape(c, n)
+            raise ScheduleViolationError("an even vconv row is a burst, not a carry")
+        v = _vconv_row(block.vert, cache, counter, self.carry)
+        np.tanh(v, v)
         self.count += 1
-
-    def stored_values(self) -> int:
-        return self.column[: len(self.column) // 2].size + sum(int(r.size) for r in self.pending)
 
 
 @dataclass(eq=False)
 class ImageGenState:
-    """All mutable state of one cached 2D generation run.  `buf` holds each
-    block's input history in the row, h_kw zero columns then W, with 1 row
-    (the image's) for block 0 and C for each further block; `vrows` holds
-    each block's vertical row of the current row, (C, W*B), which its group
-    ops copy into their columns, and `vnext` each block's next-row vertical
-    row, from its computation to block 0's copy of all of them into `vrows`;
-    `groups`, the views over `buf` and `vrows`, is built by the first group,
-    also in copies and pickles.
-    `ahead`, the compiled `_schedule`'s vertical blocks per step, is set by
-    each row's `vertical_row_pass` and cleared at the row's end; `v_done`
-    counts the vertical rows computed, one per block and row, last block
-    first."""
+    """All mutable state of one cached 2D generation run.  `row_caches[i]`
+    holds block i's vertical conv input (block 0: image rows, its current
+    slot also its horizontal history; block i: block i-1's vertical rows)
+    and `last` the last block's vertical rows, row t in slot t % slots
+    (kh + 1; with the pair kh + 2 rounded up to even: a burst writes two
+    rows ahead); row r's groups read slot r % slots.  `buf` holds blocks
+    1 .. n-1's histories in the row, h_kw zero columns then W.  `groups`
+    (the views) and `scratch` are built on first use, also in copies.
+    `ahead` is the `_schedule` placement of the row's vertical ops; `v_done`
+    counts vertical rows done, `v_cols` the columns of block 0's in progress."""
 
     row_caches: list
+    last: np.ndarray
     pair: _PairState | None
     buf: np.ndarray
-    vrows: np.ndarray
-    vnext: np.ndarray
     pending: deque
     r: int
     c: int
@@ -320,27 +277,36 @@ class ImageGenState:
     counter: OpCounter
     ahead: tuple | None = None
     v_done: int = 0
-    groups = None  # not a field, so neither copied nor pickled
+    v_cols: int = 0
+    groups = scratch = None  # not fields, so neither copied nor pickled
 
     def __reduce__(self):
         return ImageGenState, tuple(getattr(self, f.name) for f in fields(self))
 
+    def outputs(self, i: int) -> np.ndarray:
+        """Block i's vertical rows, (slots, C, W, B)."""
+        return self.row_caches[i + 1].body if i + 1 < len(self.row_caches) else self.last
+
     def cached_rows_values(self) -> int:
-        total = sum(rc.stored_values() for rc in self.row_caches)
-        if self.pair is not None:
-            total += self.pair.stored_values()
-        if self.v_done % len(self.row_caches):  # the last block's row awaits its copy
-            total += self.vnext[-1].size
-        return total
+        """The kh rows of every cache, the pair's carry, and each row written
+        ahead of its reader's window (block i's next row until block i+1
+        reads past its oldest row, the last block's until its row starts)."""
+        caches = self.row_caches
+        total = sum(rc.stored_values() for rc in caches)
+        written = [rc.count for rc in caches]  # rows in each block's output
+        if self.pair is not None:  # a burst writes two rows
+            total += self.pair.carry.size
+            written[0] += 2 if self.v_cols else written[0] % 2
+        readers = [rc.count for rc in caches[1:]] + [self.r + 1]
+        return total + self.last[0].size * sum(max(0, w - r) for w, r in zip(written, readers))
 
 
 def _vconv_row(w: ConvWeights, cache: RowCache, counter: OpCounter | None,
                out: np.ndarray | None = None) -> np.ndarray:
-    """One output row of a vertical conv from the cached rows above it: one
-    dot over the cache's fused column of W*B columns, where output column c
-    reads columns c-kw+1 .. c of every cached row, zero left of the image;
-    into `out`, a C-contiguous (C, W*B) array, when given."""
-    column = cache.column()
+    """One row of a vertical conv from the cached rows above it: one dot over
+    the cache's fused W*B columns (output column c reads columns c-kw+1 .. c
+    of every cached row, zero left of the image), into `out` when given."""
+    column = cache.column().buf
     n = column.shape[1]
     if counter is not None:
         counter.add(w.macs * n, nodes=n)
@@ -352,99 +318,113 @@ def image_incremental_init(
 ) -> ImageGenState:
     batch = _check_int("batch", batch, 1)
     spec = network.spec
-    c, W = spec.channels, spec.width
+    c, W, n = spec.channels, spec.width, spec.n_layers
+    slots = spec.kh + 1 + (spec.row_pair and 1 + spec.kh % 2)
+    image = RowCache(spec.kh, W, 1, batch, spec.kw, slots, max(spec.kw - 1, spec.h_kw))
     return ImageGenState(
-        row_caches=[RowCache(spec.kh, W, 1 if i == 0 else c, batch, spec.kw)
-                    for i in range(spec.n_layers)],
+        row_caches=[image] + [RowCache(spec.kh, W, c, batch, spec.kw, slots) for _ in range(n - 1)],
+        last=zeros((slots, c, W, batch)),
         pair=_PairState(c, W, batch) if spec.row_pair else None,
-        buf=zeros((1 + (spec.n_layers - 1) * c, (spec.h_kw + W) * batch)),
-        vrows=zeros((spec.n_layers, c, W * batch)),
-        vnext=zeros((spec.n_layers, c, W * batch)),
-        pending=deque(),
-        r=0,
-        c=0,
-        batch=batch,
-        counter=counter or OpCounter(),
+        buf=zeros(((n - 1) * c, (spec.h_kw + W) * batch)),
+        pending=deque(), r=0, c=0, batch=batch, counter=counter or OpCounter(),
     )
 
 
-def _vertical_row(network: ImageNetwork, state: ImageGenState, i: int, row: int) -> None:
-    """Block i's vertical row `row`: its vconv and tanh into `vnext[i]`, then
-    its push into block i+1's cache (the last block's row stays in `vnext`).
-    Block 0 first pushes image row `row - 1`, which its history in `buf`
-    holds, into its own cache and, with the pair, feeds the vconv row to it
-    and takes its pending row; it then copies `vnext` into `vrows`.  A row's
-    blocks run last first, so a block pushes only after the next block has
-    read that cache; block 0 runs only once the image row above is complete,
-    so no group still reads `vrows` or block 0's history."""
+def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: int) -> None:
+    """Block 0's nodes of burst row `row` over columns lo .. hi-1, each one
+    `conv1d_point` over the chunk: its vconv, the pair's down node over
+    [carry; vconv; 1] and the two up phases, rows `row` and `row + 1`, in
+    adjacent slots (even row, even slot count), so one tanh writes both."""
+    block = network.blocks[0]
+    try:
+        down, up, outs, out, carry, dests = state.scratch[lo, hi]
+    except KeyError:
+        C, B, rows = network.spec.channels, state.batch, state.outputs(0)
+        m = (hi - lo) * B
+        out = np.empty((2, C, hi - lo, B), DTYPE)  # (2, C, m, B) views: numpy's fast path
+        down, up, outs, out, carry, dests = state.scratch[lo, hi] = (
+            Column(np.ones((2 * C + 1, m), DTYPE), C), Column(np.ones((C + 1, m), DTYPE), C),
+            tuple(out.reshape(2, C, m)), out, state.pair.carry[:, lo * B : hi * B],
+            [rows[s : s + 2, :, lo:hi] for s in range(0, len(rows), 2)])
+    counter, (up0, up1) = state.counter, block.up_phases
+    down[0][...] = carry
+    v = conv1d_point(block.vert, state.row_caches[0].column(lo, hi), counter, down[1])
+    np.tanh(v, v)
+    np.tanh(conv1d_point(block.down, down, counter, up[0]), up[0])
+    conv1d_point(up0, up, counter, outs[0])
+    conv1d_point(up1, up, counter, outs[1])
+    np.tanh(out, dests[row % (2 * len(dests)) // 2])
+
+
+def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, row: int) -> None:
+    """Op (i, lo, hi): block i's vertical nodes of `row` over columns
+    lo .. hi-1, into its output slot; only block 0 on a burst row splits,
+    in column order.  A row's blocks run last first, block 0 only over
+    pixels already written; any other order raises."""
+    i, lo, hi = op
     spec = network.spec
-    n = spec.n_layers
-    if state.v_done != row * n + n - 1 - i or (
-            i == 0 and row > state.r and state.c + len(state.pending) < spec.width):
-        raise ScheduleViolationError(f"vertical row {row} of block {i} out of order")
-    caches, counter, block = state.row_caches, state.counter, network.blocks[i]
-    if i == 0 and row > 0:
-        caches[0].push_row(state.buf[:1, spec.h_kw * state.batch :].reshape(caches[0].row_shape))
-    v = _vconv_row(block.vert, caches[i], counter, state.vnext[i])
-    np.tanh(v, out=v)
-    if block.down is not None:
-        state.pair.feed(block, v, counter)
-        if not state.pair.pending:
-            raise ScheduleViolationError(f"no pending vertical row for row {row}")
-        v[...] = state.pair.pending.popleft()
-    if i < n - 1:
-        caches[i + 1].push_row(v)
-    state.v_done += 1
-    if i == 0:
-        state.vrows[...] = state.vnext
+    n, W = spec.n_layers, spec.width
+    burst = i == 0 and state.pair is not None and row % 2 == 0
+    if (state.v_done != row * n + n - 1 - i or state.v_cols != lo
+            or not burst and (lo, hi) != (0, W)
+            or i == 0 and row > state.r and state.c + len(state.pending) < hi):
+        raise ScheduleViolationError(
+            f"vertical row {row} of block {i}, columns {lo}..{hi - 1}, out of order")
+    caches = state.row_caches
+    if state.scratch is None:  # the dot's output: ring slots are not C-contiguous
+        state.scratch = {None: np.empty((spec.channels, W * state.batch), DTYPE)}
+    if burst:
+        _burst(network, state, lo, hi, row)
+    elif i == 0 and state.pair is not None:
+        state.pair.feed(network.blocks[0], caches[0], state.counter)
+    else:
+        rows = state.outputs(i)
+        v = _vconv_row(network.blocks[i].vert, caches[i], state.counter, state.scratch[None])
+        np.tanh(v, rows[row % len(rows)])
+    state.v_cols = hi % W
+    if hi == W:
+        state.v_done += 1
+        caches[i].count += 1
+        if burst:
+            state.pair.count += 1
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:
-    """Start a row: compute what no earlier step could, then return every
-    block's vertical row `row_index` (views of `vrows`, valid until the next
-    row's block-0 step).
-
-    Must be called exactly once per row, at the row's start.  Row 0 computes
-    all its vertical rows here.  Each later row's are computed by the steps
-    of the row above, as `_schedule` places them; what it leaves to the row
-    start, block 0 and the copy into `vrows` when no step follows the last
-    group, runs here.  Raises if the row's vertical rows are then not all
-    computed.
-    """
+    """Start a row, exactly once, at its start: compute what no earlier step
+    could (all of row 0; what `_schedule` leaves to a later row's start),
+    raise if any vertical row of the row is missing, and return every
+    block's vertical row `row_index` (views of the slots its groups read)."""
     if row_index != state.r or state.c != 0 or state.ahead is not None:
         raise ScheduleViolationError(
-            f"vertical_row_pass(row={row_index}) out of order at (r={state.r}, c={state.c})"
-        )
+            f"vertical_row_pass(row={row_index}) out of order at (r={state.r}, c={state.c})")
     spec = network.spec
     if row_index == spec.height:
         raise ScheduleViolationError("image already complete")
-    n = spec.n_layers
-    _, ahead, start = _schedule(spec.width, n)
-    for i in start if row_index else reversed(range(n)):
-        _vertical_row(network, state, i, row_index)
+    n, W = spec.n_layers, spec.width
+    _, rows = _schedule(W, n, spec.row_pair)
+    ops = rows[(row_index - 1) % 2][1] if row_index else [(i, 0, W) for i in reversed(range(n))]
+    for op in ops:
+        _vertical(network, state, op, row_index)
     if state.v_done != (row_index + 1) * n:
         raise ScheduleViolationError(f"vertical rows of row {row_index} not all computed")
-    state.ahead = ahead
-    return list(state.vrows.reshape(n, spec.channels, spec.width, state.batch))
+    state.ahead = rows[row_index % 2][0]
+    return [state.outputs(i)[row_index % len(state.last)] for i in range(n)]
 
 
 @cache
-def _schedule(width: int, n_layers: int) -> tuple:
-    """A row's steps, compiled: (groups, ahead, start).
-
-    groups: per group from pixel c = n_layers * index, the (block, lo, hi)
-    column ranges run before the head, then those run after it (the row's
-    last).  ahead: per pixel step, the blocks whose next-row vertical row it
-    computes after its group or pop; None where there are none and the row
-    does not end there, so most pop steps test one value.  Blocks n-1 .. 1
-    read only rows above the current one, so they take the pop steps before
-    the last group, one each, last block first.  Block 0 reads the whole
-    current row from its history in `buf` and copies `vnext` into the
-    `vrows` that the row's groups read, so it and any block left over go
-    on the step right after the last group.  When the last group is the
-    row's last step, they make up `start` instead and run at the next
-    row's start.
-    """
+def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
+    """A row's steps, compiled: (groups, rows).  groups: per group from
+    pixel c = n_layers * index, the (block, lo, hi) column ranges run before
+    the head, then those run after it (the row's last).  rows[r % 2] =
+    (ahead, start) places row r+1's vertical ops (i, lo, hi), block i over
+    columns lo .. hi-1: ahead[c] those step c runs after its group or pop
+    (None if none, and the row does not end there), start those left to
+    row r+1's start.  Blocks n-1 .. 1 read rows <= r: a whole row each on
+    the pops before the last group, last block first.  Block 0's op over
+    lo .. hi-1 goes on a free pop after the group that computes pixel hi-1;
+    on a burst row (r+1 even, with the pair) in up to three chunks of about
+    W/3 columns.  Its last op, and blocks left without a pop, go right
+    after the last group, or to `start` if no step follows it."""
     groups = []
     for c in range(0, width, n_layers):
         main = tuple((i, max(0, c - n_layers + i + 1), min(c + i + 1, width))
@@ -452,59 +432,74 @@ def _schedule(width: int, n_layers: int) -> tuple:
         tail = tuple((i, hi, width) for i, _, hi in main if c + n_layers >= width > hi)
         groups.append((main, tail))
     last = n_layers * (len(groups) - 1)
-    early = [c for c in range(last) if c % n_layers]
+    pops = [c for c in range(last) if c % n_layers]
     blocks = range(n_layers - 1, 0, -1)
-    ahead = [None] * (width - 1) + [()]
-    for c, i in zip(early, blocks):
-        ahead[c] = (i,)
-    start = (*blocks[len(early):], 0)
-    if last + 1 < width:
-        ahead[last + 1], start = start, ()
-    return tuple(groups), tuple(ahead), start
+    rows = []
+    for burst in (False, row_pair):
+        ahead = [None] * (width - 1) + [()]
+        for c, i in zip(pops, blocks):
+            ahead[c] = ((i, 0, width),)
+        free, lo = pops[len(blocks):], 0
+        for j in (1, 2) if burst else ():
+            hi = round(j * width / 3)
+            c = next((c for c in free if c > n_layers * ((hi - 1) // n_layers)), None)
+            if hi > lo and c is not None:
+                ahead[c], free, lo = ((0, lo, hi),), [f for f in free if f > c], hi
+        start = (*((i, 0, width) for i in blocks[len(pops):]), (0, lo, width))
+        if last + 1 < width:
+            ahead[last + 1], start = start, ()
+        rows.append((tuple(ahead), start))
+    return tuple(groups), tuple(rows)
 
 
 def _bind_groups(spec: ImageSpec, state: ImageGenState) -> tuple:
     """`_schedule` over this state's buffers: per group its block ops, head
-    Column, pixels' place in block 0's history and ops after the head.
-    An op is (block, window, Column taps, vertical row, Column link rows,
-    Column, dot output, dest); scratch is shared by equal shapes: each is
-    written just before it is read."""
-    C, B, hk, n = spec.channels, state.batch, spec.h_kw, spec.n_layers
+    Column, pixels' place in block 0's history and ops after the head.  An
+    op is (block, windows, Column taps, vertical rows, Column link rows,
+    Column, dot output, dest), where windows, vertical rows and the pixels'
+    place are per ring slot, so row r reads item r % slots; scratch is
+    shared by equal shapes: each is written just before it is read."""
+    C, B, hk, n, W = spec.channels, state.batch, spec.h_kw, spec.n_layers, spec.width
+    image = state.row_caches[0]
     buf, (row, step) = state.buf, state.buf.strides
-    ins = [1] + [C] * (n - 1)
-    starts = list(accumulate([0] + ins))
-    windows = [np.ndarray((hk, k, spec.width * B), DTYPE, buf, a * row, (B * step, row, step))
-               for a, k in zip(starts, ins)]
-    inputs = [buf[a:b, hk * B :] for a, b in zip(starts, starts[1:])]  # after the zero columns
+    s_slot, s_ch, s_col = image.ring.strides
+    history = [np.ndarray((hk, 1, W * B), DTYPE, image.ring, k * s_slot + (image.pad - hk) * B * s_col,
+                          (B * s_col, s_ch, s_col)) for k in range(image.slots)]
+    windows = [np.ndarray((hk, C, W * B), DTYPE, buf, a * row, (B * step, row, step))
+               for a in range(0, (n - 1) * C, C)]
+    inputs = [buf[a : a + C, hk * B :] for a in range(0, (n - 1) * C, C)]  # after the zero columns
     out = cache(lambda m: np.empty((C, m), DTYPE))
     heads = cache(lambda m: Column(np.ones((C + 1, m), DTYPE), C))
 
     @cache
     def column(k, m):  # [h_kw taps of k channels; the C-channel vertical row; 1]
-        col = Column(np.ones((hk * k + C + 1, m), DTYPE), k)
-        return col, col.buf[: hk * k].reshape(hk, k, m), col.buf[hk * k : -1]
+        col = Column(np.ones((hk * k + C + 1, m * B), DTYPE), k)
+        return col, col.buf[: hk * k].reshape(hk, k, m * B), col.buf[hk * k : -1].reshape(C, m, B)
 
     def op(i, lo, hi, head):
         a, b = lo * B, hi * B
-        col, taps, link = column(ins[i], b - a)
-        dest = inputs[i + 1][:, a:b] if i < n - 1 else head.buf[:-1]
-        return i, windows[i][:, :, a:b], taps, state.vrows[i][:, a:b], link, col, out(b - a), dest
+        col, taps, link = column(1 if i == 0 else C, hi - lo)
+        window = [windows[i - 1][:, :, a:b]] * image.slots if i else [h[:, :, a:b] for h in history]
+        dest = inputs[i][:, a:b] if i < n - 1 else head.buf[:-1]
+        return (i, tuple(window), taps, tuple(state.outputs(i)[:, :, lo:hi]), link, col, out(b - a),
+                dest)
 
-    groups = []
-    for main, tail in _schedule(spec.width, n)[0]:
+    def group(main, tail):
         _, c, end = main[-1]  # the head's pixels
         head = heads((end - c) * B)
-        groups.append(([op(*r, head) for r in main], head, inputs[0][:, c * B : end * B],
-                       [op(*r, head) for r in tail]))
-    return tuple(groups)
+        return ([op(*r, head) for r in main], head, [y.reshape(1, -1) for y in image.body[:, :, c:end]],
+                [op(*r, head) for r in tail])
+
+    return tuple(group(*g) for g in _schedule(W, n, spec.row_pair)[0])
 
 
-def _horizontal(blocks, ops, counter: OpCounter) -> None:
-    """Each op's block node over its columns: the horizontal conv and the
-    link as one dot of `folded`, then a tanh into the next block's input."""
-    for i, window, taps, vrow, link, column, out, dest in ops:
-        taps[...] = window
-        link[...] = vrow
+def _horizontal(blocks, ops, k: int, counter: OpCounter) -> None:
+    """Each op's block node over its columns, for ring slot k: the horizontal
+    conv and the link as one dot of `folded`, then a tanh into the next
+    block's input."""
+    for i, windows, taps, vrows, link, column, out, dest in ops:
+        taps[...] = windows[k]
+        link[...] = vrows[k]
         conv1d_point(blocks[i].folded, column, counter, out)
         np.tanh(out, dest)  # ufunc out positional: numpy parses it faster
 
@@ -519,20 +514,18 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
         if state.groups is None:
             state.groups = _bind_groups(network.spec, state)
         ops, head, y_dest, tail = state.groups[c // network.spec.n_layers]
-        _horizontal(network.blocks, ops, state.counter)
+        k = state.r % len(state.last)
+        _horizontal(network.blocks, ops, k, state.counter)
         y = conv1d_point(network.proj, head, state.counter)
-        y_dest[...] = y
+        y_dest[k][...] = y
         state.pending.extend(y.reshape(-1, 1, state.batch))
-        _horizontal(network.blocks, tail, state.counter)
+        _horizontal(network.blocks, tail, k, state.counter)
     if todo is not None:
         if state.r + 1 < network.spec.height:  # nothing below the last row
-            for i in todo:
-                _vertical_row(network, state, i, state.r + 1)
-        if c + 1 == network.spec.width:
-            state.c = 0
-            state.r += 1
-            state.ahead = None
-            return state.pending.popleft()
+            for op in todo:
+                _vertical(network, state, op, state.r + 1)
+        if c + 1 == network.spec.width:  # the row's end
+            state.r, state.ahead, c = state.r + 1, None, -1
     state.c = c + 1
     return state.pending.popleft()
 
@@ -575,9 +568,13 @@ def receptive_field_2d(spec: ImageSpec) -> tuple[int, int]:
 def write_pgm(path, image: np.ndarray) -> None:
     """Dump a single image as binary PGM (P5) after min-max normalisation."""
     try:
-        img = np.asarray(image, dtype=np.float64)
+        img = np.asarray(image)
+        real = img.dtype.kind != "c"  # a cast would drop the imaginary part
+        img = img.astype(np.float64) if real else img
     except (TypeError, ValueError):
         raise InvalidParameterError("expected a numeric 2D image") from None
+    if not real:
+        raise InvalidParameterError("expected a real image, got complex values")
     if img.ndim != 2 or img.size == 0 or not np.isfinite(img).all():
         raise InvalidParameterError(f"expected a non-empty finite 2D image, got shape {img.shape}")
     lo, hi = float(img.min()), float(img.max())

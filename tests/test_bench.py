@@ -422,6 +422,31 @@ def test_time_engine_reports_positive_and_exact_macs():
     assert res["macs_per_step"] == want
 
 
+@pytest.mark.parametrize("network", [
+    build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=2, channels=2, seed=1)),
+    build_strided_network(NetworkSpec("strided", channels=2, strides=("down2", "up2"), seed=1)),
+    build_image_network(ImageSpec(4, 3, channels=2, n_layers=2, row_pair=True, seed=1)),
+], ids=["dilated", "strided", "image2d"])
+def test_time_engine_reports_per_position_percentiles(network):
+    # p50 and p99 are taken over the steps, each counted as the median at
+    # its position in the schedule period, as perfbench does
+    res = time_engine(network, "cached", steps=None if network.spec.family == "image2d" else 8,
+                      repeats=2)
+    assert {"min_us", "median_us", "mean_us", "macs_per_step"} <= set(res)
+    assert 0 < res["p50_us"] <= res["p99_us"]
+
+
+def test_step_percentiles_take_the_median_per_position():
+    from convgen.bench import _period, _step_percentiles
+
+    # position 1 is slow in every period, and one position-0 step is an outlier
+    step_us = np.array([1.0, 10.0, 1.0, 10.0, 100.0, 10.0, 1.0, 10.0])
+    position = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+    assert _step_percentiles(step_us, position) == {"p50_us": 1.0, "p99_us": 10.0}
+    assert _period(build_image_network(ImageSpec(4, 3, channels=2, row_pair=True))) == 6
+    assert _period(build_image_network(ImageSpec(4, 3, channels=2))) == 3
+
+
 # ---------------------------------------------------------------------------
 # the batch protocol: init / step
 # ---------------------------------------------------------------------------

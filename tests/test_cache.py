@@ -267,3 +267,37 @@ def test_rowcache_deepcopy_reads_its_own_ring():
     assert fork.rows_stack()[0, 1, 0, 0] == 5.0  # the fork's windows see its own pushes
     assert fork.windows()[-1][-1, 0, 0, 0] == 5.0
     assert cache.rows_stack()[0, 1, 0, 0] == 1.0  # and the original is untouched
+
+
+@pytest.mark.parametrize("kw,pad", [(1, 0), (3, 2), (3, 4)])
+def test_rowcache_column_chunks_equal_the_whole_rows_columns(kw, pad):
+    # a chunk's fused column over output columns lo..hi-1 is the whole
+    # column's slice, however wide the pad left of each slot
+    cache = RowCache(height=2, width=7, channels=2, batch=3, kw=kw, slots=4, pad=pad)
+    rng = np.random.default_rng(kw + pad)
+    for _ in range(5):  # wraps the four slots
+        cache.push_row(rng.standard_normal((2, 7, 3)).astype(np.float32))
+        whole = cache.column().buf.copy()
+        for lo, hi in ((0, 3), (3, 5), (5, 7), (0, 7)):
+            part = cache.column(lo, hi)
+            assert part.fit == (2 * kw, 2 * kw * 2 + 1)
+            assert np.array_equal(part.buf, whole[:, lo * 3 : hi * 3])
+
+
+def test_rowcache_rows_written_ahead_stay_out_of_the_window():
+    # with spare slots a writer stores rows count, count+1 in place; the
+    # window still reads rows count-height .. count-1 until it advances
+    cache = RowCache(height=2, width=3, channels=1, batch=1, kw=2, slots=4)
+    rows = [np.full((1, 3, 1), float(t + 1), np.float32) for t in range(4)]
+    for t in range(2):
+        cache.push_row(rows[t])
+    cache.body[2] = rows[2]
+    cache.body[3] = rows[3]
+    assert np.array_equal(cache.rows_stack()[0, :, :, 0], [[1, 1, 1], [2, 2, 2]])
+    cache.count += 1
+    assert np.array_equal(cache.rows_stack()[0, :, :, 0], [[2, 2, 2], [3, 3, 3]])
+    assert cache.stored_values() == 2 * 3
+    with pytest.raises(InvalidParameterError):
+        RowCache(height=2, width=3, channels=1, batch=1, kw=3, pad=1)  # pad < kw - 1
+    with pytest.raises(InvalidParameterError):
+        RowCache(height=2, width=3, channels=1, batch=1, kw=1, slots=1)  # fewer slots than rows

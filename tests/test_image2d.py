@@ -4,6 +4,7 @@ dump."""
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -222,13 +223,13 @@ def test_vertical_row_pass_out_of_order_rejected(monkeypatch):
     # tampered placements of row 1's vertical rows: one that never computes
     # block 0's leaves stale rings, which row 1's pass refuses; one that runs
     # block 0 before block 1, or before image row 0 is complete, fails there
-    groups, ahead, start = _schedule(spec.width, spec.n_layers)
-    assert ahead == (None, (1,), None, (0,)) and start == ()
-    for tampered, fails_at in [((None, (1,), None, ()), "row pass"),
-                               ((None, (0,), None, (1,)), "column 1"),
-                               ((None, (1, 0), None, ()), "column 1")]:
+    groups, rows = _schedule(spec.width, spec.n_layers, False)
+    assert rows[0] == rows[1] == ((None, ((1, 0, 4),), None, ((0, 0, 4),)), ())
+    for tampered, fails_at in [((None, ((1, 0, 4),), None, ()), "row pass"),
+                               ((None, ((0, 0, 4),), None, ((1, 0, 4),)), "column 1"),
+                               ((None, ((1, 0, 4), (0, 0, 4)), None, ()), "column 1")]:
         monkeypatch.setattr("convgen.image2d._schedule",
-                            lambda w, n, ahead=tampered: (groups, ahead, start))
+                            lambda w, n, p, rows=((tampered, ()),) * 2: (groups, rows))
         state = image_incremental_init(net)
         vertical_row_pass(net, state, 0)
         _pixel_step(net, state)
@@ -294,16 +295,17 @@ def test_per_pixel_nodes_independent_of_height(row_pair):
         for _ in range(H * 6):
             image_incremental_step(net, state)
         assert state.counter.node_evals == 2 * H * 6 * per_pixel
-        if row_pair:
-            assert not state.pair.pending  # no vertical row beyond the image
+        assert state.v_done == H * spec.n_layers  # no vertical row beyond the image
 
 
 def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
     # the benchmark's image shape: groups start at columns 0, 3, .., 30, so
-    # each row computes block 2's next vertical row into `vnext` at column 1,
-    # where it waits, held, until block 0's runs, with the copy of `vnext`
-    # into `vrows`, at column 31; rows counted: the rings, the pair's carry,
-    # its pending up row after every odd number of feeds, and the held row
+    # each row computes block 2's next vertical row into its output slot at
+    # column 1, where it waits, held, until its row starts; block 1's at
+    # column 2 reads past its ring's oldest row, so a burst's second up row
+    # (written from the first chunk, at column 10 of an odd row) joins its
+    # window there; rows counted: the rings, the pair's carry, that up row
+    # while it is ahead of block 1's window, and the held row
     spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
     net = build_image_network(spec)
     batch = 16
@@ -314,9 +316,9 @@ def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
         for c in range(spec.width):
             image_incremental_step(net, state)
             next_row = r + 1 < spec.height  # the last row computes nothing below
-            fed = r + 1 + (next_row and c == 31)
+            ahead = c < 2 if r % 2 == 0 else next_row and c >= 10
             held = next_row and 1 <= c < 31
-            assert state.cached_rows_values() == rings + row * (1 + fed % 2 + held), (r, c)
+            assert state.cached_rows_values() == rings + row * (1 + ahead + held), (r, c)
     assert 4 * state.cached_rows_values() == 86016
 
 
@@ -387,9 +389,16 @@ def test_batch_validation():
             init(net, batch=2.5)
 
 
+def _buffers(state):
+    """Every array an image state owns: its rings, the last block's rows, the
+    blocks' histories and the pair's carry."""
+    return [*(rc.ring for rc in state.row_caches), state.last, state.buf,
+            *([state.pair.carry] if state.pair else [])]
+
+
 @pytest.mark.parametrize("row_pair", [False, True])
 def test_forked_state_continues_bit_exact(row_pair):
-    # fork mid-row 2: with the pair, its burst has left one up row pending
+    # fork mid-row 2: with the pair, its burst has left one up row ahead
     spec = ImageSpec(6, 6, channels=3, n_layers=2, row_pair=row_pair, seed=12)
     net = build_image_network(spec)
     whole = generate(net, batch=2)
@@ -399,8 +408,7 @@ def test_forked_state_continues_bit_exact(row_pair):
         image_incremental_step(net, state)
     fork = copy.deepcopy(state)
     assert fork.counter is not state.counter
-    assert not any(np.shares_memory(getattr(fork, name), getattr(state, name))
-                   for name in ("buf", "vrows", "vnext"))
+    assert not any(np.shares_memory(a, b) for a in _buffers(fork) for b in _buffers(state))
     outs = {"state": [], "fork": []}
     for _ in range(36 - fork_at):
         for name, st in (("state", state), ("fork", fork)):  # interleaved
@@ -408,25 +416,26 @@ def test_forked_state_continues_bit_exact(row_pair):
     for name in outs:
         assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:])
     assert fork.counter.snapshot() == state.counter.snapshot()
-    # a pickled state rebuilds its views over its own buffer and continues bit-exact
+    # a pickled state rebuilds its views over its own buffers and continues bit-exact
     state = image_incremental_init(net, batch=2)
     for _ in range(fork_at):
         image_incremental_step(net, state)
     restored = pickle.loads(pickle.dumps(state))
-    assert not np.shares_memory(restored.buf, state.buf)
+    assert not any(np.shares_memory(a, b) for a in _buffers(restored) for b in _buffers(state))
     assert restored.cached_rows_values() == state.cached_rows_values()
     got = [image_incremental_step(net, restored) for _ in range(36 - fork_at)]
-    # every group op, the tail's too, views the restored buffers: its window
-    # and dest `buf` (the last block's dest is its group's head column), its
-    # vertical row `vrows`; so does each group's y_dest; none views the original
-    originals = [state.buf, state.vrows, state.vnext, *(group[1].buf for group in state.groups)]
-    for ops, head, y_dest, tail in restored.groups:
-        views = [(y_dest, restored.buf)]
-        for i, window, _, vrow, *_, dest in ops + tail:
-            views += [(window, restored.buf), (vrow, restored.vrows),
-                      (dest, restored.buf if i < spec.n_layers - 1 else head.buf)]
-        assert all(np.shares_memory(view, owner) for view, owner in views)
-        assert not any(np.shares_memory(view, a) for view, _ in views for a in originals)
+    # every group op, the tail's too, views the restored buffers, for every
+    # ring slot: its windows, its vertical rows and its dest (the last
+    # block's dest is its group's head column); so do each group's y_dests;
+    # none views the original
+    owned = _buffers(restored)
+    originals = _buffers(state) + [group[1].buf for group in state.groups]
+    for ops, head, y_dests, tail in restored.groups:
+        views = list(y_dests)
+        for i, windows, _, vrows, *_, dest in ops + tail:
+            views += [*windows, *vrows] + ([dest] if i < spec.n_layers - 1 else [])
+        assert all(any(np.shares_memory(v, o) for o in owned) for v in views)
+        assert not any(np.shares_memory(v, a) for v in views for a in originals)
     assert np.array_equal(np.concatenate(got), whole[fork_at:])
     assert (state.r, state.c) == divmod(fork_at, 6)  # stepping the copy left the original alone
 
@@ -457,7 +466,7 @@ def test_step_outputs_are_fresh_arrays():
         copies.append(outs[-1].copy())
     for y, kept in zip(outs, copies):
         assert np.array_equal(y, kept)
-        assert not any(np.shares_memory(y, a) for a in (state.buf, state.vrows, state.vnext))
+        assert not any(np.shares_memory(y, a) for a in _buffers(state))
     assert np.array_equal(generate(net, batch=3), np.concatenate(outs))
 
 
@@ -486,85 +495,107 @@ def test_grouped_step_matches_forward_image(n_layers, h_kw, row_pair, batch):
             assert np.max(np.abs(out - want)) <= EQUIV_TOL, f"kh {kh}, width {width}"
 
 
+def _op_work(net, op, row, batch):
+    """(MACs, nodes) of vertical op (i, lo, hi) on `row`: block i's vconv
+    node per column, and on a burst row, an even one with the pair, block
+    0's down node and two up nodes per column too."""
+    i, lo, hi = op
+    block, n = net.blocks[i], (hi - lo) * batch
+    macs, nodes = n * block.vert.macs, n
+    if i == 0 and net.spec.row_pair and row % 2 == 0:
+        macs, nodes = macs + n * (block.down.macs + block.up.macs), nodes + 3 * n
+    return macs, nodes
+
+
 @pytest.mark.parametrize("row_pair", [False, True])
 @pytest.mark.parametrize("n_layers,h_kw,width",
-                         [(1, 1, 3), (2, 2, 5), (3, 2, 7), (3, 3, 8), (4, 1, 3)])
+                         [(1, 1, 3), (2, 2, 5), (3, 2, 7), (3, 3, 8), (4, 1, 3), (3, 2, 11)])
 def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
     # after row r's last pixel the counts are those of rows 0..r in full and
-    # of row r+1's vertical rows: a row is each block's vertical node and
-    # horizontal node (its link folded in) per column and the head, plus the
-    # pair's burst (a down and two up rows) on even rows.  Where no step
-    # follows the row's last group, (width - 1) % n_layers == 0, block 0's
-    # vertical row waits for the next row's start
+    # of the vertical ops the row ran for row r+1: a row is each block's
+    # vertical node and horizontal node (its link folded in) per column and
+    # the head, plus the pair's burst (a down and two up rows) on even rows.
+    # What no step after the row's last group could run, (width - 1) %
+    # n_layers == 0, waits for the next row's start
     batch, height = 2, 4
     spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width), h_kw=h_kw,
                      row_pair=row_pair, seed=n_layers)
     net = build_image_network(spec)
     n = width * batch
-    pair = net.blocks[0]
-
-    def vertical(row, blocks):
-        macs = n * sum(net.blocks[i].vert.macs for i in blocks)
-        nodes = n * len(blocks)
-        if 0 in blocks and row_pair and row % 2 == 0:
-            macs += n * (pair.down.macs + pair.up.macs)
-            nodes += 3 * n
-        return np.array([macs, nodes])
-
     horizontal = np.array([n * (sum(b.horiz.macs + b.link.macs for b in net.blocks)
                                 + net.proj.macs), n * (n_layers + 1)])
-    ahead = [i for i in range(n_layers) if i or (width - 1) % n_layers]
+    _, rows = _schedule(width, n_layers, row_pair)
     state = image_incremental_init(net, batch=batch)
     done = np.zeros(2, np.int64)  # rows 0..r in full
     for r in range(height):
         for _ in range(width):
             image_incremental_step(net, state)
-        done += horizontal + vertical(r, range(n_layers))
-        want = done + (vertical(r + 1, ahead) if r + 1 < height else 0)
+        whole = [(i, 0, width) for i in range(n_layers)]
+        done += horizontal + np.sum([_op_work(net, op, r, batch) for op in whole], axis=0)
+        ran = [op for ops in rows[r % 2][0] if ops for op in ops] if r + 1 < height else []
+        want = done + np.sum([(0, 0)] + [_op_work(net, op, r + 1, batch) for op in ran], axis=0)
         assert state.counter.snapshot() == tuple(want), r
         assert not state.pending  # a row's groups leave no pixel queued
         with pytest.raises(ScheduleViolationError):
             _pixel_step(net, state)  # the next row's pixels need its row pass first
 
 
+def _check_placement(width, n_layers, row_pair):
+    """The compiled placement's invariants: per row, each of blocks n-1 ..
+    1 once as a whole row, last block first, then block 0's ops covering
+    its columns in order; none on a group step, at most one per step before
+    the last group; block 0's op over columns lo..hi-1 on a step after the
+    group that computes pixel hi-1, its last op right after the row's last
+    group or at the next row's start; up to three ops on a burst row, one
+    otherwise.  Returns the number of block 0 ops per row parity."""
+    groups, rows = _schedule(width, n_layers, row_pair)
+    last = n_layers * (len(groups) - 1)
+    chunks = []
+    for parity, (ahead, start) in enumerate(rows):
+        assert len(ahead) == width and ahead[-1] is not None  # the row's end is no plain pop
+        placed = [(c, op) for c, ops in enumerate(ahead) if ops for op in ops]
+        placed += [(width, op) for op in start]
+        assert [op[0] for _, op in placed] == [*range(n_layers - 1, 0, -1)] + [0] * (
+            len(placed) - n_layers + 1)
+        assert all(op[1:] == (0, width) for _, op in placed[: n_layers - 1])
+        ops0 = [op for _, op in placed[n_layers - 1 :]]
+        assert [lo for _, lo, _ in ops0] == [0] + [hi for _, _, hi in ops0[:-1]]
+        assert ops0[-1][2] == width and all(lo < hi for _, lo, hi in ops0)
+        assert not any(ahead[c] for c in range(0, width, n_layers))
+        assert all(len(ops) <= 1 for ops in ahead[:last] if ops)
+        for c, (_, lo, hi) in placed[n_layers - 1 :]:
+            assert c > n_layers * ((hi - 1) // n_layers)  # after the group of pixel hi - 1
+        assert placed[-1][0] == min(last + 1, width)
+        burst = row_pair and parity == 1
+        assert len(ops0) <= (3 if burst else 1)
+        chunks.append(len(ops0))
+    return chunks
+
+
 @pytest.mark.parametrize("row_pair", [False, True])
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
 def test_step_counts_follow_the_compiled_placement(n_layers, row_pair):
     # widths on both sides of the fallback: where (width - 1) % n_layers == 0,
-    # always so with one block, no step follows a row's last group
+    # always so with one block, no step follows a row's last group; each
+    # step's MAC and node deltas are its group's and its placed vertical ops'
     batch, height = 2, 4
-    for width in (1, 2, n_layers + 1, 2 * n_layers + 1, 2 * n_layers + 2, 8):
+    for width in (1, 2, n_layers + 1, 2 * n_layers + 1, 2 * n_layers + 2, 8, 11):
         spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width),
                          h_kw=min(2, width), row_pair=row_pair, seed=width)
         net = build_image_network(spec)
-        groups, ahead, start = _schedule(width, n_layers)
-        # each block's next-row vertical row once, last block first, none on
-        # a group step and at most one per step before the last group; block
-        # 0 right after the last group, or at the next row's start
-        last = n_layers * (len(groups) - 1)
-        assert ahead[-1] is not None  # the row's end is no plain pop
-        ahead = [blocks or () for blocks in ahead]
-        assert [i for blocks in ahead for i in blocks] + list(start) == list(
-            reversed(range(n_layers)))
-        assert not any(ahead[c] for c in range(0, width, n_layers))
-        assert all(len(blocks) <= 1 for blocks in ahead[:last])
-        assert 0 in (ahead[last + 1] if last + 1 < width else start)
-        n = width * batch
-
-        def vertical(row, i):
-            block = net.blocks[i]
-            macs, nodes = n * block.vert.macs, n
-            if i == 0 and row_pair and row % 2 == 0:
-                macs, nodes = macs + n * (block.down.macs + block.up.macs), nodes + 3 * n
-            return macs, nodes
-
+        chunks = _check_placement(width, n_layers, row_pair)
+        groups, rows = _schedule(width, n_layers, row_pair)
         state = image_incremental_init(net, batch=batch)
         for r in range(height):
             for c in range(width):
-                work = [vertical(r, i) for i in (start if r else reversed(range(n_layers)))
-                        if c == 0]
+                if c == 0:
+                    ops = rows[(r - 1) % 2][1] if r else [(i, 0, width)
+                                                         for i in reversed(range(n_layers))]
+                    work = [_op_work(net, op, r, batch) for op in ops]
+                else:
+                    work = []
                 if r + 1 < height:
-                    work += [vertical(r + 1, i) for i in ahead[c]]
+                    work += [_op_work(net, op, r + 1, batch) for op in rows[r % 2][0][c] or ()]
                 if c % n_layers == 0:
                     main, tail = groups[c // n_layers]
                     # each block node is the horizontal conv with the link folded in
@@ -576,6 +607,51 @@ def test_step_counts_follow_the_compiled_placement(n_layers, row_pair):
                 image_incremental_step(net, state)
                 got = (state.counter.macs - macs0, state.counter.node_evals - nodes0)
                 assert got == tuple(map(sum, zip((0, 0), *work))), (width, r, c)
+        if row_pair and width == 11 and n_layers == 3:
+            assert chunks == [1, 3]  # a burst row's block 0 in three chunks
+
+
+@pytest.mark.parametrize("row_pair", [False, True])
+def test_tampered_chunk_placement_raises(row_pair, monkeypatch):
+    # width 11, 3 blocks: block 0's row takes columns 0..3 at step 4, 4..6 at
+    # step 7 and 7..10 at step 10 on a burst row; each placement below
+    # breaks one rule and must raise, not compute from pixels or rows that
+    # are not there yet
+    spec = ImageSpec(4, 11, channels=3, n_layers=3, row_pair=row_pair, seed=3)
+    net = build_image_network(spec)
+    groups, rows = _schedule(11, 3, row_pair)
+    ahead, start = rows[1]
+    if row_pair:
+        assert [(c, ops) for c, ops in enumerate(ahead) if ops and ops[0][0] == 0] == [
+            (4, ((0, 0, 4),)), (7, ((0, 4, 7),)), (10, ((0, 7, 11),))]
+    else:
+        assert ahead[10] == ((0, 0, 11),) and start == ()
+
+    def moved(*pairs):
+        out = list(ahead)
+        for c, ops in pairs:
+            out[c] = ops
+        return tuple(out)
+
+    whole = (0, 0, 11)
+    tampered = [  # the row's last step keeps its (maybe empty) ops: it ends the row
+        moved((10, ()), (4, None), (7, None), (5, (whole,))),  # before the last pixels
+        moved((1, None), (10, ((2, 0, 11),) + ahead[10])),  # block 2 after block 1
+        moved((10, ())),  # block 0 never finishes its row
+    ]
+    if row_pair:
+        tampered += [
+            moved((4, ((0, 4, 7),)), (7, ((0, 0, 4),))),  # chunks out of column order
+            moved((4, ((0, 0, 7),)), (7, None)),  # a chunk past the pixels written
+            moved((7, ((0, 5, 7),))),  # a gap in the columns
+        ]
+    for bad in tampered:
+        monkeypatch.setattr("convgen.image2d._schedule",
+                            lambda w, n, p, bad=bad: (groups, (rows[0], (bad, start))))
+        state = image_incremental_init(net)
+        with pytest.raises(ScheduleViolationError):
+            for _ in range(3 * 11):  # rows 0 and 1, and row 2's start
+                image_incremental_step(net, state)
 
 
 @pytest.mark.parametrize("h_kw", [1, 2, 3])
@@ -608,24 +684,45 @@ def test_folded_weights_are_the_horizontal_conv_and_link_built_once(channels, h_
         assert fork == net and not any("folded" in vars(b) for b in fork.blocks)
 
 
+def test_up_phases_are_the_up_layers_phases_built_once():
+    # a burst chunk runs each up phase as one node of [W_j | b]; the phases
+    # are built by the first burst, once per network, and not carried by copies
+    spec = ImageSpec(4, 11, channels=3, n_layers=2, row_pair=True, seed=2)
+    net = build_image_network(spec)
+    block = net.blocks[0]
+    image_incremental_init(net, batch=2)
+    assert "up_phases" not in vars(block)
+    generate(net, batch=2)
+    phases = block.up_phases
+    for j, w in enumerate(phases):
+        want = np.column_stack((block.up.tap_mats[j], block.up.bias))
+        assert w.fused.tobytes() == want.tobytes() and w.macs * 2 == block.up.macs
+    generate(net, batch=3)
+    assert block.up_phases is phases
+    assert "up_phases" not in vars(copy.deepcopy(net).blocks[0])
+
+
 @pytest.mark.parametrize("row_pair", [False, True])
 @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
 def test_fork_at_every_offset_in_a_group_continues_bit_exact(how, row_pair):
     # width 8 with 3 blocks: groups start at columns 0, 3 and 6, the last
-    # one short with a tail; a fork at any column of row 1 carries the
-    # pixels its group queued.  Width 11: groups at 0, 3, 6 and 9; row 2's
-    # vertical rows of blocks 2 and 1 run at columns 1 and 2 of row 1, and
-    # block 2's is held until block 0's runs at column 10
+    # one short with a tail; a fork at any column carries the pixels its
+    # group queued.  Width 11: groups at 0, 3, 6 and 9; row r+1's vertical
+    # rows of blocks 2 and 1 run at columns 1 and 2 of row r, block 2's held
+    # until row r+1 starts, and with the pair an odd row (a burst) splits
+    # block 0's into three chunks, at columns 4, 7 and 10, each writing two
+    # up rows ahead.  Forks at every step of row 1 (a burst row) and row 2
     fork_of = {"deepcopy": copy.deepcopy, "pickle": lambda s: pickle.loads(pickle.dumps(s))}[how]
     for width in (8, 11):
         spec = ImageSpec(4, width, channels=3, n_layers=3, row_pair=row_pair, seed=21)
         net = build_image_network(spec)
         whole = generate(net, batch=2)
-        for fork_at in range(width, 2 * width):
+        for fork_at in range(width, 3 * width):
             state = image_incremental_init(net, batch=2)
             for _ in range(fork_at):
                 image_incremental_step(net, state)
             fork = fork_of(state)
+            assert fork.cached_rows_values() == state.cached_rows_values()
             outs = {"state": [], "fork": []}
             for _ in range(4 * width - fork_at):
                 for name, st in (("state", state), ("fork", fork)):  # interleaved
@@ -634,6 +731,7 @@ def test_fork_at_every_offset_in_a_group_continues_bit_exact(how, row_pair):
                 assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:]), (
                     name, width, fork_at)
             assert fork.counter.snapshot() == state.counter.snapshot()
+            assert fork.cached_rows_values() == state.cached_rows_values()
 
 
 # ---------------------------------------------------------------------------
@@ -702,4 +800,15 @@ def test_write_pgm_rejects_bad_images_before_opening_the_file(tmp_path, image):
     path = tmp_path / "bad.pgm"
     with pytest.raises(InvalidParameterError):
         write_pgm(path, image)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("image", [np.array([[1 + 2j, 3j]]), np.ones((2, 3), np.complex64)],
+                         ids=["complex128", "complex64"])
+def test_write_pgm_rejects_complex_images_without_a_warning(tmp_path, image):
+    path = tmp_path / "complex.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would fail here
+        with pytest.raises(InvalidParameterError, match="complex"):
+            write_pgm(path, image)
     assert not path.exists()

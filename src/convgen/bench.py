@@ -251,17 +251,17 @@ def time_engine(
 ) -> dict:
     """Per-step wall time (all batch elements advance once per step) and exact macs.
 
-    Each step is timed on its own.  The time of one step is its repeat's
-    mean; `min_us`, `median_us` and `mean_us` summarise it over the
-    repeats.  `p50_us` and `p99_us` are percentiles over every timed step,
-    each counted as the median at its position in the schedule period
-    (`_period`, from the first step, or the image start for image2d).
-    Warm-up, excluded from the timing, defaults to 4 steps, or one image
-    for image2d; for the naive dilated engine it spans one receptive
-    field, because earlier steps evaluate pruned trees and are cheaper than
-    the steady state.  `steps=None` times whole images, each with its fresh
-    image's set-up: `init`, and the cached engine's views bound on the
-    first pixel.
+    The time of one step is its repeat's mean; `min_us`, `median_us` and
+    `mean_us` summarise it over the repeats.  Warm-up, excluded from the
+    timing, defaults to 4 steps, or one image for image2d; for the naive
+    dilated engine it spans one receptive field, because earlier steps
+    evaluate pruned trees and are cheaper than the steady state.
+    `steps=None` times whole images, each with its fresh image's set-up:
+    `init`, and the cached engine's views bound on the first pixel.
+    `p50_us` and `p99_us` come from a second pass of as many steps, each
+    timed on its own: percentiles over the steps, each counted as the
+    median at its position in the schedule period (`_period`, from the
+    first step, or the image start for image2d).
     """
     state = init(network, engine, batch)
     steps = _check_int("steps", state.length if steps is None else steps, 1)
@@ -272,25 +272,26 @@ def time_engine(
     for _ in range(warmup):
         step(network, state)
     macs0 = state.counter.macs
-    period, clock = _period(network), time.perf_counter
-    t = warmup  # 1D steps so far; an image counts from its start (state.t)
-    times, step_us, position = [], [], []
+    times = []
     for _ in range(repeats):
-        total = 0.0
+        t0 = time.perf_counter()
         for _ in range(steps):
-            position.append((state.t if state.length else t) % period)
-            t0 = clock()
             step(network, state)
-            dt = clock() - t0
-            total += dt
-            step_us.append(dt * 1e6)
-            t += 1
-        times.append(total * 1e6 / steps)
+        times.append((time.perf_counter() - t0) * 1e6 / steps)
+    macs = state.counter.macs - macs0
+    period, clock = _period(network), time.perf_counter
+    done = warmup + repeats * steps  # 1D steps so far; an image counts from its start (state.t)
+    step_us, position = [], []
+    for t in range(done, done + repeats * steps):
+        position.append((state.t if state.length else t) % period)
+        t0 = clock()
+        step(network, state)
+        step_us.append((clock() - t0) * 1e6)
     return {
         "min_us": min(times),
         "median_us": statistics.median(times),
         "mean_us": statistics.fmean(times),
-        "macs_per_step": (state.counter.macs - macs0) // (repeats * steps),
+        "macs_per_step": macs // (repeats * steps),
         **_step_percentiles(np.array(step_us), np.array(position)),
     }
 

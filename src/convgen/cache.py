@@ -116,9 +116,7 @@ class RowCache:
                  "ring", "body", "count", "_windows", "_columns")
 
     def __init__(self, height: int, width: int, channels: int, batch: int, kw: int,
-                 slots: int | None = None, pad: int | None = None):
-        slots = height if slots is None else slots
-        pad = kw - 1 if pad is None else pad
+                 slots: int, pad: int):
         if min(height, width, channels, batch, kw) < 1 or slots < height or pad < kw - 1:
             raise InvalidParameterError(
                 "height, width, channels, batch, kw must be >= 1, slots >= height and pad >= "

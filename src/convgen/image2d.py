@@ -262,7 +262,9 @@ class ImageGenState:
     (kh + 1; with the pair kh + 2 rounded up to even: a burst writes two
     rows ahead); row r's groups read slot r % slots.  `buf` holds blocks
     1 .. n-1's histories in the row, h_kw zero columns then W.  `groups`
-    (the views) and `scratch` are built on first use, also in copies.
+    (the views), `scratch` (a burst chunk's, per column range) and `vout`
+    (a whole vertical row's dot output) are built on first use, also in
+    copies.
     `ahead` is the `_schedule` placement of the row's vertical ops; `v_done`
     counts vertical rows done, `v_cols` the columns of block 0's in progress."""
 
@@ -278,7 +280,7 @@ class ImageGenState:
     ahead: tuple | None = None
     v_done: int = 0
     v_cols: int = 0
-    groups = scratch = None  # not fields, so neither copied nor pickled
+    groups = scratch = vout = None  # not fields, so neither copied nor pickled
 
     def __reduce__(self):
         return ImageGenState, tuple(getattr(self, f.name) for f in fields(self))
@@ -322,7 +324,8 @@ def image_incremental_init(
     slots = spec.kh + 1 + (spec.row_pair and 1 + spec.kh % 2)
     image = RowCache(spec.kh, W, 1, batch, spec.kw, slots, max(spec.kw - 1, spec.h_kw))
     return ImageGenState(
-        row_caches=[image] + [RowCache(spec.kh, W, c, batch, spec.kw, slots) for _ in range(n - 1)],
+        row_caches=[image, *(RowCache(spec.kh, W, c, batch, spec.kw, slots, spec.kw - 1)
+                             for _ in range(n - 1))],
         last=zeros((slots, c, W, batch)),
         pair=_PairState(c, W, batch) if spec.row_pair else None,
         buf=zeros(((n - 1) * c, (spec.h_kw + W) * batch)),
@@ -336,6 +339,8 @@ def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: i
     [carry; vconv; 1] and the two up phases, rows `row` and `row + 1`, in
     adjacent slots (even row, even slot count), so one tanh writes both."""
     block = network.blocks[0]
+    if state.scratch is None:
+        state.scratch = {}
     try:
         down, up, outs, out, carry, dests = state.scratch[lo, hi]
     except KeyError:
@@ -371,15 +376,15 @@ def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, row: int) 
         raise ScheduleViolationError(
             f"vertical row {row} of block {i}, columns {lo}..{hi - 1}, out of order")
     caches = state.row_caches
-    if state.scratch is None:  # the dot's output: ring slots are not C-contiguous
-        state.scratch = {None: np.empty((spec.channels, W * state.batch), DTYPE)}
     if burst:
         _burst(network, state, lo, hi, row)
     elif i == 0 and state.pair is not None:
         state.pair.feed(network.blocks[0], caches[0], state.counter)
     else:
+        if state.vout is None:  # the dot's output: ring slots are not C-contiguous
+            state.vout = np.empty((spec.channels, W * state.batch), DTYPE)
         rows = state.outputs(i)
-        v = _vconv_row(network.blocks[i].vert, caches[i], state.counter, state.scratch[None])
+        v = _vconv_row(network.blocks[i].vert, caches[i], state.counter, state.vout)
         np.tanh(v, rows[row % len(rows)])
     state.v_cols = hi % W
     if hi == W:

@@ -183,19 +183,19 @@ def test_fractional_cache_every_rejected():
 
 
 def test_rowcache_geometry():
-    cache = RowCache(height=2, width=8, channels=3, batch=1, kw=1)
+    cache = RowCache(height=2, width=8, channels=3, batch=1, kw=1, slots=2, pad=0)
     assert cache.rows_stack().shape == (3, 2, 8, 1)
     assert cache.stored_values() == 2 * 8 * 3
-    padded = RowCache(height=3, width=5, channels=2, batch=4, kw=3)
+    padded = RowCache(height=3, width=5, channels=2, batch=4, kw=3, slots=3, pad=2)
     assert padded.rows_stack().shape == (2, 3, 5, 4)
     assert padded.stored_values() == 3 * 5 * 2 * 4  # the kw - 1 pad columns are not counted
     for bad in (dict(batch=0, kw=1), dict(batch=1, kw=0)):
         with pytest.raises(InvalidParameterError):
-            RowCache(height=2, width=8, channels=3, **bad)
+            RowCache(height=2, width=8, channels=3, slots=2, pad=0, **bad)
 
 
 def test_rowcache_rotation_and_top_border():
-    cache = RowCache(height=2, width=4, channels=1, batch=1, kw=1)
+    cache = RowCache(height=2, width=4, channels=1, batch=1, kw=1, slots=2, pad=0)
     assert not cache.rows_stack().any()  # first rows read pure zero padding
     r1 = np.arange(4, dtype=np.float32)[None, :, None]
     r2 = (10 + np.arange(4, dtype=np.float32))[None, :, None]
@@ -209,7 +209,7 @@ def test_rowcache_rotation_and_top_border():
 
 
 def test_rowcache_partial_row_rejected():
-    cache = RowCache(height=2, width=8, channels=1, batch=1, kw=1)
+    cache = RowCache(height=2, width=8, channels=1, batch=1, kw=1, slots=2, pad=0)
     with pytest.raises(InvalidRowError):
         cache.push_row(np.zeros((1, 5, 1), np.float32))
     with pytest.raises(InvalidRowError):
@@ -219,7 +219,7 @@ def test_rowcache_partial_row_rejected():
 
 
 def test_rowcache_batched_rows():
-    cache = RowCache(height=2, width=4, channels=1, batch=3, kw=1)
+    cache = RowCache(height=2, width=4, channels=1, batch=3, kw=1, slots=2, pad=0)
     row = np.ones((1, 4, 3), np.float32)
     cache.push_row(row)
     assert cache.rows_stack().shape == (1, 2, 4, 3)
@@ -227,7 +227,7 @@ def test_rowcache_batched_rows():
 
 @pytest.mark.parametrize("kw", [1, 3])
 def test_rowcache_windows_are_zero_left_shifts(kw):
-    cache = RowCache(height=2, width=4, channels=2, batch=3, kw=kw)
+    cache = RowCache(height=2, width=4, channels=2, batch=3, kw=kw, slots=2, pad=kw - 1)
     rng = np.random.default_rng(0)
     rows = [rng.standard_normal((2, 4, 3)).astype(np.float32) for _ in range(3)]
     for row in rows:
@@ -243,7 +243,7 @@ def test_rowcache_windows_are_zero_left_shifts(kw):
 
 
 def test_rowcache_windows_are_read_only():
-    cache = RowCache(height=2, width=4, channels=1, batch=2, kw=3)
+    cache = RowCache(height=2, width=4, channels=1, batch=2, kw=3, slots=2, pad=2)
     for windows in cache.windows():
         assert not windows.flags.writeable
         with pytest.raises(ValueError):
@@ -251,7 +251,7 @@ def test_rowcache_windows_are_read_only():
 
 
 def test_rowcache_push_row_stores_a_copy():
-    cache = RowCache(height=2, width=4, channels=1, batch=2, kw=2)
+    cache = RowCache(height=2, width=4, channels=1, batch=2, kw=2, slots=2, pad=1)
     row = np.ones((1, 4, 2), np.float32)
     cache.push_row(row)
     row[...] = 7.0
@@ -259,7 +259,7 @@ def test_rowcache_push_row_stores_a_copy():
 
 
 def test_rowcache_deepcopy_reads_its_own_ring():
-    cache = RowCache(height=2, width=3, channels=1, batch=1, kw=2)
+    cache = RowCache(height=2, width=3, channels=1, batch=1, kw=2, slots=2, pad=1)
     cache.push_row(np.ones((1, 3, 1), np.float32))
     fork = copy.deepcopy(cache)
     assert np.array_equal(fork.rows_stack(), cache.rows_stack())
@@ -287,7 +287,7 @@ def test_rowcache_column_chunks_equal_the_whole_rows_columns(kw, pad):
 def test_rowcache_rows_written_ahead_stay_out_of_the_window():
     # with spare slots a writer stores rows count, count+1 in place; the
     # window still reads rows count-height .. count-1 until it advances
-    cache = RowCache(height=2, width=3, channels=1, batch=1, kw=2, slots=4)
+    cache = RowCache(height=2, width=3, channels=1, batch=1, kw=2, slots=4, pad=1)
     rows = [np.full((1, 3, 1), float(t + 1), np.float32) for t in range(4)]
     for t in range(2):
         cache.push_row(rows[t])
@@ -298,6 +298,6 @@ def test_rowcache_rows_written_ahead_stay_out_of_the_window():
     assert np.array_equal(cache.rows_stack()[0, :, :, 0], [[2, 2, 2], [3, 3, 3]])
     assert cache.stored_values() == 2 * 3
     with pytest.raises(InvalidParameterError):
-        RowCache(height=2, width=3, channels=1, batch=1, kw=3, pad=1)  # pad < kw - 1
+        RowCache(height=2, width=3, channels=1, batch=1, kw=3, slots=2, pad=1)  # pad < kw - 1
     with pytest.raises(InvalidParameterError):
-        RowCache(height=2, width=3, channels=1, batch=1, kw=1, slots=1)  # fewer slots than rows
+        RowCache(height=2, width=3, channels=1, batch=1, kw=1, slots=1, pad=0)  # fewer slots than rows

@@ -196,7 +196,7 @@ def _vconv_row_reference(w, cache):
 def test_vconv_row_matches_shifted_rows_reference(kh, kw, batch):
     spec = ImageSpec(3, 6, channels=3, n_layers=2, kh=kh, kw=kw, seed=kh * 10 + kw)
     w = build_image_network(spec).blocks[1].vert
-    cache = RowCache(kh, spec.width, spec.channels, batch, kw)
+    cache = RowCache(kh, spec.width, spec.channels, batch, kw, kh, kw - 1)
     rng = np.random.default_rng(batch)
     for pushes in range(2 * kh + 2):  # every ring position, wrapped twice
         if pushes:
@@ -424,18 +424,21 @@ def test_forked_state_continues_bit_exact(row_pair):
     assert not any(np.shares_memory(a, b) for a in _buffers(restored) for b in _buffers(state))
     assert restored.cached_rows_values() == state.cached_rows_values()
     got = [image_incremental_step(net, restored) for _ in range(36 - fork_at)]
-    # every group op, the tail's too, views the restored buffers, for every
-    # ring slot: its windows, its vertical rows and its dest (the last
-    # block's dest is its group's head column); so do each group's y_dests;
-    # none views the original
-    owned = _buffers(restored)
+    # every group op, the tail's too, views the restored buffer it must lie
+    # over, for every ring slot: its windows block 0's image ring (block 0)
+    # or `buf`, its vertical rows block i's outputs (block i+1's ring or
+    # `last`), its dest `buf` (the last block's: its group's head column);
+    # each group's y_dests view the image ring; none views the original
+    image = restored.row_caches[0].ring
     originals = _buffers(state) + [group[1].buf for group in state.groups]
     for ops, head, y_dests, tail in restored.groups:
-        views = list(y_dests)
+        views = [(y, image) for y in y_dests]
         for i, windows, _, vrows, *_, dest in ops + tail:
-            views += [*windows, *vrows] + ([dest] if i < spec.n_layers - 1 else [])
-        assert all(any(np.shares_memory(v, o) for o in owned) for v in views)
-        assert not any(np.shares_memory(v, a) for v in views for a in originals)
+            views += [(w, restored.buf if i else image) for w in windows]
+            views += [(v, restored.outputs(i)) for v in vrows]
+            views.append((dest, restored.buf if i < spec.n_layers - 1 else head.buf))
+        assert all(np.shares_memory(view, owner) for view, owner in views)
+        assert not any(np.shares_memory(view, a) for view, _ in views for a in originals)
     assert np.array_equal(np.concatenate(got), whole[fork_at:])
     assert (state.r, state.c) == divmod(fork_at, 6)  # stepping the copy left the original alone
 

@@ -10,19 +10,15 @@ feedback).  With `row_pair`, the first block's vertical path is vconv ->
 stride-2 row downsampling -> stride-2 row upsampling.  The naive engine
 runs a full vectorised image pass per generated pixel (H*W passes).
 
-The cached engine computes row r+1's vertical rows during row r, like the
-vertical stack of Gated PixelCNN, and writes each where it is read: block
-i's into block i+1's `RowCache` ring, the last block's into `last`.
-Blocks n-1 .. 1 read only rows <= r and take one pop step each.  Block 0
-reads row r up to its column, so it runs after the groups that write those
-pixels, on a burst row (the pair's down and up rows) in up to three column
-chunks.  The horizontal streams advance in wavefront groups: y_j reads only pixels <= j - n, n = `n_layers`, so once y_{c-1} is
-known one group computes y_c .. y_{c+n-1}, each block one `conv1d_point`
-of `ImageBlock.folded` ([W_h taps | W_link | b]; the oracle `forward_image`
-keeps them apart) over its columns, and the next steps pop the queued
-pixels.  `_schedule` compiles a row's steps once per geometry.  Batch
-elements generate in lockstep: every point op is one matrix product
-across the batch.
+The cached engine generates rows in pairs (2j, 2j+1) and computes the next
+pair's vertical rows on row 2j+1 into the `RowCache` rings that read them.
+Wavefront groups: y_c reads only pixels <= c - n (n = `n_layers`), so one
+group computes y_c .. y_{c+n-1}, each block one `conv1d_point` of
+`ImageBlock.folded` over its columns of both rows; later steps pop the
+queued pixels.  With the pair, block 0's vertical rows 2j and 2j+1 come
+from down row j, which reads image rows <= 2j-1, so row 2j+1's groups run
+with row 2j's; without it, block 0's row 2j+1 reads row 2j up to its column
+and follows row 2j's groups in chunks, row 2j+1's groups a group behind.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -255,32 +252,28 @@ class _PairState:
 
 @dataclass(eq=False)
 class ImageGenState:
-    """All mutable state of one cached 2D generation run.  `row_caches[i]`
-    holds block i's vertical conv input (block 0: image rows, its current
-    slot also its horizontal history; block i: block i-1's vertical rows)
-    and `last` the last block's vertical rows, row t in slot t % slots
-    (kh + 1; with the pair kh + 2 rounded up to even: a burst writes two
-    rows ahead); row r's groups read slot r % slots.  `buf` holds blocks
-    1 .. n-1's histories in the row, h_kw zero columns then W.  `groups`
-    (the views), `scratch` (a burst chunk's, per column range) and `vout`
-    (a whole vertical row's dot output) are built on first use, also in
-    copies.
-    `ahead` is the `_schedule` placement of the row's vertical ops; `v_done`
-    counts vertical rows done, `v_cols` the columns of block 0's in progress."""
+    """All mutable state of one cached 2D run.  `row_caches[i]` holds block
+    i's vertical conv input (image rows, their slots block 0's history; or
+    block i-1's vertical rows), `last` the last block's, row t in slot t %
+    slots (kh + 2, rounded up to even); `buf[t % 2]` blocks 1 .. n-1's
+    histories in row t (h_kw zeros, then W); `queues[k]` row r+k's pixels
+    computed ahead; `done[i]` the raster position block i's vertical rows
+    reach.  `groups` (views) and `scratch` are built on first use."""
 
     row_caches: list
     last: np.ndarray
     pair: _PairState | None
     buf: np.ndarray
-    pending: deque
+    queues: list
+    done: list
     r: int
     c: int
     batch: int
     counter: OpCounter
     ahead: tuple | None = None
-    v_done: int = 0
-    v_cols: int = 0
-    groups = scratch = vout = None  # not fields, so neither copied nor pickled
+
+    def __post_init__(self):  # views of its own buffers: copies and pickles build their own
+        self.groups, self.scratch = {}, {}
 
     def __reduce__(self):
         return ImageGenState, tuple(getattr(self, f.name) for f in fields(self))
@@ -290,15 +283,14 @@ class ImageGenState:
         return self.row_caches[i + 1].body if i + 1 < len(self.row_caches) else self.last
 
     def cached_rows_values(self) -> int:
-        """The kh rows of every cache, the pair's carry, and each row written
-        ahead of its reader's window (block i's next row until block i+1
-        reads past its oldest row, the last block's until its row starts)."""
-        caches = self.row_caches
-        total = sum(rc.stored_values() for rc in caches)
-        written = [rc.count for rc in caches]  # rows in each block's output
-        if self.pair is not None:  # a burst writes two rows
+        """The kh rows of every cache, the pair's carry, the rows written ahead
+        of their reader (block i+1's window; the current row) and the queues."""
+        caches, W = self.row_caches, self.row_caches[0].width
+        total = sum(rc.stored_values() for rc in caches) + self.batch * sum(map(len, self.queues))
+        written = [-(-d // W) for d in self.done]  # rows begun in each block's output
+        if self.pair is not None:
             total += self.pair.carry.size
-            written[0] += 2 if self.v_cols else written[0] % 2
+            written[0] += self.done[0] % W > 0  # a burst writes two rows
         readers = [rc.count for rc in caches[1:]] + [self.r + 1]
         return total + self.last[0].size * sum(max(0, w - r) for w, r in zip(written, readers))
 
@@ -320,37 +312,34 @@ def image_incremental_init(
 ) -> ImageGenState:
     batch = _check_int("batch", batch, 1)
     spec = network.spec
-    c, W, n = spec.channels, spec.width, spec.n_layers
-    slots = spec.kh + 1 + (spec.row_pair and 1 + spec.kh % 2)
+    c, W, n, slots = spec.channels, spec.width, spec.n_layers, spec.kh + 2 + spec.kh % 2
     image = RowCache(spec.kh, W, 1, batch, spec.kw, slots, max(spec.kw - 1, spec.h_kw))
     return ImageGenState(
         row_caches=[image, *(RowCache(spec.kh, W, c, batch, spec.kw, slots, spec.kw - 1)
                              for _ in range(n - 1))],
         last=zeros((slots, c, W, batch)),
         pair=_PairState(c, W, batch) if spec.row_pair else None,
-        buf=zeros(((n - 1) * c, (spec.h_kw + W) * batch)),
-        pending=deque(), r=0, c=0, batch=batch, counter=counter or OpCounter(),
+        buf=zeros((2, (n - 1) * c, (spec.h_kw + W) * batch)),
+        queues=[deque(), deque(), deque()], done=[0] * n, r=0, c=0, batch=batch,
+        counter=counter or OpCounter(),
     )
 
 
 def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: int) -> None:
-    """Block 0's nodes of burst row `row` over columns lo .. hi-1, each one
-    `conv1d_point` over the chunk: its vconv, the pair's down node over
-    [carry; vconv; 1] and the two up phases, rows `row` and `row + 1`, in
-    adjacent slots (even row, even slot count), so one tanh writes both."""
+    """Block 0's burst row `row`, columns lo .. hi-1, one `conv1d_point` per
+    node: its vconv, the down node over [carry; vconv; 1] and the two up
+    phases, rows `row`, `row + 1` in adjacent slots, so one tanh writes both."""
     block = network.blocks[0]
-    if state.scratch is None:
-        state.scratch = {}
     try:
-        down, up, outs, out, carry, dests = state.scratch[lo, hi]
+        down, up, outs, out, carry, dests = state.scratch[0, lo, hi]
     except KeyError:
         C, B, rows = network.spec.channels, state.batch, state.outputs(0)
         m = (hi - lo) * B
-        out = np.empty((2, C, hi - lo, B), DTYPE)  # (2, C, m, B) views: numpy's fast path
-        down, up, outs, out, carry, dests = state.scratch[lo, hi] = (
+        out = np.empty((2, C, m), DTYPE)
+        down, up, outs, out, carry, dests = state.scratch[0, lo, hi] = (
             Column(np.ones((2 * C + 1, m), DTYPE), C), Column(np.ones((C + 1, m), DTYPE), C),
-            tuple(out.reshape(2, C, m)), out, state.pair.carry[:, lo * B : hi * B],
-            [rows[s : s + 2, :, lo:hi] for s in range(0, len(rows), 2)])
+            tuple(out), out, state.pair.carry[:, lo * B : hi * B],
+            [rows[s : s + 2, :, lo:hi].reshape(2, C, m) for s in range(0, len(rows), 2)])
     counter, (up0, up1) = state.counter, block.up_phases
     down[0][...] = carry
     v = conv1d_point(block.vert, state.row_caches[0].column(lo, hi), counter, down[1])
@@ -361,152 +350,219 @@ def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: i
     np.tanh(out, dests[row % (2 * len(dests)) // 2])
 
 
-def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, row: int) -> None:
-    """Op (i, lo, hi): block i's vertical nodes of `row` over columns
-    lo .. hi-1, into its output slot; only block 0 on a burst row splits,
-    in column order.  A row's blocks run last first, block 0 only over
-    pixels already written; any other order raises."""
-    i, lo, hi = op
-    spec = network.spec
-    n, W = spec.n_layers, spec.width
-    burst = i == 0 and state.pair is not None and row % 2 == 0
-    if (state.v_done != row * n + n - 1 - i or state.v_cols != lo
-            or not burst and (lo, hi) != (0, W)
-            or i == 0 and row > state.r and state.c + len(state.pending) < hi):
+def _pixels_ready(state: ImageGenState, row: int, hi: int) -> bool:
+    """Whether image row `row` has `hi` pixels written, every row above all."""
+    now = state.c + len(state.queues[0])  # the current row's: returned and queued
+    return row < state.r or row == state.r and now >= hi or row == state.r + 1 and (
+        now == state.row_caches[0].width and len(state.queues[1]) >= hi)
+
+
+def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, base: int) -> None:
+    """Op (i, t, lo, hi): block i's vertical nodes of row base + t, columns lo
+    .. hi-1 (with the pair block 0's odd rows feed the carry, even ones are
+    bursts), in order and over rows or pixels already written, else raise."""
+    i, t, lo, hi = op
+    t += base
+    spec, done, pair, W = network.spec, state.done, state.pair, network.spec.width
+    if t >= spec.height:
+        return
+    feed = i == 0 and pair is not None and t % 2 == 1
+    burst = i == 0 and pair is not None and not feed
+    ready = done[i - 1] >= (t - 1) * W + hi if i else _pixels_ready(state, t - 1, hi)
+    if not ready or not (pair.count == t and (lo, hi) == (0, W) if feed else
+                         done[i] == t * W + lo and (not burst or pair.count == t)):
         raise ScheduleViolationError(
-            f"vertical row {row} of block {i}, columns {lo}..{hi - 1}, out of order")
-    caches = state.row_caches
-    if burst:
-        _burst(network, state, lo, hi, row)
-    elif i == 0 and state.pair is not None:
-        state.pair.feed(network.blocks[0], caches[0], state.counter)
+            f"vertical row {t} of block {i}, columns {lo}..{hi - 1}, out of order")
+    cache = state.row_caches[i]
+    if feed:
+        pair.feed(network.blocks[0], cache, state.counter)
     else:
-        if state.vout is None:  # the dot's output: ring slots are not C-contiguous
-            state.vout = np.empty((spec.channels, W * state.batch), DTYPE)
-        rows = state.outputs(i)
-        v = _vconv_row(network.blocks[i].vert, caches[i], state.counter, state.vout)
-        np.tanh(v, rows[row % len(rows)])
-    state.v_cols = hi % W
-    if hi == W:
-        state.v_done += 1
-        caches[i].count += 1
         if burst:
-            state.pair.count += 1
+            _burst(network, state, lo, hi, t)
+        else:
+            try:
+                out, dests = state.scratch[i, lo, hi]
+            except KeyError:  # the dot's output: ring slots are not C-contiguous
+                C = spec.channels
+                out, dests = state.scratch[i, lo, hi] = (
+                    np.empty((C, (hi - lo) * state.batch), DTYPE),
+                    [row[:, lo:hi].reshape(C, -1) for row in state.outputs(i)])
+            conv1d_point(network.blocks[i].vert, cache.column(lo, hi), state.counter, out)
+            np.tanh(out, dests[t % len(dests)])
+        done[i] = t * W + hi if hi < W else (t + 1 + burst) * W
+    if hi == W:
+        cache.count += 1
+        if burst:
+            pair.count += 1
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:
-    """Start a row, exactly once, at its start: compute what no earlier step
-    could (all of row 0; what `_schedule` leaves to a later row's start),
-    raise if any vertical row of the row is missing, and return every
-    block's vertical row `row_index` (views of the slots its groups read)."""
+    """Start a row, exactly once: on a pair's first row run what `_schedule`
+    leaves to it (row 0: the first pair's), raise if a vertical row of the
+    pair is missing (but block 0's row 2j+1 without the pair), and return
+    every block's row `row_index`, views of the slots its groups read."""
     if row_index != state.r or state.c != 0 or state.ahead is not None:
         raise ScheduleViolationError(
             f"vertical_row_pass(row={row_index}) out of order at (r={state.r}, c={state.c})")
     spec = network.spec
     if row_index == spec.height:
         raise ScheduleViolationError("image already complete")
-    n, W = spec.n_layers, spec.width
-    _, rows = _schedule(W, n, spec.row_pair)
-    ops = rows[(row_index - 1) % 2][1] if row_index else [(i, 0, W) for i in reversed(range(n))]
-    for op in ops:
-        _vertical(network, state, op, row_index)
-    if state.v_done != (row_index + 1) * n:
+    W = spec.width
+    _, steps, start, late = _schedule(W, spec.n_layers, spec.row_pair)
+    _run(network, state, () if row_index % 2 else late if row_index else start,
+         max(0, row_index - 2))
+    done, need = state.done, (row_index + 1) * W
+    second = row_index % 2 == 0 and row_index + 1 < spec.height
+    if min(done) < need or second and min(done[not spec.row_pair :], default=need + W) < need + W:
         raise ScheduleViolationError(f"vertical rows of row {row_index} not all computed")
-    state.ahead = rows[row_index % 2][0]
-    return [state.outputs(i)[row_index % len(state.last)] for i in range(n)]
+    state.ahead = steps[2 if row_index + 1 == spec.height and row_index % 2 == 0 else row_index % 2]
+    slot = row_index % len(state.last)
+    return [rc.body[slot] for rc in state.row_caches[1:]] + [state.last[slot]]
 
 
 @cache
 def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
-    """A row's steps, compiled: (groups, rows).  groups: per group from
-    pixel c = n_layers * index, the (block, lo, hi) column ranges run before
-    the head, then those run after it (the row's last).  rows[r % 2] =
-    (ahead, start) places row r+1's vertical ops (i, lo, hi), block i over
-    columns lo .. hi-1: ahead[c] those step c runs after its group or pop
-    (None if none, and the row does not end there), start those left to
-    row r+1's start.  Blocks n-1 .. 1 read rows <= r: a whole row each on
-    the pops before the last group, last block first.  Block 0's op over
-    lo .. hi-1 goes on a free pop after the group that computes pixel hi-1;
-    on a burst row (r+1 even, with the pair) in up to three chunks of about
-    W/3 columns.  Its last op, and blocks left without a pop, go right
-    after the last group, or to `start` if no step follows it."""
-    groups = []
-    for c in range(0, width, n_layers):
-        main = tuple((i, max(0, c - n_layers + i + 1), min(c + i + 1, width))
-                     for i in range(n_layers))
-        tail = tuple((i, hi, width) for i, _, hi in main if c + n_layers >= width > hi)
-        groups.append((main, tail))
-    last = n_layers * (len(groups) - 1)
-    pops = [c for c in range(last) if c % n_layers]
-    blocks = range(n_layers - 1, 0, -1)
-    rows = []
-    for burst in (False, row_pair):
-        ahead = [None] * (width - 1) + [()]
-        for c, i in zip(pops, blocks):
-            ahead[c] = ((i, 0, width),)
-        free, lo = pops[len(blocks):], 0
-        for j in (1, 2) if burst else ():
-            hi = round(j * width / 3)
-            c = next((c for c in free if c > n_layers * ((hi - 1) // n_layers)), None)
-            if hi > lo and c is not None:
-                ahead[c], free, lo = ((0, lo, hi),), [f for f in free if f > c], hi
-        start = (*((i, 0, width) for i in blocks[len(pops):]), (0, lo, width))
-        if last + 1 < width:
-            ahead[last + 1], start = start, ()
-        rows.append((tuple(ahead), start))
-    return tuple(groups), tuple(rows)
+    """A row pair's steps: (groups, steps, start, late).  A group is per
+    block its columns (d, lo, hi) of rows 2j+d, then the head.  steps[d][c]
+    (steps[2]: an odd height's last row) is None or items: group indices and
+    vertical ops (i, t, lo, hi), block i's columns lo .. hi-1 of row 2j+t.
+    Row 2j's group from pixel c (block i over c-n+i+1 .. c+i, the last to the
+    row's end) runs at step c with row 2j+1's from c - lag (lag 0 with the
+    pair, else n) if as wide, else that runs alone on the next free step; the
+    groups from n run apart, those from 0 on the previous pair.  Without the
+    pair block 0's row 2j+1 runs in chunks right after row 2j's groups.  Row
+    2j+1's free steps but its first take the next pair's work, one item each:
+    the carry feed, block 0's row 2j+2 (a burst in three chunks), blocks 1 ..
+    n-1's rows 2j+2 and 2j+3, its first group; the rest is `late`."""
+    n, W = n_layers, width
+
+    def cols(d, c):  # row d's group from pixel c: (d, lo, hi) per block
+        return [(d, max(0, c - n + i + 1), W if c + n >= W else c + i + 1) for i in range(n)]
+
+    def group(*rows):  # a group over rows (d, c), its index
+        groups.append(tuple(zip(*(cols(d, c) for d, c in rows))))
+        return len(groups) - 1
+
+    width_of = lambda c: [hi - lo for _, lo, hi in cols(0, c)]
+    lead, lag = range(0, W, n), 0 if row_pair else n
+    fused = {c for c in lead if c - lag in lead and width_of(c) == width_of(c - lag)}
+    fused.discard(n if n > 1 else None)  # the pair's first group step carries one row
+    groups, steps, p = [], [[] for _ in range(2 * W)], -1
+    first, after = (group((d, 0), *[(d + 1, 0)] * (0 in fused)) for d in (0, 2))
+    for c in lead[1:]:
+        steps[c].append(group((0, c), *[(1, c - lag)] * (c in fused)))
+    for c in lead:  # row 2j+1's groups that run alone
+        p = c + lag if c + lag in fused else next(
+            q for q in range(max(p, c) + 1, 2 * W) if q >= W or q % n)
+        if c + lag not in fused:
+            steps[p].append(group((1, c)))
+    for c in lead[: W * (not row_pair)]:  # on the next step, before its items, or the row's last
+        p = min(c + 1, W - 1)
+        steps[p].insert(0 if p > c else len(steps[p]), (0, 1, c, min(c + n, W)))
+    cuts = sorted({0, W, *(round(j * W / 3) for j in (1, 2) if row_pair)})
+    work = [(0, 1, 0, W)] * row_pair + [(0, 2, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    work += [*((i, t, 0, W) for t in (2, 3) for i in range(1, n)), after]
+    free = [p for p in range(W + 1, 2 * W) if not steps[p]]
+    spots = free if len(free) >= len(work) else range(W, 2 * W)
+    for p, item in zip(spots, work):
+        steps[p].append(item)
+    if not row_pair:  # an odd height's last row, alone
+        steps += [[group((0, c))] if c in lead[1:] else [] for c in range(W)]
+    rows = tuple(tuple(tuple(s) if s or c == W - 1 else None
+                       for c, s in enumerate(steps[a : a + W])) for a in range(0, len(steps), W))
+    start = ((0, 0, 0, W), *((i, t, 0, W) for t in (0, 1) for i in range(1, n)), first)
+    return tuple(groups), rows, start, tuple(work[len(spots):])
 
 
-def _bind_groups(spec: ImageSpec, state: ImageGenState) -> tuple:
-    """`_schedule` over this state's buffers: per group its block ops, head
-    Column, pixels' place in block 0's history and ops after the head.  An
-    op is (block, windows, Column taps, vertical rows, Column link rows,
-    Column, dot output, dest), where windows, vertical rows and the pixels'
-    place are per ring slot, so row r reads item r % slots; scratch is
-    shared by equal shapes: each is written just before it is read."""
-    C, B, hk, n, W = spec.channels, state.batch, spec.h_kw, spec.n_layers, spec.width
-    image = state.row_caches[0]
-    buf, (row, step) = state.buf, state.buf.strides
-    s_slot, s_ch, s_col = image.ring.strides
-    history = [np.ndarray((hk, 1, W * B), DTYPE, image.ring, k * s_slot + (image.pad - hk) * B * s_col,
-                          (B * s_col, s_ch, s_col)) for k in range(image.slots)]
-    windows = [np.ndarray((hk, C, W * B), DTYPE, buf, a * row, (B * step, row, step))
-               for a in range(0, (n - 1) * C, C)]
-    inputs = [buf[a : a + C, hk * B :] for a in range(0, (n - 1) * C, C)]  # after the zero columns
-    out = cache(lambda m: np.empty((C, m), DTYPE))
-    heads = cache(lambda m: Column(np.ones((C + 1, m), DTYPE), C))
+def _bind(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
+    """Group g of `_schedule` over this state's buffers: its first row d,
+    ops (block, windows, Column taps, vertical rows, Column link rows,
+    Column, dot output, tanh source, dest), head, pixels' places and shape,
+    queues (row d, pixels a .. b-1) and the raster position from row 2j
+    its vertical rows must reach; views per pair of ring slots, with a row
+    axis for two parts; columns shared by equal shapes in `scratch`."""
+    C, B, hk, n = spec.channels, state.batch, spec.h_kw, spec.n_layers
+    image, buf, scratch = state.row_caches[0], state.buf, state.scratch
+    slots, f = image.slots, buf.itemsize  # every buffer's column stride
 
-    @cache
-    def column(k, m):  # [h_kw taps of k channels; the C-channel vertical row; 1]
-        col = Column(np.ones((hk * k + C + 1, m * B), DTYPE), k)
-        return col, col.buf[: hk * k].reshape(hk, k, m * B), col.buf[hk * k : -1].reshape(C, m, B)
+    def view(parts, base, shape, strides, ch=0, pad=0):
+        """Per pair of slots, the parts' (*shape, width) view of base, a ring
+        of slots or `buf`, from channel offset ch and column pad."""
+        ring, (d, lo, hi) = base is not buf, parts[0]
+        views = []
+        for q in range(0, slots, 2) if ring else (0,):
+            at = [((q + e) % slots if ring else e % 2) * base.strides[0] + ch + (pad + a) * B * f
+                  for e, a, _ in parts]
+            views.append(np.ndarray((*shape, *[2][: len(at) - 1], (hi - lo) * B), DTYPE, base,
+                                    at[0], (*strides[:-1], *(x - at[0] for x in at[1:]), f)))
+        return views * (slots // 2 // len(views))
 
-    def op(i, lo, hi, head):
-        a, b = lo * B, hi * B
-        col, taps, link = column(1 if i == 0 else C, hi - lo)
-        window = [windows[i - 1][:, :, a:b]] * image.slots if i else [h[:, :, a:b] for h in history]
-        dest = inputs[i][:, a:b] if i < n - 1 else head.buf[:-1]
-        return (i, tuple(window), taps, tuple(state.outputs(i)[:, :, lo:hi]), link, col, out(b - a),
-                dest)
+    def split(x, parts):  # a node's scratch as the parts' views lay it out
+        return x.reshape(*x.shape[:-1], 2, -1) if len(parts) == 2 else x
 
-    def group(main, tail):
-        _, c, end = main[-1]  # the head's pixels
-        head = heads((end - c) * B)
-        return ([op(*r, head) for r in main], head, [y.reshape(1, -1) for y in image.body[:, :, c:end]],
-                [op(*r, head) for r in tail])
+    def shared(k, m):  # [h_kw taps of k channels; vertical row; 1], its dot's output (head: k=0)
+        if (k, m) not in scratch:
+            col = Column(np.ones((hk * k + C + 1, m), DTYPE), k or C)
+            scratch[k, m] = (col, col.buf[: hk * k].reshape(hk, k, m), col.buf[hk * k : -1],
+                             np.empty((C, m), DTYPE))
+        return scratch[k, m]
 
-    return tuple(group(*g) for g in _schedule(W, n, spec.row_pair)[0])
+    def op(i, parts):
+        m = sum(hi - lo for _, lo, hi in parts) * B
+        (col, taps, link, out), b_ch = shared(1 if i == 0 else C, m), buf.strides[1]
+        if i == 0:  # its input: the image, h_kw columns left of each output column
+            windows = view(parts, image.ring, (hk, 1), (B * f, image.ring.strides[1], f),
+                           pad=image.pad - hk)
+        else:
+            windows = view(parts, buf, (hk, C), (B * f, b_ch, f), ch=(i - 1) * C * b_ch)
+        rows, pad = (state.row_caches[i + 1].ring, spec.kw - 1) if i < n - 1 else (state.last, 0)
+        vrows = view(parts, rows, (C,), (rows.strides[1], f), pad=pad)
+        src, dest = (out, head.buf[:-1]) if i == n - 1 else (
+            split(out, parts), view(parts, buf, (C,), (b_ch, f), ch=i * C * b_ch, pad=hk)[0])
+        return i, windows, split(taps, parts), vrows, split(link, parts), col, out, src, dest
+
+    main = _schedule(spec.width, n, spec.row_pair)[0][g]
+    px = main[-1]  # the head's pixels
+    head = shared(0, sum(hi - lo for _, lo, hi in px) * B)[0]
+    y_dest = view(px, image.ring, (1,), (image.ring.strides[1], f), pad=image.pad)
+    ends = [0, *accumulate(hi - lo for _, lo, hi in px)]
+    return (px[0][0], [op(i, parts) for i, parts in enumerate(main)], head, y_dest, y_dest[0].shape,
+            [(d, a, b) for (d, _, _), a, b in zip(px, ends, ends[1:])],
+            max(d * spec.width + hi for parts in main for d, _, hi in parts))
 
 
-def _horizontal(blocks, ops, k: int, counter: OpCounter) -> None:
-    """Each op's block node over its columns, for ring slot k: the horizontal
-    conv and the link as one dot of `folded`, then a tanh into the next
-    block's input."""
-    for i, windows, taps, vrows, link, column, out, dest in ops:
+def _group(network: ImageNetwork, state: ImageGenState, g: int, base: int) -> None:
+    """Group g of `_schedule` for the pair from row `base`: each block's node
+    (horizontal conv and link, one dot, a tanh into the next block's
+    input), the head, its pixels into the image ring and the queues."""
+    spec, counter = network.spec, state.counter
+    if g not in state.groups:
+        state.groups[g] = _bind(spec, state, g)
+    first, ops, head, y_dest, shape, queues, need = state.groups[g]
+    if base + first >= spec.height:  # below the image
+        return
+    if min(state.done) < base * spec.width + need:
+        raise ScheduleViolationError(f"a group of rows from {base} before its vertical rows")
+    k = base % len(state.last) >> 1  # the pair of ring slots
+    for i, windows, taps, vrows, link, column, out, src, dest in ops:
         taps[...] = windows[k]
         link[...] = vrows[k]
-        conv1d_point(blocks[i].folded, column, counter, out)
-        np.tanh(out, dest)  # ufunc out positional: numpy parses it faster
+        conv1d_point(network.blocks[i].folded, column, counter, out)  # [W_h taps | W_link | b]
+        np.tanh(src, dest)  # ufunc out positional: numpy parses it faster
+    y = conv1d_point(network.proj, head, counter)
+    y_dest[k][...] = y.reshape(shape)
+    items = list(y.reshape(-1, 1, state.batch))
+    for d, a, b in queues:
+        state.queues[base + d - state.r].extend(items[a:b])
+
+
+def _run(network: ImageNetwork, state: ImageGenState, items, base: int) -> None:
+    """`_schedule` items for the pair from row `base`: groups and vertical ops."""
+    for item in items:
+        if type(item) is int:
+            _group(network, state, item, base)
+        else:
+            _vertical(network, state, item, base)
 
 
 def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
@@ -515,32 +571,22 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
         todo = state.ahead[c]
     except TypeError:  # ahead is None until the row's vertical_row_pass
         raise ScheduleViolationError("pixel step before vertical_row_pass") from None
-    if not state.pending:  # run the next group
-        if state.groups is None:
-            state.groups = _bind_groups(network.spec, state)
-        ops, head, y_dest, tail = state.groups[c // network.spec.n_layers]
-        k = state.r % len(state.last)
-        _horizontal(network.blocks, ops, k, state.counter)
-        y = conv1d_point(network.proj, head, state.counter)
-        y_dest[k][...] = y
-        state.pending.extend(y.reshape(-1, 1, state.batch))
-        _horizontal(network.blocks, tail, k, state.counter)
+    queue = state.queues[0]
     if todo is not None:
-        if state.r + 1 < network.spec.height:  # nothing below the last row
-            for op in todo:
-                _vertical(network, state, op, state.r + 1)
-        if c + 1 == network.spec.width:  # the row's end
+        _run(network, state, todo, state.r - state.r % 2)
+        if c + 1 == network.spec.width:  # the row's end: the next row's queue is first
             state.r, state.ahead, c = state.r + 1, None, -1
+            state.queues.append(state.queues.pop(0))
     state.c = c + 1
-    return state.pending.popleft()
+    try:
+        return queue.popleft()
+    except IndexError:
+        raise ScheduleViolationError("a pixel step before its group") from None
 
 
 def image_incremental_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
-    """Generate the next raster pixel of every batch element: (1, batch).
-
-    A row's first pixel also runs that row's `vertical_row_pass`, which
-    raises once the image is complete.
-    """
+    """Generate the next raster pixel of every batch element: (1, batch); a
+    row's first also runs its `vertical_row_pass`, which raises at the end."""
     if state.c == 0:
         vertical_row_pass(network, state, state.r)
     return _pixel_step(network, state)
@@ -555,7 +601,9 @@ def receptive_field_2d(spec: ImageSpec) -> tuple[int, int]:
     """Bounding box (rows, cols) of image positions that can influence one pixel.
 
     Computed by interval propagation over the stream chain (worst case over
-    row parity for the strided pair), clipped to the image.
+    row parity for the strided pair), clipped to the image.  With the pair,
+    row 2j+1 reads nothing of row 2j (both take block 0's vertical features
+    from down row j, which reads rows <= 2j-1); without it, it does.
     """
     v_up = v_left = cols_left = 0
     for i in range(spec.n_layers):

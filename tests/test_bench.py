@@ -370,6 +370,19 @@ def test_verify_samples_image_networks_at_kh_one_two_and_three():
         (c, kh) for c in (1, 4, 8) for kh in (1, 2, 3)}
 
 
+def test_verify_samples_odd_heights_without_the_row_pair():
+    # `verify`'s image shapes include an odd height, which ends with a row
+    # alone; the row pair needs an even height, so only even heights get it
+    shapes = ((8, 8, 3), (8, 7, 3), (8, 8, 1), (7, 8, 3))
+    nets = _sample_networks("image2d", 3, shapes=shapes)
+    drawn = {(net.spec.height, net.spec.width, net.spec.n_layers, net.spec.row_pair)
+             for net in nets}
+    assert drawn == {(*shape, pair) for shape in shapes for pair in (False, True)} - {
+        (7, 8, 3, True)}
+    assert len(nets) == 3 * len(drawn)
+    assert {net.spec.kh for net in nets if net.spec.height == 7} == {1, 2, 3}
+
+
 def test_fault_injection_breaks_equivalence():
     # corrupting one cached-engine weight must blow the equivalence check
     spec = NetworkSpec("dilated", stacks=1, layers_per_stack=3, channels=2, seed=5)
@@ -444,7 +457,22 @@ def test_step_percentiles_take_the_median_per_position():
     position = np.array([0, 1, 0, 1, 0, 1, 0, 1])
     assert _step_percentiles(step_us, position) == {"p50_us": 1.0, "p99_us": 10.0}
     assert _period(build_image_network(ImageSpec(4, 3, channels=2, row_pair=True))) == 6
-    assert _period(build_image_network(ImageSpec(4, 3, channels=2))) == 3
+    assert _period(build_image_network(ImageSpec(4, 3, channels=2))) == 6  # rows in pairs
+
+
+@pytest.mark.parametrize("row_pair", [False, True])
+def test_period_is_the_compiled_image_schedule_period(row_pair):
+    # time_engine groups image steps by their position in a row pair: `_period`
+    # is the pair's compiled steps, 2W, with or without the row pair
+    from convgen.bench import _period
+    from convgen.image2d import _schedule
+
+    for width, layers in ((1, 1), (3, 2), (8, 3), (11, 3), (32, 3)):
+        net = build_image_network(ImageSpec(4, width, channels=2, n_layers=layers,
+                                            kw=min(3, width), h_kw=min(2, width),
+                                            row_pair=row_pair))
+        lead, lag = _schedule(width, layers, row_pair)[1][:2]
+        assert _period(net) == len(lead) + len(lag) == 2 * width
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ dump."""
 import copy
 import pickle
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -220,27 +221,29 @@ def test_vertical_row_pass_out_of_order_rejected(monkeypatch):
     state2 = image_incremental_init(net)
     with pytest.raises(ScheduleViolationError):
         _pixel_step(net, state2)  # pixel before the row pass
-    # tampered placements of row 1's vertical rows: one that never computes
-    # block 0's leaves stale rings, which row 1's pass refuses; one that runs
-    # block 0 before block 1, or before image row 0 is complete, fails there
-    groups, rows = _schedule(spec.width, spec.n_layers, False)
-    assert rows[0] == rows[1] == ((None, ((1, 0, 4),), None, ((0, 0, 4),)), ())
-    for tampered, fails_at in [((None, ((1, 0, 4),), None, ()), "row pass"),
-                               ((None, ((0, 0, 4),), None, ((1, 0, 4),)), "column 1"),
-                               ((None, ((1, 0, 4), (0, 0, 4)), None, ()), "column 1")]:
+    # tampered placements, in `_schedule`'s format, of the next pair's
+    # vertical ops on row 1's steps: one that never computes block 1's row 3
+    # leaves row 2's pass short; one that runs block 1's row 3 before its
+    # row 2, or block 0's row 2 before row 1's pixels, fails at once
+    groups, steps, start, late = _schedule(spec.width, spec.n_layers, False)
+    lead, lag, alone = steps
+    assert lag == (((0, 2, 0, 4),), ((1, 2, 0, 4),), ((1, 3, 0, 4),), (1,))
+    for tampered, fails_at in [((lead, (*lag[:2], None, lag[3]), alone), "row pass"),
+                               ((lead, (lag[0], lag[2], lag[1], lag[3]), alone), "step"),
+                               ((lead[:2] + (lead[2] + lag[0], lead[3]), (None, *lag[1:]), alone),
+                                "step")]:
         monkeypatch.setattr("convgen.image2d._schedule",
-                            lambda w, n, p, rows=((tampered, ()),) * 2: (groups, rows))
+                            lambda w, n, p, steps=tampered: (groups, steps, start, late))
         state = image_incremental_init(net)
-        vertical_row_pass(net, state, 0)
-        _pixel_step(net, state)
         if fails_at == "row pass":
-            for _ in range(spec.width - 1):
-                _pixel_step(net, state)
+            for _ in range(2 * spec.width):
+                image_incremental_step(net, state)
             with pytest.raises(ScheduleViolationError, match="not all computed"):
-                vertical_row_pass(net, state, 1)
+                vertical_row_pass(net, state, 2)
         else:
             with pytest.raises(ScheduleViolationError, match="out of order"):
-                _pixel_step(net, state)
+                for _ in range(2 * spec.width):
+                    image_incremental_step(net, state)
 
 
 @pytest.mark.parametrize("engine", ["naive", "cached"])
@@ -285,9 +288,10 @@ def test_vertical_rows_invariant_to_current_row_pixels():
 @pytest.mark.parametrize("row_pair", [False, True])
 def test_per_pixel_nodes_independent_of_height(row_pair):
     # 3 horizontal + 3 vertical (one row pass per row) + 1 head per pixel; the
-    # row pair adds one down row and two up rows per two image rows
+    # row pair adds one down row and two up rows per two image rows; odd
+    # heights (without the pair) end with a row alone
     per_pixel = 8.5 if row_pair else 7
-    for H in (6, 12, 18):
+    for H in (6, 12, 18) if row_pair else (6, 7, 12, 13, 18):
         spec = ImageSpec(H, 6, channels=4, n_layers=3, row_pair=row_pair, seed=1)
         net = build_image_network(spec)
         state = image_incremental_init(net, batch=2)
@@ -295,31 +299,50 @@ def test_per_pixel_nodes_independent_of_height(row_pair):
         for _ in range(H * 6):
             image_incremental_step(net, state)
         assert state.counter.node_evals == 2 * H * 6 * per_pixel
-        assert state.v_done == H * spec.n_layers  # no vertical row beyond the image
+        # no vertical row beyond the image
+        assert [rc.count for rc in state.row_caches] == [H] * 3 and state.done == [H * 6] * 3
 
 
 def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
-    # the benchmark's image shape: groups start at columns 0, 3, .., 30, so
-    # each row computes block 2's next vertical row into its output slot at
-    # column 1, where it waits, held, until its row starts; block 1's at
-    # column 2 reads past its ring's oldest row, so a burst's second up row
-    # (written from the first chunk, at column 10 of an odd row) joins its
-    # window there; rows counted: the rings, the pair's carry, that up row
-    # while it is ahead of block 1's window, and the held row
+    # the benchmark's image shape.  Row 2j's step c runs its group from
+    # pixel c (c = 3, 6, .., 30), row 2j+1's from c as well from step 6 on
+    # and at step 4 from 3; their groups from 0 ran before, at the image's
+    # start or on row 2j-1's step 9.  Row 2j+1's steps 1 .. 9 run the
+    # next pair's work: the carry feed, block 0's burst in three chunks,
+    # blocks 1 and 2's rows 2j+2 and 2j+3, and its first group.  Counted:
+    # the rings, the pair's carry, the rows written ahead of their
+    # readers' windows (on row 2j, the last block's row 2j+1; on row 2j+1,
+    # from the burst's first chunk on, two rows of blocks 0 .. 2), and the
+    # queued pixels
     spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
     net = build_image_network(spec)
+    groups, (lead, lag), start, late = _schedule(32, 3, True)
+    assert [c for c, items in enumerate(lead) if items] == [3, 4, *range(6, 31, 3)]
+    assert [op[:2] for op in lag[1:9] for op in op] == [
+        (0, 1), (0, 2), (0, 2), (0, 2), (1, 2), (2, 2), (1, 3), (2, 3)]
+    assert lag[9] == (1,) and groups[1] == tuple(((2, 0, i + 1), (3, 0, i + 1)) for i in range(3))
     batch = 16
     row = spec.channels * spec.width * batch
-    rings = spec.kh * (1 + 2 * spec.channels) * spec.width * batch
+    held = spec.kh * (1 + 2 * spec.channels) * spec.width * batch + row  # the rings and the carry
     state = image_incremental_init(net, batch=batch)
-    for r in range(spec.height):
-        for c in range(spec.width):
-            image_incremental_step(net, state)
-            next_row = r + 1 < spec.height  # the last row computes nothing below
-            ahead = c < 2 if r % 2 == 0 else next_row and c >= 10
-            held = next_row and 1 <= c < 31
-            assert state.cached_rows_values() == rings + row * (1 + ahead + held), (r, c)
+    peak = 0
+    for t in range(spec.height * spec.width):
+        image_incremental_step(net, state)
+        r, c = divmod(t + 1, spec.width)  # row r has run its steps 0 .. c-1
+        below = r + 1 < spec.height  # the last row computes nothing below
+        if r == spec.height:
+            ahead = queued = 0
+        elif r % 2 == 0:
+            ahead, groups_done = 1, max(0, (c - 1) // 3)
+            queued = min(32, 3 + 3 * groups_done) - c  # row r's
+            queued += min(32, 3 * (1 + (c >= 5) + max(0, groups_done - 1)))  # row r+1's
+        else:
+            ahead = 2 * (below and c >= 3)
+            queued = 32 - c + 6 * (below and c >= 10)
+        assert state.cached_rows_values() == held + row * ahead + batch * queued, (r, c)
+        peak = max(peak, state.cached_rows_values())
     assert 4 * state.cached_rows_values() == 86016
+    assert 4 * peak == 4 * (held + 2 * row + batch * 29) == 120640  # after the first burst chunk
 
 
 def test_row_cache_memory_bounded_by_kh():
@@ -424,16 +447,16 @@ def test_forked_state_continues_bit_exact(row_pair):
     assert not any(np.shares_memory(a, b) for a in _buffers(restored) for b in _buffers(state))
     assert restored.cached_rows_values() == state.cached_rows_values()
     got = [image_incremental_step(net, restored) for _ in range(36 - fork_at)]
-    # every group op, the tail's too, views the restored buffer it must lie
-    # over, for every ring slot: its windows block 0's image ring (block 0)
-    # or `buf`, its vertical rows block i's outputs (block i+1's ring or
+    # every group op views the restored buffer it must lie over, for every
+    # pair of ring slots: its windows block 0's image ring (block 0) or
+    # `buf`, its vertical rows block i's outputs (block i+1's ring or
     # `last`), its dest `buf` (the last block's: its group's head column);
-    # each group's y_dests view the image ring; none views the original
+    # each group's pixels view the image ring; none views the original
     image = restored.row_caches[0].ring
-    originals = _buffers(state) + [group[1].buf for group in state.groups]
-    for ops, head, y_dests, tail in restored.groups:
-        views = [(y, image) for y in y_dests]
-        for i, windows, _, vrows, *_, dest in ops + tail:
+    originals = _buffers(state) + [group[2].buf for group in state.groups.values()]
+    for _, ops, head, y_dest, *_ in restored.groups.values():
+        views = [(y, image) for y in y_dest]
+        for i, windows, _, vrows, *_, dest in ops:
             views += [(w, restored.buf if i else image) for w in windows]
             views += [(v, restored.outputs(i)) for v in vrows]
             views.append((dest, restored.buf if i < spec.n_layers - 1 else head.buf))
@@ -485,172 +508,218 @@ def test_step_outputs_are_fresh_arrays():
 def test_grouped_step_matches_forward_image(n_layers, h_kw, row_pair, batch):
     # widths around the group size: one partial group, one whole group, a
     # group and one pixel, and two groups and one pixel; kh = 1 keeps only
-    # the row above in each cache, kh = 3 wraps a deeper ring
-    for kh in (1, 2, 3):
+    # the row above in each cache, kh = 3 wraps a deeper ring; without the
+    # pair, an odd height ends with a row alone
+    for kh, height in product((1, 2, 3), (4,) if row_pair else (4, 5)):
         for width in (n_layers - 1, n_layers, n_layers + 1, 2 * n_layers + 1):
             if width < h_kw:
                 continue
-            spec = ImageSpec(4, width, channels=3, n_layers=n_layers, kh=kh, kw=min(3, width),
-                             h_kw=h_kw, row_pair=row_pair, seed=10 * n_layers + width)
+            spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kh=kh,
+                             kw=min(3, width), h_kw=h_kw, row_pair=row_pair,
+                             seed=10 * n_layers + width)
             net = build_image_network(spec)
             out = generate(net, batch=batch)  # raster order: row i is pixel i of every image
-            want = forward_image(net, out.reshape(1, 4, width, batch)).reshape(-1, batch)
-            assert np.max(np.abs(out - want)) <= EQUIV_TOL, f"kh {kh}, width {width}"
+            want = forward_image(net, out.reshape(1, height, width, batch)).reshape(-1, batch)
+            assert np.max(np.abs(out - want)) <= EQUIV_TOL, f"kh {kh}, {height}x{width}"
 
 
-def _op_work(net, op, row, batch):
-    """(MACs, nodes) of vertical op (i, lo, hi) on `row`: block i's vconv
-    node per column, and on a burst row, an even one with the pair, block
-    0's down node and two up nodes per column too."""
-    i, lo, hi = op
+def _item_work(net, item, base, batch):
+    """(MACs, nodes) of a `_schedule` item for the pair from row `base`,
+    counting rows inside the image only.  A group: each block's node (the
+    horizontal conv with its link folded in) over its columns, and the head
+    over the last block's.  A vertical op (i, t, lo, hi): block i's vconv
+    node per column; on a burst, an even row of block 0 with the pair, the
+    down node and the two up nodes per column too."""
+    spec = net.spec
+    if isinstance(item, int):
+        groups = _schedule(spec.width, spec.n_layers, spec.row_pair)[0]
+        cols = [[(hi - lo) * batch for d, lo, hi in parts if base + d < spec.height]
+                for parts in groups[item]]
+        macs = sum(sum(n) * (b.horiz.macs + b.link.macs) for n, b in zip(cols, net.blocks))
+        return macs + sum(cols[-1]) * net.proj.macs, sum(map(sum, cols)) + sum(cols[-1])
+    i, t, lo, hi = item
+    if base + t >= spec.height:
+        return 0, 0
     block, n = net.blocks[i], (hi - lo) * batch
-    macs, nodes = n * block.vert.macs, n
-    if i == 0 and net.spec.row_pair and row % 2 == 0:
-        macs, nodes = macs + n * (block.down.macs + block.up.macs), nodes + 3 * n
-    return macs, nodes
+    if i == 0 and spec.row_pair and (base + t) % 2 == 0:
+        return n * (block.vert.macs + block.down.macs + block.up.macs), 4 * n
+    return n * block.vert.macs, n
+
+
+def _items_at(spec, r, c):
+    """(item, pair base) of what step (r, c) runs: at a pair's start what
+    `_schedule` leaves to it (at row 0, the first pair's), then the step's
+    own (an odd height's last row has its own steps)."""
+    _, steps, start, late = _schedule(spec.width, spec.n_layers, spec.row_pair)
+    base = r - r % 2
+    items = [(item, max(0, base - 2)) for item in (late if r else start)] if c == r % 2 == 0 else []
+    alone = r + 1 == spec.height and r % 2 == 0  # an odd height's last row
+    return items + [(item, base) for item in steps[2 if alone else r % 2][c] or ()]
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
 @pytest.mark.parametrize("n_layers,h_kw,width",
                          [(1, 1, 3), (2, 2, 5), (3, 2, 7), (3, 3, 8), (4, 1, 3), (3, 2, 11)])
 def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
-    # after row r's last pixel the counts are those of rows 0..r in full and
-    # of the vertical ops the row ran for row r+1: a row is each block's
-    # vertical node and horizontal node (its link folded in) per column and
-    # the head, plus the pair's burst (a down and two up rows) on even rows.
-    # What no step after the row's last group could run, (width - 1) %
-    # n_layers == 0, waits for the next row's start
-    batch, height = 2, 4
-    spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width), h_kw=h_kw,
-                     row_pair=row_pair, seed=n_layers)
-    net = build_image_network(spec)
-    n = width * batch
-    horizontal = np.array([n * (sum(b.horiz.macs + b.link.macs for b in net.blocks)
-                                + net.proj.macs), n * (n_layers + 1)])
-    _, rows = _schedule(width, n_layers, row_pair)
-    state = image_incremental_init(net, batch=batch)
-    done = np.zeros(2, np.int64)  # rows 0..r in full
-    for r in range(height):
-        for _ in range(width):
-            image_incremental_step(net, state)
-        whole = [(i, 0, width) for i in range(n_layers)]
-        done += horizontal + np.sum([_op_work(net, op, r, batch) for op in whole], axis=0)
-        ran = [op for ops in rows[r % 2][0] if ops for op in ops] if r + 1 < height else []
-        want = done + np.sum([(0, 0)] + [_op_work(net, op, r + 1, batch) for op in ran], axis=0)
-        assert state.counter.snapshot() == tuple(want), r
-        assert not state.pending  # a row's groups leave no pixel queued
-        with pytest.raises(ScheduleViolationError):
-            _pixel_step(net, state)  # the next row's pixels need its row pass first
+    # after a pair's last pixel, the counts are those of its rows and the
+    # rows above in full (per column each block's horizontal node, its link
+    # folded in, and vertical node, and the head; with the pair, each even
+    # row's down node and two up nodes), plus the next pair's vertical rows
+    # (without the pair, block 0's second row follows the next pair's first
+    # row) and its first group, less what `_schedule` leaves to the next
+    # pair's start; its queues then hold that group's pixels
+    batch = 2
+    for height in (4,) if row_pair else (4, 5):
+        spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width),
+                         h_kw=h_kw, row_pair=row_pair, seed=n_layers)
+        net = build_image_network(spec)
+        _, _, start, late = _schedule(width, n_layers, row_pair)
+        n = width * batch
+        horizontal = (n * (sum(b.horiz.macs + b.link.macs for b in net.blocks) + net.proj.macs),
+                      n * (n_layers + 1))
+        state = image_incremental_init(net, batch=batch)
+        for r in range(height):
+            for _ in range(width):
+                image_incremental_step(net, state)
+            if r % 2 == 0 and r + 1 < height:
+                continue
+            work = [horizontal] * (r + 1) + [_item_work(net, start[-1], r + 1, batch)]
+            work += [_item_work(net, (i, t, 0, width), 0, batch) for i in range(n_layers)
+                     for t in range(r + 2 + (i > 0 or row_pair)) if not (
+                         row_pair and i == 0 and t % 2)]  # a burst computes two rows
+            feeds = (min(r + 2, height) // 2) * row_pair  # each odd row's carry
+            work += [(n * net.blocks[0].vert.macs, n)] * feeds
+            work += [tuple(-x for x in _item_work(net, item, r - 1, batch)) for item in late]
+            assert state.counter.snapshot() == tuple(map(sum, zip(*work))), (height, r)
+            ran = r + 1 < height and start[-1] + 1 not in late  # the next pair's first group
+            assert sum(map(len, state.queues)) == ran * min(n_layers, width) * (1 + row_pair)
 
 
 def _check_placement(width, n_layers, row_pair):
-    """The compiled placement's invariants: per row, each of blocks n-1 ..
-    1 once as a whole row, last block first, then block 0's ops covering
-    its columns in order; none on a group step, at most one per step before
-    the last group; block 0's op over columns lo..hi-1 on a step after the
-    group that computes pixel hi-1, its last op right after the row's last
-    group or at the next row's start; up to three ops on a burst row, one
-    otherwise.  Returns the number of block 0 ops per row parity."""
-    groups, rows = _schedule(width, n_layers, row_pair)
-    last = n_layers * (len(groups) - 1)
-    chunks = []
-    for parity, (ahead, start) in enumerate(rows):
-        assert len(ahead) == width and ahead[-1] is not None  # the row's end is no plain pop
-        placed = [(c, op) for c, ops in enumerate(ahead) if ops for op in ops]
-        placed += [(width, op) for op in start]
-        assert [op[0] for _, op in placed] == [*range(n_layers - 1, 0, -1)] + [0] * (
-            len(placed) - n_layers + 1)
-        assert all(op[1:] == (0, width) for _, op in placed[: n_layers - 1])
-        ops0 = [op for _, op in placed[n_layers - 1 :]]
-        assert [lo for _, lo, _ in ops0] == [0] + [hi for _, _, hi in ops0[:-1]]
-        assert ops0[-1][2] == width and all(lo < hi for _, lo, hi in ops0)
-        assert not any(ahead[c] for c in range(0, width, n_layers))
-        assert all(len(ops) <= 1 for ops in ahead[:last] if ops)
-        for c, (_, lo, hi) in placed[n_layers - 1 :]:
-            assert c > n_layers * ((hi - 1) // n_layers)  # after the group of pixel hi - 1
-        assert placed[-1][0] == min(last + 1, width)
-        burst = row_pair and parity == 1
-        assert len(ops0) <= (3 if burst else 1)
-        chunks.append(len(ops0))
-    return chunks
+    """The compiled placement's invariants: each row's groups tile each
+    block's columns once, in order, the pair's first group before its steps
+    (the next pair's on row 2j+1's), its first group step on one row (n >
+    1), two rows' parts equally wide; without the pair, block 0's row 2j+1
+    in chunks right after the group of row 2j whose pixels they read, each
+    before row 2j+1's groups that read it.  Row 2j+1's steps, its first
+    unless too few, take the next pair's work one item each, in order: the
+    feed, block 0's row 2j+2 (a burst in up to three chunks with the pair),
+    blocks 1 .. n-1's rows 2j+2 and then 2j+3, and its first group; what
+    they cannot take is `late`.  Returns the number of block 0 chunks."""
+    groups, steps, start, late = _schedule(width, n_layers, row_pair)
+    first, after = start[-1], start[-1] + 1
+    flat = [(d * width + c, item) for d in (0, 1) for c, items in enumerate(steps[d]) if items
+            for item in items]
+    runs = [(p, g) for p, g in flat if isinstance(g, int) and g != after]
+    for d, i in product((0, 1)[: 1 + (width > 0)], range(n_layers)):
+        spans = [(lo, hi) for g in [first] + [g for _, g in runs] for e, lo, hi in groups[g][i]
+                 if e == d]
+        assert [lo for lo, _ in spans] == [0, *(hi for _, hi in spans[:-1])]
+        assert spans[-1][1] == width
+    assert all(len({hi - lo for _, lo, hi in parts}) == 1 for g in groups for parts in g)
+    assert groups[after] == tuple(tuple((d + 2, lo, hi) for d, lo, hi in parts)
+                                  for parts in groups[first])
+    assert len(groups[first][-1]) == 1 + row_pair
+    if n_layers > 1 and width > n_layers:
+        assert len(groups[runs[0][1]][-1]) == 1  # the pair's first group step: one row
+    ops = [(p, op) for p, op in flat if not isinstance(op, int)]
+    chunks = [(p, op[2:]) for p, op in ops if op[:2] == (0, 1) and not row_pair]
+    if not row_pair:
+        assert [span for _, span in chunks] == [(c, min(c + n_layers, width))
+                                                for c in range(0, width, n_layers)]
+        assert all(p == lo + 1 or p == lo == width - 1 for p, (lo, _) in chunks)
+        for p, g in runs:  # each group of row 2j+1 after the chunk its block 0 reads
+            need = max([hi for d, _, hi in groups[g][0] if d], default=0)
+            assert all(q <= p for q, (lo, _) in chunks if lo < need)
+    placed = [(p, op) for p, op in flat if p >= width and (
+        op == after or not isinstance(op, int) and not (op[:2] == (0, 1) and not row_pair))]
+    work = [op for _, op in placed] + list(late)
+    burst = [op[2:] for op in work if op != after and op[:2] == (0, 2)]
+    assert work == [(0, 1, 0, width)] * row_pair + [(0, 2, *span) for span in burst] + [
+        (i, t, 0, width) for t in (2, 3) for i in range(1, n_layers)] + [after]
+    assert [lo for lo, _ in burst] == [0, *(hi for _, hi in burst[:-1])] and burst[-1][1] == width
+    assert len(burst) <= (3 if row_pair else 1)
+    spots = [p for p, _ in placed]
+    assert len(set(spots)) == len(spots) and spots == sorted(spots)
+    free = [p for p in range(width + 1, 2 * width) if set(steps[1][p - width] or ()) <= set(work)]
+    assert (width in spots) == (len(free) < len(work))  # row 2j+1's first step only if needed
+    assert all(steps[d][-1] is not None for d in (0, 1))
+    return len(burst)
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
 @pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
 def test_step_counts_follow_the_compiled_placement(n_layers, row_pair):
-    # widths on both sides of the fallback: where (width - 1) % n_layers == 0,
-    # always so with one block, no step follows a row's last group; each
-    # step's MAC and node deltas are its group's and its placed vertical ops'
-    batch, height = 2, 4
-    for width in (1, 2, n_layers + 1, 2 * n_layers + 1, 2 * n_layers + 2, 8, 11):
+    # widths on both sides of the fallbacks: where row 2j+1 has fewer steps
+    # than the next pair's work, the rest runs at the next pair's start; each
+    # step's MAC and node deltas are those of the items the compiled placement
+    # runs there, and odd heights (without the pair) end with a row alone
+    batch = 2
+    for width, height in product((1, 2, n_layers + 1, 2 * n_layers + 1, 2 * n_layers + 2, 8, 11),
+                                 (4,) if row_pair else (4, 5)):
         spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width),
                          h_kw=min(2, width), row_pair=row_pair, seed=width)
         net = build_image_network(spec)
         chunks = _check_placement(width, n_layers, row_pair)
-        groups, rows = _schedule(width, n_layers, row_pair)
         state = image_incremental_init(net, batch=batch)
-        for r in range(height):
-            for c in range(width):
-                if c == 0:
-                    ops = rows[(r - 1) % 2][1] if r else [(i, 0, width)
-                                                         for i in reversed(range(n_layers))]
-                    work = [_op_work(net, op, r, batch) for op in ops]
-                else:
-                    work = []
-                if r + 1 < height:
-                    work += [_op_work(net, op, r + 1, batch) for op in rows[r % 2][0][c] or ()]
-                if c % n_layers == 0:
-                    main, tail = groups[c // n_layers]
-                    # each block node is the horizontal conv with the link folded in
-                    work += [((hi - lo) * batch * (net.blocks[i].horiz.macs + net.blocks[i].link.macs),
-                              (hi - lo) * batch) for i, lo, hi in main + tail]
-                    g = (main[-1][2] - main[-1][1]) * batch  # the head's pixels
-                    work.append((g * net.proj.macs, g))
-                macs0, nodes0 = state.counter.snapshot()
-                image_incremental_step(net, state)
-                got = (state.counter.macs - macs0, state.counter.node_evals - nodes0)
-                assert got == tuple(map(sum, zip((0, 0), *work))), (width, r, c)
+        for r, c in product(range(height), range(width)):
+            work = [_item_work(net, item, base, batch) for item, base in _items_at(spec, r, c)]
+            macs0, nodes0 = state.counter.snapshot()
+            image_incremental_step(net, state)
+            got = (state.counter.macs - macs0, state.counter.node_evals - nodes0)
+            assert got == tuple(map(sum, zip((0, 0), *work))), (width, height, r, c)
         if row_pair and width == 11 and n_layers == 3:
-            assert chunks == [1, 3]  # a burst row's block 0 in three chunks
+            assert chunks == 3  # a burst in three chunks
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
 def test_tampered_chunk_placement_raises(row_pair, monkeypatch):
-    # width 11, 3 blocks: block 0's row takes columns 0..3 at step 4, 4..6 at
-    # step 7 and 7..10 at step 10 on a burst row; each placement below
-    # breaks one rule and must raise, not compute from pixels or rows that
-    # are not there yet
+    # width 11, 3 blocks.  Without the pair, block 0's row 2j+1 runs in
+    # chunks at steps 1, 4, 7 and 10 of row 2j, row 2j+1's groups from 0, 6
+    # and 9 alone at steps 1, 7 and 10 and from 3 with row 2j's from 6;
+    # row 2j+1's steps 1 .. 5 run blocks 0, 1 and 2's row 2j+2, then blocks
+    # 1 and 2's row 2j+3.
+    # With it, row 2j+1's steps 1 .. 9 run the feed, the burst's three
+    # chunks, blocks 1 and 2's rows 2j+2 and 2j+3 and the next pair's first
+    # group (index 1).  Each placement below breaks one rule and must raise,
+    # not compute from pixels or rows that are not there yet
     spec = ImageSpec(4, 11, channels=3, n_layers=3, row_pair=row_pair, seed=3)
     net = build_image_network(spec)
-    groups, rows = _schedule(11, 3, row_pair)
-    ahead, start = rows[1]
+    groups, steps, start, late = _schedule(11, 3, row_pair)
+    lead, lag = steps[:2]
     if row_pair:
-        assert [(c, ops) for c, ops in enumerate(ahead) if ops and ops[0][0] == 0] == [
-            (4, ((0, 0, 4),)), (7, ((0, 4, 7),)), (10, ((0, 7, 11),))]
+        assert [lag[c] for c in range(1, 10)] == [
+            ((0, 1, 0, 11),), ((0, 2, 0, 4),), ((0, 2, 4, 7),), ((0, 2, 7, 11),),
+            ((1, 2, 0, 11),), ((2, 2, 0, 11),), ((1, 3, 0, 11),), ((2, 3, 0, 11),), (1,)]
     else:
-        assert ahead[10] == ((0, 0, 11),) and start == ()
+        assert [(c, lead[c]) for c in (1, 4, 6, 7, 10)] == [
+            (1, ((0, 1, 0, 3), 5)), (4, ((0, 1, 3, 6),)), (6, (3,)),
+            (7, ((0, 1, 6, 9), 6)), (10, ((0, 1, 9, 11), 7))]
 
-    def moved(*pairs):
-        out = list(ahead)
-        for c, ops in pairs:
-            out[c] = ops
+    def moved(row, *pairs):
+        out = list(row)
+        for c, items in pairs:
+            out[c] = items
         return tuple(out)
 
-    whole = (0, 0, 11)
-    tampered = [  # the row's last step keeps its (maybe empty) ops: it ends the row
-        moved((10, ()), (4, None), (7, None), (5, (whole,))),  # before the last pixels
-        moved((1, None), (10, ((2, 0, 11),) + ahead[10])),  # block 2 after block 1
-        moved((10, ())),  # block 0 never finishes its row
-    ]
     if row_pair:
-        tampered += [
-            moved((4, ((0, 4, 7),)), (7, ((0, 0, 4),))),  # chunks out of column order
-            moved((4, ((0, 0, 7),)), (7, None)),  # a chunk past the pixels written
-            moved((7, ((0, 5, 7),))),  # a gap in the columns
+        tampered = [
+            (lead, moved(lag, (2, lag[3]), (3, lag[2]))),  # burst chunks out of column order
+            (lead, moved(lag, (1, lag[2]), (2, lag[1]))),  # a burst chunk before the feed
+            (moved(lead, (1, lag[2])), moved(lag, (2, None))),  # a chunk before row 1's pixels
+            (lead, moved(lag, (5, lag[7]), (7, lag[5]))),  # block 1's row 3 before its row 2
+            (lead, moved(lag, (5, lag[9]), (9, lag[5]))),  # the next pair's group before its rows
+        ]
+    else:
+        tampered = [
+            (moved(lead, (4, None), (3, ((0, 1, 3, 6), 2))), lag),  # a chunk before its pixels
+            (moved(lead, (1, ((0, 1, 3, 6), 5)), (4, ((0, 1, 0, 3),))), lag),  # chunks out of order
+            (moved(lead, (6, (3, 6)), (7, ((0, 1, 6, 9),))), lag),  # row 1's group before its chunk
+            (lead, moved(lag, (1, lag[4]), (4, lag[1]))),  # block 1's row 3 before block 0's row 2
         ]
     for bad in tampered:
         monkeypatch.setattr("convgen.image2d._schedule",
-                            lambda w, n, p, bad=bad: (groups, (rows[0], (bad, start))))
+                            lambda w, n, p, bad=bad: (groups, (*bad, *steps[2:]), start, late))
         state = image_incremental_init(net)
         with pytest.raises(ScheduleViolationError):
             for _ in range(3 * 11):  # rows 0 and 1, and row 2's start
@@ -708,26 +777,25 @@ def test_up_phases_are_the_up_layers_phases_built_once():
 @pytest.mark.parametrize("row_pair", [False, True])
 @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
 def test_fork_at_every_offset_in_a_group_continues_bit_exact(how, row_pair):
-    # width 8 with 3 blocks: groups start at columns 0, 3 and 6, the last
-    # one short with a tail; a fork at any column carries the pixels its
-    # group queued.  Width 11: groups at 0, 3, 6 and 9; row r+1's vertical
-    # rows of blocks 2 and 1 run at columns 1 and 2 of row r, block 2's held
-    # until row r+1 starts, and with the pair an odd row (a burst) splits
-    # block 0's into three chunks, at columns 4, 7 and 10, each writing two
-    # up rows ahead.  Forks at every step of row 1 (a burst row) and row 2
+    # forks at every step of a whole row pair, rows 2 and 3 of 6, so both
+    # rows are in flight and row 3's steps compute the next pair's vertical
+    # rows and first group: width 8 with 3 blocks (groups from 0, 3 and 6,
+    # the last to the row's end) and width 11 (from 0, 3, 6 and 9; with the
+    # pair, block 0's burst in three chunks); a fork carries the pixels its
+    # groups queued and the rows written ahead
     fork_of = {"deepcopy": copy.deepcopy, "pickle": lambda s: pickle.loads(pickle.dumps(s))}[how]
     for width in (8, 11):
-        spec = ImageSpec(4, width, channels=3, n_layers=3, row_pair=row_pair, seed=21)
+        spec = ImageSpec(6, width, channels=3, n_layers=3, row_pair=row_pair, seed=21)
         net = build_image_network(spec)
         whole = generate(net, batch=2)
-        for fork_at in range(width, 3 * width):
+        for fork_at in range(2 * width, 4 * width):
             state = image_incremental_init(net, batch=2)
             for _ in range(fork_at):
                 image_incremental_step(net, state)
             fork = fork_of(state)
             assert fork.cached_rows_values() == state.cached_rows_values()
             outs = {"state": [], "fork": []}
-            for _ in range(4 * width - fork_at):
+            for _ in range(6 * width - fork_at):
                 for name, st in (("state", state), ("fork", fork)):  # interleaved
                     outs[name].append(image_incremental_step(net, st))
             for name in outs:
@@ -778,6 +846,27 @@ def test_receptive_field_2d_matches_perturbation(kh, kw, h_kw, n_layers, row_pai
             r, c = divmod(p, W)
             rows, cols = max(rows, r_out - r + 1), max(cols, W - c)
     assert receptive_field_2d(spec) == (rows, cols)
+
+
+@pytest.mark.parametrize("kh", [1, 2, 3])
+@pytest.mark.parametrize("n_layers", [1, 2, 3, 4])
+def test_row_pair_leaves_the_second_row_independent_of_the_first(n_layers, kh):
+    # the oracle, not the engine: with the pair, block 0's vertical rows 2j
+    # and 2j+1 are the up phases of down row j, which reads image rows up to
+    # 2j-1, so perturbing row 2j leaves forward_image's predictions for row
+    # 2j+1 bit-identical; without the pair they change.  The cached engine
+    # runs row 2j+1's groups with row 2j's on this alone
+    H, W = 8, 6
+    x = np.random.default_rng(kh).uniform(-1, 1, (1, H, W, 1)).astype(np.float32)
+    for row_pair in (False, True):
+        net = build_image_network(ImageSpec(H, W, channels=3, n_layers=n_layers, kh=kh,
+                                            row_pair=row_pair, seed=n_layers))
+        base = forward_image(net, x)
+        for j in range(H // 2):
+            pert = x.copy()
+            pert[0, 2 * j] += 0.5
+            same = np.array_equal(forward_image(net, pert)[0, 2 * j + 1], base[0, 2 * j + 1])
+            assert same == row_pair, (row_pair, j)
 
 
 def test_write_pgm(tmp_path):

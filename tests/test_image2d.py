@@ -611,7 +611,7 @@ def _check_placement(width, n_layers, row_pair):
     flat = [(d * width + c, item) for d in (0, 1) for c, items in enumerate(steps[d]) if items
             for item in items]
     runs = [(p, g) for p, g in flat if isinstance(g, int) and g != after]
-    for d, i in product((0, 1)[: 1 + (width > 0)], range(n_layers)):
+    for d, i in product((0, 1), range(n_layers)):
         spans = [(lo, hi) for g in [first] + [g for _, g in runs] for e, lo, hi in groups[g][i]
                  if e == d]
         assert [lo for lo, _ in spans] == [0, *(hi for _, hi in spans[:-1])]

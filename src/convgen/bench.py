@@ -43,7 +43,6 @@ from .image2d import (
     image_incremental_step,
     image_naive_init,
     image_naive_step,
-    _schedule,
 )
 from .strided import (
     StridedPlan,
@@ -226,8 +225,7 @@ def _period(network) -> int:
     if spec.family == "strided":
         return network.plan.period
     if spec.family == "image2d":
-        lead, lag = _schedule(spec.width, spec.n_layers, spec.row_pair)[1][:2]
-        return len(lead) + len(lag)
+        return 2 * spec.width
     return 1
 
 

@@ -1,11 +1,17 @@
 """Hidden-state caching machinery: a checked FIFO queue and 2D row caches.
 (The firing schedule of strided/transposed stacks is `strided.StridedPlan`.)
 
-A `FifoCache` holds exactly `capacity` states, pre-filled with one shared
-read-only zero vector (`_frozen_zeros`), the causal padding the naive
-engine reads.  Pop and push strictly alternate; any other order raises.  No
-engine uses it (the dilated engine reads one ring per layer at offset +
-t % dilation); it is kept for its tests and the benchmark tracer.
+`_frozen_zeros(width)` is the one shared read-only zero vector per width
+that pre-fills a `FifoCache`, so the pre-fill costs no allocation per slot
+and cannot be corrupted through a reference read from the cache.
+
+A `FifoCache` holds exactly `capacity` states and is pre-filled with zeros
+so that popping at the start of a sequence reads the same implicit causal
+padding the naive engine uses.  Pop and push strictly alternate; any other
+order is a scheduling bug and raises instead of producing plausible output.
+No engine uses it any more (the dilated engine keeps one ring read at row
+offset + t % dilation per layer); it is kept for its own tests and for the
+benchmark tracer, which patches its methods.
 
 A `RowCache` holds the last kh rows a 2D vertical conv reads in a ring of
 zero-left-padded slots, so `column(lo, hi)` fills the conv's fused column
@@ -98,10 +104,13 @@ class RowCache:
     Row t lives in slot t % `slots` of `ring`, (slots, channels, (pad +
     width) * batch), each slot left-padded with `pad` >= kw - 1 zero
     columns, so a row's kw column windows (window j at column c holds row
-    column c - kw + 1 + j) are one read-only view.  A writer may store rows
-    count .. count + slots - height - 1 in `body`, (slots, channels, width,
-    batch), and advances `count` itself; `push_row` copies one in.
-    `column(lo, hi)` fills the fused column over output columns lo .. hi-1."""
+    column c - kw + 1 + j, zero left of the image) are one read-only view.
+    `body` views every slot's row, (slots, channels, width, batch): a writer
+    may store rows count .. count + slots - height - 1 there, ahead of the
+    window, and advances `count` itself; `push_row` copies one in.
+    `column(lo, hi)` fills the conv's fused column over output columns
+    lo .. hi-1 with one copy per cached row: scratch, built on first use.
+    """
 
     __slots__ = ("height", "width", "channels", "batch", "kw", "slots", "pad", "row_shape",
                  "ring", "body", "count", "_windows", "_columns")

@@ -352,9 +352,7 @@ def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: i
 
 def _pixels_ready(state: ImageGenState, row: int, hi: int) -> bool:
     """Whether image row `row` has `hi` pixels written, every row above all."""
-    now = state.c + len(state.queues[0])  # the current row's: returned and queued
-    return row < state.r or row == state.r and now >= hi or row == state.r + 1 and (
-        now == state.row_caches[0].width and len(state.queues[1]) >= hi)
+    return row < state.r or row == state.r and state.c + len(state.queues[0]) >= hi
 
 
 def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, base: int) -> None:
@@ -474,61 +472,87 @@ def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
     return tuple(groups), rows, start, tuple(work[len(spots):])
 
 
-def _bind(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
-    """Group g of `_schedule` over this state's buffers: its first row d,
-    ops (block, windows, Column taps, vertical rows, Column link rows,
-    Column, dot output, tanh source, dest), head, pixels' places and shape,
-    queues (row d, pixels a .. b-1) and the raster position from row 2j
-    its vertical rows must reach; views per pair of ring slots, with a row
-    axis for two parts; columns shared by equal shapes in `scratch`."""
+_LAYOUTS: dict = {}  # (spec, batch, group) -> `_layout`
+
+
+def _layout(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
+    """Group g of `_schedule` as places in a state's buffers (block i's ring,
+    `last`, `buf`), once per (spec, batch), so that a fresh or forked state
+    only builds the views (`_bind`): its first row, ops (block, input
+    channels, columns, two rows?, windows, vertical rows, dest or None for
+    the head's column), head columns, pixels, queues (row d, pixels a .. b-1)
+    and the raster position its vertical rows must reach.  A view is
+    (buffer, shape, (offset, strides) per pair of ring slots, repeats)."""
     C, B, hk, n = spec.channels, state.batch, spec.h_kw, spec.n_layers
-    image, buf, scratch = state.row_caches[0], state.buf, state.scratch
-    slots, f = image.slots, buf.itemsize  # every buffer's column stride
+    main = _schedule(spec.width, n, spec.row_pair)[0][g]
+    if (spec, B, main) in _LAYOUTS:
+        return _LAYOUTS[spec, B, main]
+    bufs = [*(rc.ring for rc in state.row_caches), state.last, state.buf]
+    image, f = state.row_caches[0], bufs[-1].itemsize  # every buffer's column stride
+    slots = image.slots
 
-    def view(parts, base, shape, strides, ch=0, pad=0):
-        """Per pair of slots, the parts' (*shape, width) view of base, a ring
-        of slots or `buf`, from channel offset ch and column pad."""
-        ring, (d, lo, hi) = base is not buf, parts[0]
-        views = []
+    def view(parts, b, shape, strides, ch=0, pad=0):
+        """The parts' (*shape, width) view of buffer b, a ring of slots or
+        `buf`, from channel offset ch and column pad, per pair of slots."""
+        ring, (d, lo, hi), base = b <= n, parts[0], bufs[b]
+        at = []
         for q in range(0, slots, 2) if ring else (0,):
-            at = [((q + e) % slots if ring else e % 2) * base.strides[0] + ch + (pad + a) * B * f
-                  for e, a, _ in parts]
-            views.append(np.ndarray((*shape, *[2][: len(at) - 1], (hi - lo) * B), DTYPE, base,
-                                    at[0], (*strides[:-1], *(x - at[0] for x in at[1:]), f)))
-        return views * (slots // 2 // len(views))
+            o = [((q + e) % slots if ring else e % 2) * base.strides[0] + ch + (pad + a) * B * f
+                 for e, a, _ in parts]
+            at.append((o[0], (*strides[:-1], *(x - o[0] for x in o[1:]), f)))
+        return b, (*shape, *[2][: len(parts) - 1], (hi - lo) * B), tuple(at), slots // 2 // len(at)
 
-    def split(x, parts):  # a node's scratch as the parts' views lay it out
-        return x.reshape(*x.shape[:-1], 2, -1) if len(parts) == 2 else x
+    def op(i, parts):
+        k, b_ch = 1 if i == 0 else C, bufs[-1].strides[1]
+        if i == 0:  # its input: the image, h_kw columns left of each output column
+            windows = view(parts, 0, (hk, 1), (B * f, image.ring.strides[1], f), pad=image.pad - hk)
+        else:
+            windows = view(parts, n + 1, (hk, C), (B * f, b_ch, f), ch=(i - 1) * C * b_ch)
+        vrows = view(parts, i + 1, (C,), (bufs[i + 1].strides[1], f),
+                     pad=spec.kw - 1 if i < n - 1 else 0)
+        dest = view(parts, n + 1, (C,), (b_ch, f), ch=i * C * b_ch, pad=hk) if i < n - 1 else None
+        return i, k, sum(hi - lo for _, lo, hi in parts) * B, len(parts) == 2, windows, vrows, dest
 
-    def shared(k, m):  # [h_kw taps of k channels; vertical row; 1], its dot's output (head: k=0)
+    px = main[-1]  # the head's pixels
+    ends = [0, *accumulate(hi - lo for _, lo, hi in px)]
+    _LAYOUTS[spec, B, main] = layout = (
+        px[0][0], tuple(op(i, parts) for i, parts in enumerate(main)), ends[-1] * B,
+        view(px, 0, (1,), (image.ring.strides[1], f), pad=image.pad),
+        tuple((d, a, b) for (d, _, _), a, b in zip(px, ends, ends[1:])),
+        max(d * spec.width + hi for parts in main for d, _, hi in parts))
+    return layout
+
+
+def _bind(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
+    """Group g's `_layout` over this state's buffers: its first row, ops
+    (block, windows, Column taps, vertical rows, Column link rows, Column,
+    dot output, tanh source, dest), head, pixels and their shape, queues
+    and the raster position; each node's [h_kw taps of k channels; vertical
+    row; 1] and dot output (the head's: k = 0) shared by shapes in `scratch`."""
+    C, hk, scratch = spec.channels, spec.h_kw, state.scratch
+    bufs = [*(rc.ring for rc in state.row_caches), state.last, state.buf]
+    first, ops, m_head, y_dest, queues, need = _layout(spec, state, g)
+
+    def views(b, shape, at, repeats):
+        return [np.ndarray(shape, DTYPE, bufs[b], o, s) for o, s in at] * repeats
+
+    def shared(k, m):
         if (k, m) not in scratch:
             col = Column(np.ones((hk * k + C + 1, m), DTYPE), k or C)
             scratch[k, m] = (col, col.buf[: hk * k].reshape(hk, k, m), col.buf[hk * k : -1],
                              np.empty((C, m), DTYPE))
         return scratch[k, m]
 
-    def op(i, parts):
-        m = sum(hi - lo for _, lo, hi in parts) * B
-        (col, taps, link, out), b_ch = shared(1 if i == 0 else C, m), buf.strides[1]
-        if i == 0:  # its input: the image, h_kw columns left of each output column
-            windows = view(parts, image.ring, (hk, 1), (B * f, image.ring.strides[1], f),
-                           pad=image.pad - hk)
-        else:
-            windows = view(parts, buf, (hk, C), (B * f, b_ch, f), ch=(i - 1) * C * b_ch)
-        rows, pad = (state.row_caches[i + 1].ring, spec.kw - 1) if i < n - 1 else (state.last, 0)
-        vrows = view(parts, rows, (C,), (rows.strides[1], f), pad=pad)
-        src, dest = (out, head.buf[:-1]) if i == n - 1 else (
-            split(out, parts), view(parts, buf, (C,), (b_ch, f), ch=i * C * b_ch, pad=hk)[0])
-        return i, windows, split(taps, parts), vrows, split(link, parts), col, out, src, dest
-
-    main = _schedule(spec.width, n, spec.row_pair)[0][g]
-    px = main[-1]  # the head's pixels
-    head = shared(0, sum(hi - lo for _, lo, hi in px) * B)[0]
-    y_dest = view(px, image.ring, (1,), (image.ring.strides[1], f), pad=image.pad)
-    ends = [0, *accumulate(hi - lo for _, lo, hi in px)]
-    return (px[0][0], [op(i, parts) for i, parts in enumerate(main)], head, y_dest, y_dest[0].shape,
-            [(d, a, b) for (d, _, _), a, b in zip(px, ends, ends[1:])],
-            max(d * spec.width + hi for parts in main for d, _, hi in parts))
+    head = shared(0, m_head)[0]
+    bound = []
+    for i, k, m, two, windows, vrows, dest in ops:
+        col, taps, link, out = shared(k, m)
+        split = (lambda x: x.reshape(*x.shape[:-1], 2, -1)) if two else (lambda x: x)
+        src, dest = (out, head.buf[:-1]) if dest is None else (split(out), views(*dest)[0])
+        bound.append((i, views(*windows), split(taps), views(*vrows), split(link), col, out,
+                      src, dest))
+    y_dest = views(*y_dest)
+    return first, bound, head, y_dest, y_dest[0].shape, queues, need
 
 
 def _group(network: ImageNetwork, state: ImageGenState, g: int, base: int) -> None:

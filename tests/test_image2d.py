@@ -567,7 +567,8 @@ def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
     # row's down node and two up nodes), plus the next pair's vertical rows
     # (without the pair, block 0's second row follows the next pair's first
     # row) and its first group, less what `_schedule` leaves to the next
-    # pair's start; its queues then hold that group's pixels
+    # pair's start; its queues then hold that group's pixels.  After each
+    # row's last pixel, a pixel step before the next row's pass raises
     batch = 2
     for height in (4,) if row_pair else (4, 5):
         spec = ImageSpec(height, width, channels=3, n_layers=n_layers, kw=min(3, width),
@@ -581,6 +582,8 @@ def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
         for r in range(height):
             for _ in range(width):
                 image_incremental_step(net, state)
+            with pytest.raises(ScheduleViolationError, match="before vertical_row_pass"):
+                _pixel_step(net, state)  # the next row's pixels need its row pass first
             if r % 2 == 0 and r + 1 < height:
                 continue
             work = [horizontal] * (r + 1) + [_item_work(net, start[-1], r + 1, batch)]
@@ -682,7 +685,8 @@ def test_tampered_chunk_placement_raises(row_pair, monkeypatch):
     # With it, row 2j+1's steps 1 .. 9 run the feed, the burst's three
     # chunks, blocks 1 and 2's rows 2j+2 and 2j+3 and the next pair's first
     # group (index 1).  Each placement below breaks one rule and must raise,
-    # not compute from pixels or rows that are not there yet
+    # not compute from pixels or rows that are not there yet: a vertical op
+    # at once, a group at once, or a row pass that finds a row short
     spec = ImageSpec(4, 11, channels=3, n_layers=3, row_pair=row_pair, seed=3)
     net = build_image_network(spec)
     groups, steps, start, late = _schedule(11, 3, row_pair)
@@ -702,26 +706,40 @@ def test_tampered_chunk_placement_raises(row_pair, monkeypatch):
             out[c] = items
         return tuple(out)
 
+    op, group, short = "out of order", "before its vertical rows", "not all computed"
     if row_pair:
         tampered = [
-            (lead, moved(lag, (2, lag[3]), (3, lag[2]))),  # burst chunks out of column order
-            (lead, moved(lag, (1, lag[2]), (2, lag[1]))),  # a burst chunk before the feed
-            (moved(lead, (1, lag[2])), moved(lag, (2, None))),  # a chunk before row 1's pixels
-            (lead, moved(lag, (5, lag[7]), (7, lag[5]))),  # block 1's row 3 before its row 2
-            (lead, moved(lag, (5, lag[9]), (9, lag[5]))),  # the next pair's group before its rows
+            # burst chunks out of column order; a gap in the burst's columns; a burst
+            # chunk before the feed; a chunk before row 1's pixels
+            (lead, moved(lag, (2, lag[3]), (3, lag[2])), op),
+            (lead, moved(lag, (3, ((0, 2, 8, 11),))), op),
+            (lead, moved(lag, (1, lag[2]), (2, lag[1])), op),
+            (moved(lead, (1, lag[2])), moved(lag, (2, None)), op),
+            # block 1's row 3 before its row 2; the next pair's group before its rows
+            (lead, moved(lag, (5, lag[7]), (7, lag[5])), op),
+            (lead, moved(lag, (5, lag[9]), (9, lag[5])), group),
+            # block 0 never finishes its burst (nor blocks 1 and 2 their rows 3, which
+            # read it): row 2's pass finds the pair's rows short
+            (lead, moved(lag, (4, None), (7, None), (8, None), (9, ())), short),
         ]
     else:
         tampered = [
-            (moved(lead, (4, None), (3, ((0, 1, 3, 6), 2))), lag),  # a chunk before its pixels
-            (moved(lead, (1, ((0, 1, 3, 6), 5)), (4, ((0, 1, 0, 3),))), lag),  # chunks out of order
-            (moved(lead, (6, (3, 6)), (7, ((0, 1, 6, 9),))), lag),  # row 1's group before its chunk
-            (lead, moved(lag, (1, lag[4]), (4, lag[1]))),  # block 1's row 3 before block 0's row 2
+            # a chunk before its pixels; chunks out of order; a gap in the columns
+            (moved(lead, (4, None), (3, ((0, 1, 3, 6), 2))), lag, op),
+            (moved(lead, (1, ((0, 1, 3, 6), 5)), (4, ((0, 1, 0, 3),))), lag, op),
+            (moved(lead, (4, ((0, 1, 4, 6),))), lag, op),
+            # row 1's group before its chunk; block 1's row 3 before block 0's row 2
+            (moved(lead, (6, (3, 6)), (7, ((0, 1, 6, 9),))), lag, group),
+            (lead, moved(lag, (1, lag[4]), (4, lag[1])), op),
+            # block 0 never finishes row 1 (row 1's last group moved to row 1's first
+            # step): row 1's pass finds block 0's row short
+            (moved(lead, (10, ())), moved(lag, (0, (7,))), short),
         ]
-    for bad in tampered:
+    for *bad, match in tampered:
         monkeypatch.setattr("convgen.image2d._schedule",
                             lambda w, n, p, bad=bad: (groups, (*bad, *steps[2:]), start, late))
         state = image_incremental_init(net)
-        with pytest.raises(ScheduleViolationError):
+        with pytest.raises(ScheduleViolationError, match=match):
             for _ in range(3 * 11):  # rows 0 and 1, and row 2's start
                 image_incremental_step(net, state)
 

@@ -467,6 +467,29 @@ def test_forked_state_continues_bit_exact(row_pair):
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
+def test_group_layouts_are_compiled_once_per_spec_and_batch(row_pair):
+    # a group's view offsets depend only on (spec, batch): a second state, a
+    # copy and a pickle build their views from what the first state
+    # compiled, and another batch compiles its own
+    spec = ImageSpec(6, 8, channels=3, n_layers=3, row_pair=row_pair, seed=97)
+    net = build_image_network(spec)
+    generate(net, batch=2)
+    compiled = {key: layout for key, layout in image2d._LAYOUTS.items() if key[0] == spec}
+    assert {batch for _, batch, _ in compiled} == {2}
+    state = image_incremental_init(net, batch=2)
+    for _ in range(20):
+        image_incremental_step(net, state)
+    for fork in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        for _ in range(28):
+            image_incremental_step(net, fork)
+        assert fork.groups  # bound its own views
+    assert {key for key in image2d._LAYOUTS if key[0] == spec} == compiled.keys()
+    assert all(image2d._LAYOUTS[key] is layout for key, layout in compiled.items())
+    generate(net, batch=3)
+    assert {key[1] for key in image2d._LAYOUTS if key[0] == spec} == {2, 3}
+
+
+@pytest.mark.parametrize("row_pair", [False, True])
 def test_state_continues_on_an_equal_network_rebuilt_by_pickle(row_pair):
     # a state holds no weights: stepped partway (mid-row 2) on one network and
     # continued on a distinct but equal one, it matches the uninterrupted run

@@ -98,12 +98,6 @@ class ImageBlock:
         link = self.link.kernel.reshape(h.out_channels, h.in_channels, -1)
         return ConvWeights(np.concatenate((h.kernel[:, :, 0], link), axis=2), h.bias)
 
-    @cached_property
-    def up_phases(self) -> tuple:
-        """The up layer's phases as one-tap weights [W_j | b], one node each; built like `folded`."""
-        u = self.up
-        return tuple(ConvWeights(u.kernel[:, :, j : j + 1], u.bias) for j in range(u.k))
-
     def __reduce__(self):  # copies and pickles carry the fields, not the cached weights
         return ImageBlock, (self.vert, self.horiz, self.link, self.down, self.up)
 
@@ -340,7 +334,7 @@ def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: i
             Column(np.ones((2 * C + 1, m), DTYPE), C), Column(np.ones((C + 1, m), DTYPE), C),
             tuple(out), out, state.pair.carry[:, lo * B : hi * B],
             [rows[s : s + 2, :, lo:hi].reshape(2, C, m) for s in range(0, len(rows), 2)])
-    counter, (up0, up1) = state.counter, block.up_phases
+    counter, (up0, up1) = state.counter, block.up.phases
     down[0][...] = carry
     v = conv1d_point(block.vert, state.row_caches[0].column(lo, hi), counter, down[1])
     np.tanh(v, v)

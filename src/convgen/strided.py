@@ -10,19 +10,20 @@ emitted per generation step: on burst steps the engine computes all
 newly-computable nodes, including several outputs, and buffers the extras
 in a pending queue drained on the following steps.
 
-The firing schedule has one model: `StridedPlan` simulates these rules
-once and stores the nodes each layer computes at each phase of the period;
-`firing_trace` expands it.  The incremental engine walks the same rules
-once per plan and layer geometry, depth first, into an op table per phase,
-checked against `plan.nodes` (`_compile`); a network binds that table to
-its own weights, with each phase's MAC and node totals, when it is built
+The firing schedule has one model: `StridedPlan` simulates these rules once
+and stores the nodes each layer computes at each phase of the period;
+`firing_trace` expands it.  The incremental engine walks the same rules once
+per plan and layer geometry, depth first, into an op table per phase,
+checked against `plan.nodes` (`_compile`); a network binds that table to its
+own weights, with each phase's MAC and node totals, on its first step
 (`_bind`), so a step looks up no layer, compares no string and counts once.
-A state is one buffer of columns: a down layer's [taps; 1] `Column` and an
-up layer's [vec; 1], then the output and a dump row.  Items are routed, not
-shifted: input m of a down layer (k taps, stride s) is first read by the
-node at c, the next multiple of s at or after m, at tap k-1-(c-m), so x and
-each node's output (`conv1d_point` or `transposed_point`, with `out=`) are
-written straight into that tap, or into the dump row if c-m >= k and no node
+Every node is one `conv1d_point` over a `Column`: a down layer's weights
+over its [taps; 1], or up phase r's one-tap `weights.phases[r]`, [W_r | b],
+over its [vec; 1].  A state is one buffer of those columns, then the output
+and a dump row.  Items are routed, not shifted: input m of a down layer (k
+taps, stride s) is first read by the node at c, the next multiple of s at or
+after m, at tap k-1-(c-m), so x and each node's output (written with `out=`)
+go straight into that tap, or into the dump row if c-m >= k and no node
 reads it.  Only a window that overlaps the next one (k > s) copies: after
 each fire its last k-s taps slide to the front.
 """
@@ -51,7 +52,7 @@ from .tensor import (
     conv1d_point,
     strided_conv1d,
     strided_transposed_conv1d,
-    transposed_point,
+    transposed_point,  # unused here; perfbench's tracer patches it in this namespace
     zeros,
 )
 
@@ -145,13 +146,13 @@ class StridedNetwork:
     layers: tuple[StridedLayer, ...]
 
     def __post_init__(self):
-        # the incremental engine's `_compile`d program and its op table bound to
-        # these weights; set inline, not through a cached_property, whose instance
-        # __dict__ would slow every attribute load
+        # the incremental engine's `_compile`d program, and its op table bound to
+        # these weights on the first step; set inline, not through a
+        # cached_property, whose instance __dict__ would slow every attribute load
         program = _compile(
             self.plan, tuple((l.kind, l.stride, *l.weights.kernel.shape) for l in self.layers))
         object.__setattr__(self, "_program", program)
-        object.__setattr__(self, "_ops", _bind(program[3], self.layers))
+        object.__setattr__(self, "_ops", None)
 
     def __hash__(self):
         return hash(self.spec)  # equal networks have equal specs
@@ -202,22 +203,22 @@ def strided_receptive_field(plan: StridedPlan, kernel_size: int = 2) -> int:
 def _compile(plan: StridedPlan, geometry: tuple) -> tuple:
     """(blank, layout, targets, phases) for a plan and each layer's (kind,
     stride, out, in, taps).  Layer i's column is `buf[start:stop]` for
-    `(start, stop, in, is_down) = layout[i]`; the output and a dump row
-    follow.  `targets` lists the `(offset, length)` range of `buf` each write
-    goes to.  `phases[p]`, for the steps t with t % period == p, is (target
-    of x, ops, MACs, nodes), the last two its nodes' totals: an op is ("down"
-    or "up", layer, phase, target of the node's output) or ("slide", layer,
-    destination, source), after a fire of a down window whose taps overlap
-    the next one's.  A phase whose node counts differ from `plan.nodes`, or a
-    period that does not close the walk, raises `ScheduleViolationError`."""
+    `(start, stop, in) = layout[i]`, [taps; 1] for a down layer and [vec; 1]
+    for an up layer; the output and a dump row follow.  `targets` lists the
+    `(offset, length)` range of `buf` each write goes to.  `phases[p]`, for
+    the steps t with t % period == p, is (target of x, ops, MACs, nodes), the
+    last two its nodes' totals: an op is ("down" or "up", layer, phase,
+    target of the node's output) or ("slide", layer, destination, source),
+    after a fire of a down window whose taps overlap the next one's.  A phase
+    whose node counts differ from `plan.nodes`, or a period that does not
+    close the walk, raises `ScheduleViolationError`."""
     n, layout, end = len(geometry), [], 0
     for kind, _, _, in_ch, k in geometry:
-        down = kind == "down"
-        layout.append((end, end + (k if down else 1) * in_ch + 1, in_ch, down))
+        layout.append((end, end + (k if kind == "down" else 1) * in_ch + 1, in_ch))
         end = layout[-1][1]
     out_ch, dump = geometry[-1][2], end + geometry[-1][2]
     blank = zeros(dump + max(g[3] for g in geometry))
-    blank[[stop - 1 for _, stop, _, _ in layout]] = 1
+    blank[[stop - 1 for _, stop, _ in layout]] = 1
     targets, counts = {}, [0] * n
 
     def target(offset, length):
@@ -260,21 +261,20 @@ def _compile(plan: StridedPlan, geometry: tuple) -> tuple:
     return _frozen(blank), tuple(layout), tuple(targets), tuple(phases)
 
 
-_DOWN, _UP, _SLIDE = 0, 1, 2
-
-
-def _bind(phases: tuple, layers: tuple) -> tuple:
-    """`_compile`'s phases with each op bound to its layer's weights: a node
-    is (code, weights, layer, phase, target, tanh), tanh False on the last
-    layer, whose value is an output; a slide is (_SLIDE, None, destination,
-    0, source, False)."""
-    weights, last = [layer.weights for layer in layers], len(layers) - 1
-    return tuple([
-        (x, tuple([(_SLIDE, None, r, 0, b, False) if c == "slide" else
-                   (_DOWN if c == "down" else _UP, weights[li], li, r, b, li < last)
-                   for c, li, r, b in ops]), macs, nodes)
-        for x, ops, macs, nodes in phases
-    ])
+def _bind(network: StridedNetwork) -> tuple:
+    """`_compile`'s phases with each op bound to the network's weights, kept
+    as `network._ops`: a node is (weights, layer, target, tanh), the weights
+    a down layer's own or up phase r's `phases[r]`, tanh False on the last
+    layer, whose value is an output; a slide is (None, destination, source,
+    False).  Run on a network's first step, so building one builds no phase
+    weights."""
+    weights = [l.weights.phases if l.kind == "up" else (l.weights,) for l in network.layers]
+    last = len(weights) - 1
+    ops = tuple([(x, tuple([(None, r, b, False) if c == "slide" else  # a down op's r is 0
+                            (weights[li][r], li, b, li < last) for c, li, r, b in ops]),
+                  macs, nodes) for x, ops, macs, nodes in network._program[3]])
+    object.__setattr__(network, "_ops", ops)
+    return ops
 
 
 @dataclass(eq=False)
@@ -294,8 +294,7 @@ class StridedState:
 
     def __post_init__(self):
         buf = self.buf
-        self.columns = tuple(Column(buf[a:b], c) if down else buf[a:b]
-                             for a, b, c, down in self.layout)
+        self.columns = tuple(Column(buf[a:b], c) for a, b, c in self.layout)
         self.views = tuple(buf[o : o + size] for o, size in self.targets)
 
     def __reduce__(self):
@@ -303,7 +302,7 @@ class StridedState:
                               self.counter)
 
     def cached_values(self) -> int:  # the windows' k-1 inputs, plus the pending outputs
-        return sum(b - a - 1 - c for a, b, c, _ in self.layout) + len(self.pending)
+        return sum(b - a - 1 - c for a, b, c in self.layout) + len(self.pending)
 
 
 def strided_incremental_init(
@@ -315,20 +314,17 @@ def strided_incremental_init(
 
 def strided_incremental_step(network: StridedNetwork, state: StridedState, x) -> np.floating:
     """Feed one input, run the op table of its phase, emit exactly one output.
-    The kernels are looked up by name at each call, one call per node; the
-    phase's MACs and nodes are counted once."""
-    t, phases = state.t, network._ops
+    The kernel is looked up by name at each call, one `conv1d_point` per
+    node; the phase's MACs and nodes are counted once."""
+    t, phases = state.t, network._ops or _bind(network)
     x_at, ops, macs, nodes = phases[t % len(phases)]
     cols, views, pending = state.columns, state.views, state.pending
     views[x_at][0] = x
-    for code, weights, a, r, b, tanh in ops:
-        if code == _DOWN:
-            h = conv1d_point(weights, cols[a], None, views[b])
-        elif code == _UP:
-            h = transposed_point(weights, r, cols[a], None, views[b])
-        else:  # a slide: view a takes view b
+    for weights, a, b, tanh in ops:
+        if weights is None:  # a slide: view a takes view b
             views[a][...] = views[b]
             continue
+        h = conv1d_point(weights, cols[a], None, views[b])
         if tanh:
             np.tanh(h, h)
         else:

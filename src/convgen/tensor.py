@@ -18,13 +18,14 @@ their nodes over `Column`s: the dilated step over rows of a (layers-1, 2C+1)
 matrix held once per network and per thread (see `convgen.dilated`; that
 workspace is not engine state and `state_bytes` does not count it), the
 strided step over the columns of one buffer per state, into whose taps each
-input is routed straight to the node that reads it (`convgen.strided`),
-and the image engine's wavefront groups over scratch `Column`s of g*B
-columns, one per block input width and group size, into which each group
-copies a block's g input windows from the state's row history and its
-vertical row's g columns; one call of the block's horizontal conv and 1x1
-link, folded into one weight matrix, then evaluates g pixels of a block
-for the whole batch (`convgen.image2d`).
+input is routed straight to the node that reads it, an up node being one of
+its layer's one-tap `ConvWeights.phases` over the [vec; 1] column of its
+input (`convgen.strided`), and the image engine's wavefront groups over
+scratch `Column`s of g*B columns, one per block input width and group size,
+into which each group copies a block's g input windows from the state's row
+history and its vertical row's g columns; one call of the block's horizontal
+conv and 1x1 link, folded into one weight matrix, then evaluates g pixels
+of a block for the whole batch (`convgen.image2d`).
 
 `ConvWeights` is the one weight type: every array in it is read-only, a copy
 or a pickle is rebuilt through its constructor, and `==` compares values.
@@ -103,9 +104,10 @@ class ConvWeights:
     multiply-accumulates of one node and `fit` the pair (k, k*in + 1) that
     a `Column` must match.  `kernel` is a private copy, and `bias` and
     `tap_mats` (the k blocks W_j) are views of `fused`; `phase_fused`, the
-    contiguous (k, out, in + 1) blocks [W_j | b], and `phase_blocks`, the
-    tuple of its k blocks that `transposed_point` reads, are built on first
-    use.  Every array is read-only, so the kernels that read `kernel` and
+    contiguous (k, out, in + 1) blocks [W_j | b], and `phases`, the k
+    one-tap weights whose `fused` are those blocks (one node of input j
+    emits output phase j of a transposed conv), are built on first use.
+    Every array is read-only, so the kernels that read `kernel` and
     those that read `fused` cannot drift apart.  A copy or a pickle is
     rebuilt through the constructor from `kernel` and `bias`, so it keeps
     both promises; `==` compares `kernel` and `bias` by value.
@@ -129,8 +131,12 @@ class ConvWeights:
         fused[:, -1] = bias
         if not np.isfinite(fused).all():  # fused holds every kernel and bias value
             raise InvalidParameterError("weights must be finite")
-        kernel = _frozen(kernel.copy())
-        _frozen(fused)  # before the views below, which are then read-only too
+        self._adopt(_frozen(kernel.copy()), _frozen(fused))
+
+    def _adopt(self, kernel, fused):
+        """Set every field from a checked, read-only `kernel` and its `fused`."""
+        out, in_ch = kernel.shape[:2]
+        k = kernel.size // (out * in_ch)
         tap_mats = tuple([fused[:, j : j + in_ch] for j in range(0, k * in_ch, in_ch)])
         # object.__setattr__, not __dict__: the values stay inline, where loads are fastest
         for name, value in (("kernel", kernel), ("bias", fused[:, -1]), ("fused", fused),
@@ -138,14 +144,17 @@ class ConvWeights:
                             ("macs", kernel.size), ("tap_mats", tap_mats),
                             ("fit", (k, k * in_ch + 1))):
             object.__setattr__(self, name, value)
+        return self
 
     @cached_property
     def phase_fused(self) -> np.ndarray:
         return _frozen(np.stack([np.column_stack((w, self.bias)) for w in self.tap_mats]))
 
     @cached_property
-    def phase_blocks(self) -> tuple:
-        return tuple(self.phase_fused)
+    def phases(self) -> tuple:  # from arrays checked already, not through the constructor
+        kernels = self.kernel.reshape(self.out_channels, self.in_channels, self.k)
+        return tuple([object.__new__(ConvWeights)._adopt(kernels[:, :, j : j + 1], fused)
+                      for j, fused in enumerate(self.phase_fused)])
 
     def __reduce__(self):
         return ConvWeights, (self.kernel, self.bias)
@@ -321,15 +330,16 @@ def transposed_point(
     `column` is input j assembled as [vec; 1]: (in_channels + 1,) or
     (in_channels + 1, batch), last row ones.  The result is one dot product
     per batch column, `weights.phase_fused[phase] @ column`; `out` is as
-    for `conv1d_point`.
+    for `conv1d_point`.  For one column this is the dot the cached engines
+    run as `conv1d_point(weights.phases[phase], Column(column, in_channels))`.
     """
-    blocks = weights.phase_blocks
-    if not 0 <= phase < len(blocks):
-        raise InvalidParameterError(f"phase {phase} out of range for k={len(blocks)}")
+    phases = weights.phases
+    if not 0 <= phase < len(phases):
+        raise InvalidParameterError(f"phase {phase} out of range for k={len(phases)}")
     ndim, in_ch = column.ndim, weights.in_channels
     if ndim not in (1, 2) or len(column) != in_ch + 1:
         raise ShapeError(f"column shape {column.shape} is not ({in_ch + 1}[, batch])")
-    block = blocks[phase]
+    block = phases[phase].fused
     try:
         if ndim == 1:
             n = 1

@@ -24,7 +24,9 @@ from convgen.bench import (
     check_causality,
     check_equivalence,
     expected_hourglass_trace,
+    init,
     measure_nodes_per_step,
+    step,
     time_engine,
 )
 from convgen.dilated import incremental_init, incremental_step
@@ -119,15 +121,31 @@ def test_acceptance_5_image_equivalence():
            f"8x8 and 16x16, layers 3-5, 20 seeds each, {detail} <= {TOL}, {elapsed:.1f}s < 5min")
 
 
+def alternating_min_us(net, steps: int, repeats: int) -> dict:
+    """`time_engine`'s `min_us` for the naive and the cached engine, their
+    timed blocks alternating, so that both see the same machine speed."""
+    states = {engine: init(net, engine) for engine in ("naive", "cached")}
+    for _ in range(receptive_field(net.spec)):  # the naive engine's steady state
+        for state in states.values():
+            step(net, state)
+    best = dict.fromkeys(states, float("inf"))
+    for _ in range(repeats):
+        for engine, state in states.items():
+            t0 = time.perf_counter()
+            for _ in range(steps):
+                step(net, state)
+            best[engine] = min(best[engine], (time.perf_counter() - t0) * 1e6 / steps)
+    return best
+
+
 def test_acceptance_6_directional_speedup():
     speedups = {}
     for L in (4, 6, 8, 10):
         spec = NetworkSpec("dilated", stacks=2, layers_per_stack=L, channels=4, seed=1)
         net = build_network(spec)
         # minima over repeats: a stall on a shared machine only ever adds time
-        naive = time_engine(net, "naive", steps=12, repeats=5)
-        cached = time_engine(net, "cached", steps=12, repeats=5)
-        speedups[L] = naive["min_us"] / cached["min_us"]
+        best = alternating_min_us(net, steps=12, repeats=5)
+        speedups[L] = best["naive"] / best["cached"]
     pairs = sorted(speedups.items())
     assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:])), f"not increasing: {speedups}"
     assert speedups[10] > 5.0, f"L=10 speedup {speedups[10]:.1f}x <= 5x"

@@ -798,21 +798,22 @@ def test_folded_weights_are_the_horizontal_conv_and_link_built_once(channels, h_
 
 
 def test_up_phases_are_the_up_layers_phases_built_once():
-    # a burst chunk runs each up phase as one node of [W_j | b]; the phases
-    # are built by the first burst, once per network, and not carried by copies
+    # a burst chunk runs each up phase as one node of [W_j | b], the up
+    # layer's `ConvWeights.phases`; they are built by the first burst, once
+    # per network, and not carried by copies
     spec = ImageSpec(4, 11, channels=3, n_layers=2, row_pair=True, seed=2)
     net = build_image_network(spec)
-    block = net.blocks[0]
+    up = net.blocks[0].up
     image_incremental_init(net, batch=2)
-    assert "up_phases" not in vars(block)
+    assert "phases" not in vars(up)
     generate(net, batch=2)
-    phases = block.up_phases
+    phases = up.phases
     for j, w in enumerate(phases):
-        want = np.column_stack((block.up.tap_mats[j], block.up.bias))
-        assert w.fused.tobytes() == want.tobytes() and w.macs * 2 == block.up.macs
+        want = np.column_stack((up.tap_mats[j], up.bias))
+        assert w.fused.tobytes() == want.tobytes() and w.macs * 2 == up.macs
     generate(net, batch=3)
-    assert block.up_phases is phases
-    assert "up_phases" not in vars(copy.deepcopy(net).blocks[0])
+    assert up.phases is phases
+    assert "phases" not in vars(copy.deepcopy(net).blocks[0].up)
 
 
 @pytest.mark.parametrize("row_pair", [False, True])

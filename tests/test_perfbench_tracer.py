@@ -1,14 +1,18 @@
 """The benchmark's outside-in tracer, `perfbench/tracer.py` (imported, never
-changed), against the cached image engine at the benchmark's own image
-geometry: 32x32, 3 blocks, C=8, with the row pair, where rows advance in
-pairs and a pair's second row runs block 0's burst in three column chunks.
-The benchmark's own self-test runs an 8x8 image with 2 blocks."""
+changed), against the cached engines at the benchmark's own geometries: the
+32x32 image with 3 blocks, C=8 and the row pair, where rows advance in pairs
+and a pair's second row runs block 0's burst in three column chunks; the
+strided hourglass at C=32; dilated 2x10 at C=32; and 64 states of dilated
+2x8 at C=8.  The benchmark's own self-test runs an 8x8 image with 2 blocks."""
 
 import importlib.util
 from pathlib import Path
 
-from convgen import ImageSpec, build_image_network
-from convgen import image2d
+import numpy as np
+import pytest
+
+from convgen import ImageSpec, NetworkSpec, build_image_network
+from convgen import dilated, image2d, strided
 from convgen.image2d import _schedule, image_incremental_init
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -50,3 +54,44 @@ def test_traced_columns_equal_counted_nodes_at_every_row_end():
     assert spans["image2d._vconv_row"].calls == spec.height // 2
     assert spans["image2d._PairState.feed"].calls == spec.height // 2
     assert spans["image2d._PairState.feed"].cols == 0
+
+
+# (spec, batch, init, step), as the benchmark's 1D adapters build and step them
+ONE_D = {
+    "strided-hourglass-C32": (
+        NetworkSpec("strided", channels=32, strides=("down2", "down2", "up2", "up2"), seed=5),
+        1, strided.build_strided_network, "strided_incremental_init",
+        "strided_incremental_step"),
+    "dilated-2x10-C32": (
+        NetworkSpec("dilated", stacks=2, layers_per_stack=10, channels=32, seed=5),
+        1, dilated.build_network, "incremental_init", "incremental_step"),
+    "dilated-2x8-C8-b64": (
+        NetworkSpec("dilated", stacks=2, layers_per_stack=8, channels=8, seed=5),
+        64, dilated.build_network, "incremental_init", "incremental_step"),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_D))
+def test_traced_columns_equal_counted_nodes_for_1d_engines(name):
+    # every node of a cached 1D step goes through one counted kernel call, so
+    # the tracer's columns equal OpCounter's nodes after every step; the
+    # strided step runs each up phase through `conv1d_point`
+    tracer = _load_tracer()
+    spec, batch, build, init, step = ONE_D[name]
+    net = build(spec)
+    module = strided if spec.family == "strided" else dilated
+    states = [getattr(module, init)(net) for _ in range(batch)]
+    xs = np.random.default_rng(3).uniform(-1, 1, batch).astype(np.float32)
+    before = tracer.patched_names()
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        for t in range(24):  # through the module, as the tracer patches it
+            xs = [getattr(module, step)(net, e, x) for e, x in zip(states, xs)]
+            assert traced.kernel_cols() == sum(e.counter.node_evals for e in states), t
+    finally:
+        traced.uninstall()
+    assert all(a[2] is b[2] for a, b in zip(before, tracer.patched_names()))
+    spans = traced.spans
+    assert spans["tensor.conv1d_point"].cols == traced.kernel_cols() > 0
+    assert spans["tensor.transposed_point"].calls == 0

@@ -23,6 +23,7 @@ from convgen import (
 )
 from convgen.strided import (
     StridedNetwork,
+    _bind,
     parse_stride,
     strided_incremental_init,
     strided_incremental_step,
@@ -335,16 +336,17 @@ def test_forked_state_continues_bit_exact(fork_at):
     "strides, kernel_size", [(HOURGLASS, 2), (("down2", "up2", "down3", "up3"), 3)]
 )
 def test_state_continues_on_an_equal_network_rebuilt_by_pickle(strides, kernel_size):
-    # each network binds its op table to its own weights: a state stepped
-    # partway and continued on a distinct but equal network stays bit-exact
+    # each network binds its op table to its own weights, on its first step:
+    # a state stepped partway and continued on a distinct but equal network
+    # stays bit-exact
     net = build_network(NetworkSpec(
         "strided", kernel_size=kernel_size, channels=3, strides=strides, seed=11
     ))
     other = pickle.loads(pickle.dumps(net))
     assert other == net and other is not net
-    for network in (net, other):
-        bound = {id(w) for _, ops, *_ in network._ops for _, w, *_ in ops if w is not None}
-        assert bound == {id(layer.weights) for layer in network.layers}
+    for network in (net, other):  # building binds nothing and builds no phase weights
+        assert network._ops is None
+        assert not any("phases" in vars(layer.weights) for layer in network.layers)
     runs = {}
     for split in (None, 5):
         state, x, ys = strided_incremental_init(net), np.float32(0.25), []
@@ -354,6 +356,10 @@ def test_state_continues_on_an_equal_network_rebuilt_by_pickle(strides, kernel_s
         runs[split] = ys, state.counter.snapshot()
     assert runs[5][0] == runs[None][0]  # bit for bit
     assert runs[5][1] == runs[None][1]
+    for network in (net, other):  # a down node's layer weights, an up node's phases
+        bound = {id(w) for _, ops, *_ in network._ops for w, *_ in ops if w is not None}
+        assert bound == {id(w) for layer in network.layers for w in (
+            (layer.weights,) if layer.kind == "down" else layer.weights.phases)}
 
 
 def test_tampered_plan_raises_before_any_output():
@@ -472,9 +478,10 @@ def test_compiled_phase_counts_match_plan(strides, kernel_size):
     per_layer = [layer.weights.macs if layer.kind == "down"
                  else layer.weights.out_channels * layer.weights.in_channels
                  for layer in net.layers]
-    for (_, _, macs, nodes), expected in zip(net._ops, net.plan.nodes):
+    for (_, ops, macs, nodes), expected in zip(_bind(net), net.plan.nodes):
         assert nodes == sum(expected)
         assert macs == sum(n * m for n, m in zip(expected, per_layer))
+        assert macs == sum(w.macs for w, *_ in ops if w is not None)  # one-tap up phases
 
 
 @pytest.mark.parametrize(

@@ -213,6 +213,30 @@ def test_transposed_point_column_contract(k):
             transposed_point(w, phase, batch[:, 0].copy())
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("in_ch", [1, 3, 32])
+@pytest.mark.parametrize("out_ch", [1, 4])
+def test_phases_are_one_tap_weights_over_the_phase_blocks(k, in_ch, out_ch):
+    # the cached strided step runs up phase r as conv1d_point(phases[r], Column):
+    # the same [W_r | b] memory as transposed_point's, the same dot bit for bit
+    rng = np.random.default_rng(100 * k + 10 * in_ch + out_ch)
+    w = rand_weights(rng, out_ch, in_ch, (k,))
+    assert "phases" not in vars(w)  # built on first use
+    phases = w.phases
+    assert len(phases) == k and w.phases is phases
+    for r, phase in enumerate(phases):
+        assert np.shares_memory(phase.fused, w.phase_fused[r])
+        assert np.array_equal(phase.fused, w.phase_fused[r])
+        assert not phase.fused.flags.writeable and not phase.kernel.flags.writeable
+        assert (phase.k, phase.fit, phase.macs) == (1, (1, in_ch + 1), out_ch * in_ch)
+        assert phase == ConvWeights(w.kernel[:, :, r : r + 1], w.bias)
+        for _ in range(3):
+            buf = np.ones(in_ch + 1, np.float32)
+            buf[:-1] = rng.uniform(-1, 1, in_ch)
+            got = conv1d_point(phase, Column(buf, in_ch))
+            assert got.tobytes() == transposed_point(w, r, buf).tobytes()
+
+
 def test_column_contract_errors():
     rng = np.random.default_rng(3)
     w = rand_weights(rng, 2, 3, (2,))

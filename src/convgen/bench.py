@@ -252,10 +252,12 @@ def time_engine(
     """Per-step wall time (all batch elements advance once per step) and exact macs.
 
     The time of one step is its repeat's mean; `min_us`, `median_us` and
-    `mean_us` summarise it over the repeats.  Warm-up, excluded from the
-    timing, defaults to 4 steps, or one image for image2d; for the naive
-    dilated engine it spans one receptive field, because earlier steps
-    evaluate pruned trees and are cheaper than the steady state.
+    `mean_us` summarise it over the repeats.  `setup_us` is `init` and the
+    first step under one timer, so it holds what a fresh state and a first
+    use build.  Warm-up, which starts with that first step and is excluded
+    from the step timing, defaults to 4 steps, or one image for image2d; for
+    the naive dilated engine it spans one receptive field, because earlier
+    steps evaluate pruned trees and are cheaper than the steady state.
     `steps=None` times whole images, each with its fresh image's set-up:
     `init`, and the cached engine's views bound on the first pixel.
     `p50_us` and `p99_us` come from a second pass of as many steps, each
@@ -263,23 +265,28 @@ def time_engine(
     median at its position in the schedule period (`_period`, from the
     first step, or from the image start for image2d).
     """
+    clock = time.perf_counter
+    t0 = clock()
     state = init(network, engine, batch)
+    step(network, state)
+    setup_us = (clock() - t0) * 1e6
     steps = _check_int("steps", state.length if steps is None else steps, 1)
     if warmup is None:
         warmup = state.length or 4
         if engine == "naive" and network.spec.family == "dilated":
             warmup = max(warmup, receptive_field(network.spec))
-    for _ in range(warmup):
+    warmup = max(warmup, 1)  # the first step is warm-up
+    for _ in range(warmup - 1):
         step(network, state)
     macs0 = state.counter.macs
     times = []
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0 = clock()
         for _ in range(steps):
             step(network, state)
-        times.append((time.perf_counter() - t0) * 1e6 / steps)
+        times.append((clock() - t0) * 1e6 / steps)
     macs = state.counter.macs - macs0
-    period, clock = _period(network), time.perf_counter
+    period = _period(network)
     done = warmup + repeats * steps  # 1D steps so far; an image counts from its start (state.t)
     step_us, position = [], []
     for t in range(done, done + repeats * steps):
@@ -292,6 +299,7 @@ def time_engine(
         "median_us": statistics.median(times),
         "mean_us": statistics.fmean(times),
         "macs_per_step": macs // (repeats * steps),
+        "setup_us": setup_us,
         **_step_percentiles(np.array(step_us), np.array(position)),
     }
 
@@ -578,6 +586,7 @@ def run_bench(args, points, out=None) -> int:
                 summaries[mode] = res
             note = " ".join(
                 f"{m}: median={summaries[m]['median_us']:.1f}us mean={summaries[m]['mean_us']:.1f}us"
+                f" setup={summaries[m]['setup_us']:.1f}us"
                 for m in modes
             )
             if len(modes) == 2:

@@ -23,17 +23,20 @@ cached engine  - column-resident, for n = stacks * L layers: the state is
                  writes into the head's [h; 1] column.  The kernels get
                  no counter: the step adds its fixed totals once.
 
-The column matrix carries nothing from one step to the next, so it is a
-workspace: one per network and per thread (`threading.local`), built with
-its `Column`s and ring-row table on a thread's first step with that network.
-That keeps a network shareable across threads and `init` as cheap as
-allocating the ring; a copied or pickled network, rebuilt through its
-constructor, starts with none.  The workspace holds (n-1)*(2C+1) + C + 5
-floats and shares a table of period x (n-1) ring-row indices, where the
-period is the lcm of the dilations of layers 1..n-1, here the largest of
-them; at stacks 2, L=10 that is 512 x 19 8-byte indices, about 78 KB, held
-once per dilation list.  `cached_values` (and so `state_bytes`) counts
-neither.
+A network fixes the size of a state's rings once, when it is built
+(`ring_shape`, `ring0_size`), as `_ring_rows` fixes the ring-row table once
+per dilation list, so `incremental_init` is two zeroed allocations and no
+per-layer loop.  The column matrix carries nothing from one step to the
+next, so it is a workspace: one per network and per thread
+(`threading.local`), built with its `Column`s and ring-row table on a
+thread's first step with that network.  That keeps a network shareable
+across threads and `init` as cheap as allocating the rings; a copied or
+pickled network, rebuilt through its constructor, starts with none.  The
+workspace holds (n-1)*(2C+1) + C + 5 floats and shares a table of period x
+(n-1) ring-row indices, where the period is the lcm of the dilations of
+layers 1..n-1, here the largest of them; at stacks 2, L=10 that is 512 x 19
+8-byte indices, about 78 KB, held once per dilation list.  `cached_values`
+(and so `state_bytes`) counts neither.
 
 Both engines route every node through `conv1d_point`, so their outputs are
 bit-identical, not merely close.
@@ -176,6 +179,8 @@ class LayerDef:
 class DilatedNetwork:
     """Immutable weights for a dilated stack; shareable across threads.
 
+    `ring_shape` and `ring0_size` size a cached state's rings (`GenState`),
+    fixed here once per network so that `incremental_init` only allocates.
     The cached engine's per-thread column workspace hangs off `_local`; it is
     not part of the network's value, so it is neither compared nor copied:
     a copy or a pickle is rebuilt through the constructor (`__reduce__`) and
@@ -188,6 +193,13 @@ class DilatedNetwork:
     _local: threading.local = field(
         init=False, repr=False, compare=False, default_factory=threading.local
     )
+    ring_shape: tuple[int, int] = field(init=False, repr=False, compare=False)
+    ring0_size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = sum(layer.dilation for layer in self.layers[1:])
+        object.__setattr__(self, "ring_shape", (rows, self.spec.channels))
+        object.__setattr__(self, "ring0_size", self.layers[0].dilation)
 
     def __reduce__(self):
         return DilatedNetwork, (self.spec, self.layers, self.head)
@@ -199,10 +211,12 @@ class DilatedNetwork:
 def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> ConvWeights:
     """Seeded uniform draw at scale 0.5/sqrt(fan_in); fan_in = in_ch * total taps."""
     taps = tuple(taps) if isinstance(taps, (tuple, list)) else (int(taps),)
-    a = 0.5 / math.sqrt(in_ch * math.prod(taps))
-    kernel = rng.uniform(-a, a, size=(out_ch, in_ch) + taps).astype(DTYPE)
-    bias = rng.uniform(-a, a, size=(out_ch,)).astype(DTYPE)
-    return ConvWeights(kernel, bias)
+    fan_in = in_ch * math.prod(taps)
+    a = 0.5 / math.sqrt(fan_in)
+    # one draw, kernel then bias: the stream two draws of those sizes would take
+    values = rng.uniform(-a, a, out_ch * (fan_in + 1)).astype(DTYPE)
+    n = out_ch * fan_in
+    return ConvWeights(values[:n].reshape((out_ch, in_ch) + taps), values[n:])
 
 
 def build_network(spec: NetworkSpec):
@@ -319,13 +333,9 @@ class GenState:
 
 
 def incremental_init(network: DilatedNetwork, counter: OpCounter | None = None) -> GenState:
-    rows = sum(layer.dilation for layer in network.layers[1:])
-    return GenState(
-        ring=zeros((rows, network.spec.channels)),
-        ring0=zeros(network.layers[0].dilation),
-        t=0,
-        counter=counter or OpCounter(),
-    )
+    """A fresh state: zeroed rings of the sizes the network fixed when built."""
+    return GenState(np.zeros(network.ring_shape, DTYPE), np.zeros(network.ring0_size, DTYPE),
+                    0, OpCounter() if counter is None else counter)
 
 
 @cache

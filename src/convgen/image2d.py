@@ -466,7 +466,13 @@ def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
     return tuple(groups), rows, start, tuple(work[len(spots):])
 
 
-_LAYOUTS: dict = {}  # (spec, batch, group) -> `_layout`
+_LAYOUTS: dict = {}  # (geometry, batch, group) -> `_layout`
+
+
+def _geometry(spec: ImageSpec) -> tuple:
+    """Every field of `spec` but its seed: what a group's layout depends on."""
+    return (spec.height, spec.width, spec.channels, spec.n_layers, spec.kh, spec.kw,
+            spec.h_kw, spec.row_pair)
 
 
 def _layout(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
@@ -476,11 +482,14 @@ def _layout(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
     channels, columns, two rows?, windows, vertical rows, dest or None for
     the head's column), head columns, pixels, queues (row d, pixels a .. b-1)
     and the raster position its vertical rows must reach.  A view is
-    (buffer, shape, (offset, strides) per pair of ring slots, repeats)."""
+    (buffer, shape, (offset, strides) per pair of ring slots, repeats).
+    The key is the spec's geometry, not the spec: networks that differ only
+    in their seed share their layouts."""
     C, B, hk, n = spec.channels, state.batch, spec.h_kw, spec.n_layers
     main = _schedule(spec.width, n, spec.row_pair)[0][g]
-    if (spec, B, main) in _LAYOUTS:
-        return _LAYOUTS[spec, B, main]
+    key = (_geometry(spec), B, main)
+    if key in _LAYOUTS:
+        return _LAYOUTS[key]
     bufs = [*(rc.ring for rc in state.row_caches), state.last, state.buf]
     image, f = state.row_caches[0], bufs[-1].itemsize  # every buffer's column stride
     slots = image.slots
@@ -509,7 +518,7 @@ def _layout(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
 
     px = main[-1]  # the head's pixels
     ends = [0, *accumulate(hi - lo for _, lo, hi in px)]
-    _LAYOUTS[spec, B, main] = layout = (
+    _LAYOUTS[key] = layout = (
         px[0][0], tuple(op(i, parts) for i, parts in enumerate(main)), ends[-1] * B,
         view(px, 0, (1,), (image.ring.strides[1], f), pad=image.pad),
         tuple((d, a, b) for (d, _, _), a, b in zip(px, ends, ends[1:])),

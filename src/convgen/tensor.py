@@ -92,7 +92,7 @@ class OpCounter:
         return f"OpCounter(macs={self.macs}, node_evals={self.node_evals})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConvWeights:
     """Convolution filter bank: kernel [out, in, k] (1D) or [out, in, kh, kw] (2D),
     plus a bias of shape [out].
@@ -108,7 +108,8 @@ class ConvWeights:
     one-tap weights whose `fused` are those blocks (one node of input j
     emits output phase j of a transposed conv), are built on first use.
     Every array is read-only, so the kernels that read `kernel` and
-    those that read `fused` cannot drift apart.  A copy or a pickle is
+    those that read `fused` cannot drift apart.  The constructor checks
+    its arguments and stores each field once.  A copy or a pickle is
     rebuilt through the constructor from `kernel` and `bias`, so it keeps
     both promises; `==` compares `kernel` and `bias` by value.
     """
@@ -116,8 +117,8 @@ class ConvWeights:
     kernel: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self):
-        kernel, bias = as_tensor(self.kernel), as_tensor(self.bias)
+    def __init__(self, kernel, bias):
+        kernel, bias = as_tensor(kernel), as_tensor(bias)
         if kernel.ndim not in (3, 4):
             raise ShapeError(f"kernel must be 3D or 4D, got shape {kernel.shape}")
         if 0 in kernel.shape:
@@ -137,18 +138,27 @@ class ConvWeights:
         """Set every field from a checked, read-only `kernel` and its `fused`."""
         out, in_ch = kernel.shape[:2]
         k = kernel.size // (out * in_ch)
-        tap_mats = tuple([fused[:, j : j + in_ch] for j in range(0, k * in_ch, in_ch)])
-        # object.__setattr__, not __dict__: the values stay inline, where loads are fastest
-        for name, value in (("kernel", kernel), ("bias", fused[:, -1]), ("fused", fused),
-                            ("out_channels", out), ("in_channels", in_ch), ("k", k),
-                            ("macs", kernel.size), ("tap_mats", tap_mats),
-                            ("fit", (k, k * in_ch + 1))):
-            object.__setattr__(self, name, value)
+        # object.__setattr__, not __dict__: the values stay inline, where loads
+        # are fastest; one call per field, not a loop over (name, value) pairs
+        set_ = object.__setattr__
+        set_(self, "kernel", kernel)
+        set_(self, "bias", fused[:, -1])
+        set_(self, "fused", fused)
+        set_(self, "out_channels", out)
+        set_(self, "in_channels", in_ch)
+        set_(self, "k", k)
+        set_(self, "macs", kernel.size)
+        set_(self, "tap_mats", tuple([fused[:, j : j + in_ch] for j in range(0, k * in_ch, in_ch)]))
+        set_(self, "fit", (k, k * in_ch + 1))
         return self
 
     @cached_property
     def phase_fused(self) -> np.ndarray:
-        return _frozen(np.stack([np.column_stack((w, self.bias)) for w in self.tap_mats]))
+        out, in_ch, k = self.out_channels, self.in_channels, self.k
+        blocks = np.empty((k, out, in_ch + 1), DTYPE)
+        blocks[:, :, :in_ch] = self.fused[:, :-1].reshape(out, k, in_ch).transpose(1, 0, 2)
+        blocks[:, :, in_ch] = self.bias
+        return _frozen(blocks)
 
     @cached_property
     def phases(self) -> tuple:  # from arrays checked already, not through the constructor
@@ -327,32 +337,25 @@ def transposed_point(
 ) -> np.ndarray:
     """One output of a transposed conv: position stride*j+phase from input j.
 
-    `column` is input j assembled as [vec; 1]: (in_channels + 1,) or
-    (in_channels + 1, batch), last row ones.  The result is one dot product
-    per batch column, `weights.phase_fused[phase] @ column`; `out` is as
-    for `conv1d_point`.  For one column this is the dot the cached engines
-    run as `conv1d_point(weights.phases[phase], Column(column, in_channels))`.
+    `column` is input j assembled as [vec; 1], of shape (in_channels + 1,)
+    with a last entry of one.  The result is one dot product,
+    `weights.phase_fused[phase] @ column`; `out` is as for `conv1d_point`.
+    This is the dot the cached engines run as
+    `conv1d_point(weights.phases[phase], Column(column, in_channels))`.
     """
     phases = weights.phases
     if not 0 <= phase < len(phases):
         raise InvalidParameterError(f"phase {phase} out of range for k={len(phases)}")
-    ndim, in_ch = column.ndim, weights.in_channels
-    if ndim not in (1, 2) or len(column) != in_ch + 1:
-        raise ShapeError(f"column shape {column.shape} is not ({in_ch + 1}[, batch])")
-    block = phases[phase].fused
+    in_ch = weights.in_channels
+    if column.shape != (in_ch + 1,):
+        raise ShapeError(f"column shape {column.shape} is not ({in_ch + 1},)")
     try:
-        if ndim == 1:
-            n = 1
-            out = block.dot(column, out)  # out positional: numpy parses it faster
-        else:  # one gemv per batch column: each equals its own unbatched call bit for bit
-            n = column.shape[1]
-            out = np.empty((len(block), n), DTYPE) if out is None else out
-            np.matmul(block, np.ascontiguousarray(column.T)[:, :, None], out=out.T[:, :, None])
+        out = phases[phase].fused.dot(column, out)  # out positional: numpy parses it faster
     except ValueError as exc:
         raise ShapeError(f"out does not fit the result: {exc}") from None
     if counter is not None:  # OpCounter.add, inlined
-        counter.macs += weights.out_channels * in_ch * n
-        counter.node_evals += n
+        counter.macs += weights.out_channels * in_ch
+        counter.node_evals += 1
     return out
 
 

@@ -6,6 +6,7 @@ import copy
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -88,6 +89,8 @@ def test_run_emits_schema_and_rows(capsys):
         assert int(row["macs_per_step"]) > 0
         assert float(row["max_abs_diff"]) <= 1e-5  # both mode carries the diff
     assert "speedup=" in err
+    # the summary shows each engine's set-up: init and the first step
+    assert len(re.findall(r"(naive|cached): median=\S+ mean=\S+ setup=\d+\.\dus", err)) == 4
 
 
 def test_run_without_subcommand_token(capsys):
@@ -447,6 +450,18 @@ def test_time_engine_reports_per_position_percentiles(network):
                       repeats=2)
     assert {"min_us", "median_us", "mean_us", "macs_per_step"} <= set(res)
     assert 0 < res["p50_us"] <= res["p99_us"]
+
+
+@pytest.mark.parametrize("engine", ["naive", "cached"])
+@pytest.mark.parametrize("network", [
+    build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=2, channels=2, seed=1)),
+    build_strided_network(NetworkSpec("strided", channels=2, strides=("down2", "up2"), seed=1)),
+    build_image_network(ImageSpec(4, 3, channels=2, n_layers=2, row_pair=True, seed=1)),
+], ids=["dilated", "strided", "image2d"])
+def test_time_engine_reports_setup(network, engine):
+    # setup_us times init and the first step together, apart from the steps
+    res = time_engine(network, engine, steps=4, repeats=1, batch=2)
+    assert res["setup_us"] > 0
 
 
 def test_step_percentiles_take_the_median_per_position():

@@ -406,6 +406,23 @@ def test_cached_vectors_are_never_written():
     assert state.cached_values() == sum(l.dilation * l.weights.in_channels for l in net.layers)
 
 
+def test_init_allocates_fresh_rings_of_the_size_the_network_fixed():
+    # a network fixes its rings' size once, when it is constructed; every init
+    # still allocates fresh zeroed rings of that size, and its own counter
+    built = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=13))
+    for net in (built, zero_network(L=3, channels=3), pickle.loads(pickle.dumps(built)),
+                copy.deepcopy(built)):
+        assert net.ring_shape == (sum(l.dilation for l in net.layers[1:]), net.spec.channels)
+        assert net.ring0_size == net.layers[0].dilation == 1
+        a, b = incremental_init(net), incremental_init(net)
+        for s in (a, b):
+            assert s.ring.shape == net.ring_shape and s.ring0.shape == (1,)
+            assert s.ring.dtype == s.ring0.dtype == np.float32
+            assert not s.ring.any() and not s.ring0.any()
+        assert not np.shares_memory(a.ring, b.ring) and not np.shares_memory(a.ring0, b.ring0)
+        assert a.counter is not b.counter
+
+
 def test_non_scalar_input_is_a_shape_error():
     net = build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=3, channels=2, seed=4))
     state = incremental_init(net)

@@ -3,6 +3,7 @@ raster causality, batch lockstep, state forks, memory bounds, and the PGM
 dump."""
 
 import copy
+import dataclasses
 import pickle
 import warnings
 from itertools import product
@@ -468,13 +469,15 @@ def test_forked_state_continues_bit_exact(row_pair):
 
 @pytest.mark.parametrize("row_pair", [False, True])
 def test_group_layouts_are_compiled_once_per_spec_and_batch(row_pair):
-    # a group's view offsets depend only on (spec, batch): a second state, a
-    # copy and a pickle build their views from what the first state
-    # compiled, and another batch compiles its own
+    # a group's view offsets depend only on (spec geometry, batch): a second
+    # state, a copy, a pickle and a network of another seed build their views
+    # from what the first state compiled, and another batch compiles its own
     spec = ImageSpec(6, 8, channels=3, n_layers=3, row_pair=row_pair, seed=97)
+    geometry = image2d._geometry(spec)
+    assert len(geometry) == len(dataclasses.fields(spec)) - 1  # all but the seed
     net = build_image_network(spec)
     generate(net, batch=2)
-    compiled = {key: layout for key, layout in image2d._LAYOUTS.items() if key[0] == spec}
+    compiled = {key: layout for key, layout in image2d._LAYOUTS.items() if key[0] == geometry}
     assert {batch for _, batch, _ in compiled} == {2}
     state = image_incremental_init(net, batch=2)
     for _ in range(20):
@@ -483,10 +486,13 @@ def test_group_layouts_are_compiled_once_per_spec_and_batch(row_pair):
         for _ in range(28):
             image_incremental_step(net, fork)
         assert fork.groups  # bound its own views
-    assert {key for key in image2d._LAYOUTS if key[0] == spec} == compiled.keys()
+    reseeded = build_image_network(dataclasses.replace(spec, seed=98))
+    assert image2d._geometry(reseeded.spec) == geometry
+    generate(reseeded, batch=2)
+    assert {key for key in image2d._LAYOUTS if key[0] == geometry} == compiled.keys()
     assert all(image2d._LAYOUTS[key] is layout for key, layout in compiled.items())
     generate(net, batch=3)
-    assert {key[1] for key in image2d._LAYOUTS if key[0] == spec} == {2, 3}
+    assert {key[1] for key in image2d._LAYOUTS if key[0] == geometry} == {2, 3}
 
 
 @pytest.mark.parametrize("row_pair", [False, True])

@@ -188,29 +188,28 @@ def test_column_matches_tuple_path(k, batch):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_transposed_point_column_contract(k):
-    # one dot with [W_r | b] over the assembled [vec; 1] column, batched or not
+    # one dot with [W_r | b] over the assembled [vec; 1] column
     rng = np.random.default_rng(30 + k)
     w = rand_weights(rng, 4, 3, (k,))
-    batch = np.ones((4, 5), np.float32)
-    batch[:3] = rng.uniform(-1, 1, (3, 5))
+    column = np.ones(4, np.float32)
+    column[:3] = rng.uniform(-1, 1, 3)
     for r in range(k):
-        want = np.stack([transposed_point(w, r, np.ascontiguousarray(batch[:, b]))
-                         for b in range(5)], axis=1)
-        got, out = OpCounter(), np.zeros((4, 5), np.float32)
-        assert transposed_point(w, r, batch, got, out) is out
-        assert np.array_equal(out, want)  # bit for bit
-        assert np.array_equal(transposed_point(w, r, batch), want)
-        assert got.snapshot() == (4 * 3 * 5, 5)
-        assert np.allclose(want[:, 0], w.kernel[:, :, r] @ batch[:3, 0] + w.bias, atol=1e-6)
+        got, out = OpCounter(), np.zeros(4, np.float32)
+        assert transposed_point(w, r, column, got, out) is out
+        assert np.array_equal(transposed_point(w, r, column), out)
+        assert got.snapshot() == (4 * 3, 1)
+        assert np.allclose(out, w.kernel[:, :, r] @ column[:3] + w.bias, atol=1e-6)
     assert w.phase_fused.shape == (k, 4, 4) and w.phase_fused.flags.c_contiguous
     assert not w.phase_fused.flags.writeable
     with pytest.raises(ShapeError):
-        transposed_point(w, 0, batch[:3, 0].copy())  # [vec] without its ones row
+        transposed_point(w, 0, column[:3].copy())  # [vec] without its ones row
     with pytest.raises(ShapeError):
-        transposed_point(w, 0, batch[:, 0].copy(), None, np.zeros(3, np.float32))
+        transposed_point(w, 0, column.copy(), None, np.zeros(3, np.float32))
+    with pytest.raises(ShapeError):
+        transposed_point(w, 0, np.ones((4, 2), np.float32))  # one column only
     for phase in (-1, k):
         with pytest.raises(InvalidParameterError):
-            transposed_point(w, phase, batch[:, 0].copy())
+            transposed_point(w, phase, column.copy())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

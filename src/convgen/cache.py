@@ -14,15 +14,17 @@ offset + t % dilation per layer); it is kept for its own tests and for the
 benchmark tracer, which patches its methods.
 
 A `RowCache` holds the last kh rows a 2D vertical conv reads in a ring of
-zero-left-padded slots, so `column(lo, hi)` fills the conv's fused column
-over any run of output columns with one copy per cached row; with spare
-slots a writer stores the next rows in place, ahead of that window.
+zero-left-padded slots, so `column(lo, hi, rows)` fills the conv's fused
+column over any run of output columns of one or more output rows with one
+copy per run of adjacent slots; with spare slots a writer stores the next
+rows in place, ahead of that window.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cache
+from itertools import product
 
 import numpy as np
 
@@ -108,8 +110,8 @@ class RowCache:
     `body` views every slot's row, (slots, channels, width, batch): a writer
     may store rows count .. count + slots - height - 1 there, ahead of the
     window, and advances `count` itself; `push_row` copies one in.
-    `column(lo, hi)` fills the conv's fused column over output columns
-    lo .. hi-1 with one copy per cached row: scratch, built on first use.
+    `column(lo, hi, rows)` fills the conv's fused column over output
+    columns lo .. hi-1 of `rows` output rows: scratch, built on first use.
     """
 
     __slots__ = ("height", "width", "channels", "batch", "kw", "slots", "pad", "row_shape",
@@ -130,7 +132,7 @@ class RowCache:
         self._windows = np.ndarray((slots, kw, channels, width * batch), _F32, self.ring,
                                    (pad - kw + 1) * batch * s_col, (s_slot, batch * s_col, s_ch, s_col))
         self._windows.flags.writeable = False
-        self._columns = {}  # (lo, hi) -> (Column, its fills), built on first use
+        self._columns = {}  # (lo, hi, rows) -> (Column, its fills), built on first use
 
     def __reduce__(self):  # copies and pickles rebuild the views over their own ring
         return _restore_row_cache, (self.height, self.width, self.channels, self.batch, self.kw,
@@ -151,23 +153,25 @@ class RowCache:
         return tuple(self._windows[t % self.slots].reshape(self.kw, *self.row_shape)
                      for t in range(self.count - self.height, self.count))
 
-    def column(self, lo: int = 0, hi: int | None = None) -> Column:
+    def column(self, lo: int = 0, hi: int | None = None, rows: int = 1) -> Column:
         """The fused column [every cached row's kw windows, oldest first; 1] over
-        output columns lo .. hi-1, one copy per run of adjacent slots (two if it wraps)."""
+        output columns lo .. hi-1 of the last `rows` output rows side by side,
+        each window a row older than the next: a copy per row and slot run."""
         hi = self.width if hi is None else hi
         try:
-            column, runs = self._columns[lo, hi]
+            column, runs = self._columns[lo, hi, rows]
         except KeyError:
-            H, windows = self.height, self._windows[..., lo * self.batch : hi * self.batch]
-            buf = np.ones((H * self.kw * self.channels + 1, (hi - lo) * self.batch), DTYPE)
+            H, S, windows = self.height, self.slots, self._windows[..., lo * self.batch : hi * self.batch]
+            buf = np.ones((H * self.kw * self.channels + 1, rows * windows.shape[-1]), DTYPE)
             column = Column(buf, self.channels)
-            rows = buf[:-1].reshape(H, self.kw, self.channels, -1)
-            runs = []  # per slot of the oldest row: (column rows, windows) pairs
-            for s in range(self.slots):
-                k = min(H, self.slots - s)
-                runs.append([(rows[:k], windows[s : s + k])] + [(rows[k:], windows[: H - k])] * (k < H))
-            self._columns[lo, hi] = column, runs
-        for dest, windows in runs[(self.count - self.height) % self.slots]:
+            dests = buf[:-1].reshape(H, self.kw, self.channels, rows, -1)
+            runs = [[] for _ in range(S)]  # per slot of the oldest row read: (dest, windows)
+            for s, q in product(range(S), range(rows)):
+                t, dest = (s + q) % S, dests[:, :, :, q]
+                k = min(H, S - t)
+                runs[s] += [(dest[:k], windows[t : t + k])] + [(dest[k:], windows[: H - k])] * (k < H)
+            self._columns[lo, hi, rows] = column, runs
+        for dest, windows in runs[(self.count - self.height - rows + 1) % self.slots]:
             dest[...] = windows
         return column
 

@@ -284,6 +284,25 @@ def test_rowcache_column_chunks_equal_the_whole_rows_columns(kw, pad):
             assert np.array_equal(part.buf, whole[:, lo * 3 : hi * 3])
 
 
+@pytest.mark.parametrize("height,slots", [(1, 4), (2, 4), (3, 6), (2, 3)])
+def test_rowcache_column_of_several_rows_sides_the_older_windows_by_the_newer(height, slots):
+    # column(lo, hi, rows) is, side by side and oldest first, the column the
+    # cache held `rows - 1` .. 0 rows ago, at every start slot of the ring
+    cache = RowCache(height=height, width=7, channels=2, batch=3, kw=3, slots=slots, pad=2)
+    rng = np.random.default_rng(height + slots)
+    held = []
+    for _ in range(2 * slots + 1):
+        cache.push_row(rng.standard_normal((2, 7, 3)).astype(np.float32))
+        held.append({span: cache.column(*span).buf.copy() for span in ((0, 3), (3, 7), (0, 7))})
+        for rows in range(1, min(slots - height, len(held) - 1) + 2):
+            for span, want in held[-1].items():
+                got = cache.column(*span, rows)
+                assert got.fit == (3 * height, 3 * height * 2 + 1)
+                assert np.array_equal(got.buf[:-1], np.concatenate(
+                    [h[span][:-1] for h in held[len(held) - rows:]], axis=1))
+                assert np.all(got.buf[-1] == 1) and want.shape[1] * rows == got.buf.shape[1]
+
+
 def test_rowcache_rows_written_ahead_stay_out_of_the_window():
     # with spare slots a writer stores rows count, count+1 in place; the
     # window still reads rows count-height .. count-1 until it advances

@@ -34,7 +34,7 @@ from convgen.image2d import (
     image_naive_step,
     vertical_row_pass,
 )
-from convgen.tensor import masked_conv2d
+from convgen.tensor import Column, conv1d_point, masked_conv2d
 from oracles import perturbation_influence
 
 EQUIV_TOL = 1e-5
@@ -308,23 +308,23 @@ def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
     # the benchmark's image shape.  Row 2j's step c runs its group from
     # pixel c (c = 3, 6, .., 30), row 2j+1's from c as well from step 6 on
     # and at step 4 from 3; their groups from 0 ran before, at the image's
-    # start or on row 2j-1's step 9.  Row 2j+1's steps 1 .. 9 run the
-    # next pair's work: the carry feed, block 0's burst in three chunks,
-    # blocks 1 and 2's rows 2j+2 and 2j+3, and its first group.  Counted:
-    # the rings, the pair's carry, the rows written ahead of their
-    # readers' windows (on row 2j, the last block's row 2j+1; on row 2j+1,
-    # from the burst's first chunk on, two rows of blocks 0 .. 2), and the
-    # queued pixels
+    # start or on row 2j-1's step 8.  Row 2j+1's steps 1 .. 8 run the
+    # next pair's work: block 0's burst in three chunks, blocks 1 and 2's
+    # rows 2j+2 and 2j+3, and its first group.  Counted: the rings (the
+    # image's with one row more, the odd row a burst reads a row older), the
+    # rows written ahead of their readers' windows (on row 2j, the last
+    # block's row 2j+1; on row 2j+1, from the burst's first chunk on, two
+    # rows of blocks 0 .. 2), and the queued pixels
     spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
     net = build_image_network(spec)
     groups, (lead, lag), start, late = _schedule(32, 3, True)
     assert [c for c, items in enumerate(lead) if items] == [3, 4, *range(6, 31, 3)]
-    assert [op[:2] for op in lag[1:9] for op in op] == [
-        (0, 1), (0, 2), (0, 2), (0, 2), (1, 2), (2, 2), (1, 3), (2, 3)]
-    assert lag[9] == (1,) and groups[1] == tuple(((2, 0, i + 1), (3, 0, i + 1)) for i in range(3))
+    assert [op[:2] for op in lag[1:8] for op in op] == [
+        (0, 2), (0, 2), (0, 2), (1, 2), (2, 2), (1, 3), (2, 3)]
+    assert lag[8] == (1,) and groups[1] == tuple(((2, 0, i + 1), (3, 0, i + 1)) for i in range(3))
     batch = 16
     row = spec.channels * spec.width * batch
-    held = spec.kh * (1 + 2 * spec.channels) * spec.width * batch + row  # the rings and the carry
+    held = (spec.kh * (1 + 2 * spec.channels) + 1) * spec.width * batch  # the rings
     state = image_incremental_init(net, batch=batch)
     peak = 0
     for t in range(spec.height * spec.width):
@@ -338,12 +338,12 @@ def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
             queued = min(32, 3 + 3 * groups_done) - c  # row r's
             queued += min(32, 3 * (1 + (c >= 5) + max(0, groups_done - 1)))  # row r+1's
         else:
-            ahead = 2 * (below and c >= 3)
-            queued = 32 - c + 6 * (below and c >= 10)
+            ahead = 2 * (below and c >= 2)
+            queued = 32 - c + 6 * (below and c >= 9)
         assert state.cached_rows_values() == held + row * ahead + batch * queued, (r, c)
         peak = max(peak, state.cached_rows_values())
-    assert 4 * state.cached_rows_values() == 86016
-    assert 4 * peak == 4 * (held + 2 * row + batch * 29) == 120640  # after the first burst chunk
+    assert 4 * state.cached_rows_values() == 71680
+    assert 4 * peak == 4 * (held + 2 * row + batch * 30) == 106368  # after the first burst chunk
 
 
 def test_row_cache_memory_bounded_by_kh():
@@ -414,10 +414,22 @@ def test_batch_validation():
 
 
 def _buffers(state):
-    """Every array an image state owns: its rings, the last block's rows, the
-    blocks' histories and the pair's carry."""
-    return [*(rc.ring for rc in state.row_caches), state.last, state.buf,
-            *([state.pair.carry] if state.pair else [])]
+    """Every array an image state owns: its rings, the last block's rows and
+    the blocks' histories."""
+    return [*(rc.ring for rc in state.row_caches), state.last, state.buf]
+
+
+def test_the_pair_adds_no_buffer_to_a_state():
+    # the benchmark's image: with the pair, a state's buffers are those of a
+    # state without it, C*W*B floats fewer than the 299520 bytes a paired
+    # state owned while it carried block 0's odd vconv row between bursts
+    spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
+    paired = image_incremental_init(build_image_network(spec), batch=16)
+    single = image_incremental_init(
+        build_image_network(dataclasses.replace(spec, row_pair=False)), batch=16)
+    nbytes = sum(a.nbytes for a in _buffers(paired))
+    assert nbytes == sum(a.nbytes for a in _buffers(single)) == 299520 - 8 * 32 * 16 * 4
+    assert type(paired.pair).__slots__ == ("count",)
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
@@ -558,7 +570,7 @@ def _item_work(net, item, base, batch):
     horizontal conv with its link folded in) over its columns, and the head
     over the last block's.  A vertical op (i, t, lo, hi): block i's vconv
     node per column; on a burst, an even row of block 0 with the pair, the
-    down node and the two up nodes per column too."""
+    vconv nodes of rows t - 1 and t, the down node and the two up nodes."""
     spec = net.spec
     if isinstance(item, int):
         groups = _schedule(spec.width, spec.n_layers, spec.row_pair)[0]
@@ -571,7 +583,7 @@ def _item_work(net, item, base, batch):
         return 0, 0
     block, n = net.blocks[i], (hi - lo) * batch
     if i == 0 and spec.row_pair and (base + t) % 2 == 0:
-        return n * (block.vert.macs + block.down.macs + block.up.macs), 4 * n
+        return n * (2 * block.vert.macs + block.down.macs + block.up.macs), 5 * n
     return n * block.vert.macs, n
 
 
@@ -593,7 +605,9 @@ def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
     # after a pair's last pixel, the counts are those of its rows and the
     # rows above in full (per column each block's horizontal node, its link
     # folded in, and vertical node, and the head; with the pair, each even
-    # row's down node and two up nodes), plus the next pair's vertical rows
+    # row's burst: the vconv nodes of the row above it and its own, a down
+    # node and two up nodes; row -1's burst half is zero padding and the
+    # last row's vconv runs in no burst), plus the next pair's vertical rows
     # (without the pair, block 0's second row follows the next pair's first
     # row) and its first group, less what `_schedule` leaves to the next
     # pair's start; its queues then hold that group's pixels.  After each
@@ -619,8 +633,6 @@ def test_grouped_step_counts_every_row_exactly(n_layers, h_kw, width, row_pair):
             work += [_item_work(net, (i, t, 0, width), 0, batch) for i in range(n_layers)
                      for t in range(r + 2 + (i > 0 or row_pair)) if not (
                          row_pair and i == 0 and t % 2)]  # a burst computes two rows
-            feeds = (min(r + 2, height) // 2) * row_pair  # each odd row's carry
-            work += [(n * net.blocks[0].vert.macs, n)] * feeds
             work += [tuple(-x for x in _item_work(net, item, r - 1, batch)) for item in late]
             assert state.counter.snapshot() == tuple(map(sum, zip(*work))), (height, r)
             ran = r + 1 < height and start[-1] + 1 not in late  # the next pair's first group
@@ -634,8 +646,8 @@ def _check_placement(width, n_layers, row_pair):
     1), two rows' parts equally wide; without the pair, block 0's row 2j+1
     in chunks right after the group of row 2j whose pixels they read, each
     before row 2j+1's groups that read it.  Row 2j+1's steps, its first
-    unless too few, take the next pair's work one item each, in order: the
-    feed, block 0's row 2j+2 (a burst in up to three chunks with the pair),
+    unless too few, take the next pair's work one item each, in order:
+    block 0's row 2j+2 (a burst in up to three chunks with the pair),
     blocks 1 .. n-1's rows 2j+2 and then 2j+3, and its first group; what
     they cannot take is `late`.  Returns the number of block 0 chunks."""
     groups, steps, start, late = _schedule(width, n_layers, row_pair)
@@ -667,7 +679,7 @@ def _check_placement(width, n_layers, row_pair):
         op == after or not isinstance(op, int) and not (op[:2] == (0, 1) and not row_pair))]
     work = [op for _, op in placed] + list(late)
     burst = [op[2:] for op in work if op != after and op[:2] == (0, 2)]
-    assert work == [(0, 1, 0, width)] * row_pair + [(0, 2, *span) for span in burst] + [
+    assert work == [(0, 2, *span) for span in burst] + [
         (i, t, 0, width) for t in (2, 3) for i in range(1, n_layers)] + [after]
     assert [lo for lo, _ in burst] == [0, *(hi for _, hi in burst[:-1])] and burst[-1][1] == width
     assert len(burst) <= (3 if row_pair else 1)
@@ -711,9 +723,9 @@ def test_tampered_chunk_placement_raises(row_pair, monkeypatch):
     # and 9 alone at steps 1, 7 and 10 and from 3 with row 2j's from 6;
     # row 2j+1's steps 1 .. 5 run blocks 0, 1 and 2's row 2j+2, then blocks
     # 1 and 2's row 2j+3.
-    # With it, row 2j+1's steps 1 .. 9 run the feed, the burst's three
-    # chunks, blocks 1 and 2's rows 2j+2 and 2j+3 and the next pair's first
-    # group (index 1).  Each placement below breaks one rule and must raise,
+    # With it, row 2j+1's steps 1 .. 8 run the burst's three chunks,
+    # blocks 1 and 2's rows 2j+2 and 2j+3 and the next pair's first group
+    # (index 1).  Each placement below breaks one rule and must raise,
     # not compute from pixels or rows that are not there yet: a vertical op
     # at once, a group at once, or a row pass that finds a row short
     spec = ImageSpec(4, 11, channels=3, n_layers=3, row_pair=row_pair, seed=3)
@@ -721,8 +733,8 @@ def test_tampered_chunk_placement_raises(row_pair, monkeypatch):
     groups, steps, start, late = _schedule(11, 3, row_pair)
     lead, lag = steps[:2]
     if row_pair:
-        assert [lag[c] for c in range(1, 10)] == [
-            ((0, 1, 0, 11),), ((0, 2, 0, 4),), ((0, 2, 4, 7),), ((0, 2, 7, 11),),
+        assert [lag[c] for c in range(1, 9)] == [
+            ((0, 2, 0, 4),), ((0, 2, 4, 7),), ((0, 2, 7, 11),),
             ((1, 2, 0, 11),), ((2, 2, 0, 11),), ((1, 3, 0, 11),), ((2, 3, 0, 11),), (1,)]
     else:
         assert [(c, lead[c]) for c in (1, 4, 6, 7, 10)] == [
@@ -738,18 +750,17 @@ def test_tampered_chunk_placement_raises(row_pair, monkeypatch):
     op, group, short = "out of order", "before its vertical rows", "not all computed"
     if row_pair:
         tampered = [
-            # burst chunks out of column order; a gap in the burst's columns; a burst
-            # chunk before the feed; a chunk before row 1's pixels
-            (lead, moved(lag, (2, lag[3]), (3, lag[2])), op),
-            (lead, moved(lag, (3, ((0, 2, 8, 11),))), op),
+            # burst chunks out of column order; a gap in the burst's columns; a
+            # chunk before row 1's pixels
             (lead, moved(lag, (1, lag[2]), (2, lag[1])), op),
-            (moved(lead, (1, lag[2])), moved(lag, (2, None)), op),
+            (lead, moved(lag, (2, ((0, 2, 5, 7),))), op),
+            (moved(lead, (1, lag[1])), moved(lag, (1, None)), op),
             # block 1's row 3 before its row 2; the next pair's group before its rows
-            (lead, moved(lag, (5, lag[7]), (7, lag[5])), op),
-            (lead, moved(lag, (5, lag[9]), (9, lag[5])), group),
+            (lead, moved(lag, (4, lag[6]), (6, lag[4])), op),
+            (lead, moved(lag, (4, lag[8]), (8, lag[4])), group),
             # block 0 never finishes its burst (nor blocks 1 and 2 their rows 3, which
             # read it): row 2's pass finds the pair's rows short
-            (lead, moved(lag, (4, None), (7, None), (8, None), (9, ())), short),
+            (lead, moved(lag, (3, None), (6, None), (7, None), (8, ())), short),
         ]
     else:
         tampered = [
@@ -771,6 +782,36 @@ def test_tampered_chunk_placement_raises(row_pair, monkeypatch):
         with pytest.raises(ScheduleViolationError, match=match):
             for _ in range(3 * 11):  # rows 0 and 1, and row 2's start
                 image_incremental_step(net, state)
+
+
+@pytest.mark.parametrize("width", [11, 4])
+def test_a_burst_chunk_cannot_follow_the_group_that_overwrites_its_rows(width, monkeypatch):
+    # kh = 2: the image ring has four slots, and the next pair's first group
+    # writes row 2j+3 into the slot of row 2j-1, the oldest row a burst
+    # chunk's odd vconv row reads.  That group reads block 0's rows 2j+2 and
+    # 2j+3, which only the burst's last chunk completes, so a `_run` that
+    # runs it ahead of the burst raises before it writes a pixel: at width
+    # 11 it runs on row 2j+1's steps, at width 4 the next pair's work
+    # spills into `late` and it would run at row 2j+2's start
+    spec = ImageSpec(6, width, channels=3, n_layers=3, row_pair=True, seed=4)
+    net = build_image_network(spec)
+    _, _, start, late = _schedule(width, 3, True)
+    after = start[-1] + 1
+    assert (after in late) == (width == 4)
+    real = image2d._run
+
+    def run(network, state, items, base):  # the group first, before the burst's first chunk
+        for item in items:
+            if type(item) is tuple and item[:3] == (0, 2, 0):
+                real(network, state, (after,), base)
+            real(network, state, (item,), base)
+
+    monkeypatch.setattr(image2d, "_run", run)
+    state = image_incremental_init(net, batch=2)
+    with pytest.raises(ScheduleViolationError, match="before its vertical rows"):
+        for _ in range(spec.height * width):
+            image_incremental_step(net, state)
+    assert state.r == 1 and not state.queues[2]  # row 3 has no pixel
 
 
 @pytest.mark.parametrize("h_kw", [1, 2, 3])
@@ -820,6 +861,32 @@ def test_up_phases_are_the_up_layers_phases_built_once():
     generate(net, batch=3)
     assert up.phases is phases
     assert "phases" not in vars(copy.deepcopy(net).blocks[0].up)
+
+
+def test_down_interleaved_is_the_down_node_over_the_interleaved_rows():
+    # a burst chunk writes block 0's vconv rows 2j-1 and 2j side by side,
+    # (C, 2m), into the down node's (2C+1, m) column, so its rows are
+    # (channel, tap)-interleaved; `down_interleaved`, the down kernel as one
+    # channel of 2C taps, gives the stacked down node's values over them at
+    # its MACs and nodes.  It is built by the first burst, once per network,
+    # and not carried by copies
+    spec = ImageSpec(4, 11, channels=3, n_layers=2, row_pair=True, seed=2)
+    net = build_image_network(spec)
+    block, m = net.blocks[0], 176
+    assert "down_interleaved" not in vars(block)
+    generate(net, batch=2)
+    w = block.down_interleaved
+    prev, cur = np.random.default_rng(5).uniform(-1, 1, (2, 3, m)).astype(np.float32)
+    column = np.ones((2 * 3 + 1, m), np.float32)
+    column[:-1].reshape(3, 2 * m)[...] = np.concatenate((prev, cur), axis=1)
+    stacked, interleaved = OpCounter(), OpCounter()
+    want = conv1d_point(block.down, [prev, cur], stacked)
+    got = conv1d_point(w, Column(column, 1), interleaved)
+    assert interleaved.snapshot() == stacked.snapshot() == (3 * 3 * 2 * m, m)
+    assert np.max(np.abs(got - want)) <= 1e-6
+    generate(net, batch=3)
+    assert block.down_interleaved is w
+    assert "down_interleaved" not in vars(copy.deepcopy(net).blocks[0])
 
 
 @pytest.mark.parametrize("row_pair", [False, True])

@@ -1,9 +1,11 @@
 """The benchmark's outside-in tracer, `perfbench/tracer.py` (imported, never
 changed), against the cached engines at the benchmark's own geometries: the
 32x32 image with 3 blocks, C=8 and the row pair, where rows advance in pairs
-and a pair's second row runs block 0's burst in three column chunks; the
-strided hourglass at C=32; dilated 2x10 at C=32; and 64 states of dilated
-2x8 at C=8.  The benchmark's own self-test runs an 8x8 image with 2 blocks."""
+and a pair's second row runs block 0's burst in three column chunks, the
+same image without the pair and a 16x16 one with 3-row vertical kernels;
+the strided hourglass at C=32; dilated 2x10 at C=32; and 64 states of
+dilated 2x8 at C=8.  The benchmark's own self-test runs an 8x8 image with 2
+blocks."""
 
 import importlib.util
 from pathlib import Path
@@ -25,14 +27,27 @@ def _load_tracer():
     return module
 
 
-def test_traced_columns_equal_counted_nodes_at_every_row_end():
+IMAGES = {
+    "32x32-pair": ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0),
+    "32x32": ImageSpec(32, 32, channels=8, n_layers=3, seed=0),
+    "16x16-pair-kh3": ImageSpec(16, 16, channels=8, n_layers=3, kh=3, row_pair=True, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(IMAGES))
+def test_traced_columns_equal_counted_nodes_at_every_row_end(name):
+    # every node goes through a counted kernel call: with the pair, block
+    # 0's rows run in bursts of three column chunks on a pair's second row,
+    # each also recomputing the odd row above it; without it, block 0's row
+    # 2j+1 runs in n-column chunks on row 2j.  Neither path calls the
+    # whole-row `_vconv_row` or the pair's `feed`, which the tracer patches
     tracer = _load_tracer()
-    spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
+    spec = IMAGES[name]
     net = build_image_network(spec)
-    lag = _schedule(32, 3, True)[1][1]
-    burst_ops = [op for ops in lag if ops for op in ops
-                 if isinstance(op, tuple) and op[:2] == (0, 2)]
-    assert len(burst_ops) == 3  # block 0's burst in three chunks on a pair's second row
+    lead, lag = _schedule(spec.width, spec.n_layers, spec.row_pair)[1][:2]
+    chunks = [op for ops in (lag if spec.row_pair else lead) if ops for op in ops
+              if isinstance(op, tuple) and op[0] == 0 and op[1] == 1 + spec.row_pair]
+    assert len(chunks) == (3 if spec.row_pair else -(-spec.width // spec.n_layers))
     state = image_incremental_init(net, batch=2)
     before = tracer.patched_names()
     traced = tracer.Tracer()
@@ -47,13 +62,10 @@ def test_traced_columns_equal_counted_nodes_at_every_row_end():
     finally:
         traced.uninstall()
     assert all(a[2] is b[2] for a, b in zip(before, tracer.patched_names()))
-    # every node went through a counted call: kernels, and whole vertical
-    # rows only in the pair's feed (an odd row's carry, whose own span counts
-    # no columns); every other vertical row runs through `conv1d_point`
     spans = traced.spans
-    assert spans["image2d._vconv_row"].calls == spec.height // 2
-    assert spans["image2d._PairState.feed"].calls == spec.height // 2
-    assert spans["image2d._PairState.feed"].cols == 0
+    assert spans["tensor.conv1d_point"].cols == traced.kernel_cols() > 0
+    assert spans["image2d._vconv_row"].calls == 0
+    assert spans["image2d._PairState.feed"].calls == 0
 
 
 # (spec, batch, init, step), as the benchmark's 1D adapters build and step them

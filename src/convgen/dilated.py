@@ -32,10 +32,7 @@ next, so it is a workspace: one per network and per thread
 thread's first step with that network.  That keeps a network shareable
 across threads and `init` as cheap as allocating the rings; a copied or
 pickled network, rebuilt through its constructor, starts with none.  The
-workspace is one allocation of (n-1)*(2C+1) + C + 5 floats, the column
-matrix's `Column`s are built by `Column.rows_of`, which checks the matrix
-once rather than each row, and the network fixes its ring dilations
-(`ring_dilations`), the key of a shared table of period x
+workspace holds (n-1)*(2C+1) + C + 5 floats and shares a table of period x
 (n-1) ring-row indices, where the period is the lcm of the dilations of
 layers 1..n-1, here the largest of them; at stacks 2, L=10 that is 512 x 19
 8-byte indices, about 78 KB, held once per dilation list.  `cached_values`
@@ -196,14 +193,12 @@ class DilatedNetwork:
     _local: threading.local = field(
         init=False, repr=False, compare=False, default_factory=threading.local
     )
-    ring_dilations: tuple = field(init=False, repr=False, compare=False)
     ring_shape: tuple[int, int] = field(init=False, repr=False, compare=False)
     ring0_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dilations = tuple([layer.dilation for layer in self.layers[1:]])
-        object.__setattr__(self, "ring_dilations", dilations)
-        object.__setattr__(self, "ring_shape", (sum(dilations), self.spec.channels))
+        rows = sum(layer.dilation for layer in self.layers[1:])
+        object.__setattr__(self, "ring_shape", (rows, self.spec.channels))
         object.__setattr__(self, "ring0_size", self.layers[0].dilation)
 
     def __reduce__(self):
@@ -367,22 +362,21 @@ class _Workspace:
     """
 
     def __init__(self, network: DilatedNetwork):
-        C, weights = network.spec.channels, [layer.weights for layer in network.layers]
-        n = len(weights)
-        self.rows = _ring_rows(network.ring_dilations)
+        C = network.spec.channels
+        later = network.layers[1:]
+        self.rows = _ring_rows(tuple(layer.dilation for layer in later))
         self.period = len(self.rows)
-        # one allocation: `cols`, `col0`, `head` and the head's output `y`
-        buf = np.empty((n - 1) * (2 * C + 1) + C + 5, DTYPE)
-        buf.fill(1)
-        self.cols = cols = buf[: (n - 1) * (2 * C + 1)].reshape(n - 1, 2 * C + 1)
-        self.col0, self.head, self.y = buf[-C - 5 : -C - 2], buf[-C - 2 : -1], buf[-1:]
+        self.cols = cols = np.ones((len(later), 2 * C + 1), dtype=DTYPE)
         self.old, self.new = cols[:, :C], cols[:, C : 2 * C]
-        columns = Column.rows_of(cols, C)  # checked once, not once per layer
+        self.col0 = np.ones(3, dtype=DTYPE)
+        self.head = np.ones(C + 1, dtype=DTYPE)
+        self.y = zeros(1)
+        columns = [Column(self.col0, 1)] + [Column(row, C) for row in cols]
+        outs = list(self.new) + [self.head[:C]]
+        self.layers = tuple(zip([layer.weights for layer in network.layers], columns, outs))
         self.head_col = Column(self.head, C)
-        outs = [col[1] for col in columns] + [self.head_col[0]]  # the next node's new tap
-        self.layers = tuple(zip(weights, [Column(self.col0, 1), *columns], outs))
-        self.macs = sum([w.macs for w in weights]) + network.head.macs
-        self.nodes = n + 1
+        self.macs = sum(layer.weights.macs for layer in network.layers) + network.head.macs
+        self.nodes = len(network.layers) + 1
 
 
 def _workspace(network: DilatedNetwork) -> _Workspace:

@@ -233,13 +233,10 @@ def image_naive_step(network: ImageNetwork, state: ImageNaiveState) -> np.ndarra
 
 
 class _PairState:
-    """The row pair's `count`, block 0's vertical rows so far: each burst
-    recomputes the odd row above it from the image ring, so none is carried."""
+    """The row pair's marker, holding nothing: each burst recomputes the odd
+    row above it from the image ring, so none is carried."""
 
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
+    __slots__ = ()
 
     def feed(self, *args) -> None:  # never called: perfbench's tracer patches it by name
         raise ScheduleViolationError("the row pair carries no row to feed")
@@ -348,19 +345,23 @@ def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: i
     np.tanh(out, dests[row % (2 * len(dests)) // 2])
 
 
+def _pixels_ready(state: ImageGenState, row: int, hi: int) -> bool:
+    """Whether image row `row` has `hi` pixels written, every row above all."""
+    return row < state.r or row == state.r and state.c + len(state.queues[0]) >= hi
+
+
 def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, base: int) -> None:
     """Op (i, t, lo, hi): block i's vertical nodes of row base + t, columns lo
     .. hi-1 (with the pair block 0's rows come in bursts of even rows), in
     order and over rows or pixels already written, else raise."""
     i, t, lo, hi = op
     t += base
-    spec, done, pair, W = network.spec, state.done, state.pair, network.spec.width
+    spec, done, W = network.spec, state.done, network.spec.width
     if t >= spec.height:
         return
-    burst = i == 0 and pair is not None
-    ready = (done[i - 1] >= (t - 1) * W + hi if i else  # block 0: row t-1's first hi pixels
-             t - 1 < state.r or t - 1 == state.r and state.c + len(state.queues[0]) >= hi)
-    if not ready or done[i] != t * W + lo or burst and pair.count != t:
+    burst = i == 0 and state.pair is not None
+    ready = done[i - 1] >= (t - 1) * W + hi if i else _pixels_ready(state, t - 1, hi)
+    if not ready or done[i] != t * W + lo:
         raise ScheduleViolationError(
             f"vertical row {t} of block {i}, columns {lo}..{hi - 1}, out of order")
     cache = state.row_caches[i]
@@ -379,8 +380,6 @@ def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, base: int)
     done[i] = t * W + hi if hi < W else (t + 1 + burst) * W
     if hi == W:
         cache.count += 1 + burst
-        if burst:
-            pair.count += 2
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:

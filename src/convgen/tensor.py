@@ -12,11 +12,10 @@ The column is either concatenated per call from a sequence of tap arrays,
 or already assembled: a `Column` is the k tap views of one preallocated
 [taps; 1] buffer, which an engine fills in place, so the point evaluation is
 the dot alone.  A `Column`'s geometry and batch width are checked once, when
-it is built (for the rows of one matrix, `Column.rows_of`, once for all),
-and recorded as its `fit` (taps, rows) and `n`; a call only compares that
-`fit` with the weights' `fit`.  Three cached steps evaluate their nodes
-over `Column`s: the dilated step over rows of a (layers-1, 2C+1) matrix
-held once per network and per thread (see `convgen.dilated`; that
+it is built, and recorded as its `fit` (taps, rows) and `n`; a call only
+compares that `fit` with the weights' `fit`.  Three cached steps evaluate
+their nodes over `Column`s: the dilated step over rows of a (layers-1, 2C+1)
+matrix held once per network and per thread (see `convgen.dilated`; that
 workspace is not engine state and `state_bytes` does not count it), the
 strided step over the columns of one buffer per state, into whose taps each
 input is routed straight to the node that reads it, an up node being one of
@@ -204,45 +203,19 @@ class Column(tuple):
             and buf.flags.c_contiguous
         ):
             raise ShapeError("a Column buffer is a C-contiguous 1D or 2D float32 array")
-        _check_column_rows(buf.shape[0], in_channels, buf[-1:])
         rows = buf.shape[0] - 1
+        if in_channels < 1 or rows < in_channels or rows % in_channels:
+            raise ShapeError(
+                f"column of {buf.shape[0]} rows is not k*{in_channels} + 1 with k >= 1"
+            )
+        last = buf[-1:]
+        if last.tobytes() != _ONE_BYTES * last.size:  # 1.0 has one float32 bit pattern
+            raise InvalidParameterError("the last row of a Column buffer must be ones")
         self = super().__new__(cls, [buf[j : j + in_channels] for j in range(0, rows, in_channels)])
         self.buf = buf
         self.fit = (rows // in_channels, rows + 1)
         self.n = 1 if buf.ndim == 1 else buf.shape[1]
         return self
-
-    @classmethod
-    def rows_of(cls, matrix: np.ndarray, in_channels: int) -> list:
-        """A `Column` over each row of `matrix`, a C-contiguous 2D float32
-        array whose rows are columns [taps; 1]: the checks a `Column` makes
-        of its buffer are made here once, for every row (the ones row of
-        each is the matrix's last column), and each tap's views of every
-        row come from one slice."""
-        if not (
-            isinstance(matrix, np.ndarray)
-            and matrix.dtype == DTYPE
-            and matrix.ndim == 2
-            and matrix.flags.c_contiguous
-        ):
-            raise ShapeError("a Column matrix is a C-contiguous 2D float32 array")
-        width = matrix.shape[1]
-        _check_column_rows(width, in_channels, matrix[:, -1])
-        fit = ((width - 1) // in_channels, width)
-        taps = [list(matrix[:, j : j + in_channels]) for j in range(0, width - 1, in_channels)]
-        columns = [tuple.__new__(cls, row_taps) for row_taps in zip(*taps)]
-        for self, buf in zip(columns, matrix):
-            self.buf, self.fit, self.n = buf, fit, 1
-        return columns
-
-
-def _check_column_rows(n_rows: int, in_channels: int, ones: np.ndarray) -> None:
-    """A Column's n_rows must be k*in_channels + 1 (k >= 1), its last `ones`."""
-    rows = n_rows - 1
-    if in_channels < 1 or rows < in_channels or rows % in_channels:
-        raise ShapeError(f"column of {n_rows} rows is not k*{in_channels} + 1 with k >= 1")
-    if ones.tobytes() != _ONE_BYTES * ones.size:  # 1.0 has one float32 bit pattern
-        raise InvalidParameterError("the last row of a Column buffer must be ones")
 
 
 def conv1d_point(

@@ -29,7 +29,6 @@ from convgen.tensor import conv1d_full
 from convgen.dilated import (
     DilatedNetwork,
     LayerDef,
-    _Workspace,
     incremental_init,
     incremental_step,
     naive_init,
@@ -407,35 +406,13 @@ def test_cached_vectors_are_never_written():
     assert state.cached_values() == sum(l.dilation * l.weights.in_channels for l in net.layers)
 
 
-@pytest.mark.parametrize("stacks,L,C", [(1, 1, 1), (1, 3, 2), (2, 8, 8)])
-def test_workspace_is_one_buffer_with_a_column_per_node(stacks, L, C):
-    # a thread's workspace is one allocation of (n-1)*(2C+1) + C + 5 floats:
-    # layers 1..'s columns, the rows of `cols` (built by Column.rows_of),
-    # layer 0's [previous input; input; 1], the head's [h; 1] and its output;
-    # each layer writes the next one's new tap, the last the head's h
-    net = build_network(NetworkSpec("dilated", stacks, L, channels=C, seed=2))
-    ws, n = _Workspace(net), stacks * L
-    arrays = (ws.cols, ws.col0, ws.head, ws.y)
-    assert sum(a.size for a in arrays) == (n - 1) * (2 * C + 1) + C + 5
-    assert all(a.base is ws.cols.base and a.flags.c_contiguous for a in arrays)
-    assert ws.head_col.buf is ws.head and ws.head_col.fit == net.head.fit
-    assert len(ws.layers) == n and (ws.macs, ws.nodes) == (
-        sum(l.weights.macs for l in net.layers) + net.head.macs, n + 1)
-    for i, (weights, col, out) in enumerate(ws.layers):
-        assert weights is net.layers[i].weights and col.fit == weights.fit
-        assert col.buf is ws.col0 if i == 0 else np.shares_memory(col.buf, ws.cols[i - 1])
-        want = ws.new[i] if i < n - 1 else ws.head[:C]
-        assert out.shape == want.shape and out.__array_interface__ == want.__array_interface__
-
-
 def test_init_allocates_fresh_rings_of_the_size_the_network_fixed():
     # a network fixes its rings' size once, when it is constructed; every init
     # still allocates fresh zeroed rings of that size, and its own counter
     built = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=3, seed=13))
     for net in (built, zero_network(L=3, channels=3), pickle.loads(pickle.dumps(built)),
                 copy.deepcopy(built)):
-        assert net.ring_dilations == tuple(l.dilation for l in net.layers[1:])
-        assert net.ring_shape == (sum(net.ring_dilations), net.spec.channels)
+        assert net.ring_shape == (sum(l.dilation for l in net.layers[1:]), net.spec.channels)
         assert net.ring0_size == net.layers[0].dilation == 1
         a, b = incremental_init(net), incremental_init(net)
         for s in (a, b):

@@ -422,14 +422,15 @@ def _buffers(state):
 def test_the_pair_adds_no_buffer_to_a_state():
     # the benchmark's image: with the pair, a state's buffers are those of a
     # state without it, C*W*B floats fewer than the 299520 bytes a paired
-    # state owned while it carried block 0's odd vconv row between bursts
+    # state owned while it carried block 0's odd vconv row between bursts;
+    # the pair itself holds nothing
     spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
     paired = image_incremental_init(build_image_network(spec), batch=16)
     single = image_incremental_init(
         build_image_network(dataclasses.replace(spec, row_pair=False)), batch=16)
     nbytes = sum(a.nbytes for a in _buffers(paired))
     assert nbytes == sum(a.nbytes for a in _buffers(single)) == 299520 - 8 * 32 * 16 * 4
-    assert type(paired.pair).__slots__ == ("count",)
+    assert type(paired.pair).__slots__ == ()
 
 
 @pytest.mark.parametrize("row_pair", [False, True])

@@ -236,41 +236,6 @@ def test_phases_are_one_tap_weights_over_the_phase_blocks(k, in_ch, out_ch):
             assert got.tobytes() == transposed_point(w, r, buf).tobytes()
 
 
-@pytest.mark.parametrize("k,in_ch", [(1, 1), (2, 3), (3, 2)])
-def test_columns_over_matrix_rows_equal_one_column_per_row(k, in_ch):
-    # Column.rows_of checks the matrix once and gives each row the Column
-    # that Column(row) gives: its taps views of that row, the same fit and n
-    rng = np.random.default_rng(40 + k)
-    w = rand_weights(rng, 4, in_ch, (k,))
-    matrix = np.ones((5, k * in_ch + 1), np.float32)
-    matrix[:, :-1] = rng.uniform(-1, 1, (5, k * in_ch))
-    columns = Column.rows_of(matrix, in_ch)
-    assert len(columns) == 5 and all(type(col) is Column for col in columns)
-    for row, col in zip(matrix, columns):
-        one = Column(row, in_ch)
-        assert (col.fit, col.n, len(col)) == (one.fit, one.n, len(one))
-        assert col.buf.base is matrix and np.shares_memory(col.buf, row)
-        for tap, want in zip(col, one):
-            assert tap.shape == want.shape and np.shares_memory(tap, row)
-            assert tap.__array_interface__["data"] == want.__array_interface__["data"]
-        assert np.array_equal(conv1d_point(w, col), conv1d_point(w, one))
-    assert Column.rows_of(matrix[:0], in_ch) == []
-    for bad, in_ch_bad in (
-        (np.ones((5, 1), np.float32), in_ch),  # no tap
-        (matrix, k * in_ch + 1),  # fewer rows than one tap of in_channels
-        (np.ones((5, k * in_ch + 1), np.float64), in_ch),  # not float32
-        (np.ones((5, 2 * (k * in_ch + 1)), np.float32)[:, ::2], in_ch),  # not contiguous
-        (np.ones(k * in_ch + 1, np.float32), in_ch),  # not 2D
-        (matrix, 0),
-    ):
-        with pytest.raises(ShapeError):
-            Column.rows_of(bad, in_ch_bad)
-    broken = matrix.copy()
-    broken[3, -1] = 0.0
-    with pytest.raises(InvalidParameterError):
-        Column.rows_of(broken, in_ch)  # every row's last entry must be one
-
-
 def test_column_contract_errors():
     rng = np.random.default_rng(3)
     w = rand_weights(rng, 2, 3, (2,))

@@ -15,10 +15,13 @@ runs either engine of any family and returns the outputs as (n_steps,
 batch).  The two engines of a family produce identical samples (image2d:
 equal to float32 noise); the cached one does linear instead of exponential
 work per sample.  `convgen.bench` holds `generate`, the batch step it runs
-(`init` / `step`, one protocol for all six engines) and the
-benchmark/verification command line (installed as ``convgen-bench``).
+(`init` / `step`, one protocol for all six engines: a fresh float32
+(batch,) array per step) and the benchmark/verification command line
+(installed as ``convgen-bench``).  Every network carries its schedule's
+`period`, its sequence `length` (None for 1D) and a whole-sequence
+`forward`.
 
-This namespace holds the user-facing API.  Kernels (`convgen.tensor`),
+This namespace holds the user-facing API.  Kernels (`convgen.tensor`), row
 caches (`convgen.cache`) and each family's own `*_init` / `*_step`
 functions, which `perfbench/` calls, are imported from their modules.
 """

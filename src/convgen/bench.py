@@ -1,6 +1,11 @@
 """`init` / `step`, one batch protocol for every engine; `generate` over it;
 and the benchmark and verification command line (``convgen-bench``).
 
+Every engine is an `ENGINES` pair, `init(network, batch, counter)` and
+`step(network, state, xs)` -> float32 (batch,); 1D per-sequence functions
+enter through one lift, `_each`.  The network holds what differs by family:
+its schedule's `period`, its sequence `length` and its `forward` pass.
+
 Subcommands:
   run      time naive vs cached generation over depth/batch sweeps, CSV out
   speedup  turn a run CSV into a per-configuration speedup table
@@ -15,12 +20,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import math
 import statistics
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -38,7 +46,6 @@ from .errors import InvalidParameterError, ShapeError
 from .image2d import (
     ImageSpec,
     build_image_network,
-    forward_image,
     image_incremental_init,
     image_incremental_step,
     image_naive_init,
@@ -83,17 +90,51 @@ CSV_COLUMNS = (
 # the engine table, and the batch step that generate, checks and timing run through
 # ---------------------------------------------------------------------------
 
-# family -> engine -> (init, step).  1D: init(network, counter) and
-# step(network, state, x) -> y.  image2d: init(network, batch, counter) and
-# step(network, state) -> (1, batch), the state reading the image it writes.
-ENGINES = {
+@dataclass(eq=False)
+class PerSequence:
+    """A lifted 1D engine's batch: one engine state per sequence, and each
+    one's last output (0.0 before the first step)."""
+
+    states: list
+    ys: list
+
+
+def _init_each(init_one, network, batch: int, counter: OpCounter) -> PerSequence:
+    states = [init_one(network, counter) for _ in range(batch)]
+    return PerSequence(states, [np.float32(0.0)] * batch)
+
+
+def _step_each(step_one, network, seqs: PerSequence, xs) -> np.ndarray:
+    if xs is None:
+        xs = seqs.ys
+    else:
+        n = len(seqs.states)
+        try:
+            xs = np.asarray(xs, DTYPE)
+        except (TypeError, ValueError):  # ragged nesting, or not numbers
+            raise ShapeError(f"xs must be 1-D of {n} numbers") from None
+        if xs.shape != (n,):
+            raise ShapeError(f"xs must be 1-D of length {n}, got {xs.shape}")
+    # map, not a comprehension: no frame of its own, which a B=1 step feels
+    seqs.ys = ys = list(map(step_one, repeat(network), seqs.states, xs))
+    return np.array(ys, DTYPE)
+
+
+def _each(init_one: Callable, step_one: Callable) -> tuple:
+    """A 1D engine's per-sequence `init(network, counter)` and `step(network,
+    state, x) -> y`, lifted to the batch protocol over a `PerSequence`:
+    partials of module functions, so that a batch state pickles."""
+    return partial(_init_each, init_one), partial(_step_each, step_one)
+
+
+ENGINES = {  # family -> engine -> (init, step)
     "dilated": {
-        "naive": (naive_init, naive_step),
-        "cached": (incremental_init, incremental_step),
+        "naive": _each(naive_init, naive_step),
+        "cached": _each(incremental_init, incremental_step),
     },
     "strided": {
-        "naive": (strided_naive_init, strided_naive_step),
-        "cached": (strided_incremental_init, strided_incremental_step),
+        "naive": _each(strided_naive_init, strided_naive_step),
+        "cached": _each(strided_incremental_init, strided_incremental_step),
     },
     "image2d": {
         "naive": (image_naive_init, image_naive_step),
@@ -135,15 +176,15 @@ def _check_prime(prime) -> np.ndarray:
 
 @dataclass(eq=False)
 class BatchState:
-    """`init`'s batch: one engine state per 1D sequence, or the one lockstep
-    image state, all counting into `counter`; each sequence's last output;
-    and for images the pixel count `length` (1D: None) and `t` generated."""
+    """`init`'s batch: its engine's `init` and `step`, the engine's state of
+    the whole batch, counting into `counter`; and the steps `t` taken in the
+    current sequence, which ends after the network's `length` (None: never)."""
 
     engine_init: Callable
     engine_step: Callable
-    states: list
+    engine: object
     counter: OpCounter
-    ys: list | np.ndarray
+    batch: int
     length: int | None
     t: int = 0
 
@@ -151,18 +192,16 @@ class BatchState:
 def init(network, engine: str = "cached", batch: int = 1, counter=None) -> BatchState:
     """A fresh batch for `step`, run by `engine` ("naive" or "cached"); every
     step counts into `counter` (a new OpCounter by default).  A
-    `copy.deepcopy` forks it: both copies continue as the whole run would."""
-    family = network.spec.family
-    if engine not in ENGINES[family]:
+    `copy.deepcopy` or a pickle forks it: both copies continue as the whole
+    run would."""
+    engines = ENGINES[network.spec.family]
+    if engine not in engines:
         raise InvalidParameterError(f"engine must be naive or cached, got {engine!r}")
     batch = _check_int("batch", batch, 1)
-    start, advance = ENGINES[family][engine]
+    start, advance = engines[engine]
     counter = OpCounter() if counter is None else counter
-    if family == "image2d":
-        return BatchState(start, advance, [start(network, batch, counter)], counter,
-                          np.zeros(batch, DTYPE), network.spec.height * network.spec.width)
-    states = [start(network, counter) for _ in range(batch)]
-    return BatchState(start, advance, states, counter, [np.float32(0.0)] * batch, None)
+    return BatchState(start, advance, start(network, batch, counter), counter, batch,
+                      network.length)
 
 
 def step(network, state: BatchState, xs=None) -> np.ndarray:
@@ -172,24 +211,10 @@ def step(network, state: BatchState, xs=None) -> np.ndarray:
     (0.0 at first); a given `xs` must be 1-D of length batch (ShapeError).
     An image reads its own last pixel too, so image2d takes only None
     (InvalidParameterError otherwise); it restarts after an image's end."""
-    if state.length is None:
-        if xs is None:
-            xs = state.ys
-        else:
-            try:
-                xs = np.asarray(xs, DTYPE)
-            except (TypeError, ValueError):  # ragged nesting, or not numbers
-                raise ShapeError(f"xs must be 1-D of {len(state.states)} numbers") from None
-            if xs.shape != (len(state.states),):
-                raise ShapeError(f"xs must be 1-D of length {len(state.states)}, got {xs.shape}")
-        state.ys = ys = [state.engine_step(network, s, x) for s, x in zip(state.states, xs)]
-        return np.array(ys, DTYPE)
-    if xs is not None:
-        raise InvalidParameterError("image2d engines take no input, so xs must be None")
     if state.t == state.length:
-        state.states = [state.engine_init(network, len(state.ys), state.counter)]
+        state.engine = state.engine_init(network, state.batch, state.counter)
         state.t = 0
-    state.ys = ys = state.engine_step(network, state.states[0])[0]
+    ys = state.engine_step(network, state.engine, xs)
     state.t += 1
     return ys
 
@@ -208,25 +233,13 @@ def generate(network, n_steps=None, *, engine="cached", batch=1, prime=(), count
     """
     state = init(network, engine, batch, counter)
     prime = _check_prime(prime)
-    n = _check_int("n_steps", state.length if n_steps is None else n_steps, 1)
+    n = _check_int("n_steps", network.length if n_steps is None else n_steps, 1)
     out = np.empty((n, batch), dtype=DTYPE)
     for x in prime:  # row 0 keeps the prediction after the whole prime
         out[0] = step(network, state, np.full(batch, x))
     for i in range(min(len(prime), 1), n):
         out[i] = step(network, state)
     return out
-
-
-def _period(network) -> int:
-    """Steps after which an engine's schedule repeats: 1 for dilated, the
-    plan's period for strided, and the compiled row pair's steps, 2W, for
-    image2d."""
-    spec = network.spec
-    if spec.family == "strided":
-        return network.plan.period
-    if spec.family == "image2d":
-        return 2 * spec.width
-    return 1
 
 
 def _step_percentiles(step_us: np.ndarray, position: np.ndarray) -> dict:
@@ -255,26 +268,24 @@ def time_engine(
     `mean_us` summarise it over the repeats.  `setup_us` is `init` and the
     first step under one timer, so it holds what a fresh state and a first
     use build.  Warm-up, which starts with that first step and is excluded
-    from the step timing, defaults to 4 steps, or one image for image2d; for
-    the naive dilated engine it spans one receptive field, because earlier
-    steps evaluate pruned trees and are cheaper than the steady state.
-    `steps=None` times whole images, each with its fresh image's set-up:
-    `init`, and the cached engine's views bound on the first pixel.
-    `p50_us` and `p99_us` come from a second pass of as many steps, each
-    timed on its own: percentiles over the steps, each counted as the
-    median at its position in the schedule period (`_period`, from the
-    first step, or from the image start for image2d).
+    from the step timing, defaults to the network's `length` (one image),
+    else to 4 steps, or for a naive engine to one receptive field if longer,
+    because earlier steps read the zero padding and cost less than the
+    steady state.  `steps=None` times whole sequences (images), each with
+    its fresh image's set-up: `init`, and the cached engine's views bound on
+    the first pixel.  `p50_us` and `p99_us` come from a second pass of as
+    many steps, each timed on its own: percentiles over the steps, each
+    counted as the median at its position in the network's schedule
+    `period`, from the sequence's start.
     """
     clock = time.perf_counter
     t0 = clock()
     state = init(network, engine, batch)
     step(network, state)
     setup_us = (clock() - t0) * 1e6
-    steps = _check_int("steps", state.length if steps is None else steps, 1)
+    steps = _check_int("steps", network.length if steps is None else steps, 1)
     if warmup is None:
-        warmup = state.length or 4
-        if engine == "naive" and network.spec.family == "dilated":
-            warmup = max(warmup, receptive_field(network.spec))
+        warmup = network.length or max(4, receptive_field(network.spec) if engine == "naive" else 0)
     warmup = max(warmup, 1)  # the first step is warm-up
     for _ in range(warmup - 1):
         step(network, state)
@@ -286,11 +297,9 @@ def time_engine(
             step(network, state)
         times.append((clock() - t0) * 1e6 / steps)
     macs = state.counter.macs - macs0
-    period = _period(network)
-    done = warmup + repeats * steps  # 1D steps so far; an image counts from its start (state.t)
     step_us, position = [], []
-    for t in range(done, done + repeats * steps):
-        position.append((state.t if state.length else t) % period)
+    for _ in range(repeats * steps):
+        position.append(state.t % network.period)
         t0 = clock()
         step(network, state)
         step_us.append((clock() - t0) * 1e6)
@@ -427,15 +436,6 @@ def check_golden_trace():
     return True, "burst at t=0 (4 outputs), idle t=1/t=3, one node at t=2, period 4"
 
 
-def _forward(network, inputs: np.ndarray) -> np.ndarray:
-    """Outputs for fixed inputs, flat in generation order: the naive 1D
-    engine stepped over `inputs` without feedback, or one image pass."""
-    if network.spec.family == "image2d":
-        return forward_image(network, inputs).ravel()
-    state = init(network, "naive")
-    return np.concatenate([step(network, state, x) for x in inputs[:, None]])
-
-
 def check_causality(seed: int = 0):
     rng = np.random.default_rng(seed)
     # (network, inputs, 1 if the output at position p reads input p); an
@@ -450,12 +450,12 @@ def check_causality(seed: int = 0):
     )
     for network, x, reads_own in cases:
         x = x.astype(DTYPE)
-        base = _forward(network, x)
+        base = network.forward(x).reshape(-1)
         for p in range(x.size):
             xp = x.copy()
             xp.reshape(-1)[p] += 1.0
             upto = p + 1 - reads_own
-            if not np.array_equal(base[:upto], _forward(network, xp)[:upto]):
+            if not np.array_equal(base[:upto], network.forward(xp).reshape(-1)[:upto]):
                 return False, (
                     f"{network.spec.family} outputs before {upto} changed by a perturbation at {p}"
                 )
@@ -471,7 +471,7 @@ def check_constant_memory(n_steps: int = 1000):
     for t in range(n_steps):
         step(net, state)
         if t in (10, n_steps // 2, n_steps - 1):
-            sizes.add(state.states[0].cached_values())
+            sizes.add(state.engine.states[0].cached_values())
     if sizes != {expected}:
         return False, f"cache storage {sizes} != analytic {expected}"
     return True, f"{expected} stored values, constant over {n_steps} steps"
@@ -605,20 +605,25 @@ def run_bench(args, points, out=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def speedup_report(csv_lines, out=None) -> int:
-    """Pair naive/cached rows and print per-configuration speedups."""
-    out = sys.stdout if out is None else out
-    import csv as _csv
+def _bad_csv(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
-    reader = _csv.DictReader(csv_lines)
-    rows = list(reader)
+
+def speedup_report(csv_lines, out=None) -> int:
+    """Pair naive/cached rows and print per-configuration speedups; a CSV
+    that is not a whole run's is an `error:` line and status 2."""
+    out = sys.stdout if out is None else out
+    reader = csv.DictReader(csv_lines)
+    try:
+        rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return _bad_csv(f"unreadable CSV: {exc}")
     if not rows:
-        print("error: empty CSV", file=sys.stderr)
-        return 1
+        return _bad_csv("empty CSV")
     absent = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
     if absent:
-        print(f"error: CSV lacks column(s) {','.join(absent)}", file=sys.stderr)
-        return 1
+        return _bad_csv(f"CSV lacks column(s) {','.join(absent)}")
     table = {}
     for row in rows:
         key = (row["model"], row["L"], row["stacks"], row["batch"], row["steps"])
@@ -628,23 +633,15 @@ def speedup_report(csv_lines, out=None) -> int:
         except (TypeError, ValueError):  # TypeError: a short row leaves the field None
             us = math.nan
         if not (math.isfinite(us) and us > 0):
-            print(
-                f"error: wall_us_per_step must be a positive number, got {text!r} "
-                f"(model={key[0]} L={key[1]} stacks={key[2]} batch={key[3]} mode={row['mode']})",
-                file=sys.stderr,
-            )
-            return 1
+            return _bad_csv(
+                f"wall_us_per_step must be a positive number, got {text!r} "
+                f"(model={key[0]} L={key[1]} stacks={key[2]} batch={key[3]} mode={row['mode']})")
         table.setdefault(key, {})[row["mode"]] = us
     missing = [k for k, v in table.items() if not {"naive", "cached"} <= set(v)]
     if missing:
-        for key in missing:
-            have = ",".join(sorted(table[key]))
-            print(
-                "error: unmatched pair "
-                f"model={key[0]} L={key[1]} stacks={key[2]} batch={key[3]} (have: {have})",
-                file=sys.stderr,
-            )
-        return 1
+        return _bad_csv("unmatched pair " + "; ".join(
+            f"model={k[0]} L={k[1]} stacks={k[2]} batch={k[3]} (have: {','.join(sorted(table[k]))})"
+            for k in missing))
     print("model,L,stacks,batch,naive_us,cached_us,speedup", file=out)
     for key in sorted(table):
         naive_us = table[key]["naive"]
@@ -694,11 +691,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open(parser, path: str, mode: str, std):
-    """`path` opened in `mode`, "-" meaning `std`; an unopenable path is a usage error."""
+    """`path` opened in `mode` as UTF-8 text, "-" meaning `std`; an unopenable
+    path is a usage error."""
     if path == "-":
         return contextlib.nullcontext(std)
     try:
-        return open(path, mode)
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         parser.error(f"cannot open {path}: {exc.strerror or exc}")
 

@@ -1,17 +1,5 @@
-"""Hidden-state caching machinery: a checked FIFO queue and 2D row caches.
+"""Hidden-state caching machinery: 2D row caches.
 (The firing schedule of strided/transposed stacks is `strided.StridedPlan`.)
-
-`_frozen_zeros(width)` is the one shared read-only zero vector per width
-that pre-fills a `FifoCache`, so the pre-fill costs no allocation per slot
-and cannot be corrupted through a reference read from the cache.
-
-A `FifoCache` holds exactly `capacity` states and is pre-filled with zeros
-so that popping at the start of a sequence reads the same implicit causal
-padding the naive engine uses.  Pop and push strictly alternate; any other
-order is a scheduling bug and raises instead of producing plausible output.
-No engine uses it any more (the dilated engine keeps one ring read at row
-offset + t % dilation per layer); it is kept for its own tests and for the
-benchmark tracer, which patches its methods.
 
 A `RowCache` holds the last kh rows a 2D vertical conv reads in a ring of
 zero-left-padded slots, so `column(lo, hi, rows)` fills the conv's fused
@@ -22,80 +10,31 @@ rows in place, ahead of that window.
 
 from __future__ import annotations
 
-from collections import deque
-from functools import cache
 from itertools import product
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    InvalidRowError,
-    ScheduleViolationError,
-    ShapeError,
-)
-from .tensor import DTYPE, Column, _frozen, zeros
+from .errors import InvalidParameterError, InvalidRowError, ScheduleViolationError
+from .tensor import DTYPE, Column, zeros
 
 
 _F32 = np.dtype(DTYPE)
 
 
-@cache
-def _frozen_zeros(width: int) -> np.ndarray:
-    return _frozen(zeros(width))
-
-
 class FifoCache:
-    """Fixed-capacity FIFO of hidden-state vectors with a firing period.
+    """A name only: no engine has used a FIFO queue since the dilated engine
+    moved to one ring per state.  perfbench's tracer patches these methods."""
 
-    The state popped at firing step n is exactly the state pushed at firing
-    step n - capacity (zero vectors before the start).
-    """
+    __slots__ = ()
 
-    __slots__ = ("capacity", "width", "cache_every", "phase", "_slots", "_awaiting_push")
+    def fires(self, *args) -> bool:
+        raise ScheduleViolationError("FifoCache holds no queue")
 
-    def __init__(self, capacity: int, width: int, cache_every: int = 1):
-        if capacity < 1 or width < 1 or cache_every < 1:
-            raise InvalidParameterError(
-                f"capacity, width, cache_every must be >= 1 "
-                f"(got {capacity}, {width}, {cache_every})"
-            )
-        self.capacity = capacity
-        self.width = width
-        self.cache_every = cache_every
-        self.phase = 0  # firing offset within the period; engines fire at t % cache_every == phase
-        self._slots = deque((_frozen_zeros(width),) * capacity)
-        self._awaiting_push = False
+    def pop(self, *args) -> np.ndarray:
+        raise ScheduleViolationError("FifoCache holds no queue")
 
-    def fires(self, t: int) -> bool:
-        return t % self.cache_every == self.phase
-
-    def pop(self) -> np.ndarray:
-        if self._awaiting_push:
-            raise ScheduleViolationError("pop called twice without an intervening push")
-        if not self._slots:
-            raise ScheduleViolationError("pop from an empty cache")
-        self._awaiting_push = True
-        return self._slots.popleft()
-
-    def push(self, state: np.ndarray) -> None:
-        if not self._awaiting_push:
-            raise ScheduleViolationError("push called without a preceding pop")
-        if type(state) is not np.ndarray or state.dtype is not _F32:
-            state = np.asarray(state, dtype=DTYPE)
-        if state.shape != (self.width,):
-            raise ShapeError(f"state shape {state.shape} != ({self.width},)")
-        if len(self._slots) >= self.capacity:
-            raise ScheduleViolationError("push would exceed cache capacity")
-        self._slots.append(state)
-        self._awaiting_push = False
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def stored_values(self) -> int:
-        """Total scalars currently held (memory instrumentation)."""
-        return len(self._slots) * self.width
+    def push(self, *args) -> None:
+        raise ScheduleViolationError("FifoCache holds no queue")
 
 
 class RowCache:

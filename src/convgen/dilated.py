@@ -195,6 +195,8 @@ class DilatedNetwork:
     )
     ring_shape: tuple[int, int] = field(init=False, repr=False, compare=False)
     ring0_size: int = field(init=False, repr=False, compare=False)
+    period = 1  # every step computes the same nodes
+    length = None  # a sequence has no end
 
     def __post_init__(self):
         rows = sum(layer.dilation for layer in self.layers[1:])
@@ -206,6 +208,9 @@ class DilatedNetwork:
 
     def __hash__(self):
         return hash(self.spec)  # equal networks have equal specs
+
+    def forward(self, inputs, counter: OpCounter | None = None) -> np.ndarray:
+        return forward_full(self, inputs, counter)
 
 
 def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> ConvWeights:

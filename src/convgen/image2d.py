@@ -118,6 +118,17 @@ class ImageNetwork:
     def __hash__(self):
         return hash(self.spec)  # equal networks have equal specs
 
+    @property
+    def period(self) -> int:  # a row pair's compiled steps, with or without the pair
+        return 2 * self.spec.width
+
+    @property
+    def length(self) -> int:  # an image's raster steps
+        return self.spec.height * self.spec.width
+
+    def forward(self, inputs: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
+        return forward_image(self, inputs, counter)
+
 
 def build_image_network(spec: ImageSpec) -> ImageNetwork:
     rng = np.random.default_rng(spec.seed)
@@ -216,13 +227,19 @@ def image_naive_init(
     return ImageNaiveState(image=image, t=0, counter=counter or OpCounter())
 
 
-def image_naive_step(network: ImageNetwork, state: ImageNaiveState) -> np.ndarray:
-    """Predict the next raster pixel of every batch element with a full forward pass: (1, batch)."""
+def _no_input(xs) -> None:  # an image reads its own last pixel
+    if xs is not None:
+        raise InvalidParameterError("image2d engines take no input, so xs must be None")
+
+
+def image_naive_step(network: ImageNetwork, state: ImageNaiveState, xs=None) -> np.ndarray:
+    """Predict the next raster pixel of every batch element with a full forward pass: (batch,)."""
+    _no_input(xs)
     r, c = divmod(state.t, network.spec.width)
     if r == network.spec.height:
         raise ScheduleViolationError("image already complete")
-    y = forward_image(network, state.image, state.counter)[:, r, c, :]
-    state.image[:, r, c, :] = y
+    y = forward_image(network, state.image, state.counter)[0, r, c, :]
+    state.image[0, r, c, :] = y
     state.t += 1
     return y
 
@@ -606,12 +623,13 @@ def _pixel_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
         raise ScheduleViolationError("a pixel step before its group") from None
 
 
-def image_incremental_step(network: ImageNetwork, state: ImageGenState) -> np.ndarray:
-    """Generate the next raster pixel of every batch element: (1, batch); a
+def image_incremental_step(network: ImageNetwork, state: ImageGenState, xs=None) -> np.ndarray:
+    """Generate the next raster pixel of every batch element: (batch,); a
     row's first also runs its `vertical_row_pass`, which raises at the end."""
+    _no_input(xs)
     if state.c == 0:
         vertical_row_pass(network, state, state.r)
-    return _pixel_step(network, state)
+    return _pixel_step(network, state)[0]
 
 
 # ---------------------------------------------------------------------------

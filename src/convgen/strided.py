@@ -144,6 +144,7 @@ class StridedNetwork:
     spec: object
     plan: StridedPlan
     layers: tuple[StridedLayer, ...]
+    length = None  # a sequence has no end
 
     def __post_init__(self):
         # the incremental engine's `_compile`d program, and its op table bound to
@@ -159,6 +160,23 @@ class StridedNetwork:
 
     def __reduce__(self):  # copies and pickles are rebuilt through the constructor
         return StridedNetwork, (self.spec, self.plan, self.layers)
+
+    @property
+    def period(self) -> int:
+        return self.plan.period
+
+    def forward(self, inputs, counter: OpCounter | None = None) -> np.ndarray:
+        """Causal pass over a whole sequence, one output per input: the inputs
+        zero-padded to whole periods through each strided (transposed) conv."""
+        x = np.asarray(inputs, dtype=DTYPE)
+        cur = np.zeros((1, -(-len(x) // self.period) * self.period), dtype=DTYPE)
+        cur[0, : len(x)] = x
+        for layer in self.layers:
+            conv = strided_conv1d if layer.kind == "down" else strided_transposed_conv1d
+            cur = conv(layer.weights, cur, layer.stride, counter)
+            if layer.activation == "tanh":
+                cur = np.tanh(cur)
+        return cur[0, : len(x)]
 
 
 def build_strided_network(spec) -> StridedNetwork:
@@ -359,19 +377,7 @@ def strided_naive_init(network: StridedNetwork, counter: OpCounter | None = None
 def strided_naive_step(network: StridedNetwork, state: StridedNaiveState, x) -> np.floating:
     """Recompute the whole stack over all inputs so far and emit output t."""
     state.inputs.append(np.float32(x))
-    T = len(state.inputs)
-    period = network.plan.period
-    padded = -(-T // period) * period
-    cur = np.zeros((1, padded), dtype=DTYPE)
-    cur[0, :T] = state.inputs
-    for layer in network.layers:
-        if layer.kind == "down":
-            cur = strided_conv1d(layer.weights, cur, layer.stride, state.counter)
-        else:
-            cur = strided_transposed_conv1d(layer.weights, cur, layer.stride, state.counter)
-        if layer.activation == "tanh":
-            cur = np.tanh(cur)
-    y = cur[0, state.t]
+    y = network.forward(state.inputs, state.counter)[state.t]
     state.t += 1
     return y
 

@@ -6,6 +6,7 @@ import copy
 import csv
 import io
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -241,17 +242,19 @@ def test_layers_rejects_bad_input(capsys, text):
         (["run", "--model", "image2d", "--seed", "-1"], 2),
         (["speedup", "{tmp}/missing.csv"], 2),
         (["run", "--model", "dilated", "--csv", "{tmp}/no/such/dir/x.csv"], 2),
-        (["speedup", "{tmp}/no_schema.csv"], 1),
-        (["speedup", "{tmp}/text_time.csv"], 1),
-        (["speedup", "{tmp}/zero_time.csv"], 1),
-        (["speedup", "{tmp}/nan_time.csv"], 1),
+        (["speedup", "{tmp}/no_schema.csv"], 2),
+        (["speedup", "{tmp}/text_time.csv"], 2),
+        (["speedup", "{tmp}/zero_time.csv"], 2),
+        (["speedup", "{tmp}/nan_time.csv"], 2),
         (["run", "--model", "image2d", "--image-size", "0", "--csv", "{tmp}/out.csv"], 2),
         (["run", "--model", "dilated", "--channels", "0", "--csv", "{tmp}/out.csv"], 2),
         (["run", "--model", "strided", "--seed", "-1", "--csv", "{tmp}/out.csv"], 2),
+        (["speedup", "{tmp}/not_utf8.csv"], 2),
     ],
 )
 def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv, code):
     (tmp_path / "no_schema.csv").write_text("model,L\ndilated,3\n")
+    (tmp_path / "not_utf8.csv").write_bytes(HEADER.encode() + b"\ndilated,4,2,1,naive,\xff\xfe\n")
     for name, cached_us in (("text", "fast"), ("zero", "0"), ("nan", "nan")):
         (tmp_path / f"{name}_time.csv").write_text(
             "\n".join([
@@ -312,12 +315,12 @@ def test_speedup_missing_pair_errors(capsys):
     rows = [HEADER, "dilated,4,2,1,naive,32,3,300.0,500,"]
     code = speedup_report(io.StringIO("\n".join(rows)))
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 2
     assert "unmatched pair" in captured.err and "L=4" in captured.err
 
 
 def test_speedup_empty_csv_errors(capsys):
-    assert speedup_report(io.StringIO("")) == 1
+    assert speedup_report(io.StringIO("")) == 2
 
 
 def test_speedup_cli_from_file(tmp_path, capsys):
@@ -465,21 +468,20 @@ def test_time_engine_reports_setup(network, engine):
 
 
 def test_step_percentiles_take_the_median_per_position():
-    from convgen.bench import _period, _step_percentiles
+    from convgen.bench import _step_percentiles
 
     # position 1 is slow in every period, and one position-0 step is an outlier
     step_us = np.array([1.0, 10.0, 1.0, 10.0, 100.0, 10.0, 1.0, 10.0])
     position = np.array([0, 1, 0, 1, 0, 1, 0, 1])
     assert _step_percentiles(step_us, position) == {"p50_us": 1.0, "p99_us": 10.0}
-    assert _period(build_image_network(ImageSpec(4, 3, channels=2, row_pair=True))) == 6
-    assert _period(build_image_network(ImageSpec(4, 3, channels=2))) == 6  # rows in pairs
+    assert build_image_network(ImageSpec(4, 3, channels=2, row_pair=True)).period == 6
+    assert build_image_network(ImageSpec(4, 3, channels=2)).period == 6  # rows in pairs
 
 
 @pytest.mark.parametrize("row_pair", [False, True])
 def test_period_is_the_compiled_image_schedule_period(row_pair):
-    # time_engine groups image steps by their position in a row pair: `_period`
+    # time_engine groups image steps by their position in a row pair: `period`
     # is the pair's compiled steps, 2W, with or without the row pair
-    from convgen.bench import _period
     from convgen.image2d import _schedule
 
     for width, layers in ((1, 1), (3, 2), (8, 3), (11, 3), (32, 3)):
@@ -487,7 +489,7 @@ def test_period_is_the_compiled_image_schedule_period(row_pair):
                                             kw=min(3, width), h_kw=min(2, width),
                                             row_pair=row_pair))
         lead, lag = _schedule(width, layers, row_pair)[1][:2]
-        assert _period(net) == len(lead) + len(lag) == 2 * width
+        assert net.period == len(lead) + len(lag) == 2 * width
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +567,9 @@ def test_batch_columns_equal_single_runs_on_their_own_inputs(family, engine):
 
 @pytest.mark.parametrize("family, engine", ENGINE_CASES)
 def test_forked_batch_continues_as_the_whole_run(family, engine):
-    # fork mid-period (strided period 6) or mid-row (image width 5), and run
-    # past the image's end so that both copies also restart
+    # fork mid-period (strided period 6) or mid-row (image width 5) by a
+    # deep copy and by a pickle, and run past the image's end so that every
+    # copy also restarts
     net = NETWORKS[family]()
     n, fork_at = 23, 2 * 5 + 3
     whole = init(net, engine, batch=2)
@@ -574,12 +577,32 @@ def test_forked_batch_continues_as_the_whole_run(family, engine):
     state = init(net, engine, batch=2)
     for _ in range(fork_at):
         step(net, state)
-    fork = copy.deepcopy(state)
-    assert fork.counter is not state.counter
-    outs = {"state": [], "fork": []}
+    states = {"state": state, "deepcopy": copy.deepcopy(state),
+              "pickle": pickle.loads(pickle.dumps(state))}
+    assert len({id(st.counter) for st in states.values()}) == 3
+    outs = {name: [] for name in states}
     for _ in range(n - fork_at):
-        for name, st in (("state", state), ("fork", fork)):  # interleaved
+        for name, st in states.items():  # interleaved
             outs[name].append(step(net, st))
     for name, got in outs.items():
         assert np.array_equal(np.stack(got), want[fork_at:]), name
-    assert fork.counter.snapshot() == state.counter.snapshot() == whole.counter.snapshot()
+        assert states[name].counter.snapshot() == whole.counter.snapshot(), name
+
+
+@pytest.mark.parametrize("family, period, length", [
+    ("dilated", 1, None), ("strided", 6, None), ("image2d", 10, 20)])
+@pytest.mark.parametrize("engine", ["naive", "cached"])
+def test_network_forward_reproduces_a_generate_run(family, period, length, engine):
+    # `forward` over the inputs a run fed itself gives the run's outputs:
+    # bit for bit for 1D, within float32 noise for an image
+    net = NETWORKS[family]()
+    assert (net.period, net.length) == (period, length)
+    ys = generate(net, 20, engine=engine, batch=3)
+    if length is None:  # a 1D sequence reads 0.0, then its own outputs
+        for j in range(3):
+            inputs = np.concatenate([[0.0], ys[:-1, j]]).astype(np.float32)
+            assert np.array_equal(net.forward(inputs), ys[:, j]), j
+    else:  # an image's pixels are its own outputs, in raster order
+        images = ys.T.reshape(1, 3, 4, 5).transpose(0, 2, 3, 1)
+        pred = net.forward(images).reshape(20, 3)
+        assert np.max(np.abs(pred.astype(np.float64) - ys)) <= 1e-5

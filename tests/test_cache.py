@@ -1,4 +1,4 @@
-"""FIFO delay laws, the strided firing schedule, and row-cache rotation."""
+"""The strided firing schedule, row-cache rotation, and the `FifoCache` stub."""
 
 import copy
 
@@ -10,7 +10,6 @@ from convgen import (
     InvalidRowError,
     NetworkSpec,
     ScheduleViolationError,
-    ShapeError,
     StridedPlan,
     UnsupportedTopologyError,
     firing_trace,
@@ -29,95 +28,11 @@ def firing_layers(plan, t):
     return tuple(i + 1 for i, n in enumerate(plan.nodes[t % plan.period]) if n)
 
 
-# ---------------------------------------------------------------------------
-# FifoCache
-# ---------------------------------------------------------------------------
-
-
-def test_capacity_equals_dilation():
-    assert len(FifoCache(capacity=4, width=1)) == 4
-    assert FifoCache(capacity=1, width=1).pop()[0] == 0.0
-
-
-def test_prefill_shapes():
-    cache = FifoCache(capacity=8, width=16)
-    assert len(cache) == 8
-    assert cache.stored_values() == 8 * 16
-    first = cache.pop()
-    assert first.shape == (16,) and not first.any()
-
-
-def test_prefill_is_read_only():
-    cache = FifoCache(capacity=3, width=4)
-    first = cache.pop()
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 1.0
-    cache.push(np.ones(4, np.float32))
-    assert not cache.pop().any()  # the rest of the pre-fill is still zero
-    assert cache.stored_values() == 2 * 4  # logical count, shared vector or not
-
-
-def test_push_coerces_non_float32_states():
-    cache = FifoCache(capacity=1, width=2)
-    cache.pop()
-    cache.push([1, 2])  # a list of ints is stored as float32
-    got = cache.pop()
-    assert got.dtype == np.float32 and got.tolist() == [1.0, 2.0]
-    cache.push(np.array([3.0, 4.0]))  # float64
-    assert cache.pop().dtype == np.float32
-
-
-def test_fifo_order_with_prefill():
-    # pop/push cycles on a capacity-2 cache: two zeros come out before `a`
-    cache = FifoCache(capacity=2, width=1)
-    a, b = np.array([1.0], np.float32), np.array([2.0], np.float32)
-    out = []
-    for value in (a, b, None):
-        out.append(cache.pop()[0])
-        cache.push(value if value is not None else b)
-    assert out == [0.0, 0.0, 1.0]
-
-
-def test_delay_law_replay():
-    # state popped at firing step n is the state pushed at step n - capacity
-    rng = np.random.default_rng(0)
-    for capacity in (1, 2, 5, 8):
-        cache = FifoCache(capacity=capacity, width=3)
-        log = [np.zeros(3, np.float32)] * capacity  # implicit pre-start pushes
-        for n in range(100):
-            popped = cache.pop()
-            assert np.array_equal(popped, log[n])
-            state = rng.uniform(-1, 1, 3).astype(np.float32)
-            cache.push(state)
-            log.append(state)
-            assert len(cache) == capacity  # never exceeds capacity
-
-
-def test_protocol_violations():
-    cache = FifoCache(capacity=2, width=1)
-    cache.pop()
-    with pytest.raises(ScheduleViolationError):
-        cache.pop()  # double pop
-    cache.push(np.zeros(1, np.float32))
-    with pytest.raises(ScheduleViolationError):
-        cache.push(np.zeros(1, np.float32))  # push without pop
-    cache.pop()
-    with pytest.raises(ShapeError):
-        cache.push(np.zeros(2, np.float32))
-
-
-def test_invalid_parameters():
-    for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        with pytest.raises(InvalidParameterError):
-            FifoCache(*bad)
-
-
-def test_fires_period():
-    cache = FifoCache(capacity=1, width=1, cache_every=3)
-    assert [cache.fires(t) for t in range(7)] == [True, False, False, True, False, False, True]
-    every_step = FifoCache(capacity=1, width=1)
-    assert all(every_step.fires(t) for t in range(10))
+def test_fifo_cache_is_a_name_whose_methods_raise():
+    # kept only for perfbench's tracer, which patches these three methods
+    for method in ("fires", "pop", "push"):
+        with pytest.raises(ScheduleViolationError):
+            getattr(FifoCache(), method)()
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,8 @@ def test_public_step_walks_the_raster_and_stops_at_the_end(engine):
     }[engine]
     state = init(net, batch=2)
     pixels = [step(net, state) for _ in range(spec.height * spec.width)]
-    assert all(p.shape == (1, 2) for p in pixels)
-    got = np.concatenate(pixels)
+    assert all(p.shape == (2,) for p in pixels)
+    got = np.stack(pixels)
     assert np.array_equal(got, generate(net, engine=engine, batch=2))
     # in raster order, each output is the prediction of the image the outputs form
     want = forward_image(net, got.reshape(1, spec.height, spec.width, 2)).reshape(-1, 2)
@@ -451,7 +451,7 @@ def test_forked_state_continues_bit_exact(row_pair):
         for name, st in (("state", state), ("fork", fork)):  # interleaved
             outs[name].append(image_incremental_step(net, st))
     for name in outs:
-        assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:])
+        assert np.array_equal(np.stack(outs[name]), whole[fork_at:])
     assert fork.counter.snapshot() == state.counter.snapshot()
     # a pickled state rebuilds its views over its own buffers and continues bit-exact
     state = image_incremental_init(net, batch=2)
@@ -476,7 +476,7 @@ def test_forked_state_continues_bit_exact(row_pair):
             views.append((dest, restored.buf if i < spec.n_layers - 1 else head.buf))
         assert all(np.shares_memory(view, owner) for view, owner in views)
         assert not any(np.shares_memory(view, a) for view, _ in views for a in originals)
-    assert np.array_equal(np.concatenate(got), whole[fork_at:])
+    assert np.array_equal(np.stack(got), whole[fork_at:])
     assert (state.r, state.c) == divmod(fork_at, 6)  # stepping the copy left the original alone
 
 
@@ -516,9 +516,9 @@ def test_state_continues_on_an_equal_network_rebuilt_by_pickle(row_pair):
     other = pickle.loads(pickle.dumps(net))
     assert other == net and other is not net
     whole, split = image_incremental_init(net, batch=2), image_incremental_init(net, batch=2)
-    want = np.concatenate([image_incremental_step(net, whole) for _ in range(36)])
-    got = np.concatenate([image_incremental_step(net if t < 15 else other, split)
-                          for t in range(36)])
+    want = np.stack([image_incremental_step(net, whole) for _ in range(36)])
+    got = np.stack([image_incremental_step(net if t < 15 else other, split)
+                    for t in range(36)])
     assert np.all(np.abs(got.astype(np.float64) - want) <= 1e-5)
     assert split.counter.snapshot() == whole.counter.snapshot()
 
@@ -535,7 +535,7 @@ def test_step_outputs_are_fresh_arrays():
     for y, kept in zip(outs, copies):
         assert np.array_equal(y, kept)
         assert not any(np.shares_memory(y, a) for a in _buffers(state))
-    assert np.array_equal(generate(net, batch=3), np.concatenate(outs))
+    assert np.array_equal(generate(net, batch=3), np.stack(outs))
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +915,7 @@ def test_fork_at_every_offset_in_a_group_continues_bit_exact(how, row_pair):
                 for name, st in (("state", state), ("fork", fork)):  # interleaved
                     outs[name].append(image_incremental_step(net, st))
             for name in outs:
-                assert np.array_equal(np.concatenate(outs[name]), whole[fork_at:]), (
+                assert np.array_equal(np.stack(outs[name]), whole[fork_at:]), (
                     name, width, fork_at)
             assert fork.counter.snapshot() == state.counter.snapshot()
             assert fork.cached_rows_values() == state.cached_rows_values()

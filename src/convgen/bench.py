@@ -45,6 +45,7 @@ from .dilated import (
 from .errors import InvalidParameterError, ShapeError
 from .image2d import (
     ImageSpec,
+    _no_input,
     build_image_network,
     image_incremental_init,
     image_incremental_step,
@@ -210,8 +211,10 @@ def step(network, state: BatchState, xs=None) -> np.ndarray:
     1D sequence j reads xs[j], or its own last output when `xs` is None
     (0.0 at first); a given `xs` must be 1-D of length batch (ShapeError).
     An image reads its own last pixel too, so image2d takes only None
-    (InvalidParameterError otherwise); it restarts after an image's end."""
+    (InvalidParameterError otherwise, before any work); it restarts after an
+    image's end."""
     if state.t == state.length:
+        _no_input(xs)  # only an image ends; refused before the restart builds anything
         state.engine = state.engine_init(network, state.batch, state.counter)
         state.t = 0
     ys = state.engine_step(network, state.engine, xs)

@@ -15,19 +15,23 @@ cached engine  - column-resident, for n = stacks * L layers: the state is
                  a layer holds its input from `dilation` steps ago.  A step
                  looks its phase's ring rows up in a precomputed table,
                  gathers every layer's old tap into the old-tap half of a
-                 preallocated (n-1, 2C+1) column matrix with one fancy index,
+                 preallocated (n-1, 2C+1) column matrix with one `take`,
                  runs each layer as one `conv1d_point` over its row (a
                  `Column`) writing straight into the next layer's new-tap
                  half, applies tanh in place, and scatters the new-tap half
-                 back into the ring with one fancy index.  The last layer
-                 writes into the head's [h; 1] column.  The kernels get
-                 no counter: the step adds its fixed totals once.
+                 back into the ring with one `put`.  Gather and scatter move
+                 whole rows, each one `np.void` record of 4C bytes, between
+                 record views of the ring and of the two halves.  The last
+                 layer writes into the head's [h; 1] column.  The kernels
+                 get no counter: the step adds its fixed totals once.
 
 A network fixes the size of a state's rings once, when it is built
 (`ring_shape`, `ring0_size`), as `_ring_rows` fixes the ring-row table once
 per dilation list, so `incremental_init` is two zeroed allocations and no
-per-layer loop.  The column matrix carries nothing from one step to the
-next, so it is a workspace: one per network and per thread
+per-layer loop.  `build_network` refuses a spec whose ring or table would
+exceed `MAX_RING_FLOATS` or `MAX_RING_TABLE`, from their sizes in closed
+form, before it draws a weight.  The column matrix carries nothing from one
+step to the next, so it is a workspace: one per network and per thread
 (`threading.local`), built with its `Column`s and ring-row table on a
 thread's first step with that network.  That keeps a network shareable
 across threads and `init` as cheap as allocating the rings; a copied or
@@ -224,9 +228,42 @@ def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> Con
     return ConvWeights(values[:n].reshape((out_ch, in_ch) + taps), values[n:])
 
 
+# What a dilated network may ask of its cached engine: far above any shape in
+# use (stacks 2, L=10, C=32 needs 65440 ring floats and 9728 table indices)
+MAX_RING_FLOATS = 2**26  # ring floats per sequence: 256 MiB of float32
+MAX_RING_TABLE = 2**26  # ring-row table indices: 512 MiB of intp
+
+
+def _check_buildable(spec: NetworkSpec) -> None:
+    """InvalidParameterError if a dilated spec's ring or ring-row table would
+    exceed its ceiling; the sizes are closed form, so nothing is allocated.
+
+    The ring holds stacks*(2^L - 1) - 1 rows of C floats (the dilations of
+    layers 1..), and the table 2^(L-1) phases (the largest dilation) of
+    stacks*L - 1 indices.  L - 1 is capped at 64 before the powers are taken:
+    a larger L is over both ceilings anyway.
+    """
+    L = spec.layers_per_stack
+    period = 2 ** min(L - 1, 64)
+    ring = (spec.stacks * (2 * period - 1) - 1) * spec.channels
+    table = period * (spec.stacks * L - 1)
+    for what, size, ceiling in (("ring floats per sequence", ring, MAX_RING_FLOATS),
+                                ("ring-row table indices", table, MAX_RING_TABLE)):
+        if size > ceiling:
+            raise InvalidParameterError(
+                f"dilated network too large: stacks={spec.stacks} L={L} C={spec.channels} "
+                f"needs more than {ceiling} {what}"
+            )
+
+
 def build_network(spec: NetworkSpec):
-    """Materialise the weights for a 1D spec (dilated or strided family)."""
+    """Materialise the weights for a 1D spec (dilated or strided family).
+
+    A dilated spec whose cached ring or ring-row table would exceed
+    `MAX_RING_FLOATS` or `MAX_RING_TABLE` is refused (InvalidParameterError)
+    before any weight is drawn."""
     if spec.family == "dilated":
+        _check_buildable(spec)
         rng = np.random.default_rng(spec.seed)
         layers = []
         for idx, d in enumerate(spec.dilations()):
@@ -357,8 +394,10 @@ def _ring_rows(dilations: tuple) -> np.ndarray:
 class _Workspace:
     """One thread's column matrix for one network, with the per-layer plan.
 
-    `cols` row l-1 is layer l's column [old tap; new tap; 1]; `col0` is
-    layer 0's [previous input; input; 1] and `head` the head's [h; 1].
+    `cols` row l-1 is layer l's column [old tap; new tap; 1]; `old` and
+    `new` view its two tap halves as (n-1, 1) arrays of `record`s, one ring
+    row each.  `col0` is layer 0's [previous input; input; 1] and `head`
+    the head's [h; 1].
     `layers` pairs each layer's weights and `Column` with the array its
     output goes to: the next layer's new tap, or the head's h.  `rows[p]`
     holds the ring row of each of layers 1.. at every step t with
@@ -372,12 +411,14 @@ class _Workspace:
         self.rows = _ring_rows(tuple(layer.dilation for layer in later))
         self.period = len(self.rows)
         self.cols = cols = np.ones((len(later), 2 * C + 1), dtype=DTYPE)
-        self.old, self.new = cols[:, :C], cols[:, C : 2 * C]
+        old, new = cols[:, :C], cols[:, C : 2 * C]
+        self.record = record = np.dtype((np.void, C * cols.itemsize))  # one ring row
+        self.old, self.new = old.view(record), new.view(record)
         self.col0 = np.ones(3, dtype=DTYPE)
         self.head = np.ones(C + 1, dtype=DTYPE)
         self.y = zeros(1)
         columns = [Column(self.col0, 1)] + [Column(row, C) for row in cols]
-        outs = list(self.new) + [self.head[:C]]
+        outs = list(new) + [self.head[:C]]
         self.layers = tuple(zip([layer.weights for layer in network.layers], columns, outs))
         self.head_col = Column(self.head, C)
         self.macs = sum(layer.weights.macs for layer in network.layers) + network.head.macs
@@ -400,8 +441,12 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     its preallocated `Column`; the step's MACs and nodes are counted once.
     All old taps are read before any new tap is stored, and each layer owns
     its own ring rows, so one gather before the layers and one scatter after
-    them equal a read-then-store per layer.
+    them equal a read-then-store per layer.  Both move whole rows as
+    records: a `take` from a record view of the ring into the old-tap half,
+    and a `put` of the new-tap half into it.  The view is made here, on
+    every step, so the workspace holds no reference to any state's ring.
     """
+    point, tanh = conv1d_point, np.tanh  # module lookups, so a patched kernel is seen
     s = _workspace(network)
     col0 = s.col0
     try:
@@ -409,19 +454,20 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     except (TypeError, ValueError):
         raise ShapeError(f"x must be a scalar, got {x!r}") from None
     ring0 = state.ring0
+    col0[0] = ring0[0]  # layer 0 has dilation 1
     t = state.t
-    col0[0] = ring0[t % len(ring0)]
     rows = s.rows[t % s.period]
+    ring = state.ring.view(s.record)
     # arguments positional, here and in the loop: numpy parses them faster
-    state.ring.take(rows, 0, s.old, "clip")
+    ring.take(rows, 0, s.old, "clip")
     for weights, col, out in s.layers:
-        np.tanh(conv1d_point(weights, col, None, out), out)
-    y = conv1d_point(network.head, s.head_col, None, s.y)
+        tanh(point(weights, col, None, out), out)
+    y = point(network.head, s.head_col, None, s.y)
     counter = state.counter
     counter.macs += s.macs
     counter.node_evals += s.nodes
-    state.ring[rows] = s.new
-    ring0[t % len(ring0)] = col0[1]
+    ring.put(rows, s.new, "clip")
+    ring0[0] = col0[1]
     state.t = t + 1
     return y[0]
 

@@ -228,38 +228,47 @@ def conv1d_point(
     `weights.fused @ [tap_0; ...; tap_{k-1}; 1]`, with the bias as the
     last weight.  `taps` is a sequence of tap arrays, concatenated into the
     column here, or a `Column`, whose buffer is the column: its geometry and
-    batch width were checked when it was built, so here its `fit` is only
-    compared with the weights'.  With `out`, a C-contiguous float32 array of
+    batch width were checked when it was built, so a `Column` takes a path
+    of its own, the comparison of its `fit` with the weights', the dot, and
+    the counter update only when a counter is given.  Every cached node of
+    every family comes this way.  With `out`, a C-contiguous float32 array of
     the result's shape, the result is written there and `out` is returned.
     """
-    if type(taps) is Column:
+    if type(taps) is Column:  # the cached engines' per-node hot path: the dot alone
         if taps.fit != weights.fit:
             raise ShapeError(
                 "column of {} taps and {} rows for weights of {} taps and {} rows".format(
                     *taps.fit, *weights.fit)
             )
-        column, n = taps.buf, taps.n
-    else:
-        if len(taps) != weights.k:
-            raise ShapeError(f"expected {weights.k} taps, got {len(taps)}")
-        in_ch = weights.in_channels
-        for tap in taps:  # _check_tap, inlined: this is the engines' per-node hot path
-            if tap.ndim not in (1, 2) or tap.shape[0] != in_ch:
-                raise ShapeError(
-                    f"tap shape {tap.shape} incompatible with in_channels {in_ch}"
-                )
-        first = taps[0]
-        if first.ndim == 1:
-            n, ones = 1, _ONE
-        else:
-            n = first.shape[1]
-            ones = _ones_row(n)
         try:
-            column = np.concatenate((*taps, ones))
-        except ValueError:
+            out = weights.fused.dot(taps.buf, out)  # out positional: numpy parses it faster
+        except ValueError as exc:
+            raise ShapeError(f"out does not fit the result: {exc}") from None
+        if counter is not None:  # OpCounter.add, inlined
+            n = taps.n
+            counter.macs += weights.macs * n
+            counter.node_evals += n
+        return out
+    if len(taps) != weights.k:
+        raise ShapeError(f"expected {weights.k} taps, got {len(taps)}")
+    in_ch = weights.in_channels
+    for tap in taps:  # _check_tap, inlined: the naive engines' per-node hot path
+        if tap.ndim not in (1, 2) or tap.shape[0] != in_ch:
             raise ShapeError(
-                f"taps disagree in batch shape: {[t.shape for t in taps]}"
-            ) from None
+                f"tap shape {tap.shape} incompatible with in_channels {in_ch}"
+            )
+    first = taps[0]
+    if first.ndim == 1:
+        n, ones = 1, _ONE
+    else:
+        n = first.shape[1]
+        ones = _ones_row(n)
+    try:
+        column = np.concatenate((*taps, ones))
+    except ValueError:
+        raise ShapeError(
+            f"taps disagree in batch shape: {[t.shape for t in taps]}"
+        ) from None
     try:
         out = weights.fused.dot(column, out)  # out positional: numpy parses it faster
     except ValueError as exc:

@@ -275,6 +275,26 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv, code
         assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--layers", "30", "--quick", "--mode", "cached"],  # a 64 GiB ring
+    ["--layers", "64", "--quick", "--mode", "cached"],  # past numpy's largest dimension
+    ["--layers", "99999", "--quick"],  # the naive engine's tree, too deep to recurse
+], ids=lambda argv: argv[1])
+def test_unbuildable_dilated_network_is_an_error_line(argv):
+    # refused when built, in closed form, before the engines allocate or recurse
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "convgen.bench", "run", "--model", "dilated", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "too large" in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # speedup report
 # ---------------------------------------------------------------------------
@@ -533,6 +553,22 @@ def test_image_step_takes_no_xs(engine, xs):
     with pytest.raises(InvalidParameterError):
         step(net, state, xs)
     assert state.counter.snapshot() == (0, 0)
+
+
+@pytest.mark.parametrize("engine", ["naive", "cached"])
+def test_image_step_refuses_xs_at_the_end_before_it_restarts(engine):
+    # the refusal comes before the restart: the finished image stays as it was
+    net = NETWORKS["image2d"]()  # 4x5
+    state = init(net, engine, batch=2)
+    for _ in range(20):
+        step(net, state)
+    engine_state, counts = state.engine, state.counter.snapshot()
+    with pytest.raises(InvalidParameterError):
+        step(net, state, np.zeros(2))
+    assert state.engine is engine_state
+    assert state.t == 20 and state.counter.snapshot() == counts
+    assert np.array_equal(step(net, state), generate(net, 1, engine=engine, batch=2)[0])
+    assert state.t == 1 and state.engine is not engine_state
 
 
 @pytest.mark.parametrize("family, engine", ENGINE_CASES)

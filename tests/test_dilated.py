@@ -7,6 +7,7 @@ import dataclasses
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +25,13 @@ from convgen import (
     generate,
     receptive_field,
 )
+from convgen import dilated
 from convgen.bench import measure_nodes_per_step
 from convgen.tensor import conv1d_full
 from convgen.dilated import (
     DilatedNetwork,
     LayerDef,
+    _ring_rows,
     incremental_init,
     incremental_step,
     naive_init,
@@ -84,6 +87,42 @@ def test_spec_validation():
     spec = NetworkSpec("dilated", stacks=np.int64(2), seed=np.uint64(2**64 - 1))
     assert type(spec.stacks) is int and type(spec.seed) is int
     assert spec == NetworkSpec("dilated", stacks=2, seed=2**64 - 1)
+
+
+@pytest.mark.parametrize("spec_args", [
+    dict(stacks=2, layers_per_stack=30, channels=8),  # ring over the ceiling
+    dict(stacks=2, layers_per_stack=24, channels=1),  # table over the ceiling, ring under it
+    dict(stacks=2, layers_per_stack=99999, channels=8),
+    dict(stacks=1, layers_per_stack=2**64 - 1),
+    dict(stacks=2**40, layers_per_stack=1),
+], ids=lambda a: "-".join(map(str, a.values())))
+def test_unbuildable_network_is_refused_before_it_allocates(spec_args):
+    spec = NetworkSpec("dilated", **spec_args)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="too large"):
+            build_network(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("name, size", [
+    ("MAX_RING_FLOATS", lambda s: (s.stacks * (2**s.layers_per_stack - 1) - 1) * s.channels),
+    ("MAX_RING_TABLE", lambda s: 2 ** (s.layers_per_stack - 1) * (s.stacks * s.layers_per_stack - 1)),
+])
+def test_size_ceilings_are_the_ring_and_table_sizes(monkeypatch, name, size):
+    # at a ceiling equal to a network's size, it builds; one below, it is refused
+    spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=3, seed=1)
+    net = build_network(spec)
+    assert size(spec) == {"MAX_RING_FLOATS": np.prod(net.ring_shape),
+                          "MAX_RING_TABLE": _ring_rows(tuple(spec.dilations()[1:])).size}[name]
+    monkeypatch.setattr(dilated, name, size(spec))
+    assert build_network(spec) == net
+    monkeypatch.setattr(dilated, name, size(spec) - 1)
+    with pytest.raises(InvalidParameterError, match="too large"):
+        build_network(spec)
 
 
 def test_dilation_pattern():
@@ -370,9 +409,13 @@ def layer_inputs(net, xs):
     return acts
 
 
-@pytest.mark.parametrize("t", [1, 3, 8, 37, 100])
-def test_ring_holds_each_layers_last_dilation_inputs(t):
-    spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=3, seed=41)
+# ring records of 12, 4 and 128 bytes; the 3-channel cases keep their ids of bare t
+@pytest.mark.parametrize("t, channels", [
+    pytest.param(t, c, id=str(t) if c == 3 else f"{t}-C{c}")
+    for c in (3, 1, 32) for t in (1, 3, 8, 37, 100)
+])
+def test_ring_holds_each_layers_last_dilation_inputs(t, channels):
+    spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=channels, seed=41)
     net = build_network(spec)
     xs = np.random.default_rng(t).uniform(-1, 1, t).astype(np.float32)
     state = incremental_init(net)

@@ -36,7 +36,6 @@ from .errors import (
     EmptyInputError,
     InsufficientContextError,
     InvalidParameterError,
-    InvalidRowError,
     ScheduleViolationError,
     ShapeError,
     UnsupportedTopologyError,
@@ -72,7 +71,6 @@ __all__ = [
     "ImageSpec",
     "InsufficientContextError",
     "InvalidParameterError",
-    "InvalidRowError",
     "NetworkSpec",
     "OpCounter",
     "ScheduleViolationError",

@@ -232,26 +232,41 @@ def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> Con
 # use (stacks 2, L=10, C=32 needs 65440 ring floats and 9728 table indices)
 MAX_RING_FLOATS = 2**26  # ring floats per sequence: 256 MiB of float32
 MAX_RING_TABLE = 2**26  # ring-row table indices: 512 MiB of intp
+# What any 1D network may draw: stacks 2, L=10, C=32 has 39649 weight floats
+MAX_WEIGHT_FLOATS = 2**26  # kernel and bias floats: 256 MiB of float32
+
+
+def _check_weights(spec: NetworkSpec, floats: int) -> None:
+    """InvalidParameterError if a network's `floats` kernel and bias values,
+    summed in closed form over its layers as out*(in*taps + 1), exceed
+    `MAX_WEIGHT_FLOATS`: checked before any weight is drawn."""
+    if floats > MAX_WEIGHT_FLOATS:
+        raise InvalidParameterError(
+            f"{spec.family} network too large: its weights need more than "
+            f"{MAX_WEIGHT_FLOATS} floats")
 
 
 def _check_buildable(spec: NetworkSpec) -> None:
-    """InvalidParameterError if a dilated spec's ring or ring-row table would
-    exceed its ceiling; the sizes are closed form, so nothing is allocated.
+    """InvalidParameterError if a dilated spec's weights, ring or ring-row
+    table would exceed its ceiling; the sizes are closed form, so nothing is
+    allocated.
 
     The ring holds stacks*(2^L - 1) - 1 rows of C floats (the dilations of
     layers 1..), and the table 2^(L-1) phases (the largest dilation) of
     stacks*L - 1 indices.  L - 1 is capped at 64 before the powers are taken:
     a larger L is over both ceilings anyway.
     """
-    L = spec.layers_per_stack
+    L, C = spec.layers_per_stack, spec.channels
+    # layer 0 reads one channel, the others C, over two taps each; the head C + 1
+    _check_weights(spec, C * 3 + (spec.stacks * L - 1) * C * (2 * C + 1) + C + 1)
     period = 2 ** min(L - 1, 64)
-    ring = (spec.stacks * (2 * period - 1) - 1) * spec.channels
+    ring = (spec.stacks * (2 * period - 1) - 1) * C
     table = period * (spec.stacks * L - 1)
     for what, size, ceiling in (("ring floats per sequence", ring, MAX_RING_FLOATS),
                                 ("ring-row table indices", table, MAX_RING_TABLE)):
         if size > ceiling:
             raise InvalidParameterError(
-                f"dilated network too large: stacks={spec.stacks} L={L} C={spec.channels} "
+                f"dilated network too large: stacks={spec.stacks} L={L} C={C} "
                 f"needs more than {ceiling} {what}"
             )
 
@@ -259,9 +274,10 @@ def _check_buildable(spec: NetworkSpec) -> None:
 def build_network(spec: NetworkSpec):
     """Materialise the weights for a 1D spec (dilated or strided family).
 
-    A dilated spec whose cached ring or ring-row table would exceed
-    `MAX_RING_FLOATS` or `MAX_RING_TABLE` is refused (InvalidParameterError)
-    before any weight is drawn."""
+    A spec whose weights would exceed `MAX_WEIGHT_FLOATS`, or a dilated spec
+    whose cached ring or ring-row table would exceed `MAX_RING_FLOATS` or
+    `MAX_RING_TABLE`, is refused (InvalidParameterError) before any weight
+    is drawn."""
     if spec.family == "dilated":
         _check_buildable(spec)
         rng = np.random.default_rng(spec.seed)

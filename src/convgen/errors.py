@@ -27,7 +27,3 @@ class ScheduleViolationError(RuntimeError):
 
 class UnsupportedTopologyError(ValueError):
     """Layer strides would require a fractional firing period."""
-
-
-class InvalidRowError(ValueError):
-    """A row cache was fed a partial or mis-sized image row."""

@@ -19,6 +19,8 @@ queued pixels.  With the pair, block 0's vertical rows 2j and 2j+1 come
 from down row j, which reads image rows <= 2j-1, so row 2j+1's groups run
 with row 2j's; without it, block 0's row 2j+1 reads row 2j up to its column
 and follows row 2j's groups in chunks, row 2j+1's groups a group behind.
+A vertical chunk passes its output row to the ring it reads, so `done` alone
+records each block's rows; `_vconv_row` and `_PairState` are names only.
 """
 
 from __future__ import annotations
@@ -250,12 +252,13 @@ def image_naive_step(network: ImageNetwork, state: ImageNaiveState, xs=None) -> 
 
 
 class _PairState:
-    """The row pair's marker, holding nothing: each burst recomputes the odd
-    row above it from the image ring, so none is carried."""
+    """A name only, never built: a state knows the row pair from its
+    `row_pair` bool, and each burst recomputes the odd row above it from the
+    image ring, so no row is carried.  perfbench's tracer patches `feed`."""
 
     __slots__ = ()
 
-    def feed(self, *args) -> None:  # never called: perfbench's tracer patches it by name
+    def feed(self, *args) -> None:  # a name only: the row pair carries no row to feed
         raise ScheduleViolationError("the row pair carries no row to feed")
 
 
@@ -265,13 +268,15 @@ class ImageGenState:
     i's vertical conv input (image rows, their slots block 0's history; or
     block i-1's vertical rows), `last` the last block's, row t in slot t %
     slots (kh + 2, rounded up to even; a burst reads kh + 1 image rows);
-    `buf[t % 2]` blocks 1 .. n-1's histories in row t (h_kw zeros, then W);
-    `queues[k]` row r+k's pixels computed ahead; `done[i]` the raster position
-    block i's vertical rows reach.  `groups` (views) and `scratch` fill on first use."""
+    `row_pair` is the spec's; `buf[t % 2]` blocks 1 .. n-1's histories in
+    row t (h_kw zeros, then W); `queues[k]` row r+k's pixels computed ahead;
+    `done[i]` the raster position block i's vertical rows reach (no ring
+    keeps a row cursor of its own).  `groups` (views) and `scratch` fill on
+    first use."""
 
     row_caches: list
     last: np.ndarray
-    pair: _PairState | None
+    row_pair: bool
     buf: np.ndarray
     queues: list
     done: list
@@ -298,23 +303,15 @@ class ImageGenState:
         caches, W = self.row_caches, self.row_caches[0].width
         total = sum(rc.stored_values() for rc in caches) + self.batch * sum(map(len, self.queues))
         written = [-(-d // W) for d in self.done]  # rows begun in each block's output
-        if self.pair is not None:
+        if self.row_pair:
             total += W * self.batch
             written[0] += self.done[0] % W > 0  # a burst writes two rows
-        readers = [rc.count for rc in caches[1:]] + [self.r + 1]
+        readers = [d // W for d in self.done[1:]] + [self.r + 1]  # each reader's next row
         return total + self.last[0].size * sum(max(0, w - r) for w, r in zip(written, readers))
 
 
-def _vconv_row(w: ConvWeights, cache: RowCache, counter: OpCounter | None) -> np.ndarray:
-    """One row of a vertical conv from the cached rows above it: one dot over
-    the cache's fused W*B columns (output column c reads columns c-kw+1 .. c
-    of every cached row, zero left of the image).  The engine runs rows in
-    chunks; this is the tests' reference, and perfbench's tracer patches it."""
-    column = cache.column().buf
-    n = column.shape[1]
-    if counter is not None:
-        counter.add(w.macs * n, nodes=n)
-    return np.dot(w.fused, column).reshape(w.out_channels, cache.width, cache.batch)
+def _vconv_row(*args) -> np.ndarray:  # a name only: perfbench's tracer patches it
+    raise ScheduleViolationError("the engine runs vertical rows in chunks, not whole rows")
 
 
 def image_incremental_init(
@@ -328,7 +325,7 @@ def image_incremental_init(
         row_caches=[image, *(RowCache(spec.kh, W, c, batch, spec.kw, slots, spec.kw - 1)
                              for _ in range(n - 1))],
         last=zeros((slots, c, W, batch)),
-        pair=_PairState() if spec.row_pair else None,
+        row_pair=spec.row_pair,
         buf=zeros((2, (n - 1) * c, (spec.h_kw + W) * batch)),
         queues=[deque(), deque(), deque()], done=[0] * n, r=0, c=0, batch=batch,
         counter=counter or OpCounter(),
@@ -338,9 +335,10 @@ def image_incremental_init(
 def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: int) -> None:
     """Block 0's burst row `row`, columns lo .. hi-1, one `conv1d_point` per
     node: the vconv of rows `row - 1` (zero padding at -1) and `row` over
-    image windows a row apart, written (channel, tap)-interleaved into the
-    down node's column, the down node and the two up phases, rows `row`,
-    `row + 1` in adjacent slots, so one tanh writes both."""
+    image windows a row apart (the image ring's column of those two output
+    rows), written (channel, tap)-interleaved into the down node's column,
+    the down node and the two up phases, rows `row`, `row + 1` in adjacent
+    slots, so one tanh writes both."""
     block = network.blocks[0]
     try:
         down, vconv, up, outs, out, dests = state.scratch[0, lo, hi]
@@ -352,7 +350,7 @@ def _burst(network: ImageNetwork, state: ImageGenState, lo: int, hi: int, row: i
             down, down.buf[:-1].reshape(C, 2 * m), Column(np.ones((C + 1, m), DTYPE), C), tuple(out), out,
             [rows[s : s + 2, :, lo:hi].reshape(2, C, m) for s in range(0, len(rows), 2)])
     counter, (up0, up1) = state.counter, block.up.phases
-    conv1d_point(block.vert, state.row_caches[0].column(lo, hi, 2), counter, vconv)
+    conv1d_point(block.vert, state.row_caches[0].column(row, lo, hi, 2), counter, vconv)
     np.tanh(vconv, vconv)
     if row == 0:
         vconv[:, : vconv.shape[1] // 2] = 0
@@ -370,13 +368,14 @@ def _pixels_ready(state: ImageGenState, row: int, hi: int) -> bool:
 def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, base: int) -> None:
     """Op (i, t, lo, hi): block i's vertical nodes of row base + t, columns lo
     .. hi-1 (with the pair block 0's rows come in bursts of even rows), in
-    order and over rows or pixels already written, else raise."""
+    order and over rows or pixels already written, else raise.  The row is
+    passed to the ring's `column`; `done[i]` alone records the progress."""
     i, t, lo, hi = op
     t += base
     spec, done, W = network.spec, state.done, network.spec.width
     if t >= spec.height:
         return
-    burst = i == 0 and state.pair is not None
+    burst = i == 0 and state.row_pair
     ready = done[i - 1] >= (t - 1) * W + hi if i else _pixels_ready(state, t - 1, hi)
     if not ready or done[i] != t * W + lo:
         raise ScheduleViolationError(
@@ -392,11 +391,9 @@ def _vertical(network: ImageNetwork, state: ImageGenState, op: tuple, base: int)
             out, dests = state.scratch[i, lo, hi] = (
                 np.empty((C, (hi - lo) * state.batch), DTYPE),
                 [row[:, lo:hi].reshape(C, -1) for row in state.outputs(i)])
-        conv1d_point(network.blocks[i].vert, cache.column(lo, hi), state.counter, out)
+        conv1d_point(network.blocks[i].vert, cache.column(t, lo, hi), state.counter, out)
         np.tanh(out, dests[t % len(dests)])
     done[i] = t * W + hi if hi < W else (t + 1 + burst) * W
-    if hi == W:
-        cache.count += 1 + burst
 
 
 def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: int) -> list:

@@ -37,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .dilated import draw_weights
+from .dilated import _check_weights, draw_weights
 from .errors import (
     InvalidParameterError,
     ScheduleViolationError,
@@ -58,15 +58,22 @@ from .tensor import (
 
 _STRIDE_RE = re.compile(r"^(down|up)(\d+)$")
 
+# The largest product D of a plan's down strides: `_simulate_plan` steps D
+# times and `_compile` walks each of up to D phases, so build time grows with
+# D.  Far above any shape in use (the CLI and perfbench build D = 4, the
+# tests at most 12); a stride factor above it is out of range.
+MAX_PERIOD = 2**12
+
 
 def parse_stride(token: str) -> tuple[str, int]:
     m = _STRIDE_RE.match(token)
     if not m:
         raise InvalidParameterError(f"stride token {token!r} is not down<k> or up<k>")
-    kind, factor = m.group(1), int(m.group(2))
-    if factor < 1:
-        raise InvalidParameterError(f"stride factor must be >= 1 in {token!r}")
-    return kind, factor
+    kind, digits = m.group(1), m.group(2).lstrip("0")
+    # a factor of more digits than MAX_PERIOD is out of range before int() reads it
+    if len(digits) > len(str(MAX_PERIOD)) or not 1 <= int(digits or 0) <= MAX_PERIOD:
+        raise InvalidParameterError(f"stride factor must be in [1, {MAX_PERIOD}] in {token!r}")
+    return kind, int(digits)
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,9 @@ class StridedPlan:
 @cache
 def _simulate_plan(strides: tuple[str, ...]) -> StridedPlan:
     """Check the plan rules and simulate one period.  Plans are immutable,
-    so each strides list is simulated once per process."""
+    so each strides list is simulated once per process.  A balanced plan
+    whose down strides multiply to more than `MAX_PERIOD` is refused before
+    the simulation."""
     layers = tuple(parse_stride(tok) for tok in strides)
     running = 1  # amortised update period: times each down factor, over each up factor
     D = 1  # product of the down strides
@@ -112,6 +121,9 @@ def _simulate_plan(strides: tuple[str, ...]) -> StridedPlan:
             "unbalanced topology: total upsampling must equal total downsampling "
             f"(output update period is {running})"
         )
+    if D > MAX_PERIOD:
+        raise InvalidParameterError(
+            f"strided plan too large: its down strides multiply to more than {MAX_PERIOD}")
     # after D steps every down layer's input count is back to 0 mod its
     # stride, so simulating D steps gives a table that repeats with D
     counts = [0] * len(layers)
@@ -180,19 +192,18 @@ class StridedNetwork:
 
 
 def build_strided_network(spec) -> StridedNetwork:
+    """The plan, then the weights: a spec whose weights would exceed
+    `dilated.MAX_WEIGHT_FLOATS` is refused before any is drawn."""
     plan = StridedPlan.from_spec(spec)
+    n, C = len(plan.layers), spec.channels
+    shapes = [(1 if i == n - 1 else C,  # out
+               1 if i == 0 else C,  # in
+               spec.kernel_size if kind == "down" else s)  # taps
+              for i, (kind, s) in enumerate(plan.layers)]
+    _check_weights(spec, sum(out * (in_ch * taps + 1) for out, in_ch, taps in shapes))
     rng = np.random.default_rng(spec.seed)
-    n = len(plan.layers)
-    layers = []
-    for i, (kind, s) in enumerate(plan.layers):
-        in_ch = 1 if i == 0 else spec.channels
-        last = i == n - 1
-        out_ch = 1 if last else spec.channels
-        taps = spec.kernel_size if kind == "down" else s
-        layers.append(
-            StridedLayer(kind, s, draw_weights(rng, out_ch, in_ch, taps),
-                         "linear" if last else "tanh")
-        )
+    layers = [StridedLayer(kind, s, draw_weights(rng, *shape), "linear" if i == n - 1 else "tanh")
+              for i, ((kind, s), shape) in enumerate(zip(plan.layers, shapes))]
     return StridedNetwork(spec, plan, tuple(layers))
 
 

@@ -25,7 +25,9 @@ scratch `Column`s of g*B columns, one per block input width and group size,
 into which each group copies a block's g input windows from the state's row
 history and its vertical row's g columns; one call of the block's horizontal
 conv and 1x1 link, folded into one weight matrix, then evaluates g pixels
-of a block for the whole batch (`convgen.image2d`).
+of a block for the whole batch (`convgen.image2d`).  The whole-sequence up
+conv runs the same one-tap phases; `transposed_point` is a name only, for
+perfbench's tracer.
 
 `ConvWeights` is the one weight type: every array in it is read-only, a copy
 or a pickle is rebuilt through its constructor, and `==` compares values.
@@ -46,6 +48,7 @@ from .errors import (
     EmptyInputError,
     InsufficientContextError,
     InvalidParameterError,
+    ScheduleViolationError,
     ShapeError,
 )
 
@@ -103,10 +106,10 @@ class ConvWeights:
     first two extents, `k` the number of taps, `macs` the exact
     multiply-accumulates of one node and `fit` the pair (k, k*in + 1) that
     a `Column` must match.  `kernel` is a private copy, and `bias` and
-    `tap_mats` (the k blocks W_j) are views of `fused`; `phase_fused`, the
-    contiguous (k, out, in + 1) blocks [W_j | b], and `phases`, the k
-    one-tap weights whose `fused` are those blocks (one node of input j
-    emits output phase j of a transposed conv), are built on first use.
+    `tap_mats` (the k blocks W_j) are views of `fused`; `phases`, the k
+    one-tap weights whose `fused` are the contiguous blocks [W_j | b] of one
+    (k, out, in + 1) array (one node of input j emits output phase j of a
+    transposed conv), is built on first use.
     Every array is read-only, so the kernels that read `kernel` and
     those that read `fused` cannot drift apart.  The constructor checks
     its arguments and stores each field once.  A copy or a pickle is
@@ -153,18 +156,14 @@ class ConvWeights:
         return self
 
     @cached_property
-    def phase_fused(self) -> np.ndarray:
+    def phases(self) -> tuple:  # from arrays checked already, not through the constructor
         out, in_ch, k = self.out_channels, self.in_channels, self.k
         blocks = np.empty((k, out, in_ch + 1), DTYPE)
         blocks[:, :, :in_ch] = self.fused[:, :-1].reshape(out, k, in_ch).transpose(1, 0, 2)
         blocks[:, :, in_ch] = self.bias
-        return _frozen(blocks)
-
-    @cached_property
-    def phases(self) -> tuple:  # from arrays checked already, not through the constructor
-        kernels = self.kernel.reshape(self.out_channels, self.in_channels, self.k)
+        kernels = self.kernel.reshape(out, in_ch, k)
         return tuple([object.__new__(ConvWeights)._adopt(kernels[:, :, j : j + 1], fused)
-                      for j, fused in enumerate(self.phase_fused)])
+                      for j, fused in enumerate(_frozen(blocks))])
 
     def __reduce__(self):
         return ConvWeights, (self.kernel, self.bias)
@@ -337,35 +336,8 @@ def strided_conv1d(
     return _causal_conv(weights, x, stride, 1, counter)
 
 
-def transposed_point(
-    weights: ConvWeights,
-    phase: int,
-    column: np.ndarray,
-    counter: OpCounter | None = None,
-    out=None,
-) -> np.ndarray:
-    """One output of a transposed conv: position stride*j+phase from input j.
-
-    `column` is input j assembled as [vec; 1], of shape (in_channels + 1,)
-    with a last entry of one.  The result is one dot product,
-    `weights.phase_fused[phase] @ column`; `out` is as for `conv1d_point`.
-    This is the dot the cached engines run as
-    `conv1d_point(weights.phases[phase], Column(column, in_channels))`.
-    """
-    phases = weights.phases
-    if not 0 <= phase < len(phases):
-        raise InvalidParameterError(f"phase {phase} out of range for k={len(phases)}")
-    in_ch = weights.in_channels
-    if column.shape != (in_ch + 1,):
-        raise ShapeError(f"column shape {column.shape} is not ({in_ch + 1},)")
-    try:
-        out = phases[phase].fused.dot(column, out)  # out positional: numpy parses it faster
-    except ValueError as exc:
-        raise ShapeError(f"out does not fit the result: {exc}") from None
-    if counter is not None:  # OpCounter.add, inlined
-        counter.macs += weights.out_channels * in_ch
-        counter.node_evals += 1
-    return out
+def transposed_point(*args):  # a name only: perfbench's tracer patches it here and in strided
+    raise ScheduleViolationError("transposed_point is gone: an up node is conv1d_point over a phase")
 
 
 def strided_transposed_conv1d(
@@ -377,7 +349,9 @@ def strided_transposed_conv1d(
     """Upsampling convolution: input j emits outputs stride*j .. stride*j+stride-1.
 
     Kernel size must equal the stride so each output position has exactly one
-    contributing input and output length is exactly stride*T.
+    contributing input and output length is exactly stride*T.  Output
+    stride*j+r is `conv1d_point` of the one-tap `weights.phases[r]` over the
+    `Column` [x_j; 1], the call the cached strided engine makes for that node.
     """
     if stride < 1:
         raise InvalidParameterError(f"stride must be >= 1, got {stride}")
@@ -385,9 +359,12 @@ def strided_transposed_conv1d(
         raise InvalidParameterError(
             f"transposed conv requires kernel size == stride (got k={weights.k}, stride={stride})"
         )
-    xc = _sequence(weights, x)
-    columns = np.concatenate((xc, np.ones((len(xc), 1), DTYPE)), axis=1)  # [x_j; 1] per row
-    cols = [transposed_point(weights, r, col, counter) for col in columns for r in range(stride)]
+    in_ch = weights.in_channels
+    column = Column(np.ones(in_ch + 1, DTYPE), in_ch)  # [x_j; 1], as in the cached engine
+    cols = []
+    for vec in _sequence(weights, x):
+        column[0][...] = vec
+        cols += [conv1d_point(phase, column, counter) for phase in weights.phases]
     return np.stack(cols, axis=1)
 
 

@@ -1,4 +1,6 @@
-"""The strided firing schedule, row-cache rotation, and the `FifoCache` stub."""
+"""The strided firing schedule and row-cache rotation.  The name-only stubs
+(`FifoCache`, `RowCache.push_row` and `rows_stack`) are checked with the
+frozen tracer, in tests/test_perfbench_tracer.py."""
 
 import copy
 
@@ -7,14 +9,12 @@ import pytest
 
 from convgen import (
     InvalidParameterError,
-    InvalidRowError,
     NetworkSpec,
-    ScheduleViolationError,
     StridedPlan,
     UnsupportedTopologyError,
     firing_trace,
 )
-from convgen.cache import FifoCache, RowCache
+from convgen.cache import RowCache
 
 HOURGLASS = ("down2", "down2", "up2", "up2")
 
@@ -26,13 +26,6 @@ def plan_of(*strides):
 def firing_layers(plan, t):
     """1-based indices of the layers that compute at least one node at step t."""
     return tuple(i + 1 for i, n in enumerate(plan.nodes[t % plan.period]) if n)
-
-
-def test_fifo_cache_is_a_name_whose_methods_raise():
-    # kept only for perfbench's tracer, which patches these three methods
-    for method in ("fires", "pop", "push"):
-        with pytest.raises(ScheduleViolationError):
-            getattr(FifoCache(), method)()
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +86,25 @@ def test_fractional_cache_every_rejected():
 
 
 # ---------------------------------------------------------------------------
-# RowCache
+# RowCache: written the engine's way, input row t into body[t % slots], and
+# read through the column of the output row that reads it
 # ---------------------------------------------------------------------------
+
+
+def _rows_read(cache, t):
+    """The rows output row t reads, oldest first, (height, channels, width,
+    batch): the last of each row's kw windows in its column is the row itself."""
+    buf = cache.column(t).buf[:-1]
+    return buf.reshape(cache.height, cache.kw, cache.channels, cache.width, cache.batch)[:, -1]
 
 
 def test_rowcache_geometry():
     cache = RowCache(height=2, width=8, channels=3, batch=1, kw=1, slots=2, pad=0)
-    assert cache.rows_stack().shape == (3, 2, 8, 1)
+    assert _rows_read(cache, 0).shape == (2, 3, 8, 1)
     assert cache.stored_values() == 2 * 8 * 3
     padded = RowCache(height=3, width=5, channels=2, batch=4, kw=3, slots=3, pad=2)
-    assert padded.rows_stack().shape == (2, 3, 5, 4)
+    assert _rows_read(padded, 0).shape == (3, 2, 5, 4)
+    assert padded.column(0).fit == (3 * 3, 3 * 3 * 2 + 1)
     assert padded.stored_values() == 3 * 5 * 2 * 4  # the kw - 1 pad columns are not counted
     for bad in (dict(batch=0, kw=1), dict(batch=1, kw=0)):
         with pytest.raises(InvalidParameterError):
@@ -111,33 +113,24 @@ def test_rowcache_geometry():
 
 def test_rowcache_rotation_and_top_border():
     cache = RowCache(height=2, width=4, channels=1, batch=1, kw=1, slots=2, pad=0)
-    assert not cache.rows_stack().any()  # first rows read pure zero padding
+    assert not _rows_read(cache, 0).any()  # first rows read pure zero padding
     r1 = np.arange(4, dtype=np.float32)[None, :, None]
     r2 = (10 + np.arange(4, dtype=np.float32))[None, :, None]
-    cache.push_row(r1)
-    cache.push_row(r2)
-    stack = cache.rows_stack()
+    cache.body[0] = r1
+    cache.body[1] = r2
+    stack = _rows_read(cache, 2)
     assert np.array_equal(stack[0, 0], r1[0])  # oldest first
-    assert np.array_equal(stack[0, 1], r2[0])
-    cache.push_row(r1)
-    assert np.array_equal(cache.rows_stack()[0, 0], r2[0])  # r1 rotated out
-
-
-def test_rowcache_partial_row_rejected():
-    cache = RowCache(height=2, width=8, channels=1, batch=1, kw=1, slots=2, pad=0)
-    with pytest.raises(InvalidRowError):
-        cache.push_row(np.zeros((1, 5, 1), np.float32))
-    with pytest.raises(InvalidRowError):
-        cache.push_row(np.zeros((2, 8, 1), np.float32))
-    with pytest.raises(InvalidRowError):
-        cache.push_row(np.zeros((1, 8), np.float32))  # a row without its batch axis
+    assert np.array_equal(stack[1, 0], r2[0])
+    cache.body[2 % 2] = r1
+    assert np.array_equal(_rows_read(cache, 3)[0, 0], r2[0])  # r1 rotated out
 
 
 def test_rowcache_batched_rows():
     cache = RowCache(height=2, width=4, channels=1, batch=3, kw=1, slots=2, pad=0)
     row = np.ones((1, 4, 3), np.float32)
-    cache.push_row(row)
-    assert cache.rows_stack().shape == (1, 2, 4, 3)
+    cache.body[0] = row
+    assert _rows_read(cache, 1).shape == (2, 1, 4, 3)
+    assert np.array_equal(_rows_read(cache, 1)[1], row)
 
 
 @pytest.mark.parametrize("kw", [1, 3])
@@ -145,43 +138,27 @@ def test_rowcache_windows_are_zero_left_shifts(kw):
     cache = RowCache(height=2, width=4, channels=2, batch=3, kw=kw, slots=2, pad=kw - 1)
     rng = np.random.default_rng(0)
     rows = [rng.standard_normal((2, 4, 3)).astype(np.float32) for _ in range(3)]
-    for row in rows:
-        cache.push_row(row)
-    got = cache.windows()
-    assert len(got) == 2
+    for t, row in enumerate(rows):
+        cache.body[t % 2] = row
+    got = cache.column(3).buf[:-1].reshape(2, kw, 2, 4, 3)
     for row, windows in zip(rows[1:], got):  # oldest first
-        assert windows.shape == (kw, 2, 4, 3)
         for j in range(kw):
             shift = kw - 1 - j
             assert not windows[j, :, :shift].any()
             assert np.array_equal(windows[j, :, shift:], row[:, : 4 - shift])
 
 
-def test_rowcache_windows_are_read_only():
-    cache = RowCache(height=2, width=4, channels=1, batch=2, kw=3, slots=2, pad=2)
-    for windows in cache.windows():
-        assert not windows.flags.writeable
-        with pytest.raises(ValueError):
-            windows[0, 0, 0, 0] = 1.0
-
-
-def test_rowcache_push_row_stores_a_copy():
-    cache = RowCache(height=2, width=4, channels=1, batch=2, kw=2, slots=2, pad=1)
-    row = np.ones((1, 4, 2), np.float32)
-    cache.push_row(row)
-    row[...] = 7.0
-    assert np.array_equal(cache.rows_stack()[:, 1], np.ones((1, 4, 2), np.float32))
-
-
 def test_rowcache_deepcopy_reads_its_own_ring():
     cache = RowCache(height=2, width=3, channels=1, batch=1, kw=2, slots=2, pad=1)
-    cache.push_row(np.ones((1, 3, 1), np.float32))
+    cache.body[0] = np.ones((1, 3, 1), np.float32)
+    before = _rows_read(cache, 1)  # builds the original's column first
     fork = copy.deepcopy(cache)
-    assert np.array_equal(fork.rows_stack(), cache.rows_stack())
-    fork.push_row(np.full((1, 3, 1), 5.0, np.float32))
-    assert fork.rows_stack()[0, 1, 0, 0] == 5.0  # the fork's windows see its own pushes
-    assert fork.windows()[-1][-1, 0, 0, 0] == 5.0
-    assert cache.rows_stack()[0, 1, 0, 0] == 1.0  # and the original is untouched
+    assert np.array_equal(_rows_read(fork, 1), before)
+    fork.body[1] = np.full((1, 3, 1), 5.0, np.float32)
+    assert _rows_read(fork, 2)[1, 0, 0, 0] == 5.0  # the fork's windows see its own writes
+    assert fork.column(2).buf[-2, 0] == 5.0
+    assert _rows_read(cache, 2)[1, 0, 0, 0] == 0.0  # and the original is untouched
+    assert _rows_read(cache, 1)[1, 0, 0, 0] == 1.0
 
 
 @pytest.mark.parametrize("kw,pad", [(1, 0), (3, 2), (3, 4)])
@@ -190,28 +167,29 @@ def test_rowcache_column_chunks_equal_the_whole_rows_columns(kw, pad):
     # column's slice, however wide the pad left of each slot
     cache = RowCache(height=2, width=7, channels=2, batch=3, kw=kw, slots=4, pad=pad)
     rng = np.random.default_rng(kw + pad)
-    for _ in range(5):  # wraps the four slots
-        cache.push_row(rng.standard_normal((2, 7, 3)).astype(np.float32))
-        whole = cache.column().buf.copy()
+    for t in range(5):  # wraps the four slots
+        cache.body[t % 4] = rng.standard_normal((2, 7, 3)).astype(np.float32)
+        whole = cache.column(t + 1).buf.copy()
         for lo, hi in ((0, 3), (3, 5), (5, 7), (0, 7)):
-            part = cache.column(lo, hi)
+            part = cache.column(t + 1, lo, hi)
             assert part.fit == (2 * kw, 2 * kw * 2 + 1)
             assert np.array_equal(part.buf, whole[:, lo * 3 : hi * 3])
 
 
 @pytest.mark.parametrize("height,slots", [(1, 4), (2, 4), (3, 6), (2, 3)])
 def test_rowcache_column_of_several_rows_sides_the_older_windows_by_the_newer(height, slots):
-    # column(lo, hi, rows) is, side by side and oldest first, the column the
-    # cache held `rows - 1` .. 0 rows ago, at every start slot of the ring
+    # column(row, lo, hi, rows) is, side by side and oldest first, the columns
+    # of output rows row - rows + 1 .. row, at every start slot of the ring
     cache = RowCache(height=height, width=7, channels=2, batch=3, kw=3, slots=slots, pad=2)
     rng = np.random.default_rng(height + slots)
     held = []
-    for _ in range(2 * slots + 1):
-        cache.push_row(rng.standard_normal((2, 7, 3)).astype(np.float32))
-        held.append({span: cache.column(*span).buf.copy() for span in ((0, 3), (3, 7), (0, 7))})
+    for t in range(2 * slots + 1):
+        cache.body[t % slots] = rng.standard_normal((2, 7, 3)).astype(np.float32)
+        held.append({span: cache.column(t + 1, *span).buf.copy()
+                     for span in ((0, 3), (3, 7), (0, 7))})
         for rows in range(1, min(slots - height, len(held) - 1) + 2):
             for span, want in held[-1].items():
-                got = cache.column(*span, rows)
+                got = cache.column(t + 1, *span, rows)
                 assert got.fit == (3 * height, 3 * height * 2 + 1)
                 assert np.array_equal(got.buf[:-1], np.concatenate(
                     [h[span][:-1] for h in held[len(held) - rows:]], axis=1))
@@ -219,17 +197,13 @@ def test_rowcache_column_of_several_rows_sides_the_older_windows_by_the_newer(he
 
 
 def test_rowcache_rows_written_ahead_stay_out_of_the_window():
-    # with spare slots a writer stores rows count, count+1 in place; the
-    # window still reads rows count-height .. count-1 until it advances
+    # with spare slots a writer stores rows 2 and 3 before output row 2 is
+    # read; that row still reads rows 0 .. 1, and output row 3 rows 1 .. 2
     cache = RowCache(height=2, width=3, channels=1, batch=1, kw=2, slots=4, pad=1)
-    rows = [np.full((1, 3, 1), float(t + 1), np.float32) for t in range(4)]
-    for t in range(2):
-        cache.push_row(rows[t])
-    cache.body[2] = rows[2]
-    cache.body[3] = rows[3]
-    assert np.array_equal(cache.rows_stack()[0, :, :, 0], [[1, 1, 1], [2, 2, 2]])
-    cache.count += 1
-    assert np.array_equal(cache.rows_stack()[0, :, :, 0], [[2, 2, 2], [3, 3, 3]])
+    for t in range(4):
+        cache.body[t] = np.full((1, 3, 1), float(t + 1), np.float32)
+    assert np.array_equal(_rows_read(cache, 2)[:, 0, :, 0], [[1, 1, 1], [2, 2, 2]])
+    assert np.array_equal(_rows_read(cache, 3)[:, 0, :, 0], [[2, 2, 2], [3, 3, 3]])
     assert cache.stored_values() == 2 * 3
     with pytest.raises(InvalidParameterError):
         RowCache(height=2, width=3, channels=1, batch=1, kw=3, slots=2, pad=1)  # pad < kw - 1

@@ -95,6 +95,7 @@ def test_spec_validation():
     dict(stacks=2, layers_per_stack=99999, channels=8),
     dict(stacks=1, layers_per_stack=2**64 - 1),
     dict(stacks=2**40, layers_per_stack=1),
+    dict(stacks=2**26, layers_per_stack=1, channels=1),  # ring and table under, weights over
 ], ids=lambda a: "-".join(map(str, a.values())))
 def test_unbuildable_network_is_refused_before_it_allocates(spec_args):
     spec = NetworkSpec("dilated", **spec_args)
@@ -121,6 +122,23 @@ def test_size_ceilings_are_the_ring_and_table_sizes(monkeypatch, name, size):
     monkeypatch.setattr(dilated, name, size(spec))
     assert build_network(spec) == net
     monkeypatch.setattr(dilated, name, size(spec) - 1)
+    with pytest.raises(InvalidParameterError, match="too large"):
+        build_network(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=3, seed=1),
+    NetworkSpec("strided", kernel_size=3, channels=3, strides=("down3", "down2", "up2", "up3")),
+], ids=lambda s: s.family)
+def test_weight_ceiling_is_the_weights_size(monkeypatch, spec):
+    # at a ceiling equal to a network's kernel and bias floats (a dilated
+    # network's head included), it builds; one below, it is refused
+    net = build_network(spec)
+    size = sum(w.fused.size for w in [*(l.weights for l in net.layers), getattr(net, "head", None)]
+               if w is not None)
+    monkeypatch.setattr(dilated, "MAX_WEIGHT_FLOATS", size)
+    assert build_network(spec) == net
+    monkeypatch.setattr(dilated, "MAX_WEIGHT_FLOATS", size - 1)
     with pytest.raises(InvalidParameterError, match="too large"):
         build_network(spec)
 

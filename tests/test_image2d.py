@@ -27,7 +27,6 @@ from convgen.cache import RowCache
 from convgen.image2d import (
     _pixel_step,
     _schedule,
-    _vconv_row,
     image_incremental_init,
     image_incremental_step,
     image_naive_init,
@@ -178,36 +177,47 @@ def test_vertical_rows_match_full_image_pass():
             assert np.max(np.abs(got - v[:, r, :])) <= EQUIV_TOL
 
 
-def _vconv_row_reference(w, cache):
-    """The vertical conv row rebuilt from rows_stack() with explicit zero-left shifts."""
-    stack = cache.rows_stack()  # (in, kh, W, B)
-    in_ch, kh, W, B = stack.shape
-    kw = w.kernel.shape[3]
+def _column_reference(rows, t, kh, kw):
+    """Output row t's vertical conv column rebuilt from the rows written so
+    far (zero above row 0) with explicit zero-left shifts: (kh*kw*in + 1, W*B)."""
+    in_ch, W, B = rows[0].shape
     column = np.zeros((kh, kw, in_ch, W, B), np.float32)
     for i in range(kh):
-        for j in range(kw):
-            shift = kw - 1 - j
-            column[i, j, :, shift:] = stack[:, i, : W - shift]
-    column = np.concatenate([column.reshape(-1, W * B), np.ones((1, W * B), np.float32)])
-    return np.dot(w.fused, column).reshape(w.out_channels, W, B)
+        if t - kh + i >= 0:
+            for j in range(kw):
+                shift = kw - 1 - j
+                column[i, j, :, shift:] = rows[t - kh + i][:, : W - shift]
+    return np.concatenate([column.reshape(-1, W * B), np.ones((1, W * B), np.float32)])
 
 
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("kw", [1, 2, 3, 5])
 @pytest.mark.parametrize("kh", [1, 2, 3])
 def test_vconv_row_matches_shifted_rows_reference(kh, kw, batch):
+    # rows written the engine's way, row t into body[t % slots] of a ring of
+    # the engine's size: at every ring position the column of output row t is
+    # the shifted rows t-kh .. t-1, and with rows=2, a burst's read, the
+    # columns of rows t-1 and t side by side; one dot over it is the row
     spec = ImageSpec(3, 6, channels=3, n_layers=2, kh=kh, kw=kw, seed=kh * 10 + kw)
     w = build_image_network(spec).blocks[1].vert
-    cache = RowCache(kh, spec.width, spec.channels, batch, kw, kh, kw - 1)
+    slots = kh + 2 + kh % 2
+    cache = RowCache(kh, spec.width, spec.channels, batch, kw, slots, kw - 1)
     rng = np.random.default_rng(batch)
-    for pushes in range(2 * kh + 2):  # every ring position, wrapped twice
-        if pushes:
-            cache.push_row(rng.standard_normal((spec.channels, spec.width, batch)).astype(np.float32))
+    rows = [rng.standard_normal((spec.channels, spec.width, batch)).astype(np.float32)
+            for _ in range(2 * slots + 2)]  # every ring position, wrapped twice
+    for t, row in enumerate(rows):
+        want = _column_reference(rows, t, kh, kw)
+        assert np.array_equal(cache.column(t).buf, want)
+        if t:
+            pair = cache.column(t, 0, spec.width, 2).buf
+            older = _column_reference(rows, t - 1, kh, kw)
+            assert np.array_equal(pair[:-1], np.concatenate([older[:-1], want[:-1]], axis=1))
         counter = OpCounter()
-        got = _vconv_row(w, cache, counter)
-        assert np.array_equal(got, _vconv_row_reference(w, cache))
+        got = conv1d_point(w, cache.column(t), counter)
+        assert np.array_equal(got, np.dot(w.fused, want))
         assert counter.node_evals == spec.width * batch
         assert counter.macs == w.macs * spec.width * batch
+        cache.body[t % slots] = row
 
 
 def test_vertical_row_pass_out_of_order_rejected(monkeypatch):
@@ -301,7 +311,7 @@ def test_per_pixel_nodes_independent_of_height(row_pair):
             image_incremental_step(net, state)
         assert state.counter.node_evals == 2 * H * 6 * per_pixel
         # no vertical row beyond the image
-        assert [rc.count for rc in state.row_caches] == [H] * 3 and state.done == [H * 6] * 3
+        assert state.done == [H * 6] * 3
 
 
 def test_cached_rows_values_counts_the_held_row_while_its_link_waits():
@@ -423,14 +433,14 @@ def test_the_pair_adds_no_buffer_to_a_state():
     # the benchmark's image: with the pair, a state's buffers are those of a
     # state without it, C*W*B floats fewer than the 299520 bytes a paired
     # state owned while it carried block 0's odd vconv row between bursts;
-    # the pair itself holds nothing
+    # the pair itself is the spec's bool
     spec = ImageSpec(32, 32, channels=8, n_layers=3, row_pair=True, seed=0)
     paired = image_incremental_init(build_image_network(spec), batch=16)
     single = image_incremental_init(
         build_image_network(dataclasses.replace(spec, row_pair=False)), batch=16)
     nbytes = sum(a.nbytes for a in _buffers(paired))
     assert nbytes == sum(a.nbytes for a in _buffers(single)) == 299520 - 8 * 32 * 16 * 4
-    assert type(paired.pair).__slots__ == ()
+    assert paired.row_pair is True and single.row_pair is False
 
 
 @pytest.mark.parametrize("row_pair", [False, True])

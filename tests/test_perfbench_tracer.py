@@ -5,7 +5,8 @@ and a pair's second row runs block 0's burst in three column chunks, the
 same image without the pair and a 16x16 one with 3-row vertical kernels;
 the strided hourglass at C=32; dilated 2x10 at C=32; and 64 states of
 dilated 2x8 at C=8.  The benchmark's own self-test runs an 8x8 image with 2
-blocks."""
+blocks.  The last test audits the names the tracer pins: the spans no
+engine calls are exactly the name-only stubs."""
 
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convgen import ImageSpec, NetworkSpec, build_image_network
+from convgen import ImageSpec, NetworkSpec, ScheduleViolationError, build_image_network
 from convgen import dilated, image2d, strided
 from convgen.image2d import _schedule, image_incremental_init
 
@@ -107,3 +108,41 @@ def test_traced_columns_equal_counted_nodes_for_1d_engines(name):
     spans = traced.spans
     assert spans["tensor.conv1d_point"].cols == traced.kernel_cols() > 0
     assert spans["tensor.transposed_point"].calls == 0
+
+
+# what the tracer patches but no engine calls: names only, whose bodies raise
+STUBS = {"cache.FifoCache.pop", "cache.FifoCache.push", "cache.FifoCache.fires",
+         "tensor.transposed_point", "cache.RowCache.push_row", "cache.RowCache.rows_stack",
+         "image2d._vconv_row", "image2d._PairState.feed"}
+
+
+def test_the_spans_never_called_are_the_name_only_stubs():
+    # each family's cached engine at a small shape under the tracer: every
+    # pinned name but the stubs is called, and each stub raises when called,
+    # so no pinned body is left without a caller and no live one is stubbed
+    tracer = _load_tracer()
+    dnet = dilated.build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=2))
+    snet = strided.build_strided_network(
+        NetworkSpec("strided", channels=2, strides=("down2", "down2", "up2", "up2")))
+    inet = build_image_network(ImageSpec(4, 5, channels=2, n_layers=2, row_pair=True, seed=1))
+    dstate, sstate = dilated.incremental_init(dnet), strided.strided_incremental_init(snet)
+    istate = image_incremental_init(inet, batch=2)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        x = y = np.float32(0.5)
+        for _ in range(8):
+            x = dilated.incremental_step(dnet, dstate, x)
+            y = strided.strided_incremental_step(snet, sstate, y)
+        for _ in range(4 * 5):  # the benchmark adapter's step, over the whole image
+            if istate.c == 0:
+                image2d.vertical_row_pass(inet, istate, istate.r)
+            image2d._pixel_step(inet, istate)
+    finally:
+        traced.uninstall()
+    assert {name for name, span in traced.spans.items() if span.calls == 0} == STUBS
+    for name, owners, attr, _ in tracer.PATCHES:
+        if name in STUBS:
+            for owner in owners:
+                with pytest.raises(ScheduleViolationError):
+                    vars(owner)[attr](None)  # a method stub takes None for its self

@@ -3,8 +3,14 @@ naive/cached equivalence, and pending-buffer conservation."""
 
 import copy
 import dataclasses
+import importlib.util
 import pickle
+import sys
+import time
+import tracemalloc
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from convgen import (
     generate,
     receptive_field,
 )
+from convgen import strided
 from convgen.strided import (
     StridedNetwork,
     _bind,
@@ -50,7 +57,11 @@ def hourglass_plan():
 def test_parse_stride_tokens():
     assert parse_stride("down2") == ("down", 2)
     assert parse_stride("up16") == ("up", 16)
-    for bad in ("sideways2", "down", "2", "down-2", "down0"):
+    # factors run to MAX_PERIOD; leading zeros are no digits, and a factor of
+    # more digits is refused before int() reads them
+    assert strided.MAX_PERIOD == 2**12 and parse_stride("up4096") == ("up", 4096)
+    assert parse_stride("down" + "0" * 5000 + "2") == ("down", 2)
+    for bad in ("sideways2", "down", "2", "down-2", "down0", "down4097", "up" + "9" * 5000):
         with pytest.raises(InvalidParameterError):
             parse_stride(bad)
 
@@ -68,6 +79,42 @@ def test_unbalanced_plans_rejected():
 
 def plan_of(*strides):
     return StridedPlan.from_spec(NetworkSpec("strided", strides=strides))
+
+
+@pytest.mark.parametrize("spec_args", [
+    dict(strides=("down2",) * 64 + ("up2",) * 64),  # a period of 2**64 steps
+    dict(strides=("down2" + "0" * 4999, "up2")),  # a factor of 5000 digits
+    dict(strides=("down2", "up2"), kernel_size=2**40),  # 2**40 + 1 weight floats
+], ids=["down2x64-up2x64", "5000-digit-factor", "kernel-2**40"])
+def test_unbuildable_strided_network_is_refused_before_it_allocates(spec_args):
+    spec = NetworkSpec("strided", **spec_args)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InvalidParameterError):
+            build_network(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024 and time.perf_counter() - start < 1.0
+
+
+def test_period_ceiling_is_the_down_strides_product(monkeypatch):
+    # at a ceiling equal to the product of the down strides (the steps
+    # `_simulate_plan` takes), a plan is built; one below, it is refused,
+    # unless it is unbalanced, which stays an UnsupportedTopologyError
+    strides = ("down3", "down2", "up2", "up3")
+    plan = plan_of(*strides)
+    for ceiling in (6, 5):
+        monkeypatch.setattr(strided, "MAX_PERIOD", ceiling)
+        strided._simulate_plan.cache_clear()  # plans are memoised
+        if ceiling == 6:
+            assert plan_of(*strides) == plan
+        else:
+            with pytest.raises(InvalidParameterError, match="too large"):
+                plan_of(*strides)
+        with pytest.raises(UnsupportedTopologyError):
+            plan_of("down3", "down2", "up2")
 
 
 def test_plan_period():
@@ -422,6 +469,17 @@ def random_balanced(rng) -> tuple[str, ...]:
             return strides
 
 
+@cache
+def _benchmark_adapters():
+    """perfbench/adapters.py, loaded unchanged."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "adapters.py"
+    spec = importlib.util.spec_from_file_location("perfbench_adapters", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 _rng = np.random.default_rng(2024)
 # (strides, kernel_size of the down layers): the named topologies also pin k != 2
 TOPOLOGIES = [
@@ -448,7 +506,15 @@ def test_random_balanced_topology(strides, kernel_size):
         x = strided_incremental_step(net, state, x)
         assert state.counter.node_evals - before == sum(rec.nodes)
         cached.append(x)
-    assert np.array_equal(np.array(cached, np.float32), generate(net, n, engine="naive")[:, 0])
+    ys = np.array([cached], np.float32)
+    assert np.array_equal(ys[0], generate(net, n, engine="naive")[:, 0])
+    # every up node is conv1d_point over a phase, whichever engine runs it:
+    # `StridedNetwork.forward` and perfbench's strided oracle, over the inputs
+    # the cached engine was fed, give its outputs bit for bit
+    xs = np.concatenate(([[0]], ys[:, :-1]), axis=1).astype(np.float32)
+    assert net.forward(xs[0]).tobytes() == ys[0].tobytes()
+    adapters = _benchmark_adapters()
+    assert adapters.Strided(strides, 2).oracle(adapters.State(net, [state]), xs, ys).all()
     steps = [(rec.nodes, rec.emit) for rec in trace]
     assert steps[plan.period :] == steps[: -plan.period]
     for p in range(1, plan.period):

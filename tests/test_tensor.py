@@ -23,7 +23,6 @@ from convgen.tensor import (
     masked_conv2d,
     strided_conv1d,
     strided_transposed_conv1d,
-    transposed_point,
 )
 from oracles import (
     scalar_conv1d_full,
@@ -153,12 +152,6 @@ def test_point_contract_errors(batch):
     if batch is not None:
         with pytest.raises(ShapeError):
             conv1d_point(w, [tap(3), np.zeros((3, batch + 1), np.float32)])
-    with pytest.raises(InvalidParameterError):
-        transposed_point(w, -1, tap(3))
-    with pytest.raises(InvalidParameterError):
-        transposed_point(w, 2, tap(3))
-    with pytest.raises(ShapeError):
-        transposed_point(w, 0, tap(2))
 
 
 @pytest.mark.parametrize("batch", [None, 1, 3])
@@ -187,53 +180,35 @@ def test_column_matches_tuple_path(k, batch):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_transposed_point_column_contract(k):
-    # one dot with [W_r | b] over the assembled [vec; 1] column
-    rng = np.random.default_rng(30 + k)
-    w = rand_weights(rng, 4, 3, (k,))
-    column = np.ones(4, np.float32)
-    column[:3] = rng.uniform(-1, 1, 3)
-    for r in range(k):
-        got, out = OpCounter(), np.zeros(4, np.float32)
-        assert transposed_point(w, r, column, got, out) is out
-        assert np.array_equal(transposed_point(w, r, column), out)
-        assert got.snapshot() == (4 * 3, 1)
-        assert np.allclose(out, w.kernel[:, :, r] @ column[:3] + w.bias, atol=1e-6)
-    assert w.phase_fused.shape == (k, 4, 4) and w.phase_fused.flags.c_contiguous
-    assert not w.phase_fused.flags.writeable
-    with pytest.raises(ShapeError):
-        transposed_point(w, 0, column[:3].copy())  # [vec] without its ones row
-    with pytest.raises(ShapeError):
-        transposed_point(w, 0, column.copy(), None, np.zeros(3, np.float32))
-    with pytest.raises(ShapeError):
-        transposed_point(w, 0, np.ones((4, 2), np.float32))  # one column only
-    for phase in (-1, k):
-        with pytest.raises(InvalidParameterError):
-            transposed_point(w, phase, column.copy())
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("in_ch", [1, 3, 32])
 @pytest.mark.parametrize("out_ch", [1, 4])
 def test_phases_are_one_tap_weights_over_the_phase_blocks(k, in_ch, out_ch):
-    # the cached strided step runs up phase r as conv1d_point(phases[r], Column):
-    # the same [W_r | b] memory as transposed_point's, the same dot bit for bit
+    # the cached strided step runs up node (j, r) as conv1d_point(phases[r],
+    # Column of [x_j; 1]) and the whole-sequence up conv as the same phase
+    # over the tap x_j: one dot with [W_r | b], the same bits either way
     rng = np.random.default_rng(100 * k + 10 * in_ch + out_ch)
     w = rand_weights(rng, out_ch, in_ch, (k,))
     assert "phases" not in vars(w)  # built on first use
     phases = w.phases
     assert len(phases) == k and w.phases is phases
+    blocks = phases[0].fused.base  # the k blocks [W_r | b], one array
+    assert blocks.shape == (k, out_ch, in_ch + 1) and blocks.flags.c_contiguous
+    assert not blocks.flags.writeable
+    x = rng.uniform(-1, 1, (in_ch, 3)).astype(np.float32)
+    counter = OpCounter()
+    whole = strided_transposed_conv1d(w, x, k, counter)
+    assert counter.snapshot() == (3 * k * out_ch * in_ch, 3 * k)  # one node per output
     for r, phase in enumerate(phases):
-        assert np.shares_memory(phase.fused, w.phase_fused[r])
-        assert np.array_equal(phase.fused, w.phase_fused[r])
+        assert phase.fused.base is blocks and np.array_equal(phase.fused, blocks[r])
         assert not phase.fused.flags.writeable and not phase.kernel.flags.writeable
         assert (phase.k, phase.fit, phase.macs) == (1, (1, in_ch + 1), out_ch * in_ch)
         assert phase == ConvWeights(w.kernel[:, :, r : r + 1], w.bias)
-        for _ in range(3):
+        for j in range(3):
             buf = np.ones(in_ch + 1, np.float32)
-            buf[:-1] = rng.uniform(-1, 1, in_ch)
+            buf[:-1] = x[:, j]
             got = conv1d_point(phase, Column(buf, in_ch))
-            assert got.tobytes() == transposed_point(w, r, buf).tobytes()
+            assert got.tobytes() == whole[:, k * j + r].tobytes()
+            assert np.allclose(got, w.kernel[:, :, r] @ x[:, j] + w.bias, atol=1e-5)
 
 
 def test_column_contract_errors():
@@ -435,8 +410,6 @@ def test_stride_errors():
         strided_conv1d(w, x, 0)
     with pytest.raises(InvalidParameterError):
         strided_transposed_conv1d(w, x, 3)  # kernel 2 != stride 3
-    with pytest.raises(InvalidParameterError):
-        transposed_point(w, 2, np.zeros(1, np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,8 @@ def weights_digest(net) -> str:
         h.update(w.fused.tobytes())
     for layer in getattr(net, "layers", ()):
         if getattr(layer, "kind", None) == "up":
-            h.update(layer.weights.phase_fused.tobytes())
+            for phase in layer.weights.phases:  # the blocks' bytes, in phase order
+                h.update(phase.fused.tobytes())
     return h.hexdigest()
 
 

@@ -1,8 +1,9 @@
 """`init` / `step`, one batch protocol for every engine; `generate` over it;
 and the benchmark and verification command line (``convgen-bench``).
 
-Every engine is an `ENGINES` pair, `init(network, batch, counter)` and
-`step(network, state, xs)` -> float32 (batch,); 1D per-sequence functions
+Every engine is an `ENGINES` entry, `init(network, batch, counter)`,
+`step(network, state, xs)` -> float32 (batch,) and the closed-form floats
+its state holds per sequence, which `init` bounds; 1D per-sequence functions
 enter through one lift, `_each`.  The network holds what differs by family:
 its schedule's `period`, its sequence `length` and its `forward` pass.
 
@@ -46,6 +47,7 @@ from .errors import InvalidParameterError, ShapeError
 from .image2d import (
     ImageSpec,
     _no_input,
+    _sizes,
     build_image_network,
     image_incremental_init,
     image_incremental_step,
@@ -121,30 +123,70 @@ def _step_each(step_one, network, seqs: PerSequence, xs) -> np.ndarray:
     return np.array(ys, DTYPE)
 
 
-def _each(init_one: Callable, step_one: Callable) -> tuple:
-    """A 1D engine's per-sequence `init(network, counter)` and `step(network,
-    state, x) -> y`, lifted to the batch protocol over a `PerSequence`:
-    partials of module functions, so that a batch state pickles."""
-    return partial(_init_each, init_one), partial(_step_each, step_one)
+# What one `init` may hold: its engine's state floats over the whole batch
+MAX_BATCH_FLOATS = 2**26  # 256 MiB of float32
+# A lifted 1D sequence's state objects (the state, its arrays, views and
+# `Column`s) beyond their floats: tracemalloc measured 4.4 KB per strided
+# hourglass state and 0.6 KB per dilated one, so 8 KiB is charged
+SEQUENCE_FLOATS = 2**11
+# A numpy array's header, about 112 bytes, as floats: a naive dilated window
+# holds one array per slot
+ARRAY_FLOATS = 32
 
 
-ENGINES = {  # family -> engine -> (init, step)
-    "dilated": {
-        "naive": _each(naive_init, naive_step),
-        "cached": _each(incremental_init, incremental_step),
+def _each(init_one: Callable, step_one: Callable, floats_one: Callable) -> tuple:
+    """A 1D engine's per-sequence `init(network, counter)`, `step(network,
+    state, x) -> y` and `floats(network)`, its state's floats, lifted to the
+    batch protocol over a `PerSequence`: `init` and `step` as partials of
+    module functions, so that a batch state pickles, and the floats with
+    SEQUENCE_FLOATS more for the state's objects."""
+    return (partial(_init_each, init_one), partial(_step_each, step_one),
+            lambda network: SEQUENCE_FLOATS + floats_one(network))
+
+
+ENGINES = {  # family -> engine -> (init, step, state floats per sequence)
+    "dilated": {  # naive: 2^L window slots per stack, each an array of C floats
+        "naive": _each(naive_init, naive_step, lambda net: net.spec.stacks
+                       * 2**net.spec.layers_per_stack * (net.spec.channels + ARRAY_FLOATS)),
+        "cached": _each(incremental_init, incremental_step,
+                        lambda net: math.prod(net.ring_shape) + net.ring0_size),
     },
-    "strided": {
-        "naive": _each(strided_naive_init, strided_naive_step),
-        "cached": _each(strided_incremental_init, strided_incremental_step),
+    "strided": {  # naive: the inputs so far, none at init; cached: the buffer, pending outputs
+        "naive": _each(strided_naive_init, strided_naive_step, lambda net: 0),
+        "cached": _each(strided_incremental_init, strided_incremental_step,
+                        lambda net: net._program[0].size + net.period),
     },
-    "image2d": {
-        "naive": (image_naive_init, image_naive_step),
-        "cached": (image_incremental_init, image_incremental_step),
+    "image2d": {  # one state for the whole batch: `_sizes` per batch element
+        "naive": (image_naive_init, image_naive_step, lambda net: _sizes(net.spec)[2]),
+        "cached": (image_incremental_init, image_incremental_step,
+                   lambda net: _sizes(net.spec)[1]),
     },
 }
 
 
+def _check_size(what: str, size: int, ceiling: int) -> None:
+    if size > ceiling:
+        raise InvalidParameterError(f"{what} {size} is more than {ceiling}")
+
+
+def _engine(network, engine: str, batch) -> tuple:
+    """`ENGINES` entry of `network`'s family for `engine`, and `batch` as an
+    int, if its states' floats over the batch (at least 1 per sequence) stay
+    within MAX_BATCH_FLOATS; InvalidParameterError otherwise."""
+    engines = ENGINES[network.spec.family]
+    if engine not in engines:
+        raise InvalidParameterError(f"engine must be naive or cached, got {engine!r}")
+    batch = _check_int("batch", batch, 1)
+    start, advance, floats = engines[engine]
+    _check_size(f"a {engine} batch of {batch}: state floats", batch * max(1, floats(network)),
+                MAX_BATCH_FLOATS)
+    return start, advance, batch
+
+
 MAX_PRIME = 2**24  # values: a prime is copied into one float32 array up front
+MAX_OUTPUTS = 2**26  # n_steps x batch: `generate`'s output array, 256 MiB of float32
+MAX_TIMED_STEPS = 2**20  # repeats x steps: `time_engine` keeps one timing per step
+MAX_SWEEP_VALUES = 2**10  # counts in one `--layers` or `--batch` sweep
 
 
 def _check_prime(prime) -> np.ndarray:
@@ -194,12 +236,9 @@ def init(network, engine: str = "cached", batch: int = 1, counter=None) -> Batch
     """A fresh batch for `step`, run by `engine` ("naive" or "cached"); every
     step counts into `counter` (a new OpCounter by default).  A
     `copy.deepcopy` or a pickle forks it: both copies continue as the whole
-    run would."""
-    engines = ENGINES[network.spec.family]
-    if engine not in engines:
-        raise InvalidParameterError(f"engine must be naive or cached, got {engine!r}")
-    batch = _check_int("batch", batch, 1)
-    start, advance = engines[engine]
+    run would.  A batch whose states would hold more than MAX_BATCH_FLOATS
+    floats is refused (InvalidParameterError) before any is built."""
+    start, advance, batch = _engine(network, engine, batch)
     counter = OpCounter() if counter is None else counter
     return BatchState(start, advance, start(network, batch, counter), counter, batch,
                       network.length)
@@ -232,11 +271,14 @@ def generate(network, n_steps=None, *, engine="cached", batch=1, prime=(), count
     sequence has no end, so `n_steps` is required.  image2d takes no prime,
     row i is raster pixel i, and `n_steps` defaults to one whole image.  The
     naive and cached engines give identical 1D outputs, and image outputs
-    within float32 noise.
+    within float32 noise.  More than MAX_OUTPUTS outputs (n_steps x batch)
+    are refused before anything is allocated.
     """
-    state = init(network, engine, batch, counter)
-    prime = _check_prime(prime)
+    batch = _check_int("batch", batch, 1)
     n = _check_int("n_steps", network.length if n_steps is None else n_steps, 1)
+    _check_size("outputs (n_steps x batch)", n * batch, MAX_OUTPUTS)
+    prime = _check_prime(prime)
+    state = init(network, engine, batch, counter)
     out = np.empty((n, batch), dtype=DTYPE)
     for x in prime:  # row 0 keeps the prediction after the whole prime
         out[0] = step(network, state, np.full(batch, x))
@@ -279,14 +321,17 @@ def time_engine(
     the first pixel.  `p50_us` and `p99_us` come from a second pass of as
     many steps, each timed on its own: percentiles over the steps, each
     counted as the median at its position in the network's schedule
-    `period`, from the sequence's start.
+    `period`, from the sequence's start.  More than MAX_TIMED_STEPS timed
+    steps (repeats x steps) are refused before anything runs.
     """
+    steps = _check_int("steps", network.length if steps is None else steps, 1)
+    _check_size("timed steps (repeats x steps)", _check_int("repeats", repeats, 1) * steps,
+                MAX_TIMED_STEPS)
     clock = time.perf_counter
     t0 = clock()
     state = init(network, engine, batch)
     step(network, state)
     setup_us = (clock() - t0) * 1e6
-    steps = _check_int("steps", network.length if steps is None else steps, 1)
     if warmup is None:
         warmup = network.length or max(4, receptive_field(network.spec) if engine == "naive" else 0)
     warmup = max(warmup, 1)  # the first step is warm-up
@@ -514,7 +559,8 @@ def run_verify(quick: bool, out=None) -> int:
 
 
 def _parse_counts(flag: str, text: str) -> list[int]:
-    """Counts from `n`, an inclusive range `a..b`, or a comma list of either."""
+    """Counts from `n`, an inclusive range `a..b`, or a comma list of either;
+    at most MAX_SWEEP_VALUES of them, refused before a range is expanded."""
     values = []
     for tok in text.split(","):
         lo, dots, hi = tok.partition("..")
@@ -525,6 +571,8 @@ def _parse_counts(flag: str, text: str) -> list[int]:
             raise ValueError(f"bad {flag} {text!r}: {tok!r} is not n or a..b") from None
         if a < 1 or b < a:
             raise ValueError(f"bad {flag} {text!r}: {tok!r} needs 1 <= a <= b")
+        if len(values) + b - a + 1 > MAX_SWEEP_VALUES:
+            raise ValueError(f"bad {flag} {text!r}: more than {MAX_SWEEP_VALUES} values")
         values.extend(range(a, b + 1))
     return values
 
@@ -550,23 +598,29 @@ def _build_for(args, L: int, steps: int):
 
 
 def _sweep_points(args) -> list:
-    """Every sweep point, built before any output so that a bad spec writes nothing."""
+    """Every sweep point, built, and checked against the ceilings of `init`,
+    `time_engine` and (in both modes) `generate` at each batch, before any
+    output, so that a bad spec or size writes nothing."""
     layers = args.layers_list
-    steps = min(args.steps, 32) if args.quick else args.steps
     if args.model == "strided" and len(layers) > 1:
         print("note: --layers is ignored for the strided model", file=sys.stderr)
         layers = [len(HOURGLASS_STRIDES)]
-    return [_build_for(args, L, steps) for L in layers]
+    points = [_build_for(args, L, args.steps) for L in layers]
+    for network, _, _, n in points:
+        _check_size("timed steps (repeats x steps)", args.repeats * n, MAX_TIMED_STEPS)
+        for batch in args.batch_list:
+            if args.mode == "both":
+                _check_size("outputs (n_steps x batch)", n * batch, MAX_OUTPUTS)
+            for mode in ("naive", "cached") if args.mode == "both" else (args.mode,):
+                _engine(network, mode, batch)
+    return points
 
 
 def run_bench(args, points, out=None) -> int:
     """Time the `_sweep_points` of `args` and write one CSV row per point, batch and mode."""
     out = sys.stdout if out is None else out
     repeats = args.repeats
-    warmup = None
-    if args.quick:
-        repeats = min(repeats, 3)
-        warmup = 16  # quick mode also skips the full steady-state warm-up
+    warmup = 16 if args.quick else None  # quick mode also skips the full steady-state warm-up
     modes = ("naive", "cached") if args.mode == "both" else (args.mode,)
     print(",".join(CSV_COLUMNS), file=out)
     worst_diff = 0.0
@@ -725,6 +779,8 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     if args.steps < 1 or args.repeats < 1:
         parser.error("--steps and --repeats must be >= 1")
+    if args.quick:
+        args.steps, args.repeats = min(args.steps, 32), min(args.repeats, 3)
     try:
         points = _sweep_points(args)
     except InvalidParameterError as exc:

@@ -6,8 +6,10 @@ projection to one channel.  Generation is deterministic: the raw output
 scalar is fed back as the next input, which makes the naive and cached
 engines exactly comparable.
 
-naive engine   - keeps each stack's output history and recomputes the whole
-                 within-stack dependency tree (2^L - 1 nodes) at every step.
+naive engine   - keeps each stack's last 2^L inputs, a fixed window, and
+                 recomputes the stack's whole pyramid from it level by level
+                 (2^L - 1 nodes, fewer while it reaches before step 0) at
+                 every step.
 cached engine  - column-resident, for n = stacks * L layers: the state is
                  one zero-filled (sum of dilations, C) ring in which each of
                  layers 1..n-1 owns `dilation` consecutive rows, plus layer
@@ -51,6 +53,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -82,6 +85,17 @@ def _check_int(name: str, v, lo: int) -> int:
     if not lo <= v <= 2**64 - 1:
         raise InvalidParameterError(f"{name} must be in [{lo}, 2**64 - 1], got {v}")
     return v
+
+
+def _family(what: str, obj, *families: str) -> str:
+    """The family of `obj`, a spec or a network (through its `spec`), if it
+    is one of `families`; otherwise InvalidParameterError naming it."""
+    family = getattr(getattr(obj, "spec", obj), "family", None)
+    if family not in families:
+        raise InvalidParameterError(
+            f"{what} takes the {' or '.join(families)} family, got {type(obj).__name__} "
+            f"of family {family!r}")
+    return family
 
 
 def _check_int_fields(spec, **minimums) -> None:
@@ -271,30 +285,37 @@ def _check_buildable(spec: NetworkSpec) -> None:
             )
 
 
-def build_network(spec: NetworkSpec):
-    """Materialise the weights for a 1D spec (dilated or strided family).
+def build_network(spec):
+    """Materialise the weights for a spec of any family: a dilated or strided
+    `NetworkSpec`, or an `ImageSpec` (`build_image_network`).
 
     A spec whose weights would exceed `MAX_WEIGHT_FLOATS`, or a dilated spec
     whose cached ring or ring-row table would exceed `MAX_RING_FLOATS` or
     `MAX_RING_TABLE`, is refused (InvalidParameterError) before any weight
     is drawn."""
-    if spec.family == "dilated":
-        _check_buildable(spec)
-        rng = np.random.default_rng(spec.seed)
-        layers = []
-        for idx, d in enumerate(spec.dilations()):
-            in_ch = 1 if idx == 0 else spec.channels
-            layers.append(LayerDef(draw_weights(rng, spec.channels, in_ch, 2), d))
-        head = draw_weights(rng, 1, spec.channels, 1)
-        return DilatedNetwork(spec, tuple(layers), head)
-    from .strided import build_strided_network
+    family = _family("build_network", spec, *FAMILIES, "image2d")
+    if family == "strided":
+        from .strided import build_strided_network
 
-    return build_strided_network(spec)
+        return build_strided_network(spec)
+    if family == "image2d":
+        from .image2d import build_image_network
+
+        return build_image_network(spec)
+    _check_buildable(spec)
+    rng = np.random.default_rng(spec.seed)
+    layers = []
+    for idx, d in enumerate(spec.dilations()):
+        in_ch = 1 if idx == 0 else spec.channels
+        layers.append(LayerDef(draw_weights(rng, spec.channels, in_ch, 2), d))
+    head = draw_weights(rng, 1, spec.channels, 1)
+    return DilatedNetwork(spec, tuple(layers), head)
 
 
 def receptive_field(spec: NetworkSpec) -> int:
-    """Exact number of input positions that can influence one output."""
-    if spec.family == "dilated":
+    """Exact number of input positions that can influence one output of a 1D
+    spec (an image's is `receptive_field_2d`)."""
+    if _family("receptive_field", spec, *FAMILIES) == "dilated":
         # two-tap layers: 1 + sum of dilations = stacks*(2^L - 1) + 1
         return 1 + sum(spec.dilations())
     from .strided import StridedPlan, strided_receptive_field
@@ -309,59 +330,38 @@ def receptive_field(spec: NetworkSpec) -> int:
 
 @dataclass
 class NaiveState:
-    """Growing per-stack output histories plus counters for one naive run."""
+    """One naive run: per stack, a window of its last 2^L inputs, oldest first
+    (None before step 0), and the run's counter; constant size in t."""
 
-    histories: list  # histories[0] = inputs; histories[s] = stack s outputs
-    t: int
+    windows: list  # windows[s]: a deque of stack s's inputs, maxlen 2^L
     counter: OpCounter
 
 
 def naive_init(network: DilatedNetwork, counter: OpCounter | None = None) -> NaiveState:
-    n_hist = network.spec.stacks + 1
-    return NaiveState(histories=[[] for _ in range(n_hist)], t=0, counter=counter or OpCounter())
-
-
-def _stack_slices(network: DilatedNetwork):
-    L = network.spec.layers_per_stack
-    return [network.layers[s * L : (s + 1) * L] for s in range(network.spec.stacks)]
-
-
-def _tree_eval(layers, source, pos, counter):
-    """Recursively evaluate the dependency tree of one stack-top node.
-
-    Nodes at negative positions read as implicit zero padding (the same
-    convention conv1d_full and the caches use), so they cost nothing; in
-    steady state the tree evaluates exactly 2^L - 1 conv points, and with
-    doubling dilations no position is ever visited twice.
-    """
-    zero_by_level = [zeros(layers[0].weights.in_channels)] + [
-        zeros(layer.weights.out_channels) for layer in layers
-    ]
-
-    def value(level: int, p: int):
-        if p < 0:
-            return zero_by_level[level]
-        if level == 0:
-            return source[p]
-        layer = layers[level - 1]
-        d = layer.dilation
-        taps = [value(level - 1, p - d), value(level - 1, p)]
-        return np.tanh(conv1d_point(layer.weights, taps, counter))
-
-    return value(len(layers), pos)
+    size = 2**network.spec.layers_per_stack
+    windows = [deque([None] * size, size) for _ in range(network.spec.stacks)]
+    return NaiveState(windows, counter or OpCounter())
 
 
 def naive_step(network: DilatedNetwork, state: NaiveState, x) -> np.floating:
-    """Consume one input value, recompute the full tree, return the new sample."""
-    pos = state.t
-    state.histories[0].append(np.array([x], dtype=DTYPE))
-    for s, stack in enumerate(_stack_slices(network)):
-        state.histories[s + 1].append(
-            _tree_eval(stack, state.histories[s], pos, state.counter)
-        )
-    y = conv1d_point(network.head, [state.histories[-1][pos]], state.counter)
-    state.t += 1
-    return y[0]
+    """Consume one input value, recompute every stack's pyramid, return the new sample.
+
+    Level 0 of a stack is its window; node j of level l reads nodes 2j
+    (older tap) and 2j+1 (newer tap) of level l-1 through layer l, so level
+    l has 2^(L-l) nodes, 2^L - 1 in all.  A None tap reads zeros, and a node
+    whose newer tap is None lies before step 0: it stays None, uncomputed.
+    """
+    L, top = network.spec.layers_per_stack, np.array([x], dtype=DTYPE)
+    for s, window in enumerate(state.windows):
+        window.append(top)
+        nodes = list(window)
+        for layer in network.layers[s * L : (s + 1) * L]:
+            zero = zeros(layer.weights.in_channels)
+            nodes = [None if new is None else np.tanh(conv1d_point(
+                         layer.weights, [zero if old is None else old, new], state.counter))
+                     for old, new in zip(nodes[::2], nodes[1::2])]
+        (top,) = nodes
+    return conv1d_point(network.head, [top], state.counter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +497,7 @@ def forward_full(
     network: DilatedNetwork, inputs: np.ndarray, counter: OpCounter | None = None
 ) -> np.ndarray:
     """Causal forward pass over an entire input sequence at once."""
+    _family("forward_full", network, "dilated")
     x = np.asarray(inputs, dtype=DTYPE)[None, :]
     for layer in network.layers:
         x = np.tanh(conv1d_full(layer.weights, x, dilation=layer.dilation, counter=counter))

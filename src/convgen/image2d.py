@@ -34,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cache import RowCache
-from .dilated import _check_int, _check_int_fields, draw_weights
+from .dilated import _check_int, _check_int_fields, _check_weights, _family, draw_weights
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import (
     DTYPE,
@@ -132,7 +132,51 @@ class ImageNetwork:
         return forward_image(self, inputs, counter)
 
 
+# What an image network may ask for, far above any shape in use (perfbench's
+# 32x32, C=8, 3 blocks with the row pair: 4424 cached state floats and 176128
+# naive floats per batch element, a 64-step schedule); its weights count
+# against `dilated.MAX_WEIGHT_FLOATS`.
+MAX_STATE_FLOATS = 2**26  # a cached state's floats per batch element: 256 MiB
+MAX_NAIVE_FLOATS = 2**26  # the naive pass's floats per batch element, a bound
+MAX_SCHEDULE_STEPS = 2**15  # a row pair's compiled steps, 2W: 20 MB of `_schedule`
+
+
+def _sizes(spec: ImageSpec) -> tuple:
+    """(weight floats, cached state floats per batch element, a bound on the
+    naive pass's floats per batch element, schedule steps), in closed form.
+
+    The weights are each block's vertical and horizontal convs, its link and,
+    with the pair, block 0's down and up convs, then the head.  The state is
+    what `image_incremental_init` allocates: the image ring, the rings of
+    blocks 1.., `last` and `buf`.  The naive pass holds the image and at most
+    16 (C, H, W) maps at once, each counted with its widest padding (about 8
+    were live at once under tracemalloc)."""
+    H, W, C, n, kh, kw, hk = (spec.height, spec.width, spec.channels, spec.n_layers, spec.kh,
+                              spec.kw, spec.h_kw)
+    weights = (C * (kh * kw + 1) + C * (hk + 1)  # block 0 reads one channel
+               + (n - 1) * (C * (C * kh * kw + 1) + C * (C * hk + 1))
+               + n * C * (C + 1) + 2 * C * (2 * C + 1) * spec.row_pair + C + 1)
+    slots = kh + 2 + kh % 2
+    state = (slots * (max(kw - 1, hk) + W) + slots * C * W
+             + (n - 1) * C * (slots * (kw - 1 + W) + 2 * (hk + W)))
+    naive = H * W + 16 * C * (H + 2 * kh) * (W + 2 * max(kw, hk))
+    return weights, state, naive, 2 * W
+
+
 def build_image_network(spec: ImageSpec) -> ImageNetwork:
+    """Draw an image network's weights.  A spec whose weights, cached state,
+    naive pass or schedule (`_sizes`) would exceed its ceiling is refused with
+    InvalidParameterError before anything is drawn."""
+    _family("build_image_network", spec, "image2d")
+    weights, *sizes = _sizes(spec)
+    _check_weights(spec, weights)
+    for what, size, ceiling in zip(
+            ("cached state floats per batch element", "naive floats per batch element",
+             "schedule steps"), sizes, (MAX_STATE_FLOATS, MAX_NAIVE_FLOATS, MAX_SCHEDULE_STEPS)):
+        if size > ceiling:
+            raise InvalidParameterError(
+                f"image network too large: {spec.height}x{spec.width} C={spec.channels} "
+                f"{spec.n_layers} blocks needs more than {ceiling} {what}")
     rng = np.random.default_rng(spec.seed)
     c = spec.channels
     blocks = []
@@ -187,6 +231,7 @@ def forward_image(network: ImageNetwork, images: np.ndarray, counter: OpCounter 
     The prediction at (r, c) depends only on pixels preceding (r, c) in
     raster order, so it is valid before that pixel exists.
     """
+    _family("forward_image", network, "image2d")
     v = images
     hin = images
     for block in network.blocks:
@@ -642,6 +687,7 @@ def receptive_field_2d(spec: ImageSpec) -> tuple[int, int]:
     row 2j+1 reads nothing of row 2j (both take block 0's vertical features
     from down row j, which reads rows <= 2j-1); without it, it does.
     """
+    _family("receptive_field_2d", spec, "image2d")
     v_up = v_left = cols_left = 0
     for i in range(spec.n_layers):
         v_up += spec.kh

@@ -37,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .dilated import _check_weights, draw_weights
+from .dilated import _check_weights, _family, draw_weights
 from .errors import (
     InvalidParameterError,
     ScheduleViolationError,
@@ -91,8 +91,7 @@ class StridedPlan:
 
     @classmethod
     def from_spec(cls, spec) -> "StridedPlan":
-        if spec.family != "strided":
-            raise InvalidParameterError("StridedPlan requires a strided-family spec")
+        _family("StridedPlan.from_spec", spec, "strided")
         return _simulate_plan(spec.strides)
 
 
@@ -209,17 +208,30 @@ def build_strided_network(spec) -> StridedNetwork:
 
 def strided_receptive_field(plan: StridedPlan, kernel_size: int = 2) -> int:
     """Steady-state count of input positions influencing one output (max over
-    phase).  Positions below 0 are counted, as if the sequence had no start."""
-    best = 0
+    phase).  Positions below 0 are counted, as if the sequence had no start.
+
+    Per phase, the positions are sorted, merged, inclusive intervals: an up
+    layer maps [a, b] to [a//s, b//s]; a down layer maps node j to
+    [s*j-k+1, s*j], so a run of nodes is one interval if k >= s, and each
+    node is its own otherwise."""
+    k, best = kernel_size, 0
     for phase in range(plan.period):
-        positions = {phase}
+        spans = [(phase, phase)]
         for kind, s in reversed(plan.layers):
             if kind == "up":
-                positions = {p // s for p in positions}
+                spans = [(a // s, b // s) for a, b in spans]
+            elif k >= s:
+                spans = [(s * a - k + 1, s * b) for a, b in spans]
             else:
-                k = kernel_size
-                positions = {s * j - (k - 1) + i for j in positions for i in range(k)}
-        best = max(best, len(positions))
+                spans = [(s * j - k + 1, s * j) for a, b in spans for j in range(a, b + 1)]
+            merged = [spans[0]]
+            for a, b in spans[1:]:  # sorted: merge each span into an overlapping or adjacent one
+                if a <= merged[-1][1] + 1:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+                else:
+                    merged.append((a, b))
+            spans = merged
+        best = max(best, sum(b - a + 1 for a, b in spans))
     return best
 
 

@@ -121,6 +121,24 @@ def dependency_tree_nodes(L, stacks):
     return total + 1  # linear head
 
 
+def strided_receptive_field_sets(plan, kernel_size):
+    """Receptive field of a strided plan (its `layers`, (kind, stride) pairs,
+    and `period`), max over phase, by growing position sets from the output
+    down: an up layer maps p to p // s, a down layer node j to s*j-k+1 ..
+    s*j.  Positions below 0 count, as if the sequence had no start."""
+    best = 0
+    for phase in range(plan.period):
+        positions = {phase}
+        for kind, s in reversed(plan.layers):
+            if kind == "up":
+                positions = {p // s for p in positions}
+            else:
+                k = kernel_size
+                positions = {s * j - (k - 1) + i for j in positions for i in range(k)}
+        best = max(best, len(positions))
+    return best
+
+
 def perturbation_influence(forward, x, t_out, eps=1.0):
     """Indices of x whose perturbation changes forward(x)[t_out]."""
     base = forward(x)

@@ -2,6 +2,7 @@
 usage errors, and equivalence fault injection; and the `init` / `step` batch
 protocol that every engine runs through."""
 
+import contextlib
 import copy
 import csv
 import io
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from convgen import (
     build_strided_network,
     generate,
 )
+from convgen import bench
 from convgen.bench import (
     CSV_COLUMNS,
     MAX_PRIME,
@@ -278,7 +281,7 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, capsys, argv, code
 @pytest.mark.parametrize("argv", [
     ["--layers", "30", "--quick", "--mode", "cached"],  # a 64 GiB ring
     ["--layers", "64", "--quick", "--mode", "cached"],  # past numpy's largest dimension
-    ["--layers", "99999", "--quick"],  # the naive engine's tree, too deep to recurse
+    ["--layers", "99999", "--quick"],  # the naive engine's windows of 2**99999 inputs
 ], ids=lambda argv: argv[1])
 def test_unbuildable_dilated_network_is_an_error_line(argv):
     # refused when built, in closed form, before the engines allocate or recurse
@@ -642,3 +645,193 @@ def test_network_forward_reproduces_a_generate_run(family, period, length, engin
         images = ys.T.reshape(1, 3, 4, 5).transpose(0, 2, 3, 1)
         pred = net.forward(images).reshape(20, 3)
         assert np.max(np.abs(pred.astype(np.float64) - ys)) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# ceilings: what a batch, a run and a sweep may allocate
+# ---------------------------------------------------------------------------
+
+
+def _peak(fn, *args, **kwargs):
+    """`fn`'s tracemalloc peak in bytes, and the exception it raised (None if none)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        raised = None
+    except (ValueError, SystemExit) as exc:  # InvalidParameterError is a ValueError
+        raised = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, raised
+
+
+@pytest.mark.parametrize("family, engine", ENGINE_CASES)
+def test_init_ceiling_is_the_batchs_state_floats(monkeypatch, family, engine):
+    # at a ceiling equal to the batch's closed-form floats it starts; one below, it is refused
+    net = NETWORKS[family]()
+    floats = bench.ENGINES[family][engine][2](net)
+    assert floats >= 1
+    monkeypatch.setattr(bench, "MAX_BATCH_FLOATS", 3 * floats)
+    init(net, engine, 3)
+    monkeypatch.setattr(bench, "MAX_BATCH_FLOATS", 3 * floats - 1)
+    with pytest.raises(InvalidParameterError, match="state floats"):
+        init(net, engine, 3)
+
+
+@pytest.mark.parametrize("family, engine", ENGINE_CASES)
+def test_state_floats_cover_a_batchs_states(family, engine):
+    # the closed form is at least what the states hold: exactly the arrays an
+    # image or cached dilated state allocates; for a lifted sequence, with its
+    # objects, at most what tracemalloc sees of a warm batch of 8
+    net = NETWORKS[family]()
+    floats = bench.ENGINES[family][engine][2](net)
+    warm = 2**net.spec.layers_per_stack + 2 if family == "dilated" else 7
+    state = init(net, engine, 8)
+    for _ in range(warm):
+        step(net, state)
+    if family == "image2d":
+        engine_state = state.engine
+        arrays = ([engine_state.image] if engine == "naive" else
+                  [rc.ring for rc in engine_state.row_caches] + [engine_state.last, engine_state.buf])
+        held = sum(a.size for a in arrays) // 8
+        assert held == floats if engine == "cached" else held <= floats
+        return
+    if engine == "cached" and family == "dilated":
+        assert floats == bench.SEQUENCE_FLOATS + state.engine.states[0].cached_values()
+
+    def batch_of_8(held):  # kept in `held`, so the peak counts the whole batch's states
+        held.append(init(net, engine, 8))
+        for _ in range(warm):
+            step(net, held[0])
+
+    peak, _ = _peak(batch_of_8, [])
+    assert peak <= 4 * 8 * floats
+
+
+def test_generate_refuses_more_outputs_than_the_ceiling(monkeypatch):
+    net = NETWORKS["dilated"]()
+    generate(net, 1)  # warm
+    for n, batch in ((2**40, 1), (2**20, 2**10), (2**64 - 1, 2**64 - 1)):
+        peak, raised = _peak(generate, net, n, batch=batch)
+        assert isinstance(raised, InvalidParameterError) and "outputs" in str(raised)
+        assert peak < 64 * 1024
+    monkeypatch.setattr(bench, "MAX_OUTPUTS", 12)
+    assert generate(net, 4, batch=3).shape == (4, 3)
+    with pytest.raises(InvalidParameterError, match="outputs"):
+        generate(net, 13)
+
+
+def test_time_engine_refuses_more_timed_steps_than_the_ceiling(monkeypatch):
+    net = NETWORKS["dilated"]()
+    for steps, repeats in ((2**20, 2), (2**64 - 1, 1), (1, 2**21)):
+        peak, raised = _peak(time_engine, net, "cached", steps, repeats)
+        assert isinstance(raised, InvalidParameterError) and "timed steps" in str(raised)
+        assert peak < 64 * 1024
+    monkeypatch.setattr(bench, "MAX_TIMED_STEPS", 6)
+    assert time_engine(net, "cached", 3, 2)["macs_per_step"] > 0
+    with pytest.raises(InvalidParameterError, match="timed steps"):
+        time_engine(net, "cached", 7, 1)
+
+
+def test_sweep_counts_are_refused_before_a_range_is_expanded():
+    limit = bench.MAX_SWEEP_VALUES
+    assert bench._parse_counts("--layers", f"1..{limit}") == list(range(1, limit + 1))
+    for text in (f"1..{limit + 1}", "1..1000000000", f"1..{limit},7", f"1..{2**64}"):
+        peak, raised = _peak(bench._parse_counts, "--layers", text)
+        assert isinstance(raised, ValueError) and f"more than {limit} values" in str(raised)
+        assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "image2d", "--image-size", "1000000"],
+    ["--model", "image2d", "--channels", "100000"],
+    ["--model", "image2d", "--image-size", "1000", "--quick"],  # 3 million timed steps
+    ["--model", "dilated", "--channels", "100000"],
+    ["--model", "dilated", "--layers", "1..1000000000"],
+    ["--model", "dilated", "--batch", "100000000", "--mode", "cached"],  # the states
+    ["--model", "dilated", "--batch", "100000000", "--mode", "naive"],
+    ["--model", "strided", "--batch", "1000000", "--mode", "both"],  # the outputs
+    ["--model", "dilated", "--steps", "100000000", "--mode", "cached"],  # the timings
+    ["--model", "image2d", "--batch", "100000", "--mode", "cached"],
+], ids=lambda argv: "-".join(argv[1:4]))
+def test_oversized_runs_are_one_error_line(capsys, argv):
+    # refused while the sweep is built, before any output
+    _peak(main, ["run", *argv])  # warm
+    capsys.readouterr()
+    peak, raised = _peak(main, ["run", *argv])
+    assert isinstance(raised, SystemExit) and raised.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        captured.err.splitlines()[-1]]
+    assert peak < 64 * 1024
+
+
+def _fuzz_vectors(tmp: Path, rng: np.random.Generator, n: int) -> list:
+    """n seeded argument vectors for `main`: a small valid run, speedup or
+    verify, with one to three values replaced from pools of bad, huge,
+    malformed, empty, non-UTF-8 and unwritable inputs."""
+    (tmp / "empty.csv").write_text("")
+    (tmp / "binary.csv").write_bytes(bytes(range(256)))
+    (tmp / "not_csv.csv").write_text('{"model": "dilated", "L": [1, 2]}\n"unterminated\n')
+    (tmp / "one_row.csv").write_text(HEADER + "\ndilated,1,1,1,naive,2,1,5.0,10,\n")
+    (tmp / "good.csv").write_text(HEADER + "\ndilated,1,1,1,naive,2,1,5.0,10,\n"
+                                  "dilated,1,1,1,cached,2,1,2.5,4,\n")
+    ints = ["0", "-1", "1", "2", "3", str(2**31), str(2**63), str(2**64), "9" * 30, "1" * 5000,
+            "1e3", "0x10", "1.5", "", " ", "x", "\udcff", "٣"]
+    counts = ints + ["1..2", "2..1", "..", "1..", "..3", "1...3", "1..2..3", "1,,2", ",",
+                     "1..1000000000", f"1..{2**64}", "0..3", "-1..2", "1,3", "3,1..2"]
+    paths = [str(tmp / name) for name in ("empty.csv", "binary.csv", "not_csv.csv",
+                                          "one_row.csv", "good.csv", "missing.csv", "")] + [
+        str(tmp), str(tmp / "no" / "dir" / "x.csv"), str(tmp / "\udcff.csv"), "", "-"]
+    pools = {"--layers": counts, "--batch": counts, "--stacks": ints, "--channels": ints,
+             "--steps": ints, "--repeats": ints, "--seed": ints, "--image-size": ints,
+             "--mode": ["naive", "cached", "both", "bogus", ""],
+             "--model": ["dilated", "strided", "image2d", "bogus", "\udcff"],
+             "--csv": paths[6:-1]}
+    vectors = []
+    for _ in range(n):
+        command = rng.choice(["run", "run", "run", "speedup", "verify"])
+        if command == "speedup":
+            vectors.append(["speedup", str(rng.choice(paths[:-1]))] + ["x"] * (rng.random() < 0.1))
+            continue
+        if command == "verify":
+            vectors.append(["verify", *rng.choice(["--bogus", "x", "\udcff", "--quick=1"],
+                                                  int(rng.integers(1, 3)))])
+            continue
+        args = {"--model": str(rng.choice(["dilated", "strided", "image2d"])), "--layers": "1",
+                "--stacks": "1", "--channels": "1", "--steps": "2", "--repeats": "1",
+                "--image-size": "3", "--csv": str(tmp / "out.csv")}
+        for flag in rng.choice(sorted(pools), int(rng.integers(1, 4)), replace=False):
+            args[flag] = str(rng.choice(pools[flag]))
+        argv = ["run", *(x for kv in args.items() for x in kv)]
+        vectors.append(argv + ["--quick"] * bool(rng.integers(2)) + ["--bogus"] * (rng.random() < 0.05))
+    return vectors
+
+
+def test_cli_fuzz_exits_0_or_2_without_a_traceback(tmp_path):
+    # every vector exits 0 or 2; an oversized one is refused before it allocates,
+    # so the whole run stays within a small time and memory budget.  The streams
+    # are StringIOs: a real stderr writes a non-UTF-8 argument's surrogate escaped
+    vectors = _fuzz_vectors(tmp_path, np.random.default_rng(29), 120)
+    codes = []
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        for argv in vectors:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 2), (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue(), argv
+            codes.append(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 60
+    assert peak < 16 * 2**20
+    assert codes.count(0) >= 5 and codes.count(2) >= 60  # both kinds are exercised

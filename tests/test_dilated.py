@@ -21,9 +21,12 @@ from convgen import (
     ShapeError,
     build_image_network,
     build_network,
+    build_strided_network,
     forward_full,
+    forward_image,
     generate,
     receptive_field,
+    receptive_field_2d,
 )
 from convgen import dilated
 from convgen.bench import measure_nodes_per_step
@@ -168,10 +171,6 @@ NETWORK_SPECS = [
 ]
 
 
-def _build(spec):
-    return build_image_network(spec) if isinstance(spec, ImageSpec) else build_network(spec)
-
-
 def _all_weights(obj):
     """Every `ConvWeights` reachable through a network's dataclass fields and tuples."""
     if isinstance(obj, ConvWeights):
@@ -186,20 +185,54 @@ def _all_weights(obj):
 
 @pytest.mark.parametrize("spec", NETWORK_SPECS, ids=lambda s: s.family)
 def test_networks_compare_by_value(spec):
-    a, b = _build(spec), _build(spec)
+    a, b = build_network(spec), build_network(spec)
     assert a is not b and a == b
-    assert a != _build(dataclasses.replace(spec, seed=spec.seed + 1))
+    assert a != build_network(dataclasses.replace(spec, seed=spec.seed + 1))
 
 
 @pytest.mark.parametrize("spec", NETWORK_SPECS, ids=lambda s: s.family)
 def test_equal_networks_hash_equal(spec):
     # networks hash by spec, which agrees with == because equal networks have equal specs
-    a, b = _build(spec), _build(spec)
+    a, b = build_network(spec), build_network(spec)
     assert hash(a) == hash(b)
     assert {a: "value"}[b] == "value"
     assert len({a, b}) == 1
-    other = _build(dataclasses.replace(spec, seed=spec.seed + 1))
+    other = build_network(dataclasses.replace(spec, seed=spec.seed + 1))
     assert len({a, b, other}) == 2
+
+
+def test_build_network_builds_every_family():
+    for spec in NETWORK_SPECS:
+        assert build_network(spec).spec == spec
+    assert build_network(NETWORK_SPECS[2]) == build_image_network(NETWORK_SPECS[2])
+
+
+_DILATED, _STRIDED, _IMAGE = NETWORK_SPECS
+CROSS_FAMILY = [  # (function, its family's name, an object of another family)
+    (forward_full, "dilated", lambda: build_network(_STRIDED)),
+    (forward_full, "dilated", lambda: build_network(_IMAGE)),
+    (forward_image, "image2d", lambda: build_network(_DILATED)),
+    (forward_image, "image2d", lambda: build_network(_STRIDED)),
+    (build_image_network, "image2d", lambda: _DILATED),
+    (build_image_network, "image2d", lambda: _STRIDED),
+    (receptive_field_2d, "image2d", lambda: _DILATED),
+    (receptive_field_2d, "image2d", lambda: _STRIDED),
+    (receptive_field, "strided", lambda: _IMAGE),
+    (build_strided_network, "strided", lambda: _DILATED),
+    (build_strided_network, "strided", lambda: _IMAGE),
+    (build_network, "dilated", lambda: "dilated"),
+]
+
+
+@pytest.mark.parametrize("fn, family, make", CROSS_FAMILY,
+                         ids=[f"{fn.__name__}-{i}" for i, (fn, _, _) in enumerate(CROSS_FAMILY)])
+def test_another_familys_object_is_refused_by_family(fn, family, make):
+    obj = make()
+    got = getattr(getattr(obj, "spec", obj), "family", None)
+    args = (obj, np.zeros((1, 6, 6, 1), np.float32)) if fn in (forward_full, forward_image) else (obj,)
+    with pytest.raises(InvalidParameterError, match=family) as info:
+        fn(*args)
+    assert repr(got) in str(info.value)
 
 
 def test_weight_scale_bound():
@@ -371,6 +404,31 @@ def test_node_counts_match_tree_oracle(stacks, L):
     assert want_naive == stacks * (2**L - 1) + 1  # graph oracle agrees with the closed form
     assert measure_nodes_per_step(net, "naive") == want_naive
     assert measure_nodes_per_step(net, "cached") == stacks * L + 1
+
+
+@pytest.mark.parametrize("stacks", [1, 2, 3])
+@pytest.mark.parametrize("L", range(1, 7))
+def test_naive_early_steps_compute_only_nodes_at_or_after_step_0(stacks, L):
+    # level l of a stack's pyramid at step t holds the nodes at t, t - 2^l, ...:
+    # min(2^(L-l), t // 2^l + 1) of them lie at or after step 0
+    net = build_network(NetworkSpec("dilated", stacks=stacks, layers_per_stack=L, channels=2,
+                                    seed=5))
+    state = naive_init(net)
+    for t in range(2**L + 4):
+        before = state.counter.node_evals
+        naive_step(net, state, 0.25)
+        want = stacks * sum(min(2 ** (L - l), t // 2**l + 1) for l in range(1, L + 1)) + 1
+        assert state.counter.node_evals - before == want, t
+
+
+def test_naive_state_has_a_constant_size():
+    net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=3, seed=2))
+    state, sizes = naive_init(net), {}
+    for t in range(1, 8 * 2**4 + 1):
+        naive_step(net, state, 0.5)
+        if t in (2**4 + 3, 8 * 2**4):
+            sizes[t] = len(pickle.dumps(state))
+    assert len(set(sizes.values())) == 1, sizes
 
 
 def test_macs_formula_exact():
@@ -601,7 +659,7 @@ def test_network_pickle_and_deepcopy_round_trip():
     # every copy is rebuilt equal: read-only weights (image links too), each
     # weights' tap_mats viewing its own fused
     for spec in NETWORK_SPECS:
-        net = _build(spec)
+        net = build_network(spec)
         for other in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
             assert other == net
             weights = list(_all_weights(other))
@@ -609,7 +667,7 @@ def test_network_pickle_and_deepcopy_round_trip():
             for w in weights:
                 assert not any(a.flags.writeable for a in (w.kernel, w.bias, w.fused, *w.tap_mats))
                 assert all(np.shares_memory(m, w.fused) for m in w.tap_mats)
-    net = _build(NETWORK_SPECS[0])
+    net = build_network(NETWORK_SPECS[0])
     xs = np.random.default_rng(8).uniform(-1, 1, 40).astype(np.float32)
     want = _run(net, xs)  # builds this thread's workspace first
     for other in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):

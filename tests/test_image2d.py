@@ -5,6 +5,7 @@ dump."""
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -22,7 +23,7 @@ from convgen import (
     receptive_field_2d,
     write_pgm,
 )
-from convgen import image2d
+from convgen import dilated, image2d
 from convgen.cache import RowCache
 from convgen.image2d import (
     _pixel_step,
@@ -63,6 +64,72 @@ def test_spec_validation():
     ImageSpec(8, 8)  # defaults are valid
     assert ImageSpec(np.int32(8), np.int64(8)) == ImageSpec(8, 8)
     assert ImageSpec(8, 8, row_pair=np.True_) == ImageSpec(8, 8, row_pair=True)
+
+
+# ---------------------------------------------------------------------------
+# size ceilings
+# ---------------------------------------------------------------------------
+
+CEILING_SPEC = ImageSpec(8, 6, channels=3, n_layers=3, kh=3, kw=2, h_kw=3, row_pair=True, seed=4)
+
+
+def _state_floats(state) -> int:
+    return sum(rc.ring.size for rc in state.row_caches) + state.last.size + state.buf.size
+
+
+@pytest.mark.parametrize("module, name, size", [
+    (dilated, "MAX_WEIGHT_FLOATS", lambda net: sum(
+        w.fused.size for b in net.blocks for w in (b.vert, b.horiz, b.link, b.down, b.up)
+        if w is not None) + net.proj.fused.size),
+    (image2d, "MAX_STATE_FLOATS", lambda net: _state_floats(image_incremental_init(net, 1))),
+    (image2d, "MAX_NAIVE_FLOATS", lambda net: image2d._sizes(net.spec)[2]),
+    (image2d, "MAX_SCHEDULE_STEPS", lambda net: net.period),
+], ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("spec", [CEILING_SPEC, dataclasses.replace(CEILING_SPEC, row_pair=False),
+                                  ImageSpec(5, 4, channels=1, n_layers=1, kh=1, kw=1, h_kw=1)],
+                         ids=["pair", "no-pair", "one-channel"])
+def test_image_ceilings_are_the_network_sizes(monkeypatch, module, name, size, spec):
+    # at a ceiling equal to a network's size it builds; one below, it is refused
+    net = build_image_network(spec)
+    monkeypatch.setattr(module, name, size(net))
+    assert build_image_network(spec) == net
+    monkeypatch.setattr(module, name, size(net) - 1)
+    with pytest.raises(InvalidParameterError, match="too large"):
+        build_image_network(spec)
+
+
+@pytest.mark.parametrize("spec", [CEILING_SPEC, ImageSpec(32, 32, row_pair=True),
+                                  ImageSpec(16, 24, channels=16, n_layers=2, kw=5, h_kw=4)],
+                         ids=["small", "perfbench", "wide"])
+def test_naive_bound_covers_a_naive_steps_peak(spec):
+    net = build_image_network(spec)
+    state = image_naive_init(net, 2)
+    image_naive_step(net, state)
+    tracemalloc.start()
+    try:
+        image_naive_step(net, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 * image2d._sizes(spec)[2]
+
+
+@pytest.mark.parametrize("fields", [
+    dict(height=10**6, width=10**6), dict(height=2, width=2**40, kh=1),
+    dict(height=8, width=8, channels=10**5), dict(height=8, width=8, n_layers=2**40),
+    dict(height=8, width=2**14 + 1, channels=1, n_layers=1),  # the schedule alone
+    dict(height=2**64 - 1, width=2**64 - 1, channels=2**64 - 1, n_layers=2**64 - 1),
+], ids=lambda f: "-".join(map(str, f.values())))
+def test_unbuildable_image_network_is_refused_before_it_allocates(fields):
+    spec = ImageSpec(**fields)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="too large"):
+            build_image_network(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------

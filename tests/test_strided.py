@@ -37,6 +37,7 @@ from convgen.strided import (
     strided_naive_init,
     strided_naive_step,
 )
+from oracles import strided_receptive_field_sets
 
 HOURGLASS = ("down2", "down2", "up2", "up2")
 
@@ -144,6 +145,17 @@ def test_strided_receptive_field():
     # bottleneck sees 2 of its layer inputs -> 4 raw inputs, not 8
     deep = NetworkSpec("strided", strides=("down2", "down4", "up4", "up2"))
     assert receptive_field(deep) == 4
+
+
+def test_receptive_field_of_a_huge_kernel_is_closed_form():
+    # the merged intervals take the hourglass at k = 16384 in under 0.1 s (the
+    # position sets took 42 s); the sets give 3*(k-1)+1 at k = 512 too
+    spec = NetworkSpec("strided", strides=HOURGLASS, kernel_size=16384)
+    t0 = time.perf_counter()
+    rf = receptive_field(spec)
+    assert time.perf_counter() - t0 < 0.1
+    assert rf == 3 * (16384 - 1) + 1
+    assert strided_receptive_field_sets(StridedPlan.from_spec(spec), 512) == 3 * (512 - 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +499,15 @@ TOPOLOGIES = [
     (("down3", "up3", "down2", "up2"), 3),
     (("down4", "up4", "down3", "up3"), 5),
 ] + [(random_balanced(_rng), 2) for _ in range(16)]
+
+
+@pytest.mark.parametrize(
+    "strides, kernel_size", TOPOLOGIES, ids=["-".join(s) for s, _ in TOPOLOGIES]
+)
+def test_receptive_field_intervals_equal_the_position_sets(strides, kernel_size):
+    plan = StridedPlan.from_spec(NetworkSpec("strided", strides=strides))
+    for k in range(1, 6):
+        assert strided.strided_receptive_field(plan, k) == strided_receptive_field_sets(plan, k), k
 
 
 @pytest.mark.parametrize(

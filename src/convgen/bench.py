@@ -56,6 +56,7 @@ from .image2d import (
 )
 from .strided import (
     StridedPlan,
+    _naive_window,
     build_strided_network,
     firing_trace,
     strided_incremental_init,
@@ -151,8 +152,9 @@ ENGINES = {  # family -> engine -> (init, step, state floats per sequence)
         "cached": _each(incremental_init, incremental_step,
                         lambda net: math.prod(net.ring_shape) + net.ring0_size),
     },
-    "strided": {  # naive: the inputs so far, none at init; cached: the buffer, pending outputs
-        "naive": _each(strided_naive_init, strided_naive_step, lambda net: 0),
+    "strided": {  # naive: the window; cached: the buffer, pending outputs
+        "naive": _each(strided_naive_init, strided_naive_step,
+                       lambda net: _naive_window(net.plan, net.spec.kernel_size)[0]),
         "cached": _each(strided_incremental_init, strided_incremental_step,
                         lambda net: net._program[0].size + net.period),
     },

@@ -57,6 +57,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import groupby
 
 import numpy as np
 
@@ -231,15 +232,38 @@ class DilatedNetwork:
         return forward_full(self, inputs, counter)
 
 
-def draw_weights(rng: np.random.Generator, out_ch: int, in_ch: int, taps) -> ConvWeights:
-    """Seeded uniform draw at scale 0.5/sqrt(fan_in); fan_in = in_ch * total taps."""
-    taps = tuple(taps) if isinstance(taps, (tuple, list)) else (int(taps),)
-    fan_in = in_ch * math.prod(taps)
-    a = 0.5 / math.sqrt(fan_in)
-    # one draw, kernel then bias: the stream two draws of those sizes would take
-    values = rng.uniform(-a, a, out_ch * (fan_in + 1)).astype(DTYPE)
-    n = out_ch * fan_in
-    return ConvWeights(values[:n].reshape((out_ch, in_ch) + taps), values[n:])
+def draw_uniform(rng: np.random.Generator, shapes) -> list:
+    """A network's weights, drawn in order from `rng`: one `ConvWeights` per
+    (out, in, taps, bias) of `shapes`, taps a tuple of kernel extents and
+    bias whether a bias is drawn (else it is zeros).  Each weight's values,
+    kernel then bias, are uniform at scale 0.5/sqrt(fan_in), fan_in = in *
+    the product of its taps.
+
+    A run of equal consecutive shapes takes one `uniform` call, cast into its
+    block of one float32 buffer for the whole network, and one transpose
+    into `fused` layout, copied out per weight.  That is the stream, value
+    for value, of one call per weight.  The buffer is checked finite once.
+    Each weight is built through `ConvWeights._trusted` over its kernel, a
+    view of its read-only block, and its own read-only `fused`."""
+    runs = [(len(list(run)), *shape) for shape, run in groupby(shapes)]
+    values = np.zeros(sum(m * out * (in_ch * math.prod(taps) + 1)
+                          for m, out, in_ch, taps, _ in runs), DTYPE)
+    weights, at = [], 0
+    for m, out, in_ch, taps, bias in runs:
+        k = math.prod(taps)
+        n, a = out * in_ch * k, 0.5 / math.sqrt(in_ch * k)
+        block = values[at : at + m * (n + out)].reshape(m, n + out)  # kernel, then bias
+        at += block.size
+        block[:, : n + out * bias] = rng.uniform(-a, a, (m, n + out * bias))
+        kernels = _frozen(block)[:, :n].reshape((m, out, in_ch) + taps)
+        fused = np.empty((m, out, k * in_ch + 1), DTYPE)
+        fused[:, :, :-1].reshape(m, out, k, in_ch)[...] = (
+            block[:, :n].reshape(m, out, in_ch, k).transpose(0, 1, 3, 2))
+        fused[:, :, -1] = block[:, n:]
+        weights += map(ConvWeights._trusted, kernels, map(_frozen, map(np.ndarray.copy, fused)))
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("weights must be finite")
+    return weights
 
 
 # What a dilated network may ask of its cached engine: far above any shape in
@@ -303,13 +327,10 @@ def build_network(spec):
 
         return build_image_network(spec)
     _check_buildable(spec)
-    rng = np.random.default_rng(spec.seed)
-    layers = []
-    for idx, d in enumerate(spec.dilations()):
-        in_ch = 1 if idx == 0 else spec.channels
-        layers.append(LayerDef(draw_weights(rng, spec.channels, in_ch, 2), d))
-    head = draw_weights(rng, 1, spec.channels, 1)
-    return DilatedNetwork(spec, tuple(layers), head)
+    C, dilations = spec.channels, spec.dilations()
+    *convs, head = draw_uniform(np.random.default_rng(spec.seed), [(C, 1, (2,), True)]
+                                + [(C, C, (2,), True)] * (len(dilations) - 1) + [(1, C, (1,), True)])
+    return DilatedNetwork(spec, tuple(map(LayerDef, convs, dilations)), head)
 
 
 def receptive_field(spec: NetworkSpec) -> int:
@@ -326,6 +347,19 @@ def receptive_field(spec: NetworkSpec) -> int:
 # ---------------------------------------------------------------------------
 # naive engine: full receptive-field recomputation per step
 # ---------------------------------------------------------------------------
+
+
+def _scalar(x) -> np.ndarray:
+    """`x` as a (1,) float32 array, if it is one real scalar; ShapeError
+    otherwise, so that a naive step refuses before it changes its state."""
+    top = zeros(1)
+    if x is None:
+        raise ShapeError("x must be a scalar, got None")
+    try:
+        top[0] = x
+    except (TypeError, ValueError):
+        raise ShapeError(f"x must be a scalar, got {x!r}") from None
+    return top
 
 
 @dataclass
@@ -350,8 +384,10 @@ def naive_step(network: DilatedNetwork, state: NaiveState, x) -> np.floating:
     (older tap) and 2j+1 (newer tap) of level l-1 through layer l, so level
     l has 2^(L-l) nodes, 2^L - 1 in all.  A None tap reads zeros, and a node
     whose newer tap is None lies before step 0: it stays None, uncomputed.
+    Anything but one real scalar x is refused (ShapeError) before any window
+    changes.
     """
-    L, top = network.spec.layers_per_stack, np.array([x], dtype=DTYPE)
+    L, top = network.spec.layers_per_stack, _scalar(x)
     for s, window in enumerate(state.windows):
         window.append(top)
         nodes = list(window)
@@ -461,10 +497,14 @@ def incremental_step(network: DilatedNetwork, state: GenState, x) -> np.floating
     records: a `take` from a record view of the ring into the old-tap half,
     and a `put` of the new-tap half into it.  The view is made here, on
     every step, so the workspace holds no reference to any state's ring.
+    Anything but one real scalar x is refused (ShapeError) before the state
+    changes.
     """
     point, tanh = conv1d_point, np.tanh  # module lookups, so a patched kernel is seen
     s = _workspace(network)
     col0 = s.col0
+    if x is None:  # numpy would store it as NaN
+        raise ShapeError("x must be a scalar, got None")
     try:
         col0[1] = x
     except (TypeError, ValueError):

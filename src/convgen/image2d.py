@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
 
 from .cache import RowCache
-from .dilated import _check_int, _check_int_fields, _check_weights, _family, draw_weights
+from .dilated import _check_int, _check_int_fields, _check_weights, _family, draw_uniform
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import (
     DTYPE,
@@ -139,6 +139,12 @@ class ImageNetwork:
 MAX_STATE_FLOATS = 2**26  # a cached state's floats per batch element: 256 MiB
 MAX_NAIVE_FLOATS = 2**26  # the naive pass's floats per batch element, a bound
 MAX_SCHEDULE_STEPS = 2**15  # a row pair's compiled steps, 2W: 20 MB of `_schedule`
+# What the module's caches keep: a geometry's `_schedule` (about 600 bytes
+# per column) and, per batch size, the `_layout` of each of its groups (about
+# 5 KB each; perfbench's 32x32 image has 13 groups).  `_schedule` drops the
+# least recently used, `_layout` the oldest.
+MAX_SCHEDULES = 8  # `_schedule` results
+MAX_LAYOUTS = 256  # `_layout` results, over every geometry and batch size
 
 
 def _sizes(spec: ImageSpec) -> tuple:
@@ -177,23 +183,22 @@ def build_image_network(spec: ImageSpec) -> ImageNetwork:
             raise InvalidParameterError(
                 f"image network too large: {spec.height}x{spec.width} C={spec.channels} "
                 f"{spec.n_layers} blocks needs more than {ceiling} {what}")
-    rng = np.random.default_rng(spec.seed)
-    c = spec.channels
+    c, n, pair = spec.channels, spec.n_layers, spec.row_pair
+    shapes = []  # per block: vert, [down, up,] link (no bias drawn), horiz; then the head
+    for i in range(n):
+        in_ch = 1 if i == 0 else c
+        shapes.append((c, in_ch, (spec.kh, spec.kw), True))
+        if pair and i == 0:
+            shapes += [(c, c, (2,), True)] * 2
+        shapes += [(c, c, (1,), False), (c, in_ch, (1, spec.h_kw), True)]
+    weights = iter(draw_uniform(np.random.default_rng(spec.seed), shapes + [(1, c, (1,), True)]))
     blocks = []
-    for i in range(spec.n_layers):
-        in_v = 1 if i == 0 else c
-        vert = draw_weights(rng, c, in_v, (spec.kh, spec.kw))
-        down = up = None
-        if spec.row_pair and i == 0:
-            down = draw_weights(rng, c, c, 2)
-            up = draw_weights(rng, c, c, 2)
-        a = 0.5 / np.sqrt(c)
-        link = ConvWeights(rng.uniform(-a, a, size=(c, c, 1)).astype(DTYPE), zeros(c))
-        in_h = 1 if i == 0 else c
-        horiz = draw_weights(rng, c, in_h, (1, spec.h_kw))
+    for i in range(n):
+        vert = next(weights)
+        down, up = (next(weights), next(weights)) if pair and i == 0 else (None, None)
+        link, horiz = next(weights), next(weights)
         blocks.append(ImageBlock(vert=vert, horiz=horiz, link=link, down=down, up=up))
-    proj = draw_weights(rng, 1, c, 1)
-    return ImageNetwork(spec, tuple(blocks), proj)
+    return ImageNetwork(spec, tuple(blocks), next(weights))
 
 
 def _tdot(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -465,7 +470,7 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     return [rc.body[slot] for rc in state.row_caches[1:]] + [state.last[slot]]
 
 
-@cache
+@lru_cache(maxsize=MAX_SCHEDULES)
 def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
     """A row pair's steps: (groups, steps, start, late).  A group is per
     block its columns (d, lo, hi) of rows 2j+d, then the head.  steps[d][c]
@@ -520,7 +525,7 @@ def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
     return tuple(groups), rows, start, tuple(work[len(spots):])
 
 
-_LAYOUTS: dict = {}  # (geometry, batch, group) -> `_layout`
+_LAYOUTS: dict = {}  # (geometry, batch, group) -> `_layout`, at most MAX_LAYOUTS
 
 
 def _geometry(spec: ImageSpec) -> tuple:
@@ -572,6 +577,8 @@ def _layout(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
 
     px = main[-1]  # the head's pixels
     ends = [0, *accumulate(hi - lo for _, lo, hi in px)]
+    if len(_LAYOUTS) >= MAX_LAYOUTS:
+        _LAYOUTS.pop(next(iter(_LAYOUTS)), None)  # the oldest
     _LAYOUTS[key] = layout = (
         px[0][0], tuple(op(i, parts) for i, parts in enumerate(main)), ends[-1] * B,
         view(px, 0, (1,), (image.ring.strides[1], f), pad=image.pad),

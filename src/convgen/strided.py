@@ -1,7 +1,7 @@
 """Strided encoder/decoder 1D models: stride-s downsampling convolutions
 followed by transposed upsampling convolutions, generated either naively
-(full forward pass over the whole history each step) or incrementally via
-the firing schedule.
+(a full forward pass over a fixed window of the latest inputs each step,
+`_naive_window`) or incrementally via the firing schedule.
 
 A downsampling node j reads layer inputs s*j-(k-1) .. s*j (zeros below 0),
 so it becomes computable exactly when input s*j arrives; an upsampling
@@ -30,6 +30,7 @@ each fire its last k-s taps slide to the front.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -37,10 +38,11 @@ from functools import cache
 
 import numpy as np
 
-from .dilated import _check_weights, _family, draw_weights
+from .dilated import _check_weights, _family, _scalar, draw_uniform
 from .errors import (
     InvalidParameterError,
     ScheduleViolationError,
+    ShapeError,
     UnsupportedTopologyError,
 )
 from .tensor import (
@@ -197,12 +199,12 @@ def build_strided_network(spec) -> StridedNetwork:
     n, C = len(plan.layers), spec.channels
     shapes = [(1 if i == n - 1 else C,  # out
                1 if i == 0 else C,  # in
-               spec.kernel_size if kind == "down" else s)  # taps
+               (spec.kernel_size if kind == "down" else s,), True)  # taps, bias
               for i, (kind, s) in enumerate(plan.layers)]
-    _check_weights(spec, sum(out * (in_ch * taps + 1) for out, in_ch, taps in shapes))
-    rng = np.random.default_rng(spec.seed)
-    layers = [StridedLayer(kind, s, draw_weights(rng, *shape), "linear" if i == n - 1 else "tanh")
-              for i, ((kind, s), shape) in enumerate(zip(plan.layers, shapes))]
+    _check_weights(spec, sum(out * (in_ch * taps + 1) for out, in_ch, (taps,), _ in shapes))
+    weights = draw_uniform(np.random.default_rng(spec.seed), shapes)
+    layers = [StridedLayer(kind, s, w, "linear" if i == n - 1 else "tanh")
+              for i, ((kind, s), w) in enumerate(zip(plan.layers, weights))]
     return StridedNetwork(spec, plan, tuple(layers))
 
 
@@ -356,11 +358,17 @@ def strided_incremental_init(
 def strided_incremental_step(network: StridedNetwork, state: StridedState, x) -> np.floating:
     """Feed one input, run the op table of its phase, emit exactly one output.
     The kernel is looked up by name at each call, one `conv1d_point` per
-    node; the phase's MACs and nodes are counted once."""
+    node; the phase's MACs and nodes are counted once.  Anything but one
+    real scalar x is refused (ShapeError) before the state changes."""
     t, phases = state.t, network._ops or _bind(network)
     x_at, ops, macs, nodes = phases[t % len(phases)]
     cols, views, pending = state.columns, state.views, state.pending
-    views[x_at][0] = x
+    if x is None:  # numpy would store it as NaN
+        raise ShapeError("x must be a scalar, got None")
+    try:
+        views[x_at][0] = x
+    except (TypeError, ValueError):
+        raise ShapeError(f"x must be a scalar, got {x!r}") from None
     for weights, a, b, tanh in ops:
         if weights is None:  # a slide: view a takes view b
             views[a][...] = views[b]
@@ -386,22 +394,60 @@ def strided_incremental_step(network: StridedNetwork, state: StridedState, x) ->
 # ---------------------------------------------------------------------------
 
 
+def _naive_window(plan: StridedPlan, kernel_size: int) -> tuple:
+    """(size, D) of the naive engine's window, D the product of the down
+    strides.  Output t reads no input before f(t): going from the output to
+    the input, an up layer maps the earliest position a to a//s and a down
+    layer to s*a - k + 1.  f is non-decreasing and f(t + D) = f(t) + D, so
+    with B the least multiple of D at or above -f(0), a window that starts
+    at a multiple of D at or below D*(t//D) - B holds every input output t
+    reads, and one of size B + D that slides by D when input t would fall
+    off its end is such a window."""
+    D = math.prod(s for kind, s in plan.layers if kind == "down")
+    a = 0  # f(0), at most 0
+    for kind, s in reversed(plan.layers):
+        a = a // s if kind == "up" else s * a - kernel_size + 1
+    return D - a // D * D, D
+
+
 @dataclass
 class StridedNaiveState:
-    inputs: list
+    """One naive run: the inputs from `start`, a multiple of D, to t in a
+    window of fixed size (zeros after input t), D, and the run's counter."""
+
+    window: np.ndarray
+    start: int
+    slide: int  # D, the product of the down strides
     t: int
     counter: OpCounter
 
+    def cached_values(self) -> int:
+        return self.window.size
+
 
 def strided_naive_init(network: StridedNetwork, counter: OpCounter | None = None) -> StridedNaiveState:
-    return StridedNaiveState(inputs=[], t=0, counter=counter or OpCounter())
+    size, D = _naive_window(network.plan, network.spec.kernel_size)
+    return StridedNaiveState(zeros(size), 0, D, 0, counter or OpCounter())
 
 
 def strided_naive_step(network: StridedNetwork, state: StridedNaiveState, x) -> np.floating:
-    """Recompute the whole stack over all inputs so far and emit output t."""
-    state.inputs.append(np.float32(x))
-    y = network.forward(state.inputs, state.counter)[state.t]
-    state.t += 1
+    """Recompute the whole stack over the window and emit output t.
+
+    The window starts at a multiple of D and reaches back past the earliest
+    input output t reads (`_naive_window`); when input t would fall off its
+    end it slides by D.  Every step runs the same `forward` over the whole
+    window, so its MACs and nodes are constant; the network is causal, so
+    output t is what a pass over all inputs so far gives.  Anything but one
+    real scalar x is refused (ShapeError) before the window changes."""
+    x = _scalar(x)
+    window, D, t = state.window, state.slide, state.t
+    if t - state.start == window.size:
+        window[:-D] = window[D:]
+        window[-D:] = 0
+        state.start += D
+    window[t - state.start] = x[0]
+    y = network.forward(window, state.counter)[t - state.start]
+    state.t = t + 1
     return y
 
 

@@ -31,6 +31,12 @@ perfbench's tracer.
 
 `ConvWeights` is the one weight type: every array in it is read-only, a copy
 or a pickle is rebuilt through its constructor, and `==` compares values.
+The constructor checks and copies what it is given; it serves outside input,
+copies, pickles and the weights derived from others (an image block's
+folded and interleaved weights).  What the network builders draw
+(`dilated.draw_uniform`) and a weight's `phases` are built by the private
+`ConvWeights._trusted` instead, from read-only arrays their maker laid out
+and checked: no coercion, no shape or finiteness check and no copy.
 
 Every kernel accepts an optional `OpCounter` and reports exact
 multiply-accumulate and node-evaluation counts; these counters, not wall
@@ -105,16 +111,20 @@ class ConvWeights:
     single dot product.  `out_channels` and `in_channels` are the kernel's
     first two extents, `k` the number of taps, `macs` the exact
     multiply-accumulates of one node and `fit` the pair (k, k*in + 1) that
-    a `Column` must match.  `kernel` is a private copy, and `bias` and
-    `tap_mats` (the k blocks W_j) are views of `fused`; `phases`, the k
-    one-tap weights whose `fused` are the contiguous blocks [W_j | b] of one
-    (k, out, in + 1) array (one node of input j emits output phase j of a
-    transposed conv), is built on first use.
+    a `Column` must match.  `kernel` is a private copy (for drawn weights,
+    a view of the builder's read-only buffer), `bias` is a view of `fused`,
+    and so is each of `tap_mats`, the k blocks W_j, made on each access;
+    `phases`, the k one-tap weights whose `fused` are the contiguous blocks
+    [W_j | b] of one (k, out, in + 1) array (one node of input j emits
+    output phase j of a transposed conv), is built on first use.
     Every array is read-only, so the kernels that read `kernel` and
     those that read `fused` cannot drift apart.  The constructor checks
     its arguments and stores each field once.  A copy or a pickle is
     rebuilt through the constructor from `kernel` and `bias`, so it keeps
     both promises; `==` compares `kernel` and `bias` by value.
+    `_trusted(kernel, fused)` is the unchecked constructor, for the network
+    builders and `phases`, which make both arrays themselves; everything
+    else, outside input above all, goes through the checked one.
     """
 
     kernel: np.ndarray
@@ -137,6 +147,13 @@ class ConvWeights:
             raise InvalidParameterError("weights must be finite")
         self._adopt(_frozen(kernel.copy()), _frozen(fused))
 
+    @classmethod
+    def _trusted(cls, kernel, fused):
+        """The weights over a read-only `kernel` and its read-only, C-contiguous
+        `fused`, taken as they are: no coercion, shape or finiteness check and
+        no copy.  For callers that made both arrays from values they checked."""
+        return object.__new__(cls)._adopt(kernel, fused)
+
     def _adopt(self, kernel, fused):
         """Set every field from a checked, read-only `kernel` and its `fused`."""
         out, in_ch = kernel.shape[:2]
@@ -151,9 +168,13 @@ class ConvWeights:
         set_(self, "in_channels", in_ch)
         set_(self, "k", k)
         set_(self, "macs", kernel.size)
-        set_(self, "tap_mats", tuple([fused[:, j : j + in_ch] for j in range(0, k * in_ch, in_ch)]))
         set_(self, "fit", (k, k * in_ch + 1))
         return self
+
+    @property
+    def tap_mats(self) -> tuple:  # read by the whole-image passes alone, so not stored
+        in_ch = self.in_channels
+        return tuple([self.fused[:, j : j + in_ch] for j in range(0, self.k * in_ch, in_ch)])
 
     @cached_property
     def phases(self) -> tuple:  # from arrays checked already, not through the constructor
@@ -162,7 +183,7 @@ class ConvWeights:
         blocks[:, :, :in_ch] = self.fused[:, :-1].reshape(out, k, in_ch).transpose(1, 0, 2)
         blocks[:, :, in_ch] = self.bias
         kernels = self.kernel.reshape(out, in_ch, k)
-        return tuple([object.__new__(ConvWeights)._adopt(kernels[:, :, j : j + 1], fused)
+        return tuple([ConvWeights._trusted(kernels[:, :, j : j + 1], fused)
                       for j, fused in enumerate(_frozen(blocks))])
 
     def __reduce__(self):

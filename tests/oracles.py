@@ -121,22 +121,26 @@ def dependency_tree_nodes(L, stacks):
     return total + 1  # linear head
 
 
+def strided_input_positions(layers, kernel_size, t):
+    """The input positions output t of a strided plan's `layers`, (kind,
+    stride) pairs, reads, by growing position sets from the output down: an
+    up layer maps p to p // s, a down layer node j to s*j-k+1 .. s*j.
+    Positions below 0 count, as if the sequence had no start."""
+    positions = {t}
+    for kind, s in reversed(layers):
+        if kind == "up":
+            positions = {p // s for p in positions}
+        else:
+            k = kernel_size
+            positions = {s * j - (k - 1) + i for j in positions for i in range(k)}
+    return positions
+
+
 def strided_receptive_field_sets(plan, kernel_size):
-    """Receptive field of a strided plan (its `layers`, (kind, stride) pairs,
-    and `period`), max over phase, by growing position sets from the output
-    down: an up layer maps p to p // s, a down layer node j to s*j-k+1 ..
-    s*j.  Positions below 0 count, as if the sequence had no start."""
-    best = 0
-    for phase in range(plan.period):
-        positions = {phase}
-        for kind, s in reversed(plan.layers):
-            if kind == "up":
-                positions = {p // s for p in positions}
-            else:
-                k = kernel_size
-                positions = {s * j - (k - 1) + i for j in positions for i in range(k)}
-        best = max(best, len(positions))
-    return best
+    """Receptive field of a strided plan (its `layers` and `period`), max over
+    phase: the most input positions one output reads."""
+    return max(len(strided_input_positions(plan.layers, kernel_size, phase))
+               for phase in range(plan.period))
 
 
 def perturbation_influence(forward, x, t_out, eps=1.0):

@@ -29,7 +29,7 @@ from convgen import (
     build_strided_network,
     generate,
 )
-from convgen import bench
+from convgen import bench, dilated, strided
 from convgen.bench import (
     CSV_COLUMNS,
     MAX_PRIME,
@@ -127,7 +127,7 @@ def test_run_macs_column_is_exact(capsys):
 # --repeats 2 --batch 1,2 --mode both`: naive b1, naive b2, cached b1, cached b2
 GOLDEN_MACS = {
     "dilated": (356, 712, 172, 344),
-    "strided": (528, 1056, 24, 48),
+    "strided": (192, 384, 24, 48),
     "image2d": (21760, 43520, 340, 680),
 }
 
@@ -546,6 +546,33 @@ def test_step_refuses_xs_that_is_not_one_input_per_sequence(family, xs):
         step(net, state, xs)
     assert state.counter.snapshot() == (0, 0)  # nothing was stepped
     assert np.array_equal(step(net, state), generate(net, 1, batch=3)[0])
+
+
+ONE_STEPS = {  # the 1D per-sequence steps: (init, step)
+    ("dilated", "naive"): (dilated.naive_init, dilated.naive_step),
+    ("dilated", "cached"): (dilated.incremental_init, dilated.incremental_step),
+    ("strided", "naive"): (strided.strided_naive_init, strided.strided_naive_step),
+    ("strided", "cached"): (strided.strided_incremental_init, strided.strided_incremental_step),
+}
+
+
+@pytest.mark.parametrize("family, engine", ONE_STEPS)
+@pytest.mark.parametrize("x", [None, "a", [1.0], np.zeros(2)], ids=repr)
+def test_a_refused_step_leaves_its_state_as_it_was(family, engine, x):
+    # refused with ShapeError before the state changes: the next valid steps
+    # return, bit for bit, what a never-refused state returns
+    start, advance = ONE_STEPS[family, engine]
+    net = NETWORKS[family]()
+    refused, clean = start(net), start(net)
+    inputs = np.float32([0.25, -0.5, 0.125, 1.0, -0.75, 0.5, 0.0, 0.375, -0.25])
+    for v in inputs[:4]:
+        advance(net, refused, v)
+        advance(net, clean, v)
+    with pytest.raises(ShapeError):
+        advance(net, refused, x)
+    for v in inputs[4:]:
+        assert advance(net, refused, v).tobytes() == advance(net, clean, v).tobytes()
+    assert refused.counter.snapshot() == clean.counter.snapshot()
 
 
 @pytest.mark.parametrize("engine", ["naive", "cached"])

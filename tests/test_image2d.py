@@ -1097,3 +1097,19 @@ def test_write_pgm_rejects_complex_images_without_a_warning(tmp_path, image):
         with pytest.raises(InvalidParameterError, match="complex"):
             write_pgm(path, image)
     assert not path.exists()
+
+
+def test_layout_and_schedule_caches_are_bounded(monkeypatch):
+    # one 8x16 network at batches 1..40 makes 400 group layouts; the module
+    # keeps at most MAX_LAYOUTS of them, and at most MAX_SCHEDULES schedules
+    monkeypatch.setattr(image2d, "_LAYOUTS", {})
+    net = build_image_network(ImageSpec(8, 16, channels=2, n_layers=2, seed=0))
+    made = set()
+    for b in range(1, 41):
+        generate(net, batch=b)
+        made |= set(image2d._LAYOUTS)
+        assert len(image2d._LAYOUTS) <= image2d.MAX_LAYOUTS
+    assert len(made) > image2d.MAX_LAYOUTS
+    for width in range(1, 3 * image2d.MAX_SCHEDULES):
+        _schedule(width, 2, False)
+    assert _schedule.cache_info().currsize <= image2d.MAX_SCHEDULES

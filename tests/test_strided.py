@@ -18,6 +18,7 @@ import pytest
 from convgen import (
     InvalidParameterError,
     NetworkSpec,
+    OpCounter,
     ScheduleViolationError,
     StridedPlan,
     UnsupportedTopologyError,
@@ -37,7 +38,7 @@ from convgen.strided import (
     strided_naive_init,
     strided_naive_step,
 )
-from oracles import strided_receptive_field_sets
+from oracles import strided_input_positions, strided_receptive_field_sets
 
 HOURGLASS = ("down2", "down2", "up2", "up2")
 
@@ -540,6 +541,57 @@ def test_random_balanced_topology(strides, kernel_size):
     assert steps[plan.period :] == steps[: -plan.period]
     for p in range(1, plan.period):
         assert steps[p:] != steps[:-p], f"trace also repeats with {p} < period {plan.period}"
+
+
+@pytest.mark.parametrize(
+    "strides, kernel_size", TOPOLOGIES, ids=["-".join(s) for s, _ in TOPOLOGIES]
+)
+def test_naive_window_reaches_the_earliest_input_read(strides, kernel_size):
+    # the window is one period D past the least multiple of D that reaches
+    # back to the earliest input any output reads, by the position sets
+    plan = StridedPlan.from_spec(NetworkSpec("strided", strides=strides))
+    D = np.prod([s for kind, s in plan.layers if kind == "down"], dtype=int)
+    for k in range(1, 6):
+        back = max(0, *(-min(strided_input_positions(plan.layers, k, t)) for t in range(D)))
+        assert strided._naive_window(plan, k) == (-(-back // D) * D + D, D), k
+
+
+@pytest.mark.parametrize(
+    "strides, kernel_size", TOPOLOGIES, ids=["-".join(s) for s, _ in TOPOLOGIES]
+)
+def test_naive_window_has_a_constant_cost(strides, kernel_size):
+    # every step runs the same forward over the window, also long after it
+    # first slides, and still gives the cached engine's outputs bit for bit
+    net = topology_network(strides, kernel_size)
+    size, D = strided._naive_window(net.plan, kernel_size)
+    n = 3 * size + D
+    state, deltas, x = strided_naive_init(net), set(), np.float32(0.0)
+    ys = []
+    for _ in range(n):
+        before = state.counter.snapshot()
+        x = strided_naive_step(net, state, x)
+        deltas.add(tuple(np.subtract(state.counter.snapshot(), before)))
+        ys.append(x)
+    assert len(deltas) == 1
+    assert state.start == n - size  # a multiple of D: the window holds the last `size` inputs
+    assert np.array(ys).tobytes() == generate(net, n)[:, 0].tobytes()
+
+
+def test_naive_state_has_a_constant_size():
+    net = build_network(hourglass_spec(seed=2, channels=4))
+    size, _ = strided._naive_window(net.plan, 2)
+    assert size == 8  # receptive field 4, one period of 4 more
+
+    def pickled_at(t):
+        counter = OpCounter()  # counts of one pickled width at both t
+        counter.add(2**20, 2**20)
+        state = strided_naive_init(net, counter)
+        for v in np.linspace(-1, 1, t, dtype=np.float32):
+            strided_naive_step(net, state, v)
+        assert state.cached_values() == size
+        return len(pickle.dumps(state))
+
+    assert pickled_at(size + 3) == pickled_at(8 * size)
 
 
 def topology_network(strides, kernel_size):

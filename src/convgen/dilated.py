@@ -232,38 +232,104 @@ class DilatedNetwork:
         return forward_full(self, inputs, counter)
 
 
+def _draw_layout(shapes: tuple) -> tuple:
+    """(doubles drawn for `shapes`, and per run of m equal consecutive shapes:
+    the slice of its doubles, kernel then bias (if drawn) per weight; their
+    (m, doubles per weight) shape; the kernel floats per weight; the kernel
+    shape (m, out, in, *taps); the slice of its gathered floats; their
+    (m, out, k*in + 1) shape; and its scale a = 0.5/sqrt(fan_in))."""
+    runs, drawn, size = [], 0, 0
+    for (out, in_ch, taps, bias), run in groupby(shapes):
+        m, k = len(list(run)), math.prod(taps)
+        n, c = out * in_ch * k, in_ch * k + 1
+        stride = n + out * bias
+        runs.append((slice(drawn, drawn + m * stride), (m, stride), n, (m, out, in_ch) + taps,
+                     slice(size, size + m * out * c), (m, out, c), 0.5 / math.sqrt(c - 1)))
+        drawn, size = drawn + m * stride, size + m * out * c
+    return drawn, tuple(runs)
+
+
+def _gather_index(drawn: int, runs: tuple) -> np.ndarray:
+    """The index whose `take` from the drawn values, and a zero one past
+    them, is every `fused` of `runs` (`_draw_layout`).  A run's block is one
+    pattern, the places of its first weight's doubles in `fused` order, and
+    weight w's places are the pattern's plus w * stride: each contiguous add
+    doubles the weights laid out, so a run of m takes about log2(m) of them
+    (numpy adds a scalar to a contiguous block several times faster than a
+    broadcast column of offsets), and nothing larger than one weight is
+    allocated beside the index.  An undrawn bias reads the zero.  The index
+    stays writable, since `take` copies a read-only index on every call;
+    nothing writes it after."""
+    index = np.empty(runs[-1][4].stop if runs else 0, np.intp)
+    for drawn_at, (m, stride), n, (_, out, in_ch, *_), fused_at, shape, _ in runs:
+        block = index[fused_at].reshape(shape)
+        places = np.arange(drawn_at.start, drawn_at.start + stride)
+        block[0, :, :-1].reshape(out, -1, in_ch)[...] = (
+            places[:n].reshape(out, in_ch, -1).transpose(0, 2, 1))
+        block[0, :, -1] = places[n:] if stride > n else drawn
+        done = 1
+        while done < m:
+            step = min(done, m - done)
+            np.add(block[:step], done * stride, out=block[done : done + step])
+            done += step
+        if stride == n:  # the adds moved the undrawn biases off the zero
+            block[1:, :, -1] = drawn
+    return index
+
+
 def draw_uniform(rng: np.random.Generator, shapes) -> list:
     """A network's weights, drawn in order from `rng`: one `ConvWeights` per
     (out, in, taps, bias) of `shapes`, taps a tuple of kernel extents and
     bias whether a bias is drawn (else it is zeros).  Each weight's values,
-    kernel then bias, are uniform at scale 0.5/sqrt(fan_in), fan_in = in *
-    the product of its taps.
+    kernel then bias, are uniform at scale a = 0.5/sqrt(fan_in), fan_in =
+    in * the product of its taps.
 
-    A run of equal consecutive shapes takes one `uniform` call, cast into its
-    block of one float32 buffer for the whole network, and one transpose
-    into `fused` layout, copied out per weight.  That is the stream, value
-    for value, of one call per weight.  The buffer is checked finite once.
-    Each weight is built through `ConvWeights._trusted` over its kernel, a
-    view of its read-only block, and its own read-only `fused`."""
-    runs = [(len(list(run)), *shape) for shape, run in groupby(shapes)]
-    values = np.zeros(sum(m * out * (in_ch * math.prod(taps) + 1)
-                          for m, out, in_ch, taps, _ in runs), DTYPE)
-    weights, at = [], 0
-    for m, out, in_ch, taps, bias in runs:
-        k = math.prod(taps)
-        n, a = out * in_ch * k, 0.5 / math.sqrt(in_ch * k)
-        block = values[at : at + m * (n + out)].reshape(m, n + out)  # kernel, then bias
-        at += block.size
-        block[:, : n + out * bias] = rng.uniform(-a, a, (m, n + out * bias))
-        kernels = _frozen(block)[:, :n].reshape((m, out, in_ch) + taps)
-        fused = np.empty((m, out, k * in_ch + 1), DTYPE)
-        fused[:, :, :-1].reshape(m, out, k, in_ch)[...] = (
-            block[:, :n].reshape(m, out, in_ch, k).transpose(0, 1, 3, 2))
-        fused[:, :, -1] = block[:, n:]
-        weights += map(ConvWeights._trusted, kernels, map(_frozen, map(np.ndarray.copy, fused)))
-    if not np.isfinite(values).all():
-        raise InvalidParameterError("weights must be finite")
+    One `rng.random` call draws every double U, and each run of equal
+    consecutive shapes scales its doubles in place to 2a*U - a, which is
+    how `Generator.uniform(-a, a)` computes its values from the same
+    doubles: the stream and every bit are those of one `uniform` call per
+    weight.  Each value lies in [-a, a], a <= 0.5, so the weights are finite
+    by construction.  One cast puts them into a read-only float32 buffer
+    whose blocks are the weights' kernels, and one `take` through the gather
+    index (`_gather_index`) lays out every `fused`, copied out per weight
+    into its own read-only array.  Each weight is built through
+    `ConvWeights._trusted`.
+
+    The layout and the index are memoised per shapes tuple (`_remember`)."""
+    key = tuple(shapes)
+    plan = _DRAWS.get(key)
+    drawn, runs = plan[:2] if plan else _draw_layout(key)
+    doubles = run = rng.random(drawn)
+    for drawn_at, *_, a in runs:
+        run = doubles[drawn_at]
+        run *= 2 * a
+        run -= a
+    values = np.empty(drawn + 1, DTYPE)
+    values[:drawn] = doubles
+    values[drawn] = 0  # the undrawn biases
+    del doubles, run  # freed first, so that a new index can take their memory
+    index = plan[2] if plan else _remember(key, (drawn, runs, _gather_index(drawn, runs)))
+    fused = values.take(index, mode="wrap")  # in range: "wrap" skips the bounds errors
+    _frozen(values)
+    weights = []
+    for drawn_at, draw_shape, n, kernel_shape, fused_at, fused_shape, _ in runs:
+        kernels = values[drawn_at].reshape(draw_shape)[:, :n].reshape(kernel_shape)
+        copies = map(_frozen, map(np.ndarray.copy, fused[fused_at].reshape(fused_shape)))
+        weights += map(ConvWeights._trusted, kernels, copies)
     return weights
+
+
+def _remember(key: tuple, plan: tuple) -> np.ndarray:
+    """Keep `plan`, (drawn, runs, index), in `_DRAWS` if its index fits
+    `MAX_DRAW_MEMO`, first dropping the oldest plans until every index fits;
+    return its index."""
+    size = plan[2].size
+    with _DRAWS_LOCK:
+        if size <= MAX_DRAW_MEMO:
+            while sum(p[2].size for p in _DRAWS.values()) + size > MAX_DRAW_MEMO:
+                _DRAWS.pop(next(iter(_DRAWS)))
+            _DRAWS[key] = plan
+    return plan[2]
 
 
 # What a dilated network may ask of its cached engine: far above any shape in
@@ -272,6 +338,10 @@ MAX_RING_FLOATS = 2**26  # ring floats per sequence: 256 MiB of float32
 MAX_RING_TABLE = 2**26  # ring-row table indices: 512 MiB of intp
 # What any 1D network may draw: stacks 2, L=10, C=32 has 39649 weight floats
 MAX_WEIGHT_FLOATS = 2**26  # kernel and bias floats: 256 MiB of float32
+# What `draw_uniform` keeps memoised: stacks 2, L=10, C=32's index has 39649 entries
+MAX_DRAW_MEMO = 2**22  # gather-index entries over every memoised plan: 32 MiB of intp
+_DRAWS: dict = {}  # shapes -> (`_draw_layout`..., `_gather_index`), oldest first
+_DRAWS_LOCK = threading.Lock()
 
 
 def _check_weights(spec: NetworkSpec, floats: int) -> None:

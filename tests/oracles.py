@@ -6,6 +6,8 @@ fast kernels and engines can be checked against an implementation whose
 correctness is obvious.
 """
 
+import math
+
 import numpy as np
 
 
@@ -153,3 +155,28 @@ def perturbation_influence(forward, x, t_out, eps=1.0):
         if forward(xp)[t_out] != base[t_out]:
             hits.append(i)
     return hits
+
+
+def draw_each_uniform(rng, shapes):
+    """Each weight of `shapes`, (out, in, taps, bias drawn), drawn by its own
+    `rng.uniform(-a, a, n)`, a = 0.5/sqrt(in * the product of taps), kernel
+    then bias, and cast to float32: a (kernel, fused) pair per weight, with
+    `fused` = [W_0 | ... | W_{k-1} | b] filled element by element (a bias
+    not drawn is zeros)."""
+    weights = []
+    for out, in_ch, taps, bias in shapes:
+        k = math.prod(taps)
+        n = out * in_ch * k
+        a = 0.5 / math.sqrt(in_ch * k)
+        values = rng.uniform(-a, a, n + out * bias).astype(np.float32)
+        kernel = values[:n].reshape((out, in_ch) + tuple(taps))
+        flat = values[:n].reshape(out, in_ch, k)
+        fused = np.zeros((out, k * in_ch + 1), np.float32)
+        for o in range(out):
+            for j in range(k):
+                for i in range(in_ch):
+                    fused[o, j * in_ch + i] = flat[o, i, j]
+            if bias:
+                fused[o, k * in_ch] = values[n + o]
+        weights.append((kernel, fused))
+    return weights

@@ -100,8 +100,10 @@ def test_spec_validation():
     dict(stacks=2**40, layers_per_stack=1),
     dict(stacks=2**26, layers_per_stack=1, channels=1),  # ring and table under, weights over
 ], ids=lambda a: "-".join(map(str, a.values())))
-def test_unbuildable_network_is_refused_before_it_allocates(spec_args):
+def test_unbuildable_network_is_refused_before_it_allocates(monkeypatch, spec_args):
     spec = NetworkSpec("dilated", **spec_args)
+    memo = list(dilated._DRAWS)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew weights"))
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameterError, match="too large"):
@@ -109,7 +111,7 @@ def test_unbuildable_network_is_refused_before_it_allocates(spec_args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 1024
+    assert peak < 64 * 1024 and list(dilated._DRAWS) == memo  # nothing memoised
 
 
 @pytest.mark.parametrize("name, size", [
@@ -142,8 +144,11 @@ def test_weight_ceiling_is_the_weights_size(monkeypatch, spec):
     monkeypatch.setattr(dilated, "MAX_WEIGHT_FLOATS", size)
     assert build_network(spec) == net
     monkeypatch.setattr(dilated, "MAX_WEIGHT_FLOATS", size - 1)
+    monkeypatch.setattr(dilated, "_DRAWS", {})
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew weights"))
     with pytest.raises(InvalidParameterError, match="too large"):
         build_network(spec)
+    assert not dilated._DRAWS  # refused before its draw was planned
 
 
 def test_dilation_pattern():

@@ -94,8 +94,11 @@ def test_image_ceilings_are_the_network_sizes(monkeypatch, module, name, size, s
     monkeypatch.setattr(module, name, size(net))
     assert build_image_network(spec) == net
     monkeypatch.setattr(module, name, size(net) - 1)
+    monkeypatch.setattr(dilated, "_DRAWS", {})
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew weights"))
     with pytest.raises(InvalidParameterError, match="too large"):
         build_image_network(spec)
+    assert not dilated._DRAWS  # refused before its draw was planned
 
 
 @pytest.mark.parametrize("spec", [CEILING_SPEC, ImageSpec(32, 32, row_pair=True),
@@ -120,8 +123,10 @@ def test_naive_bound_covers_a_naive_steps_peak(spec):
     dict(height=8, width=2**14 + 1, channels=1, n_layers=1),  # the schedule alone
     dict(height=2**64 - 1, width=2**64 - 1, channels=2**64 - 1, n_layers=2**64 - 1),
 ], ids=lambda f: "-".join(map(str, f.values())))
-def test_unbuildable_image_network_is_refused_before_it_allocates(fields):
+def test_unbuildable_image_network_is_refused_before_it_allocates(monkeypatch, fields):
     spec = ImageSpec(**fields)
+    memo = list(dilated._DRAWS)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew weights"))
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameterError, match="too large"):
@@ -129,7 +134,7 @@ def test_unbuildable_image_network_is_refused_before_it_allocates(fields):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 1024
+    assert peak < 64 * 1024 and list(dilated._DRAWS) == memo  # nothing memoised
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from convgen import (
     generate,
     receptive_field,
 )
-from convgen import strided
+from convgen import dilated, strided
 from convgen.strided import (
     StridedNetwork,
     _bind,
@@ -88,8 +88,10 @@ def plan_of(*strides):
     dict(strides=("down2" + "0" * 4999, "up2")),  # a factor of 5000 digits
     dict(strides=("down2", "up2"), kernel_size=2**40),  # 2**40 + 1 weight floats
 ], ids=["down2x64-up2x64", "5000-digit-factor", "kernel-2**40"])
-def test_unbuildable_strided_network_is_refused_before_it_allocates(spec_args):
+def test_unbuildable_strided_network_is_refused_before_it_allocates(monkeypatch, spec_args):
     spec = NetworkSpec("strided", **spec_args)
+    memo = list(dilated._DRAWS)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew weights"))
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -99,6 +101,7 @@ def test_unbuildable_strided_network_is_refused_before_it_allocates(spec_args):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024 and time.perf_counter() - start < 1.0
+    assert list(dilated._DRAWS) == memo  # nothing memoised
 
 
 def test_period_ceiling_is_the_down_strides_product(monkeypatch):

@@ -35,7 +35,6 @@ import numpy as np
 
 from .dilated import (
     NetworkSpec,
-    _check_int,
     build_network,
     incremental_init,
     incremental_step,
@@ -64,7 +63,7 @@ from .strided import (
     strided_naive_init,
     strided_naive_step,
 )
-from .tensor import DTYPE, OpCounter
+from .tensor import DTYPE, OpCounter, _check_int
 
 EQUIV_TOL = 1e-5
 HOURGLASS_STRIDES = ("down2", "down2", "up2", "up2")

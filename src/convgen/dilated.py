@@ -67,6 +67,7 @@ from .tensor import (
     Column,
     ConvWeights,
     OpCounter,
+    _check_int,
     _frozen,
     conv1d_full,
     conv1d_point,
@@ -75,17 +76,6 @@ from .tensor import (
 
 FAMILIES = ("dilated", "strided")
 JSON_KEYS = ("family", "stacks", "layers", "kernel", "channels", "strides", "seed")
-
-
-def _check_int(name: str, v, lo: int) -> int:
-    """`v` as an int, if it is an integer (an int or a numpy integer, not a
-    bool) in [lo, 2**64 - 1]; InvalidParameterError otherwise."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
-    v = int(v)
-    if not lo <= v <= 2**64 - 1:
-        raise InvalidParameterError(f"{name} must be in [{lo}, 2**64 - 1], got {v}")
-    return v
 
 
 def _family(what: str, obj, *families: str) -> str:

@@ -34,13 +34,14 @@ from typing import ClassVar
 import numpy as np
 
 from .cache import RowCache
-from .dilated import _check_int, _check_int_fields, _check_weights, _family, draw_uniform
+from .dilated import _check_int_fields, _check_weights, _family, draw_uniform
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import (
     DTYPE,
     Column,
     ConvWeights,
     OpCounter,
+    _check_int,
     conv1d_point,
     masked_conv2d,
     zeros,

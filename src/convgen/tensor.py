@@ -5,8 +5,9 @@ is the coercion point that pins dtype and layout.  All generation engines
 route each hidden/output node through the same point primitive below: one
 dot product of the fused weight matrix [W_0 | ... | W_{k-1} | b] with the
 column [taps oldest to newest; 1].  Equal shapes always take the same BLAS
-path, so the naive and cached paths, and the whole-sequence kernels built
-on the same primitive, can be compared bit for bit.
+path, and the 1D whole-sequence kernels' `_stacked_point` runs that gemv for
+each column of an (n, K, 1) stack (a property of the BLAS build, verified with
+numpy 2.4.6 and scipy-openblas 0.3.31), so all of them compare bit for bit.
 
 The column is either concatenated per call from a sequence of tap arrays,
 or already assembled: a `Column` is the k tap views of one preallocated
@@ -26,8 +27,8 @@ into which each group copies a block's g input windows from the state's row
 history and its vertical row's g columns; one call of the block's horizontal
 conv and 1x1 link, folded into one weight matrix, then evaluates g pixels
 of a block for the whole batch (`convgen.image2d`).  The whole-sequence up
-conv runs the same one-tap phases; `transposed_point` is a name only, for
-perfbench's tracer.
+conv runs the same one-tap phases, one stacked call per phase;
+`transposed_point` is a name only, for perfbench's tracer.
 
 `ConvWeights` is the one weight type: every array in it is read-only, a copy
 or a pickle is rebuilt through its constructor, and `==` compares values.
@@ -68,6 +69,17 @@ def as_tensor(data) -> np.ndarray:
 
 def zeros(shape) -> np.ndarray:
     return np.zeros(shape, dtype=DTYPE)
+
+
+def _check_int(name: str, v, lo: int) -> int:
+    """`v` as an int, if it is an integer (an int or a numpy integer, not a
+    bool) in [lo, 2**64 - 1]; InvalidParameterError otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+    v = int(v)
+    if not lo <= v <= 2**64 - 1:
+        raise InvalidParameterError(f"{name} must be in [{lo}, 2**64 - 1], got {v}")
+    return v
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -300,11 +312,7 @@ def conv1d_point(
 
 
 def _sequence(weights: ConvWeights, x) -> np.ndarray:
-    """Check an [in_channels, T] input and return its T steps as contiguous rows.
-
-    Contiguous tap copies keep the dot-product code path (and therefore the
-    exact accumulation) identical to the engines' point evaluations.
-    """
+    """Check an [in_channels, T] input and return its T steps as contiguous rows."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != weights.in_channels:
         raise ShapeError(f"input shape {x.shape} != (in_channels, T)")
@@ -313,17 +321,25 @@ def _sequence(weights: ConvWeights, x) -> np.ndarray:
     return np.ascontiguousarray(x.T)
 
 
+def _stacked_point(weights: ConvWeights, cols: np.ndarray, counter=None) -> np.ndarray:
+    """The (n, out) outputs of `weights` over an (n, K, 1) stack of [taps; 1] columns:
+    one gemv per column, each that column's `conv1d_point` bit for bit; a gemm is not."""
+    out = np.matmul(weights.fused, cols)[:, :, 0]
+    if counter is not None:
+        counter.add(weights.macs * len(cols), len(cols))
+    return out
+
+
 def _causal_conv(weights, x, stride: int, dilation: int, counter) -> np.ndarray:
-    """Output j reads inputs stride*j - (k-1-i)*dilation, i = 0..k-1; zero before 0."""
+    """Output j reads inputs stride*j - (k-1-i)*dilation, i = 0..k-1; zero before 0,
+    gathered from one zero row; stride and dilation clip to T, so no index overflows."""
     xc = _sequence(weights, x)
-    k = weights.k
-    zero = zeros(weights.in_channels)
-    cols = []
-    for hi in range(0, len(xc), stride):
-        positions = [hi - (k - 1 - i) * dilation for i in range(k)]
-        taps = [xc[p] if p >= 0 else zero for p in positions]
-        cols.append(conv1d_point(weights, taps, counter))
-    return np.stack(cols, axis=1)
+    T, k = len(xc), weights.k
+    rows = np.concatenate((zeros((1, weights.in_channels)), xc))  # row 0: every tap before 0
+    at = np.arange(0, T, min(stride, T))[:, None] - np.arange(k - 1, -1, -1) * min(dilation, T)
+    cols = np.ones((len(at), k * weights.in_channels + 1, 1), rows.dtype)
+    cols[:, :-1, 0] = rows[np.maximum(at, -1) + 1].reshape(len(at), -1)
+    return np.ascontiguousarray(_stacked_point(weights, cols, counter).T)
 
 
 def conv1d_full(
@@ -336,9 +352,7 @@ def conv1d_full(
 
     The output keeps length T; out-of-range (pre-sequence) taps read as zero.
     """
-    if dilation < 1:
-        raise InvalidParameterError(f"dilation must be >= 1, got {dilation}")
-    return _causal_conv(weights, x, 1, dilation, counter)
+    return _causal_conv(weights, x, 1, _check_int("dilation", dilation, 1), counter)
 
 
 def strided_conv1d(
@@ -352,9 +366,7 @@ def strided_conv1d(
     Out-of-range (pre-sequence) taps read as zero, so the alignment is causal:
     output j becomes available exactly when input stride*j does.
     """
-    if stride < 1:
-        raise InvalidParameterError(f"stride must be >= 1, got {stride}")
-    return _causal_conv(weights, x, stride, 1, counter)
+    return _causal_conv(weights, x, _check_int("stride", stride, 1), 1, counter)
 
 
 def transposed_point(*args):  # a name only: perfbench's tracer patches it here and in strided
@@ -370,23 +382,20 @@ def strided_transposed_conv1d(
     """Upsampling convolution: input j emits outputs stride*j .. stride*j+stride-1.
 
     Kernel size must equal the stride so each output position has exactly one
-    contributing input and output length is exactly stride*T.  Output
-    stride*j+r is `conv1d_point` of the one-tap `weights.phases[r]` over the
-    `Column` [x_j; 1], the call the cached strided engine makes for that node.
+    contributing input and output length is exactly stride*T.  Outputs
+    stride*j+r are one `_stacked_point` of the one-tap `weights.phases[r]`
+    over the columns [x_j; 1], as the cached strided engine evaluates them.
     """
-    if stride < 1:
-        raise InvalidParameterError(f"stride must be >= 1, got {stride}")
+    stride = _check_int("stride", stride, 1)
     if weights.k != stride:
         raise InvalidParameterError(
             f"transposed conv requires kernel size == stride (got k={weights.k}, stride={stride})"
         )
-    in_ch = weights.in_channels
-    column = Column(np.ones(in_ch + 1, DTYPE), in_ch)  # [x_j; 1], as in the cached engine
-    cols = []
-    for vec in _sequence(weights, x):
-        column[0][...] = vec
-        cols += [conv1d_point(phase, column, counter) for phase in weights.phases]
-    return np.stack(cols, axis=1)
+    xc = _sequence(weights, x)
+    cols = np.ones((len(xc), weights.in_channels + 1, 1), DTYPE)
+    cols[:, :-1, 0] = xc
+    out = np.stack([_stacked_point(phase, cols, counter) for phase in weights.phases], axis=1)
+    return np.ascontiguousarray(out.reshape(-1, weights.out_channels).T)
 
 
 def masked_conv2d(

@@ -3,12 +3,26 @@
 Everything here is deliberately written as plain scalar loops in float64
 (or pure index arithmetic), with no code shared with the library, so the
 fast kernels and engines can be checked against an implementation whose
-correctness is obvious.
+correctness is obvious.  The exceptions are the per-position references,
+which are the library's own point kernel called once per output position,
+and `versions`, the test run's Python, numpy and BLAS.
 """
 
 import math
+import platform
 
 import numpy as np
+
+
+def versions() -> str:
+    """Python, numpy and the BLAS numpy was built against, as numpy's own
+    build record names it (no threadpoolctl)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = "unknown"
+    return f"python {platform.python_version()}, numpy {np.__version__}, blas {blas}"
 
 
 def scalar_conv1d_point(kernel, bias, taps):
@@ -71,6 +85,32 @@ def scalar_transposed_conv1d(kernel, bias, x, stride):
                     acc[o] += float(kernel[o][i][r]) * float(x[i][j])
             cols.append(np.array(acc))
     return np.stack(cols, axis=1)
+
+
+def point_causal_conv(weights, x, stride, dilation, counter=None):
+    """Causal strided, dilated conv as one tap-list `conv1d_point` per output:
+    output j reads rows stride*j - (k-1-i)*dilation, i = 0..k-1, of the
+    contiguous rows of x, a zero tap before 0."""
+    from convgen.tensor import conv1d_point  # here: conftest imports this module without convgen
+
+    rows = np.ascontiguousarray(np.asarray(x).T)
+    k = weights.k
+    zero = np.zeros(weights.in_channels, np.float32)
+    cols = []
+    for hi in range(0, len(rows), stride):
+        taps = [rows[p] if p >= 0 else zero for p in (hi - (k - 1 - i) * dilation for i in range(k))]
+        cols.append(conv1d_point(weights, taps, counter))
+    return np.stack(cols, axis=1)
+
+
+def point_transposed_conv1d(weights, x, stride, counter=None):
+    """Upsampling conv with k == stride as one tap-list `conv1d_point` per
+    output: output stride*j + r is phase r, [W_r | b], over [x_j]."""
+    from convgen.tensor import conv1d_point  # here: conftest imports this module without convgen
+
+    rows = np.ascontiguousarray(np.asarray(x, np.float32).T)
+    return np.stack([conv1d_point(phase, [vec], counter)
+                     for vec in rows for phase in weights.phases], axis=1)
 
 
 def scalar_masked_conv2d(kernel, bias, img, mask_kind):

@@ -3,6 +3,7 @@ counter exactness, and the raster/temporal causality masks."""
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,12 @@ from convgen import (
     OpCounter,
     ShapeError,
 )
+from convgen import dilated, strided, tensor
+from convgen.dilated import NetworkSpec, build_network, forward_full
+from convgen.strided import build_strided_network
 from convgen.tensor import (
     Column,
+    _stacked_point,
     as_tensor,
     conv1d_full,
     conv1d_point,
@@ -25,11 +30,14 @@ from convgen.tensor import (
     strided_transposed_conv1d,
 )
 from oracles import (
+    point_causal_conv,
+    point_transposed_conv1d,
     scalar_conv1d_full,
     scalar_conv1d_point,
     scalar_masked_conv2d,
     scalar_strided_conv1d,
     scalar_transposed_conv1d,
+    versions,
 )
 
 ORACLE_TOL = 1e-6
@@ -322,6 +330,27 @@ def test_full_valid_mode_and_errors():
         conv1d_full(w, np.zeros((1, 0), np.float32), dilation=1)
     with pytest.raises(InvalidParameterError):
         conv1d_full(w, x, dilation=0)
+    for bad in (2.0, "2", None, True, np.float32(2), 2**64):
+        with pytest.raises(InvalidParameterError):
+            conv1d_full(w, x, dilation=bad)
+    assert np.array_equal(conv1d_full(w, x, dilation=np.int64(2)), conv1d_full(w, x, dilation=2))
+
+
+@pytest.mark.parametrize("dilation", [2**62, 2**64 - 1])
+def test_full_dilation_beyond_the_sequence_reads_only_zero_old_taps(dilation):
+    # every old tap is before 0; k = 3 puts the farthest offset past int64
+    rng = np.random.default_rng(13)
+    w = rand_weights(rng, 2, 3, (3,))
+    x = rng.uniform(-1, 1, (3, 5)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        got = conv1d_full(w, x, dilation=dilation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert got.tobytes() == conv1d_full(w, x, dilation=5).tobytes()  # T = 5: no old tap in range
+    assert got.tobytes() == point_causal_conv(w, x, 1, dilation).tobytes()
 
 
 def test_stacked_dilations_receptive_field():
@@ -410,6 +439,109 @@ def test_stride_errors():
         strided_conv1d(w, x, 0)
     with pytest.raises(InvalidParameterError):
         strided_transposed_conv1d(w, x, 3)  # kernel 2 != stride 3
+    for bad in (0, 2.0, "2", None, True, 2**64):
+        for conv in (strided_conv1d, strided_transposed_conv1d):
+            with pytest.raises(InvalidParameterError):
+                conv(w, x, bad)
+    assert np.array_equal(strided_transposed_conv1d(w, x, np.int8(2)),
+                          strided_transposed_conv1d(w, x, 2))
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel behind every whole-sequence pass
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("in_ch", [1, 2, 8, 32])
+@pytest.mark.parametrize("out_ch", [1, 2, 8, 32])
+def test_stacked_point_is_per_column_dot_bit_for_bit(out_ch, in_ch, k):
+    # a property of the BLAS build (one gemv per column), not a numpy promise
+    rng = np.random.default_rng(100 * out_ch + 10 * in_ch + k)
+    w = rand_weights(rng, out_ch, in_ch, (k,))
+    column = Column(np.ones(k * in_ch + 1, np.float32), in_ch)
+    for n in (1, 2, 3, 17, 64, 1000, 4096):
+        cols = np.ones((n, k * in_ch + 1, 1), np.float32)
+        cols[:, :-1, 0] = rng.uniform(-2, 2, (n, k * in_ch))
+        got_counter, want_counter = OpCounter(), OpCounter()
+        got = _stacked_point(w, cols, got_counter)
+        want = []
+        for col in cols[:, :, 0]:
+            column.buf[:] = col
+            want.append(conv1d_point(w, column, want_counter))  # the cached engines' call
+        want = np.stack(want)
+        assert got.shape == (n, out_ch) and got.dtype == np.float32
+        mismatches = int(np.sum(got.view(np.uint32) != want.view(np.uint32)))
+        assert mismatches == 0, (
+            f"{mismatches} of {got.size} values of np.matmul over (n={n}, K, 1) columns differ "
+            f"from per-column fused.dot at out={out_ch}, in={in_ch}, k={k} on {versions()}: "
+            "this BLAS build does not run one gemv per column")
+        assert got_counter.snapshot() == want_counter.snapshot() == (w.macs * n, n)
+
+
+def _same(got, want, got_counter, want_counter):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_counter.snapshot() == want_counter.snapshot()
+
+
+@pytest.mark.parametrize("channels", [1, 3, 8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_causal_passes_equal_the_per_position_reference(k, channels):
+    rng = np.random.default_rng(10 * k + channels)
+    w = rand_weights(rng, 2, channels, (k,))
+    for dilation in range(1, 10):
+        for T in range(1, (k - 1) * dilation + 4):  # past the receptive field
+            x = rng.uniform(-2, 2, (channels, T)).astype(np.float32)
+            got_c, want_c = OpCounter(), OpCounter()
+            _same(conv1d_full(w, x, dilation, got_c), point_causal_conv(w, x, 1, dilation, want_c),
+                  got_c, want_c)
+    for stride in range(1, 5):
+        for T in range(1, k + 2 * stride + 2):
+            x = rng.uniform(-2, 2, (channels, T)).astype(np.float32)
+            got_c, want_c = OpCounter(), OpCounter()
+            _same(strided_conv1d(w, x, stride, got_c), point_causal_conv(w, x, stride, 1, want_c),
+                  got_c, want_c)
+
+
+@pytest.mark.parametrize("channels", [1, 3, 8])
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_transposed_pass_equals_the_per_position_reference(stride, channels):
+    rng = np.random.default_rng(10 * stride + channels)
+    w = rand_weights(rng, 3, channels, (stride,))
+    for T in range(1, 8):
+        x = rng.uniform(-2, 2, (channels, T)).astype(np.float32)
+        got_c, want_c = OpCounter(), OpCounter()
+        _same(strided_transposed_conv1d(w, x, stride, got_c),
+              point_transposed_conv1d(w, x, stride, want_c), got_c, want_c)
+
+
+def test_whole_sequence_passes_make_one_kernel_call_per_layer_or_phase(monkeypatch):
+    calls = []
+    kernel = tensor._stacked_point
+
+    def counted(weights, cols, counter=None):
+        calls.append(weights)
+        return kernel(weights, cols, counter)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a whole-sequence pass called conv1d_point")
+
+    monkeypatch.setattr(tensor, "_stacked_point", counted)
+    for module in (tensor, dilated, strided):
+        monkeypatch.setattr(module, "conv1d_point", refused)
+    x = np.random.default_rng(14).uniform(-1, 1, 90).astype(np.float32)
+
+    net = build_network(NetworkSpec("dilated", stacks=2, layers_per_stack=3, channels=4))
+    forward_full(net, x)
+    assert calls == [layer.weights for layer in net.layers] + [net.head]
+
+    calls.clear()
+    net = build_strided_network(
+        NetworkSpec("strided", channels=3, kernel_size=3, strides=("down2", "up2", "down3", "up3")))
+    net.forward(x)
+    assert calls == [w for layer in net.layers
+                     for w in ((layer.weights,) if layer.kind == "down" else layer.weights.phases)]
 
 
 # ---------------------------------------------------------------------------

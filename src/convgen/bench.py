@@ -113,11 +113,14 @@ def _step_each(step_one, network, seqs: PerSequence, xs) -> np.ndarray:
     else:
         n = len(seqs.states)
         try:
-            xs = np.asarray(xs, DTYPE)
-        except (TypeError, ValueError):  # ragged nesting, or not numbers
-            raise ShapeError(f"xs must be 1-D of {n} numbers") from None
-        if xs.shape != (n,):
-            raise ShapeError(f"xs must be 1-D of length {n}, got {xs.shape}")
+            values = np.asarray(xs)
+        except (TypeError, ValueError):  # ragged nesting
+            values = None
+        if values is None or values.dtype.kind not in "biufc":  # strings, objects: not numbers
+            raise ShapeError(f"xs must be 1-D of {n} numbers")
+        if values.shape != (n,):
+            raise ShapeError(f"xs must be 1-D of length {n}, got {values.shape}")
+        xs = _finite_reals("xs", values)
     # map, not a comprehension: no frame of its own, which a B=1 step feels
     seqs.ys = ys = list(map(step_one, repeat(network), seqs.states, xs))
     return np.array(ys, DTYPE)
@@ -129,9 +132,6 @@ MAX_BATCH_FLOATS = 2**26  # 256 MiB of float32
 # `Column`s) beyond their floats: tracemalloc measured 4.4 KB per strided
 # hourglass state and 0.6 KB per dilated one, so 8 KiB is charged
 SEQUENCE_FLOATS = 2**11
-# A numpy array's header, about 112 bytes, as floats: a naive dilated window
-# holds one array per slot
-ARRAY_FLOATS = 32
 
 
 def _each(init_one: Callable, step_one: Callable, floats_one: Callable) -> tuple:
@@ -145,9 +145,9 @@ def _each(init_one: Callable, step_one: Callable, floats_one: Callable) -> tuple
 
 
 ENGINES = {  # family -> engine -> (init, step, state floats per sequence)
-    "dilated": {  # naive: 2^L window slots per stack, each an array of C floats
-        "naive": _each(naive_init, naive_step, lambda net: net.spec.stacks
-                       * 2**net.spec.layers_per_stack * (net.spec.channels + ARRAY_FLOATS)),
+    "dilated": {  # naive: a (2^L, in) window per stack, in 1 for stack 0 and C after
+        "naive": _each(naive_init, naive_step, lambda net: 2**net.spec.layers_per_stack
+                       * (1 + (net.spec.stacks - 1) * net.spec.channels)),
         "cached": _each(incremental_init, incremental_step,
                         lambda net: math.prod(net.ring_shape) + net.ring0_size),
     },
@@ -190,9 +190,22 @@ MAX_TIMED_STEPS = 2**20  # repeats x steps: `time_engine` keeps one timing per s
 MAX_SWEEP_VALUES = 2**10  # counts in one `--layers` or `--batch` sweep
 
 
+def _finite_reals(what: str, values: np.ndarray) -> np.ndarray:
+    """`values` as float32, if they are real numbers (not bools) each finite in
+    float32; InvalidParameterError naming `what` otherwise."""
+    if values.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{what} must be real numbers, got dtype {values.dtype}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = values.astype(DTYPE)
+    if not np.isfinite(values).all():
+        raise InvalidParameterError(f"{what} values must be finite in float32")
+    return values
+
+
 def _check_prime(prime) -> np.ndarray:
     """`prime` as a float32 array, if it is a 1-D sequence of at most MAX_PRIME
-    finite real numbers (not bools); InvalidParameterError otherwise.
+    finite real numbers (not bools, `_finite_reals`); InvalidParameterError
+    otherwise.
 
     The length is checked before the values are read, so a lazy sequence
     that is too long (a huge `range`) is refused without being materialised.
@@ -207,15 +220,9 @@ def _check_prime(prime) -> np.ndarray:
         values = np.asarray(prime)
     except (TypeError, ValueError):  # ragged nesting
         values = None
-    if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
-        raise InvalidParameterError(
-            f"prime must be a 1-D sequence of real numbers, got {prime!r}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = values.astype(DTYPE)
-    if not np.isfinite(values).all():
-        raise InvalidParameterError("prime values must be finite in float32")
-    return values
+    if values is None or values.ndim != 1:
+        raise InvalidParameterError(f"prime must be a 1-D sequence, got {prime!r}")
+    return _finite_reals("prime", values)
 
 
 @dataclass(eq=False)
@@ -249,10 +256,11 @@ def step(network, state: BatchState, xs=None) -> np.ndarray:
     """Advance every sequence of `state` one step: a fresh float32 (batch,) array.
 
     1D sequence j reads xs[j], or its own last output when `xs` is None
-    (0.0 at first); a given `xs` must be 1-D of length batch (ShapeError).
-    An image reads its own last pixel too, so image2d takes only None
-    (InvalidParameterError otherwise, before any work); it restarts after an
-    image's end."""
+    (0.0 at first); a given `xs` must be 1-D of length batch (ShapeError)
+    and hold real numbers, not bools, finite in float32 (InvalidParameterError,
+    as for a prime), both checked before any state changes.  An image reads
+    its own last pixel too, so image2d takes only None (InvalidParameterError
+    otherwise, before any work); it restarts after an image's end."""
     if state.t == state.length:
         _no_input(xs)  # only an image ends; refused before the restart builds anything
         state.engine = state.engine_init(network, state.batch, state.counter)

@@ -6,10 +6,9 @@ projection to one channel.  Generation is deterministic: the raw output
 scalar is fed back as the next input, which makes the naive and cached
 engines exactly comparable.
 
-naive engine   - keeps each stack's last 2^L inputs, a fixed window, and
-                 recomputes the stack's whole pyramid from it level by level
-                 (2^L - 1 nodes, fewer while it reaches before step 0) at
-                 every step.
+naive engine   - keeps each stack's last 2^L inputs and recomputes the
+                 stack's whole pyramid from them at every step: one stacked
+                 gemv per level over its nodes at or after step 0.
 cached engine  - column-resident, for n = stacks * L layers: the state is
                  one zero-filled (sum of dilations, C) ring in which each of
                  layers 1..n-1 owns `dilation` consecutive rows, plus layer
@@ -30,22 +29,18 @@ cached engine  - column-resident, for n = stacks * L layers: the state is
 A network fixes the size of a state's rings once, when it is built
 (`ring_shape`, `ring0_size`), as `_ring_rows` fixes the ring-row table once
 per dilation list, so `incremental_init` is two zeroed allocations and no
-per-layer loop.  `build_network` refuses a spec whose ring or table would
-exceed `MAX_RING_FLOATS` or `MAX_RING_TABLE`, from their sizes in closed
-form, before it draws a weight.  The column matrix carries nothing from one
-step to the next, so it is a workspace: one per network and per thread
+per-layer loop.  The column matrix carries nothing from one step to the
+next, so it is a workspace: one per network and per thread
 (`threading.local`), built with its `Column`s and ring-row table on a
 thread's first step with that network.  That keeps a network shareable
-across threads and `init` as cheap as allocating the rings; a copied or
-pickled network, rebuilt through its constructor, starts with none.  The
-workspace holds (n-1)*(2C+1) + C + 5 floats and shares a table of period x
-(n-1) ring-row indices, where the period is the lcm of the dilations of
-layers 1..n-1, here the largest of them; at stacks 2, L=10 that is 512 x 19
-8-byte indices, about 78 KB, held once per dilation list.  `cached_values`
-(and so `state_bytes`) counts neither.
+across threads and `init` as cheap as allocating the rings.  The workspace
+holds (n-1)*(2C+1) + C + 5 floats and shares a table of period x (n-1)
+ring-row indices, where the period is the lcm of the dilations of layers
+1..n-1, here the largest of them; at stacks 2, L=10 that is 512 x 19 8-byte
+indices, about 78 KB, held once per dilation list.  `cached_values` (and so
+`state_bytes`) counts neither.
 
-Both engines route every node through `conv1d_point`, so their outputs are
-bit-identical, not merely close.
+Both engines run every node as the same gemv, so their outputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -69,6 +63,7 @@ from .tensor import (
     OpCounter,
     _check_int,
     _frozen,
+    _stacked_point,
     conv1d_full,
     conv1d_point,
     zeros,
@@ -424,39 +419,43 @@ def _scalar(x) -> np.ndarray:
 
 @dataclass
 class NaiveState:
-    """One naive run: per stack, a window of its last 2^L inputs, oldest first
-    (None before step 0), and the run's counter; constant size in t."""
+    """One naive run, of constant size: per stack a (2^L, in_channels) float32
+    window of its last 2^L inputs, oldest first (zeros before step 0); `t`, the
+    steps taken; and the run's counter."""
 
-    windows: list  # windows[s]: a deque of stack s's inputs, maxlen 2^L
+    windows: list
+    t: int
     counter: OpCounter
 
 
 def naive_init(network: DilatedNetwork, counter: OpCounter | None = None) -> NaiveState:
-    size = 2**network.spec.layers_per_stack
-    windows = [deque([None] * size, size) for _ in range(network.spec.stacks)]
-    return NaiveState(windows, counter or OpCounter())
+    L = network.spec.layers_per_stack
+    windows = [zeros((2**L, layer.weights.in_channels)) for layer in network.layers[::L]]
+    return NaiveState(windows, 0, counter or OpCounter())
 
 
 def naive_step(network: DilatedNetwork, state: NaiveState, x) -> np.floating:
     """Consume one input value, recompute every stack's pyramid, return the new sample.
 
-    Level 0 of a stack is its window; node j of level l reads nodes 2j
-    (older tap) and 2j+1 (newer tap) of level l-1 through layer l, so level
-    l has 2^(L-l) nodes, 2^L - 1 in all.  A None tap reads zeros, and a node
-    whose newer tap is None lies before step 0: it stays None, uncomputed.
-    Anything but one real scalar x is refused (ShapeError) before any window
-    changes.
+    Level 0 of a stack is its window; node j of level l reads nodes 2j (older
+    tap) and 2j+1 (newer tap) of level l-1 through layer l, so the columns
+    [old; new; 1] of level l are the level below in pairs.  Each level is one
+    `_stacked_point` over its live nodes, those at or after step 0: the last
+    min(2^(L-l), t // 2^l + 1); the others stay zeros.  Anything but one real
+    scalar x is refused (ShapeError) before any window changes.
     """
     L, top = network.spec.layers_per_stack, _scalar(x)
-    for s, window in enumerate(state.windows):
-        window.append(top)
-        nodes = list(window)
-        for layer in network.layers[s * L : (s + 1) * L]:
-            zero = zeros(layer.weights.in_channels)
-            nodes = [None if new is None else np.tanh(conv1d_point(
-                         layer.weights, [zero if old is None else old, new], state.counter))
-                     for old, new in zip(nodes[::2], nodes[1::2])]
+    for s, nodes in enumerate(state.windows):  # level 0, the window, shifts top in
+        nodes[:-1] = nodes[1:]
+        nodes[-1] = top
+        for l, layer in enumerate(network.layers[s * L : (s + 1) * L], 1):
+            live = min(len(nodes) // 2, state.t // 2**l + 1)
+            cols = np.ones((live, 2 * nodes.shape[1] + 1, 1), DTYPE)
+            cols[:, :-1, 0] = nodes[-2 * live :].reshape(live, -1)
+            nodes = zeros((len(nodes) // 2, layer.weights.out_channels))
+            np.tanh(_stacked_point(layer.weights, cols, state.counter), nodes[-live:])
         (top,) = nodes
+    state.t += 1
     return conv1d_point(network.head, [top], state.counter)[0]
 
 

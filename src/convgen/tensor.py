@@ -5,8 +5,9 @@ is the coercion point that pins dtype and layout.  All generation engines
 route each hidden/output node through the same point primitive below: one
 dot product of the fused weight matrix [W_0 | ... | W_{k-1} | b] with the
 column [taps oldest to newest; 1].  Equal shapes always take the same BLAS
-path, and the 1D whole-sequence kernels' `_stacked_point` runs that gemv for
-each column of an (n, K, 1) stack (a property of the BLAS build, verified with
+path, and `_stacked_point`, the kernel of the 1D whole-sequence passes and of
+the naive dilated engine's pyramid levels, runs that gemv for each column of
+an (n, K, 1) stack (a property of the BLAS build, verified with
 numpy 2.4.6 and scipy-openblas 0.3.31), so all of them compare bit for bit.
 
 The column is either concatenated per call from a sequence of tap arrays,
@@ -312,13 +313,19 @@ def conv1d_point(
 
 
 def _sequence(weights: ConvWeights, x) -> np.ndarray:
-    """Check an [in_channels, T] input and return its T steps as contiguous rows."""
-    x = np.asarray(x)
+    """Check an [in_channels, T] input of real numbers (not bools) and return its
+    T steps as contiguous float32 rows: every 1D pass computes in float32."""
+    try:
+        x = np.asarray(x)
+    except (TypeError, ValueError):  # ragged nesting
+        raise ShapeError("input must be an [in_channels, T] array") from None
+    if x.dtype.kind not in "iuf":
+        raise ShapeError(f"input must be real numbers, got dtype {x.dtype}")
     if x.ndim != 2 or x.shape[0] != weights.in_channels:
         raise ShapeError(f"input shape {x.shape} != (in_channels, T)")
     if x.shape[1] == 0:
         raise EmptyInputError("empty input sequence")
-    return np.ascontiguousarray(x.T)
+    return np.ascontiguousarray(x.T, DTYPE)
 
 
 def _stacked_point(weights: ConvWeights, cols: np.ndarray, counter=None) -> np.ndarray:
@@ -337,7 +344,7 @@ def _causal_conv(weights, x, stride: int, dilation: int, counter) -> np.ndarray:
     T, k = len(xc), weights.k
     rows = np.concatenate((zeros((1, weights.in_channels)), xc))  # row 0: every tap before 0
     at = np.arange(0, T, min(stride, T))[:, None] - np.arange(k - 1, -1, -1) * min(dilation, T)
-    cols = np.ones((len(at), k * weights.in_channels + 1, 1), rows.dtype)
+    cols = np.ones((len(at), k * weights.in_channels + 1, 1), DTYPE)
     cols[:, :-1, 0] = rows[np.maximum(at, -1) + 1].reshape(len(at), -1)
     return np.ascontiguousarray(_stacked_point(weights, cols, counter).T)
 

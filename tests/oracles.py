@@ -10,6 +10,7 @@ and `versions`, the test run's Python, numpy and BLAS.
 
 import math
 import platform
+from collections import deque
 
 import numpy as np
 
@@ -111,6 +112,34 @@ def point_transposed_conv1d(weights, x, stride, counter=None):
     rows = np.ascontiguousarray(np.asarray(x, np.float32).T)
     return np.stack([conv1d_point(phase, [vec], counter)
                      for vec in rows for phase in weights.phases], axis=1)
+
+
+def per_node_naive_init(network, counter):
+    """A per-node naive dilated run: per stack, a deque of its last 2^L
+    inputs, oldest first (None before step 0), and the run's counter."""
+    size = 2**network.spec.layers_per_stack
+    return [deque([None] * size, size) for _ in range(network.spec.stacks)], counter
+
+
+def per_node_naive_step(network, state, x):
+    """One naive dilated step as one tap-list `conv1d_point` per node: node j
+    of level l reads nodes 2j (older tap) and 2j+1 (newer tap) of level l-1,
+    a None tap reads zeros, and a node whose newer tap is None lies before
+    step 0 and stays None, uncomputed."""
+    from convgen.tensor import conv1d_point  # here: conftest imports this module without convgen
+
+    windows, counter = state
+    L, top = network.spec.layers_per_stack, np.full(1, x, np.float32)
+    for s, window in enumerate(windows):
+        window.append(top)
+        nodes = list(window)
+        for layer in network.layers[s * L : (s + 1) * L]:
+            zero = np.zeros(layer.weights.in_channels, np.float32)
+            nodes = [None if new is None else np.tanh(conv1d_point(
+                         layer.weights, [zero if old is None else old, new], counter))
+                     for old, new in zip(nodes[::2], nodes[1::2])]
+        (top,) = nodes
+    return conv1d_point(network.head, [top], counter)[0]
 
 
 def scalar_masked_conv2d(kernel, bias, img, mask_kind):

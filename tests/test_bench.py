@@ -548,6 +548,22 @@ def test_step_refuses_xs_that_is_not_one_input_per_sequence(family, xs):
     assert np.array_equal(step(net, state), generate(net, 1, batch=3)[0])
 
 
+@pytest.mark.parametrize("family, engine", [(f, e) for f in ("dilated", "strided")
+                                             for e in ("naive", "cached")])
+@pytest.mark.parametrize(
+    "xs", [[np.nan], [np.inf], [-np.inf], [1e300], [True], np.array([False]), [1 + 2j]],
+    ids=repr,
+)
+def test_step_refuses_xs_that_is_not_finite_real_numbers(family, engine, xs):
+    # as a prime is refused: before any state or counter changes
+    net = NETWORKS[family]()
+    state = init(net, engine)
+    with pytest.raises(InvalidParameterError):
+        step(net, state, xs)
+    assert state.counter.snapshot() == (0, 0)
+    assert step(net, state).tobytes() == generate(net, 1, engine=engine)[0].tobytes()
+
+
 ONE_STEPS = {  # the 1D per-sequence steps: (init, step)
     ("dilated", "naive"): (dilated.naive_init, dilated.naive_step),
     ("dilated", "cached"): (dilated.incremental_init, dilated.incremental_step),
@@ -726,6 +742,9 @@ def test_state_floats_cover_a_batchs_states(family, engine):
         return
     if engine == "cached" and family == "dilated":
         assert floats == bench.SEQUENCE_FLOATS + state.engine.states[0].cached_values()
+    if engine == "naive" and family == "dilated":
+        windows = state.engine.states[0].windows
+        assert floats == bench.SEQUENCE_FLOATS + sum(window.size for window in windows)
 
     def batch_of_8(held):  # kept in `held`, so the peak counts the whole batch's states
         held.append(init(net, engine, 8))

@@ -40,7 +40,12 @@ from convgen.dilated import (
     naive_init,
     naive_step,
 )
-from oracles import dependency_tree_nodes, perturbation_influence
+from oracles import (
+    dependency_tree_nodes,
+    per_node_naive_init,
+    per_node_naive_step,
+    perturbation_influence,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +429,56 @@ def test_naive_early_steps_compute_only_nodes_at_or_after_step_0(stacks, L):
         naive_step(net, state, 0.25)
         want = stacks * sum(min(2 ** (L - l), t // 2**l + 1) for l in range(1, L + 1)) + 1
         assert state.counter.node_evals - before == want, t
+
+
+# (stacks, L, C, steps): the window's fill and 2^(L+1) + 5 steps past it, 40 at L=10
+NAIVE_SHAPES = [(stacks, L, C, 3 * 2**L + 5) for stacks in (1, 2, 3)
+                for L, C in ((1, 1), (2, 3), (4, 8), (5, 1), (8, 8))]
+NAIVE_SHAPES += [(stacks, 10, 32, 2**10 + 40) for stacks in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("stacks, L, C, n", NAIVE_SHAPES)
+def test_naive_step_equals_the_per_node_pyramid(stacks, L, C, n):
+    # outputs and per-step counter deltas byte for byte, each output fed back;
+    # a deep copy and a pickle taken mid-window continue the same
+    net = build_network(NetworkSpec("dilated", stacks=stacks, layers_per_stack=L, channels=C,
+                                    seed=10 * L + C))
+    reference, inputs, want = per_node_naive_init(net, OpCounter()), [np.float32(0.5)], []
+    for t in range(n):
+        before = reference[1].snapshot()
+        inputs.append(per_node_naive_step(net, reference, inputs[t]))
+        want.append((inputs[-1].tobytes(), reference[1].macs - before[0],
+                     reference[1].node_evals - before[1]))
+
+    def run(state, start, stop):
+        for t in range(start, stop):
+            before = state.counter.snapshot()
+            y = naive_step(net, state, inputs[t])
+            got = (y.tobytes(), state.counter.macs - before[0], state.counter.node_evals - before[1])
+            assert got == want[t], t
+
+    fork_at = 2 ** (L - 1)  # half the window filled
+    state = naive_init(net)
+    run(state, 0, fork_at)
+    for fork in (copy.deepcopy(state), pickle.loads(pickle.dumps(state)), state):
+        run(fork, fork_at, n)
+
+
+def test_naive_step_runs_each_level_as_one_stacked_call(monkeypatch):
+    # stacks * L `_stacked_point` calls per step, and one `conv1d_point`, the head's
+    net = build_network(NetworkSpec("dilated", stacks=3, layers_per_stack=4, channels=2, seed=3))
+    calls = []
+    for name in ("_stacked_point", "conv1d_point"):
+        def counted(*args, _kernel=getattr(dilated, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(dilated, name, counted)
+    state = naive_init(net)
+    for t in range(2**4 + 3):
+        calls.clear()
+        naive_step(net, state, 0.25)
+        assert sorted(calls) == ["_stacked_point"] * 3 * 4 + ["conv1d_point"], t
 
 
 def test_naive_state_has_a_constant_size():

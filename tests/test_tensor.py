@@ -516,6 +516,37 @@ def test_transposed_pass_equals_the_per_position_reference(stride, channels):
               point_transposed_conv1d(w, x, stride, want_c), got_c, want_c)
 
 
+WHOLE_SEQUENCE_PASSES = {  # name -> (pass over x, its weights' taps)
+    "conv1d_full": (lambda w, x: conv1d_full(w, x, 2), 2),
+    "strided_conv1d": (lambda w, x: strided_conv1d(w, x, 2), 3),
+    "strided_transposed_conv1d": (lambda w, x: strided_transposed_conv1d(w, x, 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_SEQUENCE_PASSES)
+def test_whole_sequence_passes_compute_in_float32(name):
+    # a float64 or int64 input gives what its float32 cast gives, byte for byte
+    run, k = WHOLE_SEQUENCE_PASSES[name]
+    w = rand_weights(np.random.default_rng(15), 3, 2, (k,))
+    x = np.random.default_rng(16).uniform(-40, 40, (2, 9))
+    for given in (x, x.astype(np.int64), x.astype(np.float32).tolist()):
+        got, want = run(w, given), run(w, np.asarray(given).astype(np.float32))
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", WHOLE_SEQUENCE_PASSES)
+@pytest.mark.parametrize(
+    "x", [np.ones((2, 4), bool), np.ones((2, 4), complex), np.full((2, 4), "1.0"),
+          np.full((2, 4), None), [[0.5, 0.25], [1.0]]],
+    ids=lambda x: str(getattr(x, "dtype", "ragged")),
+)
+def test_whole_sequence_passes_refuse_input_that_is_not_real_numbers(name, x):
+    run, k = WHOLE_SEQUENCE_PASSES[name]
+    with pytest.raises(ShapeError):
+        run(rand_weights(np.random.default_rng(17), 3, 2, (k,)), x)
+
+
 def test_whole_sequence_passes_make_one_kernel_call_per_layer_or_phase(monkeypatch):
     calls = []
     kernel = tensor._stacked_point

@@ -1,11 +1,12 @@
 """`init` / `step`, one batch protocol for every engine; `generate` over it;
 and the benchmark and verification command line (``convgen-bench``).
 
-Every engine is an `ENGINES` entry, `init(network, batch, counter)`,
-`step(network, state, xs)` -> float32 (batch,) and the closed-form floats
-its state holds per sequence, which `init` bounds; 1D per-sequence functions
+Every engine is an `ENGINES` entry, `init(network, batch, counter)` and
+`step(network, state, xs)` -> float32 (batch,); 1D per-sequence functions
 enter through one lift, `_each`.  The network holds what differs by family:
-its schedule's `period`, its sequence `length` and its `forward` pass.
+its schedule's `period`, its sequence `length`, its `forward` pass and, in
+its spec's `sizes()`, the closed-form floats a state holds, which `init`
+bounds.
 
 Subcommands:
   run      time naive vs cached generation over depth/batch sweeps, CSV out
@@ -46,7 +47,6 @@ from .errors import InvalidParameterError, ShapeError
 from .image2d import (
     ImageSpec,
     _no_input,
-    _sizes,
     build_image_network,
     image_incremental_init,
     image_incremental_step,
@@ -55,7 +55,6 @@ from .image2d import (
 )
 from .strided import (
     StridedPlan,
-    _naive_window,
     build_strided_network,
     firing_trace,
     strided_incremental_init,
@@ -63,7 +62,7 @@ from .strided import (
     strided_naive_init,
     strided_naive_step,
 )
-from .tensor import DTYPE, OpCounter, _check_int
+from .tensor import CEILINGS, DTYPE, OpCounter, _check_int, _check_sizes, _finite_reals
 
 EQUIV_TOL = 1e-5
 HOURGLASS_STRIDES = ("down2", "down2", "up2", "up2")
@@ -126,96 +125,54 @@ def _step_each(step_one, network, seqs: PerSequence, xs) -> np.ndarray:
     return np.array(ys, DTYPE)
 
 
-# What one `init` may hold: its engine's state floats over the whole batch
-MAX_BATCH_FLOATS = 2**26  # 256 MiB of float32
-# A lifted 1D sequence's state objects (the state, its arrays, views and
-# `Column`s) beyond their floats: tracemalloc measured 4.4 KB per strided
-# hourglass state and 0.6 KB per dilated one, so 8 KiB is charged
-SEQUENCE_FLOATS = 2**11
+def _each(init_one: Callable, step_one: Callable) -> tuple:
+    """A 1D engine's per-sequence `init(network, counter)` and `step(network,
+    state, x) -> y` lifted to the batch protocol over a `PerSequence`, as
+    partials of module functions, so that a batch state pickles."""
+    return partial(_init_each, init_one), partial(_step_each, step_one)
 
 
-def _each(init_one: Callable, step_one: Callable, floats_one: Callable) -> tuple:
-    """A 1D engine's per-sequence `init(network, counter)`, `step(network,
-    state, x) -> y` and `floats(network)`, its state's floats, lifted to the
-    batch protocol over a `PerSequence`: `init` and `step` as partials of
-    module functions, so that a batch state pickles, and the floats with
-    SEQUENCE_FLOATS more for the state's objects."""
-    return (partial(_init_each, init_one), partial(_step_each, step_one),
-            lambda network: SEQUENCE_FLOATS + floats_one(network))
-
-
-ENGINES = {  # family -> engine -> (init, step, state floats per sequence)
-    "dilated": {  # naive: a (2^L, in) window per stack, in 1 for stack 0 and C after
-        "naive": _each(naive_init, naive_step, lambda net: 2**net.spec.layers_per_stack
-                       * (1 + (net.spec.stacks - 1) * net.spec.channels)),
-        "cached": _each(incremental_init, incremental_step,
-                        lambda net: math.prod(net.ring_shape) + net.ring0_size),
-    },
-    "strided": {  # naive: the window; cached: the buffer, pending outputs
-        "naive": _each(strided_naive_init, strided_naive_step,
-                       lambda net: _naive_window(net.plan, net.spec.kernel_size)[0]),
-        "cached": _each(strided_incremental_init, strided_incremental_step,
-                        lambda net: net._program[0].size + net.period),
-    },
-    "image2d": {  # one state for the whole batch: `_sizes` per batch element
-        "naive": (image_naive_init, image_naive_step, lambda net: _sizes(net.spec)[2]),
-        "cached": (image_incremental_init, image_incremental_step,
-                   lambda net: _sizes(net.spec)[1]),
-    },
+ENGINES = {  # family -> engine -> (init, step)
+    "dilated": {"naive": _each(naive_init, naive_step),
+                "cached": _each(incremental_init, incremental_step)},
+    "strided": {"naive": _each(strided_naive_init, strided_naive_step),
+                "cached": _each(strided_incremental_init, strided_incremental_step)},
+    "image2d": {"naive": (image_naive_init, image_naive_step),  # one state for the whole batch
+                "cached": (image_incremental_init, image_incremental_step)},
 }
 
 
-def _check_size(what: str, size: int, ceiling: int) -> None:
-    if size > ceiling:
-        raise InvalidParameterError(f"{what} {size} is more than {ceiling}")
+def _floats(network, engine: str) -> int:
+    """The floats `init` charges per sequence of an `engine` batch, from the
+    spec's `sizes()`: a naive state's or a cached one's with its scratch, and
+    for a lifted 1D sequence (`_each`) the "sequence_floats" for its objects."""
+    sizes, (start, _) = network.spec.sizes(), ENGINES[network.spec.family][engine]
+    floats = (sizes["naive_floats"] if engine == "naive"
+              else sizes["state_floats"] + sizes.get("scratch_floats", 0))
+    return floats + CEILINGS["sequence_floats"][0] * (type(start) is partial)
 
 
 def _engine(network, engine: str, batch) -> tuple:
-    """`ENGINES` entry of `network`'s family for `engine`, and `batch` as an
-    int, if its states' floats over the batch (at least 1 per sequence) stay
-    within MAX_BATCH_FLOATS; InvalidParameterError otherwise."""
+    """`ENGINES` entry of `network`'s family for `engine`, and `batch` as an int,
+    if the batch's `_floats` fit their ceiling; InvalidParameterError otherwise."""
     engines = ENGINES[network.spec.family]
     if engine not in engines:
         raise InvalidParameterError(f"engine must be naive or cached, got {engine!r}")
     batch = _check_int("batch", batch, 1)
-    start, advance, floats = engines[engine]
-    _check_size(f"a {engine} batch of {batch}: state floats", batch * max(1, floats(network)),
-                MAX_BATCH_FLOATS)
-    return start, advance, batch
-
-
-MAX_PRIME = 2**24  # values: a prime is copied into one float32 array up front
-MAX_OUTPUTS = 2**26  # n_steps x batch: `generate`'s output array, 256 MiB of float32
-MAX_TIMED_STEPS = 2**20  # repeats x steps: `time_engine` keeps one timing per step
-MAX_SWEEP_VALUES = 2**10  # counts in one `--layers` or `--batch` sweep
-
-
-def _finite_reals(what: str, values: np.ndarray) -> np.ndarray:
-    """`values` as float32, if they are real numbers (not bools) each finite in
-    float32; InvalidParameterError naming `what` otherwise."""
-    if values.dtype.kind not in "iuf":
-        raise InvalidParameterError(f"{what} must be real numbers, got dtype {values.dtype}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = values.astype(DTYPE)
-    if not np.isfinite(values).all():
-        raise InvalidParameterError(f"{what} values must be finite in float32")
-    return values
+    _check_sizes(f"a {engine} batch of {batch}", {"batch_floats": batch * _floats(network, engine)})
+    return (*engines[engine], batch)
 
 
 def _check_prime(prime) -> np.ndarray:
-    """`prime` as a float32 array, if it is a 1-D sequence of at most MAX_PRIME
-    finite real numbers (not bools, `_finite_reals`); InvalidParameterError
-    otherwise.
-
-    The length is checked before the values are read, so a lazy sequence
-    that is too long (a huge `range`) is refused without being materialised.
-    """
+    """`prime` as a float32 array, if it is a 1-D sequence of finite real
+    numbers (`_finite_reals`) and its length, checked before it is read (a
+    huge `range` is not materialised), fits its ceiling; InvalidParameterError
+    otherwise."""
     try:
         n = len(prime)
     except TypeError:
         raise InvalidParameterError(f"prime must be a 1-D sequence, got {prime!r}") from None
-    if n > MAX_PRIME:
-        raise InvalidParameterError(f"prime has {n} values, more than {MAX_PRIME}")
+    _check_sizes("prime", {"prime": n})
     try:
         values = np.asarray(prime)
     except (TypeError, ValueError):  # ragged nesting
@@ -244,8 +201,9 @@ def init(network, engine: str = "cached", batch: int = 1, counter=None) -> Batch
     """A fresh batch for `step`, run by `engine` ("naive" or "cached"); every
     step counts into `counter` (a new OpCounter by default).  A
     `copy.deepcopy` or a pickle forks it: both copies continue as the whole
-    run would.  A batch whose states would hold more than MAX_BATCH_FLOATS
-    floats is refused (InvalidParameterError) before any is built."""
+    run would.  A batch whose states would hold more floats than the
+    "batch_floats" ceiling is refused (InvalidParameterError) before any is
+    built."""
     start, advance, batch = _engine(network, engine, batch)
     counter = OpCounter() if counter is None else counter
     return BatchState(start, advance, start(network, batch, counter), counter, batch,
@@ -274,18 +232,18 @@ def generate(network, n_steps=None, *, engine="cached", batch=1, prime=(), count
     """`init`'s batch run for n_steps `step`s: float32 (n_steps, batch), row i
     the i-th output of every sequence.
 
-    1D sequences are fed `prime` (at most MAX_PRIME finite real numbers),
+    1D sequences are fed `prime` (finite real numbers, `_check_prime`),
     then their own outputs; the outputs of the first len(prime) - 1 steps
     are dropped, so row 0 is the prediction after the whole prime; a 1D
     sequence has no end, so `n_steps` is required.  image2d takes no prime,
     row i is raster pixel i, and `n_steps` defaults to one whole image.  The
     naive and cached engines give identical 1D outputs, and image outputs
-    within float32 noise.  More than MAX_OUTPUTS outputs (n_steps x batch)
-    are refused before anything is allocated.
+    within float32 noise.  More outputs (n_steps x batch) than the "outputs"
+    ceiling are refused before anything is allocated.
     """
     batch = _check_int("batch", batch, 1)
     n = _check_int("n_steps", network.length if n_steps is None else n_steps, 1)
-    _check_size("outputs (n_steps x batch)", n * batch, MAX_OUTPUTS)
+    _check_sizes("generate", {"outputs": n * batch})
     prime = _check_prime(prime)
     state = init(network, engine, batch, counter)
     out = np.empty((n, batch), dtype=DTYPE)
@@ -330,12 +288,11 @@ def time_engine(
     the first pixel.  `p50_us` and `p99_us` come from a second pass of as
     many steps, each timed on its own: percentiles over the steps, each
     counted as the median at its position in the network's schedule
-    `period`, from the sequence's start.  More than MAX_TIMED_STEPS timed
-    steps (repeats x steps) are refused before anything runs.
+    `period`, from the sequence's start.  More timed steps (repeats x steps)
+    than the "timed_steps" ceiling are refused before anything runs.
     """
     steps = _check_int("steps", network.length if steps is None else steps, 1)
-    _check_size("timed steps (repeats x steps)", _check_int("repeats", repeats, 1) * steps,
-                MAX_TIMED_STEPS)
+    _check_sizes("time_engine", {"timed_steps": _check_int("repeats", repeats, 1) * steps})
     clock = time.perf_counter
     t0 = clock()
     state = init(network, engine, batch)
@@ -569,7 +526,8 @@ def run_verify(quick: bool, out=None) -> int:
 
 def _parse_counts(flag: str, text: str) -> list[int]:
     """Counts from `n`, an inclusive range `a..b`, or a comma list of either;
-    at most MAX_SWEEP_VALUES of them, refused before a range is expanded."""
+    at most the "sweep_values" ceiling of them, refused before a range is
+    expanded."""
     values = []
     for tok in text.split(","):
         lo, dots, hi = tok.partition("..")
@@ -580,8 +538,7 @@ def _parse_counts(flag: str, text: str) -> list[int]:
             raise ValueError(f"bad {flag} {text!r}: {tok!r} is not n or a..b") from None
         if a < 1 or b < a:
             raise ValueError(f"bad {flag} {text!r}: {tok!r} needs 1 <= a <= b")
-        if len(values) + b - a + 1 > MAX_SWEEP_VALUES:
-            raise ValueError(f"bad {flag} {text!r}: more than {MAX_SWEEP_VALUES} values")
+        _check_sizes(f"bad {flag} {text!r}", {"sweep_values": len(values) + b - a + 1})
         values.extend(range(a, b + 1))
     return values
 
@@ -616,10 +573,10 @@ def _sweep_points(args) -> list:
         layers = [len(HOURGLASS_STRIDES)]
     points = [_build_for(args, L, args.steps) for L in layers]
     for network, _, _, n in points:
-        _check_size("timed steps (repeats x steps)", args.repeats * n, MAX_TIMED_STEPS)
+        _check_sizes("time_engine", {"timed_steps": args.repeats * n})
         for batch in args.batch_list:
             if args.mode == "both":
-                _check_size("outputs (n_steps x batch)", n * batch, MAX_OUTPUTS)
+                _check_sizes("generate", {"outputs": n * batch})
             for mode in ("naive", "cached") if args.mode == "both" else (args.mode,):
                 _engine(network, mode, batch)
     return points

@@ -62,7 +62,9 @@ from .tensor import (
     ConvWeights,
     OpCounter,
     _check_int,
+    _check_sizes,
     _frozen,
+    _keep,
     _stacked_point,
     conv1d_full,
     conv1d_point,
@@ -137,6 +139,23 @@ class NetworkSpec:
             raise InvalidParameterError("dilations are defined for the dilated family")
         per_stack = [2**i for i in range(self.layers_per_stack)]
         return per_stack * self.stacks
+
+    def sizes(self) -> dict:
+        """The closed-form sizes of this spec's network, `tensor.CEILINGS` name ->
+        size, known before anything is built (strided: `strided._geometry`'s)."""
+        if self.family == "strided":
+            from .strided import _geometry
+
+            return dict(_geometry(self.strides, self.kernel_size, self.channels)[0])
+        L, C, stacks = self.layers_per_stack, self.channels, self.stacks
+        top = 2 ** min(L - 1, 64)  # the largest dilation: an L - 1 over 64 is over every ceiling
+        return {  # layer 0 reads one channel, the others C, over two taps each; the head C + 1
+            "weight_floats": C * 3 + (stacks * L - 1) * C * (2 * C + 1) + C + 1,
+            # the ring, the dilations of layers 1..: stacks*(2^L - 1) - 1 rows of C; ring0
+            "state_floats": (stacks * (2 * top - 1) - 1) * C + 1,
+            "naive_floats": 2 * top * (1 + (stacks - 1) * C),  # per stack 2^L inputs, C after stack 0
+            "ring_table": top * (stacks * L - 1),  # 2^(L-1) phases of layers 1..'s rows
+        }
 
     def to_json(self) -> str:
         return json.dumps(
@@ -280,7 +299,8 @@ def draw_uniform(rng: np.random.Generator, shapes) -> list:
     into its own read-only array.  Each weight is built through
     `ConvWeights._trusted`.
 
-    The layout and the index are memoised per shapes tuple (`_remember`)."""
+    The layout and the index are memoised per shapes tuple in `_DRAWS`,
+    within the "draw_memo" ceiling on their index entries."""
     key = tuple(shapes)
     plan = _DRAWS.get(key)
     drawn, runs = plan[:2] if plan else _draw_layout(key)
@@ -293,7 +313,8 @@ def draw_uniform(rng: np.random.Generator, shapes) -> list:
     values[:drawn] = doubles
     values[drawn] = 0  # the undrawn biases
     del doubles, run  # freed first, so that a new index can take their memory
-    index = plan[2] if plan else _remember(key, (drawn, runs, _gather_index(drawn, runs)))
+    index = (plan or _keep(_DRAWS, "draw_memo", key, (drawn, runs, _gather_index(drawn, runs)),
+                           lambda plan: plan[2].size))[2]
     fused = values.take(index, mode="wrap")  # in range: "wrap" skips the bounds errors
     _frozen(values)
     weights = []
@@ -304,74 +325,15 @@ def draw_uniform(rng: np.random.Generator, shapes) -> list:
     return weights
 
 
-def _remember(key: tuple, plan: tuple) -> np.ndarray:
-    """Keep `plan`, (drawn, runs, index), in `_DRAWS` if its index fits
-    `MAX_DRAW_MEMO`, first dropping the oldest plans until every index fits;
-    return its index."""
-    size = plan[2].size
-    with _DRAWS_LOCK:
-        if size <= MAX_DRAW_MEMO:
-            while sum(p[2].size for p in _DRAWS.values()) + size > MAX_DRAW_MEMO:
-                _DRAWS.pop(next(iter(_DRAWS)))
-            _DRAWS[key] = plan
-    return plan[2]
-
-
-# What a dilated network may ask of its cached engine: far above any shape in
-# use (stacks 2, L=10, C=32 needs 65440 ring floats and 9728 table indices)
-MAX_RING_FLOATS = 2**26  # ring floats per sequence: 256 MiB of float32
-MAX_RING_TABLE = 2**26  # ring-row table indices: 512 MiB of intp
-# What any 1D network may draw: stacks 2, L=10, C=32 has 39649 weight floats
-MAX_WEIGHT_FLOATS = 2**26  # kernel and bias floats: 256 MiB of float32
-# What `draw_uniform` keeps memoised: stacks 2, L=10, C=32's index has 39649 entries
-MAX_DRAW_MEMO = 2**22  # gather-index entries over every memoised plan: 32 MiB of intp
 _DRAWS: dict = {}  # shapes -> (`_draw_layout`..., `_gather_index`), oldest first
-_DRAWS_LOCK = threading.Lock()
-
-
-def _check_weights(spec: NetworkSpec, floats: int) -> None:
-    """InvalidParameterError if a network's `floats` kernel and bias values,
-    summed in closed form over its layers as out*(in*taps + 1), exceed
-    `MAX_WEIGHT_FLOATS`: checked before any weight is drawn."""
-    if floats > MAX_WEIGHT_FLOATS:
-        raise InvalidParameterError(
-            f"{spec.family} network too large: its weights need more than "
-            f"{MAX_WEIGHT_FLOATS} floats")
-
-
-def _check_buildable(spec: NetworkSpec) -> None:
-    """InvalidParameterError if a dilated spec's weights, ring or ring-row
-    table would exceed its ceiling; the sizes are closed form, so nothing is
-    allocated.
-
-    The ring holds stacks*(2^L - 1) - 1 rows of C floats (the dilations of
-    layers 1..), and the table 2^(L-1) phases (the largest dilation) of
-    stacks*L - 1 indices.  L - 1 is capped at 64 before the powers are taken:
-    a larger L is over both ceilings anyway.
-    """
-    L, C = spec.layers_per_stack, spec.channels
-    # layer 0 reads one channel, the others C, over two taps each; the head C + 1
-    _check_weights(spec, C * 3 + (spec.stacks * L - 1) * C * (2 * C + 1) + C + 1)
-    period = 2 ** min(L - 1, 64)
-    ring = (spec.stacks * (2 * period - 1) - 1) * C
-    table = period * (spec.stacks * L - 1)
-    for what, size, ceiling in (("ring floats per sequence", ring, MAX_RING_FLOATS),
-                                ("ring-row table indices", table, MAX_RING_TABLE)):
-        if size > ceiling:
-            raise InvalidParameterError(
-                f"dilated network too large: stacks={spec.stacks} L={L} C={C} "
-                f"needs more than {ceiling} {what}"
-            )
 
 
 def build_network(spec):
     """Materialise the weights for a spec of any family: a dilated or strided
     `NetworkSpec`, or an `ImageSpec` (`build_image_network`).
 
-    A spec whose weights would exceed `MAX_WEIGHT_FLOATS`, or a dilated spec
-    whose cached ring or ring-row table would exceed `MAX_RING_FLOATS` or
-    `MAX_RING_TABLE`, is refused (InvalidParameterError) before any weight
-    is drawn."""
+    A spec whose `sizes()` exceed their `CEILINGS` is refused
+    (InvalidParameterError) before any weight is drawn."""
     family = _family("build_network", spec, *FAMILIES, "image2d")
     if family == "strided":
         from .strided import build_strided_network
@@ -381,7 +343,7 @@ def build_network(spec):
         from .image2d import build_image_network
 
         return build_image_network(spec)
-    _check_buildable(spec)
+    _check_sizes("dilated network", spec.sizes())
     C, dilations = spec.channels, spec.dilations()
     *convs, head = draw_uniform(np.random.default_rng(spec.seed), [(C, 1, (2,), True)]
                                 + [(C, C, (2,), True)] * (len(dilations) - 1) + [(1, C, (1,), True)])

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
 
 from .cache import RowCache
-from .dilated import _check_int_fields, _check_weights, _family, draw_uniform
+from .dilated import _check_int_fields, _family, draw_uniform
 from .errors import InvalidParameterError, ScheduleViolationError
 from .tensor import (
     DTYPE,
@@ -42,6 +42,8 @@ from .tensor import (
     ConvWeights,
     OpCounter,
     _check_int,
+    _check_sizes,
+    _keep,
     conv1d_point,
     masked_conv2d,
     zeros,
@@ -81,6 +83,42 @@ class ImageSpec:
             )
         if self.row_pair and self.height % 2 != 0:
             raise InvalidParameterError("row_pair requires an even image height")
+
+    def sizes(self) -> dict:
+        """The closed-form sizes of this spec's network, `tensor.CEILINGS` name ->
+        size, known before anything is built; per batch element, the state is
+        what `image_incremental_init` allocates.  The scratch, a bound, is what
+        the engine builds on first use: the rings' vertical columns (block 0's
+        over 2W columns, 4W for a burst's two rows; blocks 1..'s over W), their
+        outputs (a burst's down and up columns too) and, per distinct width
+        m, the group nodes' columns [h_kw taps of k channels; vertical row; 1]
+        and outputs (k = 1 in block 0, C after, 0 in the head), block i's
+        groups i + 1, n and e + n - 1 - i columns wide (W if n >= W) over one
+        or two rows.  The naive pass, a bound, holds the image and at most 16
+        padded (C, H, W) maps (about 8 were live at once under tracemalloc)."""
+        H, W, C, n, kh, kw, hk = (self.height, self.width, self.channels, self.n_layers,
+                                  self.kh, self.kw, self.h_kw)
+        slots = kh + 2 + kh % 2
+        tri = lambda a, b: (a + b) * (b - a + 1) // 2 if b >= a else 0  # a + ... + b
+        if n >= W:  # one group a row
+            w0, wc, wh = W, W * (n > 1), W
+        else:  # widths summed once each: block 0's, blocks 1..'s and the head's
+            e = (W - 1) % n + 1
+            w0, wh = sum({1, n, e + n - 1}), sum({n, e})
+            wc = tri(2, n) + tri(e, e + n - 2) - tri(max(2, e), min(n, e + n - 2))
+        return {
+            "weight_floats": (C * (kh * kw + 1) + C * (hk + 1)  # block 0 reads one channel
+                              + (n - 1) * (C * (C * kh * kw + 1) + C * (C * hk + 1))
+                              + n * C * (C + 1) + 2 * C * (2 * C + 1) * self.row_pair + C + 1),
+            "state_floats": (slots * (max(kw - 1, hk) + W) + slots * C * W
+                             + (n - 1) * C * (slots * (kw - 1 + W) + 2 * (hk + W))),
+            "scratch_floats": (2 * W * (5 * C + 2 * kh * kw + 4 if self.row_pair else C + kh * kw + 1)
+                               + (n - 1) * W * (C * kh * kw + C + 1)
+                               + 3 * ((hk + 2 * C + 1) * w0 + (hk * C + 2 * C + 1) * wc
+                                      + (2 * C + 1) * wh)),
+            "naive_floats": H * W + 16 * C * (H + 2 * kh) * (W + 2 * max(kw, hk)),
+            "schedule_steps": 2 * W,
+        }
 
 
 @dataclass(frozen=True)
@@ -133,57 +171,11 @@ class ImageNetwork:
         return forward_image(self, inputs, counter)
 
 
-# What an image network may ask for, far above any shape in use (perfbench's
-# 32x32, C=8, 3 blocks with the row pair: 4424 cached state floats and 176128
-# naive floats per batch element, a 64-step schedule); its weights count
-# against `dilated.MAX_WEIGHT_FLOATS`.
-MAX_STATE_FLOATS = 2**26  # a cached state's floats per batch element: 256 MiB
-MAX_NAIVE_FLOATS = 2**26  # the naive pass's floats per batch element, a bound
-MAX_SCHEDULE_STEPS = 2**15  # a row pair's compiled steps, 2W: 20 MB of `_schedule`
-# What the module's caches keep: a geometry's `_schedule` (about 600 bytes
-# per column) and, per batch size, the `_layout` of each of its groups (about
-# 5 KB each; perfbench's 32x32 image has 13 groups).  `_schedule` drops the
-# least recently used, `_layout` the oldest.
-MAX_SCHEDULES = 8  # `_schedule` results
-MAX_LAYOUTS = 256  # `_layout` results, over every geometry and batch size
-
-
-def _sizes(spec: ImageSpec) -> tuple:
-    """(weight floats, cached state floats per batch element, a bound on the
-    naive pass's floats per batch element, schedule steps), in closed form.
-
-    The weights are each block's vertical and horizontal convs, its link and,
-    with the pair, block 0's down and up convs, then the head.  The state is
-    what `image_incremental_init` allocates: the image ring, the rings of
-    blocks 1.., `last` and `buf`.  The naive pass holds the image and at most
-    16 (C, H, W) maps at once, each counted with its widest padding (about 8
-    were live at once under tracemalloc)."""
-    H, W, C, n, kh, kw, hk = (spec.height, spec.width, spec.channels, spec.n_layers, spec.kh,
-                              spec.kw, spec.h_kw)
-    weights = (C * (kh * kw + 1) + C * (hk + 1)  # block 0 reads one channel
-               + (n - 1) * (C * (C * kh * kw + 1) + C * (C * hk + 1))
-               + n * C * (C + 1) + 2 * C * (2 * C + 1) * spec.row_pair + C + 1)
-    slots = kh + 2 + kh % 2
-    state = (slots * (max(kw - 1, hk) + W) + slots * C * W
-             + (n - 1) * C * (slots * (kw - 1 + W) + 2 * (hk + W)))
-    naive = H * W + 16 * C * (H + 2 * kh) * (W + 2 * max(kw, hk))
-    return weights, state, naive, 2 * W
-
-
 def build_image_network(spec: ImageSpec) -> ImageNetwork:
-    """Draw an image network's weights.  A spec whose weights, cached state,
-    naive pass or schedule (`_sizes`) would exceed its ceiling is refused with
-    InvalidParameterError before anything is drawn."""
+    """Draw an image network's weights.  A spec whose `sizes()` exceed their
+    `CEILINGS` is refused with InvalidParameterError before anything is drawn."""
     _family("build_image_network", spec, "image2d")
-    weights, *sizes = _sizes(spec)
-    _check_weights(spec, weights)
-    for what, size, ceiling in zip(
-            ("cached state floats per batch element", "naive floats per batch element",
-             "schedule steps"), sizes, (MAX_STATE_FLOATS, MAX_NAIVE_FLOATS, MAX_SCHEDULE_STEPS)):
-        if size > ceiling:
-            raise InvalidParameterError(
-                f"image network too large: {spec.height}x{spec.width} C={spec.channels} "
-                f"{spec.n_layers} blocks needs more than {ceiling} {what}")
+    _check_sizes("image network", spec.sizes())
     c, n, pair = spec.channels, spec.n_layers, spec.row_pair
     shapes = []  # per block: vert, [down, up,] link (no bias drawn), horiz; then the head
     for i in range(n):
@@ -471,7 +463,10 @@ def vertical_row_pass(network: ImageNetwork, state: ImageGenState, row_index: in
     return [rc.body[slot] for rc in state.row_caches[1:]] + [state.last[slot]]
 
 
-@lru_cache(maxsize=MAX_SCHEDULES)
+_SCHEDULES: dict = {}  # (width, n_layers, row_pair) -> `_schedule`, oldest first
+_LAYOUTS: dict = {}  # (geometry, batch, group) -> `_layout`, oldest first
+
+
 def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
     """A row pair's steps: (groups, steps, start, late).  A group is per
     block its columns (d, lo, hi) of rows 2j+d, then the head.  steps[d][c]
@@ -485,7 +480,12 @@ def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
     2j+1's free steps but its first take the next pair's work, one item each:
     block 0's row 2j+2 (a burst in three chunks), blocks 1 .. n-1's rows
     2j+2 and 2j+3, its first group; the rest is `late`.  That group writes
-    over row 2j-1, which a burst reads, but needs the whole burst's rows."""
+    over row 2j-1, which a burst reads, but needs the whole burst's rows.
+    Memoised per geometry in `_SCHEDULES`."""
+    key = (width, n_layers, row_pair)
+    schedule = _SCHEDULES.get(key)
+    if schedule is not None:
+        return schedule
     n, W = n_layers, width
 
     def cols(d, c):  # row d's group from pixel c: (d, lo, hi) per block
@@ -523,10 +523,7 @@ def _schedule(width: int, n_layers: int, row_pair: bool) -> tuple:
     rows = tuple(tuple(tuple(s) if s or c == W - 1 else None
                        for c, s in enumerate(steps[a : a + W])) for a in range(0, len(steps), W))
     start = ((0, 0, 0, W), *((i, t, 0, W) for t in (0, 1) for i in range(1, n)), first)
-    return tuple(groups), rows, start, tuple(work[len(spots):])
-
-
-_LAYOUTS: dict = {}  # (geometry, batch, group) -> `_layout`, at most MAX_LAYOUTS
+    return _keep(_SCHEDULES, "schedules", key, (tuple(groups), rows, start, tuple(work[len(spots):])))
 
 
 def _geometry(spec: ImageSpec) -> tuple:
@@ -548,8 +545,9 @@ def _layout(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
     C, B, hk, n = spec.channels, state.batch, spec.h_kw, spec.n_layers
     main = _schedule(spec.width, n, spec.row_pair)[0][g]
     key = (_geometry(spec), B, main)
-    if key in _LAYOUTS:
-        return _LAYOUTS[key]
+    layout = _LAYOUTS.get(key)  # one lookup: another thread may drop the key
+    if layout is not None:
+        return layout
     bufs = [*(rc.ring for rc in state.row_caches), state.last, state.buf]
     image, f = state.row_caches[0], bufs[-1].itemsize  # every buffer's column stride
     slots = image.slots
@@ -578,14 +576,11 @@ def _layout(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:
 
     px = main[-1]  # the head's pixels
     ends = [0, *accumulate(hi - lo for _, lo, hi in px)]
-    if len(_LAYOUTS) >= MAX_LAYOUTS:
-        _LAYOUTS.pop(next(iter(_LAYOUTS)), None)  # the oldest
-    _LAYOUTS[key] = layout = (
+    return _keep(_LAYOUTS, "layouts", key, (
         px[0][0], tuple(op(i, parts) for i, parts in enumerate(main)), ends[-1] * B,
         view(px, 0, (1,), (image.ring.strides[1], f), pad=image.pad),
         tuple((d, a, b) for (d, _, _), a, b in zip(px, ends, ends[1:])),
-        max(d * spec.width + hi for parts in main for d, _, hi in parts))
-    return layout
+        max(d * spec.width + hi for parts in main for d, _, hi in parts)))
 
 
 def _bind(spec: ImageSpec, state: ImageGenState, g: int) -> tuple:

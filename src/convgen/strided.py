@@ -38,7 +38,7 @@ from functools import cache
 
 import numpy as np
 
-from .dilated import _check_weights, _family, _scalar, draw_uniform
+from .dilated import _family, _scalar, draw_uniform
 from .errors import (
     InvalidParameterError,
     ScheduleViolationError,
@@ -46,10 +46,12 @@ from .errors import (
     UnsupportedTopologyError,
 )
 from .tensor import (
+    CEILINGS,
     DTYPE,
     Column,
     ConvWeights,
     OpCounter,
+    _check_sizes,
     _frozen,
     conv1d_point,
     strided_conv1d,
@@ -60,21 +62,17 @@ from .tensor import (
 
 _STRIDE_RE = re.compile(r"^(down|up)(\d+)$")
 
-# The largest product D of a plan's down strides: `_simulate_plan` steps D
-# times and `_compile` walks each of up to D phases, so build time grows with
-# D.  Far above any shape in use (the CLI and perfbench build D = 4, the
-# tests at most 12); a stride factor above it is out of range.
-MAX_PERIOD = 2**12
-
 
 def parse_stride(token: str) -> tuple[str, int]:
+    """(kind, factor) of a down<k> or up<k> token, the factor at most the
+    "period" ceiling, as is D, the product of the down strides."""
     m = _STRIDE_RE.match(token)
     if not m:
         raise InvalidParameterError(f"stride token {token!r} is not down<k> or up<k>")
-    kind, digits = m.group(1), m.group(2).lstrip("0")
-    # a factor of more digits than MAX_PERIOD is out of range before int() reads it
-    if len(digits) > len(str(MAX_PERIOD)) or not 1 <= int(digits or 0) <= MAX_PERIOD:
-        raise InvalidParameterError(f"stride factor must be in [1, {MAX_PERIOD}] in {token!r}")
+    kind, digits, top = m.group(1), m.group(2).lstrip("0"), CEILINGS["period"][0]
+    # a factor of more digits than the ceiling is out of range before int() reads it
+    if len(digits) > len(str(top)) or not 1 <= int(digits or 0) <= top:
+        raise InvalidParameterError(f"stride factor must be in [1, {top}] in {token!r}")
     return kind, int(digits)
 
 
@@ -101,8 +99,8 @@ class StridedPlan:
 def _simulate_plan(strides: tuple[str, ...]) -> StridedPlan:
     """Check the plan rules and simulate one period.  Plans are immutable,
     so each strides list is simulated once per process.  A balanced plan
-    whose down strides multiply to more than `MAX_PERIOD` is refused before
-    the simulation."""
+    whose down strides multiply to more than the "period" ceiling is refused
+    before the simulation."""
     layers = tuple(parse_stride(tok) for tok in strides)
     running = 1  # amortised update period: times each down factor, over each up factor
     D = 1  # product of the down strides
@@ -122,9 +120,7 @@ def _simulate_plan(strides: tuple[str, ...]) -> StridedPlan:
             "unbalanced topology: total upsampling must equal total downsampling "
             f"(output update period is {running})"
         )
-    if D > MAX_PERIOD:
-        raise InvalidParameterError(
-            f"strided plan too large: its down strides multiply to more than {MAX_PERIOD}")
+    _check_sizes("strided plan", {"period": D})
     # after D steps every down layer's input count is back to 0 mod its
     # stride, so simulating D steps gives a table that repeats with D
     counts = [0] * len(layers)
@@ -192,16 +188,32 @@ class StridedNetwork:
         return cur[0, : len(x)]
 
 
+@cache
+def _geometry(strides: tuple, kernel_size: int, channels: int) -> tuple:
+    """(sizes, shapes) of a strided network, from its parsed strides alone, and
+    memoised like its plan.  The sizes are D, the steps `_simulate_plan` takes;
+    the weights; a cached state's buffer (`_compile`'s columns, the output and
+    the dump row) and at most D pending outputs; and the naive window.  The
+    shapes are each layer's weights' (out, in, taps, bias), in draw order."""
+    layers, k, C = [parse_stride(tok) for tok in strides], kernel_size, channels
+    (window, D), n = _naive_window(layers, k), len(layers)
+    ins = [1] + [C] * (n - 1)
+    shapes = tuple((1 if i == n - 1 else C, c, (k if kind == "down" else s,), True)
+                   for i, ((kind, s), c) in enumerate(zip(layers, ins)))
+    columns = sum((k if kind == "down" else 1) * c + 1 for (kind, _), c in zip(layers, ins))
+    return {"period": D,
+            "weight_floats": sum(out * (c * taps + 1) for out, c, (taps,), _ in shapes),
+            "state_floats": columns + 1 + max(ins) + D, "naive_floats": window}, shapes
+
+
 def build_strided_network(spec) -> StridedNetwork:
-    """The plan, then the weights: a spec whose weights would exceed
-    `dilated.MAX_WEIGHT_FLOATS` is refused before any is drawn."""
+    """The sizes, the plan, then the weights: a spec whose `sizes()` exceed
+    their `CEILINGS` is refused before its plan is simulated or a weight drawn."""
+    _family("build_strided_network", spec, "strided")
+    sizes, shapes = _geometry(spec.strides, spec.kernel_size, spec.channels)
+    _check_sizes("strided network", sizes)
     plan = StridedPlan.from_spec(spec)
-    n, C = len(plan.layers), spec.channels
-    shapes = [(1 if i == n - 1 else C,  # out
-               1 if i == 0 else C,  # in
-               (spec.kernel_size if kind == "down" else s,), True)  # taps, bias
-              for i, (kind, s) in enumerate(plan.layers)]
-    _check_weights(spec, sum(out * (in_ch * taps + 1) for out, in_ch, (taps,), _ in shapes))
+    n = len(plan.layers)
     weights = draw_uniform(np.random.default_rng(spec.seed), shapes)
     layers = [StridedLayer(kind, s, w, "linear" if i == n - 1 else "tanh")
               for i, ((kind, s), w) in enumerate(zip(plan.layers, weights))]
@@ -394,7 +406,7 @@ def strided_incremental_step(network: StridedNetwork, state: StridedState, x) ->
 # ---------------------------------------------------------------------------
 
 
-def _naive_window(plan: StridedPlan, kernel_size: int) -> tuple:
+def _naive_window(layers: tuple, kernel_size: int) -> tuple:
     """(size, D) of the naive engine's window, D the product of the down
     strides.  Output t reads no input before f(t): going from the output to
     the input, an up layer maps the earliest position a to a//s and a down
@@ -403,9 +415,9 @@ def _naive_window(plan: StridedPlan, kernel_size: int) -> tuple:
     at a multiple of D at or below D*(t//D) - B holds every input output t
     reads, and one of size B + D that slides by D when input t would fall
     off its end is such a window."""
-    D = math.prod(s for kind, s in plan.layers if kind == "down")
+    D = math.prod(s for kind, s in layers if kind == "down")
     a = 0  # f(0), at most 0
-    for kind, s in reversed(plan.layers):
+    for kind, s in reversed(layers):
         a = a // s if kind == "up" else s * a - kernel_size + 1
     return D - a // D * D, D
 
@@ -426,7 +438,7 @@ class StridedNaiveState:
 
 
 def strided_naive_init(network: StridedNetwork, counter: OpCounter | None = None) -> StridedNaiveState:
-    size, D = _naive_window(network.plan, network.spec.kernel_size)
+    size, D = _naive_window(network.plan.layers, network.spec.kernel_size)
     return StridedNaiveState(zeros(size), 0, D, 0, counter or OpCounter())
 
 
@@ -438,8 +450,11 @@ def strided_naive_step(network: StridedNetwork, state: StridedNaiveState, x) -> 
     end it slides by D.  Every step runs the same `forward` over the whole
     window, so its MACs and nodes are constant; the network is causal, so
     output t is what a pass over all inputs so far gives.  Anything but one
-    real scalar x is refused (ShapeError) before the window changes."""
+    real scalar x is refused (ShapeError), and one not finite in float32
+    (InvalidParameterError, as the pass would), before the window changes."""
     x = _scalar(x)
+    if not np.isfinite(x[0]):
+        raise InvalidParameterError(f"x must be finite in float32, got {x[0]}")
     window, D, t = state.window, state.slide, state.t
     if t - state.start == window.size:
         window[:-D] = window[D:]

@@ -47,6 +47,7 @@ time, are the primary complexity measurement.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -81,6 +82,65 @@ def _check_int(name: str, v, lo: int) -> int:
     if not lo <= v <= 2**64 - 1:
         raise InvalidParameterError(f"{name} must be in [{lo}, 2**64 - 1], got {v}")
     return v
+
+
+# Every size ceiling, far above any shape in use: name -> (ceiling, what it counts).
+# A builder checks its spec's `sizes()`, `bench` its calls' sizes, each memo its own.
+CEILINGS = {
+    "weight_floats": (2**26, "kernel and bias floats"),
+    "state_floats": (2**26, "cached state floats per batch element"),
+    "scratch_floats": (2**26, "scratch floats per batch element"),
+    "naive_floats": (2**26, "naive floats per batch element"),
+    "ring_table": (2**26, "ring-row table indices"),
+    "period": (2**12, "steps of a strided period (its down strides' product)"),
+    "schedule_steps": (2**15, "schedule steps"),
+    "batch_floats": (2**26, "state floats over the batch"),
+    "sequence_floats": (2**11, "floats charged per lifted 1D sequence for its objects"),
+    "prime": (2**24, "prime values"),
+    "outputs": (2**26, "outputs (n_steps x batch)"),
+    "timed_steps": (2**20, "timed steps (repeats x steps)"),
+    "sweep_values": (2**10, "values in one sweep"),
+    "draw_memo": (2**22, "memoised gather-index entries"),
+    "schedules": (8, "memoised image schedules"),
+    "layouts": (256, "memoised image group layouts"),
+}
+
+
+def _check_sizes(what: str, sizes: dict) -> None:
+    """InvalidParameterError naming `what` if a size of `sizes`, a `CEILINGS`
+    name -> size, is over its ceiling."""
+    for name, size in sizes.items():
+        ceiling, counts = CEILINGS[name]
+        if size > ceiling:
+            raise InvalidParameterError(
+                f"{what} is too large: it needs more than {ceiling} {counts} ({size})")
+
+
+_MEMOS_LOCK = threading.Lock()
+
+
+def _keep(memo: dict, name: str, key, value, cost=lambda value: 1):
+    """`value`, kept in `memo` under `key` if its `cost` fits the `name` ceiling,
+    after dropping the oldest entries until the costs of all fit."""
+    ceiling = CEILINGS[name][0]
+    with _MEMOS_LOCK:
+        if cost(value) <= ceiling:
+            while sum(map(cost, memo.values())) + cost(value) > ceiling:
+                memo.pop(next(iter(memo)))
+            memo[key] = value
+    return value
+
+
+def _finite_reals(what: str, values: np.ndarray) -> np.ndarray:
+    """`values` as a C-contiguous float32 array, if they are real numbers (not
+    bools) each finite in float32; InvalidParameterError naming `what` otherwise."""
+    if values.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{what} must be real numbers, got dtype {values.dtype}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.ascontiguousarray(values, DTYPE)
+    if not np.isfinite(values).all():
+        raise InvalidParameterError(f"{what} values must be finite in float32")
+    return values
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -313,8 +373,9 @@ def conv1d_point(
 
 
 def _sequence(weights: ConvWeights, x) -> np.ndarray:
-    """Check an [in_channels, T] input of real numbers (not bools) and return its
-    T steps as contiguous float32 rows: every 1D pass computes in float32."""
+    """Check an [in_channels, T] input of real numbers (not bools, ShapeError;
+    each finite in float32, InvalidParameterError) and return its T steps as
+    contiguous float32 rows: every 1D pass computes in float32."""
     try:
         x = np.asarray(x)
     except (TypeError, ValueError):  # ragged nesting
@@ -325,7 +386,7 @@ def _sequence(weights: ConvWeights, x) -> np.ndarray:
         raise ShapeError(f"input shape {x.shape} != (in_channels, T)")
     if x.shape[1] == 0:
         raise EmptyInputError("empty input sequence")
-    return np.ascontiguousarray(x.T, DTYPE)
+    return _finite_reals("input", x.T)
 
 
 def _stacked_point(weights: ConvWeights, cols: np.ndarray, counter=None) -> np.ndarray:

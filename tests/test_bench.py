@@ -32,7 +32,6 @@ from convgen import (
 from convgen import bench, dilated, strided
 from convgen.bench import (
     CSV_COLUMNS,
-    MAX_PRIME,
     _sample_networks,
     check_golden_trace,
     compare,
@@ -43,6 +42,7 @@ from convgen.bench import (
     time_engine,
 )
 from convgen.dilated import DilatedNetwork
+from convgen.tensor import CEILINGS
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -432,11 +432,11 @@ def test_fault_injection_breaks_equivalence():
     "prime",
     [("x",), 5, 0.5, None, [float("nan")], [1.0, float("inf")], [1e39], [[0.5, 0.25]],
      [[0.5], [0.25, 1.0]], [True, False], [1 + 2j], np.zeros((2, 1)), "05",
-     range(MAX_PRIME + 1)],
+     range(CEILINGS["prime"][0] + 1)],
     ids=repr,
 )
 def test_prime_validation(prime):
-    # a prime is a 1-D sequence of at most MAX_PRIME numbers finite in float32
+    # a prime is a 1-D sequence of at most its ceiling's numbers, finite in float32
     net = build_network(NetworkSpec("dilated", stacks=1, layers_per_stack=2, channels=2, seed=1))
     with pytest.raises(InvalidParameterError):
         generate(net, 3, prime=prime)
@@ -591,6 +591,19 @@ def test_a_refused_step_leaves_its_state_as_it_was(family, engine, x):
     assert refused.counter.snapshot() == clean.counter.snapshot()
 
 
+@pytest.mark.parametrize("x", [np.nan, -np.inf], ids=repr)
+def test_a_naive_strided_step_refuses_what_its_pass_would(x):
+    # the window's whole-sequence pass refuses a value not finite in float32,
+    # so the step refuses it first, and its state stays as it was
+    net = NETWORKS["strided"]()
+    refused, clean = strided.strided_naive_init(net), strided.strided_naive_init(net)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        strided.strided_naive_step(net, refused, x)
+    for v in (0.25, -0.5, 0.125):
+        assert (strided.strided_naive_step(net, refused, v).tobytes()
+                == strided.strided_naive_step(net, clean, v).tobytes())
+
+
 @pytest.mark.parametrize("engine", ["naive", "cached"])
 @pytest.mark.parametrize("xs", [[0.5, 0.25], np.zeros(2, np.float32), [0.5]], ids=repr)
 def test_image_step_takes_no_xs(engine, xs):
@@ -710,25 +723,12 @@ def _peak(fn, *args, **kwargs):
 
 
 @pytest.mark.parametrize("family, engine", ENGINE_CASES)
-def test_init_ceiling_is_the_batchs_state_floats(monkeypatch, family, engine):
-    # at a ceiling equal to the batch's closed-form floats it starts; one below, it is refused
-    net = NETWORKS[family]()
-    floats = bench.ENGINES[family][engine][2](net)
-    assert floats >= 1
-    monkeypatch.setattr(bench, "MAX_BATCH_FLOATS", 3 * floats)
-    init(net, engine, 3)
-    monkeypatch.setattr(bench, "MAX_BATCH_FLOATS", 3 * floats - 1)
-    with pytest.raises(InvalidParameterError, match="state floats"):
-        init(net, engine, 3)
-
-
-@pytest.mark.parametrize("family, engine", ENGINE_CASES)
 def test_state_floats_cover_a_batchs_states(family, engine):
     # the closed form is at least what the states hold: exactly the arrays an
-    # image or cached dilated state allocates; for a lifted sequence, with its
-    # objects, at most what tracemalloc sees of a warm batch of 8
+    # image (its scratch aside) or cached dilated state allocates; for a lifted
+    # sequence, with its objects, at most what tracemalloc sees of a warm batch of 8
     net = NETWORKS[family]()
-    floats = bench.ENGINES[family][engine][2](net)
+    floats = bench._floats(net, engine)
     warm = 2**net.spec.layers_per_stack + 2 if family == "dilated" else 7
     state = init(net, engine, 8)
     for _ in range(warm):
@@ -738,13 +738,14 @@ def test_state_floats_cover_a_batchs_states(family, engine):
         arrays = ([engine_state.image] if engine == "naive" else
                   [rc.ring for rc in engine_state.row_caches] + [engine_state.last, engine_state.buf])
         held = sum(a.size for a in arrays) // 8
-        assert held == floats if engine == "cached" else held <= floats
+        assert held == net.spec.sizes()["state_floats"] if engine == "cached" else held <= floats
+        assert held <= floats
         return
     if engine == "cached" and family == "dilated":
-        assert floats == bench.SEQUENCE_FLOATS + state.engine.states[0].cached_values()
+        assert floats == CEILINGS["sequence_floats"][0] + state.engine.states[0].cached_values()
     if engine == "naive" and family == "dilated":
         windows = state.engine.states[0].windows
-        assert floats == bench.SEQUENCE_FLOATS + sum(window.size for window in windows)
+        assert floats == CEILINGS["sequence_floats"][0] + sum(window.size for window in windows)
 
     def batch_of_8(held):  # kept in `held`, so the peak counts the whole batch's states
         held.append(init(net, engine, 8))
@@ -755,33 +756,25 @@ def test_state_floats_cover_a_batchs_states(family, engine):
     assert peak <= 4 * 8 * floats
 
 
-def test_generate_refuses_more_outputs_than_the_ceiling(monkeypatch):
+def test_generate_refuses_more_outputs_than_the_ceiling():
     net = NETWORKS["dilated"]()
     generate(net, 1)  # warm
     for n, batch in ((2**40, 1), (2**20, 2**10), (2**64 - 1, 2**64 - 1)):
         peak, raised = _peak(generate, net, n, batch=batch)
         assert isinstance(raised, InvalidParameterError) and "outputs" in str(raised)
         assert peak < 64 * 1024
-    monkeypatch.setattr(bench, "MAX_OUTPUTS", 12)
-    assert generate(net, 4, batch=3).shape == (4, 3)
-    with pytest.raises(InvalidParameterError, match="outputs"):
-        generate(net, 13)
 
 
-def test_time_engine_refuses_more_timed_steps_than_the_ceiling(monkeypatch):
+def test_time_engine_refuses_more_timed_steps_than_the_ceiling():
     net = NETWORKS["dilated"]()
     for steps, repeats in ((2**20, 2), (2**64 - 1, 1), (1, 2**21)):
         peak, raised = _peak(time_engine, net, "cached", steps, repeats)
         assert isinstance(raised, InvalidParameterError) and "timed steps" in str(raised)
         assert peak < 64 * 1024
-    monkeypatch.setattr(bench, "MAX_TIMED_STEPS", 6)
-    assert time_engine(net, "cached", 3, 2)["macs_per_step"] > 0
-    with pytest.raises(InvalidParameterError, match="timed steps"):
-        time_engine(net, "cached", 7, 1)
 
 
 def test_sweep_counts_are_refused_before_a_range_is_expanded():
-    limit = bench.MAX_SWEEP_VALUES
+    limit = CEILINGS["sweep_values"][0]
     assert bench._parse_counts("--layers", f"1..{limit}") == list(range(1, limit + 1))
     for text in (f"1..{limit + 1}", "1..1000000000", f"1..{limit},7", f"1..{2**64}"):
         peak, raised = _peak(bench._parse_counts, "--layers", text)

@@ -71,34 +71,45 @@ def test_spec_validation():
 # ---------------------------------------------------------------------------
 
 CEILING_SPEC = ImageSpec(8, 6, channels=3, n_layers=3, kh=3, kw=2, h_kw=3, row_pair=True, seed=4)
+IMAGES = {"pair": CEILING_SPEC, "no-pair": dataclasses.replace(CEILING_SPEC, row_pair=False),
+          "one-channel": ImageSpec(5, 4, channels=1, n_layers=1, kh=1, kw=1, h_kw=1)}
 
 
-def _state_floats(state) -> int:
-    return sum(rc.ring.size for rc in state.row_caches) + state.last.size + state.buf.size
+def _scratch_floats(state) -> int:
+    """The floats of the arrays a state's `scratch` and its rings' columns hold,
+    not counting the views they take of the state's own buffers."""
+    own = {id(a) for a in (*(rc.ring for rc in state.row_caches), state.last, state.buf)}
+    held, todo = {}, [*state.scratch.values(),
+                      *(column for rc in state.row_caches for column in rc._columns.values())]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            if id(x) not in own:
+                held[id(x)] = x.size
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+    return sum(held.values())
 
 
-@pytest.mark.parametrize("module, name, size", [
-    (dilated, "MAX_WEIGHT_FLOATS", lambda net: sum(
-        w.fused.size for b in net.blocks for w in (b.vert, b.horiz, b.link, b.down, b.up)
-        if w is not None) + net.proj.fused.size),
-    (image2d, "MAX_STATE_FLOATS", lambda net: _state_floats(image_incremental_init(net, 1))),
-    (image2d, "MAX_NAIVE_FLOATS", lambda net: image2d._sizes(net.spec)[2]),
-    (image2d, "MAX_SCHEDULE_STEPS", lambda net: net.period),
-], ids=lambda v: v if isinstance(v, str) else "")
-@pytest.mark.parametrize("spec", [CEILING_SPEC, dataclasses.replace(CEILING_SPEC, row_pair=False),
-                                  ImageSpec(5, 4, channels=1, n_layers=1, kh=1, kw=1, h_kw=1)],
-                         ids=["pair", "no-pair", "one-channel"])
-def test_image_ceilings_are_the_network_sizes(monkeypatch, module, name, size, spec):
-    # at a ceiling equal to a network's size it builds; one below, it is refused
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("spec, tight", [
+    *((spec, True) for spec in IMAGES.values()),
+    (ImageSpec(32, 32, row_pair=True), True), (ImageSpec(32, 32), True),  # perfbench's
+    (ImageSpec(10, 5, channels=1, n_layers=4, kh=2, kw=1, h_kw=3), False),  # n >= W - 1
+    (ImageSpec(14, 1, channels=5, n_layers=3, kh=2, kw=1, h_kw=1), False),  # n > W = 1
+    (ImageSpec(2, 3, channels=1, n_layers=2, kh=2, kw=1, h_kw=3, row_pair=True), False),
+], ids=[*IMAGES, "perfbench", "perfbench-no-pair", "n4-w5", "w1", "w3"])
+def test_scratch_bound_covers_a_whole_images_scratch(spec, tight, batch):
+    # the record's closed form is at least what a whole image builds on first
+    # use, and at the ceiling tests' and perfbench's geometries within 2x of it
     net = build_image_network(spec)
-    monkeypatch.setattr(module, name, size(net))
-    assert build_image_network(spec) == net
-    monkeypatch.setattr(module, name, size(net) - 1)
-    monkeypatch.setattr(dilated, "_DRAWS", {})
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew weights"))
-    with pytest.raises(InvalidParameterError, match="too large"):
-        build_image_network(spec)
-    assert not dilated._DRAWS  # refused before its draw was planned
+    state = image_incremental_init(net, batch)
+    for _ in range(spec.height * spec.width):
+        image_incremental_step(net, state)
+    held, bound = _scratch_floats(state), spec.sizes()["scratch_floats"] * batch
+    assert held <= bound and (bound <= 2 * held or not tight), (held, bound)
 
 
 @pytest.mark.parametrize("spec", [CEILING_SPEC, ImageSpec(32, 32, row_pair=True),
@@ -114,7 +125,7 @@ def test_naive_bound_covers_a_naive_steps_peak(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2 * image2d._sizes(spec)[2]
+    assert peak <= 4 * 2 * spec.sizes()["naive_floats"]
 
 
 @pytest.mark.parametrize("fields", [
@@ -1102,19 +1113,3 @@ def test_write_pgm_rejects_complex_images_without_a_warning(tmp_path, image):
         with pytest.raises(InvalidParameterError, match="complex"):
             write_pgm(path, image)
     assert not path.exists()
-
-
-def test_layout_and_schedule_caches_are_bounded(monkeypatch):
-    # one 8x16 network at batches 1..40 makes 400 group layouts; the module
-    # keeps at most MAX_LAYOUTS of them, and at most MAX_SCHEDULES schedules
-    monkeypatch.setattr(image2d, "_LAYOUTS", {})
-    net = build_image_network(ImageSpec(8, 16, channels=2, n_layers=2, seed=0))
-    made = set()
-    for b in range(1, 41):
-        generate(net, batch=b)
-        made |= set(image2d._LAYOUTS)
-        assert len(image2d._LAYOUTS) <= image2d.MAX_LAYOUTS
-    assert len(made) > image2d.MAX_LAYOUTS
-    for width in range(1, 3 * image2d.MAX_SCHEDULES):
-        _schedule(width, 2, False)
-    assert _schedule.cache_info().currsize <= image2d.MAX_SCHEDULES

@@ -38,6 +38,7 @@ from convgen.strided import (
     strided_naive_init,
     strided_naive_step,
 )
+from convgen.tensor import CEILINGS
 from oracles import strided_input_positions, strided_receptive_field_sets
 
 HOURGLASS = ("down2", "down2", "up2", "up2")
@@ -59,9 +60,9 @@ def hourglass_plan():
 def test_parse_stride_tokens():
     assert parse_stride("down2") == ("down", 2)
     assert parse_stride("up16") == ("up", 16)
-    # factors run to MAX_PERIOD; leading zeros are no digits, and a factor of
-    # more digits is refused before int() reads them
-    assert strided.MAX_PERIOD == 2**12 and parse_stride("up4096") == ("up", 4096)
+    # factors run to the "period" ceiling; leading zeros are no digits, and a
+    # factor of more digits is refused before int() reads them
+    assert CEILINGS["period"][0] == 2**12 and parse_stride("up4096") == ("up", 4096)
     assert parse_stride("down" + "0" * 5000 + "2") == ("down", 2)
     for bad in ("sideways2", "down", "2", "down-2", "down0", "down4097", "up" + "9" * 5000):
         with pytest.raises(InvalidParameterError):
@@ -102,24 +103,6 @@ def test_unbuildable_strided_network_is_refused_before_it_allocates(monkeypatch,
         tracemalloc.stop()
     assert peak < 64 * 1024 and time.perf_counter() - start < 1.0
     assert list(dilated._DRAWS) == memo  # nothing memoised
-
-
-def test_period_ceiling_is_the_down_strides_product(monkeypatch):
-    # at a ceiling equal to the product of the down strides (the steps
-    # `_simulate_plan` takes), a plan is built; one below, it is refused,
-    # unless it is unbalanced, which stays an UnsupportedTopologyError
-    strides = ("down3", "down2", "up2", "up3")
-    plan = plan_of(*strides)
-    for ceiling in (6, 5):
-        monkeypatch.setattr(strided, "MAX_PERIOD", ceiling)
-        strided._simulate_plan.cache_clear()  # plans are memoised
-        if ceiling == 6:
-            assert plan_of(*strides) == plan
-        else:
-            with pytest.raises(InvalidParameterError, match="too large"):
-                plan_of(*strides)
-        with pytest.raises(UnsupportedTopologyError):
-            plan_of("down3", "down2", "up2")
 
 
 def test_plan_period():
@@ -556,7 +539,7 @@ def test_naive_window_reaches_the_earliest_input_read(strides, kernel_size):
     D = np.prod([s for kind, s in plan.layers if kind == "down"], dtype=int)
     for k in range(1, 6):
         back = max(0, *(-min(strided_input_positions(plan.layers, k, t)) for t in range(D)))
-        assert strided._naive_window(plan, k) == (-(-back // D) * D + D, D), k
+        assert strided._naive_window(plan.layers, k) == (-(-back // D) * D + D, D), k
 
 
 @pytest.mark.parametrize(
@@ -566,7 +549,7 @@ def test_naive_window_has_a_constant_cost(strides, kernel_size):
     # every step runs the same forward over the window, also long after it
     # first slides, and still gives the cached engine's outputs bit for bit
     net = topology_network(strides, kernel_size)
-    size, D = strided._naive_window(net.plan, kernel_size)
+    size, D = strided._naive_window(net.plan.layers, kernel_size)
     n = 3 * size + D
     state, deltas, x = strided_naive_init(net), set(), np.float32(0.0)
     ys = []
@@ -582,7 +565,7 @@ def test_naive_window_has_a_constant_cost(strides, kernel_size):
 
 def test_naive_state_has_a_constant_size():
     net = build_network(hourglass_spec(seed=2, channels=4))
-    size, _ = strided._naive_window(net.plan, 2)
+    size, _ = strided._naive_window(net.plan.layers, 2)
     assert size == 8  # receptive field 4, one period of 4 more
 
     def pickled_at(t):

@@ -547,6 +547,18 @@ def test_whole_sequence_passes_refuse_input_that_is_not_real_numbers(name, x):
         run(rand_weights(np.random.default_rng(17), 3, 2, (k,)), x)
 
 
+@pytest.mark.parametrize("name", WHOLE_SEQUENCE_PASSES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300], ids=repr)
+def test_whole_sequence_passes_refuse_values_not_finite_in_float32(monkeypatch, name, bad):
+    # refused before any work, and without a warning from the cast to float32
+    run, k = WHOLE_SEQUENCE_PASSES[name]
+    x = np.ones((2, 5))
+    x[1, 3] = bad
+    monkeypatch.setattr(tensor, "_stacked_point", lambda *args: pytest.fail("computed"))
+    with pytest.raises(InvalidParameterError, match="finite in float32"):
+        run(rand_weights(np.random.default_rng(17), 3, 2, (k,)), x)
+
+
 def test_whole_sequence_passes_make_one_kernel_call_per_layer_or_phase(monkeypatch):
     calls = []
     kernel = tensor._stacked_point

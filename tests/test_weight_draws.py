@@ -16,7 +16,7 @@ import pytest
 
 from convgen import ConvWeights, ImageSpec, NetworkSpec, build_network, dilated
 from convgen.dilated import draw_uniform
-from convgen.image2d import _sizes
+from convgen.tensor import CEILINGS
 from oracles import draw_each_uniform
 from test_weight_pins import SPECS, _weights
 
@@ -54,7 +54,7 @@ def _closed_form(spec) -> int:
     """The floats a spec's weights draw: out*(in*taps + 1) per weight, but no
     bias for an image block's link."""
     if isinstance(spec, ImageSpec):
-        return _sizes(spec)[0] - spec.n_layers * spec.channels  # the links' zero biases
+        return spec.sizes()["weight_floats"] - spec.n_layers * spec.channels  # the links' zero biases
     C = spec.channels
     if spec.family == "dilated":
         return C * 3 + (spec.stacks * spec.layers_per_stack - 1) * C * (2 * C + 1) + C + 1
@@ -145,7 +145,7 @@ def test_the_draw_memo_keeps_to_its_bound(monkeypatch):
     # list whose index alone is over the bound is drawn, but it is not kept
     # and drops nothing
     monkeypatch.setattr(dilated, "_DRAWS", {})
-    monkeypatch.setattr(dilated, "MAX_DRAW_MEMO", 1000)
+    monkeypatch.setitem(CEILINGS, "draw_memo", (1000, CEILINGS["draw_memo"][1]))
     lists = [[(c, 2, (3,), True)] * 2 for c in range(20, 32)]  # 2*c*7 = 280 .. 434 entries
     large = [(50, 4, (5,), True)]  # 50*21 = 1050 entries
     for shapes in lists + [large]:

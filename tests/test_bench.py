@@ -723,6 +723,19 @@ def _peak(fn, *args, **kwargs):
 
 
 @pytest.mark.parametrize("family, engine", ENGINE_CASES)
+def test_init_ceiling_is_the_batchs_state_floats(monkeypatch, family, engine):
+    # at a ceiling equal to the batch's closed-form floats it starts; one below, it is refused
+    net = NETWORKS[family]()
+    floats = bench._floats(net, engine)
+    assert floats >= 1
+    monkeypatch.setitem(CEILINGS, "batch_floats", (3 * floats, CEILINGS["batch_floats"][1]))
+    init(net, engine, 3)
+    monkeypatch.setitem(CEILINGS, "batch_floats", (3 * floats - 1, CEILINGS["batch_floats"][1]))
+    with pytest.raises(InvalidParameterError, match="state floats"):
+        init(net, engine, 3)
+
+
+@pytest.mark.parametrize("family, engine", ENGINE_CASES)
 def test_state_floats_cover_a_batchs_states(family, engine):
     # the closed form is at least what the states hold: exactly the arrays an
     # image (its scratch aside) or cached dilated state allocates; for a lifted

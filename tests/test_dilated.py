@@ -30,7 +30,7 @@ from convgen import (
 )
 from convgen import dilated
 from convgen.bench import measure_nodes_per_step
-from convgen.tensor import conv1d_full
+from convgen.tensor import CEILINGS, conv1d_full
 from convgen.dilated import (
     DilatedNetwork,
     LayerDef,
@@ -116,6 +116,44 @@ def test_unbuildable_network_is_refused_before_it_allocates(monkeypatch, spec_ar
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024 and list(dilated._DRAWS) == memo  # nothing memoised
+
+
+@pytest.mark.parametrize("name, size", [  # ids: the constants these table entries replaced
+    ("MAX_RING_FLOATS", lambda s: (s.stacks * (2**s.layers_per_stack - 1) - 1) * s.channels + 1),
+    ("MAX_RING_TABLE", lambda s: 2 ** (s.layers_per_stack - 1) * (s.stacks * s.layers_per_stack - 1)),
+])
+def test_size_ceilings_are_the_ring_and_table_sizes(monkeypatch, name, size):
+    # at a ceiling equal to a network's size, it builds; one below, it is refused
+    spec = NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=3, seed=1)
+    net = build_network(spec)
+    entry = {"MAX_RING_FLOATS": "state_floats", "MAX_RING_TABLE": "ring_table"}[name]
+    assert size(spec) == {"state_floats": np.prod(net.ring_shape) + net.ring0_size,
+                          "ring_table": dilated._ring_rows(tuple(spec.dilations()[1:])).size}[entry]
+    monkeypatch.setitem(CEILINGS, entry, (size(spec), CEILINGS[entry][1]))
+    assert build_network(spec) == net
+    monkeypatch.setitem(CEILINGS, entry, (size(spec) - 1, CEILINGS[entry][1]))
+    with pytest.raises(InvalidParameterError, match="too large"):
+        build_network(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    NetworkSpec("dilated", stacks=2, layers_per_stack=4, channels=3, seed=1),
+    NetworkSpec("strided", kernel_size=3, channels=3, strides=("down3", "down2", "up2", "up3")),
+], ids=lambda s: s.family)
+def test_weight_ceiling_is_the_weights_size(monkeypatch, spec):
+    # at a ceiling equal to a network's kernel and bias floats (a dilated
+    # network's head included), it builds; one below, it is refused
+    net = build_network(spec)
+    size = sum(w.fused.size for w in [*(l.weights for l in net.layers), getattr(net, "head", None)]
+               if w is not None)
+    monkeypatch.setitem(CEILINGS, "weight_floats", (size, CEILINGS["weight_floats"][1]))
+    assert build_network(spec) == net
+    monkeypatch.setitem(CEILINGS, "weight_floats", (size - 1, CEILINGS["weight_floats"][1]))
+    monkeypatch.setattr(dilated, "_DRAWS", {})
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew weights"))
+    with pytest.raises(InvalidParameterError, match="too large"):
+        build_network(spec)
+    assert not dilated._DRAWS  # refused before its draw was planned
 
 
 def test_dilation_pattern():

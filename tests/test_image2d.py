@@ -34,7 +34,7 @@ from convgen.image2d import (
     image_naive_step,
     vertical_row_pass,
 )
-from convgen.tensor import Column, conv1d_point, masked_conv2d
+from convgen.tensor import CEILINGS, Column, conv1d_point, masked_conv2d
 from oracles import perturbation_influence
 
 EQUIV_TOL = 1e-5
@@ -73,6 +73,32 @@ def test_spec_validation():
 CEILING_SPEC = ImageSpec(8, 6, channels=3, n_layers=3, kh=3, kw=2, h_kw=3, row_pair=True, seed=4)
 IMAGES = {"pair": CEILING_SPEC, "no-pair": dataclasses.replace(CEILING_SPEC, row_pair=False),
           "one-channel": ImageSpec(5, 4, channels=1, n_layers=1, kh=1, kw=1, h_kw=1)}
+
+
+def _state_floats(state) -> int:
+    return sum(rc.ring.size for rc in state.row_caches) + state.last.size + state.buf.size
+
+
+@pytest.mark.parametrize("entry, name, size", [  # ids: the constants these table entries replaced
+    ("weight_floats", "MAX_WEIGHT_FLOATS", lambda net: sum(
+        w.fused.size for b in net.blocks for w in (b.vert, b.horiz, b.link, b.down, b.up)
+        if w is not None) + net.proj.fused.size),
+    ("state_floats", "MAX_STATE_FLOATS", lambda net: _state_floats(image_incremental_init(net, 1))),
+    ("naive_floats", "MAX_NAIVE_FLOATS", lambda net: net.spec.sizes()["naive_floats"]),
+    ("schedule_steps", "MAX_SCHEDULE_STEPS", lambda net: net.period),
+], ids=lambda v: v if str(v).startswith("MAX_") else "")
+@pytest.mark.parametrize("spec", IMAGES.values(), ids=IMAGES.keys())
+def test_image_ceilings_are_the_network_sizes(monkeypatch, entry, name, size, spec):
+    # at a ceiling equal to a network's size it builds; one below, it is refused
+    net = build_image_network(spec)
+    monkeypatch.setitem(CEILINGS, entry, (size(net), CEILINGS[entry][1]))
+    assert build_image_network(spec) == net
+    monkeypatch.setitem(CEILINGS, entry, (size(net) - 1, CEILINGS[entry][1]))
+    monkeypatch.setattr(dilated, "_DRAWS", {})
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew weights"))
+    with pytest.raises(InvalidParameterError, match="too large"):
+        build_image_network(spec)
+    assert not dilated._DRAWS  # refused before its draw was planned
 
 
 def _scratch_floats(state) -> int:
